@@ -5,21 +5,22 @@ lengths:
 
 - ``sliding_window`` — the StreamingLLM-style baseline (O(window)/query),
 - ``hybrid_reference`` — :class:`LongSightAttention` per-head reference loop,
-- ``hybrid_fast`` — the head-batched monolithic fast path consuming the KV
-  cache's incremental sign store (``prefill_tile=0``),
-- ``hybrid_tiled`` — the fast path with the IO-aware tiled prefill enabled
-  (streams keys/values/signs in ``--prefill-tile`` column tiles, so large
-  contexts never materialize an ``(n_queries, n_ctx)`` score array),
+- ``hybrid_fast`` — the fast path consuming the KV cache's incremental
+  sign store, block prefill kernel at ``prefill_tile=0`` (the whole sparse
+  span as one tile),
+- ``hybrid_tiled`` — the same kernel streaming keys/signs in
+  ``--prefill-tile`` column tiles, so large contexts never materialize an
+  ``(n_queries, n_ctx)`` count or score array,
 - ``hybrid_antidiag`` — the XAttention-style antidiagonal block-scoring
   pre-filter (:mod:`repro.core.antidiag`).
 
-Quadratic-cost prefill series (the reference loop and the monolithic fast
-path) are only measured up to ``--max-reference-context``; beyond it
-their entries are ``null`` — a 256k reference prefill would take hours
-and teach nothing.  Decode is cheap for every backend, so decode series
-are always complete, which keeps the long-context decode speedup
-(the paper's headline number) directly measurable at every point of the
-curve.
+Prefill series whose working set grows with the context (the reference
+loop and the single-tile kernel) are only measured up to
+``--max-reference-context``; beyond it their entries are ``null`` — a
+256k reference prefill would take hours and teach nothing.  Decode is
+cheap for every backend, so decode series are always complete, which
+keeps the long-context decode speedup (the paper's headline number)
+directly measurable at every point of the curve.
 
 Results are written as ``BENCH_attention.json`` (default: ``results/``) so
 later performance work has a trajectory to regress against.  Schema v2 is
@@ -55,8 +56,8 @@ SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_attention.json"
 BACKENDS = ("sliding_window", "hybrid_reference", "hybrid_fast",
             "hybrid_tiled", "hybrid_antidiag")
-#: Backends whose *prefill* cost is quadratic in context length; their
-#: prefill series stop at ``max_reference_context``.
+#: Backends whose *prefill* temporaries are ``(n_queries, n_ctx)`` wide;
+#: their prefill series stop at ``max_reference_context``.
 QUADRATIC_PREFILL = ("hybrid_reference", "hybrid_fast")
 
 
@@ -331,12 +332,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--head-dim", type=int, default=64)
     parser.add_argument("--block-size", type=int, default=256)
     parser.add_argument("--prefill-tile", type=int, default=4096,
-                        help="K/V column-tile size of the tiled prefill "
+                        help="key-tile length of the hybrid_tiled prefill "
                              "series")
     parser.add_argument("--max-reference-context", type=int, default=16384,
-                        help="largest context at which the quadratic "
-                             "prefill series (reference, monolithic fast) "
-                             "are still measured; null beyond")
+                        help="largest context at which the untiled "
+                             "prefill series (reference, hybrid_fast at "
+                             "tile 0) are still measured; null beyond")
     parser.add_argument("--out-dir", type=pathlib.Path, default=None,
                         help="directory for BENCH_attention.json "
                              "(default: results/)")

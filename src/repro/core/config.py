@@ -43,11 +43,12 @@ class LongSightConfig:
             block scoring — approximate, see
             :mod:`repro.core.antidiag`).  Resolved by
             :func:`repro.core.hybrid.make_backend`.
-        prefill_tile: K/V tile size of the IO-aware (FlashAttention-style)
-            prefill path.  Query blocks whose context exceeds the tile
-            stream keys, values, and packed signs tile by tile instead of
-            materializing ``(n_queries, n_ctx)`` score/mask arrays; 0
-            disables tiling (always take the monolithic path).
+        prefill_tile: key-tile length of the block prefill kernel
+            (:meth:`repro.core.hybrid.LongSightAttention._forward_block`).
+            The sparse span streams keys and packed signs this many
+            columns at a time, which bounds the kernel's count and score
+            temporaries; it never changes which keys are selected.  0 runs
+            the whole span as one tile.
         antidiag_block: key-block granularity of the antidiagonal scorer.
         antidiag_stride: antidiagonal sampling stride ``S`` (the scorer
             sums scores along every ``S``-th antidiagonal of each block).
@@ -82,7 +83,7 @@ class LongSightConfig:
         if self.prefilter not in ("scf", "antidiag"):
             raise ValueError("prefilter must be 'scf' or 'antidiag'")
         if self.prefill_tile < 0:
-            raise ValueError("prefill_tile must be >= 0 (0 disables tiling)")
+            raise ValueError("prefill_tile must be >= 0 (0 = one tile)")
         if self.antidiag_block < 1 or self.antidiag_stride < 1:
             raise ValueError("antidiag block/stride must be >= 1")
         if self.antidiag_stride > self.antidiag_block:

@@ -9,17 +9,43 @@ dense + sparse score set, exactly as in Figure 2b step 6.
 
 Two implementations of the same algorithm live side by side:
 
-- the **fast path** (default): one sign/rotation extraction per KV head
-  shared by its whole GQA group, consuming the KV cache's incremental sign
-  store when available (``LayerKV.packed_signs`` — the software analogue of
-  DReX reusing stored Key Sign Objects for every query).  Decode-sized
-  query blocks run fully head-batched with a packed XOR+popcount
-  concordance kernel; prefill-sized blocks use a per-head pipeline with
-  cache-resident temporaries and BLAS sign-matmul concordance;
+- the **fast path** (default) filters on packed sign words — one
+  XOR+popcount per KV head, shared by its whole GQA group and read
+  straight from the KV cache's incremental sign store when available
+  (``LayerKV.packed_signs``, the software analogue of DReX reusing stored
+  Key Sign Objects for every query) — and does float work only for
+  survivors, as DReX's PIM Filter Units never score a filtered-out key.
+  Decode-sized query blocks (at most ``_PACKED_CONC_MAX_NEW`` queries)
+  score the gathered union of dense and passing columns
+  (:meth:`LongSightAttention._attend_small_gathered`, shared with the
+  session-batched decode).  Larger blocks run the one block prefill
+  kernel, :meth:`LongSightAttention._forward_block`, per KV head and key
+  tile of the sparse span:
+
+  1. *filter* — packed mismatch counts for the GQA group, thresholded in
+     uint8; the causal limit is applied only on the trailing columns
+     where it can cut;
+  2. *score* — one BLAS GEMM per head on the contiguous key slice;
+  3. *compact* — each row's survivors left-aligned into ``(n_new, max
+     survivors per row)`` score/column arrays;
+  4. *select* — the compacted tile joins the per-row pool carried from
+     earlier tiles; top-k runs only if the merged width exceeds ``top_k``;
+  5. *attend* — one softmax over ``sinks + window ++ pool`` with gathered
+     values.
+
+  Stages 3–5 cost O(survivors), not O(candidates).  Compaction is
+  row-major, so columns stay ascending within a row and across tiles, and
+  :func:`~repro.core.topk.top_k_mask`'s lower-index tie-break picks
+  exactly the keys full-width selection picks.
+  ``LongSightConfig.prefill_tile`` bounds the kernel's working set
+  (``(group, n_new, tile)`` counts, one ``(n_new, tile)`` score array) and
+  nothing else: 0 is one tile over the whole span, and every tile size
+  selects the same keys (``tests/core/test_tiled_prefill.py``);
 - the **reference path** (``use_fast_path=False``): the original per-head
-  Python loop, kept as the correctness oracle.  The two are equivalent —
-  selected key sets match exactly and outputs match to float round-off
-  (``tests/core/test_fast_equivalence.py``).
+  Python loop over full-width masks, kept as the correctness oracle.  The
+  two are equivalent — selected key sets match exactly and outputs match
+  to float round-off (``tests/core/test_fast_equivalence.py``,
+  ``tests/core/test_block_prefill.py``).
 
 :class:`SlidingWindowAttention` is the StreamingLLM-style baseline of
 Section 8.2 / Figure 10: sinks + window only, no sparse component.  It
@@ -37,23 +63,20 @@ from repro.core.config import LongSightConfig
 from repro.core.itq import ItqRotations
 from repro.core.metrics import FilterStats
 from repro.obs import Obs, resolve_obs
-from repro.core.scf import (concordance, concordance_from_signs,
-                            concordance_packed_many,
+from repro.core.scf import (concordance, concordance_packed_many,
                             concordance_packed_sessions, mismatches_packed,
-                            pack_signs, sign_pm1, unpack_signs_pm1)
+                            pack_signs)
 from repro.core.topk import top_k_mask
 from repro.llm.ops import softmax
 
 if TYPE_CHECKING:
     from repro.llm.kv_cache import KVCache
 
-#: Largest query-block size handled by the fully head-batched fast path
-#: with the packed XOR+popcount concordance kernel.  Larger (prefill-sized)
-#: blocks switch to a per-head pipeline whose (n_new, n_ctx) temporaries
-#: stay cache-resident — batching them into one (Hkv, G, n_new, n_ctx)
-#: array was measured ~2x slower end to end — and whose concordance runs as
-#: one BLAS sign-matmul per head, sharing a single key-sign extraction (or
-#: the unpacked sign store) across each GQA group.
+#: Largest query-block size handled by the head-batched gathered path,
+#: whose concordance is one ``(Hkv, G, n_new, n_ctx)`` int64 array and
+#: whose scores cover the union of every row's passing columns.  Larger
+#: (prefill-sized) blocks run the block kernel, which keeps per-row
+#: survivor sets and a tile-bounded working set instead.
 _PACKED_CONC_MAX_NEW = 32
 
 #: Filter-ratio histogram edges: log-spaced 1x..1000x savings.
@@ -102,6 +125,48 @@ def _region_masks(q_positions: np.ndarray, n_ctx: int, n_sink: int,
     dense = ((j < n_sink) | (j > p - window)) & causal
     sparse = causal & ~dense
     return dense, sparse
+
+
+def _dense_region(n_ctx: int, n_new: int, n_sink: int,
+                  window: int) -> tuple[np.ndarray, np.ndarray]:
+    """A query block's dense columns and ``(n_new, n_cols)`` dense mask.
+
+    The columns are the union over the block: sinks plus the window of its
+    *oldest* query, O(window + n_new) of them whatever the context length.
+    """
+    sink_end = min(n_sink, n_ctx)
+    start = max(sink_end, n_ctx - n_new - window + 1)
+    cols = np.concatenate([np.arange(sink_end), np.arange(start, n_ctx)])
+    dense_mask, _ = _region_masks(np.arange(n_ctx - n_new, n_ctx), n_ctx,
+                                  n_sink, window, key_positions=cols)
+    return cols, dense_mask
+
+
+def _left_align(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Flat indices that left-align each row's True entries of ``mask``.
+
+    Returns ``(src, dest, shape)``: ``src`` are the flat positions of the
+    True entries in row-major order (so columns stay ascending within a
+    row), ``dest`` their flat positions in a ``shape = (n_rows, max True
+    per row)`` array with each row's entries packed to the left.
+    """
+    n_rows, n_cols = mask.shape
+    src = np.flatnonzero(mask)
+    # src is sorted, so row r's entries end where r's flat range ends.
+    ends = np.searchsorted(src, np.arange(1, n_rows + 1) * n_cols)
+    counts = np.diff(ends, prepend=0)
+    width = int(counts.max()) if n_rows else 0
+    dest = np.arange(len(src)) + np.repeat(
+        np.arange(n_rows) * width - (ends - counts), counts)
+    return src, dest, (n_rows, width)
+
+
+def _padded(values: np.ndarray, dest: np.ndarray, shape: tuple,
+            fill) -> np.ndarray:
+    """``values`` scattered to flat positions ``dest`` of a ``fill`` array."""
+    out = np.full(shape, fill, dtype=values.dtype)
+    out.ravel()[dest] = values
+    return out
 
 
 class LongSightAttention:
@@ -242,9 +307,11 @@ class LongSightAttention:
             if n_new != 1:
                 raise ValueError("forward_cached_batch is decode-only "
                                  "(one query per session)")
-            n_kv_heads = kv.keys.shape[0]
+            # Geometry from the layer's own fields: on a paged cache with
+            # non-contiguous blocks every ``kv.keys`` read is a full copy.
+            n_kv_heads = kv.n_kv_heads
             group = n_q_heads // n_kv_heads
-            n_ctx = kv.keys.shape[1]
+            n_ctx = len(kv)
             q_positions = np.arange(n_ctx - 1, n_ctx)
             dense_mask, sparse_mask = _region_masks(
                 q_positions, n_ctx, cfg.n_sink, cfg.window)
@@ -281,9 +348,9 @@ class LongSightAttention:
                             and entry["cache"].sign_rotations is expected:
                         key_signs.append(kv.packed_signs)
                     else:
-                        keys_f = np.matmul(kv.keys, rot) if cfg.use_itq \
-                            else kv.keys
-                        key_signs.append(pack_signs(keys_f))
+                        keys = kv.keys
+                        key_signs.append(pack_signs(
+                            np.matmul(keys, rot) if cfg.use_itq else keys))
                 head_dim = per[sparse_sessions[0]]["geometry"][2]
                 conc = concordance_packed_sessions(
                     np.stack(q_signs), key_signs, head_dim, scratch=scratch)
@@ -356,7 +423,7 @@ class LongSightAttention:
         extracted here once per KV head — still shared by the whole GQA
         group, never recomputed per query head.  Query blocks larger than
         ``_PACKED_CONC_MAX_NEW`` (prefill) divert to
-        :meth:`_forward_fast_large`.
+        :meth:`_forward_block`.
 
         Batching note: every matmul keeps one gemm per (kv_head, q_head)
         slice with the same row count as the reference loop, so results are
@@ -371,7 +438,7 @@ class LongSightAttention:
         O(n_ctx) in float work.
         """
         if q.shape[1] > _PACKED_CONC_MAX_NEW:
-            return self._forward_fast_large(layer, q, k, v, key_signs)
+            return self._forward_block(layer, q, k, v, key_signs)
         cfg = self.config
         n_q_heads, n_new, head_dim = q.shape
         n_kv_heads, n_ctx, _ = k.shape
@@ -489,127 +556,18 @@ class LongSightAttention:
                           passed_total, selected_total)
         return out
 
-    def _forward_fast_large(self, layer: int, q: np.ndarray, k: np.ndarray,
-                            v: np.ndarray,
-                            key_signs: Optional[np.ndarray]) -> np.ndarray:
-        """Fast path for prefill-sized query blocks.
+    def _forward_block(self, layer: int, q: np.ndarray, k: np.ndarray,
+                       v: np.ndarray,
+                       key_signs: Optional[np.ndarray]) -> np.ndarray:
+        """Survivor-compacted block prefill: the one multi-query kernel.
 
-        Per-head 2-D pipeline (cache-resident temporaries) with the
-        redundant work of the reference loop hoisted out: key signs are
-        extracted once per KV head — read straight back out of the packed
-        sign store when available — and the candidate count is computed
-        once per block.  Every remaining expression matches the reference
-        loop's operation for operation, so outputs are bit-identical to it.
-
-        Contexts beyond ``config.prefill_tile`` divert to the IO-aware
-        tiled pipeline (:meth:`_forward_fast_tiled`), which never
-        materializes ``(n_new, n_ctx)`` float temporaries.
-        """
-        cfg = self.config
-        if cfg.prefill_tile and k.shape[1] > cfg.prefill_tile:
-            return self._forward_fast_tiled(layer, q, k, v, key_signs)
-        n_q_heads, n_new, head_dim = q.shape
-        n_kv_heads, n_ctx, _ = k.shape
-        group = n_q_heads // n_kv_heads
-        scale = 1.0 / np.sqrt(head_dim)
-        q_positions = np.arange(n_ctx - n_new, n_ctx)
-        dense_mask, sparse_mask = _region_masks(
-            q_positions, n_ctx, cfg.n_sink, cfg.window)
-        any_sparse = bool(sparse_mask.any())
-        neg_inf = -np.inf
-        stats_per_q = self._stats_per_q(n_q_heads, n_kv_heads)
-
-        if any_sparse:
-            candidates = int(sparse_mask.sum())
-            q5 = q.reshape(n_kv_heads, group, n_new, head_dim)
-            if cfg.use_itq:
-                rot = self.rotations.matrices[layer]  # (Hkv, d, d)
-                q_f = np.matmul(q5, rot[:, None])
-            else:
-                q_f = q5
-
-        metrics = self.obs.metrics
-        passed_total = selected_total = 0
-        out = np.empty_like(q)
-        for kv_head in range(n_kv_heads):
-            keys = k[kv_head]
-            values = v[kv_head]
-            if any_sparse:
-                if key_signs is not None:
-                    sk = unpack_signs_pm1(key_signs[kv_head], head_dim)
-                else:
-                    keys_f = (keys @ self.rotations.get(layer, kv_head)
-                              if cfg.use_itq else keys)
-                    sk = sign_pm1(keys_f).astype(np.float32)
-            for g in range(group):
-                h = kv_head * group + g
-                scores = (q[h] @ keys.T) * scale
-                if any_sparse:
-                    threshold = cfg.threshold_for(layer, kv_head, h)
-                    sq = sign_pm1(q_f[kv_head, g]).astype(np.float32)
-                    conc = concordance_from_signs(sq, sk, head_dim)
-                    pass_mask = sparse_mask & (conc >= threshold)
-                    sparse_scores = np.where(pass_mask, scores, neg_inf)
-                    selected = top_k_mask(sparse_scores, cfg.top_k)
-                    attend = dense_mask | selected
-                    if metrics.enabled:
-                        passed_total += int(pass_mask.sum())
-                        selected_total += int(selected.sum())
-                    if self.stats is not None:
-                        self.stats.update(
-                            layer, h if stats_per_q else kv_head,
-                            candidates=candidates,
-                            passed=int(pass_mask.sum()),
-                            retrieved=int(selected.sum()),
-                            queries=n_new,
-                        )
-                    if self.selection_capture is not None:
-                        self.selection_capture[(layer, h)] = selected.copy()
-                else:
-                    attend = dense_mask
-                scores[~attend] = neg_inf
-                out[h] = softmax(scores, axis=-1) @ values
-        if metrics.enabled:
-            _record_split(metrics, n_q_heads * n_new,
-                          int(dense_mask.sum()) * n_q_heads,
-                          (candidates * n_q_heads) if any_sparse else 0,
-                          passed_total, selected_total)
-        return out
-
-    def _forward_fast_tiled(self, layer: int, q: np.ndarray, k: np.ndarray,
-                            v: np.ndarray,
-                            key_signs: Optional[np.ndarray]) -> np.ndarray:
-        """IO-aware tiled prefill (FlashAttention-style K/V streaming).
-
-        The monolithic paths materialize ``(n_new, n_ctx)`` score, mask,
-        and concordance arrays per head — at 64k–256k context those
-        temporaries blow past every cache level and dominate prefill time.
-        This pipeline keeps the working set bounded by the tile size:
-
-        - the **dense** region gathers only the sink+window columns
-          (O(window) per query, like :class:`SlidingWindowAttention`);
-        - the **sparse** region streams key tiles of ``config.prefill_tile``
-          columns: per tile, packed XOR+popcount mismatch counts
-          (:func:`~repro.core.scf.mismatches_packed`, word-at-a-time)
-          decide which candidates pass — thresholded directly as
-          ``mismatches <= d - thr`` in their narrow dtype — scores are
-          computed only for columns where some row passes, and a per-row
-          top-k pool of (score, column) pairs is merged via
-          :func:`top_k_mask` over ``pool ++ tile``.
-          Candidates that cannot beat the pool's current k-th best score
-          are pruned before the merge (they lose any tie to an
-          earlier-column pool entry), so steady-state merges stay small;
-        - one final softmax runs over dense ∪ pooled columns with gathered
-          values — scores of unselected keys are never revisited.
-
-        The streaming merge selects exactly the keys the monolithic path
-        selects: pool and tile entries are kept in ascending column order,
-        so relative index order in the merged array equals global column
-        order and :func:`top_k_mask`'s lower-index tie-break is preserved;
-        ``-inf``-scored pool sentinels are never selected.  Outputs match
-        the monolithic path to float round-off (the single softmax sums
-        the same finite terms in a different grouping), and selections
-        match exactly — ``tests/core/test_tiled_prefill.py``.
+        Filter -> score -> compact -> select -> attend per KV head and key
+        tile, as laid out (with the exact-selection argument) in the module
+        docstring.  ``key_signs`` is the optional packed sign store as in
+        :meth:`_forward_fast`; without it each tile's signs are packed from
+        the keys.  Selections equal :meth:`_forward_reference`'s exactly and
+        outputs match it to float round-off (the softmax sums the same
+        finite terms in a different grouping).
         """
         cfg = self.config
         n_q_heads, n_new, head_dim = q.shape
@@ -618,39 +576,32 @@ class LongSightAttention:
         scale = 1.0 / np.sqrt(head_dim)
         q_positions = np.arange(n_ctx - n_new, n_ctx)
         neg_inf = -np.inf
-        tile = cfg.prefill_tile
         top_k = cfg.top_k
         stats_per_q = self._stats_per_q(n_q_heads, n_kv_heads)
 
-        # Dense region: union of sink + window columns across the block.
-        sink_end = min(cfg.n_sink, n_ctx)
-        win_start = max(sink_end, n_ctx - n_new - cfg.window + 1)
-        dense_cols = np.concatenate([np.arange(sink_end),
-                                     np.arange(win_start, n_ctx)])
-        dense_mask, _ = _region_masks(q_positions, n_ctx, cfg.n_sink,
-                                      cfg.window, key_positions=dense_cols)
+        dense_cols, dense_mask = _dense_region(n_ctx, n_new, cfg.n_sink,
+                                               cfg.window)
         n_dense = len(dense_cols)
 
-        # Sparse candidate span: row p may select columns in
-        # [n_sink, p - window]; the union over the block is [lo, hi).
-        span_lo = cfg.n_sink
-        span_hi = max(span_lo, n_ctx - cfg.window)
-        any_sparse = span_hi > span_lo
-        # Same count the monolithic paths get from sparse_mask.sum().
+        # Sparse span: row p may select columns in [n_sink, p - window].
+        # Same count the reference gets from sparse_mask.sum().
+        span_lo, span_hi = cfg.n_sink, n_ctx - cfg.window
         candidates = int(np.clip(q_positions - cfg.window - cfg.n_sink + 1,
-                                 0, None).sum()) if any_sparse else 0
-        any_sparse = any_sparse and candidates > 0
+                                 0, None).sum())
+        any_sparse = candidates > 0
 
         if any_sparse:
             q5 = q.reshape(n_kv_heads, group, n_new, head_dim)
             if cfg.use_itq:
                 rot_bank = self.rotations.matrices[layer]  # (Hkv, d, d)
-                q_f = np.matmul(q5, rot_bank[:, None])
-            else:
-                q_f = q5
-            q_signs = pack_signs(q_f)                 # (Hkv, G, n_new, nb)
-            # Row limit of the candidate region: col <= position - window.
-            cand_hi = (q_positions - cfg.window)[:, None]
+                q5 = np.matmul(q5, rot_bank[:, None])
+            q_signs = pack_signs(q5)                  # (Hkv, G, n_new, nb)
+            tile = cfg.prefill_tile or span_hi - span_lo
+            # Columns at or below the first query's limit are candidates
+            # for every row; only the tail beyond it needs the causal cut.
+            tail_lo = max(span_lo, int(q_positions[0]) - cfg.window + 1)
+            causal_tail = (np.arange(tail_lo, span_hi)[None, :]
+                           <= (q_positions - cfg.window)[:, None])
 
         metrics = self.obs.metrics
         passed_total = selected_total = 0
@@ -659,111 +610,87 @@ class LongSightAttention:
             keys = k[kv_head]
             values = v[kv_head]
             if any_sparse:
-                # Per-row pools of the best-k (score, column) pairs seen so
-                # far, kept in ascending column order; column n_ctx marks an
-                # empty slot (score -inf, sorts after every real column).
-                pool_scores = np.full((group, n_new, top_k), neg_inf)
-                pool_cols = np.full((group, n_new, top_k), n_ctx,
-                                    dtype=np.int64)
-                passed_g = np.zeros(group, dtype=np.int64)
-                # conc >= thr  <=>  mismatches <= d - thr, so the packed
-                # counts threshold directly in their narrow dtype.
-                mism_thresholds = [
-                    head_dim - cfg.threshold_for(layer, kv_head,
-                                                 kv_head * group + g)
+                # Per-row pools of the best (score, column) pairs so far,
+                # left-aligned in ascending column order; column n_ctx
+                # pads a row (score -inf, sorts after every real column).
+                pool_s = [np.empty((n_new, 0))] * group
+                pool_c = [np.empty((n_new, 0), dtype=np.int64)] * group
+                passed = [0] * group
+                limits = [int(np.floor(head_dim - cfg.threshold_for(
+                    layer, kv_head, kv_head * group + g)))
                     for g in range(group)]
                 for t0 in range(span_lo, span_hi, tile):
                     t1 = min(t0 + tile, span_hi)
-                    cols_t = np.arange(t0, t1)
-                    cand_t = cols_t[None, :] <= cand_hi   # (n_new, T)
                     if key_signs is not None:
                         sk_t = key_signs[kv_head, t0:t1]
                     else:
-                        keys_f_t = (keys[t0:t1] @ rot_bank[kv_head]
-                                    if cfg.use_itq else keys[t0:t1])
-                        sk_t = pack_signs(keys_f_t)
-                    mism_t = mismatches_packed(q_signs[kv_head],
-                                               sk_t[None])   # (G, n_new, T)
+                        sk_t = pack_signs(keys[t0:t1] @ rot_bank[kv_head]
+                                          if cfg.use_itq else keys[t0:t1])
+                    mism = mismatches_packed(q_signs[kv_head], sk_t[None])
                     for g in range(group):
-                        pass_t = cand_t & (mism_t[g] <= mism_thresholds[g])
-                        n_pass = int(pass_t.sum())
-                        passed_g[g] += n_pass
-                        if n_pass == 0 or not top_k:
+                        pass_t = mism[g] <= limits[g]         # (n_new, T)
+                        if t1 > tail_lo:
+                            pass_t[:, max(tail_lo - t0, 0):] &= causal_tail[
+                                :, max(t0 - tail_lo, 0): t1 - tail_lo]
+                        src, dest, shape = _left_align(pass_t)
+                        passed[g] += len(src)
+                        if not len(src) or not top_k:
                             continue          # tile contributes nothing
                         h = kv_head * group + g
-                        # Score only the columns where some row passed.
-                        cols_any = pass_t.any(axis=0)
-                        sub = np.nonzero(cols_any)[0]
-                        scores_s = (q[h] @ keys[t0 + sub].T) * scale
-                        # Prune candidates that cannot enter the pool: the
-                        # pool's k-th best (its min; -inf while not full)
-                        # wins any tie via its earlier column.
-                        thr_row = pool_scores[g].min(axis=1)
-                        survive = pass_t[:, sub] \
-                            & (scores_s > thr_row[:, None])
-                        alive = survive.any(axis=0)
-                        if not bool(alive.any()):
-                            continue
-                        scores_s = scores_s[:, alive]
-                        cand_scores = np.where(survive[:, alive], scores_s,
-                                               neg_inf)
-                        cand_cols = np.broadcast_to(
-                            t0 + sub[alive], cand_scores.shape)
+                        # Scale survivors only: the same float op per
+                        # entry as the reference's full-width scaling.
+                        scores = (q[h] @ keys[t0:t1].T).ravel()[src] * scale
                         merged_s = np.concatenate(
-                            [pool_scores[g], cand_scores], axis=1)
+                            [pool_s[g], _padded(scores, dest, shape,
+                                                neg_inf)], axis=1)
                         merged_c = np.concatenate(
-                            [pool_cols[g], cand_cols], axis=1)
-                        keep = top_k_mask(merged_s, top_k)
-                        kept_c = np.where(keep, merged_c, n_ctx)
-                        order = np.argsort(kept_c, axis=1,
-                                           kind="stable")[:, :top_k]
-                        pool_cols[g] = np.take_along_axis(kept_c, order,
-                                                          axis=1)
-                        pool_scores[g] = np.take_along_axis(
-                            np.where(keep, merged_s, neg_inf), order, axis=1)
-                passed_total += int(passed_g.sum())
+                            [pool_c[g], _padded(src % (t1 - t0) + t0, dest,
+                                                shape, n_ctx)], axis=1)
+                        if merged_s.shape[1] > top_k:
+                            keep = top_k_mask(merged_s, top_k)
+                            src, dest, shape = _left_align(keep)
+                            merged_s = _padded(merged_s.ravel()[src], dest,
+                                               shape, neg_inf)
+                            merged_c = _padded(merged_c.ravel()[src], dest,
+                                               shape, n_ctx)
+                        pool_s[g], pool_c[g] = merged_s, merged_c
+                passed_total += sum(passed)
 
             kg = keys[dense_cols]
             vg = values[dense_cols]
             for g in range(group):
                 h = kv_head * group + g
-                d_scores = (q[h] @ kg.T) * scale
-                d_scores = np.where(dense_mask, d_scores, neg_inf)
+                combined = np.where(dense_mask, (q[h] @ kg.T) * scale,
+                                    neg_inf)
                 if any_sparse:
-                    sel_cols = pool_cols[g]
-                    sel_scores = pool_scores[g]
+                    sel_cols = pool_c[g]
                     valid = sel_cols < n_ctx
-                    retrieved = int(valid.sum())
-                    if metrics.enabled:
-                        selected_total += retrieved
+                    retrieved = int(np.count_nonzero(valid))
+                    selected_total += retrieved
                     if self.stats is not None:
                         self.stats.update(
                             layer, h if stats_per_q else kv_head,
-                            candidates=candidates,
-                            passed=int(passed_g[g]),
-                            retrieved=retrieved,
-                            queries=n_new,
-                        )
+                            candidates=candidates, passed=passed[g],
+                            retrieved=retrieved, queries=n_new)
                     if self.selection_capture is not None:
                         sel_mask = np.zeros((n_new, n_ctx), dtype=bool)
                         rows, slots = np.nonzero(valid)
                         sel_mask[rows, sel_cols[rows, slots]] = True
                         self.selection_capture[(layer, h)] = sel_mask
-                    combined = np.concatenate([d_scores, sel_scores], axis=1)
-                else:
-                    combined = d_scores
+                    combined = np.concatenate([combined, pool_s[g]], axis=1)
                 probs = softmax(combined, axis=-1)
                 out_h = probs[:, :n_dense] @ vg
-                if any_sparse and top_k:
-                    v_sel = values[np.minimum(sel_cols, n_ctx - 1)]
+                if combined.shape[1] > n_dense:
+                    # Pad columns clip to the last key; their weight is 0.
+                    v_sel = values.take(sel_cols, axis=0, mode="clip")
                     out_h += np.einsum("nk,nkd->nd", probs[:, n_dense:],
                                        v_sel)
                 out[h] = out_h
         if metrics.enabled:
             _record_split(metrics, n_q_heads * n_new,
                           int(dense_mask.sum()) * n_q_heads,
-                          candidates * n_q_heads if any_sparse else 0,
-                          passed_total, selected_total)
+                          candidates * n_q_heads, passed_total,
+                          selected_total)
         return out
 
     def _threshold_stack(self, layer: int, n_kv_heads: int,
@@ -872,14 +799,8 @@ class SlidingWindowAttention:
         n_kv_heads, n_ctx, _ = k.shape
         group = n_q_heads // n_kv_heads
         scale = 1.0 / np.sqrt(head_dim)
-        q_positions = np.arange(n_ctx - n_new, n_ctx)
-        # Union of dense columns across the query block: sinks plus the
-        # window of the *oldest* query in the block.
-        sink_end = min(self.n_sink, n_ctx)
-        start = max(sink_end, n_ctx - n_new - self.window + 1)
-        cols = np.concatenate([np.arange(sink_end), np.arange(start, n_ctx)])
-        dense_mask, _ = _region_masks(q_positions, n_ctx, self.n_sink,
-                                      self.window, key_positions=cols)
+        cols, dense_mask = _dense_region(n_ctx, n_new, self.n_sink,
+                                         self.window)
         kg = k[:, cols]                                # (Hkv, n_cols, d)
         vg = v[:, cols]
         q5 = q.reshape(n_kv_heads, group, n_new, head_dim)

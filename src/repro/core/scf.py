@@ -92,9 +92,10 @@ def pack_signs(x: np.ndarray) -> np.ndarray:
 def unpack_signs_pm1(packed: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`pack_signs` as +/-1 float32 vectors.
 
-    Lets a packed sign store feed the BLAS float path of
-    :func:`concordance` (whose sign extraction is idempotent on +/-1
-    input), which beats XOR+popcount for large query blocks.
+    Lets a packed sign store feed the float path of :func:`concordance`
+    (whose sign extraction is idempotent on +/-1 input).  No kernel in
+    :mod:`repro.core.hybrid` calls it since the block prefill filters on
+    packed words; it stays as the public inverse of :func:`pack_signs`.
     """
     bits = np.unpackbits(packed, axis=-1, count=d)
     return bits.astype(np.float32) * 2.0 - 1.0
@@ -105,6 +106,12 @@ _POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)],
                            dtype=np.uint8)
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+
+#: Word widths (bytes, widest first) the packed sign bytes reinterpret as.
+_WORD_DTYPES = {8: np.uint64, 4: np.uint32, 2: np.uint16, 1: np.uint8}
+
+#: Words per XOR temporary in :func:`mismatches_packed` (<= 1 MiB).
+_XOR_SLAB_WORDS = 1 << 17
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
@@ -159,27 +166,42 @@ def mismatches_packed(q_packed: np.ndarray, k_packed: np.ndarray
 
     The raw form of :func:`concordance_packed_many` —
     ``concordance = d - mismatches`` — in the narrowest dtype the count
-    fits (uint8 for one 64-bit word, uint16 beyond).  Thresholding callers
-    (``conc >= thr  <=>  mismatches <= d - thr``) use it directly to skip
-    the int64 conversion pass; this matters in the tiled prefill loop
-    where the count array is the single largest temporary.
+    fits (uint8 up to 31 sign bytes, i.e. ``head_dim <= 248``; uint16
+    beyond).  Thresholding callers (``conc >= thr  <=>  mismatches <=
+    d - thr``) use it directly to skip the int64 conversion pass; this
+    matters in the block prefill kernel, where the count array is the
+    single largest temporary.
 
-    When both inputs' byte axes are contiguous multiples of 8, the packed
-    bytes reinterpret losslessly as uint64 words and each word pair costs
-    one XOR + one popcount instruction.
+    When both inputs' byte axes are contiguous, the packed bytes
+    reinterpret losslessly as the widest unsigned word that divides the
+    byte count (``head_dim`` 16 -> one uint16, 32 -> one uint32, 64 -> one
+    uint64, 96 -> three uint32, ...) and each word pair costs one XOR +
+    one popcount instruction.
     """
     nb = q_packed.shape[-1]
-    if (_HAS_BITWISE_COUNT and nb and nb % 8 == 0
+    if (_HAS_BITWISE_COUNT and nb
             and q_packed.strides[-1] == 1 and k_packed.strides[-1] == 1):
-        qw = q_packed.view(np.uint64)
-        kw = k_packed.view(np.uint64)
-        acc = np.bitwise_count(qw[..., :, None, 0] ^ kw[..., None, :, 0])
-        if nb > 8:
-            acc = acc.astype(np.uint16)
-            for word in range(1, nb // 8):
-                acc += np.bitwise_count(qw[..., :, None, word]
-                                        ^ kw[..., None, :, word])
-        return acc
+        word = next(w for w in _WORD_DTYPES if nb % w == 0)
+        qw = q_packed.view(_WORD_DTYPES[word])
+        kw = k_packed.view(_WORD_DTYPES[word])
+        n_q, n_k = q_packed.shape[-2], k_packed.shape[-2]
+        out = np.empty(
+            np.broadcast_shapes(q_packed.shape[:-2], k_packed.shape[:-2])
+            + (n_q, n_k),
+            dtype=np.uint8 if nb * 8 <= np.iinfo(np.uint8).max else np.uint16)
+        # Query rows go through in slabs whose XOR temporary stays
+        # cache-resident; one full-size word array per call would be
+        # several times the size of the result it is reduced to.
+        step = max(1, _XOR_SLAB_WORDS * n_q // max(out.size, 1))
+        for start in range(0, n_q, step):
+            rows = slice(start, start + step)
+            acc = out[..., rows, :]
+            np.bitwise_count(qw[..., rows, None, 0] ^ kw[..., None, :, 0],
+                             out=acc)
+            for i in range(1, nb // word):
+                acc += np.bitwise_count(qw[..., rows, None, i]
+                                        ^ kw[..., None, :, i])
+        return out
     xor = np.bitwise_xor(q_packed[..., :, None, :], k_packed[..., None, :, :])
     return _popcount(xor).sum(axis=-1, dtype=np.uint16)
 

@@ -141,8 +141,9 @@ def test_top_k_zero_and_top_k_covering(rng):
 
 @pytest.mark.parametrize("use_itq", [False, True])
 def test_large_query_block_float_concordance(rng, use_itq):
-    """Blocks above _PACKED_CONC_MAX_NEW take the BLAS concordance branch;
-    it must agree with the reference exactly like the packed branch does."""
+    """Blocks above _PACKED_CONC_MAX_NEW run the block prefill kernel; it
+    must agree with the reference's float concordance exactly like the
+    small-block path does."""
     d = 16
     n_kv = 2
     q, k, v = _qkv(rng, 4, n_kv, 40, 120, d)
@@ -153,8 +154,8 @@ def test_large_query_block_float_concordance(rng, use_itq):
 
 
 def test_cached_large_block_unpacks_sign_store(rng):
-    """Prefill-sized cached forward reads signs back out of the packed
-    store (unpack + BLAS) rather than re-extracting them from the keys."""
+    """Prefill-sized cached forward filters on the packed sign store
+    directly rather than re-extracting signs from the keys."""
     d = TINY.head_dim
     config = LongSightConfig(window=6, n_sink=2, top_k=4, thresholds=d // 2)
     cache = KVCache(TINY)

@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 from repro.core.scf import (
     concordance,
     concordance_packed,
+    concordance_packed_many,
+    mismatches_packed,
     pack_signs,
     scf_filter,
     scf_filter_packed,
@@ -122,3 +124,46 @@ class TestPackedPath:
         packed = pack_signs(rng.normal(size=(5, 20)))
         assert packed.shape == (5, 3)  # ceil(20 / 8) bytes
         assert packed.dtype == np.uint8
+
+
+class TestWordPath:
+    """``mismatches_packed`` reinterprets the sign bytes as the widest
+    word dividing their count; every width must agree with the float
+    path on the layouts the kernels feed it."""
+
+    DIMS = [8, 16, 24, 32, 48, 64, 96, 128]
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_arena_slice_and_gqa_broadcast(self, d, rng):
+        """Keys are a non-contiguous slice of a sign arena (contiguous
+        byte axis only), shared by a GQA group through a broadcast axis."""
+        n_kv, group, n_q, n_k = 2, 3, 5, 11
+        q = rng.normal(size=(n_kv, group, n_q, d))
+        k = rng.normal(size=(n_kv, 3 + n_k + 4, d))
+        arena = pack_signs(k)
+        k_packed = arena[:, 3:3 + n_k]
+        assert not k_packed.flags.c_contiguous
+        expected = concordance(q, k[:, None, 3:3 + n_k])
+        q_packed = pack_signs(q)
+        mism = mismatches_packed(q_packed, k_packed[:, None])
+        assert mism.shape == (n_kv, group, n_q, n_k)
+        np.testing.assert_array_equal(d - mism.astype(np.int64), expected)
+        conc = concordance_packed_many(q_packed, k_packed[:, None], d)
+        assert conc.dtype == np.int64
+        np.testing.assert_array_equal(conc, expected)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_zero_length_key_axis(self, d, rng):
+        q_packed = pack_signs(rng.normal(size=(2, 3, d)))
+        k_packed = pack_signs(rng.normal(size=(2, 0, d)))
+        assert mismatches_packed(q_packed, k_packed).shape == (2, 3, 0)
+        assert concordance_packed_many(q_packed, k_packed,
+                                       d).shape == (2, 3, 0)
+
+    @pytest.mark.parametrize("d", [16, 32, 64])
+    def test_single_word_counts_stay_uint8(self, d, rng):
+        """One uint16/uint32/uint64 word per vector: the count array --
+        the block kernel's largest temporary -- is one byte per pair."""
+        q_packed = pack_signs(rng.normal(size=(4, d)))
+        k_packed = pack_signs(rng.normal(size=(9, d)))
+        assert mismatches_packed(q_packed, k_packed).dtype == np.uint8

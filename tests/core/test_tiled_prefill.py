@@ -1,13 +1,14 @@
-"""Tiled prefill equivalence: streaming top-k merge == monolithic path.
+"""Tiled prefill equivalence: streaming (tile > 0) == single tile (tile 0).
 
-The IO-aware tiled prefill (``LongSightConfig.prefill_tile > 0``) streams
-keys/values/signs tile by tile and merges per-row top-k pools, so it must
-reproduce the monolithic fast path's *selections exactly* (the merge
-preserves ascending column order, hence ``top_k_mask``'s lower-index
-tie-break) and its *outputs to float round-off* (one final softmax over
-the same finite terms).  The headline case drives a full 32k-token
-blockwise prefill through real KV caches -- the configuration the
-long-context acceptance criteria measure.
+``LongSightConfig.prefill_tile`` only bounds the block kernel's working
+set: with a tile, keys/signs stream tile by tile and each tile's compacted
+survivors merge into per-row top-k pools, so streaming must reproduce the
+single-tile run's *selections exactly* (the merge preserves ascending
+column order, hence ``top_k_mask``'s lower-index tie-break) and its
+*outputs to float round-off* (one final softmax over the same finite
+terms).  The headline case drives a full 32k-token blockwise prefill
+through real KV caches -- the configuration the long-context acceptance
+criteria measure.
 """
 
 import numpy as np
@@ -45,22 +46,22 @@ def _blockwise_prefill(att, mc, cfg, k, v, q, block):
 
 
 def test_tiled_prefill_equivalence_at_32k():
-    """32k-context blockwise prefill: tiled == monolithic at 32k context.
+    """32k-context blockwise prefill: tiled == single tile at 32k context.
 
-    The tiled path runs the *full* 32k blockwise prefill through a real
-    KV cache (incremental sign store included).  Running the monolithic
-    path over every block too would move ~40 GB of (n_new, n_ctx) mask
-    and score temporaries -- the exact cost tiling exists to avoid -- so
-    the monolithic oracle instead checks probe blocks statelessly,
-    including the final block whose context is the full 32768 tokens.
-    Selections must be *exactly* equal; outputs agree to round-off.
+    The tiled run is the *full* 32k blockwise prefill through a real KV
+    cache (incremental sign store included).  The single-tile oracle
+    materializes (n_new, n_ctx) count and score arrays per head -- the
+    working set tiling exists to bound -- so it checks probe blocks
+    statelessly, including the final block whose context is the full
+    32768 tokens.  Selections must be *exactly* equal; outputs agree to
+    round-off.
     """
     n_ctx, block, tile = 32768, 1024, 2048
-    # head_dim 64 = 8 packed bytes keeps the XOR+popcount kernel on its
-    # uint64 word path; one head bounds the quadratic oracle's cost.
+    # head_dim 64 = one uint64 word per key in the XOR+popcount filter;
+    # one head bounds the oracle's cost.
     mc = _model_config(n_q_heads=1, n_kv_heads=1, head_dim=64)
     # threshold 40/64 passes ~3% of candidates — a *selective* filter, the
-    # regime the tiled pruning is designed for (and the bench measures)
+    # regime survivor compaction pays off most (and the bench measures)
     cfg = LongSightConfig(window=128, n_sink=16, top_k=64, thresholds=40)
     rng = np.random.default_rng(0)
     k = rng.normal(size=(mc.n_kv_heads, n_ctx, mc.head_dim)
@@ -114,9 +115,9 @@ def test_tiled_prefill_equivalence_small_geometries(tile, block):
         np.testing.assert_allclose(om, ot, atol=1e-10)
 
 
-def test_tiled_dispatch_threshold():
-    """Query blocks at or below the tile take the monolithic path; the
-    stateless entries agree either way."""
+def test_tile_covering_the_span_is_the_single_tile_case():
+    """A tile at least as long as the sparse span runs the same single
+    pass as tile 0, so the stateless entries agree bit for bit."""
     mc = _model_config(n_q_heads=2, n_kv_heads=1, head_dim=16)
     cfg = LongSightConfig(window=32, n_sink=4, top_k=16, thresholds=4,
                           prefill_tile=512)
@@ -126,5 +127,5 @@ def test_tiled_dispatch_threshold():
     q = rng.normal(size=(2, 512, 16))
     att = LongSightAttention(cfg)
     mono = LongSightAttention(cfg.replace(prefill_tile=0))
-    np.testing.assert_allclose(att.forward(0, q, k, v),
-                               mono.forward(0, q, k, v), atol=1e-10)
+    np.testing.assert_array_equal(att.forward(0, q, k, v),
+                                  mono.forward(0, q, k, v))

@@ -78,3 +78,28 @@ class TestMask:
     def test_at_most_k_per_row(self, rng):
         scores = rng.normal(size=(4, 50))
         assert (top_k_mask(scores, 7).sum(axis=1) == 7).all()
+
+    def test_boundary_tie_on_padded_row(self):
+        """Boundary ties fill by lower index on a row left-aligned with
+        -inf padding, beside rows that need no fill at all (the tie-fill
+        runs per row): one crowded row, one exact-fit tie, one row whose
+        boundary is the padding itself, one plain row, under a leading
+        batch axis."""
+        inf = np.inf
+        scores = np.array([[
+            [5.0, 3.0, 3.0, 3.0, 1.0, -inf, -inf, -inf],   # 3 tied, 2 slots
+            [5.0, 3.0, 3.0, 1.0, 0.0, -inf, -inf, -inf],   # 2 tied, 2 slots
+            [2.0, 1.0, -inf, -inf, -inf, -inf, -inf, -inf],  # < k finite
+            [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+        ]])
+        expected = np.array([[
+            [1, 1, 1, 0, 0, 0, 0, 0],
+            [1, 1, 1, 0, 0, 0, 0, 0],
+            [1, 1, 0, 0, 0, 0, 0, 0],
+            [1, 1, 1, 0, 0, 0, 0, 0],
+        ]], dtype=bool)
+        np.testing.assert_array_equal(top_k_mask(scores, 3), expected)
+        for row in range(4):
+            by_index = np.zeros(8, dtype=bool)
+            by_index[top_k_indices(scores[0, row], 3)] = True
+            np.testing.assert_array_equal(expected[0, row], by_index)
