@@ -1,18 +1,17 @@
 """Attention microbenchmark CLI (``python -m repro.bench.micro``).
 
-Times prefill and decode for five attention backends across context
+Times prefill and decode for four attention backends across context
 lengths:
 
 - ``sliding_window`` — the StreamingLLM-style baseline (O(window)/query),
-- ``hybrid_reference`` — :class:`LongSightAttention` per-head reference loop,
-- ``hybrid_fast`` — the fast path consuming the KV cache's incremental
-  sign store, block prefill kernel at ``prefill_tile=0`` (the whole sparse
-  span as one tile),
+- ``hybrid_reference`` — the per-head reference loop
+  (:class:`~repro.core.reference.ReferenceAttention`),
+- ``hybrid_fast`` — :class:`LongSightAttention` consuming the KV cache's
+  incremental sign store at ``prefill_tile=0`` (the whole sparse span as
+  one tile),
 - ``hybrid_tiled`` — the same kernel streaming keys/signs in
   ``--prefill-tile`` column tiles, so large contexts never materialize an
-  ``(n_queries, n_ctx)`` count or score array,
-- ``hybrid_antidiag`` — the XAttention-style antidiagonal block-scoring
-  pre-filter (:mod:`repro.core.antidiag`).
+  ``(n_queries, n_ctx)`` count or score array.
 
 Prefill series whose working set grows with the context (the reference
 loop and the single-tile kernel) are only measured up to
@@ -23,8 +22,9 @@ keeps the long-context decode speedup (the paper's headline number)
 directly measurable at every point of the curve.
 
 Results are written as ``BENCH_attention.json`` (default: ``results/``) so
-later performance work has a trajectory to regress against.  Schema v2 is
-validated by ``tests/bench/test_micro.py``:
+later performance work has a trajectory to regress against.  Schema v3
+(v2 minus the series and config block of the removed block-scoring
+backend) is validated by ``tests/bench/test_micro.py``:
 
 - ``contexts`` is a strictly increasing token-count axis,
 - every backend series has one entry per context (prefill entries may be
@@ -46,16 +46,16 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.bench.tables import Table, results_dir
-from repro.core.antidiag import AntidiagonalAttention
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
+from repro.core.reference import ReferenceAttention
 from repro.llm.config import ModelConfig
 from repro.llm.kv_cache import KVCache
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 RESULT_NAME = "BENCH_attention.json"
 BACKENDS = ("sliding_window", "hybrid_reference", "hybrid_fast",
-            "hybrid_tiled", "hybrid_antidiag")
+            "hybrid_tiled")
 #: Backends whose *prefill* temporaries are ``(n_queries, n_ctx)`` wide;
 #: their prefill series stop at ``max_reference_context``.
 QUADRATIC_PREFILL = ("hybrid_reference", "hybrid_fast")
@@ -83,13 +83,10 @@ def _backend_stack(cfg: LongSightConfig, prefill_tile: int) -> Dict[str, object]
     return {
         "sliding_window": SlidingWindowAttention(window=cfg.window,
                                                  n_sink=cfg.n_sink),
-        "hybrid_reference": LongSightAttention(cfg.replace(prefill_tile=0),
-                                               use_fast_path=False),
+        "hybrid_reference": ReferenceAttention(cfg),
         "hybrid_fast": LongSightAttention(cfg.replace(prefill_tile=0)),
         "hybrid_tiled": LongSightAttention(
             cfg.replace(prefill_tile=prefill_tile)),
-        "hybrid_antidiag": AntidiagonalAttention(
-            cfg.replace(prefilter="antidiag")),
     }
 
 
@@ -98,14 +95,13 @@ def _decode_runners(mc: ModelConfig, cfg: LongSightConfig, k: np.ndarray,
                     prefill_tile: int) -> Dict[str, Callable]:
     """One-token decode at full context, per backend.
 
-    Cache-consuming backends get a pre-populated cache with their
-    incremental metadata (packed signs / block summaries) already built,
-    mirroring steady-state decode where appends maintain it token by
-    token.
+    Cache-consuming backends get a pre-populated cache with their packed
+    sign store already built, mirroring steady-state decode where appends
+    maintain it token by token.
     """
     stack = _backend_stack(cfg, prefill_tile)
     caches: Dict[str, KVCache] = {}
-    for name in ("hybrid_fast", "hybrid_tiled", "hybrid_antidiag"):
+    for name in ("hybrid_fast", "hybrid_tiled"):
         cache = KVCache(mc)
         stack[name].prepare_cache(cache)
         cache.append(0, k, v)
@@ -120,9 +116,6 @@ def _decode_runners(mc: ModelConfig, cfg: LongSightConfig, k: np.ndarray,
         "hybrid_tiled":
             lambda: stack["hybrid_tiled"].forward_cached(
                 0, q, caches["hybrid_tiled"]),
-        "hybrid_antidiag":
-            lambda: stack["hybrid_antidiag"].forward_cached(
-                0, q, caches["hybrid_antidiag"]),
     }
 
 
@@ -154,7 +147,6 @@ def _prefill_runners(mc: ModelConfig, cfg: LongSightConfig, k: np.ndarray,
         "hybrid_reference": lambda: run_stateless(stack["hybrid_reference"]),
         "hybrid_fast": run_cached(stack["hybrid_fast"]),
         "hybrid_tiled": run_cached(stack["hybrid_tiled"]),
-        "hybrid_antidiag": run_cached(stack["hybrid_antidiag"]),
     }
 
 
@@ -221,10 +213,6 @@ def run_micro(contexts: Sequence[int] = (512, 1024, 2048, 4096),
                    "threshold": threshold, "block_size": block_size,
                    "prefill_tile": prefill_tile,
                    "max_reference_context": max_reference_context,
-                   "antidiag": {"block": cfg.antidiag_block,
-                                "stride": cfg.antidiag_stride,
-                                "tau": cfg.antidiag_tau,
-                                "max_blocks": cfg.antidiag_max_blocks},
                    "repeats": repeats},
         "contexts": contexts,
         "backends": series,
@@ -239,9 +227,8 @@ def run_micro(contexts: Sequence[int] = (512, 1024, 2048, 4096),
 
     table = Table(
         "attention microbenchmark (decode one token / prefill full context)",
-        ["context", "ref_decode_ms", "fast_decode_ms", "anti_decode_ms",
-         "decode_speedup", "ref_prefill_ms", "tiled_prefill_ms",
-         "anti_prefill_ms", "tiled_speedup"],
+        ["context", "ref_decode_ms", "fast_decode_ms", "decode_speedup",
+         "ref_prefill_ms", "tiled_prefill_ms", "tiled_speedup"],
         note=f"best of {repeats}; window={window} top_k={top_k} "
              f"threshold={threshold} heads={n_q_heads}/{n_kv_heads} "
              f"d={head_dim} tile={prefill_tile}")
@@ -250,18 +237,16 @@ def run_micro(contexts: Sequence[int] = (512, 1024, 2048, 4096),
             context=n_ctx,
             ref_decode_ms=_ms(series["hybrid_reference"]["decode_s"][i]),
             fast_decode_ms=_ms(series["hybrid_fast"]["decode_s"][i]),
-            anti_decode_ms=_ms(series["hybrid_antidiag"]["decode_s"][i]),
             decode_speedup=speedup["decode"]["hybrid_fast"][i],
             ref_prefill_ms=_ms(series["hybrid_reference"]["prefill_s"][i]),
             tiled_prefill_ms=_ms(series["hybrid_tiled"]["prefill_s"][i]),
-            anti_prefill_ms=_ms(series["hybrid_antidiag"]["prefill_s"][i]),
             tiled_speedup=speedup["prefill"]["hybrid_tiled"][i],
         )
     return table
 
 
 def validate_payload(payload: dict) -> List[str]:
-    """Schema-v2 check used by the smoke test; returns a list of problems."""
+    """Schema check used by the smoke test; returns a list of problems."""
     problems = []
     for key in ("benchmark", "schema_version", "units", "model", "config",
                 "contexts", "backends", "speedup"):
@@ -318,8 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.micro",
         description="Attention prefill/decode microbenchmark "
-                    "(sliding-window vs hybrid reference/fast/tiled vs "
-                    "antidiagonal block scoring).")
+                    "(sliding-window vs hybrid reference/fast/tiled).")
     parser.add_argument("--contexts", type=int, nargs="+",
                         default=[512, 1024, 2048, 4096])
     parser.add_argument("--repeats", type=int, default=5)

@@ -37,25 +37,12 @@ class LongSightConfig:
             (Section 5.1) and settled on per-KV-head; both are supported
             here so that finding can be reproduced
             (``benchmarks/test_ablation_granularity.py``).
-        prefilter: which cheap candidate pre-filter backs the sparse
-            region: ``"scf"`` (sign-concordance, the paper's exact-recall
-            mechanism) or ``"antidiag"`` (XAttention-style antidiagonal
-            block scoring — approximate, see
-            :mod:`repro.core.antidiag`).  Resolved by
-            :func:`repro.core.hybrid.make_backend`.
-        prefill_tile: key-tile length of the block prefill kernel
+        prefill_tile: key-tile length of the attention kernel
             (:meth:`repro.core.hybrid.LongSightAttention._forward_block`).
             The sparse span streams keys and packed signs this many
             columns at a time, which bounds the kernel's count and score
             temporaries; it never changes which keys are selected.  0 runs
             the whole span as one tile.
-        antidiag_block: key-block granularity of the antidiagonal scorer.
-        antidiag_stride: antidiagonal sampling stride ``S`` (the scorer
-            sums scores along every ``S``-th antidiagonal of each block).
-        antidiag_tau: cumulative softmax mass the selected blocks must
-            reach (XAttention's threshold parameter).
-        antidiag_max_blocks: hard cap on selected sparse blocks per query
-            block (bounds worst-case cost).
     """
 
     window: int = 1024
@@ -64,12 +51,7 @@ class LongSightConfig:
     thresholds: ThresholdLike = 0
     use_itq: bool = False
     per_q_head_thresholds: bool = False
-    prefilter: str = "scf"
     prefill_tile: int = 4096
-    antidiag_block: int = 64
-    antidiag_stride: int = 8
-    antidiag_tau: float = 0.9
-    antidiag_max_blocks: int = 64
 
     MAX_HARDWARE_TOP_K = 1024
 
@@ -80,21 +62,8 @@ class LongSightConfig:
             raise ValueError("n_sink must be >= 0")
         if self.top_k < 0:
             raise ValueError("top_k must be >= 0")
-        if self.prefilter not in ("scf", "antidiag"):
-            raise ValueError("prefilter must be 'scf' or 'antidiag'")
         if self.prefill_tile < 0:
             raise ValueError("prefill_tile must be >= 0 (0 = one tile)")
-        if self.antidiag_block < 1 or self.antidiag_stride < 1:
-            raise ValueError("antidiag block/stride must be >= 1")
-        if self.antidiag_stride > self.antidiag_block:
-            raise ValueError("antidiag_stride must not exceed antidiag_block")
-        if self.antidiag_block % self.antidiag_stride != 0:
-            raise ValueError("antidiag_block must be a multiple of "
-                             "antidiag_stride")
-        if not 0.0 < self.antidiag_tau <= 1.0:
-            raise ValueError("antidiag_tau must be in (0, 1]")
-        if self.antidiag_max_blocks < 1:
-            raise ValueError("antidiag_max_blocks must be >= 1")
 
     def threshold_for(self, layer: int, kv_head: int,
                       q_head: Optional[int] = None) -> float:

@@ -15,8 +15,6 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -93,9 +91,8 @@ def unpack_signs_pm1(packed: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`pack_signs` as +/-1 float32 vectors.
 
     Lets a packed sign store feed the float path of :func:`concordance`
-    (whose sign extraction is idempotent on +/-1 input).  No kernel in
-    :mod:`repro.core.hybrid` calls it since the block prefill filters on
-    packed words; it stays as the public inverse of :func:`pack_signs`.
+    (whose sign extraction is idempotent on +/-1 input); the public
+    inverse of :func:`pack_signs`.
     """
     bits = np.unpackbits(packed, axis=-1, count=d)
     return bits.astype(np.float32) * 2.0 - 1.0
@@ -151,11 +148,9 @@ def concordance_packed_many(q_packed: np.ndarray, k_packed: np.ndarray,
             :func:`concordance_packed`).
 
     Returns:
-        ``(..., n_q, n_k)`` integer counts, identical per slice to
-        :func:`concordance_packed`.  This is the hot kernel of the decode
-        fast path: it consumes the KV cache's incremental sign store
-        directly, so no per-query sign extraction of the key history is
-        needed.
+        ``(..., n_q, n_k)`` int64 counts, identical per slice to
+        :func:`concordance_packed`.  The attention kernel thresholds
+        :func:`mismatches_packed` directly and skips this int64 pass.
     """
     return d - mismatches_packed(q_packed, k_packed).astype(np.int64)
 
@@ -212,55 +207,19 @@ def scf_filter_packed(q_packed: np.ndarray, k_packed: np.ndarray, d: int,
     return concordance_packed(q_packed, k_packed, d) >= threshold
 
 
-# --- session-batched path (serving hot loop) --------------------------------
+# --- session-batched form ----------------------------------------------------
 
 
-class SignScratch:
-    """One growable byte buffer reused across layers and decode steps.
-
-    The session-batched concordance kernel needs a padded
-    ``(n_sessions, n_kv_heads, max_ctx, n_bytes)`` staging area for the
-    ragged per-session key-sign stores.  Allocating it per layer per step
-    churns the allocator (every decode step of every layer would request a
-    multi-megabyte array at long context); instead callers hold one
-    :class:`SignScratch` and borrow views of the required shape.  The
-    backing buffer only ever grows (geometrically), so steady-state decode
-    performs zero allocations here.
-    """
-
-    def __init__(self) -> None:
-        self._buf = np.empty(0, dtype=np.uint8)
-        #: number of backing-buffer (re)allocations — observability for the
-        #: allocator-churn regression tests.
-        self.allocations = 0
-
-    def borrow(self, shape: tuple) -> np.ndarray:
-        """A C-contiguous uint8 view of ``shape`` over the shared buffer.
-
-        Contents are unspecified (callers overwrite the region they read);
-        the view is only valid until the next :meth:`borrow`.
-        """
-        n = 1
-        for dim in shape:
-            n *= int(dim)
-        if n > self._buf.size:
-            cap = 1 << max(10, (n - 1).bit_length())
-            self._buf = np.empty(cap, dtype=np.uint8)
-            self.allocations += 1
-        return self._buf[:n].reshape(shape)
-
-
-def concordance_packed_sessions(q_packed: np.ndarray, key_signs, d: int,
-                                scratch: Optional[SignScratch] = None
-                                ) -> np.ndarray:
+def concordance_packed_sessions(q_packed: np.ndarray, key_signs,
+                                d: int) -> np.ndarray:
     """Ragged-session concordance in **one** packed XOR+popcount call.
 
-    The serving engine decodes a whole continuous batch per step; filtering
-    each session with its own :func:`concordance_packed_many` call pays the
-    numpy dispatch overhead ``n_sessions * n_layers`` times per step.  This
-    kernel pads every session's packed key store into one staging buffer
-    and runs a single batched XOR+popcount over
-    ``(n_sessions, n_kv_heads, G, n_q, max_ctx)``.
+    Pads every session's packed key store into one staging buffer and runs
+    a single batched XOR+popcount over
+    ``(n_sessions, n_kv_heads, G, n_q, max_ctx)``.  Nothing under ``src/``
+    calls it: the attention kernel filters per session (DESIGN.md, "Why
+    cross-session filter batching went").  It stays importable because the
+    benchmark's tracer (``perf/spans.py``) patches it by name.
 
     Args:
         q_packed: ``(n_sessions, ..., n_q, n_bytes)`` packed query signs
@@ -268,8 +227,6 @@ def concordance_packed_sessions(q_packed: np.ndarray, key_signs, d: int,
         key_signs: sequence of ``(n_kv_heads, n_ctx_i, n_bytes)`` packed
             key stores, one per session, with ragged ``n_ctx_i``.
         d: true vector dimension.
-        scratch: optional :class:`SignScratch`; when omitted the padded
-            staging buffer is freshly allocated.
 
     Returns:
         ``(n_sessions, ..., n_q, max_ctx)`` int64 counts.  Row ``i`` is
@@ -283,9 +240,8 @@ def concordance_packed_sessions(q_packed: np.ndarray, key_signs, d: int,
     lengths = [ks.shape[-2] for ks in key_signs]
     max_ctx = max(lengths) if lengths else 0
     n_kv_heads, _, n_bytes = key_signs[0].shape
-    shape = (n_sessions, n_kv_heads, max_ctx, n_bytes)
-    padded = scratch.borrow(shape) if scratch is not None \
-        else np.empty(shape, dtype=np.uint8)
+    padded = np.empty((n_sessions, n_kv_heads, max_ctx, n_bytes),
+                      dtype=np.uint8)
     for i, ks in enumerate(key_signs):
         padded[i, :, : lengths[i]] = ks
     # Insert a broadcast axis so every session's key store pairs with all

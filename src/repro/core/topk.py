@@ -40,7 +40,7 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     ``scores`` is ``(..., n_candidates)`` with ``-inf`` marking
     non-candidates; the result marks at most ``k`` True entries per row.
     Any number of leading axes is supported, so whole ``(n_heads, n_q,
-    n_ctx)`` stacks select in one call — the hybrid fast path and blockwise
+    n_ctx)`` stacks select in one call — the attention kernel and blockwise
     perplexity evaluation both rely on this.  Ties at the k-th boundary are
     broken by lower index, matching :func:`top_k_indices`, and each row's
     result is identical to the 2-D form regardless of batching.

@@ -24,81 +24,6 @@ if TYPE_CHECKING:
     from repro.core.itq import ItqRotations
 
 
-class BlockSummary:
-    """Incremental antidiagonal block summaries over logical key positions.
-
-    The XAttention-style pre-filter (:mod:`repro.core.antidiag`) scores a
-    key block for a query by dotting the query with the sum of every
-    ``stride``-th key of the block.  This store maintains those strided
-    residue sums **incrementally**: key block ``b`` covers logical tokens
-    ``[b*block, (b+1)*block)`` and ``sums[h, b, s]`` is the sum of its
-    keys whose in-block offset is congruent to ``s`` (mod ``stride``).
-    Appending a token folds it into exactly one ``(block, residue)`` cell,
-    so the amortized cost per token is one vector add — the same
-    "maintained once at append time, consumed by every query" discipline
-    as the packed sign store.
-    """
-
-    def __init__(self, n_kv_heads: int, head_dim: int, block: int,
-                 stride: int, dtype: np.dtype = np.float32) -> None:
-        if block < 1 or stride < 1 or block % stride != 0:
-            raise ValueError("block must be a positive multiple of stride")
-        self.block = block
-        self.stride = stride
-        self.n_kv_heads = n_kv_heads
-        self.head_dim = head_dim
-        self.dtype = np.dtype(dtype)
-        # Flat (n_kv_heads, n_blocks * stride, head_dim) accumulator so
-        # scattered adds index one axis; viewed 4-D by `summaries`.
-        self._sums = np.zeros((n_kv_heads, 0, head_dim), dtype=self.dtype)
-        self._len = 0
-
-    def __len__(self) -> int:
-        """Number of tokens folded into the summaries so far."""
-        return self._len
-
-    def _reserve_tokens(self, n_tokens: int) -> None:
-        need_cells = -(-n_tokens // self.block) * self.stride
-        if need_cells <= self._sums.shape[1]:
-            return
-        cells = max(need_cells, 2 * self._sums.shape[1])
-        sums = np.zeros((self.n_kv_heads, cells, self.head_dim),
-                        dtype=self.dtype)
-        sums[:, : self._sums.shape[1]] = self._sums
-        self._sums = sums
-
-    def update(self, k: np.ndarray, start: int) -> None:
-        """Fold keys for logical positions ``[start, start + n_new)`` in.
-
-        ``start`` must equal the number of tokens already summarized —
-        every position is folded exactly once, in order.
-        """
-        if start != self._len:
-            raise ValueError(
-                f"summaries cover [0, {self._len}); got start={start}")
-        n_new = k.shape[1]
-        if n_new == 0:
-            return
-        self._reserve_tokens(start + n_new)
-        idx = np.arange(start, start + n_new)
-        cell = (idx // self.block) * self.stride \
-            + (idx % self.block) % self.stride
-        for h in range(self.n_kv_heads):
-            np.add.at(self._sums[h], cell, k[h])
-        self._len += n_new
-
-    @property
-    def summaries(self) -> np.ndarray:
-        """``(n_kv_heads, n_blocks, stride, head_dim)`` residue sums.
-
-        Covers ``ceil(len / block)`` blocks; the trailing block may be
-        partial (it sums only the tokens appended so far).
-        """
-        n_blocks = -(-self._len // self.block)
-        return self._sums[:, : n_blocks * self.stride].reshape(
-            self.n_kv_heads, n_blocks, self.stride, self.head_dim)
-
-
 class LayerKV:
     """Growable K/V store for one decoder layer.
 
@@ -130,8 +55,6 @@ class LayerKV:
         #: sequence of appends this equals the number of tokens seen since
         #: the cache was enabled (plus the backlog packed at enable time).
         self.signs_packed_total = 0
-        # antidiagonal block-summary state (see enable_block_summary)
-        self._block_summary: Optional[BlockSummary] = None
         self._freed = False
 
     def __len__(self) -> int:
@@ -160,7 +83,6 @@ class LayerKV:
         if self._signs is not None:
             self._signs = np.zeros((self.n_kv_heads, 1, self._sign_nbytes),
                                    dtype=np.uint8)
-        self._block_summary = None
         self._freed = True
 
     def _check_not_freed(self) -> None:
@@ -210,8 +132,6 @@ class LayerKV:
         self._v[:, self._len : self._len + n_new] = v
         if self._signs is not None and n_new > 0:
             self._pack_range(self._len, self._len + n_new)
-        if self._block_summary is not None and n_new > 0:
-            self._block_summary.update(k, self._len)
         self._len += n_new
 
     # -- sign cache -----------------------------------------------------------
@@ -258,41 +178,6 @@ class LayerKV:
         if self._signs is None:
             raise RuntimeError("sign cache not enabled; call enable_sign_cache")
         return self._signs[:, : self._len]
-
-    # -- antidiagonal block summaries -----------------------------------------
-
-    @property
-    def block_summary_enabled(self) -> bool:
-        return self._block_summary is not None
-
-    def enable_block_summary(self, block: int, stride: int) -> None:
-        """Start maintaining antidiagonal residue sums on every append.
-
-        Keys already in the cache are folded in once as a backlog;
-        subsequent appends fold only the new tokens (the
-        :class:`BlockSummary` counterpart of :meth:`enable_sign_cache`).
-        Re-enabling with the same geometry is a no-op; changing the
-        geometry rebuilds the summaries from the stored keys.
-        """
-        if (self._block_summary is not None
-                and self._block_summary.block == block
-                and self._block_summary.stride == stride):
-            return
-        self._block_summary = BlockSummary(
-            self.n_kv_heads, self.head_dim, block, stride, dtype=self.dtype)
-        if self._len:
-            self._block_summary.update(self._k[:, : self._len], 0)
-
-    @property
-    def block_summaries(self) -> np.ndarray:
-        """``(n_kv_heads, n_blocks, stride, head_dim)`` residue sums.
-
-        Raises if :meth:`enable_block_summary` has not been called.
-        """
-        if self._block_summary is None:
-            raise RuntimeError(
-                "block summaries not enabled; call enable_block_summary")
-        return self._block_summary.summaries
 
     # -- views ----------------------------------------------------------------
 
@@ -375,15 +260,6 @@ class KVCache:
                 rotations.matrices[i] if rotations is not None else None)
         self.sign_rotations = rotations
         self._sign_cache_enabled = True
-
-    @property
-    def block_summary_enabled(self) -> bool:
-        return all(layer.block_summary_enabled for layer in self.layers)
-
-    def enable_block_summary(self, block: int, stride: int) -> None:
-        """Enable antidiagonal block summaries on every layer (idempotent)."""
-        for layer in self.layers:
-            layer.enable_block_summary(block, stride)
 
     def window_view(self, layer: int, window: int,
                     n_sink: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

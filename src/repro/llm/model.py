@@ -118,9 +118,6 @@ class Transformer:
                  seed: int = 0) -> None:
         self.config = config
         self.weights = weights if weights is not None else init_weights(config, seed)
-        # Lazily-built packed-sign staging buffer shared by every layer of
-        # every decode_step_batch call (see repro.core.scf.SignScratch).
-        self._decode_scratch = None
 
     # -- shared per-layer math ------------------------------------------------
 
@@ -259,24 +256,6 @@ class Transformer:
             x = self._layer(layer, x, positions, cache, backend)
         return self._unembed(x)[0]
 
-    def _decode_batch_groups(self, backends) -> list:
-        """Indices of sessions eligible for one batched filter call.
-
-        Sessions group by exact backend class; a class joins when it
-        exposes the duck-typed ``forward_cached_batch`` hook and each
-        instance reports ``decode_batch_compatible()``.  Groups of one
-        fall back to the ordinary per-session dispatch.
-        """
-        groups: Dict[type, list] = {}
-        for i, backend in enumerate(backends):
-            if getattr(backend, "forward_cached_batch", None) is None:
-                continue
-            compatible = getattr(backend, "decode_batch_compatible", None)
-            if compatible is None or not compatible():
-                continue
-            groups.setdefault(type(backend), []).append(i)
-        return [idxs for idxs in groups.values() if len(idxs) > 1]
-
     def decode_step_batch(self, tokens, caches,
                           backends=None) -> list:
         """One decode step for many independent sessions (layer-major).
@@ -289,14 +268,7 @@ class Transformer:
         and order of :meth:`decode_step` — merging sessions into one GEMM
         would change BLAS blocking and drift in the last ulp — so the
         logits of each session are bit-identical to stepping it alone.
-
-        Attention *filtering*, however, is session-batched: backends that
-        expose the duck-typed ``forward_cached_batch`` hook (the hybrid
-        fast path) have their packed-sign concordance for the whole decode
-        batch computed in one XOR+popcount kernel call per layer, staged
-        through one preallocated :class:`~repro.core.scf.SignScratch`
-        buffer that is reused across layers and steps.  The hook's
-        contract requires bit-identical outputs to per-session dispatch.
+        Attention runs per session through :meth:`decode_step`'s dispatch.
 
         Args:
             tokens: one pending token id per session.
@@ -316,33 +288,13 @@ class Transformer:
             raise ValueError("need one backend per session")
         for cache, backend in zip(caches, backends):
             self._prepare_cache(cache, backend)
-        batch_groups = self._decode_batch_groups(backends)
-        if batch_groups and self._decode_scratch is None:
-            # Deferred import: repro.llm must not depend on repro.core at
-            # module load (the cores import the llm substrate).
-            from repro.core.scf import SignScratch
-
-            self._decode_scratch = SignScratch()
         xs = [self.weights["embed"][np.asarray([token])] for token in tokens]
         positions = [np.arange(len(cache), len(cache) + 1)
                      for cache in caches]
         for layer in range(self.config.n_layers):
-            qs = [self._attn_project(layer, xs[i], positions[i], caches[i])
-                  for i in range(n)]
-            attns: list = [None] * n
-            for idxs in batch_groups:
-                lead = backends[idxs[0]]
-                outs = lead.forward_cached_batch(
-                    layer, [qs[i] for i in idxs], [caches[i] for i in idxs],
-                    backends=[backends[i] for i in idxs],
-                    scratch=self._decode_scratch)
-                for i, out in zip(idxs, outs):
-                    attns[i] = out
             for i in range(n):
-                if attns[i] is None:
-                    attns[i] = self._attn_dispatch(layer, qs[i], caches[i],
-                                                   backends[i])
-                xs[i] = self._attn_finish(layer, xs[i], attns[i])
+                xs[i] = self._layer(layer, xs[i], positions[i], caches[i],
+                                    backends[i])
         return [self._unembed(x)[0] for x in xs]
 
 

@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.errors import PoolExhaustedError
 from repro.llm.config import ModelConfig
-from repro.llm.kv_cache import BlockSummary
 from repro.obs import resolve_obs
 
 if TYPE_CHECKING:
@@ -241,10 +240,6 @@ class PagedLayerKV:
         self._sign_enabled = False
         self._len = 0
         self.signs_packed_total = 0
-        # Block summaries index logical positions, not arena rows, so they
-        # need no paging; at default geometry they are ~1/8 the size of one
-        # layer's keys, small enough to live privately per session.
-        self._block_summary: Optional[BlockSummary] = None
 
     def __len__(self) -> int:
         return self._len
@@ -298,8 +293,6 @@ class PagedLayerKV:
         self._v[:, rows] = v
         if self._sign_enabled:
             self._pack_rows(k, rows)
-        if self._block_summary is not None:
-            self._block_summary.update(k, self._len)
         self._len += n_new
 
     def _pack_rows(self, k: np.ndarray, rows: np.ndarray) -> None:
@@ -328,33 +321,9 @@ class PagedLayerKV:
             rows = self._cache.rows_range(start, self._len)
             self._pack_rows(self._k[:, rows], rows)
 
-    @property
-    def block_summary_enabled(self) -> bool:
-        return self._block_summary is not None
-
-    def enable_block_summary(self, block: int, stride: int) -> None:
-        """Start maintaining antidiagonal residue sums on append."""
-        if (self._block_summary is not None
-                and self._block_summary.block == block
-                and self._block_summary.stride == stride):
-            return
-        self._block_summary = BlockSummary(
-            self.n_kv_heads, self.head_dim, block, stride, dtype=self.dtype)
-        if self._len:
-            self._block_summary.update(self.keys, 0)
-
-    @property
-    def block_summaries(self) -> np.ndarray:
-        """``(n_kv_heads, n_blocks, stride, head_dim)`` residue sums."""
-        if self._block_summary is None:
-            raise RuntimeError(
-                "block summaries not enabled; call enable_block_summary")
-        return self._block_summary.summaries
-
     def free(self) -> None:
         """Per-layer release is a no-op: the cache owns the shared blocks."""
         self._len = 0
-        self._block_summary = None
 
 
 class PagedKVCache:
@@ -568,15 +537,6 @@ class PagedKVCache:
         # the bytes are the same whoever packs them).
         for entry in self._entry_by_block.values():
             entry.signs_packed = True
-
-    @property
-    def block_summary_enabled(self) -> bool:
-        return all(layer.block_summary_enabled for layer in self.layers)
-
-    def enable_block_summary(self, block: int, stride: int) -> None:
-        """Enable antidiagonal block summaries on every layer (idempotent)."""
-        for layer in self.layers:
-            layer.enable_block_summary(block, stride)
 
     def free(self) -> None:
         """Return every block to the pool (idempotent).

@@ -1,7 +1,7 @@
 """Smoke test for the attention microbenchmark (`python -m repro.bench.micro`).
 
 Runs the real benchmark at a tiny configuration and validates the
-``BENCH_attention.json`` schema v2: required keys, units, per-backend
+``BENCH_attention.json`` schema v3: required keys, units, per-backend
 series lengths, ``null`` prefill entries for quadratic backends above the
 reference cap, per-backend speedup curves, and a strictly increasing
 context axis.
@@ -30,7 +30,7 @@ def test_writes_valid_payload(tmp_path):
     payload = json.loads((tmp_path / RESULT_NAME).read_text())
     assert validate_payload(payload) == []
     assert payload["benchmark"] == "attention_micro"
-    assert payload["schema_version"] == SCHEMA_VERSION == 2
+    assert payload["schema_version"] == SCHEMA_VERSION == 3
     assert payload["contexts"] == [64, 128]
     assert "context" in table.render()
 
@@ -60,7 +60,7 @@ def test_reference_cap_nulls_quadratic_prefill(tmp_path):
     for name in QUADRATIC_PREFILL:
         prefill = payload["backends"][name]["prefill_s"]
         assert prefill[0] is not None and prefill[1] is None
-    # tiled/antidiag/sliding prefill series stay complete past the cap
+    # tiled/sliding prefill series stay complete past the cap
     for name in set(BACKENDS) - set(QUADRATIC_PREFILL):
         assert all(t is not None
                    for t in payload["backends"][name]["prefill_s"])
@@ -84,11 +84,11 @@ def test_validate_payload_flags_problems(tmp_path):
     payload = json.loads((tmp_path / RESULT_NAME).read_text())
     del payload["backends"]["hybrid_fast"]
     payload["contexts"] = payload["contexts"][::-1]
-    payload["backends"]["hybrid_antidiag"]["prefill_s"][0] = None
+    payload["backends"]["hybrid_tiled"]["prefill_s"][0] = None
     problems = validate_payload(payload)
     assert any("hybrid_fast" in p for p in problems)
     assert any("increasing" in p for p in problems)
-    assert any("hybrid_antidiag" in p and "null" in p for p in problems)
+    assert any("hybrid_tiled" in p and "null" in p for p in problems)
     assert validate_payload({}) != []
 
 

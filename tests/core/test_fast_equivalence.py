@@ -1,7 +1,7 @@
-"""Fast (head-batched, packed) hybrid path == reference per-head path.
+"""Block kernel (``LongSightAttention``) == per-head ``ReferenceAttention``.
 
-The fast path is the production decode path; the reference loop is the
-correctness oracle.  These tests pin them together: outputs ``np.allclose``,
+The kernel is the production path for every query count; the reference loop
+is the correctness oracle.  These tests pin them together: outputs ``np.allclose``,
 selected sparse-key sets and ``FilterStats`` counters *exactly* equal —
 across GQA group sizes, ITQ on/off, per-head thresholds, tie-heavy scores,
 and the short-context (no sparse region) edge case.
@@ -14,6 +14,7 @@ from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.core.itq import ItqRotations, random_rotation
 from repro.core.metrics import FilterStats
+from repro.core.reference import ReferenceAttention
 from repro.llm.config import ModelConfig
 from repro.llm.kv_cache import KVCache
 from tests.conftest import TINY
@@ -40,10 +41,10 @@ def _compare(config, q, k, v, rotations=None, n_layers=1):
     n_q_heads = q.shape[0]
     n_kv_heads = k.shape[0]
     results = {}
-    for fast in (False, True):
+    for fast, cls in ((False, ReferenceAttention),
+                      (True, LongSightAttention)):
         stats = FilterStats(n_layers, n_kv_heads)
-        backend = LongSightAttention(config, rotations=rotations,
-                                     stats=stats, use_fast_path=fast)
+        backend = cls(config, rotations=rotations, stats=stats)
         backend.selection_capture = {}
         out = backend.forward(0, q, k, v)
         results[fast] = (out, backend.selection_capture, stats)
@@ -99,8 +100,8 @@ def test_per_q_head_thresholds(rng):
     # Per-query-head stats resolution (the granularity ablation setup).
     stats_ref = FilterStats(1, 4)
     stats_fast = FilterStats(1, 4)
-    ref = LongSightAttention(config, stats=stats_ref, use_fast_path=False)
-    fast = LongSightAttention(config, stats=stats_fast, use_fast_path=True)
+    ref = ReferenceAttention(config, stats=stats_ref)
+    fast = LongSightAttention(config, stats=stats_fast)
     np.testing.assert_allclose(fast.forward(0, q, k, v),
                                ref.forward(0, q, k, v), atol=1e-12)
     np.testing.assert_array_equal(stats_fast.passed, stats_ref.passed)
@@ -141,9 +142,9 @@ def test_top_k_zero_and_top_k_covering(rng):
 
 @pytest.mark.parametrize("use_itq", [False, True])
 def test_large_query_block_float_concordance(rng, use_itq):
-    """Blocks above _PACKED_CONC_MAX_NEW run the block prefill kernel; it
-    must agree with the reference's float concordance exactly like the
-    small-block path does."""
+    """The kernel's packed XOR+popcount filter must agree with the
+    reference's float concordance on a prefill-sized block exactly like on
+    a decode-sized one."""
     d = 16
     n_kv = 2
     q, k, v = _qkv(rng, 4, n_kv, 40, 120, d)
@@ -165,7 +166,7 @@ def test_cached_large_block_unpacks_sign_store(rng):
     cache.append(0, k, k)
     q = rng.normal(size=(TINY.n_q_heads, 48, d))
     cached = backend.forward_cached(0, q, cache)
-    ref = LongSightAttention(config, use_fast_path=False).forward(
+    ref = ReferenceAttention(config).forward(
         0, q, cache.layers[0].keys, cache.layers[0].values)
     np.testing.assert_allclose(cached, ref, atol=1e-12)
 
@@ -189,8 +190,7 @@ def test_forward_cached_consumes_sign_cache(rng):
         cached = backend.forward_cached(layer, q, cache)
         uncached = backend.forward(layer, q, cache.layers[layer].keys,
                                    cache.layers[layer].values)
-        ref = LongSightAttention(config, rotations=rotations,
-                                 use_fast_path=False).forward(
+        ref = ReferenceAttention(config, rotations=rotations).forward(
             layer, q, cache.layers[layer].keys, cache.layers[layer].values)
         np.testing.assert_allclose(cached, uncached, atol=1e-12)
         np.testing.assert_allclose(cached, ref, atol=1e-12)
@@ -212,7 +212,7 @@ def test_incompatible_sign_cache_falls_back(rng):
     q = rng.normal(size=(4, 1, d))
     backend = LongSightAttention(config_plain)  # ...but plain-sign backend
     out = backend.forward_cached(0, q, cache)
-    ref = LongSightAttention(config_plain, use_fast_path=False).forward(
+    ref = ReferenceAttention(config_plain).forward(
         0, q, cache.layers[0].keys, cache.layers[0].values)
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
@@ -227,14 +227,14 @@ def test_model_level_equivalence(rng):
                              thresholds=TINY.head_dim // 2)
     fast = model.forward_full(tokens, backend=LongSightAttention(config))
     ref = model.forward_full(
-        tokens, backend=LongSightAttention(config, use_fast_path=False))
+        tokens, backend=ReferenceAttention(config))
     np.testing.assert_allclose(fast, ref, atol=1e-10)
 
 
 def test_supervised_offload_equivalence(rng):
     """The zero-fault supervised device path joins the equivalence chain:
     same outputs, selected-key sets, and FilterStats as the unsupervised
-    device backend, which in turn matches the software fast path."""
+    device backend, which in turn matches the software kernel."""
     from repro.drex.backend import DrexOffloadBackend
     from repro.llm.model import Transformer
     from repro.system.faults import FaultPlan
@@ -263,7 +263,7 @@ def test_supervised_offload_equivalence(rng):
     for field in ("candidates", "passed", "retrieved", "queries"):
         np.testing.assert_array_equal(getattr(stats_sup, field),
                                       getattr(stats_plain, field))
-    # And the device path tracks the software fast path.
+    # And the device path tracks the software kernel.
     software = model.forward_full(tokens, backend=LongSightAttention(config),
                                   block_size=16)
     np.testing.assert_allclose(out_sup, software, atol=1e-10)
