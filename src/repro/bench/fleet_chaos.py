@@ -15,7 +15,7 @@ Two resilience experiments over the functional fleet:
      deadline, is repeatedly suspected and drained, self-heals each
      time, and the run completes without any failover.
 
-   Stalls are simulated (:class:`~repro.fleet.resilience.GrayRun`), so
+   Stalls are simulated (the router's guarded step reads the plan), so
    the sweep is fast and reproducible while driving the real detection,
    fencing, and recovery paths; failover latency is real wall time of
    the recover-and-drain sequence.
@@ -89,8 +89,6 @@ def _fleet_outputs(fleet) -> Dict[int, List[int]]:
     outs: Dict[int, List[int]] = {}
     for worker in fleet.workers:
         run = worker.run
-        run = getattr(run, "inner", run)     # GrayRun proxy
-        run = getattr(run, "run", run)       # DurableRun wrapper
         for request in run._arrivals:
             if id(request) in run._departed:
                 continue

@@ -109,7 +109,7 @@ def run_recovery(n_requests: int = 4, prompt_tokens: int = 24,
                                    snapshot_every=snapshot_every)
         recovered.serve()
         out = {r.request_id: list(r.outputs)
-               for r in recovered.run._arrivals}
+               for r in recovered._arrivals}
 
     identical = out == ref_outputs
     recovery_s = stats.snapshot_load_s + stats.replay_s

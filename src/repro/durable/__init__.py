@@ -2,8 +2,9 @@
 
 Public surface:
 
-- :class:`DurableRun` — wraps an engine run with periodic chain-hashed
-  snapshots and an fsync-batched WAL of scheduler events.
+- :class:`DurableRun` — an :class:`~repro.serve.engine.EngineRun` with
+  periodic chain-hashed snapshots and an fsync-batched WAL of its inputs
+  and emitted tokens.
 - :func:`recover` — newest-valid-snapshot restore + verified WAL replay;
   resumes mid-decode bit-identically to an uninterrupted run.
 - :class:`WriteAheadLog` / :func:`read_wal` — the log layer.

@@ -1,18 +1,20 @@
 """Durable stepping loop and crash recovery for a serving engine.
 
-:class:`DurableRun` wraps an :class:`~repro.serve.engine.EngineRun` with
-the two durability mechanisms snapshots alone cannot provide:
+:class:`DurableRun` *is* an :class:`~repro.serve.engine.EngineRun`; it
+overrides only what durability adds, the two mechanisms snapshots alone
+cannot provide:
 
 - a **write-ahead log** of everything that happens between snapshots.
   True *inputs* (``inject`` of a dispatched/migrated request, ``depart``
   of a migrated-away one) are force-synced before the run acts on them —
   the write-ahead discipline — because they cannot be re-derived.
-  *Execution* records (admit / prefill-chunk / decode-token / preempt /
-  finish, plus a ``step`` marker carrying the clock) are fsync-batched:
-  the engine is deterministic (argmax sampling, seeded fault RNG), so a
-  lost unsynced exec tail regenerates identically on replay.  Replay
-  therefore **re-executes** each logged step and *verifies* every token
-  (and, under analytic timing, the clock) against the log, raising
+  *Execution* is logged as one ``token`` record per request that emitted
+  in the step (``EngineRun.emitted``) plus a ``step`` marker carrying
+  the clock, fsync-batched: the engine is deterministic (argmax
+  sampling, seeded fault RNG), so a lost unsynced tail regenerates
+  identically on replay.  Replay therefore **re-executes** each logged
+  step and *verifies* every token (and, under analytic timing, the
+  clock) against the log, raising
   :class:`~repro.errors.ReplayDivergenceError` on any mismatch — the WAL
   is a redo/verification log, not an apply log.
 - **periodic chain-hashed snapshots** (every ``snapshot_every`` steps,
@@ -20,22 +22,26 @@ the two durability mechanisms snapshots alone cannot provide:
   ``keep_snapshots`` retained, so a snapshot torn by the crash itself
   still leaves a valid predecessor to fall back to.
 
-:func:`recover` inverts the process: newest verifiable snapshot →
-:func:`~repro.durable.snapshot.restore_run` into a fresh engine → replay
-the WAL suffix (records with LSN past the snapshot's) step-bucket by
-step-bucket → resume appending to the same WAL.  Records after the last
+:func:`recover` inverts the process: newest verifiable snapshot → open
+the WAL (resume it, or restart it when stale) → a :class:`DurableRun`
+around that log on a fresh engine →
+:func:`~repro.durable.snapshot.restore_run` into it → replay the WAL
+suffix (records with LSN past the snapshot's) step-bucket by
+step-bucket.  Replay calls the *base-class* ``inject`` / ``step`` —
+those inputs and steps are in the log already.  Records after the last
 ``step`` marker belong to a step the dying process never completed
-logging; its inputs are applied (injects) or parked as pending
-departures, and the step itself simply re-executes — re-logging a
-duplicate of the partial bucket, which is benign because replay
-verification is idempotent.
+logging; its inputs are applied and the step itself simply re-executes
+after recovery — re-logging a duplicate of the partial bucket, which is
+benign because replay verification is idempotent.
 
-Exactly-once migration: a ``depart`` record whose session was already
-handed to the target worker pre-crash must not be re-migrated after
-restore.  :meth:`DurableRun.wrap_migrate_handler` answers ``True`` for
-such *pending* departures without consulting the router, and
-:meth:`DurableRun.note_departure` consumes them without re-logging — the
-restored worker never double-reports a session its target already owns.
+Exactly-once migration: a logged ``depart`` means the pre-crash router
+accepted the session and its target owns it, so it must not be migrated
+again.  Replay turns every ``depart`` record — in a completed bucket or
+in the unterminated tail alike — into a *pending departure*; when the
+re-executed step offers that session, :meth:`DurableRun.offer_migration`
+consumes the pending departure without consulting the router or
+re-logging.  A completed bucket whose departures are still pending after
+its step did not reproduce the logged run.
 
 A stale WAL (epoch differs from every snapshot's — mixed durable dirs,
 operator error) is never replayed: the file is set aside as
@@ -51,75 +57,36 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
                           WorkerKilledError)
-from repro.serve.engine import ServeEngine
+from repro.serve.engine import EngineRun, ServeEngine
 from repro.serve.events import ServeReport
-from repro.serve.scheduler import RequestState, ServeRequest
+from repro.serve.scheduler import ServeRequest
 from repro.system.faults import CrashPlan
 from repro.durable.snapshot import (build_request, read_snapshot,
                                     restore_run, serialize_request,
                                     write_snapshot)
-from repro.durable.wal import (WriteAheadLog, _encode, iter_step_buckets,
-                               read_wal)
+from repro.durable.wal import (WalRecord, WriteAheadLog, _encode,
+                               iter_step_buckets, read_wal)
 
 WAL_NAME = "wal.log"
 
 
-class _StepObserver:
-    """Pre-step state capture; diffed after the step into WAL records."""
-
-    def __init__(self, run) -> None:
-        self._run = run
-        scheduler = run.scheduler
-        self._out_lens = {r.request_id: len(r.outputs)
-                          for r in run._arrivals}
-        self._preempts = {r.request_id: r.events.preemptions
-                          for r in run._arrivals}
-        self._running = {r.request_id for r in scheduler.running}
-        self._prefilled = {r.request_id: r.prefilled
-                          for r in scheduler.running}
-        self._n_finished = len(scheduler.finished)
-
-    def records(self) -> List[Tuple[str, dict]]:
-        run = self._run
-        scheduler = run.scheduler
-        out: List[Tuple[str, dict]] = []
-        for r in scheduler.running:
-            if r.request_id not in self._running:
-                out.append(("admit", {"rid": r.request_id}))
-        for r in scheduler.running:
-            before = self._prefilled.get(r.request_id, 0)
-            if r.state is RequestState.PREFILL and r.prefilled > before:
-                out.append(("prefill", {"rid": r.request_id,
-                                        "from": before,
-                                        "to": r.prefilled}))
-        for r in run._arrivals:
-            was = self._out_lens.get(r.request_id, len(r.outputs))
-            for i in range(was, len(r.outputs)):
-                out.append(("token", {"rid": r.request_id, "index": i,
-                                      "token": int(r.outputs[i])}))
-            delta = r.events.preemptions - self._preempts.get(
-                r.request_id, r.events.preemptions)
-            if delta > 0:
-                out.append(("preempt", {"rid": r.request_id,
-                                        "count": delta}))
-        for r in scheduler.finished[self._n_finished:]:
-            out.append(("finish", {"rid": r.request_id,
-                                   "shed": bool(r.events.shed),
-                                   "rejected": bool(r.events.rejected)}))
-        return out
+def _token_record(request: ServeRequest) -> dict:
+    """The ``token`` record of a request that just emitted."""
+    return {"rid": request.request_id, "index": len(request.outputs) - 1,
+            "token": int(request.outputs[-1])}
 
 
-class DurableRun:
+class DurableRun(EngineRun):
     """An :class:`EngineRun` with WAL + snapshot durability (module doc).
 
-    Exposes the same router-facing surface as ``EngineRun`` (``idle`` /
-    ``clock`` / ``pending`` / ``inject`` / ``note_departure`` / ``step``
-    / ``finish``), so a :class:`~repro.fleet.router.FleetRouter` can
-    drive durable and plain workers interchangeably.
+    Args:
+        wal: an open log to continue (what :func:`recover` passes: the
+            run then starts empty, to be restored into); ``None`` begins
+            a fresh log and writes the step-0 baseline snapshot.
     """
 
     def __init__(self, engine: ServeEngine,
@@ -129,113 +96,80 @@ class DurableRun:
                  keep_snapshots: int = 2,
                  crash: Optional[CrashPlan] = None,
                  epoch: str = "epoch-0",
-                 _resume: Optional[dict] = None) -> None:
+                 wal: Optional[WriteAheadLog] = None) -> None:
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        self.engine = engine
+        super().__init__(engine, requests)
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.snapshot_every = snapshot_every
         self.keep_snapshots = max(2, keep_snapshots)
         self.crash = crash
         self.epoch = epoch
-        self._pending_departures: Set[int] = set()
-        if _resume is None:
-            self.steps = 0
-            self.run = engine.start(list(requests))
+        self.steps = 0
+        #: ids whose ``depart`` is in the log but which this run, restored
+        #: from before it, still holds: delivered to their target already.
+        self.pending_departures: Set[int] = set()
+        self.fenced = False
+        self.wal = wal
+        if wal is None:
             self.wal = WriteAheadLog(self.directory / WAL_NAME, epoch,
                                      fsync_every)
             self._snapshot()
-        else:
-            self.steps = _resume["steps"]
-            self.run = _resume["run"]
-            self.wal = _resume["wal"]
-            self._pending_departures = _resume["pending"]
-        # Route engine-initiated departures (migration offers) through
-        # this wrapper so they hit the WAL.
-        engine._active_run = self
-
-    # -- router-facing proxies ------------------------------------------------
-
-    @property
-    def idle(self) -> bool:
-        return self.run.idle
-
-    @property
-    def clock(self) -> float:
-        return self.run.clock
-
-    @property
-    def tokens_generated(self) -> int:
-        return self.run.tokens_generated
-
-    @property
-    def next_arrival_s(self) -> Optional[float]:
-        return self.run.next_arrival_s
-
-    @property
-    def pending(self) -> List[ServeRequest]:
-        return self.run.pending
-
-    @property
-    def scheduler(self):
-        return self.run.scheduler
 
     # -- durable inputs -------------------------------------------------------
 
+    def _log_input(self, kind: str, data: dict) -> None:
+        """Write-ahead: an input is on disk before the run acts on it."""
+        if self.fenced:
+            return
+        self.wal.append(kind, data)
+        self.wal.sync()
+        self._count("recovery.wal_records")
+
     def inject(self, request: ServeRequest) -> None:
-        """Log-then-apply a new arrival (write-ahead: synced first)."""
+        """Log-then-apply a new arrival."""
         if request.cache is not None:
             raise ValueError("cannot inject a request with a live cache "
                              "(sessions migrate detached)")
-        self.wal.append("inject",
-                        {"request": serialize_request(
-                            request, include_cache=False)})
-        self.wal.sync()
-        self._count("recovery.wal_records")
-        self.run.inject(request)
+        self._log_input("inject", {"request": serialize_request(
+            request, include_cache=False)})
+        super().inject(request)
 
-    def note_departure(self, request: ServeRequest) -> None:
+    def note_departure(self, request: ServeRequest) -> bool:
         """Log-then-apply a migration departure, exactly once.
 
-        Idempotent per request (the engine's migration offer and the
-        fleet handler both call it), and *pending* departures — replayed
-        from the WAL's unterminated tail, already delivered to their
-        target pre-crash — are consumed without re-logging.
+        A *pending* departure was logged, and the session delivered to
+        its target, before the crash this run was recovered from: it is
+        consumed without re-logging and the answer is ``False`` — the
+        caller has nothing left to deliver.
         """
         rid = request.request_id
-        if rid in self._pending_departures:
-            self._pending_departures.discard(rid)
-        elif id(request) not in self.run._departed:
-            self.wal.append("depart", {"rid": rid})
-            self.wal.sync()
-            self._count("recovery.wal_records")
-        self.run.note_departure(request)
+        pending = rid in self.pending_departures
+        if pending:
+            self.pending_departures.discard(rid)
+        else:
+            self._log_input("depart", {"rid": rid})
+        super().note_departure(request)
+        return not pending
 
-    def wrap_migrate_handler(self, inner: Callable[[ServeRequest], bool]
-                             ) -> Callable[[ServeRequest], bool]:
-        """Exactly-once guard around a router's migrate handler: a
-        pending departure was already delivered to its target pre-crash,
-        so answer ``True`` without re-migrating."""
-        def handler(request: ServeRequest) -> bool:
-            if request.request_id in self._pending_departures:
-                return True
-            return inner(request)
-        return handler
+    def offer_migration(self, request: ServeRequest) -> bool:
+        """A pending departure is honored without asking the router."""
+        if request.request_id in self.pending_departures:
+            self.note_departure(request)
+            return True
+        return super().offer_migration(request)
 
     # -- the durable step -----------------------------------------------------
 
     def step(self) -> bool:
         """One engine step, logged; snapshots and crashes on schedule."""
-        observer = _StepObserver(self.run)
-        alive = self.run.step()
-        records = observer.records()
-        for kind, data in records:
-            self.wal.append(kind, data)
+        alive = super().step()
+        for request in self.emitted:
+            self.wal.append("token", _token_record(request))
         self.steps += 1
-        self.wal.append("step", {"step": self.steps,
-                                 "clock": self.run.clock})
-        self._count("recovery.wal_records", len(records) + 1)
+        self.wal.append("step", {"step": self.steps, "clock": self.clock})
+        self._count("recovery.wal_records", len(self.emitted) + 1)
         crash = self.crash
         if crash is not None and self.steps >= crash.kill_at_step:
             self.crash = None
@@ -244,16 +178,17 @@ class DurableRun:
             self._snapshot()
         return alive
 
-    def serve(self) -> ServeReport:
-        """Step to completion and reduce (the solo-run entry point)."""
-        for _ in range(self.engine.max_steps):
-            if not self.step():
-                break
-        return self.finish()
-
     def finish(self) -> ServeReport:
         self.wal.sync()
-        return self.run.finish()
+        return super().finish()
+
+    def fence(self) -> None:
+        """Cut a wedged run off from its durable directory: unflushed
+        records never land, the log is closed, and whatever the run is
+        still told (the departures of a failover drain) is not logged."""
+        self.wal.drop_unsynced()
+        self.wal.close()
+        self.fenced = True
 
     # -- snapshots ------------------------------------------------------------
 
@@ -262,7 +197,7 @@ class DurableRun:
         path = self.directory / f"snapshot-{self.steps:08d}.bin"
         with self.engine.obs.tracer.span("recovery.snapshot",
                                          step=self.steps):
-            write_snapshot(path, self.run, epoch=self.epoch,
+            write_snapshot(path, self, epoch=self.epoch,
                            lsn=self.wal.last_lsn, step=self.steps)
         self._count("recovery.snapshots")
         for old in sorted(
@@ -324,6 +259,50 @@ class RecoveryStats:
         return dataclasses.asdict(self)
 
 
+def _replay(run: DurableRun, suffix: List[WalRecord],
+            stats: RecoveryStats) -> None:
+    """Re-execute the logged steps of ``suffix`` on the restored ``run``,
+    verifying each against the log.
+
+    Base-class ``inject`` / ``step``: these inputs and steps are in the
+    log already.  A ``depart`` becomes a pending departure, consumed when
+    its step re-offers the session.
+    """
+    for bucket, marker in iter_step_buckets(suffix):
+        for record in bucket:
+            if record.kind == "inject":
+                EngineRun.inject(run, build_request(record.data["request"]))
+            elif record.kind == "depart":
+                run.pending_departures.add(record.data["rid"])
+        if marker is None:
+            # Unterminated tail: inputs applied above; the step itself
+            # re-executes (and re-logs) after recovery.
+            break
+        step = marker.data["step"]
+        EngineRun.step(run)
+        stats.steps_replayed += 1
+        emitted = {r.request_id: _token_record(r) for r in run.emitted}
+        for record in bucket:
+            if record.kind != "token":
+                continue
+            if emitted.get(record.data["rid"]) != record.data:
+                raise ReplayDivergenceError(
+                    f"replayed step {step} did not reproduce token "
+                    f"{record.data['index']} of request "
+                    f"{record.data['rid']} (logged {record.data['token']})")
+            stats.tokens_replayed += 1
+        if run.pending_departures:
+            raise ReplayDivergenceError(
+                f"logged departures {sorted(run.pending_departures)} were "
+                f"not re-offered during replay of step {step}")
+        if run.engine.timing is not None \
+                and run.clock != marker.data["clock"]:
+            raise ReplayDivergenceError(
+                f"replayed clock {run.clock!r} != logged "
+                f"{marker.data['clock']!r} at step {step}")
+    run.steps = stats.snapshot_step + stats.steps_replayed
+
+
 def recover(directory: pathlib.Path, engine: ServeEngine, *,
             snapshot_every: int = 8, fsync_every: int = 8,
             keep_snapshots: int = 2
@@ -342,7 +321,6 @@ def recover(directory: pathlib.Path, engine: ServeEngine, *,
     metrics = engine.obs.metrics
 
     t0 = time.perf_counter()
-    meta = arenas = None
     with tracer.span("recovery.restore", directory=str(directory)):
         for path in sorted(directory.glob("snapshot-*.bin"), reverse=True):
             try:
@@ -352,112 +330,53 @@ def recover(directory: pathlib.Path, engine: ServeEngine, *,
                 continue
             stats.snapshot_path = str(path)
             break
-        if meta is None:
+        else:
             raise SnapshotCorruptError(
                 f"no verifiable snapshot in {directory}")
-        run = restore_run(engine, meta, arenas)
     stats.snapshot_step = int(meta["step"])
     stats.snapshot_lsn = int(meta["lsn"])
     stats.snapshot_load_s = time.perf_counter() - t0
 
-    # -- WAL suffix -----------------------------------------------------------
+    # -- the log: resume it, or restart it when stale or missing --------------
     wal_path = directory / WAL_NAME
     epoch = meta["epoch"]
     suffix = []
-    end_offset = last_lsn = 0
+    wal = None
     if wal_path.exists():
         wal_epoch, records, end_offset, stats.wal_torn = read_wal(wal_path)
         if wal_epoch != epoch:
             stats.stale_wal = True
-            stale_path = directory / (WAL_NAME + ".stale")
-            if stale_path.exists():
-                stale_path.unlink()
-            wal_path.rename(stale_path)
+            wal_path.replace(directory / (WAL_NAME + ".stale"))
         else:
             suffix = [r for r in records if r.lsn > stats.snapshot_lsn]
-            last_lsn = records[-1].lsn if records else 0
-
-    # -- replay by re-execution, verifying against the log --------------------
-    t1 = time.perf_counter()
-    pending: Set[int] = set()
-    replay_departs: Set[int] = set()
-
-    def replay_handler(request: ServeRequest) -> bool:
-        # A logged departure means the pre-crash router accepted the
-        # migration; honor it without a router.  Anything else stays.
-        if request.request_id in replay_departs:
-            return True
-        return False
-
-    previous_handler = engine.migrate_handler
-    engine.migrate_handler = replay_handler
-    try:
-        with tracer.span("recovery.replay", records=len(suffix)):
-            for bucket, marker in iter_step_buckets(suffix):
-                for record in bucket:
-                    if record.kind == "inject":
-                        run.inject(build_request(record.data["request"]))
-                    elif record.kind == "depart":
-                        (replay_departs if marker is not None
-                         else pending).add(record.data["rid"])
-                if marker is None:
-                    # Unterminated tail: inputs applied above; the step
-                    # itself re-executes (and re-logs) after recovery.
-                    break
-                run.step()
-                stats.steps_replayed += 1
-                by_rid = {r.request_id: r for r in run._arrivals}
-                for record in bucket:
-                    if record.kind != "token":
-                        continue
-                    rid = record.data["rid"]
-                    index = record.data["index"]
-                    request = by_rid.get(rid)
-                    if request is None or index >= len(request.outputs) \
-                            or request.outputs[index] \
-                            != record.data["token"]:
-                        raise ReplayDivergenceError(
-                            f"replayed step {marker.data['step']} did not "
-                            f"reproduce token {index} of request {rid} "
-                            f"(logged {record.data['token']})")
-                    stats.tokens_replayed += 1
-                if replay_departs:
-                    raise ReplayDivergenceError(
-                        f"logged departures {sorted(replay_departs)} were "
-                        f"not re-offered during replay of step "
-                        f"{marker.data['step']}")
-                if engine.timing is not None \
-                        and run.clock != marker.data["clock"]:
-                    raise ReplayDivergenceError(
-                        f"replayed clock {run.clock!r} != logged "
-                        f"{marker.data['clock']!r} at step "
-                        f"{marker.data['step']}")
-    finally:
-        engine.migrate_handler = previous_handler
-    stats.replay_s = time.perf_counter() - t1
-
-    # -- resume the WAL and wrap back into a DurableRun -----------------------
-    fresh_wal = stats.stale_wal or not wal_path.exists()
+            wal = WriteAheadLog.resume(
+                wal_path, epoch, records[-1].lsn if records else 0,
+                end_offset, fsync_every)
+    fresh_wal = wal is None
     if fresh_wal:
         wal = WriteAheadLog(wal_path, epoch, fsync_every)
-    else:
-        wal = WriteAheadLog.resume(wal_path, epoch, last_lsn, end_offset,
-                                   fsync_every)
-    durable = DurableRun(
-        engine, (), directory, snapshot_every=snapshot_every,
-        fsync_every=fsync_every, keep_snapshots=keep_snapshots,
-        epoch=epoch, _resume={
-            "steps": stats.snapshot_step + stats.steps_replayed,
-            "run": run, "wal": wal, "pending": pending})
+    run = DurableRun(engine, (), directory, snapshot_every=snapshot_every,
+                     fsync_every=fsync_every, keep_snapshots=keep_snapshots,
+                     epoch=epoch, wal=wal)
+    try:
+        t0 = time.perf_counter()
+        with tracer.span("recovery.restore", snapshot=stats.snapshot_path):
+            restore_run(run, meta, arenas)
+        stats.snapshot_load_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        with tracer.span("recovery.replay", records=len(suffix)):
+            _replay(run, suffix, stats)
+        stats.replay_s = time.perf_counter() - t0
+    except BaseException:
+        wal.close()     # a failed recovery leaves no run to own the log
+        raise
+
     if fresh_wal:
         # Re-anchor: the new log starts at LSN 0, so write a snapshot
         # that references it (older snapshots point into the discarded
         # epoch's LSN space).
-        durable._snapshot()
-    if metrics.enabled:
-        metrics.counter("recovery.restores").inc()
-        metrics.counter("recovery.steps_replayed").inc(
-            stats.steps_replayed)
-        metrics.counter("recovery.tokens_replayed").inc(
-            stats.tokens_replayed)
-    return durable, stats
+        run._snapshot()
+    metrics.counter("recovery.restores").inc()
+    metrics.counter("recovery.steps_replayed").inc(stats.steps_replayed)
+    metrics.counter("recovery.tokens_replayed").inc(stats.tokens_replayed)
+    return run, stats

@@ -13,9 +13,12 @@ needs to resume bit-identically:
   and prefix-caching state, plus any backend-declared durable state
   (duck-typed ``durable_state()`` / ``restore_durable_state()``, e.g. the
   supervised offload backend's RNG streams and degradation counters);
-- scheduler queues / virtual times / running order, and the run's clock,
-  arrival cursor, and departed-request set (serialized by request id —
-  object identity does not survive a restore).
+- scheduler queues / virtual times / running order / brownout ladder
+  stage, and the run's clock, arrival cursor, and departed-request set
+  (serialized by request id — object identity does not survive a
+  restore).  A departed request is written without its cache and backend
+  state: the object is shared with the worker it migrated to, so that
+  cache lives in the *other* worker's pool.
 
 File layout: ``MAGIC`` then length-prefixed sections (section 0 is JSON
 metadata, then 3 raw arena sections per layer: K, V, signs), closed by a
@@ -37,20 +40,25 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import DurabilityError, SnapshotCorruptError
-from repro.serve.engine import EngineRun, ServeEngine
+from repro.serve.engine import EngineRun
 from repro.serve.paged_kv import PagedKVCache, _PrefixEntry
 from repro.serve.scheduler import RequestState, ServeRequest
 
 MAGIC = b"LSDURSNP"
 FORMAT = "longsight-durable-snapshot"
-VERSION = 1
+VERSION = 2
 
 
 # -- request (de)serialization -- shared with WAL ``inject`` records ----------
 
 def serialize_request(request: ServeRequest,
                       include_cache: bool = True) -> dict:
-    """JSON-safe dict of one request's full scheduling + event state."""
+    """JSON-safe dict of one request's full scheduling + event state.
+
+    ``include_cache=False`` leaves out what is bound to a pool — the
+    block map and the backend's durable state — for a request that is
+    not (or no longer) resident in the pool being written.
+    """
     events = request.events
     out = {
         "request_id": int(request.request_id),
@@ -100,9 +108,9 @@ def serialize_request(request: ServeRequest,
             "entry_digests": [entry.key.hex()
                               for entry in cache._entry_by_block.values()],
         }
-    durable_state = getattr(request.backend, "durable_state", None)
-    if callable(durable_state):
-        out["backend_state"] = durable_state()
+        durable_state = getattr(request.backend, "durable_state", None)
+        if callable(durable_state):
+            out["backend_state"] = durable_state()
     return out
 
 
@@ -180,6 +188,8 @@ def write_snapshot(path: pathlib.Path, run: EngineRun, *, epoch: str,
         "scheduler": {
             "vtime": {t: float(v) for t, v in scheduler._vtime.items()},
             "preemptions": int(scheduler.preemptions),
+            "brownout_stage": int(scheduler.brownout_stage),
+            "brownout_transitions": int(scheduler.brownout_transitions),
             "running": [r.request_id for r in scheduler.running],
             "finished": [r.request_id for r in scheduler.finished],
             "queues": {tenant: [r.request_id for r in queue]
@@ -210,7 +220,9 @@ def write_snapshot(path: pathlib.Path, run: EngineRun, *, epoch: str,
                  "signs_packed": entry.signs_packed}
                 for entry in pool._prefix_index.values()],
         },
-        "requests": [serialize_request(r) for r in run._arrivals],
+        "requests": [serialize_request(
+            r, include_cache=id(r) not in run._departed)
+            for r in run._arrivals],
     }
     rows = _block_rows(used, pool.block_tokens)
     path = pathlib.Path(path)
@@ -283,15 +295,16 @@ def read_snapshot(path: pathlib.Path) -> Tuple[dict, List[bytes]]:
 
 # -- restore ------------------------------------------------------------------
 
-def restore_run(engine: ServeEngine, meta: dict,
+def restore_run(run: EngineRun, meta: dict,
                 arenas: List[bytes]) -> EngineRun:
-    """Rebuild an :class:`EngineRun` inside ``engine`` from snapshot state.
+    """Load snapshot state into ``run`` (and its engine's pool); returns it.
 
-    ``engine`` must be fresh (empty pool) with geometry matching the
-    snapshot; sessions get new caches wired to the restored arena blocks
-    and new backends from the engine's factory (with any serialized
-    durable backend state restored on top).
+    ``run`` must be new, on a fresh engine (empty pool) with geometry
+    matching the snapshot; sessions get new caches wired to the restored
+    arena blocks and new backends from the engine's factory (with any
+    serialized durable backend state restored on top).
     """
+    engine = run.engine
     pool = engine.pool
     cfg = pool.config
     pm = meta["pool"]
@@ -312,10 +325,7 @@ def restore_run(engine: ServeEngine, meta: dict,
 
     requests = [build_request(d) for d in meta["requests"]]
     by_rid: Dict[int, ServeRequest] = {r.request_id: r for r in requests}
-    run = engine.start(requests)
-    # Preserve the serialized arrival order exactly (inject() maintained
-    # it pre-crash; re-sorting is equivalent but explicit is safer).
-    run._arrivals = requests
+    run._arrivals = requests     # serialized in arrival order
     run._next_arrival = int(meta["run"]["next_arrival"])
     run._departed = {id(by_rid[rid]) for rid in meta["departed"]}
     run.clock = float(meta["run"]["clock"])
@@ -326,6 +336,8 @@ def restore_run(engine: ServeEngine, meta: dict,
     scheduler = run.scheduler
     scheduler._vtime = {t: float(v) for t, v in sm["vtime"].items()}
     scheduler.preemptions = int(sm["preemptions"])
+    scheduler.brownout_stage = int(sm["brownout_stage"])
+    scheduler.brownout_transitions = int(sm["brownout_transitions"])
     scheduler.running = [by_rid[rid] for rid in sm["running"]]
     scheduler.finished = [by_rid[rid] for rid in sm["finished"]]
     scheduler._queues = {tenant: [by_rid[rid] for rid in rids]

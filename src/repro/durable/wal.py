@@ -1,4 +1,4 @@
-"""Write-ahead log of scheduler events, fsync-batched with monotonic LSNs.
+"""Write-ahead log of run inputs and tokens, fsync-batched, monotonic LSNs.
 
 The WAL is line-oriented JSON: one record per line, each carrying a
 monotonically increasing log sequence number and a CRC32 over its
@@ -31,9 +31,10 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import WalCorruptError
 
-#: record kinds the durable runner emits.
-RECORD_KINDS = ("begin", "admit", "prefill", "token", "preempt", "finish",
-                "inject", "depart", "step")
+#: record kinds the durable runner emits: the header, the two inputs
+#: (force-synced), one ``token`` per emitter of a step, and the ``step``
+#: marker closing the step's bucket — exactly what recovery reads.
+RECORD_KINDS = ("begin", "token", "inject", "depart", "step")
 
 
 @dataclasses.dataclass(frozen=True)

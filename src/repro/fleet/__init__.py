@@ -18,15 +18,15 @@ Layout:
   failover);
 - :mod:`repro.fleet.resilience` — :class:`HealthMonitor` /
   :class:`HealthPolicy` / :class:`WorkerState` (phi-accrual-style
-  suspicion over step latencies) and :class:`GrayRun` (deterministic
-  gray-failure injection);
+  suspicion over step latencies; the router feeds it wall time plus the
+  simulated stalls of a :class:`~repro.system.faults.GrayFailurePlan`);
 - :mod:`repro.fleet.report` — :class:`FleetReport` (per-worker
   :class:`~repro.serve.events.ServeReport` reduction plus the merged
   :class:`~repro.obs.MetricsRegistry`).
 """
 
 from repro.fleet.report import FleetReport
-from repro.fleet.resilience import (GrayRun, HealthMonitor, HealthPolicy,
+from repro.fleet.resilience import (HealthMonitor, HealthPolicy,
                                     WorkerHealth, WorkerState)
 from repro.fleet.router import FleetRouter, FleetWorker, make_worker
 
@@ -34,7 +34,6 @@ __all__ = [
     "FleetReport",
     "FleetRouter",
     "FleetWorker",
-    "GrayRun",
     "HealthMonitor",
     "HealthPolicy",
     "WorkerHealth",

@@ -7,12 +7,13 @@ forever.  This module gives the router the three pieces it needs to stop
 doing that:
 
 - :class:`GrayFailurePlan` (in :mod:`repro.system.faults`) schedules
-  deterministic gray failures; :class:`GrayRun` injects them by wrapping
-  a worker's run behind the same router-facing surface (``idle`` /
-  ``clock`` / ``step`` / ``inject`` / ...).  Stalls are **simulated**:
-  the wrapped step reports its stall seconds through
-  :meth:`GrayRun.consume_stall` instead of sleeping, so chaos tests are
-  fast and bit-reproducible while driving the real detection path.
+  deterministic gray failures.  Stalls are **simulated**, so they are
+  router input rather than worker behaviour: the router's guarded step
+  reads the plan at the worker's step count, adds the stall seconds to
+  the latency it observed instead of sleeping (a stuck step — infinite
+  stall — is not run at all: the wedge happens before the engine makes
+  progress), so chaos tests are fast and bit-reproducible while driving
+  the real detection path.
 - :class:`HealthMonitor` classifies each worker HEALTHY / SUSPECT /
   FAILED from its observed step latencies: a **phi-accrual-style
   suspicion score** (phi = -log10 of the survival probability of the
@@ -24,8 +25,9 @@ doing that:
   (no new placements, stepped only as an occasional hedged probe so the
   healthy laggard always makes progress) and recovers to HEALTHY when
   its suspicion drops; a FAILED worker (consecutive deadline misses) is
-  failed over — its sessions leave via the durable snapshot + WAL path
-  or recompute migration (see ``router._fail_worker``).
+  failed over — fence, rebuild from the durable snapshot + WAL, drain;
+  recompute migration off the fenced run when there is nothing to
+  rebuild from (see ``router._fail_worker``).
 
 The deadline baseline is fed only with *within-deadline* samples: a
 worker stalling at 2 s must not drag its own p95 — and therefore its own
@@ -43,7 +45,6 @@ import math
 from typing import Dict, Optional, Tuple
 
 from repro.obs import Histogram, MetricsRegistry, exact_percentile
-from repro.system.faults import GrayFailurePlan
 
 
 class WorkerState(enum.Enum):
@@ -267,46 +268,3 @@ class HealthMonitor:
         if health.state is not WorkerState.FAILED:
             self.failures += 1
         health.state = WorkerState.FAILED
-
-
-class GrayRun:
-    """Run proxy that injects a :class:`GrayFailurePlan` into a worker.
-
-    Wraps an ``EngineRun`` / ``DurableRun`` behind the identical
-    router-facing surface; everything except :meth:`step` delegates to
-    the inner run, so durable wrappers, migration handlers, and report
-    plumbing all keep working.  A stuck step performs **no inner work**
-    (the wedge happens before the engine makes progress) and reports an
-    infinite stall; slow/flapping steps do the real work and report the
-    plan's stall seconds on top.
-    """
-
-    def __init__(self, inner, plan: GrayFailurePlan) -> None:
-        self.inner = inner
-        self.plan = plan
-        self.gray_steps = 0
-        self._last_stall_s = 0.0
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-    @property
-    def idle(self) -> bool:
-        return self.inner.idle
-
-    @property
-    def clock(self) -> float:
-        return self.inner.clock
-
-    def step(self) -> bool:
-        self.gray_steps += 1
-        stall = self.plan.stall_at(self.gray_steps)
-        self._last_stall_s = stall
-        if math.isinf(stall):
-            return True
-        return self.inner.step()
-
-    def consume_stall(self) -> float:
-        """Simulated stall seconds of the last step (read-and-reset)."""
-        stall, self._last_stall_s = self._last_stall_s, 0.0
-        return stall

@@ -7,40 +7,51 @@ advance together and cross-worker decisions (dispatch, migration) are
 made against comparable times — the multi-queue analogue of the single
 engine's event loop.
 
-Placement, in priority order:
+Placement: a request carrying a ``session`` key goes to the worker
+already serving that session (**affinity**: its KV blocks, sign store and
+prefix index live there).  Everything else — a fresh placement, the
+target of a migration, the target of a failover drain — is one ranking
+over the live workers (:meth:`FleetRouter._best_worker`):
 
-1. **Session affinity** — a request carrying a ``session`` key goes to
-   the worker already serving that session (its KV blocks, sign store,
-   and prefix index live there).
-2. **Prefix locality** — otherwise prefer the worker whose prefix index
-   holds the longest cached prefix of the request's prompt (attachable
-   blocks beat free blocks: they save prefill work *and* pool space).
-3. **Load** — ties break to the worker with the most free blocks net of
-   blocks already promised to its queued work.
+1. **Health** — HEALTHY before SUSPECT; FAILED workers take nothing.
+2. **Prefix locality** — the worker whose prefix index holds the longest
+   cached prefix of the request's prompt (attachable blocks beat free
+   blocks: they save prefill work *and* pool space).
+3. **Load** — the most free blocks net of blocks already promised to
+   queued work; then the lowest worker id.
 
-Migration is cross-worker preemption: the source engine detaches the
-victim exactly as local preemption does (blocks freed, state QUEUED,
-generated tokens kept), and the router re-injects it into the target
-worker, where the standard resume path re-prefills ``prompt +
-outputs[:-1]`` and replays the last token — bit-identical to an
-uninterrupted run.  A per-request migration cap prevents ping-pong; a
-request over its cap is re-queued (or shed) locally by the source.
+Migration is cross-worker preemption: the source run detaches the victim
+exactly as local preemption does (blocks freed, state QUEUED, generated
+tokens kept) and offers it to the router's handler, which relocates it
+(:meth:`FleetRouter._relocate`: departure recorded on the source, then
+injected into the target) to a worker that can admit it *now*; there the
+standard resume path re-prefills ``prompt + outputs[:-1]`` and replays
+the last token — bit-identical to an uninterrupted run.  A per-request
+migration cap prevents ping-pong; a request over its cap is re-queued
+(or shed) locally by the source.
 
-Resilience (see :mod:`repro.fleet.resilience`): every guarded step feeds
-a :class:`HealthMonitor` with the worker's observed latency (wall time
-plus any simulated :class:`GrayRun` stall).  A SUSPECT worker is drained
-— no new placements, stepped only as an occasional hedged probe so the
-healthy laggard keeps the fleet moving — and self-heals when its
-suspicion drops.  A FAILED worker is *failed over*: its newest durable
-snapshot + WAL suffix are recovered into a fresh engine and every live
-session is shipped to a healthy sibling (recompute migration from the
-intact in-memory run when no verifiable snapshot exists).  With no live
+Recovery is one routine, :meth:`FleetRouter._rebuild`: a fresh engine
+from the worker's factory, its durable directory recovered into it.  A
+*killed* worker is rebuilt in place and keeps its sessions.  A FAILED
+worker (see :mod:`repro.fleet.resilience`) is *failed over*: fence →
+rebuild → drain every live session to the best sibling; when rebuild has
+nothing to load (no durable directory, no verifiable snapshot) the drain
+runs off the fenced in-memory run instead — recompute migration.
+
+Gray failures are router input, not worker behaviour: a worker's
+:class:`~repro.system.faults.GrayFailurePlan` is read at every guarded
+step against the worker's step count, its stall seconds are added to the
+observed latency fed to the :class:`HealthMonitor`, and an infinite
+stall skips the step.  A SUSPECT worker is drained — no new placements,
+stepped only as an occasional hedged probe so the healthy laggard keeps
+the fleet moving — and self-heals when its suspicion drops.  With no live
 sibling left the bounded-wait guard raises
 :class:`~repro.errors.WorkerStalledError` instead of hanging the loop.
 """
 
 from __future__ import annotations
 
+import math
 import pathlib
 import time
 from typing import Callable, Dict, List, Optional, Sequence
@@ -50,14 +61,13 @@ from repro.errors import (SnapshotCorruptError, WorkerKilledError,
                           WorkerStalledError)
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer, resolve_obs
-from repro.serve.engine import ServeEngine, TimingModel
+from repro.serve.engine import EngineRun, ServeEngine, TimingModel
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest, SloPolicy
 from repro.system.faults import CrashPlan, GrayFailurePlan
 
 from repro.fleet.report import FleetReport
-from repro.fleet.resilience import (GrayRun, HealthMonitor, HealthPolicy,
-                                    WorkerState)
+from repro.fleet.resilience import HealthMonitor, HealthPolicy, WorkerState
 
 
 class FleetWorker:
@@ -69,7 +79,11 @@ class FleetWorker:
                  durable_dir: Optional[pathlib.Path] = None) -> None:
         self.worker_id = worker_id
         self.engine = engine
-        self.run = None  # EngineRun/DurableRun, router-owned during a run
+        #: router-owned during a run; a DurableRun iff ``durable_dir``.
+        self.run: Optional[EngineRun] = None
+        #: guarded steps since ``run`` was (re)built: the index a
+        #: :class:`GrayFailurePlan` is read against.
+        self.run_steps = 0
         #: rebuilds a fresh engine after a crash (restore loads into it).
         self.engine_factory = engine_factory
         #: where this worker's snapshots + WAL live; None = not durable.
@@ -135,9 +149,9 @@ class FleetRouter:
             ``fleet.migrations``); worker metrics live in each worker's
             own registry.
         max_steps: hard bound on total worker steps across the run.
-        gray_plans: per-worker :class:`GrayFailurePlan` schedules; the
-            worker's run is wrapped in a :class:`GrayRun` proxy so its
-            simulated stalls drive the real detection path.
+        gray_plans: per-worker :class:`GrayFailurePlan` schedules, read
+            by the guarded step so their simulated stalls drive the real
+            detection path.
         health: suspicion-model knobs (:class:`HealthPolicy` defaults
             when ``None`` — monitoring is always on; with wall steps in
             the milliseconds the deadline floor keeps it inert).
@@ -187,10 +201,8 @@ class FleetRouter:
                     crash=self.crash_plans.get(worker.worker_id))
             else:
                 worker.run = worker.engine.start([])
-            plan = self.gray_plans.get(worker.worker_id)
-            if plan is not None:
-                worker.run = GrayRun(worker.run, plan)
-            self._install_handler(worker)
+            worker.run_steps = 0
+            worker.engine.migrate_handler = self._handler_for(worker)
             self.monitor.attach(worker.worker_id, worker.obs.metrics)
         pending = sorted(requests,
                          key=lambda r: (r.arrival_s, r.request_id))
@@ -199,9 +211,7 @@ class FleetRouter:
         step_key = lambda w: (w.run.clock, w.worker_id)  # noqa: E731
         try:
             for iteration in range(1, self.max_steps + 1):
-                active = [w for w in self.workers
-                          if self._worker_state(w) is not WorkerState.FAILED]
-                busy = [w for w in active if not w.run.idle]
+                busy = [w for w in self._live() if not w.run.idle]
                 if not busy and next_dispatch >= len(pending):
                     break
                 # Dispatch every arrival at or before the laggard's clock:
@@ -214,9 +224,7 @@ class FleetRouter:
                         and pending[next_dispatch].arrival_s <= frontier:
                     self._dispatch(pending[next_dispatch])
                     next_dispatch += 1
-                active = [w for w in self.workers
-                          if self._worker_state(w) is not WorkerState.FAILED]
-                busy = [w for w in active if not w.run.idle]
+                busy = [w for w in self._live() if not w.run.idle]
                 if not busy:
                     continue
                 healthy_busy = [w for w in busy if self._worker_state(w)
@@ -257,6 +265,12 @@ class FleetRouter:
     def _worker_state(self, worker: FleetWorker) -> WorkerState:
         return self.monitor.state_or_healthy(worker.worker_id)
 
+    def _live(self, exclude: Optional[FleetWorker] = None
+              ) -> List[FleetWorker]:
+        """The workers that are not FAILED (and not ``exclude``)."""
+        return [w for w in self.workers if w is not exclude
+                and self._worker_state(w) is not WorkerState.FAILED]
+
     def _place(self, request: ServeRequest) -> FleetWorker:
         """Pick the worker to serve ``request`` (see module docstring).
 
@@ -265,27 +279,37 @@ class FleetRouter:
         placements while any healthy worker exists; FAILED workers take
         nothing.
         """
-        if request.session is not None \
-                and request.session in self._affinity:
-            home = self._affinity[request.session]
-            if self._worker_state(home) is not WorkerState.FAILED:
-                return home
-        candidates = [w for w in self.workers
-                      if self._worker_state(w) is not WorkerState.FAILED]
-        if not candidates:           # unreachable: the last failure raises
-            candidates = [self.workers[0]]
-        healthy = [w for w in candidates
-                   if self._worker_state(w) is WorkerState.HEALTHY]
-        pool = healthy or candidates
-        fits = [w for w in pool
+        home = self._affinity.get(request.session)
+        if home is not None \
+                and self._worker_state(home) is not WorkerState.FAILED:
+            return home
+        return self._best_worker(request)
+
+    def _best_worker(self, request: ServeRequest,
+                     exclude: Optional[FleetWorker] = None,
+                     admit_now: bool = False) -> Optional[FleetWorker]:
+        """The live worker (never ``exclude``) ranked first for
+        ``request``: (HEALTHY, longest cached prefix, free score, lowest
+        id) over the workers whose pool could ever hold the session.
+
+        With ``admit_now`` only workers with the resume-prompt blocks
+        free right now qualify, and ``None`` means nobody does — which
+        keeps migration from bouncing a session between two saturated
+        workers.  Otherwise a session nobody can ever hold still lands
+        on the best live worker and sheds through its impossible-fit
+        admission path.
+        """
+        live = self._live(exclude)
+        fits = [w for w in live
                 if self._session_blocks(w, request) <= w.pool.n_blocks]
-        if not fits:
-            # Nobody can ever hold it; let the first live worker's
-            # admission shed it through the standard impossible-fit path.
-            return pool[0]
-        prompt = request.prompt
-        return max(fits, key=lambda w: (
-            w.pool.longest_prefix_tokens(prompt),
+        if admit_now:
+            fits = [w for w in fits if w.pool.blocks_for_tokens(
+                len(request.resume_tokens)) <= w.pool.n_free]
+            if not fits:
+                return None
+        return max(fits or live, key=lambda w: (
+            self._worker_state(w) is WorkerState.HEALTHY,
+            w.pool.longest_prefix_tokens(request.prompt),
             self._free_score(w),
             -w.worker_id))
 
@@ -304,86 +328,80 @@ class FleetRouter:
                        for r in queued)
         return pool.n_free - promised
 
-    # -- crash recovery -------------------------------------------------------
-
-    def _install_handler(self, worker: FleetWorker) -> None:
-        """Install the migrate hook, durable-wrapped when applicable so
-        departures already delivered pre-crash are not re-migrated."""
-        handler = self._handler_for(worker)
-        wrap = getattr(worker.run, "wrap_migrate_handler", None)
-        worker.engine.migrate_handler = handler if wrap is None \
-            else wrap(handler)
-
-    def _recover_worker(self, worker: FleetWorker) -> None:
-        """Restore a killed durable worker in place: fresh engine, state
-        loaded from its durable directory, sessions kept — the fleet
-        alternative to migrating everything off a dead shard.  The
-        affinity map stays valid because the :class:`FleetWorker` object
-        (and its sessions' home) does not change."""
-        if worker.engine_factory is None or worker.durable_dir is None:
-            raise  # not durable: the kill is fatal; re-raise it
-        worker.engine.migrate_handler = None
-        old_metrics = worker.obs.metrics
-        worker.engine = worker.engine_factory()
-        worker.run, stats = recover(worker.durable_dir, worker.engine,
-                                    snapshot_every=self.snapshot_every)
-        # Health instruments (fleet.*) are router-owned, never replayed:
-        # transplant them across the engine swap so the latency baseline
-        # and suspicion counters survive into the merged fleet report.
-        if worker.obs.metrics.enabled:
-            worker.obs.metrics.merge_prefixed(old_metrics, "fleet.")
-        self.monitor.attach(worker.worker_id, worker.obs.metrics)
-        plan = self.gray_plans.get(worker.worker_id)
-        if plan is not None:
-            worker.run = GrayRun(worker.run, plan)
-        self._install_handler(worker)
-        self.worker_restores += 1
-        self.recoveries.append(stats)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter("fleet.worker_restores").inc()
-            metrics.counter(
-                f"fleet.worker{worker.worker_id}.restores").inc()
-
-    # -- gray failure: bounded wait + failover --------------------------------
+    # -- stepping under the bounded-wait guard --------------------------------
 
     def _guarded_step(self, worker: FleetWorker) -> None:
         """Step ``worker`` under the bounded-wait guard: observed latency
-        (wall plus simulated stall) feeds the health monitor; a FAILED
-        verdict triggers failover (or :class:`WorkerStalledError` when no
-        live sibling remains)."""
+        (wall plus the gray plan's simulated stall; an infinite stall
+        means the step never ran) feeds the health monitor; a FAILED
+        verdict triggers failover.  A killed durable worker is rebuilt in
+        place — fresh engine, state from its durable directory, sessions
+        kept: the affinity map stays valid because the
+        :class:`FleetWorker` (its sessions' home) does not change."""
+        worker.run_steps += 1
+        plan = self.gray_plans.get(worker.worker_id)
+        stall = 0.0 if plan is None else plan.stall_at(worker.run_steps)
         t0 = time.perf_counter()
-        try:
-            worker.run.step()
-        except WorkerKilledError:
-            self._recover_worker(worker)
-            return  # recovery time is not a step-latency sample
-        wall = time.perf_counter() - t0
-        consume = getattr(worker.run, "consume_stall", None)
-        stall = consume() if callable(consume) else 0.0
-        observed = wall + stall
+        if not math.isinf(stall):
+            try:
+                worker.run.step()
+            except WorkerKilledError:
+                if not self._rebuild(worker):
+                    raise  # nothing to restore from: the kill is fatal
+                self.monitor.attach(worker.worker_id, worker.obs.metrics)
+                self.worker_restores += 1
+                metrics = self.obs.metrics
+                metrics.counter("fleet.worker_restores").inc()
+                metrics.counter(
+                    f"fleet.worker{worker.worker_id}.restores").inc()
+                return  # recovery time is not a step-latency sample
+        observed = time.perf_counter() - t0 + stall
         _, after = self.monitor.observe(worker.worker_id, observed)
         if after is WorkerState.FAILED:
             self._fail_worker(worker, observed_s=observed)
 
+    # -- recovery: rebuild, and failover = fence -> rebuild -> drain ----------
+
+    def _rebuild(self, worker: FleetWorker) -> bool:
+        """Recover ``worker``'s durable directory (newest verifiable
+        snapshot + WAL suffix) into a fresh engine from its factory.
+
+        ``False`` — and the worker untouched — when it is not durable or
+        holds no verifiable snapshot.
+        """
+        if worker.engine_factory is None or worker.durable_dir is None:
+            return False
+        engine = worker.engine_factory()
+        try:
+            run, stats = recover(worker.durable_dir, engine,
+                                 snapshot_every=self.snapshot_every)
+        except SnapshotCorruptError:
+            return False
+        # Health instruments (fleet.*) are router-owned, never replayed:
+        # transplant them across the engine swap so the latency baseline
+        # and suspicion counters survive into the merged fleet report.
+        engine.obs.metrics.merge_prefixed(worker.obs.metrics, "fleet.")
+        worker.engine.migrate_handler = None
+        engine.migrate_handler = self._handler_for(worker)
+        worker.engine, worker.run, worker.run_steps = engine, run, 0
+        self.recoveries.append(stats)
+        return True
+
     def _fail_worker(self, worker: FleetWorker,
                      observed_s: float = 0.0) -> None:
-        """Fail ``worker`` over: recover its durable state into a fresh
-        engine and ship every live session to a healthy sibling.
+        """Fail ``worker`` over: fence, rebuild, and ship every live
+        session to the best sibling.
 
-        The durable path is true failover — newest verified snapshot plus
-        WAL suffix, with the wedged run's unflushed records fenced off
-        (``drop_unsynced``) exactly as if the process were unreachable.
+        The fence makes it true failover — the wedged run's unflushed
+        records never land, exactly as if the process were unreachable.
         Without a verifiable snapshot (or a durable dir at all) the
-        sessions recompute-migrate off the intact in-memory run instead.
-        Either way departures are exactly-once: pending departures already
-        delivered pre-failure are consumed, not re-shipped.
+        sessions recompute-migrate off the fenced in-memory run instead.
+        Either way departures are exactly-once: pending departures
+        already delivered pre-failure are consumed, not re-shipped.
         """
         self.monitor.mark_failed(worker.worker_id)
-        siblings = [w for w in self.workers if w is not worker
-                    and self._worker_state(w) is not WorkerState.FAILED]
-        deadline = self.monitor.deadline_s(worker.worker_id)
-        if not siblings:
+        if not self._live(exclude=worker):
+            deadline = self.monitor.deadline_s(worker.worker_id)
             raise WorkerStalledError(
                 f"worker {worker.worker_id} stalled ({observed_s:.3f}s "
                 f"step vs {deadline:.3f}s deadline) with no live sibling "
@@ -391,61 +409,29 @@ class FleetRouter:
                 worker_id=worker.worker_id, deadline_s=deadline,
                 observed_s=observed_s)
         t0 = time.perf_counter()
-        run = worker.run
-        inner = run.inner if isinstance(run, GrayRun) else run
-        worker.engine.migrate_handler = None
-        recovered = False
-        if worker.durable_dir is not None \
-                and worker.engine_factory is not None:
-            wal = getattr(inner, "wal", None)
-            if wal is not None:
-                # Fence the wedged run: its unflushed records never land
-                # and it can no longer write to the durable directory.
-                wal.drop_unsynced()
-                wal.close()
-            old_metrics = worker.obs.metrics
-            try:
-                engine = worker.engine_factory()
-                new_run, stats = recover(worker.durable_dir, engine,
-                                         snapshot_every=self.snapshot_every)
-            except SnapshotCorruptError:
-                pass         # no verifiable snapshot: recompute-migrate
-            else:
-                worker.engine = engine
-                worker.run = new_run
-                self.recoveries.append(stats)
-                if engine.obs.metrics.enabled:
-                    engine.obs.metrics.merge_prefixed(old_metrics, "fleet.")
-                recovered = True
-        if not recovered:
-            # The raw in-memory run: for a fenced durable victim the
-            # DurableRun can no longer log, so drain beneath it.
-            worker.run = getattr(inner, "run", inner)
-        moved = self._drain_sessions(worker, worker.run)
+        if isinstance(worker.run, DurableRun):
+            worker.run.fence()
+        recovered = self._rebuild(worker)
+        moved = self._drain(worker)
         latency = time.perf_counter() - t0
         self.failovers += 1
         self.failover_sessions += moved
         self.failover_latency_s.append(latency)
         metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter("fleet.failovers").inc()
-            metrics.counter(f"fleet.worker{worker.worker_id}.failovers").inc()
-            metrics.counter("fleet.failover_sessions").inc(moved)
-            metrics.histogram("fleet.failover_latency_s",
-                              track_values=True).observe(latency)
+        metrics.counter("fleet.failovers").inc()
+        metrics.counter(f"fleet.worker{worker.worker_id}.failovers").inc()
+        metrics.counter("fleet.failover_sessions").inc(moved)
+        metrics.histogram("fleet.failover_latency_s",
+                          track_values=True).observe(latency)
         wmetrics = worker.obs.metrics
-        if wmetrics.enabled:
-            wmetrics.counter("fleet.failovers").inc()
-            wmetrics.counter("fleet.failover_recovered" if recovered
-                             else "fleet.failover_recomputed").inc()
+        wmetrics.counter("fleet.failovers").inc()
+        wmetrics.counter("fleet.failover_recovered" if recovered
+                         else "fleet.failover_recomputed").inc()
 
-    def _drain_sessions(self, victim: FleetWorker, run) -> int:
-        """Move every live session off ``run`` to failover targets."""
+    def _drain(self, victim: FleetWorker) -> int:
+        """Move every live session off ``victim``'s run to its siblings."""
+        run = victim.run
         scheduler = run.scheduler
-        clock = run.clock
-        pending_dep = set(getattr(run, "_pending_departures", ()) or ())
-        engine_run = getattr(run, "run", run)
-        already_gone = getattr(engine_run, "_departed", set())
         sessions: List[ServeRequest] = []
         for request in list(scheduler.running):
             scheduler.detach(request)
@@ -454,113 +440,59 @@ class FleetRouter:
         sessions.extend(run.pending)
         moved = 0
         for request in sessions:
-            if id(request) in already_gone:
-                continue
-            if request.request_id in pending_dep:
-                # Delivered to its target before the failure; consuming
-                # the pending departure keeps accounting exactly-once.
-                run.note_departure(request)
-                continue
-            target = self._failover_target(victim, request)
-            request.arrival_s = max(request.arrival_s, clock)
-            if request.session is not None:
-                self._affinity[request.session] = target
-            request.events.migrations += 1
-            run.note_departure(request)
-            target.run.inject(request)
-            tmetrics = target.obs.metrics
-            if tmetrics.enabled:
-                tmetrics.counter("serve.failover_in").inc()
-            moved += 1
+            target = self._best_worker(request, exclude=victim)
+            if self._relocate(victim, request, target):
+                target.obs.metrics.counter("serve.failover_in").inc()
+                moved += 1
         return moved
 
-    def _failover_target(self, victim: FleetWorker,
-                         request: ServeRequest) -> FleetWorker:
-        """Best live sibling for a drained session: HEALTHY before
-        SUSPECT, then the standard prefix-locality / load ranking; a
-        session no sibling can ever hold still lands somewhere and sheds
-        through the target's impossible-fit admission path."""
-        candidates = [w for w in self.workers if w is not victim
-                      and self._worker_state(w) is not WorkerState.FAILED]
-        healthy = [w for w in candidates
-                   if self._worker_state(w) is WorkerState.HEALTHY]
-        pool = healthy or candidates
-        fits = [w for w in pool
-                if self._session_blocks(w, request) <= w.pool.n_blocks]
-        return max(fits or pool, key=lambda w: (
-            w.pool.longest_prefix_tokens(request.prompt),
-            self._free_score(w),
-            -w.worker_id))
-
     # -- migration ------------------------------------------------------------
+
+    def _relocate(self, source: FleetWorker, request: ServeRequest,
+                  target: FleetWorker) -> bool:
+        """Move a detached session from ``source`` to ``target``.
+
+        Write-ahead order: the departure is recorded (and, on a durable
+        source, synced) before the target is told.  ``False`` when the
+        source run says there is nothing to deliver — the session reached
+        its target before the crash the run was recovered from.
+        """
+        if not source.run.note_departure(request):
+            return False
+        # The relocated session cannot restart before the moment the
+        # source released it; events keep the original arrival for TTFT
+        # accounting.
+        request.arrival_s = max(request.arrival_s, source.run.clock)
+        if request.session is not None:
+            self._affinity[request.session] = target
+        request.events.migrations += 1
+        target.run.inject(request)
+        return True
 
     def _handler_for(self, source: FleetWorker):
         """The migrate hook installed on ``source``'s engine.
 
         Receives sessions the source would otherwise preempt-requeue or
         capacity-shed, already detached (blocks freed, state QUEUED).
-        Returns ``True`` after re-injecting the session into a target
-        worker; ``False`` keeps it on the source (local requeue or shed).
+        Returns ``True`` after relocating the session to a sibling that
+        can admit it now; ``False`` keeps it on the source (local requeue
+        or shed).
         """
         def handler(request: ServeRequest) -> bool:
             if request.migrations >= self.max_migrations:
                 return False
-            target = self._migration_target(source, request)
+            target = self._best_worker(request, exclude=source,
+                                       admit_now=True)
             if target is None:
                 return False
             request.migrations += 1
-            request.events.migrations += 1
             self.migrations += 1
-            metrics = self.obs.metrics
-            if metrics.enabled:
-                metrics.counter("fleet.migrations").inc()
-            source_metrics = source.obs.metrics
-            if source_metrics.enabled:
-                source_metrics.counter("serve.migrated_out").inc()
-            target_metrics = target.obs.metrics
-            if target_metrics.enabled:
-                target_metrics.counter("serve.migrated_in").inc()
-            # The relocated session cannot restart before the moment the
-            # source released it; events keep the original arrival for
-            # TTFT accounting.
-            request.arrival_s = max(request.arrival_s, source.run.clock)
-            if request.session is not None:
-                self._affinity[request.session] = target
-            source.run.note_departure(request)
-            target.run.inject(request)
-            return True
+            self.obs.metrics.counter("fleet.migrations").inc()
+            source.obs.metrics.counter("serve.migrated_out").inc()
+            target.obs.metrics.counter("serve.migrated_in").inc()
+            return self._relocate(source, request, target)
 
         return handler
-
-    def _migration_target(self, source: FleetWorker,
-                          request: ServeRequest) -> Optional[FleetWorker]:
-        """A sibling that can admit the session *now*, or ``None``.
-
-        Requiring immediate admission capacity (resume-prompt blocks free
-        on the target) keeps migration from bouncing a session between
-        two saturated workers.
-        """
-        candidates = []
-        for worker in self.workers:
-            if worker is source:
-                continue
-            if self._worker_state(worker) is WorkerState.FAILED:
-                continue
-            pool = worker.pool
-            if self._session_blocks(worker, request) > pool.n_blocks:
-                continue
-            resume_blocks = pool.blocks_for_tokens(
-                len(request.resume_tokens))
-            if resume_blocks > pool.n_free:
-                continue
-            candidates.append(worker)
-        if not candidates:
-            return None
-        return max(candidates, key=lambda w: (
-            self._worker_state(w) is WorkerState.HEALTHY,
-            w.pool.longest_prefix_tokens(request.prompt),
-            self._free_score(w),
-            -w.worker_id))
 
     # -- reduction ------------------------------------------------------------
 

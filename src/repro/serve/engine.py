@@ -166,9 +166,9 @@ class ServeEngine:
         #: optional relocation hook ``(request) -> bool``: offered every
         #: session this engine would otherwise preempt-requeue or
         #: capacity-shed; returning ``True`` means the request now lives
-        #: elsewhere (a fleet router re-injected it into another worker).
+        #: elsewhere (a fleet router told the source run it departed,
+        #: then re-injected it into another worker).
         self.migrate_handler = migrate_handler
-        self._active_run: Optional["EngineRun"] = None
 
     # -- session plumbing -----------------------------------------------------
 
@@ -229,30 +229,16 @@ class ServeEngine:
         :meth:`run` one step at a time (``step`` / ``inject`` /
         ``finish``), which is what lets a fleet router interleave many
         workers on one coherent timeline and inject migrated sessions
-        mid-run.  :meth:`run` is exactly ``start`` + stepping to
-        completion, so solo callers see identical behavior.
+        mid-run.  :meth:`run` is exactly ``start`` + ``serve``, so solo
+        callers see identical behavior.
         """
-        run = EngineRun(self, requests)
-        self._active_run = run
-        return run
+        return EngineRun(self, requests)
 
     def run(self, requests: Sequence[ServeRequest]) -> ServeReport:
         """Serve ``requests`` to completion; returns the event report."""
-        run = self.start(requests)
         with self.obs.tracer.span("serve.run", system=self.name,
                                   requests=len(requests)):
-            for _ in range(self.max_steps):
-                if not run.step():
-                    break
-        return run.finish()
-
-    def _offer_migration(self, request: ServeRequest) -> bool:
-        """Offer a detached (QUEUED, cache-free) session to the router."""
-        if self.migrate_handler is None or not self.migrate_handler(request):
-            return False
-        if self._active_run is not None:
-            self._active_run.note_departure(request)
-        return True
+            return self.start(requests).serve()
 
     def _is_pinned_backend(self, request: ServeRequest) -> bool:
         from repro.core.hybrid import SlidingWindowAttention
@@ -308,9 +294,10 @@ class ServeEngine:
 
     # -- one step -------------------------------------------------------------
 
-    def _execute(self, scheduler: ContinuousBatchScheduler,
-                 plan: StepPlan, clock: float):
+    def _execute(self, run: "EngineRun", plan: StepPlan):
         """Run one engine step; returns (seconds, emitters, degradations)."""
+        scheduler = run.scheduler
+        clock = run.clock
         wall0 = time.perf_counter()
         emitted: List[ServeRequest] = []
         analytic_s = 0.0
@@ -335,7 +322,7 @@ class ServeEngine:
                         len(target) - request.prefilled)
             if not self._ensure_growth(scheduler, request,
                                        request.prefilled + chunk):
-                self._shed_in_flight(scheduler, request)
+                self._shed_in_flight(run, request)
                 continue
             segment = target[request.prefilled: request.prefilled + chunk]
             with tracer.span("prefill_chunk", request=request.request_id,
@@ -391,7 +378,7 @@ class ServeEngine:
                                    len(request.cache) + 1):
                 ready.append(request)
             else:
-                self._shed_in_flight(scheduler, request)
+                self._shed_in_flight(run, request)
         # A later session's growth may have preempted one already deemed
         # ready; drop anything no longer in DECODE before batching.
         ready = [r for r in ready if r.state is RequestState.DECODE]
@@ -434,28 +421,19 @@ class ServeEngine:
             else time.perf_counter() - wall0
         return step_s, emitted, degraded_flags
 
-    def _shed_in_flight(self, scheduler: ContinuousBatchScheduler,
+    def _shed_in_flight(self, run: "EngineRun",
                         request: ServeRequest) -> None:
         """Capacity shed: not even preemption freed room for this request.
 
-        With a fleet router attached the session is offered for migration
-        first — detached exactly like a preemption victim (blocks freed,
-        state QUEUED, resume via re-prefill), so the target worker resumes
-        it bit-identically.  Only when no worker will take it does the
-        request actually shed.
+        The session is offered for migration first — detached exactly
+        like a preemption victim (blocks freed, state QUEUED, resume via
+        re-prefill), so a target worker resumes it bit-identically.  Only
+        when no worker will take it does the request actually shed.
         """
-        scheduler.running.remove(request)
-        if request.cache is not None:
-            request.cache.free()
-            request.cache = None
-        request.backend = None
-        if self.migrate_handler is not None:
-            request.state = RequestState.QUEUED
-            request.prefilled = 0
-            request.prefill_charge_s = 0.0
-            request.ready_s = 0.0
-            if self._offer_migration(request):
-                return
+        scheduler = run.scheduler
+        scheduler.detach(request)
+        if run.offer_migration(request):
+            return
         metrics = self.obs.metrics
         if metrics.enabled:
             metrics.counter("serve.shed.capacity").inc()
@@ -483,7 +461,7 @@ class EngineRun:
         self.engine = engine
         self.scheduler = ContinuousBatchScheduler(
             engine.pool, engine.policy, obs=engine.obs,
-            victim_sink=engine._offer_migration)
+            victim_sink=self.offer_migration)
         self._arrivals = sorted(requests,
                                 key=lambda r: (r.arrival_s, r.request_id))
         self._next_arrival = 0
@@ -491,6 +469,8 @@ class EngineRun:
         self.clock = 0.0
         self.tokens_generated = 0
         self.peak_batch = 0
+        #: the requests that emitted a token (one each) in the last step.
+        self.emitted: List[ServeRequest] = []
 
     # -- router-facing surface ------------------------------------------------
 
@@ -528,9 +508,25 @@ class EngineRun:
             idx += 1
         self._arrivals.insert(idx, request)
 
-    def note_departure(self, request: ServeRequest) -> None:
-        """Mark a request as migrated away (reported by its new worker)."""
+    def note_departure(self, request: ServeRequest) -> bool:
+        """Mark a request as migrated away (reported by its new worker).
+
+        Returns whether the caller still has to deliver the session to
+        its new worker (always, for a run that cannot have delivered it
+        in an earlier life).
+        """
         self._departed.add(id(request))
+        return True
+
+    def offer_migration(self, request: ServeRequest) -> bool:
+        """Offer a detached (QUEUED, cache-free) session to the router.
+
+        This is the scheduler's ``victim_sink``.  A handler that answers
+        ``True`` has reported the departure (:meth:`note_departure`) and
+        handed the session to another worker.
+        """
+        handler = self.engine.migrate_handler
+        return handler is not None and handler(request)
 
     # -- one loop iteration ---------------------------------------------------
 
@@ -540,6 +536,7 @@ class EngineRun:
         scheduler = self.scheduler
         metrics = engine.obs.metrics
         tracer = engine.obs.tracer
+        self.emitted = []
 
         while self._next_arrival < len(self._arrivals) \
                 and self._arrivals[self._next_arrival].arrival_s \
@@ -560,8 +557,8 @@ class EngineRun:
             return False
 
         with tracer.span("engine.step"):
-            step_s, emitted, degraded_flags = engine._execute(
-                scheduler, plan, self.clock)
+            step_s, emitted, degraded_flags = engine._execute(self, plan)
+        self.emitted = emitted
         if metrics.enabled:
             metrics.counter("serve.steps").inc()
             metrics.counter("serve.tokens").inc(len(emitted))
@@ -600,6 +597,13 @@ class EngineRun:
         return True
 
     # -- reduction ------------------------------------------------------------
+
+    def serve(self) -> ServeReport:
+        """Step to completion and reduce (the solo-run entry point)."""
+        for _ in range(self.engine.max_steps):
+            if not self.step():
+                break
+        return self.finish()
 
     def finish(self) -> ServeReport:
         """Reduce the run's events to a :class:`ServeReport`."""

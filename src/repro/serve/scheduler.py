@@ -553,13 +553,14 @@ class ContinuousBatchScheduler:
         self._count("serve.brownout.stage_tokens")
         self._count(f"serve.brownout.stage{stage}_tokens")
 
-    # -- failover drain (fleet router) ----------------------------------------
+    # -- detach (preemption, capacity shed, failover drain) -------------------
 
     def detach(self, request: ServeRequest) -> None:
-        """Detach a running session for relocation: blocks freed, state
-        QUEUED, generated tokens kept — the preemption mechanics without
-        the preemption accounting (used by cross-worker failover, where
-        the move is the router's doing, not a capacity decision)."""
+        """Detach a running session: blocks freed, state QUEUED, generated
+        tokens kept — the mechanics every relocation shares (preemption,
+        which adds its accounting; the engine's capacity shed; and
+        cross-worker failover, where the move is the router's doing, not
+        a capacity decision)."""
         self.running.remove(request)
         if request.cache is not None:
             request.cache.free()
@@ -689,14 +690,7 @@ class ContinuousBatchScheduler:
             return None
         victim = max(candidates,
                      key=lambda r: (r.events.admitted_s, r.request_id))
-        self.running.remove(victim)
-        victim.cache.free()
-        victim.cache = None
-        victim.backend = None
-        victim.state = RequestState.QUEUED
-        victim.prefilled = 0
-        victim.prefill_charge_s = 0.0
-        victim.ready_s = 0.0
+        self.detach(victim)
         victim.events.preemptions += 1
         self.preemptions += 1
         self._count("serve.preemptions")

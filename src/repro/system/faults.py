@@ -54,9 +54,10 @@ CRASH_KINDS = ("kill_after_fsync", "kill_before_fsync", "torn_snapshot",
                "stale_wal")
 
 #: Gray-failure kinds a :class:`GrayFailurePlan` can inject into a fleet
-#: worker (consumed by :class:`repro.fleet.resilience.GrayRun`).  Unlike
-#: crashes, a gray worker keeps *responding* — just slowly, not at all,
-#: or intermittently — which is exactly what a liveness check misses.
+#: worker (read by :class:`repro.fleet.router.FleetRouter`'s guarded
+#: step).  Unlike crashes, a gray worker keeps *responding* — just
+#: slowly, not at all, or intermittently — which is exactly what a
+#: liveness check misses.
 GRAY_KINDS = ("slow_worker", "stuck_worker", "flapping_worker")
 
 
@@ -104,9 +105,9 @@ class GrayFailurePlan:
 
     Like :class:`CrashPlan`, everything is pinned to exact worker-step
     indices so any faulted fleet run is bit-reproducible.  Stalls are
-    *simulated*: the wrapped run reports the stall seconds to the
-    router's bounded-wait guard instead of sleeping, so tests stay fast
-    and deterministic while exercising the same detection path.
+    *simulated*: the router's bounded-wait guard adds the stall seconds
+    to the step latency it observed instead of sleeping, so tests stay
+    fast and deterministic while exercising the same detection path.
 
     - ``slow_worker``: every step from ``start_step`` takes an extra
       ``stall_s`` simulated seconds (degraded host, thermal throttle,

@@ -70,13 +70,13 @@ def engine_builder(durable_model, longsight_system):
     """Factory of fresh engines with identical geometry (restore needs a
     clean pool per recovery)."""
     def build(n_blocks: int = 64, prefix_caching: bool = True,
-              make_backend=None) -> ServeEngine:
+              make_backend=None, policy=None) -> ServeEngine:
         pool = PagedKVPool(durable_model.config, n_blocks=n_blocks,
                            block_tokens=16, prefix_caching=prefix_caching)
         return ServeEngine(
             durable_model, pool,
             make_backend or backend_factory("longsight", TINY_LS),
-            policy=SloPolicy(max_decode_batch=4),
+            policy=policy or SloPolicy(max_decode_batch=4),
             timing=AnalyticTiming(longsight_system, LLAMA3_8B,
                                   prefill=PrefillModel()),
             name="longsight")

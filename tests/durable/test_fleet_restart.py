@@ -5,10 +5,11 @@ import collections
 import pytest
 
 from repro.bench.serve import TINY_LS
+from repro.durable import iter_step_buckets, read_wal
 from repro.llm.config import LLAMA3_8B
 from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.crossval import backend_factory
-from repro.serve.engine import AnalyticTiming
+from repro.serve.engine import AnalyticTiming, EngineRun
 from repro.system.faults import CrashPlan
 from repro.system.prefill import PrefillModel
 from repro.fleet.router import FleetRouter, make_worker
@@ -37,7 +38,7 @@ def make_fleet(durable_model, longsight_system):
 def _fleet_outputs(router):
     outputs = {}
     for worker in router.workers:
-        run = getattr(worker.run, "run", worker.run)  # unwrap DurableRun
+        run = worker.run
         for request in run._arrivals:
             if id(request) not in run._departed:
                 outputs[request.request_id] = list(request.outputs)
@@ -46,6 +47,25 @@ def _fleet_outputs(router):
 
 def _reported_rids(report):
     return [e.request_id for w in report.workers for e in w.events]
+
+
+def _assert_no_proxy(router):
+    """Every worker's run is the run itself, not a wrapper around one."""
+    assert all(isinstance(w.run, EngineRun) for w in router.workers)
+
+
+#: a fleet that must migrate: 3-block sessions on 8-block workers.
+TIGHT = dict(n_requests=8, prompt_tokens=24, output_tokens=20, seed=13)
+
+
+def _depart_steps(worker):
+    """Steps of ``worker``'s finished run whose WAL bucket holds a
+    ``depart`` record (a session migrated away during that step)."""
+    _, records, _, _ = read_wal(worker.durable_dir / "wal.log")
+    return [marker.data["step"]
+            for bucket, marker in iter_step_buckets(records)
+            if marker is not None
+            and any(record.kind == "depart" for record in bucket)]
 
 
 class TestRestoreAndRejoin:
@@ -70,6 +90,45 @@ class TestRestoreAndRejoin:
         assert _fleet_outputs(router) == reference
         assert sorted(_reported_rids(report)) \
             == sorted(_reported_rids(reference_report))
+        _assert_no_proxy(router)
+
+    def test_migrating_fleet_recovers_from_kills_around_departures(
+            self, tmp_path, make_fleet, make_workload):
+        """Kill either worker of a fleet that migrates, around every
+        step a session departed in: replay must re-offer the logged
+        departure (not re-migrate it), and the snapshots taken while the
+        departed session lives on the sibling must restore."""
+        reference_router = make_fleet(tmp_path / "ref", n_blocks=8)
+        reference_router.run(make_workload(**TIGHT))
+        reference = _fleet_outputs(reference_router)
+        assert reference_router.migrations >= 1
+        kills = []
+        for worker in reference_router.workers:
+            departs = _depart_steps(worker)
+            steps = {step for depart in departs
+                     for step in range(depart - 2, depart + 5)}
+            steps.update(range(8, worker.run.steps + 1, 8))
+            kills += [(worker.worker_id, step, "kill_after_fsync")
+                      for step in sorted(steps)
+                      if 1 <= step <= worker.run.steps]
+            # The depart is force-synced, its step's tokens and marker
+            # are not: this kill leaves the depart in an unterminated
+            # WAL tail.
+            kills += [(worker.worker_id, depart, "kill_before_fsync")
+                      for depart in departs]
+        assert any(kind == "kill_before_fsync" for _, _, kind in kills)
+        for worker_id, kill_at, kind in kills:
+            router = make_fleet(
+                tmp_path / f"w{worker_id}-{kind}-{kill_at}",
+                crash_plans={worker_id: CrashPlan(kill_at_step=kill_at,
+                                                  kind=kind)},
+                n_blocks=8)
+            report = router.run(make_workload(**TIGHT))
+            where = f"worker {worker_id} {kind} at step {kill_at}"
+            assert router.worker_restores == 1, where
+            assert _fleet_outputs(router) == reference, where
+            assert sorted(_reported_rids(report)) == list(range(8)), where
+            _assert_no_proxy(router)
 
     def test_sessions_stay_home_instead_of_migrating(
             self, tmp_path, make_fleet, make_workload):
@@ -115,9 +174,9 @@ class TestExactlyOnceReporting:
             router = make_fleet(
                 tmp_path / f"k{kill_at}",
                 crash_plans={0: CrashPlan(kill_at_step=kill_at)},
-                n_blocks=32)
-            report = router.run(
-                make_workload(n_requests=8, output_tokens=6, seed=13))
+                n_blocks=8)
+            report = router.run(make_workload(**TIGHT))
+            assert router.migrations >= 1
             counts = collections.Counter(_reported_rids(report))
             assert all(n == 1 for n in counts.values())
             assert sorted(counts) == list(range(8))

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.serve import TINY_MODEL
 from repro.durable import DurableRun, recover
 from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
                           WorkerKilledError)
+from repro.serve.crossval import paired_workload
+from repro.serve.scheduler import BrownoutPolicy, SloPolicy
 from repro.system.faults import CRASH_KINDS, CrashPlan
 
 
@@ -21,7 +24,7 @@ def _uninterrupted(engine_builder, make_workload, tmp_path,
     run = DurableRun(engine_builder(), make_workload(), directory,
                      snapshot_every=snapshot_every)
     run.serve()
-    outputs = {r.request_id: list(r.outputs) for r in run.run._arrivals}
+    outputs = {r.request_id: list(r.outputs) for r in run._arrivals}
     return outputs, run.steps
 
 
@@ -41,7 +44,7 @@ def _crash_and_recover(engine_builder, make_workload, directory, plan,
                              snapshot_every=snapshot_every,
                              fsync_every=fsync_every)
         report = run.serve()
-    outputs = {r.request_id: list(r.outputs) for r in run.run._arrivals}
+    outputs = {r.request_id: list(r.outputs) for r in run._arrivals}
     return outputs, report, stats
 
 
@@ -93,6 +96,53 @@ class TestKillAtEveryBoundary:
         assert outputs == reference
         # The unsynced records died with the process: nothing to replay.
         assert stats.steps_replayed == 0
+
+
+class TestBrownoutLadder:
+    def test_brownout_stage_survives_restore(self, tmp_path,
+                                             engine_builder):
+        """The ladder stage is scheduler state: a run killed while it is
+        escalated (or stepping down, one stage per step) must resume at
+        the stage it died at, not at 0."""
+        policy = SloPolicy(max_decode_batch=2, brownout=BrownoutPolicy(
+            queue_high=(2, 3, 4, 50)))
+
+        def engine():
+            return engine_builder(policy=policy)
+
+        def workload():
+            requests, _ = paired_workload(
+                8, 500.0, 40, 8, TINY_MODEL.vocab_size,
+                charged_prompt_tokens=65_536, seed=7)
+            return requests
+
+        def summary(run):
+            return ({r.request_id: list(r.outputs) for r in run._arrivals},
+                    {r.request_id: r.events.brownout_tokens
+                     for r in run._arrivals},
+                    run.scheduler.brownout_transitions)
+
+        reference = DurableRun(engine(), workload(), tmp_path / "ref",
+                               snapshot_every=4)
+        ladder = []
+        while reference.step():
+            ladder.append(reference.scheduler.brownout_stage)
+        escalated = [i + 1 for i, stage in enumerate(ladder) if stage]
+        assert max(ladder) >= 2 and ladder[-1] == 0
+        assert any(r.events.brownout_tokens for r in reference._arrivals)
+        # From just before the escalation to past the snapshot that
+        # follows the last step-down.
+        for kill_at in range(escalated[0] - 1, escalated[-1] + 6):
+            directory = tmp_path / f"k{kill_at}"
+            run = DurableRun(engine(), workload(), directory,
+                             snapshot_every=4,
+                             crash=CrashPlan(kill_at_step=kill_at))
+            with pytest.raises(WorkerKilledError):
+                run.serve()
+            run, _ = recover(directory, engine(), snapshot_every=4)
+            run.serve()
+            assert summary(run) == summary(reference), \
+                f"brownout diverged after a kill at step {kill_at}"
 
 
 class TestTornSnapshot:

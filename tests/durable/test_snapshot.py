@@ -33,7 +33,7 @@ class TestRoundTrip:
         assert meta["epoch"] == "e" and meta["lsn"] == 17 \
             and meta["step"] == 5
         engine2 = engine_builder()
-        run2 = restore_run(engine2, meta, arenas)
+        run2 = restore_run(engine2.start([]), meta, arenas)
         pool2 = engine2.pool
 
         # Free list must round-trip in exact LIFO order: future block
@@ -80,7 +80,7 @@ class TestRoundTrip:
         path = _snapshot_of(tmp_path, run)
         meta, arenas = read_snapshot(path)
         engine2 = engine_builder()
-        run2 = restore_run(engine2, meta, arenas)
+        run2 = restore_run(engine2.start([]), meta, arenas)
         pool2 = engine2.pool
         assert set(pool2._prefix_index) == set(pool._prefix_index)
         for key, entry in pool._prefix_index.items():
@@ -97,6 +97,35 @@ class TestRoundTrip:
                 assert pool2._prefix_index[entry.key] is entry
                 assert entry.block == block
 
+    def test_departed_request_is_written_without_its_foreign_cache(
+            self, tmp_path, engine_builder, make_workload):
+        """A migrated-away request is one object shared with its new
+        worker, so its cache (and backend) belong to the *other* pool:
+        a snapshot of the source must not carry them."""
+        source, target = engine_builder(), engine_builder()
+        run = _run_some_steps(source, make_workload(), 4)
+        migrant = run.scheduler.running[-1]
+        run.scheduler.detach(migrant)
+        run.note_departure(migrant)
+        elsewhere = target.start([])
+        elsewhere.inject(migrant)
+        while migrant.cache is None:
+            elsewhere.step()
+        assert migrant.cache.pool is target.pool
+        assert source.pool.n_used > 0
+
+        meta, arenas = read_snapshot(_snapshot_of(tmp_path, run))
+        assert meta["departed"] == [migrant.request_id]
+        engine2 = engine_builder()
+        run2 = restore_run(engine2.start([]), meta, arenas)
+        restored = {r.request_id: r for r in run2._arrivals}
+        assert restored[migrant.request_id].cache is None
+        assert restored[migrant.request_id].backend is None
+        assert id(restored[migrant.request_id]) in run2._departed
+        assert engine2.pool.n_used == source.pool.n_used
+        assert [r.request_id for r in run2.scheduler.running] \
+            == [r.request_id for r in run.scheduler.running]
+
     def test_restore_refuses_dirty_engine(self, tmp_path, engine_builder,
                                           make_workload):
         engine = engine_builder()
@@ -106,7 +135,7 @@ class TestRoundTrip:
         dirty = engine_builder()
         dirty.pool.allocate(1)
         with pytest.raises(DurabilityError):
-            restore_run(dirty, meta, arenas)
+            restore_run(dirty.start([]), meta, arenas)
 
 
 class TestCorruptionRejection:

@@ -45,7 +45,7 @@ def supervised_builder(engine_builder):
 def _events_by_rid(run):
     return {r.request_id: (list(r.outputs), r.events.degraded_tokens,
                            r.events.n_tokens)
-            for r in run.run._arrivals}
+            for r in run._arrivals}
 
 
 class TestDegradationSurvivesRestore:
@@ -91,20 +91,20 @@ class TestDegradationSurvivesRestore:
         # The crashed object is still inspectable: capture the supervised
         # state of every live session at the moment of death.
         before = {r.request_id: r.backend.durable_state()
-                  for r in run.run._arrivals
+                  for r in run._arrivals
                   if r.backend is not None
                   and hasattr(r.backend, "durable_state")}
         fractions = {r.request_id: r.events.degraded_tokens
-                     for r in run.run._arrivals}
+                     for r in run._arrivals}
         assert any(s["sparse_token_attempts"] > 0 for s in before.values())
 
         recovered, stats = recover(directory, supervised_builder(),
                                    snapshot_every=4)
         after = {r.request_id: r.backend.durable_state()
-                 for r in recovered.run._arrivals
+                 for r in recovered._arrivals
                  if r.backend is not None
                  and hasattr(r.backend, "durable_state")}
         assert after == before
         assert {r.request_id: r.events.degraded_tokens
-                for r in recovered.run._arrivals} == fractions
+                for r in recovered._arrivals} == fractions
         assert stats.snapshot_step + stats.steps_replayed == 10

@@ -117,7 +117,7 @@ class TestResume:
 class TestStepBuckets:
     def test_buckets_split_on_step_markers(self, tmp_path):
         wal = _wal(tmp_path)
-        wal.append("admit", {"rid": 0})
+        wal.append("inject", {"rid": 0})
         wal.append("token", {"rid": 0, "index": 0, "token": 1})
         wal.append("step", {"step": 1, "clock": 0.1})
         wal.append("token", {"rid": 0, "index": 1, "token": 2})

@@ -13,11 +13,13 @@ import pathlib
 
 import pytest
 
+import repro.fleet.router as router_module
 from repro.bench.fleet import _build_fleet
 from repro.bench.fleet_chaos import _fleet_outputs
 from repro.errors import WorkerStalledError
 from repro.fleet import HealthMonitor, HealthPolicy, WorkerState
 from repro.obs import MetricsRegistry
+from repro.serve.engine import EngineRun
 from repro.system.faults import GRAY_KINDS, GrayFailurePlan
 
 BASELINE_S = 0.001  #: synthetic healthy step latency
@@ -181,6 +183,8 @@ class TestRouterResilience:
             assert report.failover_sessions >= 0
             assert report.failover_latency_max_s > 0.0
             assert report.metrics.counter("fleet.failovers").value == 1
+        # The run is the run: no proxy between the router and it.
+        assert all(isinstance(w.run, EngineRun) for w in fleet.workers)
 
     def test_recompute_failover_without_durable_dir(
             self, fleet_model, longsight_system, make_trace, tmp_path,
@@ -198,6 +202,38 @@ class TestRouterResilience:
         assert report.failovers == 1
         assert report.metrics.counter(
             "fleet.failover_recomputed").value == 1
+        assert all(isinstance(w.run, EngineRun) for w in fleet.workers)
+
+    def test_recompute_failover_of_a_durable_worker_without_snapshots(
+            self, fleet_model, longsight_system, make_trace, tmp_path,
+            reference, monkeypatch):
+        # A durable worker whose snapshots are all unverifiable by the
+        # time it fails over has nothing to rebuild from: the drain runs
+        # off the *fenced* durable run, which must not try to log the
+        # departures into its closed WAL.
+        _, ref_outputs = reference
+        real_recover = router_module.recover
+
+        def recover_after_corruption(directory, engine, **kwargs):
+            for snapshot in pathlib.Path(directory).glob("snapshot-*.bin"):
+                snapshot.write_bytes(snapshot.read_bytes()[:64])
+            return real_recover(directory, engine, **kwargs)
+
+        monkeypatch.setattr(router_module, "recover",
+                            recover_after_corruption)
+        plan = GrayFailurePlan(kind="stuck_worker", start_step=3,
+                               stall_s=2.0, period=4)
+        fleet = build_fleet(fleet_model, longsight_system, tmp_path,
+                            plan=plan)
+        report = fleet.run(make_trace())
+        assert _fleet_outputs(fleet) == ref_outputs
+        assert report.failovers == 1
+        assert report.metrics.counter(
+            "fleet.failover_recomputed").value == 1
+        assert report.metrics.counter(
+            "fleet.failover_recovered").value == 0
+        assert fleet.workers[0].run.fenced
+        assert all(isinstance(w.run, EngineRun) for w in fleet.workers)
 
     def test_single_worker_stall_raises_typed_error(
             self, fleet_model, longsight_system, make_trace, tmp_path):
