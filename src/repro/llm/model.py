@@ -15,6 +15,7 @@ Three pieces live here:
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Protocol
 
 import numpy as np
@@ -103,6 +104,40 @@ class DenseBackend:
         return out
 
 
+#: Rows per BLAS call of a decode-step product (see :func:`_tile_matmul`).
+#: Not a knob — it is part of the arithmetic's definition, so solo
+#: ``generate`` and every served batch must share it.  Chosen by
+#: measurement at the serving ledger's geometry (table in CHANGES.md,
+#: PR 16): in place, an M = 2 GEMM costs about one GEMV, so a solo step
+#: stays within ~1.1x of the GEMV it replaced, while 7-, 8- and
+#: 16-session steps are as fast as with tiles of 4 or 8 (which cost a
+#: solo step ~1.25x and ~1.5x).
+_ROW_TILE = 2
+
+
+def _tile_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x (n, K) @ w (K, N)``, batch-invariant: one GEMM per row tile.
+
+    BLAS picks its kernel and blocking from the call shape, so row ``i``
+    of a plain ``x @ w`` depends on how many rows ride along (M = 1 is a
+    GEMV; small-M GEMMs block K differently from large-M ones).  Here
+    every call has the same shape — ``_ROW_TILE`` rows, the last tile
+    padded with zero rows — so a row's product is a function of that row
+    and ``w`` only, whatever ``n`` is and wherever the row sits.
+    """
+    n = x.shape[0]
+    ragged = n % _ROW_TILE
+    if ragged:
+        padded = np.zeros((n + _ROW_TILE - ragged, x.shape[1]))
+        padded[:n] = x
+        x = padded
+    out = np.empty((x.shape[0], w.shape[1]))
+    for start in range(0, x.shape[0], _ROW_TILE):
+        np.matmul(x[start:start + _ROW_TILE], w,
+                  out=out[start:start + _ROW_TILE])
+    return out[:n]
+
+
 class Transformer:
     """Inference-only decoder-only transformer.
 
@@ -112,6 +147,11 @@ class Transformer:
       used for perplexity evaluation (queries can be processed in blocks so
       sparse backends stay vectorized).
     - :meth:`prefill` / :meth:`decode_step` — KV-cache-based generation.
+
+    The layer math exists once (:meth:`_layer`), over stacked rows that
+    belong to one or more sessions.  Prefill hands it one session's block
+    of rows and plain ``np.matmul`` (256-row block GEMMs); a decode step
+    hands it one row per session and :func:`_tile_matmul`.
     """
 
     def __init__(self, config: ModelConfig, weights: Optional[Weights] = None,
@@ -121,13 +161,13 @@ class Transformer:
 
     # -- shared per-layer math ------------------------------------------------
 
-    def _qkv(self, layer: int, x: np.ndarray,
-             positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _qkv(self, layer: int, x: np.ndarray, positions: np.ndarray,
+             matmul) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Project ``x`` (n, d_model) to post-RoPE q/k and raw v (head-major)."""
         c, w = self.config, self.weights
-        q = x @ w[f"wq.{layer}"]
-        k = x @ w[f"wk.{layer}"]
-        v = x @ w[f"wv.{layer}"]
+        q = matmul(x, w[f"wq.{layer}"])
+        k = matmul(x, w[f"wk.{layer}"])
+        v = matmul(x, w[f"wv.{layer}"])
         if c.qk_bias:
             q = q + w[f"bq.{layer}"]
             k = k + w[f"bk.{layer}"]
@@ -139,21 +179,11 @@ class Transformer:
         k = apply_rope(k, positions, c.rope_theta)
         return q, k, v
 
-    def _attn_project(self, layer: int, x: np.ndarray, positions: np.ndarray,
-                      cache: KVCache) -> np.ndarray:
-        """Pre-attention half of a layer: norm, QKV, cache append.
-
-        Returns the post-RoPE queries; keys/values land in the cache.
-        """
-        c, w = self.config, self.weights
-        h = ops.rms_norm(x, w[f"attn_norm.{layer}"], c.norm_eps)
-        q, k, v = self._qkv(layer, h, positions)
+    def _attend(self, layer: int, q: np.ndarray, k: np.ndarray,
+                v: np.ndarray, cache: KVCache,
+                backend: AttentionBackend) -> np.ndarray:
+        """Append one session's new K/V rows, then run its backend."""
         cache.append(layer, k, v)
-        return q
-
-    def _attn_dispatch(self, layer: int, q: np.ndarray, cache: KVCache,
-                       backend: AttentionBackend) -> np.ndarray:
-        """Run the attention backend for one session's query block."""
         # Cache-aware backends (duck-typed) get the cache itself, so they
         # can consume incrementally maintained metadata such as the packed
         # sign store instead of recomputing it from the raw keys.
@@ -163,23 +193,30 @@ class Transformer:
         return backend.forward(layer, q, cache.layers[layer].keys,
                                cache.layers[layer].values)
 
-    def _attn_finish(self, layer: int, x: np.ndarray,
-                     attn: np.ndarray) -> np.ndarray:
-        """Post-attention half of a layer: output projection and FFN."""
-        c, w = self.config, self.weights
-        n = x.shape[0]
-        attn = attn.transpose(1, 0, 2).reshape(n, c.n_q_heads * c.head_dim)
-        x = x + attn @ w[f"wo.{layer}"]
-        h = ops.rms_norm(x, w[f"ffn_norm.{layer}"], c.norm_eps)
-        x = x + ops.swiglu(h, w[f"w_gate.{layer}"], w[f"w_up.{layer}"],
-                           w[f"w_down.{layer}"])
-        return x
-
     def _layer(self, layer: int, x: np.ndarray, positions: np.ndarray,
-               cache: KVCache, backend: AttentionBackend) -> np.ndarray:
-        q = self._attn_project(layer, x, positions, cache)
-        attn = self._attn_dispatch(layer, q, cache, backend)
-        return self._attn_finish(layer, x, attn)
+               attend, matmul=np.matmul) -> np.ndarray:
+        """One decoder layer over stacked rows ``x`` (n, d_model).
+
+        The dense math — norms, QKV, bias, RoPE, ``wo``, SwiGLU — runs
+        once on the stack with ``matmul`` as the product.  ``attend(layer,
+        q, k, v)`` owns what is per session: it appends the new K/V rows
+        to the cache(s) they belong to and returns the attention output
+        for every row of ``q``.
+        """
+        c, w = self.config, self.weights
+        # The normed block is a temporary on purpose: held in a local it
+        # would stay alive across the attention call, and under glibc's
+        # default trim/mmap thresholds that cost a 300-token prefill ~7%.
+        q, k, v = self._qkv(
+            layer, ops.rms_norm(x, w[f"attn_norm.{layer}"], c.norm_eps),
+            positions, matmul)
+        attn = attend(layer, q, k, v)
+        attn = attn.transpose(1, 0, 2).reshape(x.shape[0],
+                                               c.n_q_heads * c.head_dim)
+        x = x + matmul(attn, w[f"wo.{layer}"])
+        h = ops.rms_norm(x, w[f"ffn_norm.{layer}"], c.norm_eps)
+        return x + ops.swiglu(h, w[f"w_gate.{layer}"], w[f"w_up.{layer}"],
+                              w[f"w_down.{layer}"], matmul)
 
     @staticmethod
     def _prepare_cache(cache: KVCache, backend: AttentionBackend) -> None:
@@ -188,11 +225,11 @@ class Transformer:
         if prepare is not None:
             prepare(cache)
 
-    def _unembed(self, x: np.ndarray) -> np.ndarray:
+    def _unembed(self, x: np.ndarray, matmul=np.matmul) -> np.ndarray:
         c, w = self.config, self.weights
         x = ops.rms_norm(x, w["final_norm"], c.norm_eps)
         head = w["embed"].T if c.tie_embeddings else w["lm_head"]
-        return x @ head
+        return matmul(x, head)
 
     # -- public API -------------------------------------------------------------
 
@@ -214,13 +251,15 @@ class Transformer:
         cache = KVCache(self.config)
         cache.reserve(n)
         self._prepare_cache(cache, backend)
+        attend = functools.partial(self._attend, cache=cache,
+                                   backend=backend)
         logits = np.empty((n, self.config.vocab_size))
         for start in range(0, n, block_size):
             stop = min(start + block_size, n)
             x = self.weights["embed"][tokens[start:stop]]
             positions = np.arange(start, stop)
             for layer in range(self.config.n_layers):
-                x = self._layer(layer, x, positions, cache, backend)
+                x = self._layer(layer, x, positions, attend)
             logits[start:stop] = self._unembed(x)
         return logits
 
@@ -235,40 +274,50 @@ class Transformer:
         # doubling-and-copying during blockwise prefill.
         cache.reserve(start0 + len(tokens))
         self._prepare_cache(cache, backend)
+        attend = functools.partial(self._attend, cache=cache,
+                                   backend=backend)
         last = None
         for start in range(0, len(tokens), block_size):
             stop = min(start + block_size, len(tokens))
             x = self.weights["embed"][tokens[start:stop]]
             positions = np.arange(start0 + start, start0 + stop)
             for layer in range(self.config.n_layers):
-                x = self._layer(layer, x, positions, cache, backend)
+                x = self._layer(layer, x, positions, attend)
             last = x[-1:]
         return self._unembed(last)[0]
 
     def decode_step(self, token: int, cache: KVCache,
                     backend: Optional[AttentionBackend] = None) -> np.ndarray:
-        """One autoregressive step; returns next-token logits ``(vocab,)``."""
-        backend = backend or DenseBackend()
-        self._prepare_cache(cache, backend)
-        x = self.weights["embed"][np.asarray([token])]
-        positions = np.arange(len(cache), len(cache) + 1)
-        for layer in range(self.config.n_layers):
-            x = self._layer(layer, x, positions, cache, backend)
-        return self._unembed(x)[0]
+        """One autoregressive step; returns next-token logits ``(vocab,)``.
+
+        This is :meth:`decode_step_batch` with one session — there is one
+        decode routine, so a session's logits cannot depend on whether it
+        was stepped alone or in a batch.
+        """
+        return self.decode_step_batch([token], [cache], backend)[0]
 
     def decode_step_batch(self, tokens, caches,
                           backends=None) -> list:
-        """One decode step for many independent sessions (layer-major).
+        """One decode step for many independent sessions, stacked.
 
-        The multi-session analogue of :meth:`decode_step` used by the
-        continuous-batching serving engine: sessions are traversed
-        layer-major (all sessions' layer 0, then layer 1, ...), so each
-        layer's weight matrices are touched once per step instead of once
-        per session.  Every per-session GEMM keeps exactly the shapes
-        and order of :meth:`decode_step` — merging sessions into one GEMM
-        would change BLAS blocking and drift in the last ulp — so the
-        logits of each session are bit-identical to stepping it alone.
-        Attention runs per session through :meth:`decode_step`'s dispatch.
+        The sessions' pending tokens become the rows of one
+        ``(n_sessions, d_model)`` activation, and every layer runs its
+        norms, QKV projections, bias, RoPE, ``wo``, SwiGLU — and, at the
+        end, the unembedding — once on that stack, so each weight matrix
+        is read once per ``_ROW_TILE`` sessions instead of once per
+        session.  Only ``cache.append`` and the attention call stay per
+        session: contexts are ragged and each session may carry its own
+        (browned-out) backend.
+
+        Each session's logits are bit-identical to stepping it alone
+        because every product goes through :func:`_tile_matmul`, whose
+        BLAS call shape is fixed: the stack is zero-padded once, here, to
+        a whole number of ``_ROW_TILE``-row tiles (pad rows stay zero
+        through every layer: zero norm, zero attention, zero FFN), and a
+        row's result depends on that row and the weight only.  The tile is
+        a module constant, not a parameter, because it is part of the
+        arithmetic's definition — solo :func:`~repro.llm.sampling.generate`
+        and every served batch must use the same one.
 
         Args:
             tokens: one pending token id per session.
@@ -286,16 +335,27 @@ class Transformer:
             backends = [backends or DenseBackend()] * n
         elif len(backends) != n:
             raise ValueError("need one backend per session")
+        if n == 0:
+            return []
         for cache, backend in zip(caches, backends):
             self._prepare_cache(cache, backend)
-        xs = [self.weights["embed"][np.asarray([token])] for token in tokens]
-        positions = [np.arange(len(cache), len(cache) + 1)
-                     for cache in caches]
+        n_rows = n + -n % _ROW_TILE
+        x = np.zeros((n_rows, self.config.d_model))
+        x[:n] = self.weights["embed"][np.asarray(tokens, dtype=np.intp)]
+        positions = np.zeros(n_rows, dtype=np.intp)
+        positions[:n] = [len(cache) for cache in caches]
+
+        def attend(layer, q, k, v):
+            attn = np.zeros(q.shape)        # pad rows attend to nothing
+            for i, (cache, backend) in enumerate(zip(caches, backends)):
+                row = slice(i, i + 1)
+                attn[:, row] = self._attend(layer, q[:, row], k[:, row],
+                                            v[:, row], cache, backend)
+            return attn
+
         for layer in range(self.config.n_layers):
-            for i in range(n):
-                xs[i] = self._layer(layer, xs[i], positions[i], caches[i],
-                                    backends[i])
-        return [self._unembed(x)[0] for x in xs]
+            x = self._layer(layer, x, positions, attend, _tile_matmul)
+        return list(self._unembed(x, _tile_matmul)[:n])
 
 
 class TrainableTransformer:

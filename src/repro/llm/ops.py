@@ -36,9 +36,13 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def swiglu(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
-           w_down: np.ndarray) -> np.ndarray:
-    """SwiGLU feed-forward: ``(silu(x @ Wg) * (x @ Wu)) @ Wd``."""
-    return (silu(x @ w_gate) * (x @ w_up)) @ w_down
+           w_down: np.ndarray, matmul=np.matmul) -> np.ndarray:
+    """SwiGLU feed-forward: ``(silu(x @ Wg) * (x @ Wu)) @ Wd``.
+
+    ``matmul`` is the product to use for the three ``@`` (the decode step
+    passes its batch-invariant one).
+    """
+    return matmul(silu(matmul(x, w_gate)) * matmul(x, w_up), w_down)
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:

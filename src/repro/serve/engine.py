@@ -20,12 +20,17 @@ Two clocks are supported:
 Correctness anchor: with an ample pool, a zero-fault backend, and the
 default chunking, every served session's token stream is **bit-identical**
 to single-session :func:`repro.llm.sampling.generate` on the same prompt —
-chunked prefill splits on the model's prefill block boundaries (identical
-blocking), paged reads gather identical values, and the decode batch keeps
-every per-session GEMM shape unchanged (see ``decode_step_batch``).
-Preemption preserves this too: victims are resumed by re-prefilling
-``prompt + outputs[:-1]`` (K/V projections are blocking-independent) and
-replaying the last sampled token through a real decode step.
+chunked prefill splits on the model's prefill block boundaries (the same
+block GEMMs), paged reads gather identical values, and decode rows are
+batch-invariant by construction: ``decode_step_batch`` stacks the sessions
+and every product goes through one fixed-tile helper whose per-row result
+depends on the row and the weight only (``decode_step`` is its one-session
+case; pinned by ``tests/llm/test_batch_invariance.py``).
+Preemption preserves the token stream too: victims are resumed by
+re-prefilling ``prompt + outputs[:-1]`` and replaying the last sampled
+token through a real decode step.  That rebuilds K/V with prefill's block
+GEMMs instead of decode steps, so it is pinned at the token level by the
+preemption / migration / recovery suites, not by a K/V-bits argument.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ Keeping the two apart makes the policy unit-testable without a model.
 Preemption follows the recompute discipline: a victim's blocks are
 released and the request re-enters the queue remembering its generated
 tokens; on re-admission the engine re-prefills prompt + generated[:-1]
-(K/V projections are blocking-independent, so the rebuilt cache is
-bit-identical) and resumes decoding from the last sampled token.
+and resumes decoding from the last sampled token.  The rebuilt cache comes
+from prefill's block GEMMs rather than decode steps, so what is guaranteed
+(and pinned by the preemption suites) is the resumed token stream.
 """
 
 from __future__ import annotations
