@@ -37,8 +37,9 @@ class LongSightConfig:
             (Section 5.1) and settled on per-KV-head; both are supported
             here so that finding can be reproduced
             (``benchmarks/test_ablation_granularity.py``).
-        prefill_tile: key-tile length of the attention kernel
-            (:meth:`repro.core.hybrid.LongSightAttention._forward_block`).
+        prefill_tile: key-tile length of the attention kernel's sparse
+            stages (``repro.core.hybrid._SparseSpan``, shared by prefill
+            blocks and long-context decode rows).
             The sparse span streams keys and packed signs this many
             columns at a time, which bounds the kernel's count and score
             temporaries; it never changes which keys are selected.  0 runs

@@ -7,14 +7,10 @@ keeps in HBM) and sparsely — via SCF filtering and top-k — to everything in
 between (what lives in DReX).  A single softmax then runs over the combined
 dense + sparse score set, exactly as in Figure 2b step 6.
 
-There is one implementation, :meth:`LongSightAttention._forward_block`, for
-every query count: a decode step is the kernel at ``n_new = 1``, a prefill
-chunk the kernel at ``n_new = 256``.  The entry points only resolve the
-packed key signs — read from the KV cache's incremental sign store
+The packed key signs are read from the KV cache's incremental sign store
 (``LayerKV.packed_signs``, the software analogue of DReX reusing stored
-Key Sign Objects for every query) or packed from the keys — and the kernel
-runs five stages per KV head, *slab* of that head's GQA group, and key tile
-of the sparse span:
+Key Sign Objects for every query) or packed from the keys.  Five stages
+turn them into an output:
 
 1. *filter* — packed mismatch counts (one XOR+popcount), thresholded per
    head in the counts' own unsigned dtype; the causal limit is applied
@@ -27,33 +23,75 @@ of the sparse span:
 5. *attend* — one softmax over ``sinks + window ++ pool`` with gathered
    values.
 
-Float work is done for survivors only, as DReX's PIM Filter Units never
-score a filtered-out key, and stages 3–5 cost O(survivors), not
-O(candidates).  Compaction is row-major, so columns stay ascending within
-a row and across tiles, and :func:`~repro.core.topk.top_k_mask`'s
-lower-index tie-break picks exactly the keys full-width selection picks.
-
-Two rules size the work from the inputs; neither changes a selection:
+Stages 1–4 exist once (:class:`_SparseSpan`), per KV head, *slab* of that
+head's GQA group, and key tile of the sparse span.  Float work is done for
+survivors only, as DReX's PIM Filter Units never score a filtered-out key,
+and stages 3–5 cost O(survivors), not O(candidates).  Compaction is
+row-major, so columns stay ascending within a row and across tiles, and
+:func:`~repro.core.topk.top_k_mask`'s lower-index tie-break picks exactly
+the keys full-width selection picks.  Two rules size the work from the
+inputs; neither changes a selection:
 
 - **slab** — stages 2–5 run on the stacked rows of as many heads of the
   group as keep ``rows x max(tile width, dense columns, top_k x head_dim)``
   (the score, dense and gathered-value temporaries) under
-  ``_SLAB_ELEMS``: a 256-query block goes one head at a time, a decode
-  step takes the whole group through one compaction, one top-k and one
-  softmax.  Scores stay one GEMM per head (stacked ``np.matmul``);
+  ``_SLAB_ELEMS``: a 256-query block goes one head at a time.  Scores stay
+  one GEMM per head (stacked ``np.matmul``);
 - **gather** — when the columns any row of the slab kept are under half
   the tile, stage 2 scores only those (``keys[cols]``), which keeps decode
   O(passed) at selective thresholds; otherwise it slices the whole tile,
   which is cheaper once most columns survive for some row (prefill).
 
-``LongSightConfig.prefill_tile`` bounds the kernel's working set and
-nothing else: 0 is one tile over the whole span, and every tile size
-selects the same keys (``tests/core/test_tiled_prefill.py``).  The
-correctness oracle — the original per-head loop over full-width masks —
-is :class:`repro.core.reference.ReferenceAttention`; selected key sets
-match it exactly and outputs to float round-off
-(``tests/core/test_fast_equivalence.py``,
-``tests/core/test_block_prefill.py``).
+``LongSightConfig.prefill_tile`` bounds the working set and nothing else:
+0 is one tile over the whole span, and every tile size selects the same
+keys (``tests/core/test_tiled_prefill.py``).
+
+Two routines run the stages, split on the query count:
+
+**A prefill block** (two or more queries) is
+:meth:`LongSightAttention._forward_block`: per KV head and slab, dense
+scores, stages 1–4, one softmax, gathered values.  It only has to equal
+itself — chunked prefill splits on the same blocks.
+
+**A decode row** (one query) is
+:meth:`LongSightAttention.forward_cached_batch`, for every compatible
+session of a decode batch at once — the paper's GPU runs the dense
+attention for the whole user batch (Figure 2b).  A served session must
+produce the bits it produces alone, so a row is *batch-invariant by
+construction*: its layout is a function of the config and of **that
+session's own context length** only (``D = n_sink + window``,
+``P = top_k``), sessions of one layout stack on a leading axis, and
+scores, mask, softmax and P·V run once per layer-step as batched
+``np.matmul`` (one BLAS call of fixed shape per (session, KV head)) and
+row-wise reductions of fixed width.  Two layouts:
+
+- *the context is the row* (``n_ctx <= D + P``): the whole context in
+  natural column order, zero-padded to a fixed width — ``D`` while
+  ``n_ctx <= D`` (no sparse span, no filter), else ``D + P`` — and
+  ``mask = dense columns | (candidate & filter pass)``, the filter being
+  one stacked XOR+popcount.  No compaction and no top-k: with
+  ``candidates <= top_k`` every passing key is selected, which is exactly
+  the set the reference loop's full-width ``top_k_mask`` returns;
+- *panel ++ pool* (``n_ctx > D + P``): the ``D`` sinks + window columns
+  (``cache.window_view``: an O(window) read) followed by a ``P``-wide
+  pool that stages 1–4 fill per session, the GQA group's heads going
+  through one compaction and one top-k (the slab rule, at one query
+  almost always the whole group); pool values are gathered per session.
+
+Nothing in a row depends on the batch: padding a group to its *widest
+member* would change the GEMM's call shape and the reduction trees
+(``np.sum`` over the last axis is a pairwise tree of that width) and
+silently break served == solo; ``tests/core/test_decode_rows.py`` fails
+when that is tried.  The two unpooled widths are a measured choice
+(CHANGES.md, PR 17: one ``D + P`` width costs ``chat_burst`` ~15% more
+attention time), not an option.  Which sessions may share a call is
+:meth:`LongSightAttention.stack_key`.
+
+The correctness oracle — the original per-head loop over full-width
+masks — is :class:`repro.core.reference.ReferenceAttention`; selected key
+sets match it exactly and outputs to float round-off in both routines
+and both layouts (``tests/core/test_fast_equivalence.py``,
+``tests/core/test_block_prefill.py``, ``tests/core/test_decode_rows.py``).
 
 :class:`SlidingWindowAttention` is the StreamingLLM-style baseline of
 Section 8.2 / Figure 10: sinks + window only, no sparse component.  It
@@ -63,7 +101,7 @@ not O(context).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -73,10 +111,8 @@ from repro.core.metrics import FilterStats
 from repro.obs import Obs, resolve_obs
 from repro.core.scf import mismatches_packed, pack_signs
 from repro.core.topk import top_k_mask
+from repro.llm.kv_cache import KVCache
 from repro.llm.ops import softmax
-
-if TYPE_CHECKING:
-    from repro.llm.kv_cache import KVCache
 
 #: Element bound on one slab's score / dense / gathered-value temporaries
 #: (8 MiB of float64); see the slab rule in the module docstring.
@@ -185,6 +221,151 @@ def _stats_per_q(stats: Optional[FilterStats], n_q_heads: int,
             and n_q_heads != n_kv_heads)
 
 
+class _ArrayCache:
+    """Stateless :meth:`LongSightAttention.forward`'s K/V arrays, behind the
+    reads the decode routine makes of a cache (one layer, no sign store)."""
+
+    sign_cache_enabled = False
+    sign_rotations = None
+    window_view = KVCache.window_view        # reads ``layers[layer]`` only
+
+    def __init__(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
+        self.keys, self.values = k, v
+        self.layers = {layer: self}
+
+    def __len__(self) -> int:
+        return self.keys.shape[1]
+
+
+class _SparseSpan:
+    """Stages 1-4 of one query block over its sparse span.
+
+    Built once per kernel call — the span ``[n_sink, n_ctx - window)``, its
+    key tile, the block's packed query signs and per-head pass bounds —
+    after which :meth:`select` runs filter -> score -> compact -> select
+    for one slab of one KV head's GQA group.  The prefill kernel and the
+    decode routine's pooled layout both call it: the stages exist once.
+    """
+
+    def __init__(self, backend: "LongSightAttention", layer: int,
+                 q: np.ndarray, n_kv_heads: int, n_ctx: int) -> None:
+        cfg = backend.config
+        n_q_heads, n_new, head_dim = q.shape
+        group = n_q_heads // n_kv_heads
+        self.backend, self.layer, self.q, self.n_ctx = backend, layer, q, n_ctx
+        q_positions = np.arange(n_ctx - n_new, n_ctx)
+        # Row p may select columns in [n_sink, p - window].  Same count
+        # the reference gets from sparse_mask.sum().
+        self.lo, self.hi = cfg.n_sink, n_ctx - cfg.window
+        self.candidates = int(np.maximum(
+            q_positions - cfg.window - cfg.n_sink + 1, 0).sum())
+        self.tile = 0
+        if self.candidates:
+            self.q_signs = backend._query_signs(
+                layer, q.reshape(n_kv_heads, group, n_new, head_dim)
+            ).reshape(n_q_heads, n_new, -1)
+            self.tile = min(cfg.prefill_tile or n_ctx, self.hi - self.lo)
+            self.bounds = backend._pass_bounds(layer, n_q_heads, group,
+                                               head_dim)
+            # Columns at or below the first query's limit are candidates
+            # for every row; only the tail beyond it needs the causal cut.
+            self.tail_lo = max(self.lo, int(q_positions[0]) - cfg.window + 1)
+            self.causal_tail = (np.arange(self.tail_lo, self.hi)[None, :]
+                                <= (q_positions - cfg.window)[:, None])
+        self.per_q = _stats_per_q(backend.stats, n_q_heads, n_kv_heads)
+
+    def slab_heads(self, n_dense: int) -> int:
+        """Heads of a group that stages 2-5 take at once (the slab rule)."""
+        n_new, head_dim = self.q.shape[1:]
+        return max(1, _SLAB_ELEMS // (n_new * max(
+            self.tile, n_dense, self.backend.config.top_k * head_dim)))
+
+    def select(self, kv_head: int, h0: int, h1: int, keys: np.ndarray,
+               key_signs: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """Heads ``[h0, h1)`` of ``kv_head``'s group against its keys.
+
+        ``keys`` is that head's ``(n_ctx, head_dim)`` history, ``key_signs``
+        its ``(n_ctx, n_bytes)`` packed signs.  Returns ``(pool_s, pool_c,
+        passed, selected)``: per stacked row (head-major) the best (score,
+        column) pairs, at most ``top_k`` wide, left-aligned in ascending
+        column order — column ``n_ctx`` pads a row (score -inf, sorts after
+        every real column) — and the slab's pass / selection counts, which
+        are also recorded into the backend's ``stats`` and
+        ``selection_capture``.
+        """
+        backend = self.backend
+        top_k = backend.config.top_k
+        n_ctx, lo, hi, tile, tail_lo = (self.n_ctx, self.lo, self.hi,
+                                        self.tile, self.tail_lo)
+        n_new, head_dim = self.q.shape[1:]
+        scale = 1.0 / np.sqrt(head_dim)
+        neg_inf = -np.inf
+        n_heads = h1 - h0
+        rows = n_heads * n_new            # heads stacked, head-major
+        q_s = self.q[h0:h1]
+        pool_s = np.empty((rows, 0))
+        pool_c = np.empty((rows, 0), dtype=np.int64)
+        passed = np.zeros(n_heads, dtype=np.int64)
+        for t0 in range(lo, hi, tile):
+            t1 = min(t0 + tile, hi)
+            with backend.obs.tracer.span("scf_filter", layer=self.layer):
+                mism = mismatches_packed(self.q_signs[h0:h1],
+                                         key_signs[None, t0:t1])
+            pass_t = mism < self.bounds[h0:h1, None, None].astype(
+                mism.dtype)                           # (S, n_new, T)
+            if t1 > tail_lo:
+                pass_t[..., max(tail_lo - t0, 0):] &= self.causal_tail[
+                    :, max(t0 - tail_lo, 0): t1 - tail_lo]
+            pass_t = pass_t.reshape(rows, t1 - t0)
+            cols = pass_t.any(axis=0).nonzero()[0]
+            if 2 * len(cols) < t1 - t0:
+                pass_t = pass_t[:, cols]
+                keys_t = keys[cols + t0]
+            else:
+                cols = None
+                keys_t = keys[t0:t1]
+            # Upcast before transposing: left to matmul, the cast of the
+            # transposed view is a strided copy.
+            keys_t = keys_t.astype(q_s.dtype, copy=False)
+            src, dest, shape, counts = _left_align(pass_t)
+            passed += counts.reshape(n_heads, n_new).sum(axis=1)
+            if not len(src) or not top_k:
+                continue                  # tile contributes nothing
+            # Scale survivors only: the same float op per entry as the
+            # reference's full-width scaling.
+            scores = np.matmul(q_s, keys_t.T).ravel()[src] * scale
+            col = src % pass_t.shape[1]
+            if cols is not None:
+                col = cols[col]
+            merged_s = np.concatenate(
+                [pool_s, _padded(scores, dest, shape, neg_inf)], axis=1)
+            merged_c = np.concatenate(
+                [pool_c, _padded(col + t0, dest, shape, n_ctx)], axis=1)
+            if merged_s.shape[1] > top_k:
+                keep = top_k_mask(merged_s, top_k)
+                src, dest, shape, _ = _left_align(keep)
+                merged_s = _padded(merged_s.ravel()[src], dest, shape,
+                                   neg_inf)
+                merged_c = _padded(merged_c.ravel()[src], dest, shape,
+                                   n_ctx)
+            pool_s, pool_c = merged_s, merged_c
+        valid = (pool_c < n_ctx).reshape(n_heads, n_new, -1)
+        retrieved = valid.sum(axis=(1, 2))
+        for i, h in enumerate(range(h0, h1)):
+            if backend.stats is not None:
+                backend.stats.update(
+                    self.layer, h if self.per_q else kv_head,
+                    candidates=self.candidates, passed=int(passed[i]),
+                    retrieved=int(retrieved[i]), queries=n_new)
+            if backend.selection_capture is not None:
+                sel_mask = np.zeros((n_new, n_ctx), dtype=bool)
+                r, slots = np.nonzero(valid[i])
+                sel_mask[r, pool_c[i * n_new + r, slots]] = True
+                backend.selection_capture[(self.layer, h)] = sel_mask
+        return pool_s, pool_c, int(passed.sum()), int(retrieved.sum())
+
+
 class LongSightAttention:
     """Hybrid dense+sparse attention backend for :class:`Transformer`.
 
@@ -231,7 +412,7 @@ class LongSightAttention:
         return LongSightAttention(config, rotations=self.rotations,
                                   obs=self.obs)
 
-    # -- entry points: resolve the key signs, run the kernel --------------------
+    # -- hooks Transformer discovers by name ----------------------------------
 
     def prepare_cache(self, cache: "KVCache") -> None:
         """Enable the cache's incremental sign store for this backend.
@@ -242,32 +423,77 @@ class LongSightAttention:
         cache.enable_sign_cache(
             self.rotations if self.config.use_itq else None)
 
+    def stack_key(self):
+        """Sessions whose backends return equal keys may share one
+        :meth:`forward_cached_batch` call (duck-typed hook).
+
+        The serving engine builds one backend *instance* per request, so
+        identity would never stack anything; what has to agree is what the
+        routine reads — the class and the ``config`` / ``rotations`` /
+        ``obs`` objects.  A backend that accumulates ``stats`` or a
+        ``selection_capture`` stacks only with itself, so its counters
+        fill exactly as they do per session.
+        """
+        if self.stats is not None or self.selection_capture is not None:
+            return id(self)
+        return (type(self), id(self.config), id(self.rotations),
+                id(self.obs))
+
+    # -- entry points -----------------------------------------------------------
+
     def _pack_key_signs(self, layer: int, k: np.ndarray) -> np.ndarray:
         """``(n_kv_heads, n_ctx, n_bytes)`` packed (rotated) signs of ``k``."""
         if self.config.use_itq:
             k = np.matmul(k, self.rotations.matrices[layer])
         return pack_signs(k)
 
-    def forward_cached(self, layer: int, q: np.ndarray,
-                       cache: "KVCache") -> np.ndarray:
-        """Cache-aware forward: consumes the sign store when compatible."""
+    def _key_signs(self, layer: int, cache: "KVCache",
+                   keys: np.ndarray) -> np.ndarray:
+        """The cache's sign store when it was packed under this backend's
+        rotations, else the signs of ``keys`` (the layer's full history)."""
         kv = cache.layers[layer]
-        keys = kv.keys
         expected = self.rotations if self.config.use_itq else None
         if kv.sign_cache_enabled and cache.sign_rotations is expected:
-            key_signs = kv.packed_signs
-        else:
-            key_signs = self._pack_key_signs(layer, keys)
-        return self._forward_block(layer, q, keys, kv.values, key_signs)
+            return kv.packed_signs
+        return self._pack_key_signs(layer, keys)
 
-    def forward_cached_batch(self, layer: int, qs, caches) -> list:
-        """:meth:`forward_cached` for each session of a decode batch."""
-        # Nothing under src/ calls this; perf/spans.py looks the name up in
-        # the class __dict__ and cannot be edited with this package.
-        return [self.forward_cached(layer, q, c) for q, c in zip(qs, caches)]
+    def _query_signs(self, layer: int, q: np.ndarray) -> np.ndarray:
+        """Packed (rotated) signs of ``q (..., n_kv_heads, group, n, d)``."""
+        if self.config.use_itq:
+            q = np.matmul(q, self.rotations.matrices[layer][:, None])
+        return pack_signs(q)
+
+    def _pass_bounds(self, layer: int, n_q_heads: int, group: int,
+                     head_dim: int) -> np.ndarray:
+        """Per query head, the mismatch count a passing key stays under.
+
+        conc >= threshold  <=>  mismatches < floor(d - threshold) + 1,
+        clipped so that it compares in the counts' unsigned dtype: 0
+        passes nothing (threshold > d), d + 1 everything.
+        """
+        return np.array([np.floor(head_dim - self.config.threshold_for(
+            layer, h // group, h)) + 1 for h in range(n_q_heads)]
+        ).clip(0, head_dim + 1)
+
+    def forward_cached(self, layer: int, q: np.ndarray,
+                       cache: "KVCache") -> np.ndarray:
+        """Cache-aware forward: consumes the sign store when compatible.
+
+        One query is a decode row (:meth:`forward_cached_batch` at one
+        session); two or more are a prefill block (:meth:`_forward_block`).
+        """
+        if q.shape[1] == 1:
+            return self.forward_cached_batch(layer, [q], [cache])[0]
+        kv = cache.layers[layer]
+        keys = kv.keys
+        return self._forward_block(layer, q, keys, kv.values,
+                                   self._key_signs(layer, cache, keys))
 
     def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
+        if q.shape[1] == 1:
+            return self.forward_cached_batch(
+                layer, [q], [_ArrayCache(layer, k, v)])[0]
         return self._forward_block(layer, q, k, v,
                                    self._pack_key_signs(layer, k))
 
@@ -292,11 +518,11 @@ class LongSightAttention:
         """Hybrid attention with the sparse component dropped (degraded)."""
         return self.dense_fallback().forward(layer, q, k, v)
 
-    # -- the kernel -----------------------------------------------------------
+    # -- the prefill kernel ---------------------------------------------------
 
     def _forward_block(self, layer: int, q: np.ndarray, k: np.ndarray,
                        v: np.ndarray, key_signs: np.ndarray) -> np.ndarray:
-        """Filter -> score -> compact -> select -> attend, any query count.
+        """Filter -> score -> compact -> select -> attend, a query block.
 
         The five stages, the slab and gather rules and the exact-selection
         argument are laid out in the module docstring.  ``key_signs`` is
@@ -311,42 +537,12 @@ class LongSightAttention:
         n_kv_heads, n_ctx, _ = k.shape
         group = n_q_heads // n_kv_heads
         scale = 1.0 / np.sqrt(head_dim)
-        q_positions = np.arange(n_ctx - n_new, n_ctx)
-        neg_inf = -np.inf
-        top_k = cfg.top_k
-        per_q = _stats_per_q(self.stats, n_q_heads, n_kv_heads)
-        tracer = self.obs.tracer
 
         dense_cols, dense_mask = _dense_region(n_ctx, n_new, cfg.n_sink,
                                                cfg.window)
         n_dense = len(dense_cols)
-
-        # Sparse span: row p may select columns in [n_sink, p - window].
-        # Same count the reference gets from sparse_mask.sum().
-        span_lo, span_hi = cfg.n_sink, n_ctx - cfg.window
-        candidates = int(np.maximum(
-            q_positions - cfg.window - cfg.n_sink + 1, 0).sum())
-        any_sparse = candidates > 0
-        tile = 0
-        if any_sparse:
-            q_f = q.reshape(n_kv_heads, group, n_new, head_dim)
-            if cfg.use_itq:
-                q_f = np.matmul(q_f, self.rotations.matrices[layer][:, None])
-            q_signs = pack_signs(q_f).reshape(n_q_heads, n_new, -1)
-            tile = min(cfg.prefill_tile or n_ctx, span_hi - span_lo)
-            # conc >= threshold  <=>  mismatches < floor(d - threshold) + 1,
-            # clipped so that it compares in the counts' unsigned dtype:
-            # 0 passes nothing (threshold > d), d + 1 everything.
-            bounds = np.array([np.floor(head_dim - cfg.threshold_for(
-                layer, h // group, h)) + 1 for h in range(n_q_heads)]
-            ).clip(0, head_dim + 1)
-            # Columns at or below the first query's limit are candidates
-            # for every row; only the tail beyond it needs the causal cut.
-            tail_lo = max(span_lo, int(q_positions[0]) - cfg.window + 1)
-            causal_tail = (np.arange(tail_lo, span_hi)[None, :]
-                           <= (q_positions - cfg.window)[:, None])
-        slab = max(1, _SLAB_ELEMS // (n_new * max(tile, n_dense,
-                                                  top_k * head_dim)))
+        span = _SparseSpan(self, layer, q, n_kv_heads, n_ctx)
+        slab = span.slab_heads(n_dense)
 
         passed_total = selected_total = 0
         out = np.empty_like(q)
@@ -359,81 +555,14 @@ class LongSightAttention:
             for h0 in range(kv_head * group, g_hi, slab):
                 h1 = min(h0 + slab, g_hi)
                 n_heads = h1 - h0
-                rows = n_heads * n_new        # heads stacked, head-major
-                q_s = q[h0:h1]
                 combined = np.where(
-                    dense_mask, np.matmul(q_s, kg.T) * scale,
-                    neg_inf).reshape(rows, n_dense)
-                if any_sparse:
-                    # Per-row pools of the best (score, column) pairs so
-                    # far, left-aligned in ascending column order; column
-                    # n_ctx pads a row (score -inf, sorts after every real
-                    # column).
-                    pool_s = np.empty((rows, 0))
-                    pool_c = np.empty((rows, 0), dtype=np.int64)
-                    passed = np.zeros(n_heads, dtype=np.int64)
-                    for t0 in range(span_lo, span_hi, tile):
-                        t1 = min(t0 + tile, span_hi)
-                        with tracer.span("scf_filter", layer=layer):
-                            mism = mismatches_packed(
-                                q_signs[h0:h1], key_signs[kv_head, None,
-                                                          t0:t1])
-                        pass_t = mism < bounds[h0:h1, None, None].astype(
-                            mism.dtype)                   # (S, n_new, T)
-                        if t1 > tail_lo:
-                            pass_t[..., max(tail_lo - t0, 0):] &= causal_tail[
-                                :, max(t0 - tail_lo, 0): t1 - tail_lo]
-                        pass_t = pass_t.reshape(rows, t1 - t0)
-                        cols = pass_t.any(axis=0).nonzero()[0]
-                        if 2 * len(cols) < t1 - t0:
-                            pass_t = pass_t[:, cols]
-                            keys_t = keys[cols + t0]
-                        else:
-                            cols = None
-                            keys_t = keys[t0:t1]
-                        # Upcast before transposing: left to matmul, the
-                        # cast of the transposed view is a strided copy.
-                        keys_t = keys_t.astype(q.dtype, copy=False)
-                        src, dest, shape, counts = _left_align(pass_t)
-                        passed += counts.reshape(n_heads, n_new).sum(axis=1)
-                        if not len(src) or not top_k:
-                            continue          # tile contributes nothing
-                        # Scale survivors only: the same float op per
-                        # entry as the reference's full-width scaling.
-                        scores = np.matmul(q_s, keys_t.T).ravel()[src] * scale
-                        col = src % pass_t.shape[1]
-                        if cols is not None:
-                            col = cols[col]
-                        merged_s = np.concatenate(
-                            [pool_s, _padded(scores, dest, shape, neg_inf)],
-                            axis=1)
-                        merged_c = np.concatenate(
-                            [pool_c, _padded(col + t0, dest, shape, n_ctx)],
-                            axis=1)
-                        if merged_s.shape[1] > top_k:
-                            keep = top_k_mask(merged_s, top_k)
-                            src, dest, shape, _ = _left_align(keep)
-                            merged_s = _padded(merged_s.ravel()[src], dest,
-                                               shape, neg_inf)
-                            merged_c = _padded(merged_c.ravel()[src], dest,
-                                               shape, n_ctx)
-                        pool_s, pool_c = merged_s, merged_c
-                    passed_total += int(passed.sum())
-                    valid = (pool_c < n_ctx).reshape(n_heads, n_new, -1)
-                    retrieved = valid.sum(axis=(1, 2))
-                    selected_total += int(retrieved.sum())
-                    for i, h in enumerate(range(h0, h1)):
-                        if self.stats is not None:
-                            self.stats.update(
-                                layer, h if per_q else kv_head,
-                                candidates=candidates,
-                                passed=int(passed[i]),
-                                retrieved=int(retrieved[i]), queries=n_new)
-                        if self.selection_capture is not None:
-                            sel_mask = np.zeros((n_new, n_ctx), dtype=bool)
-                            r, slots = np.nonzero(valid[i])
-                            sel_mask[r, pool_c[i * n_new + r, slots]] = True
-                            self.selection_capture[(layer, h)] = sel_mask
+                    dense_mask, np.matmul(q[h0:h1], kg.T) * scale,
+                    -np.inf).reshape(n_heads * n_new, n_dense)
+                if span.candidates:
+                    pool_s, pool_c, passed, selected = span.select(
+                        kv_head, h0, h1, keys, key_signs[kv_head])
+                    passed_total += passed
+                    selected_total += selected
                     combined = np.concatenate([combined, pool_s], axis=1)
                 probs = softmax(combined, axis=-1)
                 out_s = np.matmul(
@@ -448,9 +577,187 @@ class LongSightAttention:
         if metrics.enabled:
             _record_split(metrics, n_q_heads * n_new,
                           int(dense_mask.sum()) * n_q_heads,
-                          candidates * n_q_heads, passed_total,
+                          span.candidates * n_q_heads, passed_total,
                           selected_total)
         return out
+
+    # -- the decode routine ---------------------------------------------------
+
+    def _row_layout(self, n_ctx: int) -> tuple[int, bool]:
+        """``(panel width, pooled)`` of a decode row, from its context alone.
+
+        Never from the batch: a row's width fixes its BLAS call shapes and
+        the trees of its reductions, so it has to be the same whether the
+        session is stepped alone or stacked with any neighbours.
+        """
+        cfg = self.config
+        n_dense = cfg.n_sink + cfg.window
+        if n_ctx > n_dense + cfg.top_k:
+            return n_dense, True
+        return (n_dense if n_ctx <= n_dense else n_dense + cfg.top_k), False
+
+    def forward_cached_batch(self, layer: int, qs, caches) -> np.ndarray:
+        """The decode routine: one query per session, sessions stacked.
+
+        ``qs`` holds one ``(n_q_heads, 1, head_dim)`` query per session
+        (a sequence, or the stacked array), ``caches`` the sessions' KV
+        caches with the new token already appended; every backend of the
+        batch must share this one's :meth:`stack_key`.  Returns the
+        ``(n_sessions, n_q_heads, 1, head_dim)`` outputs.  Sessions are
+        grouped by row layout (:meth:`_row_layout`) and each group runs
+        scores, mask, softmax and P.V once (:meth:`_decode_rows`); a
+        session's output is bit-identical whatever rides along.
+        """
+        q = np.asarray(qs)
+        n_ctx = np.array([len(cache.layers[layer]) for cache in caches],
+                         dtype=np.intp)
+        layouts: Dict[tuple, list] = {}
+        for i, n in enumerate(n_ctx.tolist()):
+            layouts.setdefault(self._row_layout(n), []).append(i)
+        if len(layouts) == 1:
+            return self._decode_rows(layer, q, caches, n_ctx,
+                                     *next(iter(layouts)))
+        out = np.empty(q.shape, dtype=q.dtype)
+        for layout, members in layouts.items():
+            out[members] = self._decode_rows(
+                layer, q[members], [caches[i] for i in members],
+                n_ctx[members], *layout)
+        return out
+
+    def _decode_rows(self, layer: int, q: np.ndarray, caches,
+                     n_ctx: np.ndarray, width: int,
+                     pooled: bool) -> np.ndarray:
+        """Attention for stacked decode rows of one layout.
+
+        The two layouts and the batch-invariance argument are in the
+        module docstring.  ``q`` is ``(n_sessions, n_q_heads, 1,
+        head_dim)``, ``n_ctx`` the sessions' context lengths.
+        """
+        cfg = self.config
+        n_s, n_q_heads, _, head_dim = q.shape
+        n_dense = cfg.n_sink + cfg.window
+        metrics = self.obs.metrics
+        views = [cache.window_view(layer, width - cfg.n_sink, cfg.n_sink)
+                 for cache in caches]
+        n_kv_heads = views[0][0].shape[0]
+        group = n_q_heads // n_kv_heads
+        # Both panels in one uninitialised allocation, only each session's
+        # pad tail zeroed.  Under glibc's default (adaptive) thresholds a
+        # zeroed array is fresh pages on every call, and two
+        # half-megabyte arrays freed together reach the trim threshold
+        # (twice the largest freed chunk), so every call would pay
+        # first-touch page faults; one chunk stays resident.
+        k_panel, v_panel = np.empty(
+            (2, n_s, n_kv_heads, width, head_dim), dtype=q.dtype)
+        for s, (k, v, _) in enumerate(views):
+            n = k.shape[1]
+            k_panel[s, :, :n] = k
+            k_panel[s, :, n:] = 0.0
+            v_panel[s, :, :n] = v
+            v_panel[s, :, n:] = 0.0
+        q_g = q.reshape(n_s, n_kv_heads, group, head_dim)
+        # A pooled row is the panel's columns ++ top_k pool columns.
+        rows = np.empty((n_s, n_kv_heads, group,
+                         width + (cfg.top_k if pooled else 0)), dtype=q.dtype)
+        rows[..., width:] = -np.inf
+        scores = rows[..., :width]
+        np.matmul(q_g, k_panel.swapaxes(-1, -2), out=scores)
+        scores *= 1.0 / np.sqrt(head_dim)
+        passed = np.zeros(n_s, dtype=np.int64)    # per session, all heads
+        selected = passed.copy()
+        pools = []
+        if pooled:
+            # Every panel column (sinks + window) is attended; the pool
+            # columns come from stages 1-4, per session.
+            rows = rows.reshape(n_s, n_q_heads, -1)
+            for s, cache in enumerate(caches):
+                kv = cache.layers[layer]
+                keys, values = kv.keys, kv.values
+                signs = self._key_signs(layer, cache, keys)
+                span = _SparseSpan(self, layer, q[s], n_kv_heads,
+                                   int(n_ctx[s]))
+                slab = span.slab_heads(n_dense)
+                for kv_head in range(n_kv_heads):
+                    g_hi = (kv_head + 1) * group
+                    for h0 in range(kv_head * group, g_hi, slab):
+                        h1 = min(h0 + slab, g_hi)
+                        pool_s, pool_c, n_pass, n_sel = span.select(
+                            kv_head, h0, h1, keys[kv_head], signs[kv_head])
+                        passed[s] += n_pass
+                        selected[s] += n_sel
+                        if pool_c.shape[1]:
+                            rows[s, h0:h1, n_dense:n_dense
+                                 + pool_s.shape[1]] = pool_s
+                            pools.append((s, h0, h1, pool_c,
+                                          values[kv_head]))
+        else:
+            keep = (np.arange(width) < n_ctx[:, None])[:, None, None]
+            if width > n_dense:
+                keep, passed = self._filter_rows(layer, q_g, caches, views,
+                                                 n_ctx, keep)
+                selected = passed     # candidates <= top_k: all selected
+            np.copyto(rows, -np.inf, where=~keep)
+        probs = softmax(rows, axis=-1)
+        out = np.matmul(probs.reshape(n_s, n_kv_heads, group, -1)[
+            ..., :width], v_panel).reshape(n_s, n_q_heads, 1, head_dim)
+        for s, h0, h1, pool_c, values in pools:
+            # Pad columns clip to the last key; their weight is 0.
+            v_sel = values.take(pool_c, axis=0, mode="clip")
+            out[s, h0:h1, 0] += np.einsum(
+                "nk,nkd->nd",
+                probs[s, h0:h1, n_dense:n_dense + pool_c.shape[1]], v_sel)
+        if metrics.enabled:
+            for s in range(n_s):
+                _record_split(
+                    metrics, n_q_heads,
+                    int(min(n_ctx[s], n_dense)) * n_q_heads,
+                    int(max(n_ctx[s] - n_dense, 0)) * n_q_heads,
+                    int(passed[s]), int(selected[s]))
+        return out
+
+    def _filter_rows(self, layer: int, q_g: np.ndarray, caches, views,
+                     n_ctx: np.ndarray, valid: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Stage 1 for stacked whole-context rows.
+
+        Returns the ``(n_sessions, n_kv_heads, group, width)`` mask of the
+        columns each head attends — its dense columns plus the candidates
+        that pass the filter, which with ``candidates <= top_k`` are
+        exactly the selected set — and the keys passed per session.
+        """
+        cfg = self.config
+        n_s, n_kv_heads, group, head_dim = q_g.shape
+        n_q_heads = n_kv_heads * group
+        width = valid.shape[-1]
+        key_signs = [self._key_signs(layer, cache, k)
+                     for cache, (k, _, _) in zip(caches, views)]
+        signs = np.empty((n_s, n_kv_heads, width, key_signs[0].shape[-1]),
+                         dtype=np.uint8)
+        for s, ks in enumerate(key_signs):
+            signs[s, :, :ks.shape[1]] = ks      # pad columns are masked
+        q_signs = self._query_signs(layer, q_g[:, :, :, None])[:, :, :, 0]
+        with self.obs.tracer.span("scf_filter", layer=layer):
+            mism = mismatches_packed(q_signs, signs)
+        bounds = self._pass_bounds(layer, n_q_heads, group, head_dim)
+        cols = np.arange(width)
+        span = ((cols >= cfg.n_sink)
+                & (cols < (n_ctx - cfg.window)[:, None]))[:, None, None]
+        passed = span & (mism < bounds.reshape(n_kv_heads, group, 1).astype(
+            mism.dtype))
+        counts = passed.sum(axis=-1).reshape(n_s, n_q_heads)
+        if self.stats is not None or self.selection_capture is not None:
+            per_q = _stats_per_q(self.stats, n_q_heads, n_kv_heads)
+            for s, h in np.ndindex(n_s, n_q_heads):
+                if self.stats is not None:
+                    self.stats.update(
+                        layer, h if per_q else h // group,
+                        candidates=int(n_ctx[s]) - cfg.n_sink - cfg.window,
+                        passed=int(counts[s, h]),
+                        retrieved=int(counts[s, h]), queries=1)
+                if self.selection_capture is not None:
+                    self.selection_capture[(layer, h)] = passed[
+                        s, h // group, h % group, None, :n_ctx[s]].copy()
+        return passed | (valid & ~span), counts.sum(axis=1)
 
 
 class SlidingWindowAttention:

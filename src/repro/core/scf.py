@@ -217,7 +217,9 @@ def concordance_packed_sessions(q_packed: np.ndarray, key_signs,
     Pads every session's packed key store into one staging buffer and runs
     a single batched XOR+popcount over
     ``(n_sessions, n_kv_heads, G, n_q, max_ctx)``.  Nothing under ``src/``
-    calls it: the attention kernel filters per session (DESIGN.md, "Why
+    calls it: padding to the batch's longest context makes a row depend on
+    its neighbours, so the decode routine stacks short contexts at a width
+    fixed by the config and filters long ones per session (DESIGN.md, "Why
     cross-session filter batching went").  It stays importable because the
     benchmark's tracer (``perf/spans.py``) patches it by name.
 

@@ -305,12 +305,20 @@ class Transformer:
         norms, QKV projections, bias, RoPE, ``wo``, SwiGLU — and, at the
         end, the unembedding — once on that stack, so each weight matrix
         is read once per ``_ROW_TILE`` sessions instead of once per
-        session.  Only ``cache.append`` and the attention call stay per
-        session: contexts are ragged and each session may carry its own
-        (browned-out) backend.
+        session.  Attention is stacked too: each session's K/V row is
+        appended to its cache, then sessions whose backends agree on the
+        duck-typed ``stack_key()`` hook make **one**
+        ``forward_cached_batch(layer, qs, caches)`` call per layer (the
+        engine builds one backend per request, so the key compares what
+        the routine reads, not identity; see
+        :meth:`repro.core.hybrid.LongSightAttention.stack_key`).  Only a
+        backend without the hook — dense, sliding window, offload — is
+        still dispatched per session through :meth:`_attend`.
 
-        Each session's logits are bit-identical to stepping it alone
-        because every product goes through :func:`_tile_matmul`, whose
+        Each session's logits are bit-identical to stepping it alone.
+        The stacked attention routine is batch-invariant by construction
+        (a row's layout depends on its own context only), and every
+        dense product goes through :func:`_tile_matmul`, whose
         BLAS call shape is fixed: the stack is zero-padded once, here, to
         a whole number of ``_ROW_TILE``-row tiles (pad rows stay zero
         through every layer: zero norm, zero attention, zero FFN), and a
@@ -344,13 +352,31 @@ class Transformer:
         x[:n] = self.weights["embed"][np.asarray(tokens, dtype=np.intp)]
         positions = np.zeros(n_rows, dtype=np.intp)
         positions[:n] = [len(cache) for cache in caches]
+        # Sessions whose backends agree on ``stack_key`` share one
+        # attention call per layer; a backend without the hook is
+        # dispatched per session.
+        stacks: Dict[object, list] = {}
+        alone = []
+        for i, backend in enumerate(backends):
+            stack_key = getattr(backend, "stack_key", None)
+            if stack_key is None:
+                alone.append(i)
+            else:
+                stacks.setdefault(stack_key(), []).append(i)
 
         def attend(layer, q, k, v):
             attn = np.zeros(q.shape)        # pad rows attend to nothing
-            for i, (cache, backend) in enumerate(zip(caches, backends)):
+            for i in alone:
                 row = slice(i, i + 1)
                 attn[:, row] = self._attend(layer, q[:, row], k[:, row],
-                                            v[:, row], cache, backend)
+                                            v[:, row], caches[i], backends[i])
+            for members in stacks.values():
+                for i in members:
+                    caches[i].append(layer, k[:, i:i + 1], v[:, i:i + 1])
+                out = backends[members[0]].forward_cached_batch(
+                    layer, q[:, members].transpose(1, 0, 2)[:, :, None],
+                    [caches[i] for i in members])
+                attn[:, members] = out[:, :, 0].transpose(1, 0, 2)
             return attn
 
         for layer in range(self.config.n_layers):

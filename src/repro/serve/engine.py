@@ -22,10 +22,13 @@ default chunking, every served session's token stream is **bit-identical**
 to single-session :func:`repro.llm.sampling.generate` on the same prompt —
 chunked prefill splits on the model's prefill block boundaries (the same
 block GEMMs), paged reads gather identical values, and decode rows are
-batch-invariant by construction: ``decode_step_batch`` stacks the sessions
-and every product goes through one fixed-tile helper whose per-row result
-depends on the row and the weight only (``decode_step`` is its one-session
-case; pinned by ``tests/llm/test_batch_invariance.py``).
+batch-invariant by construction: ``decode_step_batch`` stacks the sessions,
+every dense product goes through one fixed-tile helper whose per-row result
+depends on the row and the weight only, and compatible sessions share one
+attention call per layer whose row layout depends on each session's own
+context only (``decode_step`` is the one-session case; pinned by
+``tests/llm/test_batch_invariance.py`` and
+``tests/core/test_decode_rows.py``).
 Preemption preserves the token stream too: victims are resumed by
 re-prefilling ``prompt + outputs[:-1]`` and replaying the last sampled
 token through a real decode step.  That rebuilds K/V with prefill's block
@@ -174,6 +177,8 @@ class ServeEngine:
         #: elsewhere (a fleet router told the source run it departed,
         #: then re-injected it into another worker).
         self.migrate_handler = migrate_handler
+        #: (id(base config), stage) -> (base config, brownout variant).
+        self._brownout_configs: dict = {}
 
     # -- session plumbing -----------------------------------------------------
 
@@ -264,9 +269,13 @@ class ServeEngine:
         query-time retrieval knobs (the packed-sign layout is identical
         across variants) and K/V projections are backend-independent, so
         a variant — or the dense sliding-window twin — reads the same
-        blocks the full-quality backend wrote.  Variants are memoized on
-        the backend instance (one per serving batch), not rebuilt per
-        token.
+        blocks the full-quality backend wrote.  The variant *backend* is
+        memoized on the backend instance (not rebuilt per token); the
+        variant *config* is memoized on the engine per (base config,
+        stage), because the engine builds one backend per request and
+        sessions stack into one attention call only when their backends
+        share a config object — under brownout the batch is at its
+        fullest, which is exactly when that matters.
         """
         if stage <= 0 or request.pinned_dense:
             return request.backend, 0
@@ -288,13 +297,20 @@ class ServeEngine:
             except AttributeError:
                 pass  # __slots__ backend: variants live one step
         if stage not in variants:
-            shrunk = max(1, int(cfg.top_k * policy.top_k_scale))
-            new_cfg = cfg.replace(top_k=shrunk)
-            if stage >= 2:
-                bumped = np.asarray(cfg.thresholds) + policy.threshold_bump
-                new_cfg = new_cfg.replace(
-                    thresholds=int(bumped) if bumped.ndim == 0 else bumped)
-            variants[stage] = with_config(new_cfg)
+            # Keyed by identity; the entry holds ``cfg``, so its id cannot
+            # be reused while the entry exists.
+            key = (id(cfg), stage)
+            if key not in self._brownout_configs:
+                shrunk = max(1, int(cfg.top_k * policy.top_k_scale))
+                new_cfg = cfg.replace(top_k=shrunk)
+                if stage >= 2:
+                    bumped = np.asarray(cfg.thresholds) \
+                        + policy.threshold_bump
+                    new_cfg = new_cfg.replace(
+                        thresholds=int(bumped) if bumped.ndim == 0
+                        else bumped)
+                self._brownout_configs[key] = (cfg, new_cfg)
+            variants[stage] = with_config(self._brownout_configs[key][1])
         return variants[stage], stage
 
     # -- one step -------------------------------------------------------------

@@ -575,24 +575,25 @@ class PagedKVCache:
 
     def window_view(self, layer: int, window: int,
                     n_sink: int = 0) -> tuple:
-        """(keys, values, positions) of sinks + recent window."""
-        n = len(self.layers[layer])
+        """(keys, values, positions) of sinks + recent window.
+
+        Past ``n_sink + window`` tokens the arena is indexed through the
+        row map for exactly those positions — an O(window) read, never a
+        gather of the whole context.
+        """
         kv = self.layers[layer]
+        n = len(kv)
         if n <= n_sink + window:
-            pos = np.arange(n)
-            return kv.keys, kv.values, pos
+            return kv.keys, kv.values, np.arange(n)
         pos = np.concatenate([np.arange(n_sink), np.arange(n - window, n)])
-        k = kv.keys[:, pos]
-        v = kv.values[:, pos]
-        return k, v, pos
+        rows = self.rows_range(0, n)[pos]
+        return kv._k[:, rows], kv._v[:, rows], pos
 
     def offloaded_view(self, layer: int, window: int,
                        n_sink: int = 0) -> tuple:
         """(keys, values, positions) of the sparse (offloaded) region."""
-        n = len(self.layers[layer])
         kv = self.layers[layer]
-        if n <= n_sink + window:
-            empty_k = kv.keys[:, :0]
-            return empty_k, empty_k.copy(), np.arange(0)
-        pos = np.arange(n_sink, n - window)
-        return kv.keys[:, pos], kv.values[:, pos], pos
+        n = len(kv)
+        rows = self.rows_range(n_sink, max(n - window, n_sink))
+        return kv._k[:, rows], kv._v[:, rows], np.arange(n_sink,
+                                                         n_sink + len(rows))

@@ -88,6 +88,23 @@ TINY_NOBIAS = ModelConfig(
 
 
 @pytest.fixture
+def stacked_calls(monkeypatch) -> list:
+    """Every ``LongSightAttention.forward_cached_batch`` call of the test,
+    as ``(backend config, layer, sessions in the call)``."""
+    from repro.core.hybrid import LongSightAttention
+
+    calls = []
+    routine = LongSightAttention.forward_cached_batch
+
+    def spy(self, layer, qs, caches):
+        calls.append((self.config, layer, len(caches)))
+        return routine(self, layer, qs, caches)
+
+    monkeypatch.setattr(LongSightAttention, "forward_cached_batch", spy)
+    return calls
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 

@@ -179,13 +179,16 @@ def test_ledger_geometry_batch_equals_solo(rng):
     _assert_batch_equals_solo(model, sessions, steps=2)
 
 
-def test_mixed_backends_in_one_batch(rng):
+def test_mixed_backends_in_one_batch(rng, stacked_calls):
     model = Transformer(TINY, seed=7)
     longsight = LongSightAttention(LS)
     brownout = longsight.with_config(
         dataclasses.replace(LS, top_k=2, thresholds=5))
+    # The engine's real shape: one backend instance per request, all
+    # built from the same config — distinct, but they stack.
+    twin = LongSightAttention(LS)
     backends = [DenseBackend(), longsight, brownout,
-                SlidingWindowAttention(window=8, n_sink=2), longsight]
+                SlidingWindowAttention(window=8, n_sink=2), longsight, twin]
     sessions = []
     for i, backend in enumerate(backends):
         # A brownout variant reads the cache its parent backend filled.
@@ -193,6 +196,12 @@ def test_mixed_backends_in_one_batch(rng):
         sessions.append((_plain_twins(model, fill, CONTEXTS[-1 - i], rng),
                          backend))
     _assert_batch_equals_solo(model, sessions)
+    # Per layer of a batched step: ``longsight`` twice and ``twin`` in one
+    # call, the variant in its own; the solo steps are one session each.
+    batched = [(config, n)
+               for config, _, n in stacked_calls[:2 * TINY.n_layers]]
+    assert batched == [(LS, 3), (brownout.config, 1)] * TINY.n_layers
+    assert {n for _, _, n in stacked_calls} == {1, 3}
 
 
 def test_paged_caches_after_prefix_attach(rng):

@@ -183,3 +183,87 @@ class TestEngineAttribution:
                 f"serve.brownout.stage{stage}_tokens").value
             for stage in report.brownout_stage_tokens}
         assert per_stage == report.brownout_stage_tokens
+
+
+class TestBrownoutVariantsStack:
+    """The engine builds one backend per request; under brownout each
+    gets a ``with_config`` variant.  The variant *config* is shared per
+    (base config, stage), so the browned-out batch still decodes in one
+    stacked attention call per layer — under overload, when the batch is
+    at its fullest."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return Transformer(TINY, seed=0)
+
+    def test_stage1_step_is_one_stacked_call_per_layer(self, model,
+                                                       stacked_calls):
+        rng = np.random.default_rng(5)
+        pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
+        engine = ServeEngine(model, pool, lambda r: LongSightAttention(LS),
+                             policy=SloPolicy(brownout=BrownoutPolicy()))
+        requests = [ServeRequest(request_id=i, max_new_tokens=4,
+                                 prompt=rng.integers(0, TINY.vocab_size,
+                                                     size=10 + 3 * i))
+                    for i in range(5)]
+        twins = []
+        for request in requests:
+            engine._attach(request)
+            model.prefill(request.prompt, request.cache,
+                          backend=request.backend)
+            twins.append(pool.new_cache())
+            model.prefill(request.prompt, twins[-1],
+                          backend=request.backend)
+        assert len({id(r.backend) for r in requests}) == len(requests)
+        staged = [engine._brownout_backend(r, 1) for r in requests]
+        backends = [backend for backend, _ in staged]
+        assert [applied for _, applied in staged] == [1] * len(requests)
+        assert len({id(b) for b in backends}) == len(requests)
+        assert len({id(b.config) for b in backends}) == 1
+        assert backends[0].config.top_k == LS.top_k // 2
+        # Memoised per request too: the same variant on the next token.
+        assert engine._brownout_backend(requests[0], 1)[0] is backends[0]
+        stage2 = engine._brownout_backend(requests[0], 2)[0]
+        assert stage2.config is engine._brownout_backend(
+            requests[1], 2)[0].config
+        assert stage2.config is not backends[0].config
+
+        stacked_calls.clear()
+        tokens = [3, 1, 4, 1, 5]
+        stacked = model.decode_step_batch(
+            tokens, [r.cache for r in requests], backends)
+        assert stacked_calls == [(backends[0].config, layer, len(requests))
+                                 for layer in range(TINY.n_layers)]
+        for i, backend in enumerate(backends):      # the per-session path
+            np.testing.assert_array_equal(
+                stacked[i],
+                model.decode_step(tokens[i], twins[i], backend=backend))
+
+    def test_served_tokens_and_attribution_do_not_depend_on_stacking(
+            self, model, monkeypatch, stacked_calls):
+        def run():
+            rng = np.random.default_rng(3)
+            pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
+            engine = ServeEngine(
+                model, pool, lambda r: LongSightAttention(LS),
+                policy=SloPolicy(max_decode_batch=4, brownout=BrownoutPolicy(
+                    queue_high=(1, 2, 3, 50), admit_per_step=2)))
+            requests = [ServeRequest(
+                request_id=i, max_new_tokens=6, arrival_s=0.0,
+                prompt=rng.integers(0, TINY.vocab_size, size=12))
+                for i in range(10)]
+            report = engine.run(requests)
+            return ([r.outputs for r in requests], report.brownout_tokens,
+                    report.brownout_stage_tokens,
+                    [r.events.brownout_token_total for r in requests])
+
+        stacked = run()
+        assert stacked[1] > 0
+        assert any(n > 1 and config.top_k < LS.top_k
+                   for config, _, n in stacked_calls)  # a browned-out stack
+        # Every backend stacks only with itself: one session per call.
+        monkeypatch.setattr(LongSightAttention, "stack_key",
+                            lambda self: id(self))
+        stacked_calls.clear()
+        assert run() == stacked
+        assert stacked_calls and all(n == 1 for _, _, n in stacked_calls)

@@ -1,0 +1,112 @@
+"""Numeric edges of the decode routine, through the served path.
+
+The kernel-level edges (``tests/core/test_block_prefill.py``,
+``tests/core/test_decode_rows.py``) compare one attention call with the
+reference loop.  Here the same edges go through ``ServeEngine`` batches of
+ragged sessions: served tokens must equal solo ``generate`` and no
+attention row may contain a non-finite value — in particular when every
+candidate is filtered out and a row's whole pool is ``-inf``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.config import LongSightConfig
+from repro.core.hybrid import LongSightAttention
+from repro.llm.model import Transformer
+from repro.llm.sampling import generate
+from repro.serve.engine import ServeEngine
+from repro.serve.paged_kv import PagedKVPool
+from repro.serve.scheduler import RequestState, ServeRequest
+from tests.conftest import TINY
+
+D_HEAD = TINY.head_dim
+#: name -> (config, prompt lengths).  Sinks + window = 12 unless stated.
+EDGES = {
+    "top_k_0": (dict(top_k=0), (9, 14, 22, 31)),
+    "top_k_1": (dict(top_k=1), (9, 14, 22, 31)),
+    "top_k_covers_candidates": (dict(top_k=10 ** 3), (9, 14, 22, 31)),
+    "all_pass": (dict(thresholds=0), (9, 14, 22, 31)),
+    "none_pass": (dict(thresholds=D_HEAD + 1), (9, 14, 22, 31)),
+    "shorter_than_sinks": (dict(n_sink=64), (3, 9, 20)),
+    "shorter_than_window": (dict(window=64), (3, 9, 20)),
+}
+
+
+def _config(**overrides) -> LongSightConfig:
+    return LongSightConfig(**{"window": 8, "n_sink": 4, "top_k": 4,
+                              "thresholds": 3, **overrides})
+
+
+@pytest.fixture(scope="module")
+def model():
+    return Transformer(TINY, seed=0)
+
+
+@pytest.fixture
+def rows(monkeypatch):
+    """Every stacked decode call of the test: (layouts, sessions), after
+    checking that its outputs are finite."""
+    seen = []
+    routine = LongSightAttention.forward_cached_batch
+
+    def checked(self, layer, qs, caches):
+        out = routine(self, layer, qs, caches)
+        assert np.isfinite(out).all()
+        seen.append(({self._row_layout(len(c.layers[layer]))
+                      for c in caches}, len(caches)))
+        return out
+
+    monkeypatch.setattr(LongSightAttention, "forward_cached_batch", checked)
+    return seen
+
+
+def _serve(model, config, prompts, max_new):
+    pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
+    engine = ServeEngine(model, pool,
+                         lambda request: LongSightAttention(config))
+    requests = [ServeRequest(request_id=i, prompt=p, max_new_tokens=max_new)
+                for i, p in enumerate(prompts)]
+    engine.run(requests)
+    assert all(r.state is RequestState.DONE for r in requests)
+    return [r.outputs for r in requests]
+
+
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_served_tokens_equal_generate_at_the_edge(model, rng, rows, edge):
+    overrides, lengths = EDGES[edge]
+    config = _config(**overrides)
+    prompts = [rng.integers(0, TINY.vocab_size, size=n) for n in lengths]
+    served = _serve(model, config, prompts, max_new=8)
+    assert max(n for _, n in rows) == len(prompts)      # really stacked
+    for prompt, outputs in zip(prompts, served):
+        assert outputs == list(generate(model, prompt, 8,
+                                        backend=LongSightAttention(config)))
+
+
+def test_none_pass_leaves_a_whole_pool_at_minus_inf(model, rng, rows):
+    """The pooled layout with zero survivors: the row is the dense panel
+    plus ``top_k`` columns of ``-inf`` — finite outputs, equal to the
+    sliding-window answer."""
+    config = _config(thresholds=D_HEAD + 1)
+    prompt = rng.integers(0, TINY.vocab_size, size=40)
+    served, = _serve(model, config, [prompt], max_new=4)
+    assert all(layouts == {(12, True)} for layouts, _ in rows)
+    assert served == list(generate(
+        model, prompt, 4, backend=LongSightAttention(config).dense_fallback()))
+
+
+def test_sessions_cross_both_layout_edges_while_decoding(model, rng, rows):
+    """Contexts start inside sinks + window (D = 12) and end beyond
+    D + top_k (16): each session changes layout twice mid-run, not in
+    step with its neighbours."""
+    config = _config()
+    lengths = (7, 9, 10, 11)
+    prompts = [rng.integers(0, TINY.vocab_size, size=n) for n in lengths]
+    served = _serve(model, config, prompts, max_new=14)
+    assert {layout for layouts, _ in rows for layout in layouts} \
+        == {(12, False), (16, False), (12, True)}
+    assert any(len(layouts) > 1 for layouts, _ in rows)   # mixed in one call
+    for prompt, outputs in zip(prompts, served):
+        assert outputs == list(generate(model, prompt, 14,
+                                        backend=LongSightAttention(config)))

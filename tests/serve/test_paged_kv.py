@@ -127,6 +127,44 @@ class TestGatherParity:
             np.testing.assert_array_equal(pv, cv)
             np.testing.assert_array_equal(ppos, cpos)
 
+    def test_views_read_the_window_not_the_context(self, rng, monkeypatch):
+        """A prefix-attached, non-contiguous session: both views equal the
+        plain cache's, and past ``n_sink + window`` tokens neither gathers
+        the whole context out of the arena (the decode routine's panel
+        read is ``window_view``)."""
+        from repro.serve.paged_kv import PagedLayerKV
+
+        pool = PagedKVPool(TINY, n_blocks=32, block_tokens=4,
+                           prefix_caching=True)
+        tokens = np.arange(8)
+        head_k, head_v = _kv(rng, 8)
+        publisher = pool.new_cache()
+        publisher.append(0, head_k, head_v)
+        assert publisher.publish_prefix(tokens) == 2
+        pool.new_cache().ensure_tokens(1)          # breaks block adjacency
+        paged, plain = pool.new_cache(), KVCache(TINY)
+        assert paged.attach_prefix(tokens) == 8
+        plain.append(0, head_k, head_v)
+        for n in (3, 19):                          # 11 tokens, then 30
+            k, v = _kv(rng, n)
+            paged.append(0, k, v)
+            plain.append(0, k, v)
+            assert not paged.contiguous
+            gathers = []
+            gather = PagedLayerKV._gather
+            monkeypatch.setattr(
+                PagedLayerKV, "_gather",
+                lambda self, arena: gathers.append(1) or gather(self, arena))
+            for view in ("window_view", "offloaded_view"):
+                for got, want in zip(
+                        getattr(paged, view)(0, window=8, n_sink=4),
+                        getattr(plain, view)(0, window=8, n_sink=4)):
+                    np.testing.assert_array_equal(got, want)
+                    assert got.dtype == want.dtype
+            monkeypatch.undo()
+            # 11 <= n_sink + window: the window *is* the context (K and V).
+            assert len(gathers) == (2 if len(paged) <= 12 else 0)
+
     def test_interleaved_sessions_stay_logically_ordered(self, rng):
         """Two sessions growing turn-by-turn get interleaved (non-contiguous)
         blocks, yet each reads back its own tokens in logical order."""
