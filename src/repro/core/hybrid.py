@@ -8,12 +8,11 @@ between (what lives in DReX).  A single softmax then runs over the combined
 dense + sparse score set, exactly as in Figure 2b step 6.
 
 The packed key signs are read from the KV cache's incremental sign store
-(``LayerKV.packed_signs``, the software analogue of DReX reusing stored
-Key Sign Objects for every query) or packed from the keys.  Five stages
-turn them into an output:
+(the software analogue of DReX reusing stored Key Sign Objects for every
+query) or packed from the keys.  Five stages turn them into an output:
 
 1. *filter* — packed mismatch counts (one XOR+popcount), thresholded per
-   head in the counts' own unsigned dtype; the causal limit is applied
+   head in the counts' own unsigned dtype; a row's causal limit is applied
    only on the trailing columns where it can cut;
 2. *score* — one BLAS GEMM per head, in the reference loop's shape;
 3. *compact* — each row's survivors left-aligned into ``(rows, max
@@ -23,28 +22,81 @@ turn them into an output:
 5. *attend* — one softmax over ``sinks + window ++ pool`` with gathered
    values.
 
-Stages 1–4 exist once (:class:`_SparseSpan`), per KV head, *slab* of that
-head's GQA group, and key tile of the sparse span.  Float work is done for
-survivors only, as DReX's PIM Filter Units never score a filtered-out key,
-and stages 3–5 cost O(survivors), not O(candidates).  Compaction is
-row-major, so columns stay ascending within a row and across tiles, and
-:func:`~repro.core.topk.top_k_mask`'s lower-index tie-break picks exactly
-the keys full-width selection picks.  Two rules size the work from the
-inputs; neither changes a selection:
+Stages 1–4 exist once (:class:`_SparseSpan`) and run, key tile by key
+tile, over a stack of **units**.  A unit is one session's KV head — a
+*slab* of its GQA group when the slab rule splits it: its query rows, its
+context length, and *readers* of its keys and packed signs.  A prefill
+block hands the stages one slab at a time (a stack of one); a decode call
+hands them every KV head of every long-context session at once.  One rule
+decides what runs on the whole stack and what per unit:
+
+    *integer, boolean and index work stacks at any width; float work
+    keeps a shape fixed by the row's own session.*
+
+=====================================  ==========  =========================
+work                                   runs        why it cannot tie a row
+                                                   to its neighbours
+=====================================  ==========  =========================
+stage the tile's packed signs          per unit    a copy
+XOR+popcount, pass bound, causal /     the stack,  integer counts and
+pad cut                                padded to   comparisons are exact at
+                                       the widest  any padding
+                                       unit
+gather rule (``2 * kept < tile``)      per unit    the unit's own survivors
+score ``matmul(q_group, keys.T)``      per unit    BLAS call shape = the
+                                                   unit's own survivor
+                                                   union or tile
+left-align, ``pool ++ tile``,          the stack   index arithmetic;
+``top_k_mask``, re-compaction                      ``top_k_mask`` is
+                                                   row-wise exact
+``stats`` / ``selection_capture``      per unit    after the loop
+=====================================  ==========  =========================
+
+Concatenating the units' survivors into one GEMM would not do: a row's
+BLAS call shape would then depend on its neighbours.  Padding would not
+do for the pool either, were it not *canonical*: ``pool ++ tile`` without
+re-compaction leaves a row's entries at offsets fixed by the widest row of
+the stack, and softmax sums a row by offset (``np.sum`` is a pairwise
+tree), so a merge onto a non-empty pool always re-left-aligns — survivors
+in ascending column order, then ``-inf`` — and a row's pool is the same
+array whatever it was stacked with
+(``tests/core/test_decode_rows.py::test_pool_row_does_not_keep_the_holes_of_its_stack``).
+Units end at different tiles (ragged contexts); one that has run out of
+span leaves the loop with its pool untouched.
+
+Float work is done for survivors only, as DReX's PIM Filter Units never
+score a filtered-out key, and stages 3–5 cost O(survivors), not
+O(candidates).  Compaction is row-major, so columns stay ascending within
+a row and across tiles, and :func:`~repro.core.topk.top_k_mask`'s
+lower-index tie-break picks exactly the keys full-width selection picks.
+Two rules size the work from the inputs; neither changes a selection:
 
 - **slab** — stages 2–5 run on the stacked rows of as many heads of the
   group as keep ``rows x max(tile width, dense columns, top_k x head_dim)``
   (the score, dense and gathered-value temporaries) under
   ``_SLAB_ELEMS``: a 256-query block goes one head at a time.  Scores stay
   one GEMM per head (stacked ``np.matmul``);
-- **gather** — when the columns any row of the slab kept are under half
-  the tile, stage 2 scores only those (``keys[cols]``), which keeps decode
-  O(passed) at selective thresholds; otherwise it slices the whole tile,
-  which is cheaper once most columns survive for some row (prefill).
+- **gather** — when the columns any row of the unit kept are under half
+  its tile, stage 2 scores only those (``keys.take(cols)``), which keeps
+  decode O(passed) at selective thresholds; otherwise it slices the whole
+  tile, which is cheaper once most columns survive for some row (prefill).
 
 ``LongSightConfig.prefill_tile`` bounds the working set and nothing else:
 0 is one tile over the whole span, and every tile size selects the same
 keys (``tests/core/test_tiled_prefill.py``).
+
+**Readers.**  The stages touch K/V in three ways only: a position *range*
+of packed signs (stage 1), ``keys.take(survivor columns)`` or a range of
+keys (stage 2), ``values.take(selected columns)`` (stage 5).  A reader is
+anything that answers ``[slice]`` and ``take(indices, axis=0)`` by logical
+position.  An ndarray is one, so a prefill block passes ``keys[kv_head]``;
+a cache hands them out per KV head (``key_rows`` / ``value_rows`` /
+``sign_rows`` of ``LayerKV``, ``PagedLayerKV`` and :class:`_ArrayCache`),
+and a paged cache's index the arena through the session's row map — the
+pooled decode path never materialises a context it will not read.  The
+whole context is read only by prefill blocks, and for a cache whose sign
+store was not packed under this backend's rotations (stateless
+``forward``, a foreign bank), whose signs are packed from its keys.
 
 Two routines run the stages, split on the query count:
 
@@ -62,7 +114,7 @@ construction*: its layout is a function of the config and of **that
 session's own context length** only (``D = n_sink + window``,
 ``P = top_k``), sessions of one layout stack on a leading axis, and
 scores, mask, softmax and P·V run once per layer-step as batched
-``np.matmul`` (one BLAS call of fixed shape per (session, KV head)) and
+``np.matmul`` (one BLAS call of fixed shape per (session, head)) and
 row-wise reductions of fixed width.  Two layouts:
 
 - *the context is the row* (``n_ctx <= D + P``): the whole context in
@@ -74,18 +126,21 @@ row-wise reductions of fixed width.  Two layouts:
   the set the reference loop's full-width ``top_k_mask`` returns;
 - *panel ++ pool* (``n_ctx > D + P``): the ``D`` sinks + window columns
   (``cache.window_view``: an O(window) read) followed by a ``P``-wide
-  pool that stages 1–4 fill per session, the GQA group's heads going
+  pool that one pass of stages 1–4 fills for every session of the call
+  (:meth:`LongSightAttention._fill_pools`), the GQA group's heads going
   through one compaction and one top-k (the slab rule, at one query
-  almost always the whole group); pool values are gathered per session.
+  almost always the whole group).  The pool's P·V runs at the config's
+  ``top_k`` width for every row — an empty slot's weight is exactly 0 —
+  so its shape, too, is a function of the config.
 
-Nothing in a row depends on the batch: padding a group to its *widest
-member* would change the GEMM's call shape and the reduction trees
-(``np.sum`` over the last axis is a pairwise tree of that width) and
-silently break served == solo; ``tests/core/test_decode_rows.py`` fails
-when that is tried.  The two unpooled widths are a measured choice
-(CHANGES.md, PR 17: one ``D + P`` width costs ``chat_burst`` ~15% more
-attention time), not an option.  Which sessions may share a call is
-:meth:`LongSightAttention.stack_key`.
+No *float* shape in a row depends on the batch: padding a group's rows
+to its *widest member* would change the GEMM's call shape and the
+reduction trees (``np.sum`` over the last axis is a pairwise tree of that
+width) and silently break served == solo;
+``tests/core/test_decode_rows.py`` fails when that is tried.  The two
+unpooled widths are a measured choice (CHANGES.md, PR 17: one ``D + P``
+width costs ``chat_burst`` ~15% more attention time), not an option.
+Which sessions may share a call is :meth:`LongSightAttention.stack_key`.
 
 The correctness oracle — the original per-head loop over full-width
 masks — is :class:`repro.core.reference.ReferenceAttention`; selected key
@@ -236,134 +291,247 @@ class _ArrayCache:
     def __len__(self) -> int:
         return self.keys.shape[1]
 
+    def key_rows(self, kv_head: int) -> np.ndarray:
+        return self.keys[kv_head]
+
+    def value_rows(self, kv_head: int) -> np.ndarray:
+        return self.values[kv_head]
+
+
+#: Column of an empty pool slot: sorts after every real column of every
+#: session, so one sentinel serves a stack of ragged contexts.
+_PAD = np.iinfo(np.int64).max
+
 
 class _SparseSpan:
-    """Stages 1-4 of one query block over its sparse span.
+    """Stages 1-4 over the sparse spans of a stack of *units*.
 
-    Built once per kernel call — the span ``[n_sink, n_ctx - window)``, its
-    key tile, the block's packed query signs and per-head pass bounds —
-    after which :meth:`select` runs filter -> score -> compact -> select
-    for one slab of one KV head's GQA group.  The prefill kernel and the
-    decode routine's pooled layout both call it: the stages exist once.
+    A unit is one session's KV head — in a prefill block, one slab of its
+    GQA group: its query rows (head-major), its context length and the
+    readers of its keys and packed signs (anything that answers
+    ``[slice]`` and ``take(indices, axis=0)`` by logical position: an
+    ndarray, or a paged cache's row-mapped reader).  Built once per kernel
+    call — the per-head pass bounds — after which :meth:`select` runs
+    filter -> score -> compact -> select for every unit handed to it at
+    once.  The prefill kernel passes a stack of one, the decode routine's
+    pooled layout every long-context session of the call: the stages
+    exist once.
+
+    What stacks and what does not is the module docstring's rule: integer,
+    boolean and index work runs once over all units' rows, padded to the
+    widest unit of the tile; float work (the stage-2 score) keeps a shape
+    fixed by the unit alone.
     """
 
     def __init__(self, backend: "LongSightAttention", layer: int,
-                 q: np.ndarray, n_kv_heads: int, n_ctx: int) -> None:
-        cfg = backend.config
-        n_q_heads, n_new, head_dim = q.shape
-        group = n_q_heads // n_kv_heads
-        self.backend, self.layer, self.q, self.n_ctx = backend, layer, q, n_ctx
-        q_positions = np.arange(n_ctx - n_new, n_ctx)
-        # Row p may select columns in [n_sink, p - window].  Same count
-        # the reference gets from sparse_mask.sum().
-        self.lo, self.hi = cfg.n_sink, n_ctx - cfg.window
-        self.candidates = int(np.maximum(
-            q_positions - cfg.window - cfg.n_sink + 1, 0).sum())
-        self.tile = 0
-        if self.candidates:
-            self.q_signs = backend._query_signs(
-                layer, q.reshape(n_kv_heads, group, n_new, head_dim)
-            ).reshape(n_q_heads, n_new, -1)
-            self.tile = min(cfg.prefill_tile or n_ctx, self.hi - self.lo)
-            self.bounds = backend._pass_bounds(layer, n_q_heads, group,
-                                               head_dim)
-            # Columns at or below the first query's limit are candidates
-            # for every row; only the tail beyond it needs the causal cut.
-            self.tail_lo = max(self.lo, int(q_positions[0]) - cfg.window + 1)
-            self.causal_tail = (np.arange(self.tail_lo, self.hi)[None, :]
-                                <= (q_positions - cfg.window)[:, None])
+                 n_q_heads: int, n_kv_heads: int, n_new: int,
+                 head_dim: int) -> None:
+        self.backend, self.layer = backend, layer
+        self.n_new, self.head_dim = n_new, head_dim
+        self.group = n_q_heads // n_kv_heads
+        self.bounds = backend._pass_bounds(layer, n_q_heads, self.group,
+                                           head_dim)
         self.per_q = _stats_per_q(backend.stats, n_q_heads, n_kv_heads)
+        # Row i of a block ending at n_ctx may select columns in
+        # [n_sink, n_ctx + row_end[i]): its causal limit, window excluded.
+        self.row_end = np.arange(-n_new, 0) - backend.config.window + 1
+        self._cuts: Dict[tuple, np.ndarray] = {}
 
-    def slab_heads(self, n_dense: int) -> int:
+    def candidates(self, n_ctx: int) -> int:
+        """Sparse candidates of one head's query block ending at ``n_ctx``
+        (the count the reference gets from ``sparse_mask.sum()``)."""
+        return int(np.maximum(
+            n_ctx + self.row_end - self.backend.config.n_sink, 0).sum())
+
+    def _before_row_end(self, n_ctx: np.ndarray, lo: int,
+                        hi: int) -> np.ndarray:
+        """``(units, 1, n_new, hi - lo)``: is column ``lo + j`` before the
+        end of the row's selectable columns — its causal limit, which is
+        also where a narrower unit's pad begins?  Kept per span: the slabs
+        of one prefill block all ask for the same 256 x 255 comparison."""
+        key = (lo, hi, n_ctx.tobytes())
+        if key not in self._cuts:
+            self._cuts[key] = np.arange(lo, hi) < (
+                n_ctx[:, None] + self.row_end)[:, None, :, None]
+        return self._cuts[key]
+
+    def tile(self, n_ctx):
+        """Key-tile width of the span ``[n_sink, n_ctx - window)``, for one
+        context length or an array of them."""
+        cfg = self.backend.config
+        return np.maximum(0, np.minimum(cfg.prefill_tile or n_ctx,
+                                        n_ctx - cfg.window - cfg.n_sink))
+
+    def slab_heads(self, n_ctx: int, n_dense: int) -> int:
         """Heads of a group that stages 2-5 take at once (the slab rule)."""
-        n_new, head_dim = self.q.shape[1:]
-        return max(1, _SLAB_ELEMS // (n_new * max(
-            self.tile, n_dense, self.backend.config.top_k * head_dim)))
+        return max(1, _SLAB_ELEMS // (self.n_new * max(
+            int(self.tile(n_ctx)), n_dense,
+            self.backend.config.top_k * self.head_dim)))
 
-    def select(self, kv_head: int, h0: int, h1: int, keys: np.ndarray,
-               key_signs: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """Heads ``[h0, h1)`` of ``kv_head``'s group against its keys.
+    def select(self, q: np.ndarray, q_signs: np.ndarray, h0, n_ctx, keys,
+               signs) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
+        """Stages 1-4 for ``n_units`` units of ``n_heads`` heads each.
 
-        ``keys`` is that head's ``(n_ctx, head_dim)`` history, ``key_signs``
-        its ``(n_ctx, n_bytes)`` packed signs.  Returns ``(pool_s, pool_c,
-        passed, selected)``: per stacked row (head-major) the best (score,
-        column) pairs, at most ``top_k`` wide, left-aligned in ascending
-        column order — column ``n_ctx`` pads a row (score -inf, sorts after
-        every real column) — and the slab's pass / selection counts, which
-        are also recorded into the backend's ``stats`` and
-        ``selection_capture``.
+        ``q`` is ``(n_units, n_heads, n_new, head_dim)``, ``q_signs`` its
+        packed signs; per unit, ``h0`` is the first query head, ``n_ctx``
+        the context length, ``keys`` / ``signs`` the readers of its KV
+        head's ``(n_ctx, head_dim)`` keys and ``(n_ctx, n_bytes)`` packed
+        signs.  Returns ``(pool_s, pool_c, passed, selected)``: per stacked
+        row (unit-major, then head-major) the best (score, column) pairs,
+        at most ``top_k`` wide and *canonical* — left-aligned in ascending
+        column order, then score -inf / column ``_PAD`` — so a row's
+        entries sit at the same offsets whatever it was stacked with; and
+        the pass / selection counts per unit, which are also recorded into
+        the backend's ``stats`` and ``selection_capture``.
         """
         backend = self.backend
-        top_k = backend.config.top_k
-        n_ctx, lo, hi, tile, tail_lo = (self.n_ctx, self.lo, self.hi,
-                                        self.tile, self.tail_lo)
-        n_new, head_dim = self.q.shape[1:]
+        cfg = backend.config
+        top_k, lo = cfg.top_k, cfg.n_sink
+        n_units, n_heads, n_new, head_dim = q.shape
+        unit_rows = n_heads * n_new          # a unit's rows, head-major
         scale = 1.0 / np.sqrt(head_dim)
         neg_inf = -np.inf
-        n_heads = h1 - h0
-        rows = n_heads * n_new            # heads stacked, head-major
-        q_s = self.q[h0:h1]
-        pool_s = np.empty((rows, 0))
-        pool_c = np.empty((rows, 0), dtype=np.int64)
-        passed = np.zeros(n_heads, dtype=np.int64)
-        for t0 in range(lo, hi, tile):
-            t1 = min(t0 + tile, hi)
-            with backend.obs.tracer.span("scf_filter", layer=self.layer):
-                mism = mismatches_packed(self.q_signs[h0:h1],
-                                         key_signs[None, t0:t1])
-            pass_t = mism < self.bounds[h0:h1, None, None].astype(
-                mism.dtype)                           # (S, n_new, T)
-            if t1 > tail_lo:
-                pass_t[..., max(tail_lo - t0, 0):] &= self.causal_tail[
-                    :, max(t0 - tail_lo, 0): t1 - tail_lo]
-            pass_t = pass_t.reshape(rows, t1 - t0)
-            cols = pass_t.any(axis=0).nonzero()[0]
-            if 2 * len(cols) < t1 - t0:
-                pass_t = pass_t[:, cols]
-                keys_t = keys[cols + t0]
+        h0, n_ctx = np.asarray(h0), np.asarray(n_ctx)
+        hi = n_ctx - cfg.window
+        tile = self.tile(n_ctx)
+        q_signs = q_signs.reshape(n_units, unit_rows, -1)
+        bounds = self.bounds[h0[:, None] + np.arange(n_heads)]
+        pool_s = np.empty((n_units * unit_rows, 0))
+        pool_c = np.empty(pool_s.shape, dtype=np.int64)
+        passed = np.zeros(len(pool_s), dtype=np.int64)
+        # A unit's tiles start at lo + j * tile; a unit whose tile is
+        # narrower than the widest has a single tile (its whole span), so
+        # one stride walks every unit's tiles and a unit that has run out
+        # of span simply leaves the loop, its pool untouched.
+        for t0 in range(lo, int(hi.max()), int(tile.max())):
+            widths = np.minimum(t0 + tile, hi) - t0
+            live = np.flatnonzero(widths > 0)
+            n_live = len(live)
+            widths = widths[live]
+            width = int(widths.max())
+            if n_live == n_units:
+                units = rows = slice(None)
             else:
-                cols = None
-                keys_t = keys[t0:t1]
-            # Upcast before transposing: left to matmul, the cast of the
-            # transposed view is a strided copy.
-            keys_t = keys_t.astype(q_s.dtype, copy=False)
+                units = live
+                rows = (live[:, None] * unit_rows
+                        + np.arange(unit_rows)).ravel()
+            # -- 1. filter: one XOR+popcount over every live unit's tile.
+            if n_live == 1:
+                # Nothing to pad or stack: the sign range as it is read.
+                key_signs = signs[live[0]][t0:t0 + width][None]
+            else:
+                key_signs = np.empty((n_live, width, q_signs.shape[-1]),
+                                     dtype=np.uint8)
+                for i, u in enumerate(live):
+                    key_signs[i, :widths[i]] = signs[u][t0:t0 + widths[i]]
+            with backend.obs.tracer.span("scf_filter", layer=self.layer):
+                mism = mismatches_packed(q_signs[units], key_signs)
+            pass_t = (mism.reshape(n_live, n_heads, n_new, width)
+                      < bounds[units, :, None, None].astype(mism.dtype))
+            # Columns at or beyond a row's end — the causal tail of a
+            # prefill block, the pad of a narrower unit — are cut; only
+            # the trailing columns some row ends before can need it.
+            cut = max(int(hi[units].min()) - n_new + 1, t0)
+            if cut < t0 + width:
+                pass_t[..., cut - t0:] &= self._before_row_end(
+                    n_ctx[units], cut, t0 + width)
+            # The gather rule, per unit, on that unit's own survivors.
+            kept = pass_t.reshape(n_live, unit_rows, width).any(axis=1)
+            cols = [k.nonzero()[0] for k in kept]
+            pass_t = pass_t.reshape(n_live * unit_rows, width)
+            gather = [2 * len(c) < w for c, w in zip(cols, widths)]
+            frame_cols = None
+            if n_live == 1 and gather[0]:
+                # A lone unit's own columns are the frame: the index work
+                # below runs on O(passed) columns, not on the tile.
+                frame_cols = cols[0]
+                pass_t = pass_t[:, frame_cols]
             src, dest, shape, counts = _left_align(pass_t)
-            passed += counts.reshape(n_heads, n_new).sum(axis=1)
+            passed[rows] += counts
             if not len(src) or not top_k:
                 continue                  # tile contributes nothing
+            # -- 2. score: one GEMM per unit and head, on the unit's own
+            # survivor union (gathered) or tile — its shape is a function
+            # of the unit alone, never of what it is stacked with.
+            frame = None if n_live == 1 else np.empty(
+                (n_live * unit_rows, width), dtype=q.dtype)
+            for i, u in enumerate(live):
+                keys_t = keys[u].take(cols[i] + t0, axis=0) if gather[i] \
+                    else keys[u][t0:t0 + widths[i]]
+                # Upcast before transposing: left to matmul, the cast of
+                # the transposed view is a strided copy.
+                keys_t = keys_t.astype(q.dtype, copy=False)
+                scores = np.matmul(q[u], keys_t.T).reshape(unit_rows, -1)
+                if frame is None:
+                    frame = scores
+                else:
+                    frame[i * unit_rows:(i + 1) * unit_rows,
+                          cols[i] if gather[i] else slice(widths[i])] = scores
             # Scale survivors only: the same float op per entry as the
-            # reference's full-width scaling.
-            scores = np.matmul(q_s, keys_t.T).ravel()[src] * scale
+            # reference's full-width scaling.  The frame is the tile's
+            # largest temporary (8 MB for a 256 x 4096 block): it must not
+            # live through the merge, let alone into the next tile's GEMM.
+            scores = frame.ravel()[src] * scale
+            del frame
             col = src % pass_t.shape[1]
-            if cols is not None:
-                col = cols[col]
-            merged_s = np.concatenate(
-                [pool_s, _padded(scores, dest, shape, neg_inf)], axis=1)
-            merged_c = np.concatenate(
-                [pool_c, _padded(col + t0, dest, shape, n_ctx)], axis=1)
+            if frame_cols is not None:
+                col = frame_cols[col]
+            # -- 3. compact, 4. select.
+            merged_s = _padded(scores, dest, shape, neg_inf)
+            merged_c = _padded(col + t0, dest, shape, _PAD)
+            pool_w = pool_s.shape[1]
+            if pool_w:
+                merged_s = np.concatenate([pool_s[rows], merged_s], axis=1)
+                merged_c = np.concatenate([pool_c[rows], merged_c], axis=1)
+            keep = None
             if merged_s.shape[1] > top_k:
                 keep = top_k_mask(merged_s, top_k)
+            elif pool_w:
+                # Re-left-align even when nothing is dropped: pool ++ tile
+                # leaves holes at offsets fixed by the widest row of the
+                # *stack*, and softmax sums a row by offset.
+                keep = merged_c != _PAD
+            if keep is not None:
                 src, dest, shape, _ = _left_align(keep)
                 merged_s = _padded(merged_s.ravel()[src], dest, shape,
                                    neg_inf)
-                merged_c = _padded(merged_c.ravel()[src], dest, shape,
-                                   n_ctx)
-            pool_s, pool_c = merged_s, merged_c
-        valid = (pool_c < n_ctx).reshape(n_heads, n_new, -1)
-        retrieved = valid.sum(axis=(1, 2))
-        for i, h in enumerate(range(h0, h1)):
-            if backend.stats is not None:
-                backend.stats.update(
-                    self.layer, h if self.per_q else kv_head,
-                    candidates=self.candidates, passed=int(passed[i]),
-                    retrieved=int(retrieved[i]), queries=n_new)
-            if backend.selection_capture is not None:
-                sel_mask = np.zeros((n_new, n_ctx), dtype=bool)
-                r, slots = np.nonzero(valid[i])
-                sel_mask[r, pool_c[i * n_new + r, slots]] = True
-                backend.selection_capture[(self.layer, h)] = sel_mask
-        return pool_s, pool_c, int(passed.sum()), int(retrieved.sum())
+                merged_c = _padded(merged_c.ravel()[src], dest, shape, _PAD)
+            if n_live == n_units:
+                pool_s, pool_c = merged_s, merged_c
+                continue
+            # Some units have left the loop: only the live rows merged.
+            # From here on the pool is top_k wide, so that they fit.
+            if pool_w < top_k:
+                pad = (len(pool_s), top_k - pool_w)
+                pool_s = np.concatenate([pool_s, np.full(pad, neg_inf)],
+                                        axis=1)
+                pool_c = np.concatenate([pool_c, np.full(pad, _PAD)], axis=1)
+            merged_w = merged_s.shape[1]
+            pool_s[rows, :merged_w] = merged_s
+            pool_s[rows, merged_w:] = neg_inf
+            pool_c[rows, :merged_w] = merged_c
+            pool_c[rows, merged_w:] = _PAD
+        pool_w = pool_s.shape[1]
+        valid = (pool_c != _PAD).reshape(n_units, n_heads, n_new, pool_w)
+        retrieved = valid.sum(axis=(2, 3))
+        passed = passed.reshape(n_units, n_heads, n_new).sum(axis=2)
+        if backend.stats is not None or backend.selection_capture is not None:
+            for u, unit_ctx in enumerate(n_ctx.tolist()):
+                candidates = self.candidates(unit_ctx)
+                for i, h in enumerate(range(int(h0[u]), int(h0[u]) + n_heads)):
+                    if backend.stats is not None:
+                        backend.stats.update(
+                            self.layer, h if self.per_q else h // self.group,
+                            candidates=candidates, passed=int(passed[u, i]),
+                            retrieved=int(retrieved[u, i]), queries=n_new)
+                    if backend.selection_capture is not None:
+                        sel_mask = np.zeros((n_new, unit_ctx), dtype=bool)
+                        r, slots = np.nonzero(valid[u, i])
+                        sel_mask[r, pool_c[(u * n_heads + i) * n_new + r,
+                                           slots]] = True
+                        backend.selection_capture[(self.layer, h)] = sel_mask
+        return pool_s, pool_c, passed.sum(axis=1), retrieved.sum(axis=1)
 
 
 class LongSightAttention:
@@ -447,14 +615,17 @@ class LongSightAttention:
             k = np.matmul(k, self.rotations.matrices[layer])
         return pack_signs(k)
 
+    def _reads_sign_store(self, cache: "KVCache") -> bool:
+        """Was ``cache``'s sign store packed under this backend's rotations?"""
+        expected = self.rotations if self.config.use_itq else None
+        return cache.sign_cache_enabled and cache.sign_rotations is expected
+
     def _key_signs(self, layer: int, cache: "KVCache",
                    keys: np.ndarray) -> np.ndarray:
         """The cache's sign store when it was packed under this backend's
         rotations, else the signs of ``keys`` (the layer's full history)."""
-        kv = cache.layers[layer]
-        expected = self.rotations if self.config.use_itq else None
-        if kv.sign_cache_enabled and cache.sign_rotations is expected:
-            return kv.packed_signs
+        if self._reads_sign_store(cache):
+            return cache.layers[layer].packed_signs
         return self._pack_key_signs(layer, keys)
 
     def _query_signs(self, layer: int, q: np.ndarray) -> np.ndarray:
@@ -541,8 +712,14 @@ class LongSightAttention:
         dense_cols, dense_mask = _dense_region(n_ctx, n_new, cfg.n_sink,
                                                cfg.window)
         n_dense = len(dense_cols)
-        span = _SparseSpan(self, layer, q, n_kv_heads, n_ctx)
-        slab = span.slab_heads(n_dense)
+        span = _SparseSpan(self, layer, n_q_heads, n_kv_heads, n_new,
+                           head_dim)
+        slab = span.slab_heads(n_ctx, n_dense)
+        candidates = span.candidates(n_ctx)
+        if candidates:
+            q_signs = self._query_signs(
+                layer, q.reshape(n_kv_heads, group, n_new, head_dim)
+            ).reshape(n_q_heads, n_new, -1)
 
         passed_total = selected_total = 0
         out = np.empty_like(q)
@@ -558,11 +735,13 @@ class LongSightAttention:
                 combined = np.where(
                     dense_mask, np.matmul(q[h0:h1], kg.T) * scale,
                     -np.inf).reshape(n_heads * n_new, n_dense)
-                if span.candidates:
+                if candidates:
+                    # The slab is a stack of one unit.
                     pool_s, pool_c, passed, selected = span.select(
-                        kv_head, h0, h1, keys, key_signs[kv_head])
-                    passed_total += passed
-                    selected_total += selected
+                        q[None, h0:h1], q_signs[None, h0:h1], [h0], [n_ctx],
+                        [keys], [key_signs[kv_head]])
+                    passed_total += int(passed[0])
+                    selected_total += int(selected[0])
                     combined = np.concatenate([combined, pool_s], axis=1)
                 probs = softmax(combined, axis=-1)
                 out_s = np.matmul(
@@ -577,7 +756,7 @@ class LongSightAttention:
         if metrics.enabled:
             _record_split(metrics, n_q_heads * n_new,
                           int(dense_mask.sum()) * n_q_heads,
-                          span.candidates * n_q_heads, passed_total,
+                          candidates * n_q_heads, passed_total,
                           selected_total)
         return out
 
@@ -664,32 +843,13 @@ class LongSightAttention:
         np.matmul(q_g, k_panel.swapaxes(-1, -2), out=scores)
         scores *= 1.0 / np.sqrt(head_dim)
         passed = np.zeros(n_s, dtype=np.int64)    # per session, all heads
-        selected = passed.copy()
-        pools = []
+        selected = passed
         if pooled:
             # Every panel column (sinks + window) is attended; the pool
-            # columns come from stages 1-4, per session.
+            # columns come from stages 1-4, every session at once.
             rows = rows.reshape(n_s, n_q_heads, -1)
-            for s, cache in enumerate(caches):
-                kv = cache.layers[layer]
-                keys, values = kv.keys, kv.values
-                signs = self._key_signs(layer, cache, keys)
-                span = _SparseSpan(self, layer, q[s], n_kv_heads,
-                                   int(n_ctx[s]))
-                slab = span.slab_heads(n_dense)
-                for kv_head in range(n_kv_heads):
-                    g_hi = (kv_head + 1) * group
-                    for h0 in range(kv_head * group, g_hi, slab):
-                        h1 = min(h0 + slab, g_hi)
-                        pool_s, pool_c, n_pass, n_sel = span.select(
-                            kv_head, h0, h1, keys[kv_head], signs[kv_head])
-                        passed[s] += n_pass
-                        selected[s] += n_sel
-                        if pool_c.shape[1]:
-                            rows[s, h0:h1, n_dense:n_dense
-                                 + pool_s.shape[1]] = pool_s
-                            pools.append((s, h0, h1, pool_c,
-                                          values[kv_head]))
+            pool_v, passed, selected = self._fill_pools(
+                layer, q, caches, n_ctx, n_kv_heads, rows[..., n_dense:])
         else:
             keep = (np.arange(width) < n_ctx[:, None])[:, None, None]
             if width > n_dense:
@@ -700,12 +860,11 @@ class LongSightAttention:
         probs = softmax(rows, axis=-1)
         out = np.matmul(probs.reshape(n_s, n_kv_heads, group, -1)[
             ..., :width], v_panel).reshape(n_s, n_q_heads, 1, head_dim)
-        for s, h0, h1, pool_c, values in pools:
-            # Pad columns clip to the last key; their weight is 0.
-            v_sel = values.take(pool_c, axis=0, mode="clip")
-            out[s, h0:h1, 0] += np.einsum(
-                "nk,nkd->nd",
-                probs[s, h0:h1, n_dense:n_dense + pool_c.shape[1]], v_sel)
+        if pooled and cfg.top_k:
+            # The pool's P.V at the config's top_k width for every row —
+            # one BLAS call of fixed shape per (session, head), as the
+            # panel's: an empty slot's weight is exactly 0.
+            out += np.matmul(probs[:, :, None, n_dense:], pool_v)
         if metrics.enabled:
             for s in range(n_s):
                 _record_split(
@@ -714,6 +873,69 @@ class LongSightAttention:
                     int(max(n_ctx[s] - n_dense, 0)) * n_q_heads,
                     int(passed[s]), int(selected[s]))
         return out
+
+    def _fill_pools(self, layer: int, q: np.ndarray, caches,
+                    n_ctx: np.ndarray, n_kv_heads: int,
+                    pool_rows: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stages 1-4 for every pooled session of a decode call, at once.
+
+        Each session's KV heads (slabs of them, when the slab rule splits
+        a group) are the units of one :meth:`_SparseSpan.select` stack;
+        K/V are read in place, through the caches' row readers —
+        survivors' keys, selected values, the span's signs, never the
+        context.  Writes every row's pool scores into ``pool_rows``
+        ``(n_sessions, n_q_heads, top_k)``, which arrives filled with
+        -inf, and returns the ``(n_sessions, n_q_heads, top_k, head_dim)``
+        pool values plus the keys passed and selected per session.
+        """
+        cfg = self.config
+        n_s, n_q_heads, _, head_dim = q.shape
+        group = n_q_heads // n_kv_heads
+        n_dense = cfg.n_sink + cfg.window
+        kvs = [cache.layers[layer] for cache in caches]
+        # A sign store packed under other rotations (or none: stateless
+        # ``forward``) is the one case that still reads a whole context.
+        signs = [kv.sign_rows if self._reads_sign_store(cache)
+                 else self._pack_key_signs(layer, kv.keys).__getitem__
+                 for cache, kv in zip(caches, kvs)]
+        span = _SparseSpan(self, layer, n_q_heads, n_kv_heads, 1, head_dim)
+        q_signs = self._query_signs(
+            layer, q.reshape(n_s, n_kv_heads, group, 1, head_dim)
+        ).reshape(n_s, n_q_heads, 1, -1)
+        # Units of equal head count stack (at one query almost always the
+        # whole group, so one stack): heads per unit -> (session, head 0).
+        stacks: Dict[int, list] = {}
+        for s, n in enumerate(n_ctx.tolist()):
+            slab = span.slab_heads(n, n_dense)
+            for g_lo in range(0, n_q_heads, group):
+                for h0 in range(g_lo, g_lo + group, slab):
+                    stacks.setdefault(min(slab, g_lo + group - h0),
+                                      []).append((s, h0))
+        pool_v = np.empty(pool_rows.shape + (head_dim,), dtype=q.dtype)
+        passed = np.zeros(n_s, dtype=np.int64)
+        selected = passed.copy()
+        for n_heads, units in stacks.items():
+            session, h0 = np.array(units).T
+            at = (session[:, None], h0[:, None] + np.arange(n_heads))
+            unit_ctx = n_ctx[session]
+            pool_s, pool_c, n_pass, n_sel = span.select(
+                q[at], q_signs[at], h0, unit_ctx,
+                [kvs[s].key_rows(h // group) for s, h in units],
+                [signs[s](h // group) for s, h in units])
+            pool_w = pool_s.shape[1]
+            pool_rows[at + (slice(pool_w),)] = pool_s.reshape(
+                len(units), n_heads, pool_w)
+            pool_c = pool_c.reshape(len(units), n_heads, pool_w)
+            for (s, h), cols, unit_pass, unit_sel in zip(
+                    units, pool_c, n_pass.tolist(), n_sel.tolist()):
+                passed[s] += unit_pass
+                selected[s] += unit_sel
+                # An empty slot clips to the last key; its weight is 0.
+                pool_v[s, h:h + n_heads, :pool_w] = kvs[s].value_rows(
+                    h // group).take(cols, axis=0, mode="clip")
+                pool_v[s, h:h + n_heads, pool_w:] = 0.0
+        return pool_v, passed, selected
 
     def _filter_rows(self, layer: int, q_g: np.ndarray, caches, views,
                      n_ctx: np.ndarray, valid: np.ndarray

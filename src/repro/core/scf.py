@@ -217,11 +217,16 @@ def concordance_packed_sessions(q_packed: np.ndarray, key_signs,
     Pads every session's packed key store into one staging buffer and runs
     a single batched XOR+popcount over
     ``(n_sessions, n_kv_heads, G, n_q, max_ctx)``.  Nothing under ``src/``
-    calls it: padding to the batch's longest context makes a row depend on
-    its neighbours, so the decode routine stacks short contexts at a width
-    fixed by the config and filters long ones per session (DESIGN.md, "Why
-    cross-session filter batching went").  It stays importable because the
-    benchmark's tracer (``perf/spans.py``) patches it by name.
+    calls it.  Not because of the padding — integer counts are exact at
+    any width, so a padded filter cannot tie a row to its neighbours, and
+    the attention kernel does exactly this, tile by tile, for the
+    long-context sessions of a decode call (``core/hybrid._SparseSpan``;
+    the rule is *integer, boolean and index work stacks at any width,
+    float work keeps shapes fixed by the row's own session*) — but
+    because that kernel thresholds :func:`mismatches_packed` directly and
+    never needs these int64 counts over whole contexts.  It stays
+    importable because the benchmark's tracer (``perf/spans.py``) patches
+    it by name.
 
     Args:
         q_packed: ``(n_sessions, ..., n_q, n_bytes)`` packed query signs

@@ -191,6 +191,26 @@ class LayerKV:
         """``(n_kv_heads, n_tokens, head_dim)`` view of all values."""
         return self._v[:, : self._len]
 
+    # -- row readers (the sparse stages' reads) -------------------------------
+
+    def key_rows(self, kv_head: int) -> np.ndarray:
+        """``kv_head``'s keys by logical position.
+
+        A row reader answers ``[slice]`` and ``take(indices, axis=0)``.
+        Here that is the stored array itself; a paged cache answers the
+        same two reads through its row map (``PagedLayerKV``), so a kernel
+        that reads survivors never asks any cache for the whole context.
+        """
+        return self._k[kv_head, : self._len]
+
+    def value_rows(self, kv_head: int) -> np.ndarray:
+        """``kv_head``'s values by logical position (see :meth:`key_rows`)."""
+        return self._v[kv_head, : self._len]
+
+    def sign_rows(self, kv_head: int) -> np.ndarray:
+        """``kv_head``'s packed signs by logical position."""
+        return self.packed_signs[kv_head]
+
 
 class KVCache:
     """KV cache spanning all decoder layers for one user/sequence.

@@ -18,11 +18,21 @@ out fixed-size *blocks* of token slots, vLLM-PagedAttention style:
 
 :class:`PagedKVCache` presents the same duck-typed interface the
 transformer and the attention backends consume (``append``, ``reserve``,
-``layers[i].keys/values/packed_signs``, ``window_view``, ...), so a paged
-session is a drop-in replacement for a private :class:`KVCache`.  Reads
-gather logical rows out of the arena; when a session's blocks happen to
-be contiguous (the common case right after admission) the gather
-degenerates to a zero-copy slice.
+``layers[i].keys/values/packed_signs``, ``window_view``, the per-head row
+readers ``key_rows`` / ``value_rows`` / ``sign_rows``, ...), so a paged
+session is a drop-in replacement for a private :class:`KVCache`.  Every
+read is one indexing of the arena through the session's row map, for the
+logical positions asked for and no others (``PagedLayerKV._read``):
+
+- a prefill block asks for the whole context (``keys`` / ``values`` /
+  ``packed_signs``: a gathered copy, or a zero-copy slice when the
+  session's blocks happen to be contiguous — the common case right after
+  admission);
+- a decode row asks for the sinks + window panel (``window_view``), and in
+  the long-context layout for a position range of signs, the filter's
+  survivors among the keys and the top-k selections among the values —
+  what LongSight's PIM filter units, NMA and CXL link move, in that order
+  (Sections 5–6).  It never copies a context it will not read.
 
 **Prefix caching** (``prefix_caching=True``): *full* prompt blocks are
 content-hashed with a chained blake2b digest (``digest_i =
@@ -172,12 +182,18 @@ class PagedKVPool:
         return taken
 
     def release(self, blocks: List[int]) -> None:
-        """Return blocks to the free list (session completion)."""
+        """Return blocks to the free list (session completion).
+
+        All-or-nothing: a block outside the arena, already free, or named
+        twice in ``blocks`` raises before the free list changes.
+        """
+        free = set(self._free)
         for block in blocks:
             if not 0 <= block < self.n_blocks:
                 raise ValueError(f"block id {block} outside the arena")
-            if block in self._free:
+            if block in free:
                 raise ValueError(f"double free of block {block}")
+            free.add(block)
         self._free.extend(blocks)
         self.total_released += len(blocks)
 
@@ -219,11 +235,39 @@ class PagedKVPool:
         return hit
 
 
+class _MappedRows:
+    """One KV head's rows of an arena in a session's logical order.
+
+    Answers the two reads the sparse stages make of a plain cache's
+    ndarray — ``[slice]`` and ``take(indices, axis=0)`` — by indexing the
+    arena through the session's row map: only the rows asked for are
+    touched.
+    """
+
+    __slots__ = ("_kv", "_arena", "_kv_head")
+
+    def __init__(self, kv: "PagedLayerKV", arena: np.ndarray,
+                 kv_head: int) -> None:
+        self._kv, self._arena, self._kv_head = kv, arena, kv_head
+
+    def __getitem__(self, positions: slice) -> np.ndarray:
+        return self._kv._read(self._arena, positions, self._kv_head)
+
+    def take(self, indices, axis: int = 0, mode: str = "raise") -> np.ndarray:
+        return self._kv._read(self._arena, indices, self._kv_head, mode)
+
+
 class PagedLayerKV:
     """One layer's view of a paged session: the ``LayerKV`` consumer API.
 
-    Reads gather the session's logical rows from the shared arena; when
-    the underlying blocks are contiguous the gather is a zero-copy slice.
+    Every read indexes the shared arena through the session's row map
+    (:meth:`_read`): the positions asked for, never more.  ``keys`` /
+    ``values`` / ``packed_signs`` ask for the whole context (a prefill
+    block's read); the decode routine asks for the sinks + window panel
+    (``PagedKVCache.window_view``), a position range of signs and the
+    survivor / selected rows of one KV head (:meth:`key_rows`,
+    :meth:`value_rows`, :meth:`sign_rows`).  A slice of a session whose
+    blocks are contiguous is a zero-copy view.
     """
 
     def __init__(self, cache: "PagedKVCache", layer: int) -> None:
@@ -246,12 +290,27 @@ class PagedLayerKV:
 
     # -- reads ----------------------------------------------------------------
 
-    def _gather(self, arena: np.ndarray) -> np.ndarray:
+    def _read(self, arena: np.ndarray, index, kv_head=slice(None),
+              mode: str = "raise") -> np.ndarray:
+        """Arena rows of the logical positions ``index`` — a slice of
+        ``[0, len)``, or an index array taken under ``mode`` — for
+        ``kv_head`` (default: all)."""
         rows = self._cache.rows(self._len)
-        if self._cache.contiguous:
-            start = rows[0] if self._len else 0
-            return arena[:, start : start + self._len]
-        return arena[:, rows]
+        if not isinstance(index, slice):
+            rows = rows.take(index, mode=mode)
+        elif self._cache.contiguous:
+            start, stop, step = index.indices(self._len)
+            base = int(rows[0]) if self._len else 0
+            return arena[kv_head, base + start : base + stop : step]
+        else:
+            rows = rows[index]
+        # ``take`` along the row axis moves whole rows; ``arena[kv_head,
+        # rows]`` (advanced indexing) is 2-10x slower on these shapes.
+        return arena[kv_head].take(rows, axis=-2)
+
+    def _gather(self, arena: np.ndarray) -> np.ndarray:
+        """The whole context of every KV head, in logical order."""
+        return self._read(arena, slice(None))
 
     @property
     def keys(self) -> np.ndarray:
@@ -270,9 +329,23 @@ class PagedLayerKV:
     @property
     def packed_signs(self) -> np.ndarray:
         """``(n_kv_heads, n_tokens, sign_nbytes)`` packed rotated signs."""
+        self._check_signs()
+        return self._gather(self._signs)
+
+    def _check_signs(self) -> None:
         if not self._sign_enabled:
             raise RuntimeError("sign cache not enabled; call enable_sign_cache")
-        return self._gather(self._signs)
+
+    def key_rows(self, kv_head: int) -> _MappedRows:
+        """``kv_head``'s keys by logical position (see ``LayerKV``)."""
+        return _MappedRows(self, self._k, kv_head)
+
+    def value_rows(self, kv_head: int) -> _MappedRows:
+        return _MappedRows(self, self._v, kv_head)
+
+    def sign_rows(self, kv_head: int) -> _MappedRows:
+        self._check_signs()
+        return _MappedRows(self, self._signs, kv_head)
 
     # -- writes ---------------------------------------------------------------
 
@@ -586,14 +659,12 @@ class PagedKVCache:
         if n <= n_sink + window:
             return kv.keys, kv.values, np.arange(n)
         pos = np.concatenate([np.arange(n_sink), np.arange(n - window, n)])
-        rows = self.rows_range(0, n)[pos]
-        return kv._k[:, rows], kv._v[:, rows], pos
+        return kv._read(kv._k, pos), kv._read(kv._v, pos), pos
 
     def offloaded_view(self, layer: int, window: int,
                        n_sink: int = 0) -> tuple:
         """(keys, values, positions) of the sparse (offloaded) region."""
         kv = self.layers[layer]
-        n = len(kv)
-        rows = self.rows_range(n_sink, max(n - window, n_sink))
-        return kv._k[:, rows], kv._v[:, rows], np.arange(n_sink,
-                                                         n_sink + len(rows))
+        span = slice(n_sink, max(len(kv) - window, n_sink))
+        return (kv._read(kv._k, span), kv._read(kv._v, span),
+                np.arange(span.start, span.stop))

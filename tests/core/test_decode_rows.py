@@ -40,8 +40,9 @@ N_SINK, WINDOW, TOP_K = 2, 8, 6
 D, P = N_SINK + WINDOW, TOP_K
 #: Every layout edge (the panel stops being the whole context at D, the
 #: row stops being the whole context at D + P), a context shorter than
-#: the sinks, and a 2k context.
-CONTEXTS = (1, D - 1, D, D + 1, D + P - 1, D + P, D + P + 1, 2048)
+#: the sinks, a 2k context, and two more pooled lengths so that a pooled
+#: stack is ragged: spans of 7 / 290 / 690 / 2038 columns.
+CONTEXTS = (1, D - 1, D, D + 1, D + P - 1, D + P, D + P + 1, 2048, 300, 700)
 MC = ModelConfig(name="rows", vocab_size=8, n_layers=1, n_q_heads=4,
                  n_kv_heads=2, head_dim=16, d_ff=8)
 BLOCK = 4
@@ -53,6 +54,9 @@ VARIANTS = {
     "itq": (MC, {"use_itq": True}),
     "per_q_head": (MC, {"per_q_head_thresholds": True,
                         "thresholds": np.array([[0, 7, 9, 17]])}),
+    # The pooled contexts take 1 / 2 / 3 / 8 key tiles: sessions of one
+    # stack leave the tile loop at different tiles.
+    "tiled": (MC, {"prefill_tile": 256}),
 }
 
 
@@ -88,7 +92,7 @@ def library(variant: str) -> Library:
     lib = Library(config, rotations, [])
     backend = lib.backend()
     rng = np.random.default_rng(7)
-    pool = PagedKVPool(mc, n_blocks=3 * (2048 // BLOCK + 8),
+    pool = PagedKVPool(mc, n_blocks=3 * (sum(CONTEXTS) // BLOCK + 8),
                        block_tokens=BLOCK, prefix_caching=True)
     tokens = np.arange(SHARED)
     head = rng.normal(size=(2, mc.n_kv_heads, SHARED, mc.head_dim))
@@ -183,6 +187,63 @@ def test_layout_is_chosen_from_the_context_alone():
     assert [layout(n) for n in (D + P + 1, 2048)] == [(D, True)] * 2
 
 
+def _sign_controlled_session(rng, n_ctx, tile, per_tile):
+    """A plain-cache session whose filter passes exactly the keys named:
+    ``per_tile[kv_head]`` offsets into every ``tile``-wide key tile of the
+    sparse span.  Both query heads of a group carry the KV head's sign
+    pattern (concordance 16 with a passing key, 0 with any other)."""
+    signs = rng.choice([-1.0, 1.0], size=(MC.n_kv_heads, 1, MC.head_dim))
+    magnitude = lambda *shape: rng.uniform(0.5, 2.0, size=shape)
+    k = -signs * magnitude(MC.n_kv_heads, n_ctx, MC.head_dim)
+    for kv_head, offsets in enumerate(per_tile):
+        for t0 in range(N_SINK, n_ctx - WINDOW, tile):
+            cols = t0 + np.asarray(offsets)
+            k[kv_head, cols[cols < n_ctx - WINDOW]] *= -1.0
+    v = rng.normal(size=k.shape)
+    q = (np.repeat(signs, MC.n_q_heads // MC.n_kv_heads, axis=0)
+         * magnitude(MC.n_q_heads, 1, MC.head_dim))
+    cache = KVCache(MC)
+    cache.append(0, k, v)
+    return Session("plain", n_ctx, q, cache)
+
+
+def test_pool_row_does_not_keep_the_holes_of_its_stack():
+    """A multi-tile session that never fills its pool: 7 tiles, 2 and 1
+    survivors per tile on its two KV heads, 14 and 7 in all under
+    ``top_k`` = 24.  ``pool ++ tile`` without re-compaction leaves each
+    tile's survivors at offsets fixed by the widest row *of the stack* —
+    multiples of 2 alone, of 3 beside the second session, re-compacted by
+    the third's top-k — and softmax sums a row by offset.  The pool row
+    is canonical instead: left-aligned, whatever rides along."""
+    tile = 64
+    config = LongSightConfig(window=WINDOW, n_sink=N_SINK, top_k=24,
+                             thresholds=8, prefill_tile=tile)
+    rng = np.random.default_rng(11)
+    sparse = _sign_controlled_session(rng, 400, tile, [(3, 5), (1,)])
+    few = _sign_controlled_session(rng, 500, tile, [(0, 2, 4), (1, 3)])
+    many = _sign_controlled_session(rng, 450, tile, [range(10), range(9)])
+    backend = LongSightAttention(config)
+    for session in (sparse, few, many):
+        backend.prepare_cache(session.cache)
+        session.solo = _stack(backend, [session])[0]
+    for stack in ([few, sparse], [sparse, many], [many, few, sparse, sparse]):
+        for row, session in zip(_stack(backend, stack), stack):
+            np.testing.assert_array_equal(row, session.solo)
+    # The case is the one described: every tile contributes, nothing of
+    # the sparse session is ever dropped, the third session's pool fills.
+    lib = Library(config, None, [])
+    fast = _measured(LongSightAttention, lib, [sparse, many])
+    ref = _measured(ReferenceAttention, lib, [sparse, many])
+    for sel_f, sel_r in zip(fast[1], ref[1]):
+        for key in sel_r:
+            np.testing.assert_array_equal(sel_f[key], sel_r[key])
+    assert [int(fast[1][0][(0, h)].sum()) for h in range(4)] == [14, 14, 7, 7]
+    assert [int(fast[1][1][(0, h)].sum()) for h in range(4)] == [24] * 4
+    _assert_stats_equal(fast[2], ref[2])
+    for out_f, out_r in zip(fast[0], ref[0]):
+        np.testing.assert_allclose(out_f, out_r, atol=1e-12)
+
+
 def test_ledger_geometry_edges():
     """The serving ledger's shape: D = 144, P = 128, head_dim 32."""
     mc = ModelConfig(name="ledger", vocab_size=8, n_layers=1, n_q_heads=8,
@@ -270,6 +331,53 @@ def test_stacked_counters_equal_the_per_session_values():
         np.testing.assert_array_equal(row, session.solo)
     _assert_stats_equal(backend.stats, solo_stats)
     assert backend.obs.metrics.snapshot() == solo_metrics
+
+
+class _SelectionLog(dict):
+    """A ``selection_capture`` that keeps every mask written to it (one
+    backend shared by a stack overwrites ``(layer, head)`` per session)."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = []
+
+    def __setitem__(self, key, mask):
+        self.written.append((key, mask))
+        super().__setitem__(key, mask)
+
+
+@pytest.mark.parametrize("variant", ["base", "tiled"])
+def test_measuring_backend_shared_by_a_pooled_stack(variant):
+    """One backend with ``stats`` and a ``selection_capture``, every
+    pooled session of the library in one call — the same stacked stages,
+    no per-session fallback: each session's selections, the
+    ``FilterStats`` and the ``attention.*`` snapshot equal the
+    reference's, taken session by session."""
+    lib = library(variant)
+    sessions = [s for s in lib.sessions if s.n_ctx > D + P]
+    assert len(sessions) == 3 * 4
+    ref_outs, ref_selections, ref_stats, ref_metrics = _measured(
+        ReferenceAttention, lib, sessions)
+    backend = lib.backend(stats=FilterStats(1, MC.n_kv_heads),
+                          obs=_fresh_obs())
+    backend.selection_capture = log = _SelectionLog()
+    for row, session, out_r in zip(_stack(backend, sessions), sessions,
+                                   ref_outs):
+        np.testing.assert_array_equal(row, session.solo)
+        np.testing.assert_allclose(row, out_r, atol=1e-12)
+    _assert_stats_equal(backend.stats, ref_stats)
+    assert backend.obs.metrics.snapshot() == ref_metrics
+    # A mask is as wide as its session's context, and the three cache
+    # kinds of one context hold the same K/V: every mask written for
+    # (head, context) must be the reference's for that pair.
+    want = {(key, s.n_ctx): mask for s, selection in zip(
+        sessions, ref_selections) for key, mask in selection.items()}
+    assert len(log.written) == len(sessions) * MC.n_q_heads
+    seen = {}
+    for key, mask in log.written:
+        np.testing.assert_array_equal(mask, want[key, mask.shape[1]])
+        seen[key, mask.shape[1]] = seen.get((key, mask.shape[1]), 0) + 1
+    assert seen == dict.fromkeys(want, 3)
 
 
 def test_stack_key_groups_compatible_instances_only():

@@ -103,3 +103,22 @@ class TestMask:
             by_index = np.zeros(8, dtype=bool)
             by_index[top_k_indices(scores[0, row], 3)] = True
             np.testing.assert_array_equal(expected[0, row], by_index)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12),
+           pad=st.integers(1, 40))
+    def test_right_padding_with_minus_inf_changes_nothing(self, seed, k, pad):
+        """A row's mask is the same at the stacked width: stages 1-4 pad
+        every unit's rows to the widest of the stack with -inf columns.
+        Few distinct values, so the k-th boundary is usually tied; whether
+        ``k`` exceeds the row (``k >= n``: all finite) changes with the
+        padding and must not matter either."""
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 4, size=(5, 9)).astype(float)
+        scores[rng.random(size=scores.shape) < 0.3] = -np.inf
+        scores[0, :6] = 2.0                     # one crowded boundary
+        padded = np.concatenate(
+            [scores, np.full((5, pad), -np.inf)], axis=1)
+        mask = top_k_mask(padded, k)
+        np.testing.assert_array_equal(mask[:, :9], top_k_mask(scores, k))
+        assert not mask[:, 9:].any()

@@ -8,11 +8,13 @@ attention row may contain a non-finite value — in particular when every
 candidate is filtered out and a row's whole pool is ``-inf``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.config import LongSightConfig
-from repro.core.hybrid import LongSightAttention
+from repro.core.hybrid import LongSightAttention, _SparseSpan
 from repro.llm.model import Transformer
 from repro.llm.sampling import generate
 from repro.serve.engine import ServeEngine
@@ -61,8 +63,25 @@ def rows(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def units(monkeypatch):
+    """Every stages-1-4 call of a decode step in the test: per unit of
+    the stack, the keys that passed the filter and the keys selected."""
+    seen = []
+    stages = _SparseSpan.select
+
+    def spy(self, *args):
+        result = stages(self, *args)
+        if self.n_new == 1:
+            seen.append(result[2:])
+        return result
+
+    monkeypatch.setattr(_SparseSpan, "select", spy)
+    return seen
+
+
 def _serve(model, config, prompts, max_new):
-    pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
+    pool = PagedKVPool(model.config, n_blocks=64, block_tokens=16)
     engine = ServeEngine(model, pool,
                          lambda request: LongSightAttention(config))
     requests = [ServeRequest(request_id=i, prompt=p, max_new_tokens=max_new)
@@ -109,4 +128,61 @@ def test_sessions_cross_both_layout_edges_while_decoding(model, rng, rows):
     assert any(len(layouts) > 1 for layouts, _ in rows)   # mixed in one call
     for prompt, outputs in zip(prompts, served):
         assert outputs == list(generate(model, prompt, 14,
+                                        backend=LongSightAttention(config)))
+
+
+# -- the pooled layout's stack: stages 1-4 once for every long session ----------
+
+def test_float16_pool_serves_what_generate_produces(rng, rows):
+    """A reduced ``kv_dtype`` through the served path, every session in
+    the pooled layout: survivors and selected values are upcast after the
+    read (the context never is), on both sides alike."""
+    half = dataclasses.replace(TINY, kv_dtype="float16")
+    model = Transformer(half, seed=0)
+    config = _config()
+    prompts = [rng.integers(0, TINY.vocab_size, size=n)
+               for n in (19, 26, 41, 57)]
+    served = _serve(model, config, prompts, max_new=8)
+    assert {layout for layouts, _ in rows for layout in layouts} \
+        == {(12, True)}
+    assert max(n for _, n in rows) == len(prompts)
+    for prompt, outputs in zip(prompts, served):
+        assert outputs == list(generate(model, prompt, 8,
+                                        backend=LongSightAttention(config)))
+
+
+def test_all_pass_fills_every_pool_of_the_stack(model, rng, rows, units):
+    """Threshold 0 in the pooled layout: every candidate of every unit
+    passes (so every unit scores its whole tile, none gathers) and every
+    pool fills to ``top_k``."""
+    config = _config(thresholds=0)
+    lengths = (20, 33, 47)
+    prompts = [rng.integers(0, TINY.vocab_size, size=n) for n in lengths]
+    served = _serve(model, config, prompts, max_new=6)
+    group = TINY.n_q_heads // TINY.n_kv_heads
+    stacked = [(p, s) for p, s in units if len(p) == 2 * len(prompts)]
+    assert stacked
+    for passed, selected in units:
+        assert (selected == group * config.top_k).all()
+        assert (passed > selected).all()
+    for prompt, outputs in zip(prompts, served):
+        assert outputs == list(generate(model, prompt, 6,
+                                        backend=LongSightAttention(config)))
+
+
+def test_units_that_pass_nothing_ride_beside_units_that_pass(
+        model, rng, rows, units):
+    """A threshold only a full sign match meets: most units of a stack
+    pass nothing (a whole pool of ``-inf``, no survivor to gather or
+    score), some pass a key or two.  Every row stays finite (the ``rows``
+    fixture) and the served tokens are solo ``generate``'s."""
+    config = _config(thresholds=D_HEAD)
+    lengths = (45, 52, 60, 38)
+    prompts = [rng.integers(0, TINY.vocab_size, size=n) for n in lengths]
+    served = _serve(model, config, prompts, max_new=10)
+    mixed = [passed for passed, _ in units
+             if (passed == 0).any() and (passed > 0).any()]
+    assert mixed and max(len(passed) for passed in mixed) > 2
+    for prompt, outputs in zip(prompts, served):
+        assert outputs == list(generate(model, prompt, 10,
                                         backend=LongSightAttention(config)))

@@ -51,6 +51,23 @@ class TestPoolAccounting:
         with pytest.raises(ValueError):
             pool.release(blocks)
 
+    def test_double_free_inside_one_call_rejected(self, pool):
+        """``release([b, b])`` would put ``b`` on the free list twice and
+        hand the same arena rows to two later sessions."""
+        b, other = pool.allocate(2)
+        for blocks in ([b, b], [other, b, other]):
+            with pytest.raises(ValueError, match="double free"):
+                pool.release(blocks)
+            assert pool.n_free == 6             # nothing was returned
+        free_block = pool.allocate(1)[0]
+        pool.release([free_block])
+        with pytest.raises(ValueError, match="double free"):
+            pool.release([b, free_block])
+        assert pool.n_free == 6
+        pool.release([b, other])
+        assert pool.n_free == 8
+        assert sorted(pool.allocate(8)) == list(range(8))   # each block once
+
     def test_out_of_range_block_rejected(self, pool):
         with pytest.raises(ValueError):
             pool.release([99])
@@ -164,6 +181,66 @@ class TestGatherParity:
             monkeypatch.undo()
             # 11 <= n_sink + window: the window *is* the context (K and V).
             assert len(gathers) == (2 if len(paged) <= 12 else 0)
+
+    def test_pooled_decode_reads_in_place(self, rng, monkeypatch):
+        """A pooled decode step on a prefix-attached, non-contiguous
+        session never asks for the whole context — not its keys, not its
+        values, not its signs — and equals the plain cache bit for bit.
+        The row readers answer slices and ``take`` as an ndarray does."""
+        from repro.core.config import LongSightConfig
+        from repro.core.hybrid import LongSightAttention
+        from repro.serve.paged_kv import PagedLayerKV
+
+        backend = LongSightAttention(LongSightConfig(
+            window=8, n_sink=4, top_k=6, thresholds=TINY.head_dim // 2))
+        pool = PagedKVPool(TINY, n_blocks=64, block_tokens=4,
+                           prefix_caching=True)
+        tokens = np.arange(8)
+        head_k, head_v = _kv(rng, 8)
+        publisher = pool.new_cache()
+        backend.prepare_cache(publisher)
+        publisher.append(0, head_k, head_v)
+        assert publisher.publish_prefix(tokens) == 2
+        pool.new_cache().ensure_tokens(1)          # breaks block adjacency
+        paged, plain = pool.new_cache(), KVCache(TINY)
+        assert paged.attach_prefix(tokens) == 8
+        backend.prepare_cache(paged)
+        backend.prepare_cache(plain)
+        plain.append(0, head_k, head_v)
+        k, v = _kv(rng, 150)
+        paged.append(0, k, v)
+        plain.append(0, k, v)
+        assert not paged.contiguous
+        assert backend._row_layout(len(paged)) == (12, True)
+
+        kv, ref = paged.layers[0], plain.layers[0]
+        index = np.array([157, 0, 9, 9, 31])
+        for head in range(TINY.n_kv_heads):
+            for name in ("key_rows", "value_rows", "sign_rows"):
+                got, want = getattr(kv, name)(head), getattr(ref, name)(head)
+                for span in (slice(5, 77), slice(None), slice(150, None)):
+                    np.testing.assert_array_equal(got[span], want[span])
+                for at in (index, index[:, None]):
+                    np.testing.assert_array_equal(got.take(at, axis=0),
+                                                  want.take(at, axis=0))
+                np.testing.assert_array_equal(
+                    got.take(index + 100, axis=0, mode="clip"),
+                    want.take(index + 100, axis=0, mode="clip"))
+
+        whole = []
+        for name in ("keys", "values", "packed_signs"):
+            read = getattr(PagedLayerKV, name).fget
+            monkeypatch.setattr(
+                PagedLayerKV, name, property(
+                    lambda self, read=read, name=name:
+                    whole.append(name) or read(self)))
+        q = rng.normal(size=(TINY.n_q_heads, 1, TINY.head_dim))
+        out = backend.forward_cached_batch(0, [q, q], [paged, plain])
+        assert whole == []
+        np.testing.assert_array_equal(out[0], out[1])
+        # A multi-query block still reads the context it scores.
+        backend.forward_cached(0, np.repeat(q, 2, axis=1), paged)
+        assert sorted(whole) == ["keys", "packed_signs", "values"]
 
     def test_interleaved_sessions_stay_logically_ordered(self, rng):
         """Two sessions growing turn-by-turn get interleaved (non-contiguous)
