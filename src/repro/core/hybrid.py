@@ -91,12 +91,13 @@ keys (stage 2), ``values.take(selected columns)`` (stage 5).  A reader is
 anything that answers ``[slice]`` and ``take(indices, axis=0)`` by logical
 position.  An ndarray is one, so a prefill block passes ``keys[kv_head]``;
 a cache hands them out per KV head (``key_rows`` / ``value_rows`` /
-``sign_rows`` of ``LayerKV``, ``PagedLayerKV`` and :class:`_ArrayCache`),
-and a paged cache's index the arena through the session's row map — the
-pooled decode path never materialises a context it will not read.  The
-whole context is read only by prefill blocks, and for a cache whose sign
-store was not packed under this backend's rotations (stateless
-``forward``, a foreign bank), whose signs are packed from its keys.
+``sign_rows`` of the one layer store, ``repro.llm.kv_cache``): the stored
+rows themselves for a contiguous session, else reads of the arena through
+the session's row map — the pooled decode path never materialises a
+context it will not read.  The whole context is read only by prefill
+blocks, and for a cache whose sign store was not packed under this
+backend's rotations (stateless ``forward``, a foreign bank), whose signs
+are packed from its keys.
 
 Two routines run the stages, split on the query count:
 
@@ -166,7 +167,7 @@ from repro.core.metrics import FilterStats
 from repro.obs import Obs, resolve_obs
 from repro.core.scf import mismatches_packed, pack_signs
 from repro.core.topk import top_k_mask
-from repro.llm.kv_cache import KVCache
+from repro.llm.kv_cache import KVCache, SessionLayerKV
 from repro.llm.ops import softmax
 
 #: Element bound on one slab's score / dense / gathered-value temporaries
@@ -277,25 +278,20 @@ def _stats_per_q(stats: Optional[FilterStats], n_q_heads: int,
 
 
 class _ArrayCache:
-    """Stateless :meth:`LongSightAttention.forward`'s K/V arrays, behind the
-    reads the decode routine makes of a cache (one layer, no sign store)."""
+    """Stateless :meth:`LongSightAttention.forward`'s K/V arrays as a
+    one-layer session: the layer store over the caller's arrays, read as
+    any cache is (one run from row 0, no sign store)."""
 
     sign_cache_enabled = False
     sign_rotations = None
+    contiguous = True
     window_view = KVCache.window_view        # reads ``layers[layer]`` only
 
     def __init__(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        self.keys, self.values = k, v
-        self.layers = {layer: self}
-
-    def __len__(self) -> int:
-        return self.keys.shape[1]
-
-    def key_rows(self, kv_head: int) -> np.ndarray:
-        return self.keys[kv_head]
-
-    def value_rows(self, kv_head: int) -> np.ndarray:
-        return self.values[kv_head]
+        kv = SessionLayerKV(self, (k, v, None))
+        kv._len = k.shape[1]
+        self.row_map = np.arange(kv._len)
+        self.layers = {layer: kv}
 
 
 #: Column of an empty pool slot: sorts after every real column of every

@@ -10,9 +10,11 @@ needs to resume bit-identically:
   refcounts, and the pool telemetry;
 - every request (arrived or not): full scheduling state, generated
   tokens, event log, and — for live sessions — the paged-cache block map
-  and prefix-caching state, plus any backend-declared durable state
-  (duck-typed ``durable_state()`` / ``restore_durable_state()``, e.g. the
-  supervised offload backend's RNG streams and degradation counters);
+  and prefix-caching state (``PagedKVCache.state()`` / ``from_state``:
+  the session format lives with the cache), plus any backend-declared
+  durable state (duck-typed ``durable_state()`` /
+  ``restore_durable_state()``, e.g. the supervised offload backend's RNG
+  streams and degradation counters);
 - scheduler queues / virtual times / running order / brownout ladder
   stage, and the run's clock, arrival cursor, and departed-request set
   (serialized by request id — object identity does not survive a
@@ -41,7 +43,7 @@ import numpy as np
 
 from repro.errors import DurabilityError, SnapshotCorruptError
 from repro.serve.engine import EngineRun
-from repro.serve.paged_kv import PagedKVCache, _PrefixEntry
+from repro.serve.paged_kv import PagedKVCache, _PrefixEntry, block_rows
 from repro.serve.scheduler import RequestState, ServeRequest
 
 MAGIC = b"LSDURSNP"
@@ -96,18 +98,7 @@ def serialize_request(request: ServeRequest,
         "backend_state": None,
     }
     if include_cache and request.cache is not None:
-        cache = request.cache
-        out["cache"] = {
-            "blocks": [int(b) for b in cache._blocks],
-            "tokens": len(cache),
-            "contiguous": bool(cache.contiguous),
-            "sign_enabled": bool(cache._sign_cache_enabled),
-            "prefix_digest": cache._prefix_digest.hex(),
-            "published_tokens": int(cache._published_tokens),
-            "prefix_signed_tokens": int(cache.prefix_signed_tokens),
-            "entry_digests": [entry.key.hex()
-                              for entry in cache._entry_by_block.values()],
-        }
+        out["cache"] = request.cache.state()
         durable_state = getattr(request.backend, "durable_state", None)
         if callable(durable_state):
             out["backend_state"] = durable_state()
@@ -153,14 +144,6 @@ def build_request(data: dict) -> ServeRequest:
 
 
 # -- write --------------------------------------------------------------------
-
-def _block_rows(blocks: List[int], block_tokens: int) -> np.ndarray:
-    if not blocks:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate([
-        np.arange(b * block_tokens, (b + 1) * block_tokens, dtype=np.intp)
-        for b in blocks])
-
 
 def write_snapshot(path: pathlib.Path, run: EngineRun, *, epoch: str,
                    lsn: int, step: int) -> None:
@@ -224,7 +207,7 @@ def write_snapshot(path: pathlib.Path, run: EngineRun, *, epoch: str,
             r, include_cache=id(r) not in run._departed)
             for r in run._arrivals],
     }
-    rows = _block_rows(used, pool.block_tokens)
+    rows = block_rows(used, pool.block_tokens)
     path = pathlib.Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     digest = hashlib.blake2b(digest_size=32)
@@ -352,16 +335,14 @@ def restore_run(run: EngineRun, meta: dict,
     pool.prefix_hits = int(tele["prefix_hits"])
     pool.prefix_misses = int(tele["prefix_misses"])
     pool.shared_blocks_peak = int(tele["shared_blocks_peak"])
-    entries: Dict[str, _PrefixEntry] = {}
     pool._prefix_index = {}
     for item in pm["prefix_index"]:
         entry = _PrefixEntry(bytes.fromhex(item["key"]), int(item["block"]),
                              int(item["refcount"]), bool(item["signs_packed"]))
         pool._prefix_index[entry.key] = entry
-        entries[item["key"]] = entry
 
     used = [int(b) for b in pm["used"]]
-    rows = _block_rows(used, pool.block_tokens)
+    rows = block_rows(used, pool.block_tokens)
     dtype = np.dtype(cfg.kv_dtype)
     kv_shape = (cfg.n_kv_heads, len(rows), cfg.head_dim)
     sign_shape = (cfg.n_kv_heads, len(rows), pool.sign_nbytes)
@@ -379,28 +360,7 @@ def restore_run(run: EngineRun, meta: dict,
         cd = data["cache"]
         if cd is None:
             continue
-        cache = PagedKVCache(pool)
-        cache._blocks = [int(b) for b in cd["blocks"]]
-        cache._rows = _block_rows(cache._blocks, pool.block_tokens)
-        cache.contiguous = bool(cd["contiguous"])
-        for layer_kv in cache.layers:
-            layer_kv._len = int(cd["tokens"])
-        cache._prefix_digest = bytes.fromhex(cd["prefix_digest"])
-        cache._published_tokens = int(cd["published_tokens"])
-        cache.prefix_signed_tokens = int(cd["prefix_signed_tokens"])
-        for key_hex in cd["entry_digests"]:
-            entry = entries[key_hex]
-            cache._entry_by_block[entry.block] = entry
-        if cd["sign_enabled"]:
-            # Arena sign bytes are restored verbatim; mark the store
-            # enabled so appends keep packing.  ``sign_rotations`` stays
-            # None: a rotation-less backend's prepare_cache no-ops, and an
-            # ITQ backend re-enables with its (seed-deterministic) bank,
-            # rewriting identical bytes.
-            cache._sign_cache_enabled = True
-            for layer_kv in cache.layers:
-                layer_kv._sign_enabled = True
-        request.cache = cache
+        request.cache = PagedKVCache.from_state(pool, cd)
         backend = engine.backend_factory(request)
         if request.pinned_dense:
             backend = engine._dense_pin_of(backend)

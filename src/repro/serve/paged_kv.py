@@ -16,23 +16,17 @@ out fixed-size *blocks* of token slots, vLLM-PagedAttention style:
   so the incremental sign store survives paging exactly like the keys it
   summarizes (the software Key Sign Objects stay with their Key Objects).
 
-:class:`PagedKVCache` presents the same duck-typed interface the
-transformer and the attention backends consume (``append``, ``reserve``,
-``layers[i].keys/values/packed_signs``, ``window_view``, the per-head row
-readers ``key_rows`` / ``value_rows`` / ``sign_rows``, ...), so a paged
-session is a drop-in replacement for a private :class:`KVCache`.  Every
-read is one indexing of the arena through the session's row map, for the
-logical positions asked for and no others (``PagedLayerKV._read``):
-
-- a prefill block asks for the whole context (``keys`` / ``values`` /
-  ``packed_signs``: a gathered copy, or a zero-copy slice when the
-  session's blocks happen to be contiguous — the common case right after
-  admission);
-- a decode row asks for the sinks + window panel (``window_view``), and in
-  the long-context layout for a position range of signs, the filter's
-  survivors among the keys and the top-k selections among the values —
-  what LongSight's PIM filter units, NMA and CXL link move, in that order
-  (Sections 5–6).  It never copies a context it will not read.
+:class:`PagedKVCache` *is* a :class:`~repro.llm.kv_cache.KVCache`: the layer
+store (append, sign packing, every read) is that module's, over the pool's
+arenas.  This module adds what a block-backed row source does differently:
+the allocator and free list, the session's block list and the row map
+derived from it (:func:`block_rows`), and the prefix index.  A session
+whose blocks are one ascending run is read as zero-copy slices; that is
+rare once the pool has churned (1.5% / 0.4% / 1.1% / 15.0% of reads on the
+four ledger workloads: ``release`` extends the LIFO list in ascending
+order, so a recycled run pops *descending*, and chunked prefill interleaves
+sessions' growth), so nearly every paged read is one ``take`` of mapped
+arena rows.
 
 **Prefix caching** (``prefix_caching=True``): *full* prompt blocks are
 content-hashed with a chained blake2b digest (``digest_i =
@@ -63,6 +57,7 @@ import numpy as np
 
 from repro.errors import PoolExhaustedError
 from repro.llm.config import ModelConfig
+from repro.llm.kv_cache import KVCache, SessionLayerKV, new_arenas
 from repro.obs import resolve_obs
 
 if TYPE_CHECKING:
@@ -85,6 +80,13 @@ def _chain_digest(prev: bytes, tokens: np.ndarray) -> bytes:
     h = hashlib.blake2b(prev, digest_size=16)
     h.update(np.ascontiguousarray(tokens, dtype=np.int64).tobytes())
     return h.digest()
+
+
+def block_rows(blocks: Sequence[int], block_tokens: int) -> np.ndarray:
+    """Arena rows of the token slots of ``blocks``, in block order — the
+    one place a block list becomes rows (session row maps, snapshots)."""
+    return (np.asarray(blocks, dtype=np.intp)[:, None] * block_tokens
+            + np.arange(block_tokens, dtype=np.intp)).ravel()
 
 
 class PagedKVPool:
@@ -113,19 +115,12 @@ class PagedKVPool:
         self.block_tokens = block_tokens
         self.prefix_caching = prefix_caching
         self.obs = resolve_obs(obs)
-        dtype = np.dtype(config.kv_dtype)
-        rows = n_blocks * block_tokens
-        shape = (config.n_kv_heads, rows, config.head_dim)
         self.sign_nbytes = (config.head_dim + 7) // 8
         #: per-layer arenas; indexed [layer][kv_head, arena_row, dim]
-        self.k_arenas = [np.zeros(shape, dtype=dtype)
-                        for _ in range(config.n_layers)]
-        self.v_arenas = [np.zeros(shape, dtype=dtype)
-                        for _ in range(config.n_layers)]
-        self.sign_arenas = [
-            np.zeros((config.n_kv_heads, rows, self.sign_nbytes),
-                     dtype=np.uint8)
-            for _ in range(config.n_layers)]
+        self.k_arenas, self.v_arenas, self.sign_arenas = zip(*(
+            new_arenas(config.n_kv_heads, n_blocks * block_tokens,
+                       config.head_dim, config.kv_dtype)
+            for _ in range(config.n_layers)))
         # LIFO free list: most recently released blocks are reused first.
         self._free: List[int] = list(range(n_blocks - 1, -1, -1))
         #: chained digest -> shared entry (prefix caching only).
@@ -214,193 +209,42 @@ class PagedKVPool:
             self.shared_blocks_peak = n
         self.obs.metrics.gauge("serve.prefix.shared_blocks").set(n)
 
-    def longest_prefix_tokens(self, tokens: Sequence[int]) -> int:
-        """Cached-prefix length (tokens) the index holds for this prompt.
+    def indexed_prefix(self, tokens: Sequence[int]) -> List[_PrefixEntry]:
+        """Index entries of the longest indexed prefix of this prompt.
 
-        A metric-free probe: walks the chained digests over the prompt's
-        full blocks without touching refcounts or hit/miss counters, so a
-        router can score worker locality without perturbing the stats.
+        The one walk of the chained digests over the prompt's full blocks,
+        up to the first miss.  Metric-free (no refcount, no hit/miss
+        counter), so what the router scores (:meth:`longest_prefix_tokens`)
+        is what :meth:`PagedKVCache.attach_prefix` attaches.
         """
+        entries: List[_PrefixEntry] = []
         if not self.prefix_caching:
-            return 0
+            return entries
         arr = np.asarray(tokens, dtype=np.int64)
         bt = self.block_tokens
         digest = b""
-        hit = 0
         for start in range(0, (len(arr) // bt) * bt, bt):
             digest = _chain_digest(digest, arr[start:start + bt])
-            if digest not in self._prefix_index:
+            entry = self._prefix_index.get(digest)
+            if entry is None:
                 break
-            hit += bt
-        return hit
+            entries.append(entry)
+        return entries
+
+    def longest_prefix_tokens(self, tokens: Sequence[int]) -> int:
+        """Cached-prefix length (tokens) the index holds for this prompt:
+        a router's probe of worker locality that perturbs no stats."""
+        return len(self.indexed_prefix(tokens)) * self.block_tokens
 
 
-class _MappedRows:
-    """One KV head's rows of an arena in a session's logical order.
-
-    Answers the two reads the sparse stages make of a plain cache's
-    ndarray — ``[slice]`` and ``take(indices, axis=0)`` — by indexing the
-    arena through the session's row map: only the rows asked for are
-    touched.
-    """
-
-    __slots__ = ("_kv", "_arena", "_kv_head")
-
-    def __init__(self, kv: "PagedLayerKV", arena: np.ndarray,
-                 kv_head: int) -> None:
-        self._kv, self._arena, self._kv_head = kv, arena, kv_head
-
-    def __getitem__(self, positions: slice) -> np.ndarray:
-        return self._kv._read(self._arena, positions, self._kv_head)
-
-    def take(self, indices, axis: int = 0, mode: str = "raise") -> np.ndarray:
-        return self._kv._read(self._arena, indices, self._kv_head, mode)
+#: One layer of a paged session is the general layer store over the pool's
+#: arenas; the name is kept because ``perf/spans.py`` patches the store's
+#: reads and ``append`` through it.
+PagedLayerKV = SessionLayerKV
 
 
-class PagedLayerKV:
-    """One layer's view of a paged session: the ``LayerKV`` consumer API.
-
-    Every read indexes the shared arena through the session's row map
-    (:meth:`_read`): the positions asked for, never more.  ``keys`` /
-    ``values`` / ``packed_signs`` ask for the whole context (a prefill
-    block's read); the decode routine asks for the sinks + window panel
-    (``PagedKVCache.window_view``), a position range of signs and the
-    survivor / selected rows of one KV head (:meth:`key_rows`,
-    :meth:`value_rows`, :meth:`sign_rows`).  A slice of a session whose
-    blocks are contiguous is a zero-copy view.
-    """
-
-    def __init__(self, cache: "PagedKVCache", layer: int) -> None:
-        self._cache = cache
-        self._layer = layer
-        pool = cache.pool
-        self.n_kv_heads = pool.config.n_kv_heads
-        self.head_dim = pool.config.head_dim
-        self.dtype = np.dtype(pool.config.kv_dtype)
-        self._k = pool.k_arenas[layer]
-        self._v = pool.v_arenas[layer]
-        self._signs = pool.sign_arenas[layer]
-        self._sign_rot: Optional[np.ndarray] = None
-        self._sign_enabled = False
-        self._len = 0
-        self.signs_packed_total = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    # -- reads ----------------------------------------------------------------
-
-    def _read(self, arena: np.ndarray, index, kv_head=slice(None),
-              mode: str = "raise") -> np.ndarray:
-        """Arena rows of the logical positions ``index`` — a slice of
-        ``[0, len)``, or an index array taken under ``mode`` — for
-        ``kv_head`` (default: all)."""
-        rows = self._cache.rows(self._len)
-        if not isinstance(index, slice):
-            rows = rows.take(index, mode=mode)
-        elif self._cache.contiguous:
-            start, stop, step = index.indices(self._len)
-            base = int(rows[0]) if self._len else 0
-            return arena[kv_head, base + start : base + stop : step]
-        else:
-            rows = rows[index]
-        # ``take`` along the row axis moves whole rows; ``arena[kv_head,
-        # rows]`` (advanced indexing) is 2-10x slower on these shapes.
-        return arena[kv_head].take(rows, axis=-2)
-
-    def _gather(self, arena: np.ndarray) -> np.ndarray:
-        """The whole context of every KV head, in logical order."""
-        return self._read(arena, slice(None))
-
-    @property
-    def keys(self) -> np.ndarray:
-        """``(n_kv_heads, n_tokens, head_dim)`` keys in logical order."""
-        return self._gather(self._k)
-
-    @property
-    def values(self) -> np.ndarray:
-        """``(n_kv_heads, n_tokens, head_dim)`` values in logical order."""
-        return self._gather(self._v)
-
-    @property
-    def sign_cache_enabled(self) -> bool:
-        return self._sign_enabled
-
-    @property
-    def packed_signs(self) -> np.ndarray:
-        """``(n_kv_heads, n_tokens, sign_nbytes)`` packed rotated signs."""
-        self._check_signs()
-        return self._gather(self._signs)
-
-    def _check_signs(self) -> None:
-        if not self._sign_enabled:
-            raise RuntimeError("sign cache not enabled; call enable_sign_cache")
-
-    def key_rows(self, kv_head: int) -> _MappedRows:
-        """``kv_head``'s keys by logical position (see ``LayerKV``)."""
-        return _MappedRows(self, self._k, kv_head)
-
-    def value_rows(self, kv_head: int) -> _MappedRows:
-        return _MappedRows(self, self._v, kv_head)
-
-    def sign_rows(self, kv_head: int) -> _MappedRows:
-        self._check_signs()
-        return _MappedRows(self, self._signs, kv_head)
-
-    # -- writes ---------------------------------------------------------------
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append keys/values for one or more tokens into pool blocks."""
-        if k.shape != v.shape:
-            raise ValueError("key and value shapes must match")
-        if k.shape[0] != self.n_kv_heads or k.shape[2] != self.head_dim:
-            raise ValueError(
-                f"expected (n_kv_heads={self.n_kv_heads}, n, "
-                f"head_dim={self.head_dim}), got {k.shape}")
-        n_new = k.shape[1]
-        if n_new == 0:
-            return
-        self._cache.ensure_tokens(self._len + n_new)
-        rows = self._cache.rows_range(self._len, self._len + n_new)
-        self._k[:, rows] = k
-        self._v[:, rows] = v
-        if self._sign_enabled:
-            self._pack_rows(k, rows)
-        self._len += n_new
-
-    def _pack_rows(self, k: np.ndarray, rows: np.ndarray) -> None:
-        from repro.core.scf import pack_signs
-
-        keys = k if self._sign_rot is None else np.matmul(k, self._sign_rot)
-        self._signs[:, rows] = pack_signs(keys)
-        self.signs_packed_total += len(rows)
-
-    def enable_sign_cache(self, rotations: Optional[np.ndarray] = None) -> None:
-        """Start packing (rotated) key signs on append; packs the backlog.
-
-        Backlog packing skips the leading run of attached shared-prefix
-        tokens whose sign rows were already packed by the publishing
-        session (``cache.prefix_signed_tokens``): re-packing them would
-        write the same bytes — one sign-rotation bank per pool — but
-        skipping keeps borrowers from touching shared arena rows at all.
-        """
-        if rotations is not None and rotations.shape != (
-                self.n_kv_heads, self.head_dim, self.head_dim):
-            raise ValueError("rotation stack shape mismatch")
-        self._sign_rot = rotations
-        self._sign_enabled = True
-        start = min(self._cache.prefix_signed_tokens, self._len)
-        if self._len > start:
-            rows = self._cache.rows_range(start, self._len)
-            self._pack_rows(self._k[:, rows], rows)
-
-    def free(self) -> None:
-        """Per-layer release is a no-op: the cache owns the shared blocks."""
-        self._len = 0
-
-
-class PagedKVCache:
-    """A session's KV cache backed by pool blocks (``KVCache`` interface).
+class PagedKVCache(KVCache):
+    """A session's KV cache backed by pool blocks: the pool row source.
 
     All layers share one block list (they grow in lockstep), so the block
     cost of a session is ``ceil(tokens / block_tokens)`` — paid once, not
@@ -410,16 +254,11 @@ class PagedKVCache:
 
     def __init__(self, pool: PagedKVPool) -> None:
         self.pool = pool
-        self.config = pool.config
-        self.layers = [PagedLayerKV(self, i)
-                       for i in range(pool.config.n_layers)]
         self._blocks: List[int] = []
         #: logical token position -> arena row, grown block-by-block.
-        self._rows = np.empty(0, dtype=np.intp)
+        self.row_map = block_rows((), pool.block_tokens)
+        #: the blocks are one ascending run (slices are zero-copy views).
         self.contiguous = True
-        self.sign_rotations: Optional["ItqRotations"] = None
-        self._sign_cache_enabled = False
-        self._freed = False
         # -- prefix-caching state --
         #: refcounted entry per shared block this session references
         #: (borrowed via attach_prefix or published by this session).
@@ -431,10 +270,11 @@ class PagedKVCache:
         #: leading tokens whose shared sign rows are already packed —
         #: enable_sign_cache starts its backlog pack after this run.
         self.prefix_signed_tokens = 0
+        super().__init__(pool.config)       # builds the layers over self.pool
 
-    def __len__(self) -> int:
-        """Number of cached tokens (identical across layers)."""
-        return len(self.layers[0])
+    def _new_layers(self) -> List[SessionLayerKV]:
+        return [PagedLayerKV(self, arenas) for arenas in zip(
+            self.pool.k_arenas, self.pool.v_arenas, self.pool.sign_arenas)]
 
     @property
     def n_blocks(self) -> int:
@@ -444,19 +284,22 @@ class PagedKVCache:
     def block_ids(self) -> List[int]:
         return list(self._blocks)
 
-    @property
-    def freed(self) -> bool:
-        return self._freed
-
     # -- row mapping ----------------------------------------------------------
 
-    def rows(self, n_tokens: int) -> np.ndarray:
-        """Arena rows of logical tokens ``[0, n_tokens)``."""
-        return self._rows[:n_tokens]
-
-    def rows_range(self, start: int, stop: int) -> np.ndarray:
-        """Arena rows of logical tokens ``[start, stop)``."""
-        return self._rows[start:stop]
+    def _map_blocks(self, blocks: List[int], n_tokens: int = 0) -> None:
+        """Extend the session by ``blocks`` — the one place the block list
+        and the row map grow and ``contiguous`` is decided — of which the
+        first ``n_tokens`` slots already hold this session's tokens (an
+        attached prefix, a restored session)."""
+        run = self._blocks[-1:] + blocks
+        self.contiguous = self.contiguous and all(
+            b == a + 1 for a, b in zip(run, run[1:]))
+        self._blocks += blocks
+        self.row_map = np.concatenate(
+            [self.row_map, block_rows(blocks, self.pool.block_tokens)])
+        if n_tokens:
+            for layer in self.layers:
+                layer._len = n_tokens
 
     def ensure_tokens(self, n_tokens: int) -> None:
         """Grow the block list to cover ``n_tokens`` logical slots.
@@ -465,33 +308,27 @@ class PagedKVCache:
         session's existing blocks intact) when the pool cannot supply the
         growth — the engine's preemption signal.
         """
-        if self._freed:
+        if self.freed:
             raise RuntimeError("PagedKVCache was freed; sessions must not "
                                "append after release")
         need = self.pool.blocks_for_tokens(n_tokens) - len(self._blocks)
-        if need <= 0:
-            return
-        new_blocks = self.pool.allocate(need)
-        bt = self.pool.block_tokens
-        for block in new_blocks:
-            if self._blocks and block != self._blocks[-1] + 1:
-                self.contiguous = False
-            self._blocks.append(block)
-            self._rows = np.concatenate(
-                [self._rows, np.arange(block * bt, (block + 1) * bt,
-                                       dtype=np.intp)])
+        if need > 0:
+            self._map_blocks(self.pool.allocate(need))
+
+    def reserve(self, capacity: int) -> None:
+        """Acquire blocks for ``capacity`` tokens up front (prefill)."""
+        self.ensure_tokens(capacity)
 
     # -- prefix caching -------------------------------------------------------
 
     def attach_prefix(self, tokens: Sequence[int]) -> int:
         """Splice in shared blocks for the longest indexed prompt prefix.
 
-        Walks the chained digests over the prompt's full blocks; every
-        hit raises that block's refcount and maps it into this session's
-        row table, so the attached K/V (and packed signs, when the
-        publisher had its sign cache on) are served without re-prefill.
-        Stops at the first miss.  Returns the number of attached tokens —
-        the engine resumes prefill from there.
+        Every block of :meth:`PagedKVPool.indexed_prefix` gets its
+        refcount raised and is mapped into this session's row table, so
+        the attached K/V (and packed signs, when the publisher had its
+        sign cache on) are served without re-prefill.  Returns the number
+        of attached tokens — the engine resumes prefill from there.
 
         Only valid on an empty session cache: attached blocks must form
         the logical prefix, and they are full by construction so later
@@ -500,46 +337,29 @@ class PagedKVCache:
         pool = self.pool
         if not pool.prefix_caching:
             return 0
-        if self._freed:
+        if self.freed:
             raise RuntimeError("PagedKVCache was freed")
         if self._blocks or len(self):
-            raise RuntimeError(
-                "attach_prefix requires an empty session cache")
-        arr = np.asarray(tokens, dtype=np.int64)
-        bt = pool.block_tokens
-        n_full = len(arr) // bt
-        digest = b""
-        entries: List[_PrefixEntry] = []
-        for start in range(0, n_full * bt, bt):
-            digest = _chain_digest(digest, arr[start:start + bt])
-            entry = pool._prefix_index.get(digest)
-            if entry is None:
-                break
-            entries.append(entry)
+            raise RuntimeError("attach_prefix requires an empty session cache")
+        entries = pool.indexed_prefix(tokens)
         hits = len(entries)
+        bt = pool.block_tokens
         if hits:
             pool.prefix_hits += hits
             pool.obs.metrics.counter("serve.prefix.hit").inc(hits)
-        if hits < n_full:
+        if hits < len(tokens) // bt:
             pool.prefix_misses += 1
             pool.obs.metrics.counter("serve.prefix.miss").inc()
         if not hits:
             return 0
         signed_run = 0
-        for entry in entries:
+        for i, entry in enumerate(entries):
             entry.refcount += 1
             self._entry_by_block[entry.block] = entry
-            if self._blocks and entry.block != self._blocks[-1] + 1:
-                self.contiguous = False
-            self._blocks.append(entry.block)
-            if signed_run == len(self._blocks) - 1 and entry.signs_packed:
+            if signed_run == i and entry.signs_packed:
                 signed_run += 1
-        self._rows = np.concatenate(
-            [np.arange(b * bt, (b + 1) * bt, dtype=np.intp)
-             for b in self._blocks])
         attached = hits * bt
-        for layer in self.layers:
-            layer._len = attached
+        self._map_blocks([entry.block for entry in entries], attached)
         self._prefix_digest = entries[-1].key
         self._published_tokens = attached
         self.prefix_signed_tokens = signed_run * bt
@@ -558,7 +378,7 @@ class PagedKVCache:
         newly registered blocks.
         """
         pool = self.pool
-        if not pool.prefix_caching or self._freed:
+        if not pool.prefix_caching or self.freed:
             return 0
         arr = np.asarray(tokens, dtype=np.int64)
         bt = pool.block_tokens
@@ -566,12 +386,10 @@ class PagedKVCache:
         registered = 0
         while self._published_tokens + bt <= full:
             start = self._published_tokens
-            digest = _chain_digest(self._prefix_digest,
-                                   arr[start:start + bt])
+            digest = _chain_digest(self._prefix_digest, arr[start:start + bt])
             block = self._blocks[start // bt]
             if digest not in pool._prefix_index:
-                entry = _PrefixEntry(digest, block, 1,
-                                     self._sign_cache_enabled)
+                entry = _PrefixEntry(digest, block, 1, self.sign_cache_enabled)
                 pool._prefix_index[digest] = entry
                 self._entry_by_block[block] = entry
                 registered += 1
@@ -581,30 +399,15 @@ class PagedKVCache:
             pool._note_shared_blocks()
         return registered
 
-    # -- KVCache interface ----------------------------------------------------
-
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        self.layers[layer].append(k, v)
-
-    def reserve(self, capacity: int) -> None:
-        """Acquire blocks for ``capacity`` tokens up front (prefill)."""
-        self.ensure_tokens(capacity)
-
-    @property
-    def sign_cache_enabled(self) -> bool:
-        return self._sign_cache_enabled
+    # -- what the prefix index adds to the KVCache lifecycle -----------------
 
     def enable_sign_cache(
             self, rotations: Optional["ItqRotations"] = None) -> None:
         """Enable per-layer sign packing (idempotent for the same bank)."""
-        if self._sign_cache_enabled and self.sign_rotations is rotations:
-            return
-        for i, layer in enumerate(self.layers):
-            layer.enable_sign_cache(
-                rotations.matrices[i] if rotations is not None else None)
-        self.sign_rotations = rotations
-        self._sign_cache_enabled = True
-        # The backlog pack above covered every row below len(self), so any
+        if self.sign_cache_enabled and self.sign_rotations is rotations:
+            return      # every decode step asks: do not walk the entries
+        super().enable_sign_cache(rotations)
+        # The backlog pack covered every row below len(self), so any
         # shared block this session references now holds valid signs —
         # future borrowers may skip them (one rotation bank per pool, so
         # the bytes are the same whoever packs them).
@@ -619,10 +422,8 @@ class PagedKVCache:
         at which point its index entry is retired too (no resident-but-
         unreferenced caching).
         """
-        if self._freed:
+        if self.freed:
             return
-        for layer in self.layers:
-            layer.free()
         pool = self.pool
         if self._entry_by_block:
             to_release: List[int] = []
@@ -641,30 +442,49 @@ class PagedKVCache:
         else:
             pool.release(self._blocks)
         self._blocks = []
-        self._rows = np.empty(0, dtype=np.intp)
-        self._freed = True
+        self.row_map = block_rows((), pool.block_tokens)
+        super().free()
 
-    # -- dense/sparse views (mirrors KVCache) ---------------------------------
+    # -- durable state --------------------------------------------------------
 
-    def window_view(self, layer: int, window: int,
-                    n_sink: int = 0) -> tuple:
-        """(keys, values, positions) of sinks + recent window.
+    def state(self) -> dict:
+        """JSON-safe session state for a durable snapshot: the block map
+        and the prefix-caching state (the arena bytes are the pool's)."""
+        return {
+            "blocks": [int(b) for b in self._blocks],
+            "tokens": len(self),
+            "contiguous": bool(self.contiguous),
+            "sign_enabled": bool(self.sign_cache_enabled),
+            "prefix_digest": self._prefix_digest.hex(),
+            "published_tokens": int(self._published_tokens),
+            "prefix_signed_tokens": int(self.prefix_signed_tokens),
+            "entry_digests": [entry.key.hex()
+                              for entry in self._entry_by_block.values()],
+        }
 
-        Past ``n_sink + window`` tokens the arena is indexed through the
-        row map for exactly those positions — an O(window) read, never a
-        gather of the whole context.
+    @classmethod
+    def from_state(cls, pool: PagedKVPool, state: dict) -> "PagedKVCache":
+        """A session on ``pool``'s blocks as :meth:`state` recorded it.
+
+        ``pool`` must already hold the snapshot's free list, arena bytes
+        and prefix index: the session aliases the index's refcounted
+        entries.  ``contiguous`` is derived from the block list.
         """
-        kv = self.layers[layer]
-        n = len(kv)
-        if n <= n_sink + window:
-            return kv.keys, kv.values, np.arange(n)
-        pos = np.concatenate([np.arange(n_sink), np.arange(n - window, n)])
-        return kv._read(kv._k, pos), kv._read(kv._v, pos), pos
-
-    def offloaded_view(self, layer: int, window: int,
-                       n_sink: int = 0) -> tuple:
-        """(keys, values, positions) of the sparse (offloaded) region."""
-        kv = self.layers[layer]
-        span = slice(n_sink, max(len(kv) - window, n_sink))
-        return (kv._read(kv._k, span), kv._read(kv._v, span),
-                np.arange(span.start, span.stop))
+        cache = cls(pool)
+        cache._map_blocks([int(b) for b in state["blocks"]],
+                          int(state["tokens"]))
+        cache._prefix_digest = bytes.fromhex(state["prefix_digest"])
+        cache._published_tokens = int(state["published_tokens"])
+        cache.prefix_signed_tokens = int(state["prefix_signed_tokens"])
+        for key_hex in state["entry_digests"]:
+            entry = pool._prefix_index[bytes.fromhex(key_hex)]
+            cache._entry_by_block[entry.block] = entry
+        # Arena sign bytes are restored verbatim; an enabled store is marked
+        # so, so that appends keep packing.  ``sign_rotations`` stays None: a
+        # rotation-less backend's prepare_cache no-ops, and an ITQ backend
+        # re-enables with its (seed-deterministic) bank, rewriting identical
+        # bytes.
+        cache.sign_cache_enabled = bool(state["sign_enabled"])
+        for layer in cache.layers:
+            layer.sign_cache_enabled = cache.sign_cache_enabled
+        return cache

@@ -198,3 +198,31 @@ class TestProbe:
         assert pool.prefix_hits == hits_before
         assert pool.prefix_misses == 0
         a.free()
+
+    def test_probe_scores_exactly_what_attach_attaches(self, pool):
+        """The router's locality score and the engine's attach are one
+        walk (``PagedKVPool.indexed_prefix``): for random prompts against
+        a populated index they agree token for token."""
+        rng = np.random.default_rng(5)
+        published = [rng.integers(0, 64, size=3 * BT) for _ in range(3)]
+        published[1][:BT] = published[0][:BT]       # two share a first block
+        publishers = [pool.new_cache() for _ in published]
+        for cache, tokens in zip(publishers, published):
+            _prefill(cache, tokens)
+        assert pool.shared_blocks == 8
+        scores = set()
+        for _ in range(200):                # a published head ++ a random tail
+            head = published[rng.integers(3)][:rng.integers(0, 3 * BT + 1)]
+            prompt = np.concatenate(
+                [head, rng.integers(0, 64, size=rng.integers(0, 2 * BT))])
+            score = pool.longest_prefix_tokens(prompt)
+            fresh = pool.new_cache()
+            assert fresh.attach_prefix(prompt) == score == len(fresh)
+            assert [e.block for e in pool.indexed_prefix(prompt)] \
+                == fresh.block_ids
+            fresh.free()
+            scores.add(score)
+        assert scores == {0, BT, 2 * BT, 3 * BT}
+        for cache in publishers:
+            cache.free()
+        assert pool.n_free == pool.n_blocks
