@@ -151,7 +151,8 @@ class Transformer:
     The layer math exists once (:meth:`_layer`), over stacked rows that
     belong to one or more sessions.  Prefill hands it one session's block
     of rows and plain ``np.matmul`` (256-row block GEMMs); a decode step
-    hands it one row per session and :func:`_tile_matmul`.
+    hands it one row per session and :func:`_tile_matmul`, and so does
+    prefill for the one final-layer row it reads.
     """
 
     def __init__(self, config: ModelConfig, weights: Optional[Weights] = None,
@@ -161,29 +162,39 @@ class Transformer:
 
     # -- shared per-layer math ------------------------------------------------
 
+    def _kv(self, layer: int, x: np.ndarray, positions: np.ndarray,
+            matmul) -> tuple[np.ndarray, np.ndarray]:
+        """Project ``x`` (n, d_model) to post-RoPE k and raw v (head-major).
+
+        A layer's K/V rows are a function of its *input* only — which is
+        why :meth:`prefill` can fill the final layer's cache without
+        running that layer.
+        """
+        c, w = self.config, self.weights
+        k = matmul(x, w[f"wk.{layer}"])
+        v = matmul(x, w[f"wv.{layer}"])
+        if c.qk_bias:
+            k = k + w[f"bk.{layer}"]
+        n = x.shape[0]
+        k = k.reshape(n, c.n_kv_heads, c.head_dim).transpose(1, 0, 2)
+        v = v.reshape(n, c.n_kv_heads, c.head_dim).transpose(1, 0, 2)
+        return apply_rope(k, positions, c.rope_theta), v
+
     def _qkv(self, layer: int, x: np.ndarray, positions: np.ndarray,
              matmul) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Project ``x`` (n, d_model) to post-RoPE q/k and raw v (head-major)."""
         c, w = self.config, self.weights
         q = matmul(x, w[f"wq.{layer}"])
-        k = matmul(x, w[f"wk.{layer}"])
-        v = matmul(x, w[f"wv.{layer}"])
         if c.qk_bias:
             q = q + w[f"bq.{layer}"]
-            k = k + w[f"bk.{layer}"]
-        n = x.shape[0]
-        q = q.reshape(n, c.n_q_heads, c.head_dim).transpose(1, 0, 2)
-        k = k.reshape(n, c.n_kv_heads, c.head_dim).transpose(1, 0, 2)
-        v = v.reshape(n, c.n_kv_heads, c.head_dim).transpose(1, 0, 2)
-        q = apply_rope(q, positions, c.rope_theta)
-        k = apply_rope(k, positions, c.rope_theta)
-        return q, k, v
+        q = q.reshape(x.shape[0], c.n_q_heads, c.head_dim).transpose(1, 0, 2)
+        return (apply_rope(q, positions, c.rope_theta),
+                *self._kv(layer, x, positions, matmul))
 
-    def _attend(self, layer: int, q: np.ndarray, k: np.ndarray,
-                v: np.ndarray, cache: KVCache,
-                backend: AttentionBackend) -> np.ndarray:
-        """Append one session's new K/V rows, then run its backend."""
-        cache.append(layer, k, v)
+    @staticmethod
+    def _attention(layer: int, q: np.ndarray, cache: KVCache,
+                   backend: AttentionBackend) -> np.ndarray:
+        """Run one session's backend over ``q``; its K/V rows are cached."""
         # Cache-aware backends (duck-typed) get the cache itself, so they
         # can consume incrementally maintained metadata such as the packed
         # sign store instead of recomputing it from the raw keys.
@@ -192,6 +203,13 @@ class Transformer:
             return fwd_cached(layer, q, cache)
         return backend.forward(layer, q, cache.layers[layer].keys,
                                cache.layers[layer].values)
+
+    def _attend(self, layer: int, q: np.ndarray, k: np.ndarray,
+                v: np.ndarray, cache: KVCache,
+                backend: AttentionBackend) -> np.ndarray:
+        """Append one session's new K/V rows, then run its backend."""
+        cache.append(layer, k, v)
+        return self._attention(layer, q, cache, backend)
 
     def _layer(self, layer: int, x: np.ndarray, positions: np.ndarray,
                attend, matmul=np.matmul) -> np.ndarray:
@@ -266,9 +284,27 @@ class Transformer:
     def prefill(self, tokens: np.ndarray, cache: KVCache,
                 backend: Optional[AttentionBackend] = None,
                 block_size: int = 256) -> np.ndarray:
-        """Populate ``cache`` from a prompt; return logits of the last token."""
+        """Populate ``cache`` from a prompt; return logits of the last token.
+
+        Only the last position's output is read, and a layer's K/V rows
+        come from its input, so the final layer is not run over the
+        prompt: every block goes through layers ``0 .. L-2`` and then
+        leaves only its final-layer K/V rows (:meth:`_kv`) in the cache.
+        The one row that is read — the last position — then goes through
+        the final layer as a decode row does: one query against the cache
+        that already holds its K/V row, :func:`_tile_matmul` products (its
+        own K/V products are recomputed at that shape and dropped; the
+        cache keeps the block GEMM's rows).  Every layer's cache is
+        bit-identical to an all-rows pass (:meth:`forward_full`), and the
+        read row's arithmetic does not depend on the block it sat in, so
+        a prompt prefilled in ``block_size``-aligned chunks returns the
+        same bits as one call.  The saving is ``1 / n_layers`` of the
+        prompt's attention, ``wq`` / ``wo`` and MLP work.
+        """
         backend = backend or DenseBackend()
         tokens = np.asarray(tokens)
+        if len(tokens) == 0:
+            raise ValueError("prefill needs at least one token")
         start0 = len(cache)
         # One up-front allocation for the whole prompt instead of repeated
         # doubling-and-copying during blockwise prefill.
@@ -276,15 +312,22 @@ class Transformer:
         self._prepare_cache(cache, backend)
         attend = functools.partial(self._attend, cache=cache,
                                    backend=backend)
-        last = None
+        c, w = self.config, self.weights
+        final = c.n_layers - 1
         for start in range(0, len(tokens), block_size):
             stop = min(start + block_size, len(tokens))
-            x = self.weights["embed"][tokens[start:stop]]
+            x = w["embed"][tokens[start:stop]]
             positions = np.arange(start0 + start, start0 + stop)
-            for layer in range(self.config.n_layers):
+            for layer in range(final):
                 x = self._layer(layer, x, positions, attend)
-            last = x[-1:]
-        return self._unembed(last)[0]
+            cache.append(final, *self._kv(
+                final, ops.rms_norm(x, w[f"attn_norm.{final}"], c.norm_eps),
+                positions, np.matmul))
+        x = self._layer(
+            final, x[-1:], positions[-1:],
+            lambda layer, q, k, v: self._attention(layer, q, cache, backend),
+            _tile_matmul)
+        return self._unembed(x, _tile_matmul)[0]
 
     def decode_step(self, token: int, cache: KVCache,
                     backend: Optional[AttentionBackend] = None) -> np.ndarray:

@@ -38,6 +38,7 @@ preemption / migration / recovery suites, not by a K/V-bits argument.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Callable, List, Optional, Protocol, Sequence
 
@@ -127,6 +128,18 @@ class AnalyticTiming:
         return chunk
 
 
+def _config_value(cfg) -> tuple:
+    """Hashable value of a backend config dataclass (arrays by bytes)."""
+    def value_of(field):
+        value = getattr(cfg, field.name)
+        if np.ndim(value) == 0:
+            return value
+        array = np.asarray(value)
+        return array.dtype.str, array.shape, array.tobytes()
+
+    return (type(cfg), *map(value_of, dataclasses.fields(cfg)))
+
+
 class ServeEngine:
     """Continuous-batching serving over one model and one paged KV pool.
 
@@ -177,7 +190,7 @@ class ServeEngine:
         #: elsewhere (a fleet router told the source run it departed,
         #: then re-injected it into another worker).
         self.migrate_handler = migrate_handler
-        #: (id(base config), stage) -> (base config, brownout variant).
+        #: (base config by value, stage) -> brownout variant config.
         self._brownout_configs: dict = {}
 
     # -- session plumbing -----------------------------------------------------
@@ -271,11 +284,14 @@ class ServeEngine:
         a variant — or the dense sliding-window twin — reads the same
         blocks the full-quality backend wrote.  The variant *backend* is
         memoized on the backend instance (not rebuilt per token); the
-        variant *config* is memoized on the engine per (base config,
-        stage), because the engine builds one backend per request and
-        sessions stack into one attention call only when their backends
-        share a config object — under brownout the batch is at its
-        fullest, which is exactly when that matters.
+        variant *config* is memoized on the engine per (base config's
+        field values, stage), because the engine builds one backend per
+        request and sessions stack into one attention call only when
+        their backends share a config object — under brownout the batch
+        is at its fullest, which is exactly when that matters.  Keyed by
+        value, the map is bounded by the distinct configurations served,
+        and a factory that builds an equal config per request still gets
+        one variant object (so its browned-out sessions stack).
         """
         if stage <= 0 or request.pinned_dense:
             return request.backend, 0
@@ -297,9 +313,7 @@ class ServeEngine:
             except AttributeError:
                 pass  # __slots__ backend: variants live one step
         if stage not in variants:
-            # Keyed by identity; the entry holds ``cfg``, so its id cannot
-            # be reused while the entry exists.
-            key = (id(cfg), stage)
+            key = (_config_value(cfg), stage)
             if key not in self._brownout_configs:
                 shrunk = max(1, int(cfg.top_k * policy.top_k_scale))
                 new_cfg = cfg.replace(top_k=shrunk)
@@ -309,8 +323,8 @@ class ServeEngine:
                     new_cfg = new_cfg.replace(
                         thresholds=int(bumped) if bumped.ndim == 0
                         else bumped)
-                self._brownout_configs[key] = (cfg, new_cfg)
-            variants[stage] = with_config(self._brownout_configs[key][1])
+                self._brownout_configs[key] = new_cfg
+            variants[stage] = with_config(self._brownout_configs[key])
         return variants[stage], stage
 
     # -- one step -------------------------------------------------------------

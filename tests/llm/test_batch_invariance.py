@@ -195,6 +195,8 @@ def test_mixed_backends_in_one_batch(rng, stacked_calls):
         fill = longsight if backend is brownout else backend
         sessions.append((_plain_twins(model, fill, CONTEXTS[-1 - i], rng),
                          backend))
+    # Record from here: each fill ended in a one-query final-layer row.
+    stacked_calls.clear()
     _assert_batch_equals_solo(model, sessions)
     # Per layer of a batched step: ``longsight`` twice and ``twin`` in one
     # call, the variant in its own; the solo steps are one session each.

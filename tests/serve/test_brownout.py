@@ -267,3 +267,46 @@ class TestBrownoutVariantsStack:
         stacked_calls.clear()
         assert run() == stacked
         assert stacked_calls and all(n == 1 for _, _, n in stacked_calls)
+
+    def test_config_map_is_bounded_with_a_config_per_request(self, model):
+        """A factory that builds an equal config per request must not
+        grow the engine's variant map by one entry per request."""
+        def run(factory):
+            rng = np.random.default_rng(11)
+            pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
+            engine = ServeEngine(
+                model, pool, factory,
+                policy=SloPolicy(max_decode_batch=4, brownout=BrownoutPolicy(
+                    queue_high=(1, 2, 400, 500), admit_per_step=2)))
+            requests = [ServeRequest(
+                request_id=i, max_new_tokens=3, arrival_s=0.0,
+                prompt=rng.integers(0, TINY.vocab_size, size=9))
+                for i in range(50)]
+            report = engine.run(requests)
+            return engine, [r.outputs for r in requests], report
+
+        per_layer = np.full((TINY.n_layers, TINY.n_kv_heads), 3)
+        shared = LongSightConfig(window=8, n_sink=4, top_k=12,
+                                 thresholds=per_layer)
+        _, expected, _ = run(lambda r: LongSightAttention(shared))
+        engine, outputs, report = run(lambda r: LongSightAttention(
+            LongSightConfig(window=8, n_sink=4, top_k=12,
+                            thresholds=per_layer.copy())))
+        assert outputs == expected
+        assert set(report.brownout_stage_tokens) >= {1, 2}
+        stages = len(BROWNOUT_STAGES) - 1
+        assert 0 < len(engine._brownout_configs) <= stages
+        # Equal-valued bases share the variant object, so they stack.
+        fresh = [ServeRequest(request_id=100 + i, max_new_tokens=1,
+                              prompt=np.zeros(4, dtype=np.int64))
+                 for i in range(2)]
+        for request in fresh:
+            engine._attach(request)
+        a, b = (engine._brownout_backend(r, 2)[0] for r in fresh)
+        assert a.config is b.config and a.stack_key() == b.stack_key()
+        # A different value is a different entry.
+        other = ServeRequest(request_id=200, max_new_tokens=1,
+                             prompt=np.zeros(4, dtype=np.int64))
+        other.backend = LongSightAttention(shared.replace(
+            thresholds=per_layer + 1))
+        assert engine._brownout_backend(other, 2)[0].config is not a.config
