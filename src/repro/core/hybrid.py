@@ -124,7 +124,11 @@ row-wise reductions of fixed width.  Two layouts:
   ``mask = dense columns | (candidate & filter pass)``, the filter being
   one stacked XOR+popcount.  No compaction and no top-k: with
   ``candidates <= top_k`` every passing key is selected, which is exactly
-  the set the reference loop's full-width ``top_k_mask`` returns;
+  the set the reference loop's full-width ``top_k_mask`` returns.
+  ``top_k = 0`` is this layout at **every** context length: nothing can
+  be selected, so the row *is* the ``D``-wide panel — sinks + window, an
+  O(window) read, no filter — the dense fallback and the paper's
+  sliding-window baseline (Section 8.2 / Figure 10);
 - *panel ++ pool* (``n_ctx > D + P``): the ``D`` sinks + window columns
   (``cache.window_view``: an O(window) read) followed by a ``P``-wide
   pool that one pass of stages 1–4 fills for every session of the call
@@ -150,9 +154,11 @@ and both layouts (``tests/core/test_fast_equivalence.py``,
 ``tests/core/test_block_prefill.py``, ``tests/core/test_decode_rows.py``).
 
 :class:`SlidingWindowAttention` is the StreamingLLM-style baseline of
-Section 8.2 / Figure 10: sinks + window only, no sparse component.  It
-gathers just the sink+window columns, so its per-query cost is O(window),
-not O(context).
+Section 8.2 / Figure 10: sinks + window only, no sparse component.  That
+is the hybrid with nothing retrieved, so it is this kernel at
+``top_k = 0`` — stages 1–4 are skipped and nothing in
+``repro.core.scf`` / ``repro.core.topk`` is called — and its per-query
+cost is O(window), not O(context).
 """
 
 from __future__ import annotations
@@ -209,8 +215,8 @@ def _region_masks(q_positions: np.ndarray, n_ctx: int, n_sink: int,
     ``dense`` covers sinks plus the sliding window (clipped causally);
     ``sparse`` is the causal remainder — the region LongSight offloads.
     By default keys are the full context ``0..n_ctx-1``; ``key_positions``
-    restricts the masks to a gathered subset of columns (used by the
-    O(window) sliding-window baseline).
+    restricts the masks to a gathered subset of columns (a query block's
+    dense panel).
     """
     if key_positions is None:
         j = np.arange(n_ctx)[None, :]
@@ -445,7 +451,7 @@ class _SparseSpan:
                 pass_t = pass_t[:, frame_cols]
             src, dest, shape, counts = _left_align(pass_t)
             passed[rows] += counts
-            if not len(src) or not top_k:
+            if not len(src):
                 continue                  # tile contributes nothing
             # -- 2. score: one GEMM per unit and head, on the unit's own
             # survivor union (gathered) or tile — its shape is a function
@@ -554,27 +560,36 @@ class LongSightAttention:
                  rotations: Optional[ItqRotations] = None,
                  stats: Optional[FilterStats] = None,
                  obs: Optional[Obs] = None) -> None:
-        if config.use_itq and rotations is None:
+        # (top_k = 0 extracts no sign, so it needs no bank.)
+        if config.use_itq and config.top_k and rotations is None:
             raise ValueError("use_itq requires an ItqRotations bank")
         self.config = config
         self.rotations = rotations
         self.stats = stats
         self.obs = resolve_obs(obs)
         self.selection_capture: Optional[Dict[Tuple[int, int], np.ndarray]] = None
-        self._dense_fallback: Optional["SlidingWindowAttention"] = None
+        #: id(config) -> variant; a variant holds its config, so the id
+        #: cannot be reused while the entry lives.
+        self._variants: Dict[int, "LongSightAttention"] = {}
+        self._dense_fallback: Optional["LongSightAttention"] = None
 
     def with_config(self, config: LongSightConfig) -> "LongSightAttention":
         """A variant backend with swapped retrieval knobs, shared state.
 
-        The serving brownout ladder serves some tokens at reduced
-        ``top_k`` / raised ``thresholds``; both are query-time knobs (the
-        stored packed-sign layout is identical across variants), so the
-        variant can read the same KV cache.  Rotations and the obs bundle
-        are shared; stats/selection capture are not (variants are
-        transient quality levels, not measurement subjects).
+        The serving quality ladder serves some tokens at reduced
+        ``top_k`` / raised ``thresholds``, down to ``top_k = 0``; all are
+        query-time knobs (the stored packed-sign layout is identical
+        across variants), so the variant can read the same KV cache.
+        Rotations and the obs bundle are shared; stats/selection capture
+        are not (variants are transient quality levels, not measurement
+        subjects).  One variant per config object: asked again — once a
+        token — the same backend comes back.
         """
-        return LongSightAttention(config, rotations=self.rotations,
-                                  obs=self.obs)
+        variant = self._variants.get(id(config))
+        if variant is None:
+            variant = self._variants[id(config)] = LongSightAttention(
+                config, rotations=self.rotations, obs=self.obs)
+        return variant
 
     # -- hooks Transformer discovers by name ----------------------------------
 
@@ -582,10 +597,12 @@ class LongSightAttention:
         """Enable the cache's incremental sign store for this backend.
 
         Called by :class:`Transformer` before prefill/decode (duck-typed
-        hook).  Idempotent.
+        hook).  Idempotent.  At ``top_k = 0`` no sign is ever read, so a
+        cache is left as it is.
         """
-        cache.enable_sign_cache(
-            self.rotations if self.config.use_itq else None)
+        if self.config.top_k:
+            cache.enable_sign_cache(
+                self.rotations if self.config.use_itq else None)
 
     def stack_key(self):
         """Sessions whose backends return equal keys may share one
@@ -653,48 +670,50 @@ class LongSightAttention:
             return self.forward_cached_batch(layer, [q], [cache])[0]
         kv = cache.layers[layer]
         keys = kv.keys
-        return self._forward_block(layer, q, keys, kv.values,
-                                   self._key_signs(layer, cache, keys))
+        return self._forward_block(
+            layer, q, keys, kv.values,
+            self._key_signs(layer, cache, keys) if self.config.top_k
+            else None)
 
     def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
         if q.shape[1] == 1:
             return self.forward_cached_batch(
                 layer, [q], [_ArrayCache(layer, k, v)])[0]
-        return self._forward_block(layer, q, k, v,
-                                   self._pack_key_signs(layer, k))
+        return self._forward_block(
+            layer, q, k, v,
+            self._pack_key_signs(layer, k) if self.config.top_k else None)
 
     # -- degradation target ---------------------------------------------------
 
-    def dense_fallback(self) -> "SlidingWindowAttention":
+    def dense_fallback(self) -> "LongSightAttention":
         """The correctness anchor when the sparse path is unavailable.
 
-        Sinks + sliding window with this config's geometry — exactly what
-        the hybrid algorithm computes when the offload contributes nothing.
-        The offload supervisor degrades to this per token when a DReX
-        device fails past its retry budget; it is also the exact software
-        semantics of a supervised backend at 100% offload failure.
+        This backend at ``top_k = 0``: sinks + sliding window with this
+        config's geometry — exactly what the hybrid algorithm computes
+        when the offload contributes nothing.  The offload supervisor
+        degrades to this per token when a DReX device fails past its
+        retry budget; it is also the exact software semantics of a
+        supervised backend at 100% offload failure.
         """
         if self._dense_fallback is None:
-            self._dense_fallback = SlidingWindowAttention(
-                window=self.config.window, n_sink=self.config.n_sink)
+            self._dense_fallback = self.with_config(
+                self.config.replace(top_k=0))
         return self._dense_fallback
-
-    def forward_dense_only(self, layer: int, q: np.ndarray, k: np.ndarray,
-                           v: np.ndarray) -> np.ndarray:
-        """Hybrid attention with the sparse component dropped (degraded)."""
-        return self.dense_fallback().forward(layer, q, k, v)
 
     # -- the prefill kernel ---------------------------------------------------
 
     def _forward_block(self, layer: int, q: np.ndarray, k: np.ndarray,
-                       v: np.ndarray, key_signs: np.ndarray) -> np.ndarray:
+                       v: np.ndarray,
+                       key_signs: Optional[np.ndarray]) -> np.ndarray:
         """Filter -> score -> compact -> select -> attend, a query block.
 
         The five stages, the slab and gather rules and the exact-selection
         argument are laid out in the module docstring.  ``key_signs`` is
         the ``(n_kv_heads, n_ctx, n_bytes)`` packed sign store (already
-        rotated when ITQ is on).  Selections equal
+        rotated when ITQ is on); at ``top_k = 0`` it is not read — nothing
+        can be selected, so stages 1-4 are skipped and no candidate is
+        counted as offloaded.  Selections equal
         :class:`~repro.core.reference.ReferenceAttention`'s exactly and
         outputs match it to float round-off (the softmax sums the same
         finite terms in a different grouping).
@@ -711,7 +730,7 @@ class LongSightAttention:
         span = _SparseSpan(self, layer, n_q_heads, n_kv_heads, n_new,
                            head_dim)
         slab = span.slab_heads(n_ctx, n_dense)
-        candidates = span.candidates(n_ctx)
+        candidates = span.candidates(n_ctx) if cfg.top_k else 0
         if candidates:
             q_signs = self._query_signs(
                 layer, q.reshape(n_kv_heads, group, n_new, head_dim)
@@ -767,7 +786,7 @@ class LongSightAttention:
         """
         cfg = self.config
         n_dense = cfg.n_sink + cfg.window
-        if n_ctx > n_dense + cfg.top_k:
+        if cfg.top_k and n_ctx > n_dense + cfg.top_k:
             return n_dense, True
         return (n_dense if n_ctx <= n_dense else n_dense + cfg.top_k), False
 
@@ -856,17 +875,20 @@ class LongSightAttention:
         probs = softmax(rows, axis=-1)
         out = np.matmul(probs.reshape(n_s, n_kv_heads, group, -1)[
             ..., :width], v_panel).reshape(n_s, n_q_heads, 1, head_dim)
-        if pooled and cfg.top_k:
+        if pooled:
             # The pool's P.V at the config's top_k width for every row —
             # one BLAS call of fixed shape per (session, head), as the
             # panel's: an empty slot's weight is exactly 0.
             out += np.matmul(probs[:, :, None, n_dense:], pool_v)
         if metrics.enabled:
+            # At top_k = 0 nothing is offloaded: no sparse candidates.
+            offloaded = np.maximum(n_ctx - n_dense, 0) if cfg.top_k \
+                else np.zeros_like(n_ctx)
             for s in range(n_s):
                 _record_split(
                     metrics, n_q_heads,
                     int(min(n_ctx[s], n_dense)) * n_q_heads,
-                    int(max(n_ctx[s] - n_dense, 0)) * n_q_heads,
+                    int(offloaded[s]) * n_q_heads,
                     int(passed[s]), int(selected[s]))
         return out
 
@@ -978,32 +1000,15 @@ class LongSightAttention:
         return passed | (valid & ~span), counts.sum(axis=1)
 
 
-class SlidingWindowAttention:
+class SlidingWindowAttention(LongSightAttention):
     """Dense sinks + sliding window only (StreamingLLM-style baseline).
 
-    Only the sink and window columns are gathered and scored, so the cost
-    per query is O(n_sink + window + n_new), independent of context length.
+    The hybrid with nothing retrieved: :class:`LongSightAttention` at
+    ``top_k = 0``, whose rows read the sink and window columns only — the
+    cost per query is O(n_sink + window + n_new), independent of context
+    length.  ``window < 1`` is a ``ValueError`` (the config's check).
     """
 
     def __init__(self, window: int = 1024, n_sink: int = 16) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self.n_sink = n_sink
-
-    def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
-                v: np.ndarray) -> np.ndarray:
-        n_q_heads, n_new, head_dim = q.shape
-        n_kv_heads, n_ctx, _ = k.shape
-        group = n_q_heads // n_kv_heads
-        scale = 1.0 / np.sqrt(head_dim)
-        cols, dense_mask = _dense_region(n_ctx, n_new, self.n_sink,
-                                         self.window)
-        kg = k[:, cols]                                # (Hkv, n_cols, d)
-        vg = v[:, cols]
-        q5 = q.reshape(n_kv_heads, group, n_new, head_dim)
-        scores = np.matmul(q5, np.swapaxes(kg, -1, -2)[:, None]) * scale
-        final = np.where(dense_mask, scores, -np.inf)
-        probs = softmax(final, axis=-1)
-        out = np.matmul(probs, vg[:, None])
-        return out.reshape(n_q_heads, n_new, head_dim)
+        super().__init__(LongSightConfig(window=window, n_sink=n_sink,
+                                         top_k=0))

@@ -67,7 +67,8 @@ class ReferenceAttention:
         q_positions = np.arange(n_ctx - n_new, n_ctx)
         dense_mask, sparse_mask = _region_masks(
             q_positions, n_ctx, cfg.n_sink, cfg.window)
-        any_sparse = bool(sparse_mask.any())
+        # top_k = 0 retrieves nothing: no key is offloaded, none filtered.
+        any_sparse = bool(cfg.top_k and sparse_mask.any())
         neg_inf = -np.inf
         stats_per_q = _stats_per_q(self.stats, n_q_heads, n_kv_heads)
         candidates = int(sparse_mask.sum()) if any_sparse else 0

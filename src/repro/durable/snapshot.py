@@ -361,10 +361,7 @@ def restore_run(run: EngineRun, meta: dict,
         if cd is None:
             continue
         request.cache = PagedKVCache.from_state(pool, cd)
-        backend = engine.backend_factory(request)
-        if request.pinned_dense:
-            backend = engine._dense_pin_of(backend)
-        request.backend = backend
+        request.backend = backend = engine.backend_factory(request)
         restore_state = getattr(backend, "restore_durable_state", None)
         if data["backend_state"] is not None and callable(restore_state):
             restore_state(data["backend_state"])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from repro.obs import MetricsRegistry, exact_percentile
+from repro.obs import MetricsRegistry
 from repro.serve.events import RequestEvents, ServeReport
 
 
@@ -90,8 +90,12 @@ class FleetReport:
 
     @property
     def availability(self) -> float:
-        """Fraction of arrived requests that completed un-shed fleet-wide
-        (rejected/shed count against it; an empty run is vacuously up)."""
+        """Served / arrived: the fraction of arrived requests that
+        completed un-shed fleet-wide (rejected and shed requests count
+        against it; an empty run is vacuously up).  A worker's
+        :attr:`ServeReport.availability` is completed-un-shed / completed
+        instead — the two are different questions, so this one is not
+        read off :attr:`pooled`."""
         events = self.events
         if not events:
             return 1.0
@@ -103,68 +107,58 @@ class FleetReport:
     def failover_latency_max_s(self) -> float:
         return max(self.failover_latency_s, default=0.0)
 
-    # -- brownout (pooled per-token attribution) ------------------------------
+    # -- pooled SLO and brownout reductions -----------------------------------
+
+    @property
+    def pooled(self) -> ServeReport:
+        """The fleet as one :class:`ServeReport` over the pooled events.
+
+        Every per-event reduction — exact TTFT/TPOT percentiles, the
+        tenant summary, brownout attribution — is the worker report's own
+        code run on this view, not a second copy of it.  No registry
+        histograms: percentiles are exact over the events.
+        """
+        workers = self.workers
+        return ServeReport(
+            system="fleet", events=self.events, clock_s=self.makespan_s,
+            tokens_generated=self.tokens_generated,
+            peak_decode_batch=max((w.peak_decode_batch for w in workers),
+                                  default=0),
+            preemptions=self.preemptions,
+            pool_blocks=sum(w.pool_blocks for w in workers),
+            pool_high_watermark=sum(w.pool_high_watermark for w in workers))
 
     @property
     def brownout_stage_tokens(self) -> Dict[int, int]:
-        pooled: Dict[int, int] = {}
-        for e in self.events:
-            for stage, count in e.brownout_tokens.items():
-                pooled[stage] = pooled.get(stage, 0) + count
-        return dict(sorted(pooled.items()))
+        return self.pooled.brownout_stage_tokens
 
     @property
     def brownout_tokens(self) -> int:
-        return sum(self.brownout_stage_tokens.values())
+        return self.pooled.brownout_tokens
 
     @property
     def brownout_token_fraction(self) -> float:
-        total = self.tokens_generated
-        return self.brownout_tokens / total if total else 0.0
-
-    # -- SLO metrics (exact, over the pooled events) --------------------------
-
-    def _ttfts(self, tenant: Optional[str] = None) -> List[float]:
-        return [e.ttft_s for e in self.events if e.ttft_s is not None
-                and (tenant is None or e.tenant == tenant)]
-
-    def _tpots(self, tenant: Optional[str] = None) -> List[float]:
-        return [e.tpot_s for e in self.events if e.tpot_s is not None
-                and (tenant is None or e.tenant == tenant)]
+        return self.pooled.brownout_token_fraction
 
     def ttft_percentile_s(self, q: float,
                           tenant: Optional[str] = None) -> float:
-        return exact_percentile(self._ttfts(tenant), q)
+        return self.pooled.ttft_percentile_s(q, tenant)
 
     def tpot_percentile_s(self, q: float,
                           tenant: Optional[str] = None) -> float:
-        return exact_percentile(self._tpots(tenant), q)
+        return self.pooled.tpot_percentile_s(q, tenant)
 
     @property
     def tenants(self) -> List[str]:
-        seen: List[str] = []
-        for e in self.events:
-            if e.tenant not in seen:
-                seen.append(e.tenant)
-        return sorted(seen)
+        """Distinct tenants, sorted: workers interleave, so there is no
+        fleet-wide order of first appearance to report (a worker's
+        :attr:`ServeReport.tenants` keeps its event order)."""
+        return sorted(self.pooled.tenants)
 
     def tenant_summary(self) -> Dict[str, Dict]:
         """Per-tenant fleet SLO metrics (exact percentiles)."""
-        out: Dict[str, Dict] = {}
-        for tenant in self.tenants:
-            mine = [e for e in self.events if e.tenant == tenant]
-            out[tenant] = {
-                "requests": len(mine),
-                "completed": sum(1 for e in mine
-                                 if e.finished_s is not None),
-                "rejected": sum(1 for e in mine if e.rejected),
-                "migrations": sum(e.migrations for e in mine),
-                "ttft_p50_s": self.ttft_percentile_s(50.0, tenant),
-                "ttft_p99_s": self.ttft_percentile_s(99.0, tenant),
-                "tpot_p50_s": self.tpot_percentile_s(50.0, tenant),
-                "tpot_p99_s": self.tpot_percentile_s(99.0, tenant),
-            }
-        return out
+        summary = self.pooled.tenant_summary()
+        return {tenant: summary[tenant] for tenant in sorted(summary)}
 
     def as_dict(self) -> Dict:
         """JSON-ready summary (the per-point payload of BENCH_fleet)."""

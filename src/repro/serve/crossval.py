@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import LongSightConfig
-from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
+from repro.core.hybrid import LongSightAttention
 from repro.llm.config import ModelConfig
 from repro.llm.model import DenseBackend, Transformer
 from repro.serve.engine import AnalyticTiming, ServeEngine
@@ -64,8 +64,10 @@ def backend_factory(name: str, tiny_ls: LongSightConfig):
     if name == "dense":
         return lambda request: DenseBackend()
     if name == "sliding_window":
-        return lambda request: SlidingWindowAttention(
-            window=tiny_ls.window, n_sink=tiny_ls.n_sink)
+        # The hybrid at top_k = 0; one config object for every session,
+        # so their decode rows stack.
+        sliding = tiny_ls.replace(top_k=0)
+        return lambda request: LongSightAttention(sliding)
     raise ValueError(f"unknown system: {name!r}")
 
 

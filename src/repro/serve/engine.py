@@ -44,6 +44,8 @@ from typing import Callable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
+from repro.core.config import LongSightConfig
+from repro.core.hybrid import LongSightAttention
 from repro.errors import PoolExhaustedError
 from repro.llm.model import Transformer
 from repro.obs import Obs, resolve_obs
@@ -190,8 +192,8 @@ class ServeEngine:
         #: elsewhere (a fleet router told the source run it departed,
         #: then re-injected it into another worker).
         self.migrate_handler = migrate_handler
-        #: (base config by value, stage) -> brownout variant config.
-        self._brownout_configs: dict = {}
+        #: (base config by value, quality level) -> the config served.
+        self._level_configs: dict = {}
 
     # -- session plumbing -----------------------------------------------------
 
@@ -199,32 +201,11 @@ class ServeEngine:
         """Give an admitted request a pool-backed cache and a backend."""
         request.cache = self.pool.new_cache()
         request.backend = self.backend_factory(request)
-        if request.pinned_dense:
-            request.backend = self._dense_pin_of(request.backend)
 
     @staticmethod
     def _backend_degraded(backend) -> int:
         """Supervisor degradation counter, 0 for unsupervised backends."""
         return int(getattr(backend, "degraded_tokens", 0) or 0)
-
-    @staticmethod
-    def _dense_pin_of(backend):
-        """The dense sliding-window twin of a sparse/offload backend.
-
-        Shedding a session from the offload path pins it to exactly the
-        attention the supervisor degrades single tokens to; unsupervised
-        dense backends pin to themselves.
-        """
-        from repro.core.hybrid import SlidingWindowAttention
-
-        fallback = getattr(backend, "dense_fallback", None)
-        if callable(fallback):
-            return fallback()
-        cfg = getattr(backend, "config", None)
-        if cfg is not None and hasattr(cfg, "window"):
-            return SlidingWindowAttention(window=cfg.window,
-                                          n_sink=cfg.n_sink)
-        return backend
 
     # -- capacity -------------------------------------------------------------
 
@@ -263,69 +244,71 @@ class ServeEngine:
                                   requests=len(requests)):
             return self.start(requests).serve()
 
-    def _is_pinned_backend(self, request: ServeRequest) -> bool:
-        from repro.core.hybrid import SlidingWindowAttention
+    # -- the quality ladder ---------------------------------------------------
 
-        return isinstance(request.backend, SlidingWindowAttention)
+    def _level_config(self, cfg: LongSightConfig,
+                      level: int) -> LongSightConfig:
+        """The config served at quality ``level`` of base config ``cfg``.
 
-    # -- brownout (overload degradation ladder) -------------------------------
-
-    def _brownout_backend(self, request: ServeRequest, stage: int):
-        """Effective decode backend under brownout ``stage``.
-
-        Returns ``(backend, applied_stage)``; ``applied_stage`` is 0
-        whenever service is actually unchanged (stage 0, an already
-        dense-pinned session, or a backend without the config hooks), so
-        only genuinely degraded tokens are attributed to the ladder.
-
-        Safe on the live cache: ``top_k`` / ``thresholds`` are
-        query-time retrieval knobs (the packed-sign layout is identical
-        across variants) and K/V projections are backend-independent, so
-        a variant — or the dense sliding-window twin — reads the same
-        blocks the full-quality backend wrote.  The variant *backend* is
-        memoized on the backend instance (not rebuilt per token); the
-        variant *config* is memoized on the engine per (base config's
-        field values, stage), because the engine builds one backend per
-        request and sessions stack into one attention call only when
-        their backends share a config object — under brownout the batch
-        is at its fullest, which is exactly when that matters.  Keyed by
-        value, the map is bounded by the distinct configurations served,
-        and a factory that builds an equal config per request still gets
-        one variant object (so its browned-out sessions stack).
+        The whole ladder: 1 shrinks ``top_k`` by the brownout policy's
+        ``top_k_scale``, 2 also raises the thresholds by its
+        ``threshold_bump``, 3 is ``top_k = 0`` — the dense floor, sinks +
+        window only.  Memoised per (base config's field values, level),
+        because the engine builds one backend per request and sessions
+        stack into one attention call only when their backends share a
+        config *object* — under overload the batch is at its fullest,
+        which is exactly when that matters.  Keyed by value, the map is
+        bounded by the distinct configurations served, and a factory that
+        builds an equal config per request still gets one variant object.
         """
-        if stage <= 0 or request.pinned_dense:
-            return request.backend, 0
-        backend = request.backend
-        if stage >= 3:
-            dense = self._dense_pin_of(backend)
-            return dense, 3 if dense is not backend else 0
-        policy = self.policy.brownout
-        cfg = getattr(backend, "config", None)
-        with_config = getattr(backend, "with_config", None)
-        if policy is None or cfg is None or not callable(with_config) \
-                or not hasattr(cfg, "top_k"):
-            return backend, 0
-        variants = getattr(backend, "_brownout_variants", None)
-        if variants is None:
-            variants = {}
-            try:
-                backend._brownout_variants = variants
-            except AttributeError:
-                pass  # __slots__ backend: variants live one step
-        if stage not in variants:
-            key = (_config_value(cfg), stage)
-            if key not in self._brownout_configs:
-                shrunk = max(1, int(cfg.top_k * policy.top_k_scale))
-                new_cfg = cfg.replace(top_k=shrunk)
-                if stage >= 2:
+        key = (_config_value(cfg), level)
+        if key not in self._level_configs:
+            if level >= 3:
+                variant = cfg.replace(top_k=0)
+            else:
+                policy = self.policy.brownout
+                variant = cfg.replace(
+                    top_k=max(1, int(cfg.top_k * policy.top_k_scale)))
+                if level >= 2:
                     bumped = np.asarray(cfg.thresholds) \
                         + policy.threshold_bump
-                    new_cfg = new_cfg.replace(
+                    variant = variant.replace(
                         thresholds=int(bumped) if bumped.ndim == 0
                         else bumped)
-                self._brownout_configs[key] = new_cfg
-            variants[stage] = with_config(self._brownout_configs[key])
-        return variants[stage], stage
+            self._level_configs[key] = variant
+        return self._level_configs[key]
+
+    def _served_backend(self, request: ServeRequest, stage: int = 0):
+        """The backend that serves ``request`` now, and its quality level.
+
+        A session's quality is one integer: 3 when it is pinned to the
+        dense floor (shed from the offload path), else the brownout
+        ``stage``; 0 is ``request.backend`` itself, which is never
+        replaced — a pinned supervised backend keeps its durable state.
+        The level returned is 0 whenever service is actually unchanged (a
+        backend without a :class:`LongSightConfig`, or already at
+        ``top_k = 0``), so only genuinely degraded tokens are attributed.
+
+        Safe on the live cache: ``top_k`` / ``thresholds`` are query-time
+        retrieval knobs (the packed-sign layout is identical across
+        variants) and K/V projections are backend-independent, so a
+        variant reads the same blocks the full-quality backend wrote.
+        """
+        backend = request.backend
+        level = 3 if request.pinned_dense else stage
+        cfg = getattr(backend, "config", None)
+        if not level or not isinstance(cfg, LongSightConfig) \
+                or not cfg.top_k:
+            return backend, 0
+        with_config = getattr(backend, "with_config", None)
+        if with_config is not None:
+            return with_config(self._level_config(cfg, level)), level
+        # An offload backend retrieves on its device: only the dense
+        # floor — what it degrades a token to — has a software twin.
+        if level < 3:
+            return backend, 0
+        return LongSightAttention(self._level_config(cfg, level),
+                                  obs=self.obs), level
 
     # -- one step -------------------------------------------------------------
 
@@ -346,7 +329,7 @@ class ServeEngine:
             # target[:-1] so at least the final token always runs through
             # prefill and produces the first-token logits.  Dense-pinned
             # sessions are excluded: their K/V come from a different
-            # backend family than the pool's shared blocks.
+            # quality level than the pool's shared blocks.
             if request.prefilled == 0 and request.cache is not None \
                     and len(request.cache) == 0 \
                     and self.pool.prefix_caching \
@@ -363,7 +346,8 @@ class ServeEngine:
             with tracer.span("prefill_chunk", request=request.request_id,
                              tokens=int(chunk)):
                 logits = self.model.prefill(
-                    segment, request.cache, backend=request.backend,
+                    segment, request.cache,
+                    backend=self._served_backend(request)[0],
                     block_size=self.prefill_block_size)
             ctx_before = request.prefilled
             request.prefilled += chunk
@@ -418,21 +402,17 @@ class ServeEngine:
         # ready; drop anything no longer in DECODE before batching.
         ready = [r for r in ready if r.state is RequestState.DECODE]
         if ready:
-            stage = scheduler.brownout_stage
-            backends = []
-            applied_stages = []
-            for request in ready:
-                backend, applied = self._brownout_backend(request, stage)
-                backends.append(backend)
-                applied_stages.append(applied)
+            backends, levels = zip(*(
+                self._served_backend(request, scheduler.brownout_stage)
+                for request in ready))
             before = [self._backend_degraded(b) for b in backends]
             with tracer.span("decode_batch", batch=len(ready)):
                 logits_list = self.model.decode_step_batch(
                     [r.pending_token for r in ready],
                     [r.cache for r in ready],
                     backends)
-            for request, logits, seen, backend, applied in zip(
-                    ready, logits_list, before, backends, applied_stages):
+            for request, logits, seen, backend, level in zip(
+                    ready, logits_list, before, backends, levels):
                 token = int(np.argmax(logits))
                 request.outputs.append(token)
                 request.pending_token = token
@@ -440,17 +420,17 @@ class ServeEngine:
                 now_degraded = self._backend_degraded(backend)
                 degraded = request.pinned_dense or now_degraded > seen
                 degraded_flags.append((request, degraded))
-                if applied:
-                    scheduler.note_brownout(request, applied)
+                if level and not request.pinned_dense:
+                    scheduler.note_brownout(request, level)
             if self.timing is not None:
-                # Stage-3 (dense-pin) brownout tokens take the degraded
-                # step-latency path: they were served by exactly the
-                # dense sliding-window fallback the fault layer degrades
-                # to, which is what buys queue drain under overload.
+                # Level-3 tokens take the degraded step-latency path,
+                # brownout's as a pin's: they were served by exactly the
+                # dense floor the fault layer degrades to, which is what
+                # buys queue drain under overload.
                 analytic_s += self.timing.decode_step_s(
                     [r.charged_context for r in ready],
-                    [flag or applied >= 3 for (_, flag), applied
-                     in zip(degraded_flags, applied_stages)])
+                    [flag or level >= 3 for (_, flag), level
+                     in zip(degraded_flags, levels)])
 
         step_s = analytic_s if self.timing is not None \
             else time.perf_counter() - wall0
@@ -621,10 +601,6 @@ class EngineRun:
                 request.events.first_token_s = stamp
         for request, degraded in degraded_flags:
             scheduler.note_degraded(request, degraded)
-            if request.pinned_dense and request.state \
-                    is RequestState.DECODE \
-                    and not engine._is_pinned_backend(request):
-                request.backend = engine._dense_pin_of(request.backend)
         for request in list(plan.decodes):
             if request.state is RequestState.DECODE \
                     and len(request.outputs) >= request.max_new_tokens:

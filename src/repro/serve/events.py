@@ -211,7 +211,10 @@ class ServeReport:
 
     @property
     def availability(self) -> float:
-        """Completed-with-sparse-service fraction (mirrors ServingReport)."""
+        """Completed-un-shed / completed: of the requests that finished,
+        the fraction that kept sparse service (mirrors ServingReport).
+        Rejected requests do not count here; the fleet's served / arrived
+        is :attr:`repro.fleet.report.FleetReport.availability`."""
         done = self.completed
         if not done:
             return 1.0

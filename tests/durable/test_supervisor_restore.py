@@ -14,6 +14,7 @@ import pytest
 from repro.bench.serve import TINY_LS, TINY_MODEL
 from repro.durable import DurableRun, recover
 from repro.errors import WorkerKilledError
+from repro.serve.scheduler import SloPolicy
 from repro.system.faults import CrashPlan, FaultPlan
 from repro.system.supervisor import (SupervisedOffloadBackend,
                                      SupervisorPolicy)
@@ -108,3 +109,63 @@ class TestDegradationSurvivesRestore:
         assert {r.request_id: r.events.degraded_tokens
                 for r in recovered._arrivals} == fractions
         assert stats.snapshot_step + stats.steps_replayed == 10
+
+
+class TestPinSurvivesRestore:
+    """A session shed from the offload path is served at the dense floor
+    by a variant of the kernel; its supervised backend stays on the
+    request, so a snapshot taken mid-pin carries the backend's state and
+    the restored run resumes pinned."""
+
+    @pytest.fixture
+    def failing_builder(self, engine_builder):
+        def make_backend(request):
+            return SupervisedOffloadBackend(
+                TINY_MODEL, TINY_LS, plan=FaultPlan.total_failure(),
+                policy=POLICY, uid=request.request_id, flush_granularity=1)
+
+        def build():
+            return engine_builder(make_backend=make_backend, policy=SloPolicy(
+                max_decode_batch=4, shed_after_consecutive_degraded=2))
+        return build
+
+    def test_mid_pin_restore_resumes_pinned_with_backend_state(
+            self, tmp_path, failing_builder, make_workload):
+        reference = DurableRun(failing_builder(), make_workload(),
+                               tmp_path / "reference", snapshot_every=2)
+        reference.serve()
+        expected = _events_by_rid(reference)
+        assert all(r.events.shed for r in reference._arrivals)
+
+        # Kill at the first step that begins with a live pinned session.
+        probe = DurableRun(failing_builder(), make_workload(),
+                           tmp_path / "probe", snapshot_every=2)
+        while not any(r.pinned_dense and r.backend is not None
+                      for r in probe._arrivals):
+            assert probe.step()
+        kill_at = probe.steps + 1
+
+        directory = tmp_path / "mid-pin"
+        run = DurableRun(failing_builder(), make_workload(), directory,
+                         snapshot_every=2,
+                         crash=CrashPlan(kill_at_step=kill_at,
+                                         kind="kill_after_fsync"))
+        with pytest.raises(WorkerKilledError):
+            run.serve()
+        before = {r.request_id: r.backend.durable_state()
+                  for r in run._arrivals if r.backend is not None}
+        pinned = {r.request_id for r in run._arrivals
+                  if r.pinned_dense and r.backend is not None}
+        assert pinned and pinned <= set(before)
+
+        recovered, _ = recover(directory, failing_builder(),
+                               snapshot_every=2)
+        live = {r.request_id: r for r in recovered._arrivals
+                if r.backend is not None}
+        assert {rid for rid, r in live.items() if r.pinned_dense} == pinned
+        for rid in pinned:
+            assert isinstance(live[rid].backend, SupervisedOffloadBackend)
+        assert {rid: r.backend.durable_state()
+                for rid, r in live.items()} == before
+        recovered.serve()
+        assert _events_by_rid(recovered) == expected

@@ -187,8 +187,10 @@ def test_mixed_backends_in_one_batch(rng, stacked_calls):
     # The engine's real shape: one backend instance per request, all
     # built from the same config — distinct, but they stack.
     twin = LongSightAttention(LS)
-    backends = [DenseBackend(), longsight, brownout,
-                SlidingWindowAttention(window=8, n_sink=2), longsight, twin]
+    # The sliding-window baseline is the same kernel at top_k = 0.
+    sliding = SlidingWindowAttention(window=8, n_sink=2)
+    backends = [DenseBackend(), longsight, brownout, sliding, longsight,
+                twin]
     sessions = []
     for i, backend in enumerate(backends):
         # A brownout variant reads the cache its parent backend filled.
@@ -199,10 +201,12 @@ def test_mixed_backends_in_one_batch(rng, stacked_calls):
     stacked_calls.clear()
     _assert_batch_equals_solo(model, sessions)
     # Per layer of a batched step: ``longsight`` twice and ``twin`` in one
-    # call, the variant in its own; the solo steps are one session each.
+    # call, the variant and the sliding window each in their own; the solo
+    # steps are one session each.
     batched = [(config, n)
-               for config, _, n in stacked_calls[:2 * TINY.n_layers]]
-    assert batched == [(LS, 3), (brownout.config, 1)] * TINY.n_layers
+               for config, _, n in stacked_calls[:3 * TINY.n_layers]]
+    assert batched == [(LS, 3), (brownout.config, 1),
+                       (sliding.config, 1)] * TINY.n_layers
     assert {n for _, _, n in stacked_calls} == {1, 3}
 
 

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import LongSightConfig
-from repro.core.hybrid import LongSightAttention
+from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.engine import ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (BROWNOUT_STAGES, BrownoutPolicy,
-                                   ContinuousBatchScheduler, ServeRequest,
-                                   SloPolicy)
+                                   ContinuousBatchScheduler, RequestState,
+                                   ServeRequest, SloPolicy)
 from tests.conftest import TINY
 
 LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
@@ -215,16 +215,16 @@ class TestBrownoutVariantsStack:
             model.prefill(request.prompt, twins[-1],
                           backend=request.backend)
         assert len({id(r.backend) for r in requests}) == len(requests)
-        staged = [engine._brownout_backend(r, 1) for r in requests]
+        staged = [engine._served_backend(r, 1) for r in requests]
         backends = [backend for backend, _ in staged]
         assert [applied for _, applied in staged] == [1] * len(requests)
         assert len({id(b) for b in backends}) == len(requests)
         assert len({id(b.config) for b in backends}) == 1
         assert backends[0].config.top_k == LS.top_k // 2
         # Memoised per request too: the same variant on the next token.
-        assert engine._brownout_backend(requests[0], 1)[0] is backends[0]
-        stage2 = engine._brownout_backend(requests[0], 2)[0]
-        assert stage2.config is engine._brownout_backend(
+        assert engine._served_backend(requests[0], 1)[0] is backends[0]
+        stage2 = engine._served_backend(requests[0], 2)[0]
+        assert stage2.config is engine._served_backend(
             requests[1], 2)[0].config
         assert stage2.config is not backends[0].config
 
@@ -238,6 +238,96 @@ class TestBrownoutVariantsStack:
             np.testing.assert_array_equal(
                 stacked[i],
                 model.decode_step(tokens[i], twins[i], backend=backend))
+
+    def test_stage3_step_is_one_stacked_call_per_layer(self, model,
+                                                       stacked_calls):
+        """Stage 3 is the same kernel at ``top_k = 0``: the whole batch is
+        one call per layer-step, and each row carries the bits of the
+        public sliding-window baseline stepped alone."""
+        rng = np.random.default_rng(6)
+        pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
+        engine = ServeEngine(model, pool, lambda r: LongSightAttention(LS),
+                             policy=SloPolicy(brownout=BrownoutPolicy()))
+        requests = [ServeRequest(request_id=i, max_new_tokens=4,
+                                 prompt=rng.integers(0, TINY.vocab_size,
+                                                     size=10 + 6 * i))
+                    for i in range(5)]
+        twins = []
+        for request in requests:
+            engine._attach(request)
+            base = request.backend
+            model.prefill(request.prompt, request.cache, backend=base)
+            twins.append(pool.new_cache())
+            model.prefill(request.prompt, twins[-1], backend=base)
+        staged = [engine._served_backend(r, 3) for r in requests]
+        backends = [backend for backend, _ in staged]
+        assert [level for _, level in staged] == [3] * len(requests)
+        assert len({id(b.config) for b in backends}) == 1
+        assert backends[0].config == LS.replace(top_k=0)
+        assert all(r.backend.config is LS for r in requests)   # not swapped
+
+        stacked_calls.clear()
+        tokens = [3, 1, 4, 1, 5]
+        stacked = model.decode_step_batch(
+            tokens, [r.cache for r in requests], backends)
+        assert stacked_calls == [(backends[0].config, layer, len(requests))
+                                 for layer in range(TINY.n_layers)]
+        sliding = SlidingWindowAttention(window=LS.window, n_sink=LS.n_sink)
+        for i in range(len(requests)):
+            np.testing.assert_array_equal(
+                stacked[i],
+                model.decode_step(tokens[i], twins[i], backend=sliding))
+
+    def test_deescalating_session_equals_the_solo_replay_of_its_levels(
+            self, model, monkeypatch):
+        """A run that climbs to stage 3 and drains back to 0: every
+        session's stream equals solo decoding at the level each of its
+        tokens was served at — from the token it de-escalates on, the
+        full-quality backend again, on the cache the floor left."""
+        levels = {}
+        served = ServeEngine._served_backend
+
+        def spy(self, request, stage=0):
+            backend, level = served(self, request, stage)
+            if request.state is RequestState.DECODE:
+                levels.setdefault(request.request_id, []).append(level)
+            return backend, level
+
+        monkeypatch.setattr(ServeEngine, "_served_backend", spy)
+        rng = np.random.default_rng(9)
+        pool = PagedKVPool(TINY, n_blocks=128, block_tokens=16)
+        engine = ServeEngine(
+            model, pool, lambda r: LongSightAttention(LS),
+            policy=SloPolicy(max_decode_batch=4, brownout=BrownoutPolicy(
+                queue_high=(1, 2, 3, 50), admit_per_step=2)))
+        requests = [ServeRequest(
+            request_id=i, max_new_tokens=16, arrival_s=0.0,
+            prompt=rng.integers(0, TINY.vocab_size, size=14 + 3 * i))
+            for i in range(8)]
+        report = engine.run(requests)
+        assert report.brownout_stage_tokens.get(3, 0) > 0
+        recovered = [r for r in requests
+                     if 3 in levels[r.request_id]
+                     and levels[r.request_id][-1] == 0]
+        assert recovered                        # some session went 3 -> 0
+
+        base = LongSightAttention(LS)
+        at_level = {0: base, 3: SlidingWindowAttention(window=LS.window,
+                                                       n_sink=LS.n_sink)}
+        for level in (1, 2):
+            at_level[level] = base.with_config(
+                engine._level_config(LS, level))
+        for request in requests:
+            cache = pool.new_cache()
+            token = int(np.argmax(model.prefill(request.prompt, cache,
+                                                backend=base)))
+            replay = [token]
+            for level in levels[request.request_id]:
+                token = int(np.argmax(model.decode_step(
+                    token, cache, backend=at_level[level])))
+                replay.append(token)
+            assert request.outputs == replay
+            cache.free()
 
     def test_served_tokens_and_attribution_do_not_depend_on_stacking(
             self, model, monkeypatch, stacked_calls):
@@ -295,18 +385,18 @@ class TestBrownoutVariantsStack:
         assert outputs == expected
         assert set(report.brownout_stage_tokens) >= {1, 2}
         stages = len(BROWNOUT_STAGES) - 1
-        assert 0 < len(engine._brownout_configs) <= stages
+        assert 0 < len(engine._level_configs) <= stages
         # Equal-valued bases share the variant object, so they stack.
         fresh = [ServeRequest(request_id=100 + i, max_new_tokens=1,
                               prompt=np.zeros(4, dtype=np.int64))
                  for i in range(2)]
         for request in fresh:
             engine._attach(request)
-        a, b = (engine._brownout_backend(r, 2)[0] for r in fresh)
+        a, b = (engine._served_backend(r, 2)[0] for r in fresh)
         assert a.config is b.config and a.stack_key() == b.stack_key()
         # A different value is a different entry.
         other = ServeRequest(request_id=200, max_new_tokens=1,
                              prompt=np.zeros(4, dtype=np.int64))
         other.backend = LongSightAttention(shared.replace(
             thresholds=per_layer + 1))
-        assert engine._brownout_backend(other, 2)[0].config is not a.config
+        assert engine._served_backend(other, 2)[0].config is not a.config

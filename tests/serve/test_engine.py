@@ -14,6 +14,7 @@ from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import DenseBackend, Transformer
 from repro.llm.sampling import generate
+from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.crossval import default_systems
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
@@ -183,12 +184,64 @@ class TestDegradation:
             assert len(request.outputs) == 10
             assert request.pinned_dense
             assert request.state is RequestState.SHED
-            assert isinstance(request.backend, SlidingWindowAttention) \
-                or request.backend is None
+            assert request.events.shed
             assert request.events.degraded_tokens > 0
         assert report.availability == 0.0
         assert len(report.shed) == 2
         assert report.degraded_token_fraction > 0.5
+
+    def test_pinned_batch_is_one_stacked_call_at_the_dense_floor(
+            self, model, rng, stacked_calls):
+        """Pinned sessions are served by the hybrid kernel at ``top_k =
+        0``: they stack into one attention call per layer-step, the
+        supervised backend stays on the request, and — every offload
+        failing from the first token — the stream is the sliding-window
+        baseline's."""
+        pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
+        built = {}
+
+        def factory(request):
+            built[request.request_id] = SupervisedOffloadBackend(
+                TINY, LS, plan=FaultPlan.total_failure(),
+                flush_granularity=1, supervisor_seed=request.request_id)
+            return built[request.request_id]
+
+        obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
+        engine = ServeEngine(
+            model, pool, factory, obs=obs,
+            policy=SloPolicy(shed_after_consecutive_degraded=3))
+        requests = [ServeRequest(request_id=i, max_new_tokens=10,
+                                 prompt=rng.integers(0, TINY.vocab_size,
+                                                     size=30 + 7 * i))
+                    for i in range(3)]
+        backends_seen = []
+        step = engine.start(requests)
+        while step.step():
+            backends_seen.extend(
+                (r.request_id, r.backend) for r in requests
+                if r.pinned_dense and r.backend is not None)
+        assert backends_seen and all(
+            backend is built[rid] for rid, backend in backends_seen)
+        # The offload backend has no stacked routine: every recorded call
+        # is a pinned step's, all on one top_k = 0 config, one per layer.
+        assert len({id(config) for config, _, _ in stacked_calls}) == 1
+        assert stacked_calls[0][0] == LS.replace(top_k=0)
+        steps = len(stacked_calls) // TINY.n_layers
+        assert [layer for _, layer, _ in stacked_calls] \
+            == list(range(TINY.n_layers)) * steps
+        assert max(n for _, _, n in stacked_calls) == len(requests)
+        # Degraded rows are counted like any other: one forward per row,
+        # all of it dense (nothing was offloaded).
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["attention.forwards"] \
+            == sum(n for _, _, n in stacked_calls)
+        assert counters["attention.dense.accesses"] > 0
+        assert counters["attention.sparse.candidates"] == 0
+        sliding = SlidingWindowAttention(window=LS.window, n_sink=LS.n_sink)
+        for request in requests:
+            assert request.events.shed
+            assert request.outputs == list(generate(
+                model, request.prompt, 10, backend=sliding))
 
     def test_zero_faults_never_degrade(self, model, rng):
         pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
