@@ -12,9 +12,11 @@ from benchmarks.conftest import run_once
 from repro.bench.tables import Table
 from repro.core.config import LongSightConfig
 from repro.llm.config import LLAMA3_8B
+from repro.serve.crossval import poisson_workload
+from repro.serve.engine import AnalyticTiming
 from repro.system.baselines import DenseGpuSystem
 from repro.system.engine import LongSightSystem
-from repro.system.serving_sim import ServingSimulator, poisson_workload
+from repro.system.serving_sim import ServingSimulator
 
 PROMPT = 131072
 OUTPUT = 32
@@ -37,16 +39,17 @@ def test_serving_trace(benchmark, report):
             ["system", "completed", "throughput_tps", "peak_concurrency",
              "mean_queue_delay_s", "mean_session_latency_s"])
         for system in systems:
-            sessions = poisson_workload(N_SESSIONS, ARRIVAL_RATE, PROMPT,
+            requests = poisson_workload(N_SESSIONS, ARRIVAL_RATE, PROMPT,
                                         OUTPUT, seed=11)
-            outcome = ServingSimulator(system, LLAMA3_8B).run(sessions)
+            outcome = ServingSimulator(AnalyticTiming(system, LLAMA3_8B)) \
+                .run(requests)
             table.add_row(
                 system=system.name,
                 completed=len(outcome.completed),
                 throughput_tps=outcome.throughput_tps,
-                peak_concurrency=outcome.peak_concurrency,
-                mean_queue_delay_s=outcome.mean_queueing_delay_s(),
-                mean_session_latency_s=outcome.mean_session_latency_s())
+                peak_concurrency=outcome.peak_decode_batch,
+                mean_queue_delay_s=outcome.mean_queueing_delay_s,
+                mean_session_latency_s=outcome.mean_request_latency_s)
         return table
 
     table = run_once(benchmark, run)

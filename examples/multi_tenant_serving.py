@@ -15,8 +15,10 @@ import argparse
 
 from repro.core import LongSightConfig
 from repro.llm.config import PAPER_MODELS
+from repro.serve import AnalyticTiming
+from repro.serve.crossval import poisson_workload
 from repro.system import DenseGpuSystem, LongSightSystem
-from repro.system.serving_sim import ServingSimulator, poisson_workload
+from repro.system.serving_sim import ServingSimulator
 
 
 def main() -> None:
@@ -46,14 +48,15 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for system in systems:
-        sessions = poisson_workload(args.sessions, args.rate, args.prompt,
+        requests = poisson_workload(args.sessions, args.rate, args.prompt,
                                     args.output, seed=11)
-        outcome = ServingSimulator(system, config).run(sessions)
+        outcome = ServingSimulator(AnalyticTiming(system, config)) \
+            .run(requests)
         print(f"{system.name:<12} {len(outcome.completed):>5} "
               f"{outcome.throughput_tps:>10.1f} "
-              f"{outcome.peak_concurrency:>10} "
-              f"{outcome.mean_queueing_delay_s():>10.2f}s "
-              f"{outcome.mean_session_latency_s():>10.2f}s")
+              f"{outcome.peak_decode_batch:>10} "
+              f"{outcome.mean_queueing_delay_s:>10.2f}s "
+              f"{outcome.mean_request_latency_s:>10.2f}s")
 
 
 if __name__ == "__main__":

@@ -32,11 +32,13 @@ from repro.bench.tables import Table, results_dir
 from repro.core.config import LongSightConfig
 from repro.llm.config import LLAMA3_8B, ModelConfig
 from repro.llm.model import Transformer
+from repro.serve.crossval import poisson_workload
+from repro.serve.engine import AnalyticTiming
+from repro.serve.scheduler import ServeRequest
 from repro.system.baselines import SlidingWindowGpuSystem
 from repro.system.engine import LongSightSystem
 from repro.system.faults import FaultPlan
-from repro.system.serving_sim import (ServingFaultModel, ServingSimulator,
-                                      Session, poisson_workload)
+from repro.system.serving_sim import ServingFaultModel, ServingSimulator
 from repro.system.supervisor import SupervisedOffloadBackend
 
 SCHEMA_VERSION = 1
@@ -47,20 +49,23 @@ SERVING_SYSTEMS = ("LongSight", "SlidingWindow")
 
 def burst_workload(n_sessions: int, burst_every: int = 4,
                    burst_gap_s: float = 2.0, prompt_tokens: int = 32768,
-                   output_tokens: int = 24, seed: int = 0) -> List[Session]:
-    """Bursty arrivals: groups of sessions land at the same instant."""
+                   output_tokens: int = 24,
+                   seed: int = 0) -> List[ServeRequest]:
+    """Bursty token-free arrivals: groups of requests land at one instant."""
     rng = np.random.default_rng(seed)
-    sessions = []
+    requests = []
     for i in range(n_sessions):
         jitter = 1.0 + 0.25 * (2 * rng.random() - 1)
-        sessions.append(Session(
-            session_id=i, arrival_s=(i // burst_every) * burst_gap_s,
-            prompt_tokens=max(1, int(prompt_tokens * jitter)),
-            output_tokens=output_tokens))
-    return sessions
+        requests.append(ServeRequest(
+            request_id=i, prompt=np.zeros(0, dtype=np.int64),
+            max_new_tokens=output_tokens,
+            arrival_s=(i // burst_every) * burst_gap_s,
+            charged_prompt_tokens=max(1, int(prompt_tokens * jitter))))
+    return requests
 
 
-def _workload(name: str, n_sessions: int, seed: int) -> List[Session]:
+def _workload(name: str, n_sessions: int,
+              seed: int) -> List[ServeRequest]:
     if name == "steady":
         return poisson_workload(n_sessions, arrival_rate_per_s=2.0,
                                 prompt_tokens=32768, output_tokens=24,
@@ -70,12 +75,24 @@ def _workload(name: str, n_sessions: int, seed: int) -> List[Session]:
     raise ValueError(f"unknown workload: {name!r}")
 
 
+def serving_systems() -> Dict[str, tuple]:
+    """Name -> (system model, faultable) for the serving sweep."""
+    ls = LongSightSystem(LongSightConfig(window=1024, n_sink=16, top_k=1024,
+                                         use_itq=True))
+    sw = SlidingWindowGpuSystem(window=1024, n_sink=16)
+    return {"LongSight": (ls, True),
+            # The GPU-only baseline never offloads: fault-immune, the
+            # quality/latency floor the degraded path converges to.
+            "SlidingWindow": (sw, False)}
+
+
 def _serving_point(system, config: ModelConfig, workload: str,
                    n_sessions: int, rate: float, seed: int,
                    faultable: bool) -> dict:
     faults = ServingFaultModel(offload_failure_rate=rate, seed=seed) \
         if faultable else None
-    sim = ServingSimulator(system, config, max_steps=20_000, faults=faults)
+    sim = ServingSimulator(AnalyticTiming(system, config), max_steps=20_000,
+                           faults=faults)
     report = sim.run(_workload(workload, n_sessions, seed))
     return {
         "fault_rate": rate if faultable else 0.0,
@@ -85,10 +102,10 @@ def _serving_point(system, config: ModelConfig, workload: str,
         "availability": report.availability,
         "completed_sessions": len(report.completed),
         "shed_sessions": len(report.shed),
-        "total_backoffs": report.total_backoffs,
-        "p50_step_latency_s": report.p50_step_latency_s,
-        "p99_step_latency_s": report.p99_step_latency_s,
-        "mean_queueing_delay_s": report.mean_queueing_delay_s(),
+        "total_backoffs": report.preemptions,
+        "p50_step_latency_s": report.step_percentile_s(50.0),
+        "p99_step_latency_s": report.step_percentile_s(99.0),
+        "mean_queueing_delay_s": report.mean_queueing_delay_s,
     }
 
 
@@ -133,14 +150,7 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
     rates = sorted(set(float(r) for r in rates))
     if len(rates) < 3:
         raise ValueError("need >= 3 fault-rate points")
-    ls = LongSightSystem(LongSightConfig(window=1024, n_sink=16, top_k=1024,
-                                         use_itq=True))
-    sw = SlidingWindowGpuSystem(window=1024, n_sink=16)
-    systems = {"LongSight": (ls, True),
-               # The GPU-only baseline never offloads: fault-immune, the
-               # quality/latency floor the degraded path converges to.
-               "SlidingWindow": (sw, False)}
-
+    systems = serving_systems()
     serving: Dict[str, Dict[str, List[dict]]] = {
         w: {name: [] for name in SERVING_SYSTEMS} for w in WORKLOADS}
     for workload in WORKLOADS:

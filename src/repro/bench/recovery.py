@@ -33,7 +33,7 @@ from repro.errors import WorkerKilledError
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.serve.crossval import backend_factory, default_systems, \
-    paired_workload
+    poisson_workload
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import SloPolicy
@@ -70,11 +70,10 @@ def run_recovery(n_requests: int = 4, prompt_tokens: int = 24,
     build = _engine_builder(model, system, n_requests)
 
     def workload():
-        requests, _ = paired_workload(
+        return poisson_workload(
             n_requests, arrival_rate, prompt_tokens, output_tokens,
             model.config.vocab_size,
             charged_prompt_tokens=charged_context, seed=seed)
-        return requests
 
     # -- uninterrupted baseline: plain engine, per-step wall clocks ----------
     reference = workload()

@@ -37,7 +37,7 @@ from repro.llm.config import LLAMA3_8B, ModelConfig
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.crossval import (SYSTEM_NAMES, backend_factory,
-                                  default_systems, paired_workload)
+                                  default_systems, poisson_workload)
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import SloPolicy
@@ -60,21 +60,23 @@ def _point(model: Transformer, system_name: str, system,
            prompt_tokens: int, output_tokens: int, seed: int,
            obs: Optional[Obs] = None) -> dict:
     """One (system, arrival rate, context) cell of the sweep."""
-    requests, sessions = paired_workload(
-        n_requests, rate, prompt_tokens, output_tokens,
-        model.config.vocab_size, charged_prompt_tokens=charged_context,
-        seed=seed)
+    def trace():
+        return poisson_workload(
+            n_requests, rate, prompt_tokens, output_tokens,
+            model.config.vocab_size, charged_prompt_tokens=charged_context,
+            seed=seed)
+
+    requests = trace()
     pool = PagedKVPool(model.config, n_blocks=16 * n_requests,
                        block_tokens=16)
-    prefill = PrefillModel()
+    timing = AnalyticTiming(system, LLAMA3_8B, prefill=PrefillModel(),
+                            obs=obs)
     engine = ServeEngine(
         model, pool, backend_factory(system_name, TINY_LS),
         policy=SloPolicy(max_decode_batch=max(4, n_requests)),
-        timing=AnalyticTiming(system, LLAMA3_8B, prefill=prefill, obs=obs),
-        name=system_name, obs=obs)
+        timing=timing, name=system_name, obs=obs)
     report = engine.run(requests)
-    analytic = ServingSimulator(system, LLAMA3_8B, max_steps=100_000,
-                                prefill=prefill).run(sessions)
+    analytic = ServingSimulator(timing, max_steps=100_000).run(trace())
     point = report.as_dict()
     point.update({
         "arrival_rate_per_s": rate,
@@ -223,11 +225,17 @@ def validate_payload(payload: dict) -> List[str]:
             continue
         for point in points:
             for key in ("throughput_tps", "ttft_p50_s", "ttft_p99_s",
-                        "tpot_p50_s", "tpot_p99_s",
-                        "analytic_throughput_tps"):
+                        "tpot_p50_s", "tpot_p99_s"):
                 if not isinstance(point.get(key), (int, float)) \
                         or point[key] < 0:
                     problems.append(f"sweep.{name}: bad {key}")
+            # Every request fits alone, so zero can only mean the analytic
+            # run never finished.
+            analytic = point.get("analytic_throughput_tps")
+            if not isinstance(analytic, (int, float)) or analytic <= 0:
+                problems.append(
+                    f"sweep.{name}: bad analytic_throughput_tps (must be "
+                    "> 0)")
             if point.get("ttft_p99_s", 0) < point.get("ttft_p50_s", 0):
                 problems.append(f"sweep.{name}: ttft p99 < p50")
             if not point.get("all_tokens_served", False):

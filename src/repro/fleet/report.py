@@ -68,18 +68,19 @@ class FleetReport:
 
     @property
     def completed(self) -> int:
-        return sum(len(report.completed) for report in self.workers)
+        return len(self.pooled.completed)
 
     @property
     def shed(self) -> int:
-        return sum(len(report.shed) for report in self.workers)
+        return len(self.pooled.shed)
 
     @property
     def rejected(self) -> int:
-        return sum(len(report.rejected) for report in self.workers)
+        return len(self.pooled.rejected)
 
     @property
     def preemptions(self) -> int:
+        """The schedulers' count, summed (what :attr:`pooled` carries)."""
         return sum(report.preemptions for report in self.workers)
 
     @property

@@ -4,7 +4,9 @@ The serving layer the paper's system story implies but the analytic
 simulator cannot test: many concurrent sessions decoding *real tokens*
 through one shared transformer over one paged KV arena, with chunked
 prefill, SLO-aware admission, recompute-preemption, and degradation-aware
-shedding onto the dense sliding-window fallback.
+shedding onto the dense sliding-window fallback.  Its request, timing and
+report types are also the analytic
+:class:`~repro.system.serving_sim.ServingSimulator`'s vocabulary.
 
 Layout:
 
@@ -12,7 +14,8 @@ Layout:
 - :mod:`repro.serve.scheduler` — request lifecycle, admission, preemption;
 - :mod:`repro.serve.engine` — the step loop, analytic/measured clocks;
 - :mod:`repro.serve.events` — per-request event log and ServeReport;
-- :mod:`repro.serve.crossval` — paired workloads vs the analytic simulator.
+- :mod:`repro.serve.crossval` — the seeded Poisson trace generator and
+  the functional-vs-analytic cross-validation.
 """
 
 from repro.serve.engine import AnalyticTiming, EngineRun, ServeEngine

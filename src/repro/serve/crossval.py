@@ -9,18 +9,20 @@ The repo has two serving stories that must agree:
   actually decodes every token through a miniature transformer while its
   clock advances by the *same* analytic step latencies.
 
-This module runs one paired workload — identical arrival times, identical
-charged (paper-scale) prompt lengths — through both layers for each system
-under comparison, so tests can assert that the functional engine
-reproduces the simulator's throughput *ordering* (LongSight above the
-full-dense GPU baseline at long context, the gap closing as context
-shrinks toward the crossover).
+Both layers run :class:`ServeRequest`s through one
+:class:`AnalyticTiming` and return a :class:`ServeReport`.  This module
+runs one seeded trace — identical arrival times, identical charged
+(paper-scale) prompt lengths — through both for each system under
+comparison, so tests can assert that the functional engine reproduces the
+simulator's throughput *ordering* (LongSight above the full-dense GPU
+baseline at long context, the gap closing as context shrinks toward the
+crossover).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +36,7 @@ from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest, SloPolicy
 from repro.system.baselines import DenseGpuSystem, SlidingWindowGpuSystem
 from repro.system.engine import LongSightSystem
-from repro.system.serving_sim import (ServingReport, ServingSimulator,
-                                      Session)
+from repro.system.serving_sim import ServingSimulator
 
 #: The three systems every serve benchmark compares.
 SYSTEM_NAMES = ("longsight", "dense", "sliding_window")
@@ -71,66 +72,59 @@ def backend_factory(name: str, tiny_ls: LongSightConfig):
     raise ValueError(f"unknown system: {name!r}")
 
 
-def paired_workload(n_requests: int, arrival_rate_per_s: float,
-                    prompt_tokens: int, output_tokens: int,
-                    vocab_size: int,
-                    charged_prompt_tokens: Optional[int] = None,
-                    seed: int = 0, prompt_jitter: float = 0.25,
-                    ) -> Tuple[List[ServeRequest], List[Session]]:
-    """One Poisson trace realised for both layers.
+def poisson_workload(n_requests: int, arrival_rate_per_s: float,
+                     prompt_tokens: int, output_tokens: int,
+                     vocab_size: Optional[int] = None,
+                     charged_prompt_tokens: Optional[int] = None,
+                     seed: int = 0, prompt_jitter: float = 0.25,
+                     ) -> List[ServeRequest]:
+    """A seeded Poisson arrival trace with jittered prompt lengths.
 
-    Returns parallel lists: real-token :class:`ServeRequest`s for the
-    functional engine (prompts of ~``prompt_tokens`` ids) and analytic
-    :class:`Session`s with *identical* arrivals.  When
-    ``charged_prompt_tokens`` is given, both layers account latency for
-    that paper-scale prompt length while the functional layer only decodes
-    the laptop-scale one.
+    Every request is charged a jittered paper-scale prompt
+    (``charged_prompt_tokens``, or ``prompt_tokens`` when that is
+    ``None``).  With a ``vocab_size`` it also carries ~``prompt_tokens``
+    real prompt ids for the functional engine to decode; without one it is
+    token-free (an empty prompt), which is all the analytic simulator
+    reads.  The ids are drawn from the arrival stream, so the two kinds of
+    trace differ in their arrivals: a cross-validation builds the id trace
+    for both layers.
     """
     rng = np.random.default_rng(seed)
     t = 0.0
-    requests, sessions = [], []
+    requests = []
     for i in range(n_requests):
         t += rng.exponential(1.0 / arrival_rate_per_s)
         jitter = 1.0 + prompt_jitter * (2 * rng.random() - 1)
         actual = max(1, int(prompt_tokens * jitter))
         charged = actual if charged_prompt_tokens is None \
             else max(1, int(charged_prompt_tokens * jitter))
-        prompt = rng.integers(0, vocab_size, size=actual)
+        prompt = np.zeros(0, dtype=np.int64) if vocab_size is None \
+            else rng.integers(0, vocab_size, size=actual)
         requests.append(ServeRequest(
             request_id=i, prompt=prompt, max_new_tokens=output_tokens,
             arrival_s=t, charged_prompt_tokens=charged))
-        sessions.append(Session(
-            session_id=i, arrival_s=t, prompt_tokens=charged,
-            output_tokens=output_tokens))
-    return requests, sessions
+    return requests
 
 
 @dataclasses.dataclass
 class CrossValReport:
-    """Functional and analytic outcomes of one paired workload."""
+    """Functional and analytic outcomes of one trace."""
 
     functional: Dict[str, ServeReport]
-    analytic: Dict[str, ServingReport]
-
-    def functional_tps(self, name: str) -> float:
-        return self.functional[name].throughput_tps
-
-    def analytic_tps(self, name: str) -> float:
-        return self.analytic[name].throughput_tps
+    analytic: Dict[str, ServeReport]
 
     @staticmethod
-    def _ranking(tps: Dict[str, float]) -> List[str]:
-        return sorted(tps, key=lambda n: (-tps[n], n))
+    def _ranking(reports: Dict[str, ServeReport]) -> List[str]:
+        return sorted(reports,
+                      key=lambda n: (-reports[n].throughput_tps, n))
 
     @property
     def functional_ranking(self) -> List[str]:
-        return self._ranking({n: r.throughput_tps
-                              for n, r in self.functional.items()})
+        return self._ranking(self.functional)
 
     @property
     def analytic_ranking(self) -> List[str]:
-        return self._ranking({n: r.throughput_tps
-                              for n, r in self.analytic.items()})
+        return self._ranking(self.analytic)
 
     @property
     def orderings_agree(self) -> bool:
@@ -158,7 +152,7 @@ def cross_validate(model: Transformer,
                    block_tokens: int = 16,
                    policy: Optional[SloPolicy] = None,
                    seed: int = 0) -> CrossValReport:
-    """Run one paired workload through both layers for each system.
+    """Run one trace through both layers for each system.
 
     The functional side decodes real tokens with ``model`` (laptop scale)
     while charging latency for ``paper_config`` at
@@ -173,18 +167,21 @@ def cross_validate(model: Transformer,
     """
     analytic_systems = default_systems()
     functional: Dict[str, ServeReport] = {}
-    analytic: Dict[str, ServingReport] = {}
-    for name in systems:
-        system = analytic_systems[name]
-        requests, sessions = paired_workload(
+    analytic: Dict[str, ServeReport] = {}
+
+    def trace() -> List[ServeRequest]:
+        return poisson_workload(
             n_requests, arrival_rate_per_s, prompt_tokens, output_tokens,
             model.config.vocab_size, charged_prompt_tokens, seed=seed)
+
+    for name in systems:
+        timing = AnalyticTiming(analytic_systems[name], paper_config)
         pool = PagedKVPool(model.config, n_blocks=pool_blocks,
                            block_tokens=block_tokens)
         engine = ServeEngine(
             model, pool, backend_factory(name, tiny_ls), policy=policy,
-            timing=AnalyticTiming(system, paper_config), name=name)
-        functional[name] = engine.run(requests)
-        sim = ServingSimulator(system, paper_config, max_steps=50_000)
-        analytic[name] = sim.run(sessions)
+            timing=timing, name=name)
+        functional[name] = engine.run(trace())
+        analytic[name] = ServingSimulator(timing, max_steps=50_000) \
+            .run(trace())
     return CrossValReport(functional=functional, analytic=analytic)

@@ -12,9 +12,10 @@ Two clocks are supported:
 - **analytic** (default for benchmarks): step durations come from the
   ``repro.system`` performance models (:class:`AnalyticTiming`), so TTFT /
   TPOT are meaningful at paper scale while tokens are still *actually
-  decoded* by the miniature model — the same layering the analytic
-  :class:`~repro.system.serving_sim.ServingSimulator` uses, which is what
-  makes cross-validation between the two meaningful;
+  decoded* by the miniature model — the analytic
+  :class:`~repro.system.serving_sim.ServingSimulator` charges its clock
+  through the same adapter, which is what makes cross-validation between
+  the two meaningful;
 - **measured** (``timing=None``): wall-clock seconds of the numpy compute.
 
 Correctness anchor: with an ample pool, a zero-fault backend, and the
@@ -48,7 +49,7 @@ from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.errors import PoolExhaustedError
 from repro.llm.model import Transformer
-from repro.obs import Obs, resolve_obs
+from repro.obs import Histogram, Obs, resolve_obs
 from repro.serve.events import ServeReport
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (ContinuousBatchScheduler, RequestState,
@@ -99,6 +100,13 @@ class AnalyticTiming:
             metrics.counter(f"timing.{stage}s").inc()
             metrics.counter(f"timing.{stage}_total_s").inc(seconds)
             metrics.histogram(f"timing.{stage}_s").observe(seconds)
+
+    def step_histogram(self) -> Histogram:
+        """Restart ``timing.decode_step_s`` as a fresh sample-retaining
+        instrument for one run's exact step-latency percentiles (the null
+        histogram when the registry is disabled)."""
+        return self.obs.metrics.new_histogram("timing.decode_step_s",
+                                              track_values=True)
 
     def decode_step_s(self, contexts, degraded=None) -> float:
         if not contexts:

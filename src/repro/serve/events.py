@@ -2,11 +2,14 @@
 
 Every request carries timestamps for the canonical serving milestones —
 arrival, admission, first token, every subsequent token, completion — in
-the engine's clock (analytic seconds by default, wall seconds in measured
-mode).  :class:`ServeReport` reduces the event log to the metrics a
-serving SLO is written against: TTFT and TPOT percentiles, aggregate
-decode throughput, and the shed/degradation accounting the fault layer
-feeds.
+the run's clock (analytic seconds by default, wall seconds in the
+engine's measured mode).  :class:`ServeReport` reduces the event log to
+the metrics a serving SLO is written against: TTFT and TPOT percentiles,
+aggregate decode throughput, queueing and end-to-end latency means, and
+the shed/degradation accounting the fault layer feeds.  Both serving
+layers produce it: the functional
+:class:`~repro.serve.engine.ServeEngine` and the analytic
+:class:`~repro.system.serving_sim.ServingSimulator`.
 
 Percentiles are sourced from the ``repro.obs`` registry: the engine
 records every request's TTFT/TPOT into exact (sample-retaining)
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.obs import Histogram, exact_percentile
 
@@ -90,7 +95,7 @@ class RequestEvents:
 
 @dataclasses.dataclass
 class ServeReport:
-    """Outcome of one :class:`~repro.serve.engine.ServeEngine` run."""
+    """Outcome of one serving run (functional engine or analytic simulator)."""
 
     system: str
     events: List[RequestEvents]
@@ -105,6 +110,9 @@ class ServeReport:
     #: to recomputing from ``events``.
     ttft_hist: Optional[Histogram] = None
     tpot_hist: Optional[Histogram] = None
+    #: the run's exact decode-step latency distribution
+    #: (``timing.decode_step_s``), populated by the analytic simulator.
+    step_hist: Optional[Histogram] = None
 
     # -- request partitions ---------------------------------------------------
 
@@ -175,6 +183,26 @@ class ServeReport:
             }
         return out
 
+    def step_percentile_s(self, q: float) -> float:
+        """Decode-step latency percentile (0.0 without a step histogram)."""
+        return self.step_hist.percentile(q) if self.step_hist is not None \
+            else 0.0
+
+    @property
+    def mean_queueing_delay_s(self) -> float:
+        """Mean arrival -> first admission over every admitted request."""
+        delays = [e.admitted_s - e.arrival_s for e in self.events
+                  if e.admitted_s is not None]
+        return float(np.mean(delays)) if delays else 0.0
+
+    @property
+    def mean_request_latency_s(self) -> float:
+        """Mean arrival -> completion over the completed requests."""
+        done = self.completed
+        if not done:
+            return 0.0
+        return float(np.mean([e.finished_s - e.arrival_s for e in done]))
+
     @property
     def throughput_tps(self) -> float:
         """Aggregate decode tokens per second of engine time."""
@@ -212,9 +240,9 @@ class ServeReport:
     @property
     def availability(self) -> float:
         """Completed-un-shed / completed: of the requests that finished,
-        the fraction that kept sparse service (mirrors ServingReport).
-        Rejected requests do not count here; the fleet's served / arrived
-        is :attr:`repro.fleet.report.FleetReport.availability`."""
+        the fraction that kept sparse service.  Rejected requests do not
+        count here; the fleet's served / arrived is
+        :attr:`repro.fleet.report.FleetReport.availability`."""
         done = self.completed
         if not done:
             return 1.0

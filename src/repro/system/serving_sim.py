@@ -3,26 +3,35 @@
 Section 4 emphasizes that LongSight's KV "vector database" is unusually
 *dynamic*: per-user databases are created at prefill, grow every decode
 step, and disappear when the session ends.  This simulator exercises that
-dynamic regime end to end: sessions arrive over time with long prompts,
+dynamic regime end to end: requests arrive over time with long prompts,
 are admitted when capacity allows (DReX bytes + HBM + DCC queue for
 LongSight; HBM only for GPU baselines), decode in synchronized batches
 with *heterogeneous* context lengths, and release capacity on completion.
 
-Time advances in decode steps whose duration comes from the analytical
-models' ``step_latency_s`` — the simulator composes them with arrival /
-admission / departure dynamics that the single-point Figure 7 analysis
-cannot capture (admission queueing delay, utilization over time).
+It speaks the functional serving layer's vocabulary without decoding a
+token: it runs :class:`~repro.serve.scheduler.ServeRequest`s, charges
+every step through the engine's own
+:class:`~repro.serve.engine.AnalyticTiming`, and returns a
+:class:`~repro.serve.events.ServeReport` — so TTFT / TPOT, availability
+and the queueing means are the report's reductions, and the two layers
+differ only in their loops: admission here is ``system.admits`` over the
+charged contexts (the engine's is pool blocks), prefill overlaps decode
+from the moment of admission (the engine's is chunked), and faults are
+per-step draws with backoff (the engine's come from its backends).
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-import heapq
 from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.llm.config import ModelConfig
+from repro.serve.engine import AnalyticTiming
+from repro.serve.events import ServeReport
+from repro.serve.scheduler import ServeRequest
 
 
 class ServingSystem(Protocol):
@@ -40,19 +49,20 @@ class ServingSystem(Protocol):
 
 @dataclasses.dataclass(frozen=True)
 class ServingFaultModel:
-    """Session-level offload-failure dynamics for the simulator.
+    """Request-level offload-failure dynamics for the simulator.
 
-    Each decode step, every decoding session independently fails its
-    offload with ``offload_failure_rate`` (one seeded draw per session per
+    Each decode step, every decoding request independently fails its
+    offload with ``offload_failure_rate`` (one seeded draw per request per
     step, in deterministic batch order).  A failed step still generates a
     token — via the dense sliding-window fallback — but counts as degraded.
-    After ``failures_to_backoff`` *consecutive* failures the session backs
-    off: it leaves the batch, releases its capacity, and re-enters the
-    admission queue ``backoff_s`` later.  A session that backs off more
-    than ``max_backoffs`` times is *shed from the offload path*: it stays
-    in the batch pinned to the dense sliding-window fallback and still
-    decodes to completion — generation is never dropped, only degraded
-    (and the shedding is reported, never silent).
+    After ``failures_to_backoff`` *consecutive* failures the request backs
+    off, recorded as a recompute preemption with a delay: it leaves the
+    batch, releases its capacity, and re-enters the admission queue
+    ``backoff_s`` later.  The backoff that exceeds ``max_backoffs`` (also
+    counted) instead *sheds it from the offload path*: it stays in the
+    batch pinned to the dense sliding-window fallback and still decodes to
+    completion — generation is never dropped, only degraded (and the
+    shedding is reported, never silent).
     """
 
     offload_failure_rate: float = 0.0
@@ -74,276 +84,156 @@ class ServingFaultModel:
         return self.offload_failure_rate > 0.0
 
 
-@dataclasses.dataclass
-class Session:
-    """One user request: a long prompt plus a decode budget."""
-
-    session_id: int
-    arrival_s: float
-    prompt_tokens: int
-    output_tokens: int
-
-    # -- filled by the simulator --
-    admitted_s: Optional[float] = None
-    ready_s: Optional[float] = None   # prefill complete, decoding begins
-    finished_s: Optional[float] = None
-    generated: int = 0
-    # -- fault dynamics --
-    degraded_tokens: int = 0          # generated via the dense fallback
-    consecutive_failures: int = 0
-    offload_backoffs: int = 0
-    reentry_s: Optional[float] = None  # re-admission eligibility after backoff
-    shed: bool = False                 # pinned to dense-only after backoffs
-
-    @property
-    def context(self) -> int:
-        """Current context length (prompt + generated so far)."""
-        return self.prompt_tokens + self.generated
-
-    @property
-    def queueing_delay_s(self) -> Optional[float]:
-        if self.admitted_s is None:
-            return None
-        return self.admitted_s - self.arrival_s
-
-    @property
-    def eligible_s(self) -> float:
-        """When this session may (re-)enter admission."""
-        return self.arrival_s if self.reentry_s is None else self.reentry_s
-
-
-def poisson_workload(n_sessions: int, arrival_rate_per_s: float,
-                     prompt_tokens: int, output_tokens: int,
-                     seed: int = 0,
-                     prompt_jitter: float = 0.25) -> List[Session]:
-    """A seeded Poisson arrival trace with jittered prompt lengths."""
-    rng = np.random.default_rng(seed)
-    t = 0.0
-    sessions = []
-    for i in range(n_sessions):
-        t += rng.exponential(1.0 / arrival_rate_per_s)
-        jitter = 1.0 + prompt_jitter * (2 * rng.random() - 1)
-        sessions.append(Session(
-            session_id=i, arrival_s=t,
-            prompt_tokens=max(1, int(prompt_tokens * jitter)),
-            output_tokens=output_tokens))
-    return sessions
-
-
-@dataclasses.dataclass
-class ServingReport:
-    """Outcome of one simulation run."""
-
-    system: str
-    sessions: List[Session]
-    sim_time_s: float
-    tokens_generated: int
-    peak_concurrency: int
-    # -- fault dynamics --
-    total_backoffs: int = 0
-    step_latency_samples: List[float] = dataclasses.field(
-        default_factory=list)
-
-    @property
-    def completed(self) -> List[Session]:
-        return [s for s in self.sessions if s.finished_s is not None]
-
-    @property
-    def shed(self) -> List[Session]:
-        return [s for s in self.sessions if s.shed]
-
-    @property
-    def throughput_tps(self) -> float:
-        return self.tokens_generated / self.sim_time_s if self.sim_time_s \
-            else 0.0
-
-    @property
-    def degraded_tokens(self) -> int:
-        return sum(s.degraded_tokens for s in self.sessions)
-
-    @property
-    def degraded_token_fraction(self) -> float:
-        """Fraction of generated tokens that used the dense fallback."""
-        if self.tokens_generated == 0:
-            return 0.0
-        return self.degraded_tokens / self.tokens_generated
-
-    @property
-    def availability(self) -> float:
-        """Fraction of completed sessions that kept sparse service (were
-        never shed from the offload path onto the dense-only fallback)."""
-        done = self.completed
-        if not done:
-            return 1.0
-        return sum(1 for s in done if not s.shed) / len(done)
-
-    def step_latency_percentile_s(self, q: float) -> float:
-        if not self.step_latency_samples:
-            return 0.0
-        return float(np.percentile(self.step_latency_samples, q))
-
-    @property
-    def p50_step_latency_s(self) -> float:
-        return self.step_latency_percentile_s(50.0)
-
-    @property
-    def p99_step_latency_s(self) -> float:
-        return self.step_latency_percentile_s(99.0)
-
-    def mean_queueing_delay_s(self) -> float:
-        delays = [s.queueing_delay_s for s in self.sessions
-                  if s.queueing_delay_s is not None]
-        return float(np.mean(delays)) if delays else 0.0
-
-    def mean_session_latency_s(self) -> float:
-        done = self.completed
-        if not done:
-            return 0.0
-        return float(np.mean([s.finished_s - s.arrival_s for s in done]))
+def _queue_key(request: ServeRequest):
+    return request.arrival_s, request.request_id
 
 
 class ServingSimulator:
     """Batch-synchronous decode with admission control and departures.
 
+    The simulator reads only a request's arrival, charged prompt length
+    and output budget — never its prompt ids, so a token-free trace and
+    one carrying ids simulate identically.  Every decoded token appends
+    one placeholder id to ``outputs``, which keeps
+    :attr:`~repro.serve.scheduler.ServeRequest.charged_context` the one
+    definition of the context the timing model is charged for.  Per-request
+    outcomes land where the engine puts them: ``events`` (admission,
+    token and finish stamps at the step's clock, degraded tokens,
+    backoffs as ``preemptions``, ``shed``, ``rejected`` for an impossible
+    fit), ``consecutive_degraded`` and ``pinned_dense``.  A backoff moves
+    ``request.arrival_s`` to its re-entry time while ``events.arrival_s``
+    keeps the original.
+
     Args:
-        prefill: optional :class:`repro.system.prefill.PrefillModel`; when
-            given, an admitted session occupies capacity immediately but
-            only joins the decode batch after its prefill latency (prefill
-            throughput is orders of magnitude above decode, Section 8.1.2,
-            so it is modeled as overlapping the ongoing decode).
+        timing: the :class:`~repro.serve.engine.AnalyticTiming` the
+            functional engine takes (system, paper-scale model config,
+            optional ``PrefillModel``, obs) over a
+            :class:`ServingSystem`.  A step costs its
+            ``decode_step_s`` — the degraded-step choice included — and
+            an admitted request occupies capacity at once but joins the
+            decode batch ``prefill_chunk_s(0, charged prompt)`` later
+            (prefill throughput is orders of magnitude above decode,
+            Section 8.1.2, so it is modeled as overlapping the ongoing
+            decode).  Step-latency percentiles come from its
+            ``timing.decode_step_s`` histogram, restarted sample-retaining
+            per run, so they need an enabled metrics registry.
+        max_steps: loop bound; exhausting it with requests still live
+            raises ``RuntimeError`` rather than returning a truncated
+            report.
         faults: optional :class:`ServingFaultModel`; when given with a
-            nonzero failure rate, sessions experience offload failures per
+            nonzero failure rate, requests experience offload failures per
             the model (degraded tokens, backoff + re-admission, shedding).
-            Sessions decoding a degraded step cost only their dense window
-            when the system exposes ``step_latency_degraded_s``.
     """
 
-    def __init__(self, system: ServingSystem, config: ModelConfig,
-                 max_steps: int = 1_000_000, prefill=None,
+    def __init__(self, timing: AnalyticTiming, max_steps: int = 1_000_000,
                  faults: Optional[ServingFaultModel] = None) -> None:
-        self.system = system
-        self.config = config
+        self.timing = timing
         self.max_steps = max_steps
-        self.prefill = prefill
         self.faults = faults
 
-    def _prefill_s(self, session: Session) -> float:
-        if self.prefill is None:
-            return 0.0
-        ls = getattr(self.system, "ls", None)
-        return self.prefill.prefill(self.config, session.prompt_tokens,
-                                    ls=ls).total_s
+    def _fits(self, contexts: List[int]) -> bool:
+        return self.timing.system.admits(self.timing.model_config, contexts)
 
-    def _try_admit(self, waiting: List[Session], active: List[Session],
-                   now: float) -> None:
+    def _try_admit(self, waiting: List[ServeRequest],
+                   active: List[ServeRequest], now: float) -> None:
         """FIFO admission: admit the head of the queue while it fits."""
-        while waiting:
+        while waiting and waiting[0].arrival_s <= now:
             candidate = waiting[0]
-            if candidate.eligible_s > now:
+            if not self._fits([r.charged_context
+                               for r in active + [candidate]]):
                 break
-            contexts = [s.context for s in active] + [candidate.context]
-            if not self.system.admits(self.config, contexts):
-                break
-            if candidate.admitted_s is None:
-                candidate.admitted_s = now
-            candidate.ready_s = now + self._prefill_s(candidate)
-            active.append(candidate)
-            waiting.pop(0)
+            if candidate.events.admitted_s is None:
+                candidate.events.admitted_s = now
+            prompt = candidate.charged_context - len(candidate.outputs)
+            candidate.ready_s = now + self.timing.prefill_chunk_s(0, prompt)
+            active.append(waiting.pop(0))
 
-    @staticmethod
-    def _requeue(waiting: List[Session], session: Session) -> None:
-        """Insert a backed-off session keeping (eligible_s, id) order."""
-        key = (session.eligible_s, session.session_id)
-        index = 0
-        while index < len(waiting) and \
-                (waiting[index].eligible_s,
-                 waiting[index].session_id) <= key:
-            index += 1
-        waiting.insert(index, session)
-
-    def run(self, sessions: Sequence[Session]) -> ServingReport:
-        """Simulate until every session completes (or max_steps)."""
-        waiting = sorted(sessions,
-                         key=lambda s: (s.eligible_s, s.session_id))
-        # Reject sessions that can never be admitted even alone.
-        for session in list(waiting):
-            if not self.system.admits(self.config, [session.prompt_tokens
-                                                    + session.output_tokens]):
-                waiting.remove(session)
+    def run(self, requests: Sequence[ServeRequest]) -> ServeReport:
+        """Simulate until every request completes or is rejected."""
+        waiting = []
+        for request in sorted(requests, key=_queue_key):
+            if self._fits([request.charged_context
+                           + request.max_new_tokens]):
+                waiting.append(request)
+            else:
+                # Cannot be admitted even alone: the scheduler's
+                # impossible-fit rejection.
+                request.events.rejected = request.events.shed = True
         faults = self.faults if self.faults is not None \
             and self.faults.any_faults else None
         fault_rng = np.random.default_rng(faults.seed) \
             if faults is not None else None
-        degraded_step = getattr(self.system, "step_latency_degraded_s", None)
-        active: List[Session] = []
+        steps = self.timing.step_histogram()
+        active: List[ServeRequest] = []
         now = 0.0
-        tokens = 0
         peak = 0
-        total_backoffs = 0
-        samples: List[float] = []
         for _ in range(self.max_steps):
             self._try_admit(waiting, active, now)
-            decoding = [s for s in active if s.ready_s <= now]
+            if not active and not waiting:
+                break
+            decoding = [r for r in active if r.ready_s <= now]
             if not decoding:
-                pending_times = [s.ready_s for s in active]
-                if waiting:
-                    pending_times.append(max(now, waiting[0].eligible_s))
-                if not pending_times:
-                    break
-                now = max(now, min(pending_times))
+                # Jump to the next event: the first readiness, or the
+                # queue head's eligibility only if it is still ahead — a
+                # head eligible now is blocked on capacity and waits for
+                # the batch.
+                pending = [r.ready_s for r in active]
+                if waiting and waiting[0].arrival_s > now:
+                    pending.append(waiting[0].arrival_s)
+                now = min(pending)
                 continue
             peak = max(peak, len(decoding))
-            contexts = [s.context for s in decoding]
-            # One seeded draw per non-shed decoding session, in batch
+            # One seeded draw per non-pinned decoding request, in batch
             # order, so the whole faulted trajectory is reproducible from
-            # faults.seed.  Shed sessions are already pinned to dense-only.
-            failed = [True if s.shed
-                      else bool(fault_rng.random()
-                                < faults.offload_failure_rate)
-                      for s in decoding] if faults is not None else None
-            if failed is not None and degraded_step is not None \
-                    and any(failed):
-                step = degraded_step(self.config, contexts, failed)
-            else:
-                step = self.system.step_latency_s(self.config, contexts)
-            now += step
-            samples.append(step)
-            finished = []
+            # faults.seed.  Pinned requests are already dense-only.
+            failed = [r.pinned_dense
+                      or bool(fault_rng.random()
+                              < faults.offload_failure_rate)
+                      for r in decoding] if faults is not None else None
+            now += self.timing.decode_step_s(
+                [r.charged_context for r in decoding], failed)
             backed_off = []
-            for i, session in enumerate(decoding):
-                session.generated += 1
-                tokens += 1
+            for i, request in enumerate(decoding):
+                events = request.events
+                request.outputs.append(0)  # placeholder id
+                events.token_times_s.append(now)
+                if events.first_token_s is None:
+                    events.first_token_s = now
                 if failed is not None:
                     if failed[i]:
-                        session.degraded_tokens += 1
-                        session.consecutive_failures += 1
+                        events.degraded_tokens += 1
+                        request.consecutive_degraded += 1
                     else:
-                        session.consecutive_failures = 0
-                if session.generated >= session.output_tokens:
-                    session.finished_s = now
-                    finished.append(session)
-                elif faults is not None and not session.shed \
-                        and session.consecutive_failures \
+                        request.consecutive_degraded = 0
+                if len(request.outputs) >= request.max_new_tokens:
+                    events.finished_s = now
+                    events.shed = request.pinned_dense
+                    active.remove(request)
+                elif faults is not None and not request.pinned_dense \
+                        and request.consecutive_degraded \
                         >= faults.failures_to_backoff:
-                    backed_off.append(session)
-            for session in finished:
-                active.remove(session)
-            for session in backed_off:
-                session.consecutive_failures = 0
-                session.offload_backoffs += 1
-                total_backoffs += 1
-                if session.offload_backoffs > faults.max_backoffs:
-                    # Shed from the offload path: the session stays in the
+                    backed_off.append(request)
+            for request in backed_off:
+                request.consecutive_degraded = 0
+                request.events.preemptions += 1
+                if request.events.preemptions > faults.max_backoffs:
+                    # Shed from the offload path: the request stays in the
                     # batch pinned to the dense fallback and still finishes
                     # — reported in the outcome, never silently dropped.
-                    session.shed = True
+                    request.pinned_dense = True
                 else:
-                    active.remove(session)
-                    session.reentry_s = now + faults.backoff_s
-                    self._requeue(waiting, session)
-        return ServingReport(system=self.system.name,
-                             sessions=list(sessions), sim_time_s=now,
-                             tokens_generated=tokens,
-                             peak_concurrency=peak,
-                             total_backoffs=total_backoffs,
-                             step_latency_samples=samples)
+                    active.remove(request)
+                    request.arrival_s = now + faults.backoff_s
+                    bisect.insort(waiting, request, key=_queue_key)
+        if active or waiting:
+            raise RuntimeError(
+                f"{self.timing.system.name}: {len(active) + len(waiting)} "
+                f"requests still live after max_steps={self.max_steps}")
+        events = [r.events for r in requests]
+        return ServeReport(
+            system=self.timing.system.name, events=events, clock_s=now,
+            tokens_generated=sum(e.n_tokens for e in events),
+            peak_decode_batch=peak,
+            preemptions=sum(e.preemptions for e in events),
+            pool_blocks=0, pool_high_watermark=0,
+            step_hist=steps if steps.count else None)

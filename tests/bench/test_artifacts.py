@@ -11,9 +11,16 @@ import json
 
 import pytest
 
+from repro.bench import chaos
 from repro.bench.registry import (REGISTRY, BenchSpec, check_all,
                                   check_artifact)
+from repro.bench.serve import TINY_MODEL
 from repro.bench.tables import results_dir
+from repro.llm.config import LLAMA3_8B
+from repro.serve.crossval import default_systems, poisson_workload
+from repro.serve.engine import AnalyticTiming
+from repro.system.prefill import PrefillModel
+from repro.system.serving_sim import ServingSimulator
 
 
 def test_registry_covers_known_artifacts():
@@ -71,3 +78,46 @@ def test_unregistered_spec_roundtrip(tmp_path):
     """A new BenchSpec line is all a future bench needs to be enforced."""
     spec = BenchSpec("repro.bench.chaos", "BENCH_future.json", "future")
     assert "missing" in check_artifact(spec, tmp_path)[0]
+
+
+# -- the published analytic numbers are what the code computes ---------------
+
+
+def _committed(spec_tag):
+    return json.loads(
+        (results_dir() / REGISTRY[spec_tag].result_name).read_text())
+
+
+def test_committed_chaos_serving_points_are_reproduced():
+    payload = _committed("chaos")
+    config = payload["config"]
+    assert config["model"] == LLAMA3_8B.name
+    for workload in config["workloads"]:
+        for name, (system, faultable) in chaos.serving_systems().items():
+            fresh = [chaos._serving_point(
+                system, LLAMA3_8B, workload, config["n_sessions"], rate,
+                config["seed"], faultable)
+                for rate in payload["fault_rates"]]
+            assert fresh == payload["serving"][workload][name], \
+                (workload, name)
+
+
+def test_committed_serve_analytic_throughput_is_reproduced():
+    payload = _committed("serve")
+    config = payload["config"]
+    assert config["charged_model"] == LLAMA3_8B.name
+    systems = default_systems()
+    for name, points in payload["sweep"].items():
+        for point in points:
+            trace = poisson_workload(
+                config["n_requests"], point["arrival_rate_per_s"],
+                config["prompt_tokens"], config["output_tokens"],
+                TINY_MODEL.vocab_size,
+                charged_prompt_tokens=point["charged_context"],
+                seed=config["seed"])
+            timing = AnalyticTiming(systems[name], LLAMA3_8B,
+                                    prefill=PrefillModel())
+            report = ServingSimulator(timing).run(trace)
+            assert report.throughput_tps \
+                == point["analytic_throughput_tps"], \
+                (name, point["arrival_rate_per_s"], point["charged_context"])

@@ -18,7 +18,7 @@ from repro.bench.serve import TINY_LS, TINY_MODEL
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.serve.crossval import backend_factory, default_systems, \
-    paired_workload
+    poisson_workload
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import SloPolicy
@@ -88,9 +88,8 @@ def make_workload():
     """Deterministic small workload; fresh request objects per call."""
     def build(n_requests: int = 3, prompt_tokens: int = 24,
               output_tokens: int = 8, seed: int = 7):
-        requests, _ = paired_workload(
+        return poisson_workload(
             n_requests, 50.0, prompt_tokens, output_tokens,
             TINY_MODEL.vocab_size, charged_prompt_tokens=65_536,
             seed=seed)
-        return requests
     return build

@@ -13,7 +13,7 @@ from repro.bench.serve import TINY_MODEL
 from repro.durable import DurableRun, recover
 from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
                           WorkerKilledError)
-from repro.serve.crossval import paired_workload
+from repro.serve.crossval import poisson_workload
 from repro.serve.scheduler import BrownoutPolicy, SloPolicy
 from repro.system.faults import CRASH_KINDS, CrashPlan
 
@@ -111,10 +111,9 @@ class TestBrownoutLadder:
             return engine_builder(policy=policy)
 
         def workload():
-            requests, _ = paired_workload(
+            return poisson_workload(
                 8, 500.0, 40, 8, TINY_MODEL.vocab_size,
                 charged_prompt_tokens=65_536, seed=7)
-            return requests
 
         def summary(run):
             return ({r.request_id: list(r.outputs) for r in run._arrivals},

@@ -1,20 +1,26 @@
 """Cross-validation: the functional engine must agree with the analytic
 serving simulator on *which system wins and by how much* (satellite c).
 
-The two layers share nothing but the latency models and the arrival
-trace, so agreement here ties the token-level serving implementation to
-the paper's analytic claims: LongSight out-throughputs the quality-equal
-dense baseline at long context, and the gap closes toward the crossover
-as context shrinks.
+The two layers share the request and report types, the timing adapter
+and the arrival trace, but not their loops (admission, prefill and fault
+handling differ), so agreement here ties the token-level serving
+implementation to the paper's analytic claims: LongSight out-throughputs
+the quality-equal dense baseline at long context, and the gap closes
+toward the crossover as context shrinks.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.config import LongSightConfig
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.serve.crossval import (SYSTEM_NAMES, cross_validate,
-                                  default_systems, paired_workload)
+                                  default_systems, poisson_workload)
+from repro.serve.engine import AnalyticTiming
+from repro.serve.scheduler import ServeRequest
+from repro.system.prefill import PrefillModel
+from repro.system.serving_sim import ServingSimulator
 from tests.conftest import TINY
 
 LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
@@ -73,18 +79,30 @@ class TestCrossoverDirection:
 
 
 class TestPairedWorkload:
-    def test_layers_see_identical_traces(self):
-        requests, sessions = paired_workload(
+    def test_analytic_layer_ignores_prompt_ids(self):
+        """The simulator reads arrival, charged prompt length and output
+        budget only: a trace carrying prompt ids and its token-free twin
+        give equal reports."""
+        with_ids = poisson_workload(
             n_requests=7, arrival_rate_per_s=3.0, prompt_tokens=20,
             output_tokens=5, vocab_size=TINY.vocab_size,
             charged_prompt_tokens=32_768, seed=1)
-        assert len(requests) == len(sessions) == 7
-        for request, session in zip(requests, sessions):
-            assert request.arrival_s == session.arrival_s
-            assert request.charged_prompt_tokens == session.prompt_tokens
-            assert request.max_new_tokens == session.output_tokens
-            # functional prompts are laptop scale, charged paper scale
-            assert len(request.prompt) < session.prompt_tokens
+        token_free = [ServeRequest(
+            request_id=r.request_id, prompt=np.zeros(0, dtype=np.int64),
+            max_new_tokens=r.max_new_tokens, arrival_s=r.arrival_s,
+            charged_prompt_tokens=r.charged_prompt_tokens)
+            for r in with_ids]
+        # functional prompts are laptop scale, charged paper scale
+        assert all(0 < len(r.prompt) < r.charged_prompt_tokens
+                   for r in with_ids)
+        timing = AnalyticTiming(default_systems()["longsight"], LLAMA3_8B,
+                                prefill=PrefillModel())
+        first, second = (ServingSimulator(timing).run(trace)
+                         for trace in (with_ids, token_free))
+        assert first.tokens_generated == 7 * 5
+        assert first.as_dict() == second.as_dict()
+        assert first.step_percentile_s(99.0) \
+            == second.step_percentile_s(99.0)
 
     def test_default_systems_cover_the_cast(self):
         systems = default_systems()
