@@ -20,7 +20,7 @@ query) or packed from the keys.  Five stages turn them into an output:
 4. *select* — the compacted tile joins the per-row pool carried from
    earlier tiles; top-k runs only if the merged width exceeds ``top_k``;
 5. *attend* — one softmax over ``sinks + window ++ pool`` with gathered
-   values.
+   values (:func:`_attend`, for decode rows and prefill rows alike).
 
 Stages 1–4 exist once (:class:`_SparseSpan`) and run, key tile by key
 tile, over a stack of **units**.  A unit is one session's KV head — a
@@ -72,10 +72,9 @@ lower-index tie-break picks exactly the keys full-width selection picks.
 Two rules size the work from the inputs; neither changes a selection:
 
 - **slab** — stages 2–5 run on the stacked rows of as many heads of the
-  group as keep ``rows x max(tile width, dense columns, top_k x head_dim)``
-  (the score, dense and gathered-value temporaries) under
-  ``_SLAB_ELEMS``: a 256-query block goes one head at a time.  Scores stay
-  one GEMM per head (stacked ``np.matmul``);
+  group as keep ``rows x max(tile width, D, top_k x head_dim)`` (the
+  score, panel and gathered-value temporaries) under ``_SLAB_ELEMS``: a
+  256-query block goes one head at a time;
 - **gather** — when the columns any row of the unit kept are under half
   its tile, stage 2 scores only those (``keys.take(cols)``), which keeps
   decode O(passed) at selective thresholds; otherwise it slices the whole
@@ -99,73 +98,61 @@ blocks, and for a cache whose sign store was not packed under this
 backend's rotations (stateless ``forward``, a foreign bank), whose signs
 are packed from its keys.
 
-Two routines run the stages, split on the query count:
+**A row** is one query of one session, laid out from the config and
+**that row's own context length** ``n`` only (``D = n_sink + window``,
+``P = top_k``); stage 5 (:func:`_attend`) runs over stacked rows.  Two
+layouts:
+
+- *the context is the row* (``n <= D``; at decode ``n <= D + P``): the
+  whole context in natural column order, ``mask = dense columns |
+  (candidate & filter pass)`` (:meth:`LongSightAttention._filter_rows`).
+  No compaction and no top-k: with ``candidates <= top_k`` every passing
+  key is selected — exactly what the reference's ``top_k_mask`` returns;
+- *panel ++ pool*: the ``D`` sinks + window columns, then the row's pool
+  from stages 1–4, its scores padded with -inf to ``P``.  ``top_k = 0``
+  has no pool at any context length: the row *is* the panel, an
+  O(window) read — the dense fallback and the paper's sliding-window
+  baseline (Section 8.2 / Figure 10, :class:`SlidingWindowAttention`).
+
+**A decode call** is :meth:`LongSightAttention.forward_cached_batch`: one
+query for every compatible session of a decode batch, as the paper's GPU
+runs the dense attention for the whole user batch (Figure 2b).  A served
+session must produce the bits it produces alone, so a row is
+*batch-invariant by construction*: sessions of one layout stack on a
+leading axis, each product is one BLAS call of fixed shape per session
+and KV head, the panel is the session's ``cache.window_view`` zero-padded
+to ``D`` (``D + P`` for the short layout), the pool's values are ``P``
+wide, and one pass of stages 1–4 fills every pooled session's pool
+(:meth:`LongSightAttention._fill_pools`).  Padding rows to the batch's
+widest member would change call shapes and reduction trees (``np.sum`` is
+a pairwise tree of the row's width) and silently break served == solo
+(``tests/core/test_decode_rows.py``).  The two unpooled widths are a
+measured choice (CHANGES.md: one ``D + P`` width costs
+``chat_burst`` ~15% more attention time), not an option.  Which sessions
+may share a call is :meth:`LongSightAttention.stack_key`.
 
 **A prefill block** (two or more queries) is
-:meth:`LongSightAttention._forward_block`: per KV head and slab, dense
-scores, stages 1–4, one softmax, gathered values.  It only has to equal
-itself — chunked prefill splits on the same blocks.
-
-**A decode row** (one query) is
-:meth:`LongSightAttention.forward_cached_batch`, for every compatible
-session of a decode batch at once — the paper's GPU runs the dense
-attention for the whole user batch (Figure 2b).  A served session must
-produce the bits it produces alone, so a row is *batch-invariant by
-construction*: its layout is a function of the config and of **that
-session's own context length** only (``D = n_sink + window``,
-``P = top_k``), sessions of one layout stack on a leading axis, and
-scores, mask, softmax and P·V run once per layer-step as batched
-``np.matmul`` (one BLAS call of fixed shape per (session, head)) and
-row-wise reductions of fixed width.  Two layouts:
-
-- *the context is the row* (``n_ctx <= D + P``): the whole context in
-  natural column order, zero-padded to a fixed width — ``D`` while
-  ``n_ctx <= D`` (no sparse span, no filter), else ``D + P`` — and
-  ``mask = dense columns | (candidate & filter pass)``, the filter being
-  one stacked XOR+popcount.  No compaction and no top-k: with
-  ``candidates <= top_k`` every passing key is selected, which is exactly
-  the set the reference loop's full-width ``top_k_mask`` returns.
-  ``top_k = 0`` is this layout at **every** context length: nothing can
-  be selected, so the row *is* the ``D``-wide panel — sinks + window, an
-  O(window) read, no filter — the dense fallback and the paper's
-  sliding-window baseline (Section 8.2 / Figure 10);
-- *panel ++ pool* (``n_ctx > D + P``): the ``D`` sinks + window columns
-  (``cache.window_view``: an O(window) read) followed by a ``P``-wide
-  pool that one pass of stages 1–4 fills for every session of the call
-  (:meth:`LongSightAttention._fill_pools`), the GQA group's heads going
-  through one compaction and one top-k (the slab rule, at one query
-  almost always the whole group).  The pool's P·V runs at the config's
-  ``top_k`` width for every row — an empty slot's weight is exactly 0 —
-  so its shape, too, is a function of the config.
-
-No *float* shape in a row depends on the batch: padding a group's rows
-to its *widest member* would change the GEMM's call shape and the
-reduction trees (``np.sum`` over the last axis is a pairwise tree of that
-width) and silently break served == solo;
-``tests/core/test_decode_rows.py`` fails when that is tried.  The two
-unpooled widths are a measured choice (CHANGES.md, PR 17: one ``D + P``
-width costs ``chat_burst`` ~15% more attention time), not an option.
-Which sessions may share a call is :meth:`LongSightAttention.stack_key`.
+:meth:`LongSightAttention._forward_block`: row *i* is the row at
+``n_i = n_ctx - n_new + i + 1``.  Rows with ``n_i <= D`` share the panel
+``[0, min(D, n_ctx))``; a longer row's window is a banded view of the
+layer's keys and values, not a copy, and its pool is the one stages 1–4
+produced for it.  Each row equals the decode row at its context to
+round-off (``tests/core/test_prefill_is_decode_rows.py``).
 
 The correctness oracle — the original per-head loop over full-width
 masks — is :class:`repro.core.reference.ReferenceAttention`; selected key
-sets match it exactly and outputs to float round-off in both routines
-and both layouts (``tests/core/test_fast_equivalence.py``,
+sets match it exactly and outputs to float round-off in both entry
+points and every layout (``tests/core/test_fast_equivalence.py``,
 ``tests/core/test_block_prefill.py``, ``tests/core/test_decode_rows.py``).
-
-:class:`SlidingWindowAttention` is the StreamingLLM-style baseline of
-Section 8.2 / Figure 10: sinks + window only, no sparse component.  That
-is the hybrid with nothing retrieved, so it is this kernel at
-``top_k = 0`` — stages 1–4 are skipped and nothing in
-``repro.core.scf`` / ``repro.core.topk`` is called — and its per-query
-cost is O(window), not O(context).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.config import LongSightConfig
 from repro.core.itq import ItqRotations
@@ -176,7 +163,7 @@ from repro.core.topk import top_k_mask
 from repro.llm.kv_cache import KVCache, SessionLayerKV
 from repro.llm.ops import softmax
 
-#: Element bound on one slab's score / dense / gathered-value temporaries
+#: Element bound on one slab's score / panel / gathered-value temporaries
 #: (8 MiB of float64); see the slab rule in the module docstring.
 _SLAB_ELEMS = 1 << 20
 
@@ -206,42 +193,54 @@ def _record_split(metrics, queries: int, dense_accesses: int,
                           edges=_RATIO_EDGES).observe(ratio)
 
 
-def _region_masks(q_positions: np.ndarray, n_ctx: int, n_sink: int,
-                  window: int,
-                  key_positions: Optional[np.ndarray] = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(dense, sparse-candidate) boolean masks, each ``(n_q, n_keys)``.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a (..., m, k) @ b``.  A 2-D ``b`` is shared by every row of ``a``:
+    one GEMM over all of them, not one per leading index."""
+    if b.ndim > 2:
+        return np.matmul(a, b)
+    lead = a.shape[:-1]
+    return (a.reshape(math.prod(lead), a.shape[-1]) @ b).reshape(
+        lead + b.shape[-1:])
 
-    ``dense`` covers sinks plus the sliding window (clipped causally);
-    ``sparse`` is the causal remainder — the region LongSight offloads.
-    By default keys are the full context ``0..n_ctx-1``; ``key_positions``
-    restricts the masks to a gathered subset of columns (a query block's
-    dense panel).
+
+def _attend(q: np.ndarray, panels, keep: Optional[np.ndarray] = None,
+            pool: Optional[tuple] = None) -> np.ndarray:
+    """Stage 5 for stacked rows: one softmax over ``panel ++ pool``, P.V.
+
+    ``q`` is ``(..., m, d)``: ``m`` queries that read one panel — a decode
+    row's GQA group, a long prefill row's heads, the short prefill rows of
+    one head.  ``panels`` are ``(keys, values)`` pieces laid side by side:
+    ``(..., w, d)`` per row (a decode row's panel, a prefill row's banded
+    window — a view, not a copy), or ``(w, d)`` shared by every row (the
+    sinks; the short prefill rows' panel).  ``keep`` masks panel columns
+    (broadcast to ``(..., m, panel width)``; None keeps every column).
+    ``pool`` is ``(scores, values)``: ``(..., m, P)`` scaled scores at the
+    row's pool width (-inf in an empty slot) and ``(..., m, <= P, d)``
+    values of its leading slots; a slot past them has weight exactly 0.
     """
-    if key_positions is None:
-        j = np.arange(n_ctx)[None, :]
-    else:
-        j = np.asarray(key_positions)[None, :]
-    p = np.asarray(q_positions)[:, None]
-    causal = j <= p
-    dense = ((j < n_sink) | (j > p - window)) & causal
-    sparse = causal & ~dense
-    return dense, sparse
-
-
-def _dense_region(n_ctx: int, n_new: int, n_sink: int,
-                  window: int) -> tuple[np.ndarray, np.ndarray]:
-    """A query block's dense columns and ``(n_new, n_cols)`` dense mask.
-
-    The columns are the union over the block: sinks plus the window of its
-    *oldest* query, O(window + n_new) of them whatever the context length.
-    """
-    sink_end = min(n_sink, n_ctx)
-    start = max(sink_end, n_ctx - n_new - window + 1)
-    cols = np.concatenate([np.arange(sink_end), np.arange(start, n_ctx)])
-    dense_mask, _ = _region_masks(np.arange(n_ctx - n_new, n_ctx), n_ctx,
-                                  n_sink, window, key_positions=cols)
-    return cols, dense_mask
+    width = sum(k.shape[-2] for k, _ in panels)
+    n_pool = 0 if pool is None else pool[0].shape[-1]
+    rows = np.empty(q.shape[:-1] + (width + n_pool,), dtype=q.dtype)
+    at = 0
+    for keys, _ in panels:
+        rows[..., at:at + keys.shape[-2]] = _product(q, keys.swapaxes(-1, -2))
+        at += keys.shape[-2]
+    scores = rows[..., :width]
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    if keep is not None:
+        np.copyto(scores, -np.inf, where=~keep)
+    if pool is not None:
+        rows[..., width:] = pool[0]
+    probs = softmax(rows, axis=-1)
+    out, at = np.zeros(q.shape, dtype=q.dtype), 0
+    for _, values in panels:
+        out += _product(probs[..., at:at + values.shape[-2]], values)
+        at += values.shape[-2]
+    if pool is not None:
+        pool_v = pool[1]
+        out += np.matmul(probs[..., None, width:width + pool_v.shape[-2]],
+                         pool_v)[..., 0, :]
+    return out
 
 
 def _left_align(mask: np.ndarray
@@ -364,11 +363,12 @@ class _SparseSpan:
         return np.maximum(0, np.minimum(cfg.prefill_tile or n_ctx,
                                         n_ctx - cfg.window - cfg.n_sink))
 
-    def slab_heads(self, n_ctx: int, n_dense: int) -> int:
+    def slab_heads(self, n_ctx: int) -> int:
         """Heads of a group that stages 2-5 take at once (the slab rule)."""
+        cfg = self.backend.config
         return max(1, _SLAB_ELEMS // (self.n_new * max(
-            int(self.tile(n_ctx)), n_dense,
-            self.backend.config.top_k * self.head_dim)))
+            int(self.tile(n_ctx)), cfg.n_sink + cfg.window,
+            cfg.top_k * self.head_dim)))
 
     def select(self, q: np.ndarray, q_signs: np.ndarray, h0, n_ctx, keys,
                signs) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -713,23 +713,23 @@ class LongSightAttention:
         the ``(n_kv_heads, n_ctx, n_bytes)`` packed sign store (already
         rotated when ITQ is on); at ``top_k = 0`` it is not read — nothing
         can be selected, so stages 1-4 are skipped and no candidate is
-        counted as offloaded.  Selections equal
-        :class:`~repro.core.reference.ReferenceAttention`'s exactly and
-        outputs match it to float round-off (the softmax sums the same
-        finite terms in a different grouping).
+        counted as offloaded.
         """
         cfg = self.config
         n_q_heads, n_new, head_dim = q.shape
         n_kv_heads, n_ctx, _ = k.shape
         group = n_q_heads // n_kv_heads
-        scale = 1.0 / np.sqrt(head_dim)
-
-        dense_cols, dense_mask = _dense_region(n_ctx, n_new, cfg.n_sink,
-                                               cfg.window)
-        n_dense = len(dense_cols)
+        n_dense = cfg.n_sink + cfg.window
+        # Row i is the row at context n_i (module docstring): n_short
+        # rows read [0, short_w), the rest sinks ++ band ++ pool.
+        n_i = np.arange(n_ctx - n_new, n_ctx) + 1
+        n_short = int(np.clip(n_dense - (n_ctx - n_new), 0, n_new))
+        short_w = min(n_dense, n_ctx)
+        band_lo = n_ctx - n_new + n_short - cfg.window + 1
+        causal = np.arange(short_w) < n_i[:n_short, None]
         span = _SparseSpan(self, layer, n_q_heads, n_kv_heads, n_new,
                            head_dim)
-        slab = span.slab_heads(n_ctx, n_dense)
+        slab = span.slab_heads(n_ctx)
         candidates = span.candidates(n_ctx) if cfg.top_k else 0
         if candidates:
             q_signs = self._query_signs(
@@ -739,17 +739,27 @@ class LongSightAttention:
         passed_total = selected_total = 0
         out = np.empty_like(q)
         for kv_head in range(n_kv_heads):
-            keys = k[kv_head]
-            values = v[kv_head]
-            kg = keys[dense_cols]
-            vg = values[dense_cols]
-            g_hi = (kv_head + 1) * group
-            for h0 in range(kv_head * group, g_hi, slab):
+            # Upcast once: every read below (and stage 2's) is then a view
+            # or a gather of float64 rows.
+            keys, values = (x[kv_head].astype(q.dtype, copy=False)
+                            for x in (k, v))
+            g_lo, g_hi = kv_head * group, (kv_head + 1) * group
+            short = [(keys[:short_w], values[:short_w])]
+            sinks = (keys[:cfg.n_sink], values[:cfg.n_sink])
+            # Row i's window, rows [band_lo + i, band_lo + i + window): a
+            # banded view of the layer's rows, not a copy.
+            band = tuple(as_strided(
+                x[band_lo:], (n_new - n_short, cfg.window, head_dim),
+                (x.strides[0],) + x.strides, writeable=False)
+                for x in (keys, values)) if n_short < n_new else None
+            for h0 in range(g_lo, g_hi, slab):
                 h1 = min(h0 + slab, g_hi)
-                n_heads = h1 - h0
-                combined = np.where(
-                    dense_mask, np.matmul(q[h0:h1], kg.T) * scale,
-                    -np.inf).reshape(n_heads * n_new, n_dense)
+                if n_short:
+                    out[h0:h1, :n_short] = _attend(q[h0:h1, :n_short],
+                                                   short, keep=causal)
+                if band is None:
+                    continue
+                pool = None
                 if candidates:
                     # The slab is a stack of one unit.
                     pool_s, pool_c, passed, selected = span.select(
@@ -757,20 +767,20 @@ class LongSightAttention:
                         [keys], [key_signs[kv_head]])
                     passed_total += int(passed[0])
                     selected_total += int(selected[0])
-                    combined = np.concatenate([combined, pool_s], axis=1)
-                probs = softmax(combined, axis=-1)
-                out_s = np.matmul(
-                    probs[:, :n_dense].reshape(n_heads, n_new, n_dense), vg)
-                if combined.shape[1] > n_dense:
-                    # Pad columns clip to the last key; their weight is 0.
-                    v_sel = values.take(pool_c, axis=0, mode="clip")
-                    out_s += np.einsum("nk,nkd->nd", probs[:, n_dense:],
-                                       v_sel).reshape(out_s.shape)
-                out[h0:h1] = out_s
+                    # Long rows, row-major; scores padded to top_k with
+                    # -inf.  _PAD clips to the last key, at weight 0.
+                    pool_s, pool_c = (x.reshape(h1 - h0, n_new, x.shape[1])[
+                        :, n_short:].swapaxes(0, 1) for x in (pool_s, pool_c))
+                    scores = np.full(pool_s.shape[:2] + (cfg.top_k,), -np.inf)
+                    scores[..., :pool_s.shape[2]] = pool_s
+                    pool = (scores, values.take(pool_c, axis=0, mode="clip"))
+                out[h0:h1, n_short:] = _attend(
+                    q[h0:h1, n_short:].swapaxes(0, 1), [sinks, band],
+                    pool=pool).swapaxes(0, 1)
         metrics = self.obs.metrics
         if metrics.enabled:
             _record_split(metrics, n_q_heads * n_new,
-                          int(dense_mask.sum()) * n_q_heads,
+                          int(np.minimum(n_i, n_dense).sum()) * n_q_heads,
                           candidates * n_q_heads, passed_total,
                           selected_total)
         return out
@@ -850,36 +860,24 @@ class LongSightAttention:
             v_panel[s, :, :n] = v
             v_panel[s, :, n:] = 0.0
         q_g = q.reshape(n_s, n_kv_heads, group, head_dim)
-        # A pooled row is the panel's columns ++ top_k pool columns.
-        rows = np.empty((n_s, n_kv_heads, group,
-                         width + (cfg.top_k if pooled else 0)), dtype=q.dtype)
-        rows[..., width:] = -np.inf
-        scores = rows[..., :width]
-        np.matmul(q_g, k_panel.swapaxes(-1, -2), out=scores)
-        scores *= 1.0 / np.sqrt(head_dim)
+        keep = pool = None
         passed = np.zeros(n_s, dtype=np.int64)    # per session, all heads
         selected = passed
         if pooled:
             # Every panel column (sinks + window) is attended; the pool
             # columns come from stages 1-4, every session at once.
-            rows = rows.reshape(n_s, n_q_heads, -1)
-            pool_v, passed, selected = self._fill_pools(
-                layer, q, caches, n_ctx, n_kv_heads, rows[..., n_dense:])
+            pool_s, pool_v, passed, selected = self._fill_pools(
+                layer, q, caches, n_ctx, n_kv_heads)
+            pool = (pool_s.reshape(q_g.shape[:-1] + (-1,)),
+                    pool_v.reshape(q_g.shape[:-1] + pool_v.shape[-2:]))
         else:
             keep = (np.arange(width) < n_ctx[:, None])[:, None, None]
             if width > n_dense:
                 keep, passed = self._filter_rows(layer, q_g, caches, views,
                                                  n_ctx, keep)
                 selected = passed     # candidates <= top_k: all selected
-            np.copyto(rows, -np.inf, where=~keep)
-        probs = softmax(rows, axis=-1)
-        out = np.matmul(probs.reshape(n_s, n_kv_heads, group, -1)[
-            ..., :width], v_panel).reshape(n_s, n_q_heads, 1, head_dim)
-        if pooled:
-            # The pool's P.V at the config's top_k width for every row —
-            # one BLAS call of fixed shape per (session, head), as the
-            # panel's: an empty slot's weight is exactly 0.
-            out += np.matmul(probs[:, :, None, n_dense:], pool_v)
+        out = _attend(q_g, [(k_panel, v_panel)], keep, pool).reshape(
+            n_s, n_q_heads, 1, head_dim)
         if metrics.enabled:
             # At top_k = 0 nothing is offloaded: no sparse candidates.
             offloaded = np.maximum(n_ctx - n_dense, 0) if cfg.top_k \
@@ -893,24 +891,23 @@ class LongSightAttention:
         return out
 
     def _fill_pools(self, layer: int, q: np.ndarray, caches,
-                    n_ctx: np.ndarray, n_kv_heads: int,
-                    pool_rows: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    n_ctx: np.ndarray, n_kv_heads: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
         """Stages 1-4 for every pooled session of a decode call, at once.
 
         Each session's KV heads (slabs of them, when the slab rule splits
         a group) are the units of one :meth:`_SparseSpan.select` stack;
         K/V are read in place, through the caches' row readers —
         survivors' keys, selected values, the span's signs, never the
-        context.  Writes every row's pool scores into ``pool_rows``
-        ``(n_sessions, n_q_heads, top_k)``, which arrives filled with
-        -inf, and returns the ``(n_sessions, n_q_heads, top_k, head_dim)``
-        pool values plus the keys passed and selected per session.
+        context.  Returns every row's pool scores ``(n_sessions,
+        n_q_heads, top_k)`` (-inf in an empty slot) and values
+        ``(n_sessions, n_q_heads, top_k, head_dim)``, plus the keys passed
+        and selected per session.
         """
         cfg = self.config
         n_s, n_q_heads, _, head_dim = q.shape
         group = n_q_heads // n_kv_heads
-        n_dense = cfg.n_sink + cfg.window
         kvs = [cache.layers[layer] for cache in caches]
         # A sign store packed under other rotations (or none: stateless
         # ``forward``) is the one case that still reads a whole context.
@@ -925,12 +922,13 @@ class LongSightAttention:
         # whole group, so one stack): heads per unit -> (session, head 0).
         stacks: Dict[int, list] = {}
         for s, n in enumerate(n_ctx.tolist()):
-            slab = span.slab_heads(n, n_dense)
+            slab = span.slab_heads(n)
             for g_lo in range(0, n_q_heads, group):
                 for h0 in range(g_lo, g_lo + group, slab):
                     stacks.setdefault(min(slab, g_lo + group - h0),
                                       []).append((s, h0))
-        pool_v = np.empty(pool_rows.shape + (head_dim,), dtype=q.dtype)
+        scores = np.full((n_s, n_q_heads, cfg.top_k), -np.inf)
+        pool_v = np.empty(scores.shape + (head_dim,), dtype=q.dtype)
         passed = np.zeros(n_s, dtype=np.int64)
         selected = passed.copy()
         for n_heads, units in stacks.items():
@@ -942,7 +940,7 @@ class LongSightAttention:
                 [kvs[s].key_rows(h // group) for s, h in units],
                 [signs[s](h // group) for s, h in units])
             pool_w = pool_s.shape[1]
-            pool_rows[at + (slice(pool_w),)] = pool_s.reshape(
+            scores[at + (slice(pool_w),)] = pool_s.reshape(
                 len(units), n_heads, pool_w)
             pool_c = pool_c.reshape(len(units), n_heads, pool_w)
             for (s, h), cols, unit_pass, unit_sel in zip(
@@ -953,7 +951,7 @@ class LongSightAttention:
                 pool_v[s, h:h + n_heads, :pool_w] = kvs[s].value_rows(
                     h // group).take(cols, axis=0, mode="clip")
                 pool_v[s, h:h + n_heads, pool_w:] = 0.0
-        return pool_v, passed, selected
+        return scores, pool_v, passed, selected
 
     def _filter_rows(self, layer: int, q_g: np.ndarray, caches, views,
                      n_ctx: np.ndarray, valid: np.ndarray

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.core.config import LongSightConfig
-from repro.core.hybrid import _record_split, _region_masks, _stats_per_q
+from repro.core.hybrid import _record_split, _stats_per_q
 from repro.core.itq import ItqRotations
 from repro.core.metrics import FilterStats
 from repro.core.scf import concordance
@@ -29,6 +29,21 @@ from repro.obs import Obs, resolve_obs
 
 if TYPE_CHECKING:
     from repro.llm.kv_cache import KVCache
+
+
+def _region_masks(q_positions: np.ndarray, n_ctx: int, n_sink: int,
+                  window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dense, sparse-candidate) boolean masks, each ``(n_q, n_ctx)``.
+
+    ``dense`` covers sinks plus the sliding window (clipped causally);
+    ``sparse`` is the causal remainder — the region LongSight offloads.
+    """
+    j = np.arange(n_ctx)[None, :]
+    p = np.asarray(q_positions)[:, None]
+    causal = j <= p
+    dense = ((j < n_sink) | (j > p - window)) & causal
+    sparse = causal & ~dense
+    return dense, sparse
 
 
 class ReferenceAttention:

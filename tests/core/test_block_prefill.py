@@ -1,8 +1,9 @@
 """Attention kernel edges: selections == the per-head reference loop.
 
-``LongSightAttention._forward_block`` filters, scores, *compacts* each
-row's survivors, selects on the compacted width and attends over gathered
-columns — for one query (decode) as for a block of them (prefill).  Every
+``LongSightAttention.forward`` filters, scores, *compacts* each row's
+survivors, selects on the compacted width and attends over gathered
+columns — one query through the decode routine, a block of them through
+the prefill kernel, with the same stages 1–4 and the same stage 5.  Every
 geometry below must pick exactly the keys
 :class:`~repro.core.reference.ReferenceAttention` picks, report the same
 ``FilterStats`` and agree on outputs to the fast-equivalence tolerance —

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import LongSightConfig
-from repro.core.hybrid import LongSightAttention, SlidingWindowAttention, \
-    _region_masks
+from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
 from repro.core.itq import fit_itq
 from repro.core.metrics import FilterStats
+from repro.core.reference import _region_masks
 from repro.llm.model import DenseBackend, Transformer
 from tests.conftest import TINY
 

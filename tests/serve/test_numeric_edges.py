@@ -5,7 +5,9 @@ The kernel-level edges (``tests/core/test_block_prefill.py``,
 reference loop.  Here the same edges go through ``ServeEngine`` batches of
 ragged sessions: served tokens must equal solo ``generate`` and no
 attention row may contain a non-finite value — in particular when every
-candidate is filtered out and a row's whole pool is ``-inf``.
+candidate is filtered out and a row's whole pool is ``-inf``.  The
+``top_k`` and threshold extremes also go through whole-model ``generate``
+against a :class:`~repro.core.reference.ReferenceAttention` model.
 """
 
 import dataclasses
@@ -15,6 +17,8 @@ import pytest
 
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention, _SparseSpan
+from repro.core.reference import ReferenceAttention
+from repro.llm.kv_cache import KVCache
 from repro.llm.model import Transformer
 from repro.llm.sampling import generate
 from repro.serve.engine import ServeEngine
@@ -101,6 +105,37 @@ def test_served_tokens_equal_generate_at_the_edge(model, rng, rows, edge):
     for prompt, outputs in zip(prompts, served):
         assert outputs == list(generate(model, prompt, 8,
                                         backend=LongSightAttention(config)))
+
+
+def _logits(model, prompt, tokens, backend):
+    """Prefill ``prompt``, then decode ``tokens``: the logits of each step."""
+    cache = KVCache(model.config)
+    steps = [model.prefill(prompt, cache, backend=backend)]
+    steps += [model.decode_step(int(t), cache, backend=backend)
+              for t in tokens]
+    return np.array(steps)
+
+
+@pytest.mark.parametrize("edge", ["top_k_0", "top_k_1",
+                                  "top_k_covers_candidates", "all_pass",
+                                  "none_pass"])
+def test_generate_equals_the_reference_at_the_extremes(model, rng, edge):
+    """``tests/core/test_block_prefill.py``'s ``top_k`` (0, 1, >=
+    candidates) and threshold (0, ``head_dim + 1``) extremes through
+    whole-model prefill and decode: greedy tokens equal a
+    ``ReferenceAttention`` model's, and so does every step's logits, to
+    1e-9.  Prompts span one prefill block and two (270 > 256 rows)."""
+    config = _config(**EDGES[edge][0])
+    for n in (9, 31, 270):
+        prompt = rng.integers(0, TINY.vocab_size, size=n)
+        tokens = generate(model, prompt, 8,
+                          backend=LongSightAttention(config))
+        np.testing.assert_array_equal(tokens, generate(
+            model, prompt, 8, backend=ReferenceAttention(config)))
+        np.testing.assert_allclose(
+            _logits(model, prompt, tokens, LongSightAttention(config)),
+            _logits(model, prompt, tokens, ReferenceAttention(config)),
+            rtol=0, atol=1e-9)
 
 
 def test_none_pass_leaves_a_whole_pool_at_minus_inf(model, rng, rows):
