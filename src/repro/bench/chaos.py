@@ -2,11 +2,14 @@
 
 Sweeps fault rates x workloads through two layers of the stack:
 
-- **Serving**: the multi-tenant simulator drives :class:`LongSightSystem`
-  under a :class:`ServingFaultModel` (degraded tokens, backoff +
-  re-admission, shedding) on steady-Poisson and bursty arrival traces,
-  alongside the fault-immune :class:`SlidingWindowGpuSystem` baseline —
-  the floor LongSight degrades *toward*, never below.
+- **Serving**: the continuous-batching engine decodes a tiny transformer's
+  tokens on steady-Poisson and bursty arrival traces, its clock charged
+  for :class:`LongSightSystem`.  Every LongSight session offloads through
+  its own :class:`SupervisedOffloadBackend` under the rate's
+  :class:`FaultPlan`; a session whose offloads keep failing is pinned to
+  the dense window (shed from the sparse path) and still completes.  The
+  fault-immune :class:`SlidingWindowGpuSystem` baseline, the hybrid at
+  ``top_k = 0``, is the floor LongSight degrades *toward*, never below.
 - **Functional**: a tiny seeded Transformer decodes end to end through
   :class:`SupervisedOffloadBackend` against an injected fault mix at each
   rate, recording degraded-token fraction, retries, repairs, and that
@@ -28,47 +31,55 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.bench.serve import TINY_LS, TINY_MODEL
 from repro.bench.tables import Table, results_dir
 from repro.core.config import LongSightConfig
+from repro.core.hybrid import LongSightAttention
 from repro.llm.config import LLAMA3_8B, ModelConfig
 from repro.llm.model import Transformer
-from repro.serve.crossval import poisson_workload
-from repro.serve.engine import AnalyticTiming
-from repro.serve.scheduler import ServeRequest
+from repro.serve.engine import AnalyticTiming, ServeEngine
+from repro.serve.paged_kv import PagedKVPool
+from repro.serve.scheduler import ServeRequest, SloPolicy
+from repro.serve.workload import poisson_workload
 from repro.system.baselines import SlidingWindowGpuSystem
 from repro.system.engine import LongSightSystem
 from repro.system.faults import FaultPlan
-from repro.system.serving_sim import ServingFaultModel, ServingSimulator
 from repro.system.supervisor import SupervisedOffloadBackend
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_chaos.json"
 WORKLOADS = ("steady", "burst")
 SERVING_SYSTEMS = ("LongSight", "SlidingWindow")
+#: Serving sessions decode a tiny prompt, charged as a 32K one.
+PROMPT_TOKENS = 24
+CHARGED_PROMPT_TOKENS = 32768
+OUTPUT_TOKENS = 24
 
 
 def burst_workload(n_sessions: int, burst_every: int = 4,
-                   burst_gap_s: float = 2.0, prompt_tokens: int = 32768,
-                   output_tokens: int = 24,
+                   burst_gap_s: float = 2.0,
                    seed: int = 0) -> List[ServeRequest]:
-    """Bursty token-free arrivals: groups of requests land at one instant."""
+    """Bursty arrivals: groups of requests land at one instant."""
     rng = np.random.default_rng(seed)
     requests = []
     for i in range(n_sessions):
         jitter = 1.0 + 0.25 * (2 * rng.random() - 1)
+        prompt = rng.integers(0, TINY_MODEL.vocab_size,
+                              size=max(1, int(PROMPT_TOKENS * jitter)))
         requests.append(ServeRequest(
-            request_id=i, prompt=np.zeros(0, dtype=np.int64),
-            max_new_tokens=output_tokens,
+            request_id=i, prompt=prompt, max_new_tokens=OUTPUT_TOKENS,
             arrival_s=(i // burst_every) * burst_gap_s,
-            charged_prompt_tokens=max(1, int(prompt_tokens * jitter))))
+            charged_prompt_tokens=max(
+                1, int(CHARGED_PROMPT_TOKENS * jitter))))
     return requests
 
 
 def _workload(name: str, n_sessions: int,
               seed: int) -> List[ServeRequest]:
     if name == "steady":
-        return poisson_workload(n_sessions, arrival_rate_per_s=2.0,
-                                prompt_tokens=32768, output_tokens=24,
+        return poisson_workload(n_sessions, 2.0, PROMPT_TOKENS,
+                                OUTPUT_TOKENS, TINY_MODEL.vocab_size,
+                                charged_prompt_tokens=CHARGED_PROMPT_TOKENS,
                                 seed=seed)
     if name == "burst":
         return burst_workload(n_sessions, seed=seed)
@@ -89,11 +100,24 @@ def serving_systems() -> Dict[str, tuple]:
 def _serving_point(system, config: ModelConfig, workload: str,
                    n_sessions: int, rate: float, seed: int,
                    faultable: bool) -> dict:
-    faults = ServingFaultModel(offload_failure_rate=rate, seed=seed) \
-        if faultable else None
-    sim = ServingSimulator(AnalyticTiming(system, config), max_steps=20_000,
-                           faults=faults)
-    report = sim.run(_workload(workload, n_sessions, seed))
+    if faultable:
+        plan = _fault_mix(rate, seed)
+
+        def factory(request):
+            return SupervisedOffloadBackend(TINY_MODEL, TINY_LS, plan=plan,
+                                            flush_granularity=1)
+    else:
+        sliding = TINY_LS.replace(top_k=0)
+
+        def factory(request):
+            return LongSightAttention(sliding)
+
+    engine = ServeEngine(
+        Transformer(TINY_MODEL, seed=seed),
+        PagedKVPool(TINY_MODEL, n_blocks=16 * n_sessions, block_tokens=16),
+        factory, policy=SloPolicy(max_decode_batch=n_sessions),
+        timing=AnalyticTiming(system, config), name=system.name)
+    report = engine.run(_workload(workload, n_sessions, seed))
     return {
         "fault_rate": rate if faultable else 0.0,
         "throughput_tps": report.throughput_tps,
@@ -102,9 +126,6 @@ def _serving_point(system, config: ModelConfig, workload: str,
         "availability": report.availability,
         "completed_sessions": len(report.completed),
         "shed_sessions": len(report.shed),
-        "total_backoffs": report.preemptions,
-        "p50_step_latency_s": report.step_percentile_s(50.0),
-        "p99_step_latency_s": report.step_percentile_s(99.0),
         "mean_queueing_delay_s": report.mean_queueing_delay_s,
     }
 
@@ -168,8 +189,7 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
                   "throughput_tps": "decode tokens per second",
                   "degraded_token_fraction":
                       "fraction of tokens served dense-only",
-                  "availability": "completed / (completed + shed) sessions",
-                  "step_latency_s": "seconds per decode step"},
+                  "availability": "completed un-shed / completed sessions"},
         "config": {"n_sessions": n_sessions, "n_tokens": n_tokens,
                    "seed": seed, "model": LLAMA3_8B.name,
                    "workloads": list(WORKLOADS)},
@@ -184,8 +204,8 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
     table = Table(
         "chaos sweep (fault rate x workload; serving + functional)",
         ["section", "workload", "system", "fault_rate", "throughput_tps",
-         "degraded_frac", "availability", "shed", "retries",
-         "p99_step_ms"],
+         "degraded_frac", "availability", "shed", "queue_delay_s",
+         "retries"],
         note=f"{n_sessions} sessions/workload; functional: tiny model, "
              f"{n_tokens} tokens through SupervisedOffloadBackend")
     for workload in WORKLOADS:
@@ -198,8 +218,7 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
                     degraded_frac=point["degraded_token_fraction"],
                     availability=point["availability"],
                     shed=point["shed_sessions"],
-                    retries=point["total_backoffs"],
-                    p99_step_ms=point["p99_step_latency_s"] * 1e3)
+                    queue_delay_s=point["mean_queueing_delay_s"])
     for point in functional:
         table.add_row(
             section="functional", workload="decode", system="Supervised",

@@ -33,7 +33,7 @@ from repro.bench.tables import Table, results_dir
 from repro.fleet import FleetReport, FleetRouter, make_worker
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
-from repro.serve.crossval import backend_factory, default_systems
+from repro.serve.workload import backend_factory, default_systems
 from repro.serve.engine import AnalyticTiming
 from repro.serve.scheduler import ServeRequest, SloPolicy, TenantClass
 from repro.system.prefill import PrefillModel

@@ -49,7 +49,7 @@ from repro.fleet import FleetReport, HealthPolicy
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer
-from repro.serve.crossval import backend_factory, default_systems
+from repro.serve.workload import backend_factory, default_systems
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (BROWNOUT_STAGES, BrownoutPolicy,

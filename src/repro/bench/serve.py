@@ -7,7 +7,7 @@ clock advances by the paper-scale analytic step latencies — so TTFT, TPOT
 and throughput are meaningful at paper scale and every scheduling decision
 (admission, chunked prefill, preemption) is exercised for real.
 
-Three systems per sweep point, mirroring the serving simulator's cast:
+Three systems per sweep point:
 
 - ``longsight``  — hybrid dense+sparse attention, LongSight latency model;
 - ``dense``      — full dense attention on the GPU latency model (the
@@ -15,9 +15,10 @@ Three systems per sweep point, mirroring the serving simulator's cast:
 - ``sliding_window`` — dense window only (the quality-*sacrificing*
   floor; fastest by construction).
 
-Each point also carries the analytic :class:`ServingSimulator` throughput
-for the same trace, so the JSON records the functional/analytic agreement
-that ``tests/serve/test_crossval.py`` asserts.
+Each system's model also sets its capacity: the engine admits a session
+only while the system holds every running session's charged context, so
+``dense`` decodes at most three 128K sessions at once on one GPU while
+``longsight`` keeps admitting (``peak_decode_batch``).
 
 Results are written as ``BENCH_serve.json`` (default: ``results/``); the
 schema is validated by ``validate_payload`` / ``tests/bench/test_serve.py``.
@@ -36,15 +37,14 @@ from repro.core.config import LongSightConfig
 from repro.llm.config import LLAMA3_8B, ModelConfig
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer
-from repro.serve.crossval import (SYSTEM_NAMES, backend_factory,
-                                  default_systems, poisson_workload)
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import SloPolicy
+from repro.serve.workload import (SYSTEM_NAMES, backend_factory,
+                                  default_systems, poisson_workload)
 from repro.system.prefill import PrefillModel
-from repro.system.serving_sim import ServingSimulator
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_serve.json"
 
 #: Tiny functional model: real tokens at laptop scale.
@@ -60,13 +60,10 @@ def _point(model: Transformer, system_name: str, system,
            prompt_tokens: int, output_tokens: int, seed: int,
            obs: Optional[Obs] = None) -> dict:
     """One (system, arrival rate, context) cell of the sweep."""
-    def trace():
-        return poisson_workload(
-            n_requests, rate, prompt_tokens, output_tokens,
-            model.config.vocab_size, charged_prompt_tokens=charged_context,
-            seed=seed)
-
-    requests = trace()
+    requests = poisson_workload(
+        n_requests, rate, prompt_tokens, output_tokens,
+        model.config.vocab_size, charged_prompt_tokens=charged_context,
+        seed=seed)
     pool = PagedKVPool(model.config, n_blocks=16 * n_requests,
                        block_tokens=16)
     timing = AnalyticTiming(system, LLAMA3_8B, prefill=PrefillModel(),
@@ -76,12 +73,10 @@ def _point(model: Transformer, system_name: str, system,
         policy=SloPolicy(max_decode_batch=max(4, n_requests)),
         timing=timing, name=system_name, obs=obs)
     report = engine.run(requests)
-    analytic = ServingSimulator(timing, max_steps=100_000).run(trace())
     point = report.as_dict()
     point.update({
         "arrival_rate_per_s": rate,
         "charged_context": charged_context,
-        "analytic_throughput_tps": analytic.throughput_tps,
         "all_tokens_served": all(
             len(r.outputs) == r.max_new_tokens or r.events.rejected
             for r in requests),
@@ -177,7 +172,7 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
     table = Table(
         "functional serving sweep (arrival rate x charged context)",
         ["system", "rate_per_s", "context", "throughput_tps",
-         "analytic_tps", "ttft_p50_ms", "ttft_p99_ms", "tpot_p50_ms",
+         "peak_batch", "ttft_p50_ms", "ttft_p99_ms", "tpot_p50_ms",
          "completed", "preempt"],
         note=f"{n_requests} requests/point; tiny model decodes real "
              f"tokens, clock charged for {LLAMA3_8B.name}")
@@ -188,7 +183,7 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
                 rate_per_s=point["arrival_rate_per_s"],
                 context=point["charged_context"],
                 throughput_tps=point["throughput_tps"],
-                analytic_tps=point["analytic_throughput_tps"],
+                peak_batch=point["peak_decode_batch"],
                 ttft_p50_ms=point["ttft_p50_s"] * 1e3,
                 ttft_p99_ms=point["ttft_p99_s"] * 1e3,
                 tpot_p50_ms=point["tpot_p50_s"] * 1e3,
@@ -229,13 +224,6 @@ def validate_payload(payload: dict) -> List[str]:
                 if not isinstance(point.get(key), (int, float)) \
                         or point[key] < 0:
                     problems.append(f"sweep.{name}: bad {key}")
-            # Every request fits alone, so zero can only mean the analytic
-            # run never finished.
-            analytic = point.get("analytic_throughput_tps")
-            if not isinstance(analytic, (int, float)) or analytic <= 0:
-                problems.append(
-                    f"sweep.{name}: bad analytic_throughput_tps (must be "
-                    "> 0)")
             if point.get("ttft_p99_s", 0) < point.get("ttft_p50_s", 0):
                 problems.append(f"sweep.{name}: ttft p99 < p50")
             if not point.get("all_tokens_served", False):

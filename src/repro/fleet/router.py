@@ -472,11 +472,10 @@ class FleetRouter:
     def _handler_for(self, source: FleetWorker):
         """The migrate hook installed on ``source``'s engine.
 
-        Receives sessions the source would otherwise preempt-requeue or
-        capacity-shed, already detached (blocks freed, state QUEUED).
-        Returns ``True`` after relocating the session to a sibling that
-        can admit it now; ``False`` keeps it on the source (local requeue
-        or shed).
+        Receives sessions the source would otherwise preempt-requeue,
+        already detached (blocks freed, state QUEUED).  Returns ``True``
+        after relocating the session to a sibling that can admit it now;
+        ``False`` keeps it on the source (local requeue).
         """
         def handler(request: ServeRequest) -> bool:
             if request.migrations >= self.max_migrations:

@@ -1,12 +1,12 @@
 """repro.serve: continuous-batching functional serving.
 
-The serving layer the paper's system story implies but the analytic
-simulator cannot test: many concurrent sessions decoding *real tokens*
+The one serving loop: many concurrent sessions decode *real tokens*
 through one shared transformer over one paged KV arena, with chunked
 prefill, SLO-aware admission, recompute-preemption, and degradation-aware
-shedding onto the dense sliding-window fallback.  Its request, timing and
-report types are also the analytic
-:class:`~repro.system.serving_sim.ServingSimulator`'s vocabulary.
+shedding onto the dense sliding-window fallback.  On the analytic clock
+the engine also admits on the modeled system's capacity rule, so the
+paper's serving claims (one GPU's HBM full, LongSight + DReX still
+admitting) are reproduced with every token decoded.
 
 Layout:
 
@@ -14,8 +14,8 @@ Layout:
 - :mod:`repro.serve.scheduler` — request lifecycle, admission, preemption;
 - :mod:`repro.serve.engine` — the step loop, analytic/measured clocks;
 - :mod:`repro.serve.events` — per-request event log and ServeReport;
-- :mod:`repro.serve.crossval` — the seeded Poisson trace generator and
-  the functional-vs-analytic cross-validation.
+- :mod:`repro.serve.workload` — the compared systems and the seeded
+  Poisson trace generator.
 """
 
 from repro.serve.engine import AnalyticTiming, EngineRun, ServeEngine

@@ -12,10 +12,11 @@ Two clocks are supported:
 - **analytic** (default for benchmarks): step durations come from the
   ``repro.system`` performance models (:class:`AnalyticTiming`), so TTFT /
   TPOT are meaningful at paper scale while tokens are still *actually
-  decoded* by the miniature model — the analytic
-  :class:`~repro.system.serving_sim.ServingSimulator` charges its clock
-  through the same adapter, which is what makes cross-validation between
-  the two meaningful;
+  decoded* by the miniature model.  A timing model with an ``admits``
+  capacity rule also gates admission: the scheduler admits a session
+  only while the modeled system (one GPU's HBM, or HBM + DReX) holds
+  every running session's charged context, which is how the engine
+  reproduces the paper's capacity argument (Section 9.1);
 - **measured** (``timing=None``): wall-clock seconds of the numpy compute.
 
 Correctness anchor: with an ample pool, a zero-fault backend, and the
@@ -49,7 +50,7 @@ from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.errors import PoolExhaustedError
 from repro.llm.model import Transformer
-from repro.obs import Histogram, Obs, resolve_obs
+from repro.obs import Obs, resolve_obs
 from repro.serve.events import ServeReport
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (ContinuousBatchScheduler, RequestState,
@@ -74,14 +75,15 @@ class AnalyticTiming:
     """Adapter from the ``repro.system`` analytic models to engine steps.
 
     Args:
-        system: any serving-simulator system model (``step_latency_s`` over
-            heterogeneous contexts; ``step_latency_degraded_s`` used when
-            present and any session is degraded).
+        system: a ``repro.system`` model: ``step_latency_s`` over
+            heterogeneous contexts (``step_latency_degraded_s`` used when
+            present and any session is degraded) and ``admits`` over
+            charged contexts, the engine's capacity rule.
         model_config: the paper-scale model the latencies are charged for.
         prefill: optional :class:`~repro.system.prefill.PrefillModel`; when
             given, a prefill chunk costs the *incremental* prefill latency
-            between its start and end context (``None`` models prefill as
-            fully overlapped with decode, like the analytic simulator).
+            between its start and end context (``None`` charges prefill
+            nothing).
         obs: observability bundle; the modeled seconds of every decode
             step and prefill chunk are attributed into
             ``timing.decode_step_s`` / ``timing.prefill_chunk_s``.
@@ -101,12 +103,9 @@ class AnalyticTiming:
             metrics.counter(f"timing.{stage}_total_s").inc(seconds)
             metrics.histogram(f"timing.{stage}_s").observe(seconds)
 
-    def step_histogram(self) -> Histogram:
-        """Restart ``timing.decode_step_s`` as a fresh sample-retaining
-        instrument for one run's exact step-latency percentiles (the null
-        histogram when the registry is disabled)."""
-        return self.obs.metrics.new_histogram("timing.decode_step_s",
-                                              track_values=True)
+    def admits(self, contexts: Sequence[int]) -> bool:
+        """Does the modeled system hold sessions of these charged contexts?"""
+        return self.system.admits(self.model_config, contexts)
 
     def decode_step_s(self, contexts, degraded=None) -> float:
         if not contexts:
@@ -195,10 +194,10 @@ class ServeEngine:
         self.max_steps = max_steps
         self.obs = resolve_obs(obs)
         #: optional relocation hook ``(request) -> bool``: offered every
-        #: session this engine would otherwise preempt-requeue or
-        #: capacity-shed; returning ``True`` means the request now lives
-        #: elsewhere (a fleet router told the source run it departed,
-        #: then re-injected it into another worker).
+        #: session this engine would otherwise preempt-requeue; returning
+        #: ``True`` means the request now lives elsewhere (a fleet router
+        #: told the source run it departed, then re-injected it into
+        #: another worker).
         self.migrate_handler = migrate_handler
         #: (base config by value, quality level) -> the config served.
         self._level_configs: dict = {}
@@ -218,19 +217,21 @@ class ServeEngine:
     # -- capacity -------------------------------------------------------------
 
     def _ensure_growth(self, scheduler: ContinuousBatchScheduler,
-                       request: ServeRequest, tokens: int) -> bool:
+                       request: ServeRequest, tokens: int) -> None:
         """Secure pool blocks for ``tokens`` total, preempting if needed.
 
-        Returns False when even preemption cannot make room (the request
-        itself must then be shed or deferred).
+        Re-raises the pool's :class:`PoolExhaustedError` once no other
+        session is left to preempt — which admission rules out: a session
+        is admitted only if its prompt plus full output fits the empty
+        pool.
         """
         while True:
             try:
                 request.cache.ensure_tokens(tokens)
-                return True
+                return
             except PoolExhaustedError:
                 if scheduler.preempt_victim(request) is None:
-                    return False
+                    raise
 
     # -- the run loop ---------------------------------------------------------
 
@@ -346,10 +347,7 @@ class ServeEngine:
                     target[:len(target) - 1])
             chunk = min(self.policy.prefill_chunk,
                         len(target) - request.prefilled)
-            if not self._ensure_growth(scheduler, request,
-                                       request.prefilled + chunk):
-                self._shed_in_flight(run, request)
-                continue
+            self._ensure_growth(scheduler, request, request.prefilled + chunk)
             segment = target[request.prefilled: request.prefilled + chunk]
             with tracer.span("prefill_chunk", request=request.request_id,
                              tokens=int(chunk)):
@@ -367,9 +365,8 @@ class ServeEngine:
             if self.timing is not None:
                 # Charge prefill at the request's paper-scale prompt
                 # length, scaled to the fraction of prompt processed.
-                # The charge runs *overlapped* with the decode batch
-                # (the analytic simulator's model): it delays this
-                # session's readiness, not the global clock.
+                # The charge runs *overlapped* with the decode batch: it
+                # delays this session's readiness, not the global clock.
                 scale = 1.0
                 if request.charged_prompt_tokens is not None \
                         and len(request.prompt):
@@ -401,11 +398,8 @@ class ServeEngine:
         for request in decodes:
             if request.state is not RequestState.DECODE:
                 continue  # preempted by an earlier prefill's growth
-            if self._ensure_growth(scheduler, request,
-                                   len(request.cache) + 1):
-                ready.append(request)
-            else:
-                self._shed_in_flight(run, request)
+            self._ensure_growth(scheduler, request, len(request.cache) + 1)
+            ready.append(request)
         # A later session's growth may have preempted one already deemed
         # ready; drop anything no longer in DECODE before batching.
         ready = [r for r in ready if r.state is RequestState.DECODE]
@@ -444,27 +438,6 @@ class ServeEngine:
             else time.perf_counter() - wall0
         return step_s, emitted, degraded_flags
 
-    def _shed_in_flight(self, run: "EngineRun",
-                        request: ServeRequest) -> None:
-        """Capacity shed: not even preemption freed room for this request.
-
-        The session is offered for migration first — detached exactly
-        like a preemption victim (blocks freed, state QUEUED, resume via
-        re-prefill), so a target worker resumes it bit-identically.  Only
-        when no worker will take it does the request actually shed.
-        """
-        scheduler = run.scheduler
-        scheduler.detach(request)
-        if run.offer_migration(request):
-            return
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter("serve.shed.capacity").inc()
-        request.pinned_dense = False
-        request.state = RequestState.SHED
-        request.events.shed = True
-        scheduler.finished.append(request)
-
 
 class EngineRun:
     """One in-flight serving run, stepped explicitly.
@@ -484,7 +457,8 @@ class EngineRun:
         self.engine = engine
         self.scheduler = ContinuousBatchScheduler(
             engine.pool, engine.policy, obs=engine.obs,
-            victim_sink=self.offer_migration)
+            victim_sink=self.offer_migration,
+            admits=getattr(engine.timing, "admits", None))
         self._arrivals = sorted(requests,
                                 key=lambda r: (r.arrival_s, r.request_id))
         self._next_arrival = 0
@@ -609,19 +583,31 @@ class EngineRun:
                 request.events.first_token_s = stamp
         for request, degraded in degraded_flags:
             scheduler.note_degraded(request, degraded)
-        for request in list(plan.decodes):
+        # A one-token request finishes on the prefill step that emitted it.
+        for request in emitted:
             if request.state is RequestState.DECODE \
                     and len(request.outputs) >= request.max_new_tokens:
-                scheduler.request_finished(request, self.clock)
+                scheduler.request_finished(
+                    request, max(self.clock, request.ready_s))
         return True
 
     # -- reduction ------------------------------------------------------------
 
     def serve(self) -> ServeReport:
-        """Step to completion and reduce (the solo-run entry point)."""
+        """Step to completion and reduce (the solo-run entry point).
+
+        Raises ``RuntimeError`` rather than return a truncated report
+        when ``engine.max_steps`` runs out with requests still live.
+        """
         for _ in range(self.engine.max_steps):
             if not self.step():
                 break
+        if not self.idle:
+            live = len(self.pending) + len(self.scheduler.queued) \
+                + len(self.scheduler.running)
+            raise RuntimeError(
+                f"{self.engine.name}: {live} requests still live after "
+                f"max_steps={self.engine.max_steps}")
         return self.finish()
 
     def finish(self) -> ServeReport:

@@ -6,10 +6,9 @@ the run's clock (analytic seconds by default, wall seconds in the
 engine's measured mode).  :class:`ServeReport` reduces the event log to
 the metrics a serving SLO is written against: TTFT and TPOT percentiles,
 aggregate decode throughput, queueing and end-to-end latency means, and
-the shed/degradation accounting the fault layer feeds.  Both serving
-layers produce it: the functional
-:class:`~repro.serve.engine.ServeEngine` and the analytic
-:class:`~repro.system.serving_sim.ServingSimulator`.
+the shed/degradation accounting the fault layer feeds.
+:class:`~repro.serve.engine.ServeEngine` produces one per run, and a
+fleet pools its workers' into one.
 
 Percentiles are sourced from the ``repro.obs`` registry: the engine
 records every request's TTFT/TPOT into exact (sample-retaining)
@@ -95,7 +94,7 @@ class RequestEvents:
 
 @dataclasses.dataclass
 class ServeReport:
-    """Outcome of one serving run (functional engine or analytic simulator)."""
+    """Outcome of one serving run."""
 
     system: str
     events: List[RequestEvents]
@@ -110,9 +109,6 @@ class ServeReport:
     #: to recomputing from ``events``.
     ttft_hist: Optional[Histogram] = None
     tpot_hist: Optional[Histogram] = None
-    #: the run's exact decode-step latency distribution
-    #: (``timing.decode_step_s``), populated by the analytic simulator.
-    step_hist: Optional[Histogram] = None
 
     # -- request partitions ---------------------------------------------------
 
@@ -182,11 +178,6 @@ class ServeReport:
                 "tpot_p99_s": self.tpot_percentile_s(99.0, tenant),
             }
         return out
-
-    def step_percentile_s(self, q: float) -> float:
-        """Decode-step latency percentile (0.0 without a step histogram)."""
-        return self.step_hist.percentile(q) if self.step_hist is not None \
-            else 0.0
 
     @property
     def mean_queueing_delay_s(self) -> float:

@@ -173,7 +173,7 @@ class SloPolicy:
             degrades this many consecutive tokens is pinned to the dense
             sliding-window fallback for the rest of its life (shed from
             the sparse path, never from service) — it keeps decoding and
-            completing, mirroring the simulator's shed-in-place semantics.
+            completing.
         tenant_classes: declared per-tenant SLO classes (weight, timeout
             override).  Tenants without a declared class get weight 1 and
             the policy-wide timeout; an empty tuple (the default) makes
@@ -257,7 +257,7 @@ class ServeRequest:
     #: analytic prefill seconds accrued so far (overlapped with decode).
     prefill_charge_s: float = 0.0
     #: engine clock at which decode may begin (charged prefill complete;
-    #: prefill overlaps the running batch, as in the analytic simulator).
+    #: prefill overlaps the running batch).
     ready_s: float = 0.0
     events: RequestEvents = None  # filled in __post_init__
     # engine-owned handles (cache/backend), opaque to the scheduler
@@ -274,20 +274,11 @@ class ServeRequest:
                                         tenant=self.tenant)
 
     @property
-    def context(self) -> int:
-        """Current context length (prompt + generated so far)."""
-        return len(self.prompt) + len(self.outputs)
-
-    @property
     def charged_context(self) -> int:
         """Context length as seen by the analytic timing model."""
         base = self.charged_prompt_tokens if self.charged_prompt_tokens \
             is not None else len(self.prompt)
         return base + len(self.outputs)
-
-    @property
-    def done(self) -> bool:
-        return self.state in (RequestState.DONE, RequestState.SHED)
 
     @property
     def resume_tokens(self) -> np.ndarray:
@@ -333,7 +324,9 @@ class ContinuousBatchScheduler:
                  policy: Optional[SloPolicy] = None,
                  obs: Optional[Obs] = None,
                  victim_sink: Optional[
-                     Callable[[ServeRequest], bool]] = None) -> None:
+                     Callable[[ServeRequest], bool]] = None,
+                 admits: Optional[Callable[[List[int]], bool]] = None
+                 ) -> None:
         self.pool = pool
         self.policy = policy or SloPolicy()
         self.obs = resolve_obs(obs)
@@ -351,6 +344,9 @@ class ContinuousBatchScheduler:
         #: returning ``True`` claims the request (a fleet router moving
         #: it to another worker) so it is *not* re-queued locally.
         self.victim_sink = victim_sink
+        #: optional capacity rule over charged contexts (the modeled
+        #: system's HBM / DReX budget); ``None`` admits on pool blocks only.
+        self.admits = admits
 
     def _count(self, name: str, amount=1) -> None:
         metrics = self.obs.metrics
@@ -423,6 +419,12 @@ class ContinuousBatchScheduler:
         request that cannot fit even into an empty pool is shed
         immediately (it could otherwise clog the queue head forever).
 
+        With an ``admits`` capacity rule the head must also fit the
+        modeled system: it waits while the running sessions' charged
+        contexts plus its own do not fit, and is shed as an impossible fit
+        when its final charged context (prompt plus full output) does not
+        fit on its own.
+
         With several backlogged tenants the admission slots rotate by
         stride scheduling (see class docstring); a tenant whose head does
         not fit is *skipped* for this call rather than blocking the other
@@ -455,7 +457,10 @@ class ContinuousBatchScheduler:
                 queue.pop(0)
                 self._reject(head, "queue_timeout")
                 continue
-            if self._session_blocks(head) > self.pool.n_blocks:
+            if self._session_blocks(head) > self.pool.n_blocks or (
+                    self.admits is not None and not self.admits(
+                        [head.charged_context - len(head.outputs)
+                         + head.max_new_tokens])):
                 queue.pop(0)
                 self._reject(head, "impossible_fit")
                 continue
@@ -463,7 +468,10 @@ class ContinuousBatchScheduler:
             # Headroom protects the growth of *running* sessions; an idle
             # system admits whenever the request fits at all (no livelock).
             headroom = policy.admission_headroom_blocks if self.running else 0
-            if need + reserved + headroom > self.pool.n_free:
+            if need + reserved + headroom > self.pool.n_free or (
+                    self.admits is not None and not self.admits(
+                        [r.charged_context for r in self.running]
+                        + [head.charged_context])):
                 blocked.add(tenant)
                 continue
             reserved += need
@@ -554,14 +562,13 @@ class ContinuousBatchScheduler:
         self._count("serve.brownout.stage_tokens")
         self._count(f"serve.brownout.stage{stage}_tokens")
 
-    # -- detach (preemption, capacity shed, failover drain) -------------------
+    # -- detach (preemption, failover drain) ----------------------------------
 
     def detach(self, request: ServeRequest) -> None:
         """Detach a running session: blocks freed, state QUEUED, generated
         tokens kept — the mechanics every relocation shares (preemption,
-        which adds its accounting; the engine's capacity shed; and
-        cross-worker failover, where the move is the router's doing, not
-        a capacity decision)."""
+        which adds its accounting, and cross-worker failover, where the
+        move is the router's doing, not a capacity decision)."""
         self.running.remove(request)
         if request.cache is not None:
             request.cache.free()

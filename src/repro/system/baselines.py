@@ -69,7 +69,7 @@ class DenseGpuSystem:
     def max_users(self, config: ModelConfig, context: int) -> int:
         return self.gpu.max_users(config, context) * self.n_gpus
 
-    # -- heterogeneous-context interface (serving simulator) -------------------
+    # -- heterogeneous-context interface (serving engine) ----------------------
 
     def admits(self, config: ModelConfig, contexts) -> bool:
         """Do these per-user KV caches fit (greedy first-fit per GPU)?"""
@@ -188,7 +188,7 @@ class SlidingWindowGpuSystem:
         kept = min(context, self.window + self.n_sink)
         return self.gpu.max_users(config, kept)
 
-    # -- heterogeneous-context interface (serving simulator) -------------------
+    # -- heterogeneous-context interface (serving engine) ----------------------
 
     def _kept(self, context: int) -> int:
         return min(context, self.window + self.n_sink)

@@ -223,7 +223,7 @@ class LongSightSystem:
         costs = {"GPU": gpu_side, "DReX": drex, "CXL": cxl}
         return max(costs, key=costs.get)
 
-    # -- heterogeneous-context interface (serving simulator) ----------------------
+    # -- heterogeneous-context interface (serving engine) -------------------------
 
     def admits(self, config: ModelConfig, contexts) -> bool:
         """Capacity check for users with individual context lengths."""

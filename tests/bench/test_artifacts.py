@@ -11,16 +11,13 @@ import json
 
 import pytest
 
-from repro.bench import chaos
+from repro.bench import chaos, serve
 from repro.bench.registry import (REGISTRY, BenchSpec, check_all,
                                   check_artifact)
-from repro.bench.serve import TINY_MODEL
 from repro.bench.tables import results_dir
 from repro.llm.config import LLAMA3_8B
-from repro.serve.crossval import default_systems, poisson_workload
-from repro.serve.engine import AnalyticTiming
-from repro.system.prefill import PrefillModel
-from repro.system.serving_sim import ServingSimulator
+from repro.llm.model import Transformer
+from repro.serve.workload import default_systems
 
 
 def test_registry_covers_known_artifacts():
@@ -80,7 +77,7 @@ def test_unregistered_spec_roundtrip(tmp_path):
     assert "missing" in check_artifact(spec, tmp_path)[0]
 
 
-# -- the published analytic numbers are what the code computes ---------------
+# -- the published analytic-clock numbers are what the code computes ---------
 
 
 def _committed(spec_tag):
@@ -103,21 +100,23 @@ def test_committed_chaos_serving_points_are_reproduced():
 
 
 def test_committed_serve_analytic_throughput_is_reproduced():
+    """Every BENCH_serve point's throughput, TTFT and peak batch on the
+    analytic clock — the capacity rule included — is recomputed."""
     payload = _committed("serve")
     config = payload["config"]
     assert config["charged_model"] == LLAMA3_8B.name
+    assert config["functional_model"] == serve.TINY_MODEL.name
+    model = Transformer(serve.TINY_MODEL, seed=config["seed"])
     systems = default_systems()
     for name, points in payload["sweep"].items():
         for point in points:
-            trace = poisson_workload(
-                config["n_requests"], point["arrival_rate_per_s"],
+            fresh = serve._point(
+                model, name, systems[name], point["arrival_rate_per_s"],
+                point["charged_context"], config["n_requests"],
                 config["prompt_tokens"], config["output_tokens"],
-                TINY_MODEL.vocab_size,
-                charged_prompt_tokens=point["charged_context"],
-                seed=config["seed"])
-            timing = AnalyticTiming(systems[name], LLAMA3_8B,
-                                    prefill=PrefillModel())
-            report = ServingSimulator(timing).run(trace)
-            assert report.throughput_tps \
-                == point["analytic_throughput_tps"], \
-                (name, point["arrival_rate_per_s"], point["charged_context"])
+                config["seed"])
+            for key in ("throughput_tps", "ttft_p50_s",
+                        "peak_decode_batch"):
+                assert fresh[key] == point[key], \
+                    (name, point["arrival_rate_per_s"],
+                     point["charged_context"], key)

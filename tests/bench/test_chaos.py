@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from repro.bench.chaos import (RESULT_NAME, SCHEMA_VERSION, SERVING_SYSTEMS,
-                               WORKLOADS, main, run_chaos, validate_payload)
+from repro.bench.chaos import (OUTPUT_TOKENS, RESULT_NAME, SCHEMA_VERSION,
+                               SERVING_SYSTEMS, WORKLOADS, main, run_chaos,
+                               validate_payload)
 
 pytestmark = pytest.mark.chaos
 
@@ -41,7 +42,12 @@ def test_series_shapes_and_guarantees(tmp_path):
             assert len(points) == len(rates)
     longsight = payload["serving"]["steady"]["LongSight"]
     assert longsight[0]["degraded_token_fraction"] == 0.0
-    assert longsight[-1]["degraded_token_fraction"] == 1.0
+    # At rate 1 every decoded token degrades (the first comes from
+    # prefill) and every session ends pinned, yet completes.
+    assert longsight[-1]["degraded_token_fraction"] \
+        == (OUTPUT_TOKENS - 1) / OUTPUT_TOKENS
+    assert longsight[-1]["shed_sessions"] \
+        == longsight[-1]["completed_sessions"] == 4
     assert all(point["completed"] for point in payload["functional"])
     assert payload["functional"][-1]["degraded_token_fraction"] == 1.0
 

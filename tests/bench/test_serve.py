@@ -72,10 +72,6 @@ def test_validation_catches_corruption(tmp_path):
     bad = json.loads(json.dumps(payload))
     bad["arrival_rates"] = [200.0, 2.0]
     assert any("increasing" in p for p in validate_payload(bad))
-    # an analytic run that served nothing (every request fits alone)
-    bad = json.loads(json.dumps(payload))
-    bad["sweep"]["dense"][-1]["analytic_throughput_tps"] = 0.0
-    assert any("analytic_throughput_tps" in p for p in validate_payload(bad))
 
 
 def test_cli_main(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 from repro.bench.serve import TINY_LS, TINY_MODEL
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
-from repro.serve.crossval import backend_factory, default_systems, \
+from repro.serve.workload import backend_factory, default_systems, \
     poisson_workload
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool

@@ -8,7 +8,7 @@ from repro.bench.serve import TINY_LS
 from repro.durable import iter_step_buckets, read_wal
 from repro.llm.config import LLAMA3_8B
 from repro.obs import MetricsRegistry, Obs, Tracer
-from repro.serve.crossval import backend_factory
+from repro.serve.workload import backend_factory
 from repro.serve.engine import AnalyticTiming, EngineRun
 from repro.system.faults import CrashPlan
 from repro.system.prefill import PrefillModel

@@ -13,7 +13,7 @@ from repro.bench.serve import TINY_MODEL
 from repro.durable import DurableRun, recover
 from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
                           WorkerKilledError)
-from repro.serve.crossval import poisson_workload
+from repro.serve.workload import poisson_workload
 from repro.serve.scheduler import BrownoutPolicy, SloPolicy
 from repro.system.faults import CRASH_KINDS, CrashPlan
 

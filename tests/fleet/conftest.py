@@ -19,7 +19,7 @@ import pytest
 from repro.bench.fleet import fleet_workload
 from repro.bench.serve import TINY_MODEL
 from repro.llm.model import Transformer
-from repro.serve.crossval import default_systems
+from repro.serve.workload import default_systems
 
 #: A healthy router iteration is milliseconds; a hung one never returns.
 RESILIENCE_TIMEOUT_S = 60.0

@@ -22,7 +22,7 @@ from repro.core.hybrid import LongSightAttention
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer
-from repro.serve.crossval import default_systems
+from repro.serve.workload import default_systems
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest

@@ -15,7 +15,7 @@ from repro.llm.config import LLAMA3_8B
 from repro.llm.model import DenseBackend, Transformer
 from repro.llm.sampling import generate
 from repro.obs import MetricsRegistry, Obs, Tracer
-from repro.serve.crossval import default_systems
+from repro.serve.workload import default_systems
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import RequestState, ServeRequest, SloPolicy

@@ -75,6 +75,29 @@ class TestAdmission:
         assert sched.admit(now=0.0) == []
         assert len(sched.queued) == 1
 
+    def test_capacity_rule_blocks_and_rejects(self):
+        """A modeled system holding 100 charged tokens: the head waits
+        while the running sessions plus it do not fit, and is rejected
+        when its prompt plus full output could never fit alone."""
+        pool = PagedKVPool(TINY, n_blocks=64, block_tokens=4)
+        seen = []
+
+        def admits(contexts):
+            seen.append(list(contexts))
+            return sum(contexts) <= 100
+        sched = ContinuousBatchScheduler(pool, SloPolicy(), admits=admits)
+        for i, charged in enumerate((60, 30, 97, 20)):
+            request = _request(i, arrival=0.1 * i)
+            request.charged_prompt_tokens = charged
+            sched.submit(request)
+        admitted = sched.admit(now=1.0)
+        # 60 + 30 fit; 97 + 4 outputs never fits; 60 + 30 + 20 waits
+        assert [r.request_id for r in admitted] == [0, 1]
+        assert [r.request_id for r in sched.finished] == [2]
+        assert sched.finished[0].events.rejected
+        assert [r.request_id for r in sched.queued] == [3]
+        assert [60, 30, 20] in seen and [101] in seen
+
 
 class TestAssembly:
     def test_decode_first_with_caps(self):

@@ -1,47 +1,85 @@
-"""Multi-tenant serving simulator tests."""
+"""Multi-tenant serving on the analytic clock.
+
+The engine decodes a tiny model's tokens while :class:`AnalyticTiming`
+charges every step for a paper-scale system and admits on that system's
+capacity rule (``system.admits`` over the sessions' charged contexts).
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.config import LongSightConfig
+from repro.core.hybrid import LongSightAttention
 from repro.llm.config import LLAMA3_8B, LLAMA3_1B
-from repro.serve.crossval import poisson_workload
-from repro.serve.engine import AnalyticTiming
+from repro.llm.model import DenseBackend, Transformer
+from repro.llm.sampling import generate
+from repro.serve.engine import AnalyticTiming, ServeEngine
+from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest
+from repro.serve.workload import poisson_workload
 from repro.system.baselines import DenseGpuSystem
 from repro.system.engine import LongSightSystem
 from repro.system.prefill import PrefillModel
-from repro.system.serving_sim import ServingSimulator
+from tests.conftest import TINY
+
+#: The functional prompt every request decodes, whatever it is charged.
+PROMPT_TOKENS = 12
+LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
+
+
+@pytest.fixture(scope="module")
+def model():
+    return Transformer(TINY, seed=0)
+
+
+def _longsight_system():
+    return LongSightSystem(LongSightConfig(window=1024, n_sink=16,
+                                           top_k=1024, use_itq=True))
 
 
 def _requests(n, prompt=32768, output=32, spacing=0.0):
-    return [ServeRequest(request_id=i, prompt=np.zeros(0, dtype=np.int64),
+    rng = np.random.default_rng(0)
+    return [ServeRequest(request_id=i,
+                         prompt=rng.integers(0, TINY.vocab_size,
+                                             size=PROMPT_TOKENS),
                          max_new_tokens=output, arrival_s=i * spacing,
                          charged_prompt_tokens=prompt)
             for i in range(n)]
 
 
-def _sim(system, config=LLAMA3_8B, prefill=None, **kwargs):
-    return ServingSimulator(AnalyticTiming(system, config, prefill=prefill),
-                            **kwargs)
+def _serve(model, system, requests, config=LLAMA3_8B, prefill=None,
+           backend=DenseBackend, **kwargs):
+    engine = ServeEngine(
+        model, PagedKVPool(TINY, n_blocks=64, block_tokens=16),
+        lambda request: backend(),
+        timing=AnalyticTiming(system, config, prefill=prefill), **kwargs)
+    return engine.run(requests)
+
+
+def _sparse():
+    return LongSightAttention(LS)
 
 
 class TestWorkload:
     def test_poisson_deterministic_and_sorted(self):
-        a = poisson_workload(20, 1.0, 1000, 10, seed=3)
-        b = poisson_workload(20, 1.0, 1000, 10, seed=3)
+        a = poisson_workload(20, 1.0, 24, 10, TINY.vocab_size, seed=3)
+        b = poisson_workload(20, 1.0, 24, 10, TINY.vocab_size, seed=3)
         assert [r.arrival_s for r in a] == [r.arrival_s for r in b]
+        assert all(np.array_equal(x.prompt, y.prompt) for x, y in zip(a, b))
         arrivals = [r.arrival_s for r in a]
         assert arrivals == sorted(arrivals)
 
     def test_prompt_jitter_bounded(self):
-        requests = poisson_workload(50, 1.0, 1000, 10, seed=0,
+        requests = poisson_workload(50, 1.0, 24, 10, TINY.vocab_size,
+                                    charged_prompt_tokens=1000, seed=0,
                                     prompt_jitter=0.25)
-        prompts = [r.charged_prompt_tokens for r in requests]
-        assert min(prompts) >= 750 and max(prompts) <= 1250
-        assert len(set(prompts)) > 1
-        # token-free: the charged length is all the trace carries
-        assert all(len(r.prompt) == 0 for r in requests)
+        charged = [r.charged_prompt_tokens for r in requests]
+        assert min(charged) >= 750 and max(charged) <= 1250
+        assert len(set(charged)) > 1
+        # the decoded prompt is jittered alike, at laptop scale
+        assert all(18 <= len(r.prompt) <= 30 for r in requests)
+        assert all(0 <= r.prompt.min() and r.prompt.max() < TINY.vocab_size
+                   for r in requests)
 
 
 class TestHeterogeneousCosts:
@@ -75,53 +113,65 @@ class TestHeterogeneousCosts:
 
 
 class TestSimulation:
-    def test_all_sessions_complete(self):
-        report = _sim(DenseGpuSystem(1)).run(
-            _requests(3, prompt=16384, output=8))
+    def test_all_sessions_complete(self, model):
+        report = _serve(model, DenseGpuSystem(1),
+                        _requests(3, prompt=16384, output=8))
         assert len(report.completed) == 3
         assert report.tokens_generated == 24
         assert report.throughput_tps > 0
 
-    def test_admission_queues_when_full(self):
+    def test_admission_queues_when_full(self, model):
         """More long sessions than HBM fits: later ones wait."""
         requests = _requests(8, prompt=131072, output=4)
-        report = _sim(DenseGpuSystem(1)).run(requests)
+        report = _serve(model, DenseGpuSystem(1), requests)
         assert len(report.completed) == 8
         delays = [r.events.admitted_s - r.events.arrival_s
                   for r in requests]
         assert max(delays) > 0.0
         assert report.peak_decode_batch < 8
 
-    def test_impossible_sessions_rejected(self):
-        report = _sim(DenseGpuSystem(1)).run(
-            _requests(2, prompt=1_048_576, output=4))
+    def test_one_token_request_finishes_at_its_first_token(self, model):
+        """The first token comes from prefill, so a one-token request
+        is done on that step — not handed one more decode."""
+        requests = _requests(3, prompt=16384, output=1)
+        report = _serve(model, DenseGpuSystem(1), requests,
+                        prefill=PrefillModel())
+        assert report.tokens_generated == 3
+        for request in requests:
+            assert len(request.outputs) == 1
+            assert request.events.finished_s == request.events.first_token_s
+
+    def test_impossible_sessions_rejected(self, model):
+        report = _serve(model, DenseGpuSystem(1),
+                        _requests(2, prompt=1_048_576, output=4))
         assert not report.completed
         assert report.tokens_generated == 0
         assert len(report.rejected) == 2
 
-    def test_longsight_sustains_more_concurrency(self):
+    def test_longsight_sustains_more_concurrency(self, model):
         """The Section 9.1 capacity story under dynamics: at 128K prompts,
         LongSight admits far more concurrent sessions than one GPU."""
-        gpu_report = _sim(DenseGpuSystem(1)).run(
-            _requests(12, prompt=131072, output=4))
-        engine = LongSightSystem(LongSightConfig(window=1024, n_sink=16,
-                                                 top_k=1024, use_itq=True))
-        ls_report = _sim(engine).run(_requests(12, prompt=131072, output=4))
+        gpu_report = _serve(model, DenseGpuSystem(1),
+                            _requests(12, prompt=131072, output=16))
+        ls_report = _serve(model, _longsight_system(),
+                           _requests(12, prompt=131072, output=16),
+                           backend=_sparse)
         assert ls_report.peak_decode_batch > gpu_report.peak_decode_batch
         assert ls_report.mean_queueing_delay_s < \
             gpu_report.mean_queueing_delay_s
 
-    def test_context_grows_during_decode(self):
+    def test_context_grows_during_decode(self, model):
         engine = LongSightSystem(LongSightConfig(window=1024, n_sink=16,
                                                  top_k=1024))
         [request] = _requests(1, prompt=4096, output=5)
-        _sim(engine, LLAMA3_1B).run([request])
+        _serve(model, engine, [request], LLAMA3_1B, backend=_sparse)
         assert request.charged_context == 4096 + 5
         assert request.events.finished_s is not None
 
-    def test_report_metrics(self):
-        report = _sim(DenseGpuSystem(1), LLAMA3_1B).run(
-            _requests(2, prompt=1024, output=4, spacing=0.001))
+    def test_report_metrics(self, model):
+        report = _serve(model, DenseGpuSystem(1),
+                        _requests(2, prompt=1024, output=4, spacing=0.001),
+                        LLAMA3_1B, prefill=PrefillModel())
         assert report.mean_request_latency_s > 0
         assert report.mean_queueing_delay_s >= 0
         # TTFT / TPOT are the report's own reductions over the events.
@@ -130,31 +180,50 @@ class TestSimulation:
         assert report.tpot_percentile_s(50.0) > 0
 
 
+class TestCapacityAdmission:
+    def test_one_gpu_holds_three_128k_sessions(self, model):
+        """Eight 128K sessions at t = 0: one GPU's HBM holds three, so the
+        rest queue — and every served stream is still solo ``generate``'s.
+        LongSight + DReX holds all eight."""
+        requests = _requests(8, prompt=131072, output=16)
+        report = _serve(model, DenseGpuSystem(1), requests)
+        assert report.peak_decode_batch == 3
+        assert max(r.events.admitted_s - r.events.arrival_s
+                   for r in requests) > 0.0
+        for request in requests:
+            assert request.outputs == list(generate(
+                model, request.prompt, 16, backend=DenseBackend()))
+        longsight = _serve(model, _longsight_system(),
+                           _requests(8, prompt=131072, output=16),
+                           backend=_sparse)
+        assert longsight.peak_decode_batch == 8
+
+
 class TestFrozenClock:
-    def test_blocked_head_waits_for_prefilling_batch(self):
+    def test_blocked_head_waits_for_prefilling_batch(self, model):
         """Five 128K requests at t = 0 on one GPU (three fit): while the
         admitted three are still prefilling, the blocked queue head must
         not hold the clock at its own (past) eligibility."""
-        report = _sim(DenseGpuSystem(1), prefill=PrefillModel(),
-                      max_steps=1_000).run(
-            _requests(5, prompt=131072, output=8))
+        report = _serve(model, DenseGpuSystem(1),
+                        _requests(5, prompt=131072, output=8),
+                        prefill=PrefillModel(), max_steps=1_000)
         assert len(report.completed) == 5
         assert report.clock_s > 0.0
         assert report.peak_decode_batch == 3
 
-    def test_exhausted_step_budget_raises(self):
-        with pytest.raises(RuntimeError, match="still live"):
-            _sim(DenseGpuSystem(1), max_steps=3).run(
-                _requests(2, prompt=1024, output=8))
+    def test_exhausted_step_budget_raises(self, model):
+        with pytest.raises(RuntimeError, match="2 requests still live"):
+            _serve(model, DenseGpuSystem(1),
+                   _requests(2, prompt=1024, output=8), max_steps=3)
 
 
 class TestPrefillIntegration:
-    def test_prefill_delays_first_token(self):
+    def test_prefill_delays_first_token(self, model):
         system = DenseGpuSystem(1)
         fast = _requests(1, prompt=131072, output=4)
         slow = _requests(1, prompt=131072, output=4)
-        no_prefill = _sim(system).run(fast)
-        with_prefill = _sim(system, prefill=PrefillModel()).run(slow)
+        no_prefill = _serve(model, system, fast)
+        with_prefill = _serve(model, system, slow, prefill=PrefillModel())
         assert len(with_prefill.completed) == 1
         assert with_prefill.mean_request_latency_s > \
             no_prefill.mean_request_latency_s
@@ -162,12 +231,10 @@ class TestPrefillIntegration:
         assert with_prefill.ttft_percentile_s(50.0) > \
             no_prefill.ttft_percentile_s(50.0)
 
-    def test_prefill_uses_longsight_object_writes(self):
+    def test_prefill_uses_longsight_object_writes(self, model):
         """The LongSight system hands its algorithm config to the prefill
         model so DReX object writes are accounted (and overlapped)."""
-        engine = LongSightSystem(LongSightConfig(window=1024, n_sink=16,
-                                                 top_k=1024))
-        report = _sim(engine, prefill=PrefillModel()).run(
-            _requests(1, prompt=131072, output=2))
+        report = _serve(model, _longsight_system(),
+                        _requests(1, prompt=131072, output=2),
+                        prefill=PrefillModel(), backend=_sparse)
         assert len(report.completed) == 1
-
