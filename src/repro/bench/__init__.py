@@ -9,6 +9,6 @@ over these runners; the same functions are importable for interactive use::
     print(table.render())
 """
 
-from repro.bench.tables import Table, format_si
+from repro.bench.tables import Table
 
-__all__ = ["Table", "format_si"]
+__all__ = ["Table"]

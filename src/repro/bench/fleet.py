@@ -167,8 +167,8 @@ def run_fleet(workers_axis: Sequence[int] = (1, 2, 4),
                            max_decode_batch, trace())
     alone = _run_point(fair_workers, model, system, blocks_per_worker,
                        max_decode_batch, trace(include_burst=False))
-    p99_contended = contended.ttft_percentile_s(99.0, tenant="steady")
-    p99_alone = alone.ttft_percentile_s(99.0, tenant="steady")
+    p99_contended = contended.pooled.ttft_percentile_s(99.0, tenant="steady")
+    p99_alone = alone.pooled.ttft_percentile_s(99.0, tenant="steady")
     fairness = {
         "workers": fair_workers,
         "steady_ttft_p99_alone_s": p99_alone,

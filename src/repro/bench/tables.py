@@ -9,16 +9,6 @@ from typing import Dict, List, Optional, Sequence, Union
 Cell = Union[str, int, float, None]
 
 
-def format_si(value: float, digits: int = 3) -> str:
-    """Human-scaled number: 1234567 -> '1.23M'."""
-    if value is None:
-        return "-"
-    for scale, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "K")):
-        if abs(value) >= scale:
-            return f"{value / scale:.{digits - 1}g}{suffix}"
-    return f"{value:.{digits}g}"
-
-
 class Table:
     """A titled, column-aligned results table.
 

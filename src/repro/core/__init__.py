@@ -15,8 +15,8 @@ with a dense sliding window and attention-sink tokens, and plugs into the
 transformer substrate as an attention backend — the software analogue of the
 paper's ``LongSightAttn`` PyTorch module.  :mod:`repro.core.itq` supplies
 the learned rotations that fix the sign-bit imbalance of clustered Llama
-keys, and :mod:`repro.core.tuning` implements the paper's hyper-parameter
-tuning loops (Section 8.1.3).
+keys, and :mod:`repro.core.tuning` implements the paper's threshold tuning
+loop (Section 8.1.3).
 """
 
 from repro.core.config import LongSightConfig
@@ -27,7 +27,7 @@ from repro.core.topk import top_k_indices
 from repro.core.sparse import sparse_retrieve, SparseResult
 from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
 from repro.core.metrics import FilterStats
-from repro.core.tuning import tune_thresholds, tune_top_k
+from repro.core.tuning import tune_thresholds
 
 __all__ = [
     "LongSightConfig",
@@ -47,5 +47,4 @@ __all__ = [
     "SlidingWindowAttention",
     "FilterStats",
     "tune_thresholds",
-    "tune_top_k",
 ]

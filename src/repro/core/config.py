@@ -54,8 +54,6 @@ class LongSightConfig:
     per_q_head_thresholds: bool = False
     prefill_tile: int = 4096
 
-    MAX_HARDWARE_TOP_K = 1024
-
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError("window must be >= 1 (queries must see themselves)")

@@ -571,7 +571,6 @@ class LongSightAttention:
         #: id(config) -> variant; a variant holds its config, so the id
         #: cannot be reused while the entry lives.
         self._variants: Dict[int, "LongSightAttention"] = {}
-        self._dense_fallback: Optional["LongSightAttention"] = None
 
     def with_config(self, config: LongSightConfig) -> "LongSightAttention":
         """A variant backend with swapped retrieval knobs, shared state.
@@ -683,23 +682,6 @@ class LongSightAttention:
         return self._forward_block(
             layer, q, k, v,
             self._pack_key_signs(layer, k) if self.config.top_k else None)
-
-    # -- degradation target ---------------------------------------------------
-
-    def dense_fallback(self) -> "LongSightAttention":
-        """The correctness anchor when the sparse path is unavailable.
-
-        This backend at ``top_k = 0``: sinks + sliding window with this
-        config's geometry — exactly what the hybrid algorithm computes
-        when the offload contributes nothing.  The offload supervisor
-        degrades to this per token when a DReX device fails past its
-        retry budget; it is also the exact software semantics of a
-        supervised backend at 100% offload failure.
-        """
-        if self._dense_fallback is None:
-            self._dense_fallback = self.with_config(
-                self.config.replace(top_k=0))
-        return self._dense_fallback
 
     # -- the prefill kernel ---------------------------------------------------
 

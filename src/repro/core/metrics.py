@@ -33,10 +33,6 @@ class FilterStats:
         self.retrieved = np.zeros(shape, dtype=np.int64)
         self.queries = np.zeros(shape, dtype=np.int64)
 
-    def reset(self) -> None:
-        for counter in (self.candidates, self.passed, self.retrieved, self.queries):
-            counter[:] = 0
-
     def update(self, layer: int, kv_head: int, candidates: int, passed: int,
                retrieved: int, queries: int = 1) -> None:
         """Record one (or a block of) sparse retrieval(s)."""
@@ -81,23 +77,3 @@ class FilterStats:
     def sparsity(self) -> float:
         """Fraction of non-window KV accesses avoided: ``1 - 1/filter_ratio``."""
         return 1.0 - 1.0 / self.filter_ratio
-
-    def merge(self, other: "FilterStats") -> None:
-        """Accumulate another stats object into this one."""
-        if (other.n_layers, other.n_kv_heads) != (self.n_layers, self.n_kv_heads):
-            raise ValueError("shape mismatch")
-        self.candidates += other.candidates
-        self.passed += other.passed
-        self.retrieved += other.retrieved
-        self.queries += other.queries
-
-    def summary(self) -> dict:
-        """Plain-dict snapshot for logging/benchmark tables."""
-        return {
-            "filter_ratio": self.filter_ratio,
-            "sparsity": self.sparsity,
-            "pass_rate": self.pass_rate,
-            "candidates": int(self.candidates.sum()),
-            "passed": int(self.passed.sum()),
-            "retrieved": int(self.retrieved.sum()),
-        }

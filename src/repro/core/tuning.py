@@ -1,14 +1,10 @@
-"""Hyper-parameter tuning loops (Section 8.1.3).
+"""The threshold tuning loop (Section 8.1.3).
 
-Two tuners mirror the paper's methodology:
-
-- :func:`tune_top_k` — "we set the thresholds to zero, and adjust k to
-  increase perplexity by 0.5–1% compared to the base model."
-- :func:`tune_thresholds` — "We initialize all thresholds such that no Keys
-  are filtered.  We iteratively increase the thresholds for KV heads with
-  the lowest filtering ratios.  This process continues until the perplexity
-  exceeds a predefined threshold (5%), at which point we record the filter
-  ratio from the prior iteration."
+:func:`tune_thresholds` mirrors the paper's methodology: "We initialize all
+thresholds such that no Keys are filtered.  We iteratively increase the
+thresholds for KV heads with the lowest filtering ratios.  This process
+continues until the perplexity exceeds a predefined threshold (5%), at
+which point we record the filter ratio from the prior iteration."
 """
 
 from __future__ import annotations
@@ -40,38 +36,6 @@ def evaluate(model: Transformer, tokens: np.ndarray, config: LongSightConfig,
     backend = LongSightAttention(config, rotations=rotations, stats=stats)
     ppl = perplexity(model, tokens, backend=backend, block_size=block_size)
     return ppl, stats
-
-
-def tune_top_k(model: Transformer, tokens: np.ndarray,
-               base_config: LongSightConfig, dense_ppl: float,
-               max_increase: float = 0.01,
-               candidates: Optional[List[int]] = None,
-               rotations: Optional[ItqRotations] = None) -> int:
-    """Smallest k (from descending powers of two) within the quality budget.
-
-    Thresholds are forced to zero so only the top-k cap limits quality,
-    exactly as in the paper's k-selection step.
-
-    Returns the chosen k; falls back to the largest candidate if even that
-    violates the budget.
-    """
-    if candidates is None:
-        k_max = min(LongSightConfig.MAX_HARDWARE_TOP_K, len(tokens))
-        candidates = []
-        k = k_max
-        while k >= 16:
-            candidates.append(k)
-            k //= 2
-    candidates = sorted(set(candidates), reverse=True)
-    chosen = candidates[0]
-    for k in candidates:
-        config = base_config.replace(top_k=k, thresholds=0)
-        ppl, _ = evaluate(model, tokens, config, rotations=rotations)
-        if perplexity_increase(ppl, dense_ppl) <= max_increase:
-            chosen = k
-        else:
-            break
-    return chosen
 
 
 @dataclasses.dataclass
@@ -155,9 +119,3 @@ def tune_thresholds(model: Transformer, tokens: np.ndarray,
     else:
         best = dataclasses.replace(best, history=history, iterations=iterations)
     return best
-
-
-def meets_quality_target(ppl: float, dense_ppl: float,
-                         max_increase: float = 0.05) -> bool:
-    """Paper's Figure 3 gate: within ``max_increase`` of dense perplexity."""
-    return perplexity_increase(ppl, dense_ppl) <= max_increase

@@ -9,6 +9,5 @@ is the property the LongSight experiments probe.
 """
 
 from repro.data.synthetic import MarkovSource, pg_like, wiki2_like
-from repro.data.tokenizer import CharTokenizer
 
-__all__ = ["MarkovSource", "pg_like", "wiki2_like", "CharTokenizer"]
+__all__ = ["MarkovSource", "pg_like", "wiki2_like"]

@@ -255,9 +255,6 @@ class RecoveryStats:
     stale_wal: bool = False
     wal_torn: bool = False
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _replay(run: DurableRun, suffix: List[WalRecord],
             stats: RecoveryStats) -> None:

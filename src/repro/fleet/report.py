@@ -13,7 +13,7 @@ the per-worker metrics registries through the associative
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs import MetricsRegistry
 from repro.serve.events import RequestEvents, ServeReport
@@ -129,49 +129,23 @@ class FleetReport:
             pool_blocks=sum(w.pool_blocks for w in workers),
             pool_high_watermark=sum(w.pool_high_watermark for w in workers))
 
-    @property
-    def brownout_stage_tokens(self) -> Dict[int, int]:
-        return self.pooled.brownout_stage_tokens
-
-    @property
-    def brownout_tokens(self) -> int:
-        return self.pooled.brownout_tokens
-
-    @property
-    def brownout_token_fraction(self) -> float:
-        return self.pooled.brownout_token_fraction
-
-    def ttft_percentile_s(self, q: float,
-                          tenant: Optional[str] = None) -> float:
-        return self.pooled.ttft_percentile_s(q, tenant)
-
-    def tpot_percentile_s(self, q: float,
-                          tenant: Optional[str] = None) -> float:
-        return self.pooled.tpot_percentile_s(q, tenant)
-
-    @property
-    def tenants(self) -> List[str]:
-        """Distinct tenants, sorted: workers interleave, so there is no
-        fleet-wide order of first appearance to report (a worker's
-        :attr:`ServeReport.tenants` keeps its event order)."""
-        return sorted(self.pooled.tenants)
-
-    def tenant_summary(self) -> Dict[str, Dict]:
-        """Per-tenant fleet SLO metrics (exact percentiles)."""
-        summary = self.pooled.tenant_summary()
-        return {tenant: summary[tenant] for tenant in sorted(summary)}
-
     def as_dict(self) -> Dict:
-        """JSON-ready summary (the per-point payload of BENCH_fleet)."""
+        """JSON-ready summary (the per-point payload of BENCH_fleet).
+
+        Tenants are listed sorted: workers interleave, so there is no
+        fleet-wide order of first appearance (a worker's
+        :attr:`ServeReport.tenants` keeps its event order)."""
+        pooled = self.pooled
+        tenants = pooled.tenant_summary()
         return {
             "workers": self.n_workers,
             "makespan_s": self.makespan_s,
             "tokens_generated": self.tokens_generated,
             "throughput_tps": self.throughput_tps,
-            "ttft_p50_s": self.ttft_percentile_s(50.0),
-            "ttft_p99_s": self.ttft_percentile_s(99.0),
-            "tpot_p50_s": self.tpot_percentile_s(50.0),
-            "tpot_p99_s": self.tpot_percentile_s(99.0),
+            "ttft_p50_s": pooled.ttft_percentile_s(50.0),
+            "ttft_p99_s": pooled.ttft_percentile_s(99.0),
+            "tpot_p50_s": pooled.tpot_percentile_s(50.0),
+            "tpot_p99_s": pooled.tpot_percentile_s(99.0),
             "completed": self.completed,
             "shed": self.shed,
             "rejected": self.rejected,
@@ -188,8 +162,8 @@ class FleetReport:
             },
             "brownout": {
                 "stage_tokens": {str(s): n for s, n
-                                 in self.brownout_stage_tokens.items()},
-                "token_fraction": self.brownout_token_fraction,
+                                 in pooled.brownout_stage_tokens.items()},
+                "token_fraction": pooled.brownout_token_fraction,
             },
             "prefix": {
                 "hits": self.prefix_hits,
@@ -197,6 +171,6 @@ class FleetReport:
                 "hit_rate": self.prefix_hit_rate,
                 "shared_blocks_peak": self.shared_blocks_peak,
             },
-            "tenants": self.tenant_summary(),
+            "tenants": {tenant: tenants[tenant] for tenant in sorted(tenants)},
             "per_worker": [report.as_dict() for report in self.workers],
         }

@@ -195,9 +195,6 @@ class HealthMonitor:
     def health(self, worker_id: int) -> WorkerHealth:
         return self._health[worker_id]
 
-    def state(self, worker_id: int) -> WorkerState:
-        return self._health[worker_id].state
-
     def state_or_healthy(self, worker_id: int) -> WorkerState:
         """State of a worker, HEALTHY when never attached (a router can
         consult the monitor before or without wiring it up)."""

@@ -290,21 +290,22 @@ class FleetRouter:
                      admit_now: bool = False) -> Optional[FleetWorker]:
         """The live worker (never ``exclude``) ranked first for
         ``request``: (HEALTHY, longest cached prefix, free score, lowest
-        id) over the workers whose pool could ever hold the session.
+        id) over the workers that could ever hold the session.  Both fit
+        questions are the worker scheduler's own admission rule: pool
+        blocks and, with a timing model's ``admits``, the modeled
+        system's capacity.
 
-        With ``admit_now`` only workers with the resume-prompt blocks
-        free right now qualify, and ``None`` means nobody does — which
-        keeps migration from bouncing a session between two saturated
-        workers.  Otherwise a session nobody can ever hold still lands
-        on the best live worker and sheds through its impossible-fit
-        admission path.
+        With ``admit_now`` only workers that fit the session right now
+        beside their running sessions qualify, and ``None`` means nobody
+        does — which keeps migration from bouncing a session between two
+        saturated workers.  Otherwise a session nobody can ever hold still
+        lands on the best live worker and sheds through its
+        impossible-fit admission path.
         """
         live = self._live(exclude)
-        fits = [w for w in live
-                if self._session_blocks(w, request) <= w.pool.n_blocks]
+        fits = [w for w in live if w.run.scheduler.could_fit(request)]
         if admit_now:
-            fits = [w for w in fits if w.pool.blocks_for_tokens(
-                len(request.resume_tokens)) <= w.pool.n_free]
+            fits = [w for w in fits if w.run.scheduler.fits_now(request)]
             if not fits:
                 return None
         return max(fits or live, key=lambda w: (
@@ -312,13 +313,6 @@ class FleetRouter:
             w.pool.longest_prefix_tokens(request.prompt),
             self._free_score(w),
             -w.worker_id))
-
-    @staticmethod
-    def _session_blocks(worker: FleetWorker,
-                        request: ServeRequest) -> int:
-        """Worst-case block demand of the whole session on this worker."""
-        return worker.pool.blocks_for_tokens(
-            len(request.prompt) + request.max_new_tokens)
 
     def _free_score(self, worker: FleetWorker) -> int:
         """Free blocks net of prompt blocks promised to queued work."""
@@ -380,7 +374,7 @@ class FleetRouter:
         # Health instruments (fleet.*) are router-owned, never replayed:
         # transplant them across the engine swap so the latency baseline
         # and suspicion counters survive into the merged fleet report.
-        engine.obs.metrics.merge_prefixed(worker.obs.metrics, "fleet.")
+        engine.obs.metrics.merge(worker.obs.metrics, prefix="fleet.")
         worker.engine.migrate_handler = None
         engine.migrate_handler = self._handler_for(worker)
         worker.engine, worker.run, worker.run_steps = engine, run, 0

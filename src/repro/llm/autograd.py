@@ -330,8 +330,3 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         return [(logits, grad.reshape(logits.shape))]
 
     return Tensor._node(np.asarray(loss), (logits,), backward)
-
-
-def no_grad_array(t: Union[Tensor, np.ndarray]) -> np.ndarray:
-    """Plain numpy view of a tensor or array."""
-    return t.data if isinstance(t, Tensor) else np.asarray(t)

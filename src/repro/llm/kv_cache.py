@@ -2,8 +2,8 @@
 
 The cache is the object LongSight splits in two: the most recent ``W``
 entries stay "on the GPU" (dense window) while the remainder is offloaded to
-DReX.  :meth:`KVCache.window_view` and :meth:`KVCache.offloaded_view` expose
-exactly that split.
+DReX.  :meth:`KVCache.window_view` reads the dense half; the sparse half is
+read row by row (``key_rows`` / ``value_rows`` / ``sign_rows`` below).
 
 The *sign cache* is the software analogue of DReX's Key Sign Objects
 (Section 5.1): one bit per key dimension, extracted (after the optional ITQ
@@ -406,15 +406,3 @@ class KVCache:
             return kv.keys, kv.values, np.arange(n)
         pos = np.concatenate([np.arange(n_sink), np.arange(n - window, n)])
         return kv._read(kv._k, pos), kv._read(kv._v, pos), pos
-
-    def offloaded_view(self, layer: int, window: int,
-                       n_sink: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, values, positions) of the sparse region offloaded to DReX.
-
-        Complement of :meth:`window_view`: tokens that are neither sinks nor
-        inside the recent window.  Empty if the context fits densely.
-        """
-        kv = self.layers[layer]
-        span = slice(n_sink, max(len(kv) - window, n_sink))
-        return (kv._read(kv._k, span), kv._read(kv._v, span),
-                np.arange(span.start, span.stop))

@@ -69,35 +69,3 @@ def causal_mask(n_q: int, n_k: int) -> np.ndarray:
     q_pos = np.arange(n_k - n_q, n_k)[:, None]
     k_pos = np.arange(n_k)[None, :]
     return k_pos <= q_pos
-
-
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-              mask: np.ndarray | None = None,
-              scale: float | None = None) -> np.ndarray:
-    """Scaled dot-product attention for a single head.
-
-    Args:
-        q: ``(n_q, d)`` queries.
-        k: ``(n_k, d)`` keys.
-        v: ``(n_k, dv)`` values.
-        mask: optional ``(n_q, n_k)`` boolean mask (True = attend).
-        scale: score scale; defaults to ``1/sqrt(d)``.
-
-    Returns:
-        ``(n_q, dv)`` attention output.
-    """
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = (q @ k.T) * scale
-    if mask is not None:
-        scores = np.where(mask, scores, -np.inf)
-    return softmax(scores, axis=-1) @ v
-
-
-def repeat_kv(x: np.ndarray, group_size: int) -> np.ndarray:
-    """Expand ``(n_kv_heads, ...)`` KV tensors to ``(n_q_heads, ...)``.
-
-    Each KV head is repeated ``group_size`` times so that grouped-query
-    attention can be computed with per-head dense math.
-    """
-    return np.repeat(x, group_size, axis=0)

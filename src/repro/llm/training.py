@@ -93,10 +93,6 @@ class TrainResult:
     weights: Weights
     losses: List[float]
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1]
-
 
 def sample_batches(tokens: np.ndarray, batch_size: int, seq_len: int,
                    rng: np.random.Generator):

@@ -80,9 +80,3 @@ def trained_model(name: str = "llama-sim-small", steps: Optional[int] = None,
     model = Transformer(config, weights=weights)
     _MEMO[key] = model
     return model
-
-
-def untrained_model(name: str = "llama-sim-small", seed: int = 0) -> Transformer:
-    """A randomly initialized miniature (for tests that don't need training)."""
-    config = SIM_MODELS[name]
-    return Transformer(config, seed=seed)

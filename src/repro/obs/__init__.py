@@ -47,31 +47,13 @@ NULL_OBS = Obs(MetricsRegistry(enabled=False), Tracer(enabled=False))
 _DEFAULT_OBS = Obs()
 
 
-def default_obs() -> Obs:
-    """The process-global bundle components bind to when given ``None``."""
-    return _DEFAULT_OBS
-
-
-def set_default_obs(obs: Obs) -> Obs:
-    """Swap the process-global bundle; returns the previous one."""
-    global _DEFAULT_OBS
-    previous = _DEFAULT_OBS
-    _DEFAULT_OBS = obs
-    return previous
-
-
 def resolve_obs(obs: Optional[Obs]) -> Obs:
-    """``obs`` itself, or the process-global default when ``None``.
-
-    Components resolve at construction time, so swapping the default
-    affects newly built components only — a run already holding a bundle
-    keeps it.
-    """
+    """``obs`` itself, or the process-global default when ``None``."""
     return obs if obs is not None else _DEFAULT_OBS
 
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "Obs", "Span",
     "Tracer", "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM", "NULL_OBS",
-    "default_obs", "exact_percentile", "resolve_obs", "set_default_obs",
+    "exact_percentile", "resolve_obs",
 ]

@@ -4,7 +4,8 @@ The registry is the metrics substrate every layer of the reproduction
 reports into: attention backends count their dense/sparse access split,
 the offload supervisor counts retries and degradations, the DReX timing
 model attributes modeled nanoseconds per pipeline stage, and the serve
-engine records TTFT/TPOT distributions.  Design constraints, in order:
+engine records queue depths and batch sizes.  Design constraints, in
+order:
 
 1. **Cheap when off.**  A registry constructed with ``enabled=False``
    hands out shared null instruments whose record methods are no-ops, so
@@ -14,8 +15,7 @@ engine records TTFT/TPOT distributions.  Design constraints, in order:
 2. **Exact where it matters.**  Histograms keep fixed-bucket counts for
    streaming percentile *estimates* (property-tested to land within one
    bucket of the exact answer) and can optionally retain raw samples for
-   exact percentiles — the serve report uses the exact mode so its TTFT
-   and TPOT fields stay bit-compatible with the pre-registry code.
+   exact percentiles (the fleet's step-latency baselines).
 3. **Mergeable.**  Counter merges are associative and commutative
    (integer increments merge exactly), so per-worker registries can be
    reduced in any order.
@@ -24,7 +24,7 @@ engine records TTFT/TPOT distributions.  Design constraints, in order:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -252,51 +252,17 @@ class MetricsRegistry:
                 name, edges=edges, track_values=track_values)
         return instrument
 
-    def new_histogram(self, name: str,
-                      edges: Optional[Sequence[float]] = None,
-                      track_values: bool = False) -> Histogram:
-        """A *fresh* histogram registered under ``name``.
-
-        Run-scoped distributions (one serve run's TTFTs) must not
-        accumulate across runs sharing the process-global registry, so
-        the engine asks for a replacement instrument per run; the registry
-        keeps the latest for snapshots.
-        """
-        if not self.enabled:
-            return NULL_HISTOGRAM
-        instrument = Histogram(name, edges=edges, track_values=track_values)
-        self._histograms[name] = instrument
-        return instrument
-
     # -- aggregation ----------------------------------------------------------
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters add, gauges max, hists merge."""
-        for name, counter in other._counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other._gauges.items():
-            mine = self.gauge(name)
-            mine.set(max(mine.value, gauge.value))
-            mine.high_watermark = max(mine.high_watermark,
-                                      gauge.high_watermark)
-        for name, hist in other._histograms.items():
-            if name in self._histograms:
-                self._histograms[name].merge(hist)
-            elif self.enabled:
-                clone = Histogram(name, edges=hist.edges,
-                                  track_values=hist.values is not None)
-                clone.merge(hist)
-                self._histograms[name] = clone
+    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
+        """Fold in ``other``'s instruments named under ``prefix`` (all by
+        default): counters add, gauges max, histograms merge.
 
-    def merge_prefixed(self, other: "MetricsRegistry",
-                       prefix: str) -> None:
-        """Fold in only ``other``'s instruments named under ``prefix``.
-
-        The fleet router uses this to transplant its health instruments
-        (``fleet.*``) across an engine swap after a restore or failover:
-        those are router-owned and never replayed, so carrying them over
-        is safe, while a whole-registry merge would double count the
-        ``serve.*`` work the fresh engine re-executes during recovery.
+        The fleet router merges only ``fleet.*`` across an engine swap
+        after a restore or failover: those instruments are router-owned
+        and never replayed, while a whole-registry merge would double
+        count the ``serve.*`` work the fresh engine re-executes during
+        recovery.
         """
         if not self.enabled:
             return
@@ -320,15 +286,7 @@ class MetricsRegistry:
                 clone.merge(hist)
                 self._histograms[name] = clone
 
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
     # -- introspection --------------------------------------------------------
-
-    def counter_names(self) -> Iterable[str]:
-        return self._counters.keys()
 
     def snapshot(self) -> dict:
         """JSON-ready dump of every instrument."""

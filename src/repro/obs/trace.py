@@ -114,10 +114,6 @@ class Tracer:
             return _NULL_SPAN
         return _SpanContext(self, name, args or None)
 
-    def reset(self) -> None:
-        self.spans = []
-        self._stack = []
-
     # -- exports --------------------------------------------------------------
 
     def to_chrome_trace(self, pid: int = 1, tid: int = 1) -> dict:

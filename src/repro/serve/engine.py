@@ -613,10 +613,6 @@ class EngineRun:
     def finish(self) -> ServeReport:
         """Reduce the run's events to a :class:`ServeReport`."""
         engine = self.engine
-        metrics = engine.obs.metrics
-        # TTFT / TPOT distributions live in the registry; the report reads
-        # its percentiles from these run-scoped exact histograms (or falls
-        # back to the raw events when the registry is a no-op).
         events = []
         seen: set = set()
         for request in self._arrivals:
@@ -624,14 +620,6 @@ class EngineRun:
                 continue
             seen.add(id(request))
             events.append(request.events)
-        ttft_hist = metrics.new_histogram("serve.ttft_s", track_values=True)
-        tpot_hist = metrics.new_histogram("serve.tpot_s", track_values=True)
-        for event in events:
-            if event.ttft_s is not None:
-                ttft_hist.observe(event.ttft_s)
-            if event.tpot_s is not None:
-                tpot_hist.observe(event.tpot_s)
-
         return ServeReport(
             system=engine.name,
             events=events,
@@ -641,6 +629,4 @@ class EngineRun:
             preemptions=self.scheduler.preemptions,
             pool_blocks=engine.pool.n_blocks,
             pool_high_watermark=engine.pool.high_watermark,
-            ttft_hist=ttft_hist if ttft_hist.count else None,
-            tpot_hist=tpot_hist if tpot_hist.count else None,
         )

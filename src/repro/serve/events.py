@@ -10,11 +10,7 @@ the shed/degradation accounting the fault layer feeds.
 :class:`~repro.serve.engine.ServeEngine` produces one per run, and a
 fleet pools its workers' into one.
 
-Percentiles are sourced from the ``repro.obs`` registry: the engine
-records every request's TTFT/TPOT into exact (sample-retaining)
-histograms and hands them to the report, which falls back to computing
-the same :func:`repro.obs.exact_percentile` over the raw events when the
-registry is a no-op — the two paths are bit-identical.
+Percentiles are :func:`repro.obs.exact_percentile` over the events.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.obs import Histogram, exact_percentile
+from repro.obs import exact_percentile
 
 
 @dataclasses.dataclass
@@ -67,30 +63,6 @@ class RequestEvents:
         span = self.token_times_s[-1] - self.token_times_s[0]
         return span / (len(self.token_times_s) - 1)
 
-    @property
-    def n_tokens(self) -> int:
-        return len(self.token_times_s)
-
-    def as_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "arrival_s": self.arrival_s,
-            "tenant": self.tenant,
-            "admitted_s": self.admitted_s,
-            "first_token_s": self.first_token_s,
-            "finished_s": self.finished_s,
-            "n_tokens": self.n_tokens,
-            "ttft_s": self.ttft_s,
-            "tpot_s": self.tpot_s,
-            "degraded_tokens": self.degraded_tokens,
-            "preemptions": self.preemptions,
-            "migrations": self.migrations,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "brownout_tokens": {str(stage): count for stage, count
-                                in sorted(self.brownout_tokens.items())},
-        }
-
 
 @dataclasses.dataclass
 class ServeReport:
@@ -104,11 +76,6 @@ class ServeReport:
     preemptions: int
     pool_blocks: int
     pool_high_watermark: int
-    #: registry-backed exact TTFT/TPOT distributions, populated by the
-    #: engine; ``None`` (no-op registry, or hand-built reports) falls back
-    #: to recomputing from ``events``.
-    ttft_hist: Optional[Histogram] = None
-    tpot_hist: Optional[Histogram] = None
 
     # -- request partitions ---------------------------------------------------
 
@@ -136,21 +103,12 @@ class ServeReport:
 
     def ttft_percentile_s(self, q: float,
                           tenant: Optional[str] = None) -> float:
-        """TTFT percentile; a ``tenant`` filter always uses the exact
-        per-event path (the registry histogram pools all tenants)."""
-        if tenant is not None:
-            return exact_percentile(self._ttfts(tenant), q)
-        if self.ttft_hist is not None and self.ttft_hist.count:
-            return self.ttft_hist.percentile(q)
-        return exact_percentile(self._ttfts(), q)
+        """TTFT percentile over the events (of one ``tenant``, if given)."""
+        return exact_percentile(self._ttfts(tenant), q)
 
     def tpot_percentile_s(self, q: float,
                           tenant: Optional[str] = None) -> float:
-        if tenant is not None:
-            return exact_percentile(self._tpots(tenant), q)
-        if self.tpot_hist is not None and self.tpot_hist.count:
-            return self.tpot_hist.percentile(q)
-        return exact_percentile(self._tpots(), q)
+        return exact_percentile(self._tpots(tenant), q)
 
     @property
     def tenants(self) -> List[str]:

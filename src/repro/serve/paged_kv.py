@@ -147,10 +147,6 @@ class PagedKVPool:
         """Blocks needed to hold ``n_tokens`` token slots."""
         return -(-max(0, n_tokens) // self.block_tokens)
 
-    def can_fit_tokens(self, n_tokens: int) -> bool:
-        """Would a fresh session of ``n_tokens`` fit right now?"""
-        return self.blocks_for_tokens(n_tokens) <= self.n_free
-
     # -- block lifecycle ------------------------------------------------------
 
     def allocate(self, n: int) -> List[int]:
@@ -279,10 +275,6 @@ class PagedKVCache(KVCache):
     @property
     def n_blocks(self) -> int:
         return len(self._blocks)
-
-    @property
-    def block_ids(self) -> List[int]:
-        return list(self._blocks)
 
     # -- row mapping ----------------------------------------------------------
 

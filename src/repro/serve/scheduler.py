@@ -406,6 +406,25 @@ class ContinuousBatchScheduler:
                 reserved += max(0, self._prompt_blocks(request) - held)
         return reserved
 
+    def could_fit(self, request: ServeRequest) -> bool:
+        """Could ``request``'s whole session (prompt plus full output) fit
+        here alone — in the empty pool and, with an ``admits`` rule, in
+        the modeled system?  :meth:`admit` and the fleet router's choice
+        of a target worker both ask this and :meth:`fits_now`."""
+        return self._session_blocks(request) <= self.pool.n_blocks and (
+            self.admits is None or self.admits(
+                [request.charged_context - len(request.outputs)
+                 + request.max_new_tokens]))
+
+    def fits_now(self, request: ServeRequest, reserved: int = 0) -> bool:
+        """Does ``request`` fit right now: its resume prompt's blocks in
+        the free list net of ``reserved`` and, with an ``admits`` rule,
+        its charged context beside every running session's?"""
+        return self._prompt_blocks(request) + reserved <= self.pool.n_free \
+            and (self.admits is None or self.admits(
+                [r.charged_context for r in self.running]
+                + [request.charged_context]))
+
     def admit(self, now: float) -> List[ServeRequest]:
         """Admit queue-head requests while capacity and SLO allow.
 
@@ -457,24 +476,17 @@ class ContinuousBatchScheduler:
                 queue.pop(0)
                 self._reject(head, "queue_timeout")
                 continue
-            if self._session_blocks(head) > self.pool.n_blocks or (
-                    self.admits is not None and not self.admits(
-                        [head.charged_context - len(head.outputs)
-                         + head.max_new_tokens])):
+            if not self.could_fit(head):
                 queue.pop(0)
                 self._reject(head, "impossible_fit")
                 continue
-            need = self._prompt_blocks(head)
             # Headroom protects the growth of *running* sessions; an idle
             # system admits whenever the request fits at all (no livelock).
             headroom = policy.admission_headroom_blocks if self.running else 0
-            if need + reserved + headroom > self.pool.n_free or (
-                    self.admits is not None and not self.admits(
-                        [r.charged_context for r in self.running]
-                        + [head.charged_context])):
+            if not self.fits_now(head, reserved + headroom):
                 blocked.add(tenant)
                 continue
-            reserved += need
+            reserved += self._prompt_blocks(head)
             queue.pop(0)
             self._vtime[tenant] += 1.0 / policy.tenant_weight(tenant)
             head.state = RequestState.PREFILL

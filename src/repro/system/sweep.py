@@ -1,4 +1,4 @@
-"""Parameter sweeps and Pareto frontiers (Figures 4 and 10).
+"""Pareto frontiers of parameter sweeps (Figures 4 and 10).
 
 The paper sweeps (window W, top-k, SCF thresholds) per dataset/model and
 plots accuracy against filter ratio (Figure 4) or normalized throughput
@@ -8,8 +8,7 @@ plots accuracy against filter ratio (Figure 4) or normalized throughput
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclasses.dataclass
@@ -33,25 +32,3 @@ def pareto_frontier(points: Sequence[ParetoPoint]) -> List[ParetoPoint]:
         if not frontier or p.y > frontier[-1].y:
             frontier.append(p)
     return sorted(frontier, key=lambda q: q.x)
-
-
-def grid(**axes: Iterable) -> List[Dict]:
-    """Cartesian product of named axes as config dicts.
-
-    >>> grid(window=[256, 1024], k=[128])
-    [{'window': 256, 'k': 128}, {'window': 1024, 'k': 128}]
-    """
-    names = list(axes)
-    combos = itertools.product(*(list(axes[name]) for name in names))
-    return [dict(zip(names, combo)) for combo in combos]
-
-
-def sweep(configs: Sequence[Dict],
-          evaluate: Callable[[Dict], ParetoPoint]) -> List[ParetoPoint]:
-    """Evaluate every config; drop ones the evaluator rejects (None)."""
-    points = []
-    for config in configs:
-        point = evaluate(config)
-        if point is not None:
-            points.append(point)
-    return points

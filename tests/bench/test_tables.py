@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.tables import Table, format_si
+from repro.bench.tables import Table
 
 
 def test_render_alignment():
@@ -40,11 +40,3 @@ def test_save_round_trip(tmp_path):
     assert path.exists()
     data = json.loads((tmp_path / "my_title.json").read_text())
     assert data["rows"] == [{"a": 1, "b": "x"}]
-
-
-def test_format_si():
-    assert format_si(1_500_000) == "1.5M"
-    assert format_si(2_000) == "2K"
-    assert format_si(3_200_000_000) == "3.2G"
-    assert format_si(12.0) == "12"
-    assert format_si(None) == "-"

@@ -73,15 +73,14 @@ def test_top_k_0_equals_the_reference(n_ctx, n_new, kv_dtype, seed):
     expected = ReferenceAttention(FLOOR).forward_cached(0, q, cache)
     out = LongSightAttention(FLOOR).forward_cached(0, q, cache)
     np.testing.assert_allclose(out, expected, atol=1e-12)
-    # The public baseline and a full-quality backend's fallback are that
-    # kernel: same bits.
+    # The public baseline and a full-quality backend's floor variant are
+    # that kernel: same bits.
     full = LongSightAttention(FLOOR.replace(top_k=6))
-    for twin in (SlidingWindowAttention(window=WINDOW, n_sink=N_SINK),
-                 full.dense_fallback()):
+    floor = full.with_config(full.config.replace(top_k=0))
+    for twin in (SlidingWindowAttention(window=WINDOW, n_sink=N_SINK), floor):
         np.testing.assert_array_equal(twin.forward_cached(0, q, cache), out)
     kv = cache.layers[0]
-    np.testing.assert_array_equal(
-        full.dense_fallback().forward(0, q, kv.keys, kv.values), out)
+    np.testing.assert_array_equal(floor.forward(0, q, kv.keys, kv.values), out)
 
 
 def test_top_k_0_records_dense_accesses_and_no_candidates():

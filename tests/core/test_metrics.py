@@ -47,32 +47,6 @@ def test_validation():
         stats.update(0, 0, candidates=5, passed=2, retrieved=3)
 
 
-def test_merge_and_reset():
-    a = FilterStats(1, 2)
-    b = FilterStats(1, 2)
-    a.update(0, 0, candidates=10, passed=5, retrieved=2)
-    b.update(0, 1, candidates=20, passed=4, retrieved=4)
-    a.merge(b)
-    assert a.candidates.sum() == 30
-    assert a.passed[0, 1] == 4
-    a.reset()
-    assert a.candidates.sum() == 0
-
-
-def test_merge_shape_mismatch():
-    with pytest.raises(ValueError):
-        FilterStats(1, 2).merge(FilterStats(2, 2))
-
-
-def test_summary_keys():
-    stats = FilterStats(1, 1)
-    stats.update(0, 0, candidates=10, passed=5, retrieved=1)
-    summary = stats.summary()
-    assert set(summary) == {"filter_ratio", "sparsity", "pass_rate",
-                            "candidates", "passed", "retrieved"}
-    assert summary["candidates"] == 10
-
-
 def test_pass_rate():
     stats = FilterStats(1, 1)
     stats.update(0, 0, candidates=100, passed=25, retrieved=10)

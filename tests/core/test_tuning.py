@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import LongSightConfig
-from repro.core.tuning import (
-    evaluate,
-    meets_quality_target,
-    tune_thresholds,
-    tune_top_k,
-)
+from repro.core.tuning import evaluate, tune_thresholds
 from repro.llm.model import Transformer
-from repro.llm.perplexity import perplexity
+from repro.llm.perplexity import perplexity, perplexity_increase
 from tests.conftest import TINY
 
 
@@ -32,33 +27,13 @@ def test_evaluate_returns_ppl_and_stats(setup):
     assert stats.candidates.sum() > 0
 
 
-def test_tune_top_k_returns_candidate(setup):
-    model, tokens, dense = setup
-    config = LongSightConfig(window=8, n_sink=2, top_k=64)
-    k = tune_top_k(model, tokens, config, dense, max_increase=0.5,
-                   candidates=[64, 32, 16])
-    assert k in (64, 32, 16)
-    # A generous budget should allow a small k.
-    k_loose = tune_top_k(model, tokens, config, dense, max_increase=10.0,
-                         candidates=[64, 16])
-    assert k_loose == 16
-
-
-def test_tune_top_k_falls_back_to_largest(setup):
-    model, tokens, dense = setup
-    config = LongSightConfig(window=2, n_sink=0, top_k=4)
-    k = tune_top_k(model, tokens, config, dense, max_increase=-1.0,
-                   candidates=[8, 4])
-    assert k == 8  # impossible budget -> largest candidate
-
-
 def test_tune_thresholds_respects_budget(setup):
     model, tokens, dense = setup
     config = LongSightConfig(window=8, n_sink=2, top_k=8)
     result = tune_thresholds(model, tokens, config, dense,
                              max_increase=0.10, step=2, max_iterations=6)
     assert result.thresholds.shape == (TINY.n_layers, TINY.n_kv_heads)
-    assert meets_quality_target(result.perplexity, dense, 0.10)
+    assert perplexity_increase(result.perplexity, dense) <= 0.10
     assert result.filter_ratio >= 1.0  # k << N, so filtering always saves
     assert 1 <= result.iterations <= 6
     assert len(result.history) == result.iterations
@@ -81,8 +56,3 @@ def test_tune_thresholds_zero_iterations_budget(setup):
     result = tune_thresholds(model, tokens, config, dense,
                              max_increase=-0.5, step=2, max_iterations=3)
     assert (result.thresholds == 0).all()
-
-
-def test_meets_quality_target():
-    assert meets_quality_target(10.4, 10.0, 0.05)
-    assert not meets_quality_target(10.6, 10.0, 0.05)

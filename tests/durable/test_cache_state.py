@@ -83,6 +83,6 @@ def test_sessions_round_trip_through_their_own_state(
         for cache in (original, request.cache):
             for layer in range(pool.config.n_layers):
                 cache.append(layer, k, k)
-        assert request.cache.block_ids == original.block_ids
+        assert request.cache.state()["blocks"] == original.state()["blocks"]
         for got, want in zip(_reads(request.cache), _reads(original)):
             np.testing.assert_array_equal(got, want)

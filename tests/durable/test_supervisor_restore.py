@@ -45,7 +45,7 @@ def supervised_builder(engine_builder):
 
 def _events_by_rid(run):
     return {r.request_id: (list(r.outputs), r.events.degraded_tokens,
-                           r.events.n_tokens)
+                           len(r.events.token_times_s))
             for r in run._arrivals}
 
 

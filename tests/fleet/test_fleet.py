@@ -12,11 +12,14 @@ import pytest
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.fleet import FleetRouter, FleetWorker, make_worker
+from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.llm.sampling import generate
+from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest
-from repro.serve.engine import ServeEngine
+from repro.serve.engine import AnalyticTiming, ServeEngine
+from repro.system.baselines import DenseGpuSystem
 from tests.conftest import TINY
 
 LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
@@ -149,6 +152,41 @@ class TestMigration:
         for request, reference in zip(requests, refs):
             assert request.outputs == list(reference)
         assert report.preemptions >= 1
+
+    def test_migration_target_must_pass_its_capacity_rule(self, model, rng):
+        """The sibling has free pool blocks but its modeled HBM is full:
+        one GPU holds three 128K sessions and it runs three.  The victim
+        of the cramped worker's pool exhaustion is requeued locally
+        instead of landing in a queue it cannot leave."""
+        def timing(obs):
+            return AnalyticTiming(DenseGpuSystem(1), LLAMA3_8B, obs=obs)
+
+        cramped = make_worker(0, model, _backend, n_blocks=10,
+                              block_tokens=8, timing_factory=timing)
+        full = make_worker(1, model, _backend, n_blocks=64, block_tokens=8,
+                           timing_factory=timing)
+        obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
+        fleet = FleetRouter([cramped, full], obs=obs)
+        fleet._affinity.update({"s0": cramped, "s1": full})
+        prompts = [rng.integers(0, TINY.vocab_size, size=40)
+                   for _ in range(2)]
+        requests = [ServeRequest(request_id=i, prompt=p, max_new_tokens=12,
+                                 arrival_s=0.5, session="s0",
+                                 charged_prompt_tokens=131_072)
+                    for i, p in enumerate(prompts)]
+        requests += [ServeRequest(
+            request_id=2 + i, prompt=rng.integers(0, TINY.vocab_size, size=12),
+            max_new_tokens=100, session="s1", charged_prompt_tokens=131_072)
+            for i in range(3)]
+        report = fleet.run(requests)
+        assert report.migrations == 0
+        assert obs.metrics.counter("fleet.migrations").value == 0
+        assert report.workers[0].preemptions >= 1
+        assert report.workers[1].peak_decode_batch == 3
+        for request, prompt in zip(requests, prompts):
+            assert request.events.migrations == 0
+            assert request.outputs == list(
+                generate(model, prompt, 12, backend=_backend()))
 
 
 class TestPlacement:

@@ -86,7 +86,7 @@ class TestCounterMerge:
                       track_values=True).observe(0.001)
         fresh = MetricsRegistry(enabled=True)
         fresh.counter("serve.tokens_generated").inc(7)
-        fresh.merge_prefixed(old, "fleet.")
+        fresh.merge(old, prefix="fleet.")
         assert fresh.counter("fleet.worker_suspect").value == 4
         assert fresh.counter("fleet.step_deadline_miss").value == 2
         assert fresh.counter("serve.tokens_generated").value == 7
@@ -98,8 +98,8 @@ class TestReportEdges:
     def test_empty_fleet_report(self):
         report = make_report([])
         assert report.availability == 1.0
-        assert report.brownout_stage_tokens == {}
-        assert report.brownout_token_fraction == 0.0
+        assert report.pooled.brownout_stage_tokens == {}
+        assert report.pooled.brownout_token_fraction == 0.0
         assert report.failover_latency_max_s == 0.0
         assert report.as_dict()["health"]["failovers"] == 0
 
@@ -108,16 +108,16 @@ class TestReportEdges:
                   make_events(1, finished=False, shed=True)]
         report = make_report([events], worker_suspects=1)
         assert report.availability == 0.5
-        assert report.brownout_stage_tokens == {1: 2}
+        assert report.pooled.brownout_stage_tokens == {1: 2}
         assert report.worker_suspects == 1
 
     def test_brownout_stage_tokens_pool_across_workers(self):
         w0 = [make_events(0, brownout={1: 3, 3: 2})]
         w1 = [make_events(1, brownout={3: 5}), make_events(2)]
         report = make_report([w0, w1], tokens_per_worker=(5, 7))
-        assert report.brownout_stage_tokens == {1: 3, 3: 7}
-        assert report.brownout_tokens == 10
-        assert report.brownout_token_fraction == pytest.approx(10 / 12)
+        assert report.pooled.brownout_stage_tokens == {1: 3, 3: 7}
+        assert report.pooled.brownout_tokens == 10
+        assert report.pooled.brownout_token_fraction == pytest.approx(10 / 12)
         as_dict = report.as_dict()["brownout"]
         assert as_dict["stage_tokens"] == {"1": 3, "3": 7}
 

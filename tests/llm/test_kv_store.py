@@ -6,7 +6,7 @@ model keys.  A hypothesis state machine interleaves ``reserve``, ``append``
 (0, 1, many tokens) and ``enable_sign_cache`` (before, between and after
 appends; raw and rotated) and after every step compares every read the
 attention backends make — whole-context arrays, the per-head row readers,
-``window_view`` / ``offloaded_view`` below, at and above ``n_sink + window``
+``window_view`` below, at and above ``n_sink + window``
 — bit for bit, over the four row sources: private arrays, a contiguous
 paged session, a paged session interleaved with a second one, and a paged
 session attached to a published prefix (signed or unsigned publisher).
@@ -152,7 +152,7 @@ class KVStoreMachine(RuleBasedStateMachine):
         n = self.k[0].shape[1]
         assert len(cache) == n and cache.sign_cache_enabled == self.enabled
         if self.pool is not None:   # the flag is a function of the block list
-            ids = cache.block_ids
+            ids = cache.state()["blocks"]
             assert cache.contiguous == (
                 ids == list(range(ids[0], ids[0] + len(ids))) if ids else True)
             assert cache.contiguous or self.KIND != "contiguous"
@@ -189,16 +189,12 @@ class KVStoreMachine(RuleBasedStateMachine):
             for window, n_sink in ((n + 3, 2), (max(n - 2, 1), 2), (6, 2),
                                    (max(n // 2, 1), 1), (3, 0)):
                 dense = np.arange(n)
-                sparse = np.arange(0)
                 if n > n_sink + window:
-                    sparse = np.arange(n_sink, n - window)
-                    dense = np.delete(dense, sparse)
-                for view, pos in ((cache.window_view, dense),
-                                  (cache.offloaded_view, sparse)):
-                    got_k, got_v, got_pos = view(layer, window, n_sink)
-                    self._same(got_pos, pos)
-                    self._same(got_k, self.k[layer][:, pos])
-                    self._same(got_v, self.v[layer][:, pos])
+                    dense = np.r_[0:n_sink, n - window:n]
+                got_k, got_v, got_pos = cache.window_view(layer, window, n_sink)
+                self._same(got_pos, dense)
+                self._same(got_k, self.k[layer][:, dense])
+                self._same(got_v, self.v[layer][:, dense])
 
     def teardown(self):
         if self.pool is None:

@@ -48,31 +48,6 @@ class TestRmsNorm:
                                    ops.rms_norm(x, np.ones(8)) * w)
 
 
-class TestAttention:
-    def test_single_key_returns_value(self, rng):
-        q = rng.normal(size=(3, 4))
-        k = rng.normal(size=(1, 4))
-        v = rng.normal(size=(1, 6))
-        out = ops.attention(q, k, v)
-        np.testing.assert_allclose(out, np.repeat(v, 3, axis=0))
-
-    def test_uniform_when_scores_equal(self):
-        q = np.zeros((1, 4))
-        k = np.ones((5, 4))
-        v = np.eye(5)
-        out = ops.attention(q, k, v)
-        np.testing.assert_allclose(out, np.full((1, 5), 0.2))
-
-    def test_mask_excludes(self, rng):
-        q = rng.normal(size=(1, 4))
-        k = rng.normal(size=(3, 4))
-        v = rng.normal(size=(3, 4))
-        mask = np.array([[True, True, False]])
-        out = ops.attention(q, k, v, mask=mask)
-        ref = ops.attention(q, k[:2], v[:2])
-        np.testing.assert_allclose(out, ref)
-
-
 class TestCausalMask:
     def test_prefill_is_lower_triangular(self):
         m = ops.causal_mask(4, 4)
@@ -89,15 +64,6 @@ class TestCausalMask:
     def test_rejects_more_queries_than_keys(self):
         with pytest.raises(ValueError):
             ops.causal_mask(5, 3)
-
-
-class TestRepeatKV:
-    def test_expansion(self, rng):
-        x = rng.normal(size=(2, 5, 3))
-        y = ops.repeat_kv(x, 3)
-        assert y.shape == (6, 5, 3)
-        np.testing.assert_array_equal(y[0], y[2])
-        np.testing.assert_array_equal(y[3], x[1])
 
 
 class TestCrossEntropy:

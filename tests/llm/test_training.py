@@ -76,7 +76,7 @@ class TestTrain:
         b = train(TINY, tokens, steps=25, batch_size=4, seq_len=32, seed=0)
         assert isinstance(a, TrainResult)
         assert len(a.losses) == 25
-        assert a.final_loss < a.losses[0]
+        assert a.losses[-1] < a.losses[0]
         np.testing.assert_array_equal(a.weights["wq.0"], b.weights["wq.0"])
 
     def test_log_callback(self, rng):

@@ -30,9 +30,3 @@ def test_trained_model_is_cached_and_deterministic(temp_cache):
     zoo._MEMO.clear()
     c = zoo.trained_model("llama-sim-small", steps=2, corpus_tokens=3000)
     np.testing.assert_array_equal(a.weights["wq.0"], c.weights["wq.0"])
-
-
-def test_untrained_model(temp_cache):
-    m = zoo.untrained_model("llama-sim-small")
-    assert m.config.name == "llama-sim-small"
-    assert not list(temp_cache.glob("*.npz"))

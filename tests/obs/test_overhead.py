@@ -29,7 +29,6 @@ def test_disabled_registry_hands_out_shared_nulls():
     assert registry.counter("a") is registry.counter("b") is NULL_COUNTER
     assert registry.gauge("a") is NULL_GAUGE
     assert registry.histogram("a") is NULL_HISTOGRAM
-    assert registry.new_histogram("a") is NULL_HISTOGRAM
     registry.counter("a").inc(5)
     registry.gauge("a").set(3.0)
     registry.histogram("a").observe(1.0)

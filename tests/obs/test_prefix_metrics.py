@@ -81,7 +81,6 @@ class TestNullInstruments:
         assert pool.prefix_misses == 1
         assert pool.n_free == pool.n_blocks
         # but the disabled registry stored no instruments at all
-        assert list(NULL_OBS.metrics.counter_names()) == []
         snapshot = NULL_OBS.metrics.snapshot()
         assert snapshot["counters"] == {}
         assert snapshot["gauges"] == {}

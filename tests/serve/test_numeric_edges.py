@@ -147,7 +147,8 @@ def test_none_pass_leaves_a_whole_pool_at_minus_inf(model, rng, rows):
     served, = _serve(model, config, [prompt], max_new=4)
     assert all(layouts == {(12, True)} for layouts, _ in rows)
     assert served == list(generate(
-        model, prompt, 4, backend=LongSightAttention(config).dense_fallback()))
+        model, prompt, 4,
+        backend=LongSightAttention(config.replace(top_k=0))))
 
 
 def test_sessions_cross_both_layout_edges_while_decoding(model, rng, rows):

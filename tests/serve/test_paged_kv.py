@@ -137,18 +137,18 @@ class TestGatherParity:
             k, v = _kv(rng, 30)
             paged.append(layer, k, v)
             plain.append(layer, k, v)
-        for view in ("window_view", "offloaded_view"):
-            pk, pv, ppos = getattr(paged, view)(0, window=8, n_sink=4)
-            ck, cv, cpos = getattr(plain, view)(0, window=8, n_sink=4)
-            np.testing.assert_array_equal(pk, ck)
-            np.testing.assert_array_equal(pv, cv)
-            np.testing.assert_array_equal(ppos, cpos)
+        pk, pv, ppos = paged.window_view(0, window=8, n_sink=4)
+        ck, cv, cpos = plain.window_view(0, window=8, n_sink=4)
+        np.testing.assert_array_equal(pk, ck)
+        np.testing.assert_array_equal(pv, cv)
+        np.testing.assert_array_equal(ppos, cpos)
+        np.testing.assert_array_equal(ppos, np.r_[0:4, 22:30])
 
     def test_views_read_the_window_not_the_context(self, rng, monkeypatch):
-        """A prefix-attached, non-contiguous session: both views equal the
-        plain cache's, and past ``n_sink + window`` tokens neither gathers
-        the whole context out of the arena (the decode routine's panel
-        read is ``window_view``)."""
+        """A prefix-attached, non-contiguous session: the window view equals
+        the plain cache's, and past ``n_sink + window`` tokens it does not
+        gather the whole context out of the arena (the decode routine's
+        panel read is ``window_view``)."""
         from repro.serve.paged_kv import PagedLayerKV
 
         pool = PagedKVPool(TINY, n_blocks=32, block_tokens=4,
@@ -173,13 +173,14 @@ class TestGatherParity:
                 PagedLayerKV, "_gather",
                 lambda self, arena: (gathers.append(1) if self in paged.layers
                                      else None) or gather(self, arena))
-            for view in ("window_view", "offloaded_view"):
-                for got, want in zip(
-                        getattr(paged, view)(0, window=8, n_sink=4),
-                        getattr(plain, view)(0, window=8, n_sink=4)):
-                    np.testing.assert_array_equal(got, want)
-                    assert got.dtype == want.dtype
+            view = paged.window_view(0, window=8, n_sink=4)
+            for got, want in zip(view, plain.window_view(0, window=8,
+                                                         n_sink=4)):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
             monkeypatch.undo()
+            np.testing.assert_array_equal(
+                view[2], np.arange(11) if n == 3 else np.r_[0:4, 22:30])
             # 11 <= n_sink + window: the window *is* the context (K and V).
             assert len(gathers) == (2 if len(paged) <= 12 else 0)
 

@@ -58,7 +58,7 @@ class TestAttachPublish:
         assert attached == 2 * BT
         assert pool.prefix_hits == 2
         # the borrower maps the very same arena blocks
-        assert b.block_ids == a.block_ids[:2]
+        assert b.state()["blocks"] == a.state()["blocks"][:2]
         for layer in range(TINY.n_layers):
             np.testing.assert_array_equal(
                 b.layers[layer].keys, _enc(tokens[:2 * BT], layer))
@@ -100,7 +100,7 @@ class TestAttachPublish:
         _prefill_from(b, tokens, 0)  # raced: prefilled without attaching
         assert b.publish_prefix(tokens) == 0  # digests already registered
         assert pool.shared_blocks == 2
-        assert set(a.block_ids).isdisjoint(b.block_ids)
+        assert set(a.state()["blocks"]).isdisjoint(b.state()["blocks"])
         a.free()
         b.free()
         assert pool.n_free == pool.n_blocks
@@ -219,7 +219,7 @@ class TestProbe:
             fresh = pool.new_cache()
             assert fresh.attach_prefix(prompt) == score == len(fresh)
             assert [e.block for e in pool.indexed_prefix(prompt)] \
-                == fresh.block_ids
+                == fresh.state()["blocks"]
             fresh.free()
             scores.add(score)
         assert scores == {0, BT, 2 * BT, 3 * BT}

@@ -59,14 +59,14 @@ def test_random_interleavings_preserve_pool_invariants(ops):
         # free-list accounting: free + live-session distinct blocks == all
         held = set()
         for cache, _ in live:
-            held.update(cache.block_ids)
+            held.update(cache.state()["blocks"])
         assert len(pool._free) == len(set(pool._free))
         assert held.isdisjoint(pool._free)
         assert len(held) + len(pool._free) == N_BLOCKS
         # every indexed entry's refcount equals the live sessions using it
         for entry in pool._prefix_index.values():
             holders = sum(1 for cache, _ in live
-                          if entry.block in cache.block_ids)
+                          if entry.block in cache.state()["blocks"])
             assert entry.refcount == holders > 0
         # oracle: nobody's rows were mutated or reused out from under them
         for cache, tokens in live:
@@ -77,7 +77,7 @@ def test_random_interleavings_preserve_pool_invariants(ops):
     for op, a, b in ops:
         if op == "admit":
             tokens = _prompt(a, b)
-            if not pool.can_fit_tokens(len(tokens)):
+            if pool.blocks_for_tokens(len(tokens)) > pool.n_free:
                 continue
             cache = pool.new_cache()
             attached = cache.attach_prefix(tokens)

@@ -159,4 +159,3 @@ class TestValidation:
     def test_events_carry_tenant(self):
         request = _request(0, tenant="gold")
         assert request.events.tenant == "gold"
-        assert request.events.as_dict()["tenant"] == "gold"

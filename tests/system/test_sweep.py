@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.system.sweep import ParetoPoint, grid, pareto_frontier, sweep
+from repro.system.sweep import ParetoPoint, pareto_frontier
 
 points_strategy = st.lists(
     st.tuples(st.floats(0, 100, allow_nan=False),
@@ -47,15 +47,3 @@ def test_frontier_properties(pairs):
     # Sorted by x ascending.
     xs = [p.x for p in frontier]
     assert xs == sorted(xs)
-
-
-def test_grid():
-    configs = grid(a=[1, 2], b=["x"])
-    assert configs == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-
-
-def test_sweep_drops_none():
-    configs = grid(v=[1, 2, 3])
-    points = sweep(configs, lambda c: ParetoPoint(x=c["v"], y=0)
-                   if c["v"] != 2 else None)
-    assert [p.x for p in points] == [1, 3]
