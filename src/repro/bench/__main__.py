@@ -4,7 +4,8 @@ Usage:
     python -m repro.bench list
     python -m repro.bench table1 table2 fig7 fig8 fig9 power
     python -m repro.bench fig3a fig3b fig3c fig4 fig10 dynax
-    python -m repro.bench micro chaos serve fleet obs_overhead recovery
+    python -m repro.bench micro chaos serve fleet fleet_chaos
+    python -m repro.bench obs_overhead recovery
     python -m repro.bench all            # everything (trains models once)
 
 Tables print to stdout and are saved under results/.
@@ -23,6 +24,7 @@ def _runners() -> Dict[str, Callable[[], Table]]:
     from repro.bench.dynax import run_dynax
     from repro.bench.micro import run_micro
     from repro.bench.fleet import run_fleet
+    from repro.bench.fleet_chaos import run_fleet_chaos
     from repro.bench.obs_overhead import run_obs_overhead
     from repro.bench.recovery import run_recovery
     from repro.bench.serve import run_serve
@@ -53,6 +55,7 @@ def _runners() -> Dict[str, Callable[[], Table]]:
         "fleet": run_fleet,
         "obs_overhead": run_obs_overhead,
         "recovery": run_recovery,
+        "fleet_chaos": run_fleet_chaos,
     }
 
 

@@ -1,38 +1,39 @@
 """Attention microbenchmark CLI (``python -m repro.bench.micro``).
 
-Times prefill and decode for four attention backends across context
+Times prefill and decode for three attention backends across context
 lengths:
 
 - ``sliding_window`` — the StreamingLLM-style baseline (O(window)/query),
 - ``hybrid_reference`` — the per-head reference loop
   (:class:`~repro.core.reference.ReferenceAttention`),
-- ``hybrid_fast`` — :class:`LongSightAttention` consuming the KV cache's
-  incremental sign store at ``prefill_tile=0`` (the whole sparse span as
-  one tile),
-- ``hybrid_tiled`` — the same kernel streaming keys/signs in
-  ``--prefill-tile`` column tiles, so large contexts never materialize an
-  ``(n_queries, n_ctx)`` count or score array.
+- ``hybrid`` — :class:`LongSightAttention` consuming the KV cache's
+  incremental sign store.  The kernel sizes its own key tile
+  (``repro.core.hybrid``'s tile rule): a prefill block streams bounded
+  column tiles, a decode row filters its whole span in one pass.
 
-Prefill series whose working set grows with the context (the reference
-loop and the single-tile kernel) are only measured up to
-``--max-reference-context``; beyond it their entries are ``null`` — a
-256k reference prefill would take hours and teach nothing.  Decode is
-cheap for every backend, so decode series are always complete, which
-keeps the long-context decode speedup (the paper's headline number)
-directly measurable at every point of the curve.
+The reference loop's prefill working set grows with the context, so it is
+only measured up to ``--max-reference-context``; beyond it its entries
+are ``null`` — a 256k reference prefill would take hours and teach
+nothing.  Decode is cheap for every backend, so decode series are always
+complete, which keeps the long-context decode speedup (the paper's
+headline number) directly measurable at every point of the curve.
 
 Results are written as ``BENCH_attention.json`` (default: ``results/``) so
-later performance work has a trajectory to regress against.  Schema v3
-(v2 minus the series and config block of the removed block-scoring
-backend) is validated by ``tests/bench/test_micro.py``:
+later performance work has a trajectory to regress against.  Schema v4
+(v3 with the hybrid kernel's two series — one per setting of the removed
+key-tile option — merged into ``hybrid``, that option's config entry
+gone, and medians with their spread in place of best-of) is validated by
+``tests/bench/test_micro.py``:
 
 - ``contexts`` is a strictly increasing token-count axis,
 - every backend series has one entry per context (prefill entries may be
-  ``null`` above the reference cap),
+  ``null`` above the reference cap), and beside each time series its
+  ``*_iqr_s`` spread,
 - ``speedup.decode`` / ``speedup.prefill`` hold per-backend
   reference-time / backend-time curves (``null`` where either side was
   not measured),
-- all times are seconds (best of ``--repeats``).
+- all times are seconds: the median of ``--repeats`` runs, and the
+  interquartile range of those runs (0.0 for a single run).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import argparse
 import json
 import pathlib
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,13 +53,13 @@ from repro.core.reference import ReferenceAttention
 from repro.llm.config import ModelConfig
 from repro.llm.kv_cache import KVCache
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 RESULT_NAME = "BENCH_attention.json"
-BACKENDS = ("sliding_window", "hybrid_reference", "hybrid_fast",
-            "hybrid_tiled")
+BACKENDS = ("sliding_window", "hybrid_reference", "hybrid")
 #: Backends whose *prefill* temporaries are ``(n_queries, n_ctx)`` wide;
 #: their prefill series stop at ``max_reference_context``.
-QUADRATIC_PREFILL = ("hybrid_reference", "hybrid_fast")
+QUADRATIC_PREFILL = ("hybrid_reference",)
+PHASES = ("decode", "prefill")
 
 
 def bench_model_config(n_q_heads: int = 8, n_kv_heads: int = 2,
@@ -69,62 +70,54 @@ def bench_model_config(n_q_heads: int = 8, n_kv_heads: int = 2,
                        head_dim=head_dim, d_ff=4 * n_q_heads * head_dim)
 
 
-def _time_best(fn: Callable[[], object], repeats: int) -> float:
-    best = float("inf")
+def _time_median(fn: Callable[[], object],
+                 repeats: int) -> Tuple[float, float]:
+    """``(median, interquartile range)`` of ``repeats`` timed calls."""
+    times = []
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return float(median), float(q3 - q1)
 
 
-def _backend_stack(cfg: LongSightConfig, prefill_tile: int) -> Dict[str, object]:
+def _backend_stack(cfg: LongSightConfig) -> Dict[str, object]:
     """Fresh backend instances, one per benchmarked series."""
     return {
         "sliding_window": SlidingWindowAttention(window=cfg.window,
                                                  n_sink=cfg.n_sink),
         "hybrid_reference": ReferenceAttention(cfg),
-        "hybrid_fast": LongSightAttention(cfg.replace(prefill_tile=0)),
-        "hybrid_tiled": LongSightAttention(
-            cfg.replace(prefill_tile=prefill_tile)),
+        "hybrid": LongSightAttention(cfg),
     }
 
 
 def _decode_runners(mc: ModelConfig, cfg: LongSightConfig, k: np.ndarray,
-                    v: np.ndarray, q: np.ndarray,
-                    prefill_tile: int) -> Dict[str, Callable]:
+                    v: np.ndarray, q: np.ndarray) -> Dict[str, Callable]:
     """One-token decode at full context, per backend.
 
     Cache-consuming backends get a pre-populated cache with their packed
     sign store already built, mirroring steady-state decode where appends
     maintain it token by token.
     """
-    stack = _backend_stack(cfg, prefill_tile)
-    caches: Dict[str, KVCache] = {}
-    for name in ("hybrid_fast", "hybrid_tiled"):
-        cache = KVCache(mc)
-        stack[name].prepare_cache(cache)
-        cache.append(0, k, v)
-        caches[name] = cache
+    stack = _backend_stack(cfg)
+    cache = KVCache(mc)
+    stack["hybrid"].prepare_cache(cache)
+    cache.append(0, k, v)
     return {
         "sliding_window": lambda: stack["sliding_window"].forward(0, q, k, v),
         "hybrid_reference":
             lambda: stack["hybrid_reference"].forward(0, q, k, v),
-        "hybrid_fast":
-            lambda: stack["hybrid_fast"].forward_cached(
-                0, q, caches["hybrid_fast"]),
-        "hybrid_tiled":
-            lambda: stack["hybrid_tiled"].forward_cached(
-                0, q, caches["hybrid_tiled"]),
+        "hybrid": lambda: stack["hybrid"].forward_cached(0, q, cache),
     }
 
 
 def _prefill_runners(mc: ModelConfig, cfg: LongSightConfig, k: np.ndarray,
-                     v: np.ndarray, q_full: np.ndarray, block_size: int,
-                     prefill_tile: int) -> Dict[str, Callable]:
+                     v: np.ndarray, q_full: np.ndarray,
+                     block_size: int) -> Dict[str, Callable]:
     """Blockwise prefill over the whole context, per backend."""
     n_ctx = k.shape[1]
-    stack = _backend_stack(cfg, prefill_tile)
+    stack = _backend_stack(cfg)
 
     def run_stateless(backend) -> None:
         for start in range(0, n_ctx, block_size):
@@ -145,8 +138,7 @@ def _prefill_runners(mc: ModelConfig, cfg: LongSightConfig, k: np.ndarray,
     return {
         "sliding_window": lambda: run_stateless(stack["sliding_window"]),
         "hybrid_reference": lambda: run_stateless(stack["hybrid_reference"]),
-        "hybrid_fast": run_cached(stack["hybrid_fast"]),
-        "hybrid_tiled": run_cached(stack["hybrid_tiled"]),
+        "hybrid": run_cached(stack["hybrid"]),
     }
 
 
@@ -154,8 +146,8 @@ def run_micro(contexts: Sequence[int] = (512, 1024, 2048, 4096),
               repeats: int = 5, window: int = 128, n_sink: int = 16,
               top_k: int = 128, threshold: Optional[float] = None,
               n_q_heads: int = 8, n_kv_heads: int = 2, head_dim: int = 64,
-              block_size: int = 256, prefill_tile: int = 4096,
-              max_reference_context: int = 16384, seed: int = 0,
+              block_size: int = 256, max_reference_context: int = 16384,
+              seed: int = 0,
               out_dir: Optional[pathlib.Path] = None) -> Table:
     """Run the microbenchmark; returns the table and writes the JSON."""
     contexts = sorted(set(int(c) for c in contexts))
@@ -168,22 +160,26 @@ def run_micro(contexts: Sequence[int] = (512, 1024, 2048, 4096),
     kv_dtype = np.dtype(mc.kv_dtype)
 
     series: Dict[str, Dict[str, List[Optional[float]]]] = {
-        name: {"decode_s": [], "prefill_s": []} for name in BACKENDS}
+        name: {f"{phase}{suffix}": [] for phase in PHASES
+               for suffix in ("_s", "_iqr_s")} for name in BACKENDS}
+
+    def record(name: str, phase: str, fn: Optional[Callable]) -> None:
+        median, iqr = _time_median(fn, repeats) if fn else (None, None)
+        series[name][f"{phase}_s"].append(median)
+        series[name][f"{phase}_iqr_s"].append(iqr)
+
     for n_ctx in contexts:
         k = rng.normal(size=(n_kv_heads, n_ctx, head_dim)).astype(kv_dtype)
         v = rng.normal(size=(n_kv_heads, n_ctx, head_dim)).astype(kv_dtype)
         q_full = rng.normal(size=(n_q_heads, n_ctx, head_dim))
         q_last = q_full[:, -1:, :]
-        for name, fn in _decode_runners(mc, cfg, k, v, q_last,
-                                        prefill_tile).items():
-            series[name]["decode_s"].append(_time_best(fn, repeats))
-        prefill = _prefill_runners(mc, cfg, k, v, q_full, block_size,
-                                   prefill_tile)
-        for name, fn in prefill.items():
-            if name in QUADRATIC_PREFILL and n_ctx > max_reference_context:
-                series[name]["prefill_s"].append(None)
-            else:
-                series[name]["prefill_s"].append(_time_best(fn, repeats))
+        for name, fn in _decode_runners(mc, cfg, k, v, q_last).items():
+            record(name, "decode", fn)
+        for name, fn in _prefill_runners(mc, cfg, k, v, q_full,
+                                         block_size).items():
+            capped = (name in QUADRATIC_PREFILL
+                      and n_ctx > max_reference_context)
+            record(name, "prefill", None if capped else fn)
 
     def _ratio(ref: Optional[float], t: Optional[float]) -> Optional[float]:
         if ref is None or t is None:
@@ -197,21 +193,25 @@ def run_micro(contexts: Sequence[int] = (512, 1024, 2048, 4096),
                        series[name][f"{phase}_s"])]
             for name in BACKENDS if name != "hybrid_reference"
         }
-        for phase in ("decode", "prefill")
+        for phase in PHASES
     }
 
     payload = {
         "benchmark": "attention_micro",
         "schema_version": SCHEMA_VERSION,
-        "units": {"context": "tokens", "decode_s": "seconds per decode step",
-                  "prefill_s": "seconds per full prefill (null = skipped, "
-                               "quadratic backend above the reference cap)",
-                  "speedup": "reference_time / backend_time"},
+        "units": {"context": "tokens",
+                  "decode_s": "seconds per decode step, median of repeats",
+                  "decode_iqr_s": "interquartile range of the decode_s runs",
+                  "prefill_s": "seconds per full prefill, median of repeats "
+                               "(null = skipped, quadratic backend above "
+                               "the reference cap)",
+                  "prefill_iqr_s": "interquartile range of the prefill_s "
+                                   "runs",
+                  "speedup": "reference_time / backend_time (medians)"},
         "model": {"n_q_heads": n_q_heads, "n_kv_heads": n_kv_heads,
                   "head_dim": head_dim, "kv_dtype": mc.kv_dtype},
         "config": {"window": window, "n_sink": n_sink, "top_k": top_k,
                    "threshold": threshold, "block_size": block_size,
-                   "prefill_tile": prefill_tile,
                    "max_reference_context": max_reference_context,
                    "repeats": repeats},
         "contexts": contexts,
@@ -227,20 +227,20 @@ def run_micro(contexts: Sequence[int] = (512, 1024, 2048, 4096),
 
     table = Table(
         "attention microbenchmark (decode one token / prefill full context)",
-        ["context", "ref_decode_ms", "fast_decode_ms", "decode_speedup",
-         "ref_prefill_ms", "tiled_prefill_ms", "tiled_speedup"],
-        note=f"best of {repeats}; window={window} top_k={top_k} "
+        ["context", "ref_decode_ms", "hybrid_decode_ms", "decode_speedup",
+         "ref_prefill_ms", "hybrid_prefill_ms", "prefill_speedup"],
+        note=f"median of {repeats}; window={window} top_k={top_k} "
              f"threshold={threshold} heads={n_q_heads}/{n_kv_heads} "
-             f"d={head_dim} tile={prefill_tile}")
+             f"d={head_dim}")
     for i, n_ctx in enumerate(contexts):
         table.add_row(
             context=n_ctx,
             ref_decode_ms=_ms(series["hybrid_reference"]["decode_s"][i]),
-            fast_decode_ms=_ms(series["hybrid_fast"]["decode_s"][i]),
-            decode_speedup=speedup["decode"]["hybrid_fast"][i],
+            hybrid_decode_ms=_ms(series["hybrid"]["decode_s"][i]),
+            decode_speedup=speedup["decode"]["hybrid"][i],
             ref_prefill_ms=_ms(series["hybrid_reference"]["prefill_s"][i]),
-            tiled_prefill_ms=_ms(series["hybrid_tiled"]["prefill_s"][i]),
-            tiled_speedup=speedup["prefill"]["hybrid_tiled"][i],
+            hybrid_prefill_ms=_ms(series["hybrid"]["prefill_s"][i]),
+            prefill_speedup=speedup["prefill"]["hybrid"][i],
         )
     return table
 
@@ -259,7 +259,8 @@ def validate_payload(payload: dict) -> List[str]:
     contexts = payload["contexts"]
     if any(b >= a for a, b in zip(contexts[1:], contexts)):
         problems.append("contexts axis is not strictly increasing")
-    for unit_key in ("context", "decode_s", "prefill_s", "speedup"):
+    for unit_key in ("context", "decode_s", "decode_iqr_s", "prefill_s",
+                     "prefill_iqr_s", "speedup"):
         if unit_key not in payload["units"]:
             problems.append(f"missing unit: {unit_key}")
     for name in BACKENDS:
@@ -282,7 +283,15 @@ def validate_payload(payload: dict) -> List[str]:
                     t is None for t in prefill):
                 problems.append(f"{name}.prefill_s has null entries but is "
                                 "not a capped quadratic backend")
-    for phase in ("decode", "prefill"):
+        for phase in PHASES:
+            times = backend.get(f"{phase}_s") or []
+            spread = backend.get(f"{phase}_iqr_s")
+            if spread is None or len(spread) != len(times) or any(
+                    (t is None) != (r is None) or (r is not None and r < 0)
+                    for t, r in zip(times, spread)):
+                problems.append(f"{name}.{phase}_iqr_s is not a spread "
+                                f"beside every {phase}_s entry")
+    for phase in PHASES:
         curves = payload["speedup"].get(phase)
         if not isinstance(curves, dict):
             problems.append(f"speedup.{phase} is not a per-backend mapping")
@@ -303,7 +312,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.micro",
         description="Attention prefill/decode microbenchmark "
-                    "(sliding-window vs hybrid reference/fast/tiled).")
+                    "(sliding-window vs hybrid reference vs hybrid).")
     parser.add_argument("--contexts", type=int, nargs="+",
                         default=[512, 1024, 2048, 4096])
     parser.add_argument("--repeats", type=int, default=5)
@@ -315,13 +324,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--n-kv-heads", type=int, default=2)
     parser.add_argument("--head-dim", type=int, default=64)
     parser.add_argument("--block-size", type=int, default=256)
-    parser.add_argument("--prefill-tile", type=int, default=4096,
-                        help="key-tile length of the hybrid_tiled prefill "
-                             "series")
     parser.add_argument("--max-reference-context", type=int, default=16384,
-                        help="largest context at which the untiled "
-                             "prefill series (reference, hybrid_fast at "
-                             "tile 0) are still measured; null beyond")
+                        help="largest context at which the reference "
+                             "prefill series is still measured; null "
+                             "beyond")
     parser.add_argument("--out-dir", type=pathlib.Path, default=None,
                         help="directory for BENCH_attention.json "
                              "(default: results/)")
@@ -331,7 +337,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         n_sink=args.n_sink, top_k=args.top_k, threshold=args.threshold,
         n_q_heads=args.n_q_heads, n_kv_heads=args.n_kv_heads,
         head_dim=args.head_dim, block_size=args.block_size,
-        prefill_tile=args.prefill_tile,
         max_reference_context=args.max_reference_context,
         out_dir=args.out_dir)
     print(table.render())

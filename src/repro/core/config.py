@@ -37,13 +37,10 @@ class LongSightConfig:
             (Section 5.1) and settled on per-KV-head; both are supported
             here so that finding can be reproduced
             (``benchmarks/test_ablation_granularity.py``).
-        prefill_tile: key-tile length of the attention kernel's sparse
-            stages (``repro.core.hybrid._SparseSpan``, shared by prefill
-            blocks and long-context decode rows).
-            The sparse span streams keys and packed signs this many
-            columns at a time, which bounds the kernel's count and score
-            temporaries; it never changes which keys are selected.  0 runs
-            the whole span as one tile.
+
+    Every field is an algorithm knob.  How the attention kernel sizes its
+    work — key tiles, head slabs, gathered columns — is derived from the
+    query count and the context (``repro.core.hybrid``), not configured.
     """
 
     window: int = 1024
@@ -52,7 +49,6 @@ class LongSightConfig:
     thresholds: ThresholdLike = 0
     use_itq: bool = False
     per_q_head_thresholds: bool = False
-    prefill_tile: int = 4096
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -61,8 +57,6 @@ class LongSightConfig:
             raise ValueError("n_sink must be >= 0")
         if self.top_k < 0:
             raise ValueError("top_k must be >= 0")
-        if self.prefill_tile < 0:
-            raise ValueError("prefill_tile must be >= 0 (0 = one tile)")
 
     def threshold_for(self, layer: int, kv_head: int,
                       q_head: Optional[int] = None) -> float:

@@ -61,16 +61,22 @@ tree), so a merge onto a non-empty pool always re-left-aligns — survivors
 in ascending column order, then ``-inf`` — and a row's pool is the same
 array whatever it was stacked with
 (``tests/core/test_decode_rows.py::test_pool_row_does_not_keep_the_holes_of_its_stack``).
-Units end at different tiles (ragged contexts); one that has run out of
-span leaves the loop with its pool untouched.
+A stack of several units runs one tile per unit; only a stack of one (a
+prefill slab, a decode unit whose span exceeds a tile) walks several.
 
 Float work is done for survivors only, as DReX's PIM Filter Units never
 score a filtered-out key, and stages 3–5 cost O(survivors), not
 O(candidates).  Compaction is row-major, so columns stay ascending within
 a row and across tiles, and :func:`~repro.core.topk.top_k_mask`'s
 lower-index tie-break picks exactly the keys full-width selection picks.
-Two rules size the work from the inputs; neither changes a selection:
+Three rules size the work, all from the inputs and ``_SLAB_ELEMS``, none
+an option; none changes a selection:
 
+- **tile** — stages 1–4 stream the span ``_SLAB_ELEMS // n_new`` key
+  columns at a time, which bounds the ``(n_new, tile)`` count and score
+  temporaries of a query block: a 256-query block takes 4096 columns, a
+  decode row its whole span up to 2^20 (as the paper filters a decode
+  query's offloaded span in one pass);
 - **slab** — stages 2–5 run on the stacked rows of as many heads of the
   group as keep ``rows x max(tile width, D, top_k x head_dim)`` (the
   score, panel and gathered-value temporaries) under ``_SLAB_ELEMS``: a
@@ -80,9 +86,8 @@ Two rules size the work from the inputs; neither changes a selection:
   decode O(passed) at selective thresholds; otherwise it slices the whole
   tile, which is cheaper once most columns survive for some row (prefill).
 
-``LongSightConfig.prefill_tile`` bounds the working set and nothing else:
-0 is one tile over the whole span, and every tile size selects the same
-keys (``tests/core/test_tiled_prefill.py``).
+Every tile width selects the same keys, and outputs agree to round-off
+(``tests/core/test_tiled_prefill.py``).
 
 **Readers.**  The stages touch K/V in three ways only: a position *range*
 of packed signs (stage 1), ``keys.take(survivor columns)`` or a range of
@@ -163,8 +168,9 @@ from repro.core.topk import top_k_mask
 from repro.llm.kv_cache import KVCache, SessionLayerKV
 from repro.llm.ops import softmax
 
-#: Element bound on one slab's score / panel / gathered-value temporaries
-#: (8 MiB of float64); see the slab rule in the module docstring.
+#: Element bound on one key tile's ``n_new x tile`` temporaries and one
+#: slab's score / panel / gathered-value temporaries (8 MiB of float64);
+#: see the tile and slab rules in the module docstring.
 _SLAB_ELEMS = 1 << 20
 
 
@@ -356,12 +362,16 @@ class _SparseSpan:
                 n_ctx[:, None] + self.row_end)[:, None, :, None]
         return self._cuts[key]
 
-    def tile(self, n_ctx):
-        """Key-tile width of the span ``[n_sink, n_ctx - window)``, for one
+    def span(self, n_ctx):
+        """Width of the sparse span ``[n_sink, n_ctx - window)``, for one
         context length or an array of them."""
         cfg = self.backend.config
-        return np.maximum(0, np.minimum(cfg.prefill_tile or n_ctx,
-                                        n_ctx - cfg.window - cfg.n_sink))
+        return np.maximum(0, n_ctx - cfg.window - cfg.n_sink)
+
+    def tile(self, n_ctx):
+        """Key-tile width of the span (the tile rule): ``_SLAB_ELEMS //
+        n_new`` columns, the whole span for a decode row below 2^20."""
+        return np.minimum(self.span(n_ctx), max(1, _SLAB_ELEMS // self.n_new))
 
     def slab_heads(self, n_ctx: int) -> int:
         """Heads of a group that stages 2-5 take at once (the slab rule)."""
@@ -402,65 +412,54 @@ class _SparseSpan:
         pool_s = np.empty((n_units * unit_rows, 0))
         pool_c = np.empty(pool_s.shape, dtype=np.int64)
         passed = np.zeros(len(pool_s), dtype=np.int64)
-        # A unit's tiles start at lo + j * tile; a unit whose tile is
-        # narrower than the widest has a single tile (its whole span), so
-        # one stride walks every unit's tiles and a unit that has run out
-        # of span simply leaves the loop, its pool untouched.
+        # A stack of several units is one tile per unit (the tile rule and
+        # _fill_pools see to it); only a stack of one walks several.
         for t0 in range(lo, int(hi.max()), int(tile.max())):
             widths = np.minimum(t0 + tile, hi) - t0
-            live = np.flatnonzero(widths > 0)
-            n_live = len(live)
-            widths = widths[live]
             width = int(widths.max())
-            if n_live == n_units:
-                units = rows = slice(None)
-            else:
-                units = live
-                rows = (live[:, None] * unit_rows
-                        + np.arange(unit_rows)).ravel()
-            # -- 1. filter: one XOR+popcount over every live unit's tile.
-            if n_live == 1:
+            # -- 1. filter: one XOR+popcount over every unit's tile.
+            if n_units == 1:
                 # Nothing to pad or stack: the sign range as it is read.
-                key_signs = signs[live[0]][t0:t0 + width][None]
+                key_signs = signs[0][t0:t0 + width][None]
             else:
-                key_signs = np.empty((n_live, width, q_signs.shape[-1]),
+                key_signs = np.empty((n_units, width, q_signs.shape[-1]),
                                      dtype=np.uint8)
-                for i, u in enumerate(live):
-                    key_signs[i, :widths[i]] = signs[u][t0:t0 + widths[i]]
+                for u in range(n_units):
+                    key_signs[u, :widths[u]] = signs[u][t0:t0 + widths[u]]
             with backend.obs.tracer.span("scf_filter", layer=self.layer):
-                mism = mismatches_packed(q_signs[units], key_signs)
-            pass_t = (mism.reshape(n_live, n_heads, n_new, width)
-                      < bounds[units, :, None, None].astype(mism.dtype))
+                mism = mismatches_packed(q_signs, key_signs)
+            pass_t = (mism.reshape(n_units, n_heads, n_new, width)
+                      < bounds[:, :, None, None].astype(mism.dtype))
             # Columns at or beyond a row's end — the causal tail of a
             # prefill block, the pad of a narrower unit — are cut; only
             # the trailing columns some row ends before can need it.
-            cut = max(int(hi[units].min()) - n_new + 1, t0)
+            cut = max(int(hi.min()) - n_new + 1, t0)
             if cut < t0 + width:
                 pass_t[..., cut - t0:] &= self._before_row_end(
-                    n_ctx[units], cut, t0 + width)
+                    n_ctx, cut, t0 + width)
             # The gather rule, per unit, on that unit's own survivors.
-            kept = pass_t.reshape(n_live, unit_rows, width).any(axis=1)
+            kept = pass_t.reshape(n_units, unit_rows, width).any(axis=1)
             cols = [k.nonzero()[0] for k in kept]
-            pass_t = pass_t.reshape(n_live * unit_rows, width)
+            pass_t = pass_t.reshape(n_units * unit_rows, width)
             gather = [2 * len(c) < w for c, w in zip(cols, widths)]
             frame_cols = None
-            if n_live == 1 and gather[0]:
+            if n_units == 1 and gather[0]:
                 # A lone unit's own columns are the frame: the index work
                 # below runs on O(passed) columns, not on the tile.
                 frame_cols = cols[0]
                 pass_t = pass_t[:, frame_cols]
             src, dest, shape, counts = _left_align(pass_t)
-            passed[rows] += counts
+            passed += counts
             if not len(src):
                 continue                  # tile contributes nothing
             # -- 2. score: one GEMM per unit and head, on the unit's own
             # survivor union (gathered) or tile — its shape is a function
             # of the unit alone, never of what it is stacked with.
-            frame = None if n_live == 1 else np.empty(
-                (n_live * unit_rows, width), dtype=q.dtype)
-            for i, u in enumerate(live):
-                keys_t = keys[u].take(cols[i] + t0, axis=0) if gather[i] \
-                    else keys[u][t0:t0 + widths[i]]
+            frame = None if n_units == 1 else np.empty(
+                (n_units * unit_rows, width), dtype=q.dtype)
+            for u in range(n_units):
+                keys_t = keys[u].take(cols[u] + t0, axis=0) if gather[u] \
+                    else keys[u][t0:t0 + widths[u]]
                 # Upcast before transposing: left to matmul, the cast of
                 # the transposed view is a strided copy.
                 keys_t = keys_t.astype(q.dtype, copy=False)
@@ -468,8 +467,8 @@ class _SparseSpan:
                 if frame is None:
                     frame = scores
                 else:
-                    frame[i * unit_rows:(i + 1) * unit_rows,
-                          cols[i] if gather[i] else slice(widths[i])] = scores
+                    frame[u * unit_rows:(u + 1) * unit_rows,
+                          cols[u] if gather[u] else slice(widths[u])] = scores
             # Scale survivors only: the same float op per entry as the
             # reference's full-width scaling.  The frame is the tile's
             # largest temporary (8 MB for a 256 x 4096 block): it must not
@@ -484,8 +483,8 @@ class _SparseSpan:
             merged_c = _padded(col + t0, dest, shape, _PAD)
             pool_w = pool_s.shape[1]
             if pool_w:
-                merged_s = np.concatenate([pool_s[rows], merged_s], axis=1)
-                merged_c = np.concatenate([pool_c[rows], merged_c], axis=1)
+                merged_s = np.concatenate([pool_s, merged_s], axis=1)
+                merged_c = np.concatenate([pool_c, merged_c], axis=1)
             keep = None
             if merged_s.shape[1] > top_k:
                 keep = top_k_mask(merged_s, top_k)
@@ -499,21 +498,7 @@ class _SparseSpan:
                 merged_s = _padded(merged_s.ravel()[src], dest, shape,
                                    neg_inf)
                 merged_c = _padded(merged_c.ravel()[src], dest, shape, _PAD)
-            if n_live == n_units:
-                pool_s, pool_c = merged_s, merged_c
-                continue
-            # Some units have left the loop: only the live rows merged.
-            # From here on the pool is top_k wide, so that they fit.
-            if pool_w < top_k:
-                pad = (len(pool_s), top_k - pool_w)
-                pool_s = np.concatenate([pool_s, np.full(pad, neg_inf)],
-                                        axis=1)
-                pool_c = np.concatenate([pool_c, np.full(pad, _PAD)], axis=1)
-            merged_w = merged_s.shape[1]
-            pool_s[rows, :merged_w] = merged_s
-            pool_s[rows, merged_w:] = neg_inf
-            pool_c[rows, :merged_w] = merged_c
-            pool_c[rows, merged_w:] = _PAD
+            pool_s, pool_c = merged_s, merged_c
         pool_w = pool_s.shape[1]
         valid = (pool_c != _PAD).reshape(n_units, n_heads, n_new, pool_w)
         retrieved = valid.sum(axis=(2, 3))
@@ -901,19 +886,23 @@ class LongSightAttention:
             layer, q.reshape(n_s, n_kv_heads, group, 1, head_dim)
         ).reshape(n_s, n_q_heads, 1, -1)
         # Units of equal head count stack (at one query almost always the
-        # whole group, so one stack): heads per unit -> (session, head 0).
-        stacks: Dict[int, list] = {}
+        # whole group, so one stack), and a stack of several is one tile
+        # per unit: a span longer than a tile (2^20 columns) runs alone.
+        # (heads per unit, the unit if alone) -> [(session, head 0)].
+        stacks: Dict[tuple, list] = {}
         for s, n in enumerate(n_ctx.tolist()):
             slab = span.slab_heads(n)
+            alone = span.tile(n) < span.span(n)
             for g_lo in range(0, n_q_heads, group):
                 for h0 in range(g_lo, g_lo + group, slab):
-                    stacks.setdefault(min(slab, g_lo + group - h0),
-                                      []).append((s, h0))
+                    key = (min(slab, g_lo + group - h0),
+                           (s, h0) if alone else None)
+                    stacks.setdefault(key, []).append((s, h0))
         scores = np.full((n_s, n_q_heads, cfg.top_k), -np.inf)
         pool_v = np.empty(scores.shape + (head_dim,), dtype=q.dtype)
         passed = np.zeros(n_s, dtype=np.int64)
         selected = passed.copy()
-        for n_heads, units in stacks.items():
+        for (n_heads, _), units in stacks.items():
             session, h0 = np.array(units).T
             at = (session[:, None], h0[:, None] + np.arange(n_heads))
             unit_ctx = n_ctx[session]

@@ -19,7 +19,7 @@ cannot provide:
   is a redo/verification log, not an apply log.
 - **periodic chain-hashed snapshots** (every ``snapshot_every`` steps,
   plus a step-0 baseline so recovery is always possible) with the last
-  ``keep_snapshots`` retained, so a snapshot torn by the crash itself
+  ``KEEP_SNAPSHOTS`` retained, so a snapshot torn by the crash itself
   still leaves a valid predecessor to fall back to.
 
 :func:`recover` inverts the process: newest verifiable snapshot → open
@@ -72,6 +72,9 @@ from repro.durable.wal import (WalRecord, WriteAheadLog, _encode,
                                iter_step_buckets, read_wal)
 
 WAL_NAME = "wal.log"
+#: Snapshots retained: the newest, and one to fall back to when the crash
+#: tore it.
+KEEP_SNAPSHOTS = 2
 
 
 def _token_record(request: ServeRequest) -> dict:
@@ -93,7 +96,6 @@ class DurableRun(EngineRun):
                  requests: Sequence[ServeRequest],
                  directory: pathlib.Path, *,
                  snapshot_every: int = 8, fsync_every: int = 8,
-                 keep_snapshots: int = 2,
                  crash: Optional[CrashPlan] = None,
                  epoch: str = "epoch-0",
                  wal: Optional[WriteAheadLog] = None) -> None:
@@ -103,7 +105,6 @@ class DurableRun(EngineRun):
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.snapshot_every = snapshot_every
-        self.keep_snapshots = max(2, keep_snapshots)
         self.crash = crash
         self.epoch = epoch
         self.steps = 0
@@ -201,7 +202,7 @@ class DurableRun(EngineRun):
                            lsn=self.wal.last_lsn, step=self.steps)
         self._count("recovery.snapshots")
         for old in sorted(
-                self.directory.glob("snapshot-*.bin"))[:-self.keep_snapshots]:
+                self.directory.glob("snapshot-*.bin"))[:-KEEP_SNAPSHOTS]:
             old.unlink()
         return path
 
@@ -301,8 +302,7 @@ def _replay(run: DurableRun, suffix: List[WalRecord],
 
 
 def recover(directory: pathlib.Path, engine: ServeEngine, *,
-            snapshot_every: int = 8, fsync_every: int = 8,
-            keep_snapshots: int = 2
+            snapshot_every: int = 8, fsync_every: int = 8
             ) -> Tuple[DurableRun, RecoveryStats]:
     """Restore a durable directory into a fresh ``engine``.
 
@@ -353,8 +353,7 @@ def recover(directory: pathlib.Path, engine: ServeEngine, *,
     if fresh_wal:
         wal = WriteAheadLog(wal_path, epoch, fsync_every)
     run = DurableRun(engine, (), directory, snapshot_every=snapshot_every,
-                     fsync_every=fsync_every, keep_snapshots=keep_snapshots,
-                     epoch=epoch, wal=wal)
+                     fsync_every=fsync_every, epoch=epoch, wal=wal)
     try:
         t0 = time.perf_counter()
         with tracer.span("recovery.restore", snapshot=stats.snapshot_path):

@@ -177,9 +177,7 @@ class ServeEngine:
                  timing: Optional[TimingModel] = None,
                  name: str = "serve", prefill_block_size: int = 256,
                  max_steps: int = 1_000_000,
-                 obs: Optional[Obs] = None,
-                 migrate_handler: Optional[
-                     Callable[[ServeRequest], bool]] = None) -> None:
+                 obs: Optional[Obs] = None) -> None:
         self.model = model
         self.pool = pool
         self.backend_factory = backend_factory
@@ -193,12 +191,12 @@ class ServeEngine:
         self.prefill_block_size = prefill_block_size
         self.max_steps = max_steps
         self.obs = resolve_obs(obs)
-        #: optional relocation hook ``(request) -> bool``: offered every
-        #: session this engine would otherwise preempt-requeue; returning
-        #: ``True`` means the request now lives elsewhere (a fleet router
-        #: told the source run it departed, then re-injected it into
-        #: another worker).
-        self.migrate_handler = migrate_handler
+        #: optional relocation hook ``(request) -> bool``, set by a fleet
+        #: router: offered every session this engine would otherwise
+        #: preempt-requeue; returning ``True`` means the request now lives
+        #: elsewhere (the router told the source run it departed, then
+        #: re-injected it into another worker).
+        self.migrate_handler: Optional[Callable[[ServeRequest], bool]] = None
         #: (base config by value, quality level) -> the config served.
         self._level_configs: dict = {}
 

@@ -105,6 +105,23 @@ def stacked_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
+def key_tile(monkeypatch):
+    """``key_tile(tile, n_new=1)`` forces the attention kernel's key tile.
+
+    The tile is derived, ``_SLAB_ELEMS // n_new`` columns for a block of
+    ``n_new`` queries; this sets the one bound it (and the head slab)
+    derive from to ``tile * n_new``, so that block streams ``tile``
+    columns at a time.  ``tile = 0`` leaves the default bound.
+    """
+    from repro.core import hybrid
+
+    def force(tile: int, n_new: int = 1) -> None:
+        if tile:
+            monkeypatch.setattr(hybrid, "_SLAB_ELEMS", tile * n_new)
+    return force
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 

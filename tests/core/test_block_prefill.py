@@ -7,9 +7,10 @@ the prefill kernel, with the same stages 1–4 and the same stage 5.  Every
 geometry below must pick exactly the keys
 :class:`~repro.core.reference.ReferenceAttention` picks, report the same
 ``FilterStats`` and agree on outputs to the fast-equivalence tolerance —
-for every ``prefill_tile``, since the tile only bounds the working set,
-and on either side of the kernel's slab (heads stacked per call) and
-gather (survivor columns vs whole tile) rules.
+for every key tile (forced through the ``key_tile`` fixture), since the
+tile only bounds the working set, and on either side of the kernel's slab
+(heads stacked per call) and gather (survivor columns vs whole tile)
+rules.
 """
 
 import numpy as np
@@ -25,13 +26,13 @@ from repro.serve.paged_kv import PagedKVPool
 from tests.conftest import TINY
 from tests.core.test_fast_equivalence import _compare, _qkv, _rotation_bank
 
-#: 0 = one tile; 24 < every block below; 10**6 > every sparse span.
+#: Key tiles forced per test (``key_tile(tile, n_new)``): 0 = the default
+#: bound, one tile here; 24 < every block below; 10**6 > every sparse span.
 TILES = (0, 24, 10**6)
 
 
-def _config(tile, **kwargs):
-    base = dict(window=16, n_sink=4, top_k=8, thresholds=8,
-                prefill_tile=tile)
+def _config(**kwargs):
+    base = dict(window=16, n_sink=4, top_k=8, thresholds=8)
     base.update(kwargs)
     return LongSightConfig(**base)
 
@@ -39,26 +40,29 @@ def _config(tile, **kwargs):
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("n_new,n_ctx", [(33, 33), (33, 200), (257, 257),
                                          (257, 300), (40, 41)])
-def test_ragged_blocks(rng, tile, n_new, n_ctx):
+def test_ragged_blocks(rng, key_tile, tile, n_new, n_ctx):
     """Block sizes that divide nothing, with and without a past."""
+    key_tile(tile, n_new)
     q, k, v = _qkv(rng, 4, 2, n_new, n_ctx, 16)
-    _compare(_config(tile), q, k, v)
+    _compare(_config(), q, k, v)
 
 
 @pytest.mark.parametrize("tile", TILES)
-def test_context_shorter_than_window(rng, tile):
+def test_context_shorter_than_window(rng, key_tile, tile):
+    key_tile(tile, 40)
     q, k, v = _qkv(rng, 4, 2, 40, 40, 16)
-    out = _compare(_config(tile, window=64), q, k, v)
+    out = _compare(_config(window=64), q, k, v)
     assert np.isfinite(out).all()
 
 
 @pytest.mark.parametrize("tile", (7, 16, 50))
-def test_tile_boundary_splits_causal_triangle(rng, tile):
+def test_tile_boundary_splits_causal_triangle(rng, key_tile, tile):
     """Tiles end inside the trailing columns that only later rows may
     select, so the causal cut is applied to partial tile slices."""
     n_new, n_ctx = 64, 160
+    key_tile(tile, n_new)
     q, k, v = _qkv(rng, 2, 1, n_new, n_ctx, 16)
-    cfg = _config(tile, window=8, n_sink=2, thresholds=0, top_k=200)
+    cfg = _config(window=8, n_sink=2, thresholds=0, top_k=200)
     _compare(cfg, q, k, v)
     # top_k >= candidates and threshold 0: every candidate is selected.
     backend = LongSightAttention(cfg)
@@ -73,20 +77,22 @@ def test_tile_boundary_splits_causal_triangle(rng, tile):
 
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("top_k", (0, 1, 10**4))
-def test_top_k_extremes(rng, tile, top_k):
+def test_top_k_extremes(rng, key_tile, tile, top_k):
+    key_tile(tile, 48)
     q, k, v = _qkv(rng, 4, 2, 48, 120, 16)
-    _compare(_config(tile, top_k=top_k), q, k, v)
+    _compare(_config(top_k=top_k), q, k, v)
 
 
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("threshold", (0, 32))
-def test_threshold_extremes(rng, tile, threshold):
+def test_threshold_extremes(rng, key_tile, tile, threshold):
     """Threshold 0 passes every candidate; threshold ``head_dim`` passes
     none here (32 random sign bits never all agree), leaving empty pools."""
     d = 32
+    key_tile(tile, 48)
     q, k, v = _qkv(rng, 4, 2, 48, 150, d)
     stats = FilterStats(1, 2)
-    cfg = _config(tile, thresholds=threshold)
+    cfg = _config(thresholds=threshold)
     _compare(cfg, q, k, v)
     LongSightAttention(cfg, stats=stats).forward(0, q, k, v)
     if threshold:
@@ -96,7 +102,7 @@ def test_threshold_extremes(rng, tile, threshold):
 
 
 @pytest.mark.parametrize("tile", (0, 16, 33))
-def test_duplicate_keys_straddle_tiles(rng, tile):
+def test_duplicate_keys_straddle_tiles(rng, key_tile, tile):
     """Every key occurs four times, ``period`` columns apart, so equal
     scores sit in different tiles and the boundary tie must go to the
     lower column through compaction and the pool merge."""
@@ -105,29 +111,32 @@ def test_duplicate_keys_straddle_tiles(rng, tile):
     k = np.tile(base, (1, 4, 1))
     v = rng.normal(size=(2, 4 * period, d))
     q = rng.normal(size=(4, 48, d))
-    _compare(_config(tile, window=8, n_sink=2, top_k=6, thresholds=0),
+    key_tile(tile, 48)
+    _compare(_config(window=8, n_sink=2, top_k=6, thresholds=0),
              q, k, v)
 
 
 @pytest.mark.parametrize("tile", TILES)
-def test_itq_rotations(rng, tile):
+def test_itq_rotations(rng, key_tile, tile):
     d = 16
+    key_tile(tile, 48)
     q, k, v = _qkv(rng, 4, 2, 48, 130, d)
-    _compare(_config(tile, use_itq=True), q, k, v,
+    _compare(_config(use_itq=True), q, k, v,
              rotations=_rotation_bank(1, 2, d))
 
 
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("use_itq", (False, True))
-def test_sign_cache_equals_stateless_entry(rng, tile, use_itq):
+def test_sign_cache_equals_stateless_entry(rng, key_tile, tile, use_itq):
     """``forward`` (signs packed per tile from the keys) and
     ``forward_cached`` (signs read from the store) are the same kernel."""
     d = 16
+    key_tile(tile, 48)
     mc = ModelConfig(name="block-edge", vocab_size=8, n_layers=1,
                      n_q_heads=4, n_kv_heads=2, head_dim=d, d_ff=8)
     q, k, v = _qkv(rng, 4, 2, 48, 130, d)
     rotations = _rotation_bank(1, 2, d) if use_itq else None
-    backend = LongSightAttention(_config(tile, use_itq=use_itq),
+    backend = LongSightAttention(_config(use_itq=use_itq),
                                  rotations=rotations)
     cache = KVCache(mc)
     backend.prepare_cache(cache)
@@ -139,9 +148,10 @@ def test_sign_cache_equals_stateless_entry(rng, tile, use_itq):
 
 
 @pytest.mark.parametrize("tile", TILES)
-def test_float16_kv(rng, tile):
+def test_float16_kv(rng, key_tile, tile):
+    key_tile(tile, 48)
     q, k, v = _qkv(rng, 4, 2, 48, 130, 16)
-    _compare(_config(tile), q, k.astype(np.float16), v.astype(np.float16))
+    _compare(_config(), q, k.astype(np.float16), v.astype(np.float16))
 
 
 # -- one kernel for every query count ---------------------------------------
@@ -149,25 +159,28 @@ def test_float16_kv(rng, tile):
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("n_new", (1, 2, 31, 32, 33))
 @pytest.mark.parametrize("n_q_heads,n_kv_heads", [(2, 2), (8, 2)])
-def test_decode_sized_blocks(rng, tile, n_new, n_q_heads, n_kv_heads):
+def test_decode_sized_blocks(rng, key_tile, tile, n_new, n_q_heads,
+                             n_kv_heads):
     """One query, a few, and both sides of the former 32-query path split,
     with GQA groups of 1 (nothing to stack) and 4 (one slab per KV head)."""
+    key_tile(tile, n_new)
     q, k, v = _qkv(rng, n_q_heads, n_kv_heads, n_new, 200, 16)
-    _compare(_config(tile), q, k, v)
+    _compare(_config(), q, k, v)
 
 
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("n_new", (1, 33))
 @pytest.mark.parametrize("d", (16, 248, 256))
-def test_thresholds_differ_inside_one_slab(rng, tile, n_new, d):
+def test_thresholds_differ_inside_one_slab(rng, key_tile, tile, n_new, d):
     """The four heads of one stacked slab filter at 0 (everything passes),
     ``d / 2``, ``d`` (all signs agree: only the planted key) and ``d + 1``
     (nothing can pass).  ``d = 248`` is the widest uint8 count, ``d = 256``
     counts in uint16."""
     n_ctx = 150
+    key_tile(tile, n_new)
     q, k, v = _qkv(rng, 4, 1, n_new, n_ctx, d)
     k[0, 10] = q[2, 0]              # full concordance with head 2, row 0
-    cfg = _config(tile, thresholds=np.array([[0, d // 2, d, d + 1]]),
+    cfg = _config(thresholds=np.array([[0, d // 2, d, d + 1]]),
                   per_q_head_thresholds=True)
     _compare(cfg, q, k, v)
     stats = FilterStats(1, 4)
@@ -181,8 +194,8 @@ def test_thresholds_differ_inside_one_slab(rng, tile, n_new, d):
 @pytest.mark.parametrize("tile", (0, 40, 10**6))
 @pytest.mark.parametrize("n_new", (1, 3))
 @pytest.mark.parametrize("dense_first", (True, False))
-def test_duplicates_straddle_gathered_and_whole_tiles(rng, tile, n_new,
-                                                      dense_first):
+def test_duplicates_straddle_gathered_and_whole_tiles(rng, key_tile, tile,
+                                                      n_new, dense_first):
     """Half-open gather rule, both sides in one context: a 40-key region
     whose keys all pass (scored as a whole tile) beside an 80-key region
     where few do (scored on gathered survivor columns).  The best key of
@@ -202,8 +215,8 @@ def test_duplicates_straddle_gathered_and_whole_tiles(rng, tile, n_new,
     v = rng.normal(size=k.shape)
     q = np.abs(rng.normal(size=(4, n_new, d))) * signs
     q[:, :, 0] *= -1.0                              # concordance 15 of 16
-    cfg = _config(tile, window=window, n_sink=n_sink, top_k=1,
-                  thresholds=12)
+    key_tile(tile, n_new)
+    cfg = _config(window=window, n_sink=n_sink, top_k=1, thresholds=12)
     # The premise: per 40-column tile, the union of passing columns over
     # the slab's rows is everything in one region, under half in the other.
     kept = (concordance(q.reshape(-1, d), k[0]) >= 12).any(axis=0)

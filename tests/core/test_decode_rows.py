@@ -21,11 +21,11 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LongSightConfig
-from repro.core.hybrid import LongSightAttention
+from repro.core.hybrid import LongSightAttention, _SparseSpan
 from repro.core.metrics import FilterStats
 from repro.core.reference import ReferenceAttention
 from repro.llm.config import ModelConfig
@@ -54,10 +54,12 @@ VARIANTS = {
     "itq": (MC, {"use_itq": True}),
     "per_q_head": (MC, {"per_q_head_thresholds": True,
                         "thresholds": np.array([[0, 7, 9, 17]])}),
-    # The pooled contexts take 1 / 2 / 3 / 8 key tiles: sessions of one
-    # stack leave the tile loop at different tiles.
-    "tiled": (MC, {"prefill_tile": 256}),
+    "tiled": (MC, {}),
 }
+#: variant -> the decode key tile forced for it (``key_tile``).  At 256
+#: columns the pooled contexts take 1 / 2 / 3 / 8 tiles: the one-tile
+#: units stack, each longer one runs alone.
+TILES = {"tiled": 256}
 
 
 @dataclasses.dataclass
@@ -126,6 +128,12 @@ def library(variant: str) -> Library:
     return lib
 
 
+def _library(variant: str, key_tile) -> Library:
+    """``library(variant)``, built and read under the variant's tile."""
+    key_tile(TILES.get(variant, 0))
+    return library(variant)
+
+
 def _stack(backend, sessions):
     return backend.forward_cached_batch(0, [s.q for s in sessions],
                                         [s.cache for s in sessions])
@@ -134,12 +142,13 @@ def _stack(backend, sessions):
 # -- the property ---------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(picks=st.lists(st.integers(0, 3 * len(CONTEXTS) - 1), min_size=1,
                       max_size=9))
-def test_row_is_independent_of_the_stack(variant, picks):
+def test_row_is_independent_of_the_stack(key_tile, variant, picks):
     """Batch sizes 1-9, any order, any neighbours (repeats included)."""
-    lib = library(variant)
+    lib = _library(variant, key_tile)
     sessions = [lib.sessions[i] for i in picks]
     out = _stack(lib.backend(), sessions)
     for row, session in zip(out, sessions):
@@ -149,8 +158,8 @@ def test_row_is_independent_of_the_stack(variant, picks):
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_every_context_and_cache_kind_in_one_stack(variant):
-    lib = library(variant)
+def test_every_context_and_cache_kind_in_one_stack(key_tile, variant):
+    lib = _library(variant, key_tile)
     backend = lib.backend()
     for sessions in (lib.sessions, lib.sessions[::-1]):
         for row, session in zip(_stack(backend, sessions), sessions):
@@ -207,17 +216,18 @@ def _sign_controlled_session(rng, n_ctx, tile, per_tile):
     return Session("plain", n_ctx, q, cache)
 
 
-def test_pool_row_does_not_keep_the_holes_of_its_stack():
+def test_pool_row_does_not_keep_the_holes_of_its_stack(key_tile):
     """A multi-tile session that never fills its pool: 7 tiles, 2 and 1
     survivors per tile on its two KV heads, 14 and 7 in all under
     ``top_k`` = 24.  ``pool ++ tile`` without re-compaction leaves each
-    tile's survivors at offsets fixed by the widest row *of the stack* —
-    multiples of 2 alone, of 3 beside the second session, re-compacted by
-    the third's top-k — and softmax sums a row by offset.  The pool row
-    is canonical instead: left-aligned, whatever rides along."""
+    tile's survivors at offsets fixed by the widest row *of the stack*,
+    and softmax sums a row by offset.  The pool row is canonical instead
+    — left-aligned — and a span longer than one tile runs as a stack of
+    its own, so the row is the same whatever rides along."""
     tile = 64
+    key_tile(tile)
     config = LongSightConfig(window=WINDOW, n_sink=N_SINK, top_k=24,
-                             thresholds=8, prefill_tile=tile)
+                             thresholds=8)
     rng = np.random.default_rng(11)
     sparse = _sign_controlled_session(rng, 400, tile, [(3, 5), (1,)])
     few = _sign_controlled_session(rng, 500, tile, [(0, 2, 4), (1, 3)])
@@ -239,6 +249,51 @@ def test_pool_row_does_not_keep_the_holes_of_its_stack():
             np.testing.assert_array_equal(sel_f[key], sel_r[key])
     assert [int(fast[1][0][(0, h)].sum()) for h in range(4)] == [14, 14, 7, 7]
     assert [int(fast[1][1][(0, h)].sum()) for h in range(4)] == [24] * 4
+    _assert_stats_equal(fast[2], ref[2])
+    for out_f, out_r in zip(fast[0], ref[0]):
+        np.testing.assert_allclose(out_f, out_r, atol=1e-12)
+
+
+def test_multi_tile_unit_beside_one_tile_units(key_tile, monkeypatch):
+    """At a 256-column decode tile, an 8-tile session in one call with
+    one-tile sessions of ragged spans: the long session's units run
+    alone, the others stack.  Every row equals its solo output, every
+    selection and counter the reference's."""
+    key_tile(256)
+    config = LongSightConfig(window=WINDOW, n_sink=N_SINK, top_k=TOP_K,
+                             thresholds=8)
+    backend = LongSightAttention(config)
+    rng = np.random.default_rng(5)
+    sessions = []
+    for n_ctx in (2048, 30, 150, 266):      # spans 2038, 20, 140, 256
+        cache = KVCache(MC)
+        backend.prepare_cache(cache)
+        cache.append(0, *rng.normal(size=(2, MC.n_kv_heads, n_ctx,
+                                          MC.head_dim)))
+        q = rng.normal(size=(MC.n_q_heads, 1, MC.head_dim))
+        sessions.append(Session("plain", n_ctx, q, cache))
+        sessions[-1].solo = _stack(backend, [sessions[-1]])[0]
+    stacks = []
+    select = _SparseSpan.select
+
+    def spy(self, q, q_signs, h0, n_ctx, keys, signs):
+        stacks.append(list(n_ctx))
+        return select(self, q, q_signs, h0, n_ctx, keys, signs)
+
+    monkeypatch.setattr(_SparseSpan, "select", spy)
+    for stack in (sessions, sessions[::-1]):
+        stacks.clear()
+        for row, session in zip(_stack(backend, stack), stack):
+            np.testing.assert_array_equal(row, session.solo)
+        assert sorted(s for s in stacks if 2048 in s) == [[2048]] * 4
+        assert any(len(set(s)) > 1 for s in stacks)     # a ragged stack
+    lib = Library(config, None, [])
+    fast = _measured(LongSightAttention, lib, sessions)
+    ref = _measured(ReferenceAttention, lib, sessions)
+    for sel_f, sel_r in zip(fast[1], ref[1]):
+        assert set(sel_f) == set(sel_r)
+        for key in sel_r:
+            np.testing.assert_array_equal(sel_f[key], sel_r[key])
     _assert_stats_equal(fast[2], ref[2])
     for out_f, out_r in zip(fast[0], ref[0]):
         np.testing.assert_allclose(out_f, out_r, atol=1e-12)
@@ -296,8 +351,8 @@ def _assert_stats_equal(a: FilterStats, b: FilterStats):
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_selections_and_counters_equal_the_reference(variant):
-    lib = library(variant)
+def test_selections_and_counters_equal_the_reference(key_tile, variant):
+    lib = _library(variant, key_tile)
     fast = _measured(LongSightAttention, lib, lib.sessions)
     ref = _measured(ReferenceAttention, lib, lib.sessions)
     sparse_rows = 0
@@ -347,13 +402,13 @@ class _SelectionLog(dict):
 
 
 @pytest.mark.parametrize("variant", ["base", "tiled"])
-def test_measuring_backend_shared_by_a_pooled_stack(variant):
+def test_measuring_backend_shared_by_a_pooled_stack(key_tile, variant):
     """One backend with ``stats`` and a ``selection_capture``, every
     pooled session of the library in one call — the same stacked stages,
     no per-session fallback: each session's selections, the
     ``FilterStats`` and the ``attention.*`` snapshot equal the
     reference's, taken session by session."""
-    lib = library(variant)
+    lib = _library(variant, key_tile)
     sessions = [s for s in lib.sessions if s.n_ctx > D + P]
     assert len(sessions) == 3 * 4
     ref_outs, ref_selections, ref_stats, ref_metrics = _measured(

@@ -1,12 +1,12 @@
-"""Tiled prefill equivalence: streaming (tile > 0) == single tile (tile 0).
+"""Tiled prefill equivalence: streaming key tiles == one tile over the span.
 
-``LongSightConfig.prefill_tile`` only bounds the block kernel's working
-set: with a tile, keys/signs stream tile by tile and each tile's compacted
-survivors merge into per-row top-k pools, so streaming must reproduce the
-single-tile run's *selections exactly* (the merge preserves ascending
-column order, hence ``top_k_mask``'s lower-index tie-break) and its
-*outputs to float round-off* (one final softmax over the same finite
-terms).  The headline case drives a full 32k-token blockwise prefill
+The kernel's key tile (``_SLAB_ELEMS // n_new`` columns, forced here
+through the ``key_tile`` fixture) only bounds its working set: keys/signs
+stream tile by tile and each tile's compacted survivors merge into per-row
+top-k pools, so streaming must reproduce the single-tile run's
+*selections exactly* (the merge preserves ascending column order, hence
+``top_k_mask``'s lower-index tie-break) and its *outputs to float
+round-off* (one final softmax over the same finite terms).  The headline case drives a full 32k-token blockwise prefill
 through real KV caches -- the configuration the long-context acceptance
 criteria measure.
 """
@@ -45,7 +45,7 @@ def _blockwise_prefill(att, mc, cfg, k, v, q, block):
     return outs, sels
 
 
-def test_tiled_prefill_equivalence_at_32k():
+def test_tiled_prefill_equivalence_at_32k(key_tile):
     """32k-context blockwise prefill: tiled == single tile at 32k context.
 
     The tiled run is the *full* 32k blockwise prefill through a real KV
@@ -71,14 +71,16 @@ def test_tiled_prefill_equivalence_at_32k():
     q = rng.normal(size=(mc.n_q_heads, n_ctx, mc.head_dim)
                    ).astype(np.float32)
 
-    tiled = LongSightAttention(cfg.replace(prefill_tile=tile))
+    key_tile(tile, block)
+    tiled = LongSightAttention(cfg)
     out_t, sel_t = _blockwise_prefill(tiled, mc, cfg, k, v, q, block)
     n_blocks = n_ctx // block
     assert len(out_t) == n_blocks
     # every post-warmup block must actually retrieve sparsely
     assert all(any(m.any() for m in sel.values()) for sel in sel_t[1:])
 
-    mono = LongSightAttention(cfg.replace(prefill_tile=0))
+    key_tile(n_ctx, block)
+    mono = LongSightAttention(cfg)
     for i in (n_blocks // 2, n_blocks - 1):  # last: full 32k context
         t0, t1 = i * block, (i + 1) * block
         mono.selection_capture = {}
@@ -94,7 +96,7 @@ def test_tiled_prefill_equivalence_at_32k():
 
 
 @pytest.mark.parametrize("tile,block", [(256, 512), (512, 384), (1000, 700)])
-def test_tiled_prefill_equivalence_small_geometries(tile, block):
+def test_tiled_prefill_equivalence_small_geometries(key_tile, tile, block):
     """Ragged tiles/blocks (tile < block, non-power-of-two) stay exact."""
     n_ctx = 4096
     mc = _model_config(n_q_heads=4, n_kv_heads=2, head_dim=16)
@@ -104,10 +106,12 @@ def test_tiled_prefill_equivalence_small_geometries(tile, block):
     v = rng.normal(size=(2, n_ctx, 16)).astype(np.float32)
     q = rng.normal(size=(4, n_ctx, 16))
 
-    mono = LongSightAttention(cfg.replace(prefill_tile=0))
-    tiled = LongSightAttention(cfg.replace(prefill_tile=tile))
-    out_m, sel_m = _blockwise_prefill(mono, mc, cfg, k, v, q, block)
-    out_t, sel_t = _blockwise_prefill(tiled, mc, cfg, k, v, q, block)
+    key_tile(n_ctx, block)
+    out_m, sel_m = _blockwise_prefill(LongSightAttention(cfg), mc, cfg, k, v,
+                                      q, block)
+    key_tile(tile, block)
+    out_t, sel_t = _blockwise_prefill(LongSightAttention(cfg), mc, cfg, k, v,
+                                      q, block)
     for sm, st in zip(sel_m, sel_t):
         for h in sm:
             assert np.array_equal(sm[h], st[h])
@@ -115,17 +119,16 @@ def test_tiled_prefill_equivalence_small_geometries(tile, block):
         np.testing.assert_allclose(om, ot, atol=1e-10)
 
 
-def test_tile_covering_the_span_is_the_single_tile_case():
-    """A tile at least as long as the sparse span runs the same single
-    pass as tile 0, so the stateless entries agree bit for bit."""
-    mc = _model_config(n_q_heads=2, n_kv_heads=1, head_dim=16)
-    cfg = LongSightConfig(window=32, n_sink=4, top_k=16, thresholds=4,
-                          prefill_tile=512)
+def test_tile_covering_the_span_is_the_single_tile_case(key_tile):
+    """A tile at least as long as the sparse span is clipped to it: the
+    same single pass (and the same head slab) as the default bound, so
+    the stateless entries agree bit for bit."""
+    cfg = LongSightConfig(window=32, n_sink=4, top_k=16, thresholds=4)
     rng = np.random.default_rng(7)
     k = rng.normal(size=(1, 512, 16))
     v = rng.normal(size=(1, 512, 16))
     q = rng.normal(size=(2, 512, 16))
-    att = LongSightAttention(cfg)
-    mono = LongSightAttention(cfg.replace(prefill_tile=0))
-    np.testing.assert_array_equal(att.forward(0, q, k, v),
-                                  mono.forward(0, q, k, v))
+    mono = LongSightAttention(cfg).forward(0, q, k, v)
+    key_tile(1024, 512)         # 1024 columns > the 476-column span
+    np.testing.assert_array_equal(LongSightAttention(cfg).forward(0, q, k, v),
+                                  mono)
