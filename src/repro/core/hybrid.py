@@ -98,11 +98,14 @@ position.  An ndarray is one, so a prefill block passes ``keys[kv_head]``;
 a cache hands them out per KV head (``key_rows`` / ``value_rows`` /
 ``sign_rows`` of the one layer store, ``repro.llm.kv_cache``): the stored
 rows themselves for a contiguous session, else reads of the arena through
-the session's row map — the pooled decode path never materialises a
-context it will not read.  The whole context is read only by prefill
-blocks, and for a cache whose sign store was not packed under this
-backend's rotations (stateless ``forward``, a foreign bank), whose signs
-are packed from its keys.
+the session's row map.  Every block and row takes its signs by one rule
+(:meth:`LongSightAttention._sign_rows`; stateless ``forward`` is
+``forward_cached`` over the caller's arrays).  Two whole-context reads
+remain, on purpose: a prefill block's keys and values (stage 2 of a
+256-row block scores every column of its span; per-slab reads measured
+slower, ROADMAP item 5(b)), and the signs of a cache with no store packed
+under this backend's rotations (``forward``'s arrays, a foreign bank),
+packed from its keys.
 
 **A row** is one query of one session, laid out from the config and
 **that row's own context length** ``n`` only (``D = n_sink + window``,
@@ -164,6 +167,7 @@ from repro.core.metrics import FilterStats
 from repro.obs import Obs, resolve_obs
 from repro.core.scf import mismatches_packed, pack_signs
 from repro.core.topk import top_k_mask
+from repro.errors import require_finite
 from repro.llm.kv_cache import KVCache, SessionLayerKV
 from repro.llm.ops import softmax
 
@@ -304,6 +308,7 @@ class _ArrayCache:
     window_view = KVCache.window_view        # reads ``layers[layer]`` only
 
     def __init__(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
+        require_finite("key or value", k, v)
         kv = SessionLayerKV(self, (k, v, None))
         kv._len = k.shape[1]
         self.row_map = np.arange(kv._len)
@@ -622,13 +627,14 @@ class LongSightAttention:
         expected = self.rotations if self.config.use_itq else None
         return cache.sign_cache_enabled and cache.sign_rotations is expected
 
-    def _key_signs(self, layer: int, cache: "KVCache",
-                   keys: np.ndarray) -> np.ndarray:
-        """The cache's sign store when it was packed under this backend's
-        rotations, else the signs of ``keys`` (the layer's full history)."""
+    def _sign_rows(self, layer: int, cache: "KVCache"):
+        """``kv_head -> reader`` of the layer's packed key signs: the
+        store's when it was packed under this backend's rotations, else
+        packed here from the keys (a whole-context read)."""
+        kv = cache.layers[layer]
         if self._reads_sign_store(cache):
-            return cache.layers[layer].packed_signs
-        return self._pack_key_signs(layer, keys)
+            return kv.sign_rows
+        return self._pack_key_signs(layer, kv.keys).__getitem__
 
     def _query_signs(self, layer: int, q: np.ndarray) -> np.ndarray:
         """Packed (rotated) signs of ``q (..., n_kv_heads, group, n, d)``."""
@@ -657,37 +663,29 @@ class LongSightAttention:
         """
         if q.shape[1] == 1:
             return self.forward_cached_batch(layer, [q], [cache])[0]
-        kv = cache.layers[layer]
-        keys = kv.keys
-        return self._forward_block(
-            layer, q, keys, kv.values,
-            self._key_signs(layer, cache, keys) if self.config.top_k
-            else None)
+        require_finite("query", q)
+        return self._forward_block(layer, q, cache)
 
     def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
-        if q.shape[1] == 1:
-            return self.forward_cached_batch(
-                layer, [q], [_ArrayCache(layer, k, v)])[0]
-        return self._forward_block(
-            layer, q, k, v,
-            self._pack_key_signs(layer, k) if self.config.top_k else None)
+        """Stateless forward: :meth:`forward_cached` over the arrays."""
+        return self.forward_cached(layer, q, _ArrayCache(layer, k, v))
 
     # -- the prefill kernel ---------------------------------------------------
 
-    def _forward_block(self, layer: int, q: np.ndarray, k: np.ndarray,
-                       v: np.ndarray,
-                       key_signs: Optional[np.ndarray]) -> np.ndarray:
+    def _forward_block(self, layer: int, q: np.ndarray,
+                       cache: "KVCache") -> np.ndarray:
         """Filter -> score -> compact -> select -> attend, a query block.
 
         The five stages, the slab and gather rules and the exact-selection
-        argument are laid out in the module docstring.  ``key_signs`` is
-        the ``(n_kv_heads, n_ctx, n_bytes)`` packed sign store (already
-        rotated when ITQ is on); at ``top_k = 0`` it is not read — nothing
-        can be selected, so stages 1-4 are skipped and no candidate is
-        counted as offloaded.
+        argument are laid out in the module docstring.  Keys and values
+        are read whole, key signs by range (:meth:`_sign_rows`); at
+        ``top_k = 0`` no sign is read — nothing can be selected, so stages
+        1-4 are skipped and no candidate is counted as offloaded.
         """
         cfg = self.config
+        kv = cache.layers[layer]
+        k, v = kv.keys, kv.values
         n_q_heads, n_new, head_dim = q.shape
         n_kv_heads, n_ctx, _ = k.shape
         group = n_q_heads // n_kv_heads
@@ -707,6 +705,7 @@ class LongSightAttention:
             q_signs = self._query_signs(
                 layer, q.reshape(n_kv_heads, group, n_new, head_dim)
             ).reshape(n_q_heads, n_new, -1)
+            key_signs = self._sign_rows(layer, cache)
 
         passed_total = selected_total = 0
         out = np.empty_like(q)
@@ -736,7 +735,7 @@ class LongSightAttention:
                     # The slab is a stack of one unit.
                     pool_s, pool_c, passed, selected = span.select(
                         q[None, h0:h1], q_signs[None, h0:h1], [h0], [n_ctx],
-                        [keys], [key_signs[kv_head]])
+                        [keys], [key_signs(kv_head)])
                     passed_total += int(passed[0])
                     selected_total += int(selected[0])
                     # Long rows, row-major; scores padded to top_k with
@@ -781,6 +780,7 @@ class LongSightAttention:
         session's output is bit-identical whatever rides along.
         """
         q = np.asarray(qs)
+        require_finite("query", q)
         n_ctx = np.array([len(cache.layers[layer]) for cache in caches],
                          dtype=np.intp)
         layouts: Dict[bool, list] = {}
@@ -869,11 +869,7 @@ class LongSightAttention:
         n_s, n_q_heads, _, head_dim = q.shape
         group = n_q_heads // n_kv_heads
         kvs = [cache.layers[layer] for cache in caches]
-        # A sign store packed under other rotations (or none: stateless
-        # ``forward``) is the one case that still reads a whole context.
-        signs = [kv.sign_rows if self._reads_sign_store(cache)
-                 else self._pack_key_signs(layer, kv.keys).__getitem__
-                 for cache, kv in zip(caches, kvs)]
+        signs = [self._sign_rows(layer, cache) for cache in caches]
         span = _SparseSpan(self, layer, n_q_heads, n_kv_heads, 1, head_dim)
         q_signs = self._query_signs(
             layer, q.reshape(n_s, n_kv_heads, group, 1, head_dim)

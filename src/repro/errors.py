@@ -13,6 +13,8 @@ additionally subclasses :class:`KeyError` because it replaces the bare
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class ReproError(RuntimeError):
     """Base class for all operational errors raised by this package."""
@@ -21,6 +23,22 @@ class ReproError(RuntimeError):
 class QueueFullError(ReproError):
     """A DCC hardware resource (MMIO request queue, response buffers) has
     no free slot."""
+
+
+class NonFiniteError(ReproError, ValueError):
+    """A NaN or infinite query, key or value reached the attention path.
+
+    Raised before anything is stored or attended, so a non-finite
+    activation is a typed error rather than a silent token (``np.argmax``
+    returns a NaN's index)."""
+
+
+def require_finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise :class:`NonFiniteError` unless every entry of ``arrays`` is
+    finite; ``what`` names them in the message."""
+    for array in arrays:
+        if not np.isfinite(array).all():
+            raise NonFiniteError(f"non-finite {what}")
 
 
 class CapacityError(ReproError):

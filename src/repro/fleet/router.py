@@ -202,7 +202,7 @@ class FleetRouter:
             else:
                 worker.run = worker.engine.start([])
             worker.run_steps = 0
-            worker.engine.migrate_handler = self._handler_for(worker)
+            worker.run.migrate_handler = self._handler_for(worker)
             self.monitor.attach(worker.worker_id, worker.obs.metrics)
         pending = sorted(requests,
                          key=lambda r: (r.arrival_s, r.request_id))
@@ -246,7 +246,7 @@ class FleetRouter:
                     f"fleet did not converge within {self.max_steps} steps")
         finally:
             for worker in self.workers:
-                worker.engine.migrate_handler = None
+                worker.run.migrate_handler = None
         return self._report()
 
     # -- placement ------------------------------------------------------------
@@ -375,8 +375,7 @@ class FleetRouter:
         # transplant them across the engine swap so the latency baseline
         # and suspicion counters survive into the merged fleet report.
         engine.obs.metrics.merge(worker.obs.metrics, prefix="fleet.")
-        worker.engine.migrate_handler = None
-        engine.migrate_handler = self._handler_for(worker)
+        run.migrate_handler = self._handler_for(worker)
         worker.engine, worker.run, worker.run_steps = engine, run, 0
         self.recoveries.append(stats)
         return True
@@ -464,7 +463,7 @@ class FleetRouter:
         return True
 
     def _handler_for(self, source: FleetWorker):
-        """The migrate hook installed on ``source``'s engine.
+        """The migrate hook installed on ``source``'s run.
 
         Receives sessions the source would otherwise preempt-requeue,
         already detached (blocks freed, state QUEUED).  Returns ``True``

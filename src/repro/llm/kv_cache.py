@@ -32,8 +32,9 @@ Append, sign packing and reads exist once.  Every read is
 others — a slice of a contiguous session is a zero-copy view, anything
 else one ``take`` of the arena rows the map names:
 
-- a prefill block asks for the whole context (``keys`` / ``values`` /
-  ``packed_signs``);
+- a prefill block asks for the whole context of keys and values
+  (``keys`` / ``values``: it scores every column of its span) and for its
+  key signs by position range (``sign_rows``), as a decode row does;
 - a decode row asks for the sinks + window panel (``window_view``), and in
   the long-context layout for a position range of signs, the filter's
   survivors among the keys and the top-k selections among the values
@@ -48,6 +49,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
+from repro.errors import require_finite
 from repro.llm.config import ModelConfig
 
 if TYPE_CHECKING:
@@ -194,7 +196,9 @@ class SessionLayerKV:
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
         """Append keys/values for one or more tokens.
 
-        ``k`` and ``v`` have shape ``(n_kv_heads, n_new, head_dim)``.
+        ``k`` and ``v`` have shape ``(n_kv_heads, n_new, head_dim)``.  A
+        row that is not finite in the store's dtype raises
+        :class:`~repro.errors.NonFiniteError` before anything is written.
         """
         if k.shape != v.shape:
             raise ValueError("key and value shapes must match")
@@ -202,6 +206,8 @@ class SessionLayerKV:
             raise ValueError(
                 f"expected (n_kv_heads={self.n_kv_heads}, n, "
                 f"head_dim={self.head_dim}), got {k.shape}")
+        k, v = (x.astype(self.dtype, copy=False) for x in (k, v))
+        require_finite("key or value", k, v)
         source = self._source
         stop = self._len + k.shape[1]
         source.reserve(stop)      # a private layer may rebind its arenas
@@ -209,7 +215,7 @@ class SessionLayerKV:
         self._k[:, rows] = k
         self._v[:, rows] = v
         if self.sign_cache_enabled and len(rows):
-            self._pack_rows(k.astype(self.dtype, copy=False), rows)
+            self._pack_rows(k, rows)
         self._len = stop
 
     def _pack_rows(self, keys: np.ndarray, rows: np.ndarray) -> None:

@@ -191,12 +191,6 @@ class ServeEngine:
         self.prefill_block_size = prefill_block_size
         self.max_steps = max_steps
         self.obs = resolve_obs(obs)
-        #: optional relocation hook ``(request) -> bool``, set by a fleet
-        #: router: offered every session this engine would otherwise
-        #: preempt-requeue; returning ``True`` means the request now lives
-        #: elsewhere (the router told the source run it departed, then
-        #: re-injected it into another worker).
-        self.migrate_handler: Optional[Callable[[ServeRequest], bool]] = None
         #: (base config by value, quality level) -> the config served.
         self._level_configs: dict = {}
 
@@ -461,6 +455,12 @@ class EngineRun:
                                 key=lambda r: (r.arrival_s, r.request_id))
         self._next_arrival = 0
         self._departed: set = set()          # id(request) of migrated-away
+        #: optional relocation hook ``(request) -> bool``, set by a fleet
+        #: router: offered every session this run would otherwise
+        #: preempt-requeue; returning ``True`` means the request now lives
+        #: elsewhere (the router told this run it departed, then
+        #: re-injected it into another worker).
+        self.migrate_handler: Optional[Callable[[ServeRequest], bool]] = None
         self.clock = 0.0
         self.tokens_generated = 0
         self.peak_batch = 0
@@ -520,7 +520,7 @@ class EngineRun:
         ``True`` has reported the departure (:meth:`note_departure`) and
         handed the session to another worker.
         """
-        handler = self.engine.migrate_handler
+        handler = self.migrate_handler
         return handler is not None and handler(request)
 
     # -- one loop iteration ---------------------------------------------------

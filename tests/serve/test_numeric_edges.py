@@ -18,6 +18,7 @@ import pytest
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention, _SparseSpan
 from repro.core.reference import ReferenceAttention
+from repro.errors import NonFiniteError
 from repro.llm.kv_cache import KVCache
 from repro.llm.model import Transformer
 from repro.llm.sampling import generate
@@ -223,3 +224,16 @@ def test_units_that_pass_nothing_ride_beside_units_that_pass(
     for prompt, outputs in zip(prompts, served):
         assert outputs == list(generate(model, prompt, 10,
                                         backend=LongSightAttention(config)))
+
+
+def test_an_infinite_embedding_row_raises_rather_than_a_token(rng):
+    """A model with one infinite embedding row: the prompt holding its
+    token turns into NaN keys at the first layer, and the run raises
+    :class:`NonFiniteError` — it does not sample ``np.argmax`` of NaN
+    logits (the NaN's index) as a token."""
+    model = Transformer(TINY, seed=0)
+    model.weights["embed"][7] = np.inf
+    prompts = [rng.integers(8, TINY.vocab_size, size=n) for n in (20, 33)]
+    prompts[1][5] = 7
+    with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
+        _serve(model, _config(), prompts, max_new=4)

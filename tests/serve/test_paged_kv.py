@@ -240,9 +240,10 @@ class TestGatherParity:
         out = backend.forward_cached_batch(0, [q, q], [paged, plain])
         assert whole == []
         np.testing.assert_array_equal(out[0], out[1])
-        # A multi-query block still reads the context it scores.
+        # A multi-query block reads the keys and values it scores whole,
+        # and its signs by range, as a decode row does.
         backend.forward_cached(0, np.repeat(q, 2, axis=1), paged)
-        assert sorted(whole) == ["keys", "packed_signs", "values"]
+        assert sorted(whole) == ["keys", "values"]
 
     def test_every_pooled_context_reads_in_place(self, rng, monkeypatch):
         """Past ``n_sink + window`` (12) a decode row is panel ++ pool at
