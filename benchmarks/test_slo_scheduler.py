@@ -32,9 +32,9 @@ def test_slo_attainment(benchmark, report):
              "nma_utilization", "makespan_us", "analytical_us"])
         for users in (1, 4, 8, 16, 31):
             outcome = engine.simulate_decode_layer(LLAMA3_8B, CONTEXT, users)
-            analytical = max(
-                engine.drex_layer_latency_ns(LLAMA3_8B, CONTEXT, users),
-                engine.cxl_layer_latency_ns(LLAMA3_8B, CONTEXT, users))
+            occupancy = engine.layer_occupancy_ns(LLAMA3_8B,
+                                                  [CONTEXT] * users)
+            analytical = max(occupancy["drex"], occupancy["cxl"])
             table.add_row(
                 users=users,
                 mean_us=outcome.mean_latency_ns() / 1e3,

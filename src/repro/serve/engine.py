@@ -76,9 +76,8 @@ class AnalyticTiming:
 
     Args:
         system: a ``repro.system`` model: ``step_latency_s`` over
-            heterogeneous contexts (``step_latency_degraded_s`` used when
-            present and any session is degraded) and ``admits`` over
-            charged contexts, the engine's capacity rule.
+            heterogeneous contexts and their degraded flags, and
+            ``admits`` over charged contexts, the engine's capacity rule.
         model_config: the paper-scale model the latencies are charged for.
         prefill: optional :class:`~repro.system.prefill.PrefillModel`; when
             given, a prefill chunk costs the *incremental* prefill latency
@@ -110,14 +109,8 @@ class AnalyticTiming:
     def decode_step_s(self, contexts, degraded=None) -> float:
         if not contexts:
             return 0.0
-        degraded_step = getattr(self.system, "step_latency_degraded_s", None)
-        if degraded is not None and degraded_step is not None \
-                and any(degraded):
-            step = degraded_step(self.model_config, list(contexts),
-                                 list(degraded))
-        else:
-            step = self.system.step_latency_s(self.model_config,
-                                              list(contexts))
+        step = self.system.step_latency_s(self.model_config, contexts,
+                                          degraded)
         self._attribute("decode_step", step)
         return step
 

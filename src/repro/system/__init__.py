@@ -8,9 +8,13 @@ model into end-to-end decode-phase throughput/latency estimates for:
 - sliding-window attention on a GPU,
 - LongSight (GPU dense window + DReX sparse offload with overlap).
 
-These drive the Figure 7/8/9/10 benchmarks.  As in the paper, only the
-decode phase is modeled ("LongSight does not impact the performance of the
-prefill phase", Section 8.1.2).
+Each system is one decode-step routine over per-session contexts and one
+capacity rule (``admits``); the serving engine charges that step, and the
+Figure 7/8/9/10 benchmarks read it at a uniform batch (``evaluate``,
+``max_users``).  Data-parallel GPUs place users greedily and the slowest
+GPU sets the step.  As in the paper, only the decode phase is modeled
+("LongSight does not impact the performance of the prefill phase",
+Section 8.1.2).
 """
 
 from repro.system.specs import GpuSpec, H100, SystemSpec, PAPER_SYSTEM

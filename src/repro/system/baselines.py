@@ -1,15 +1,24 @@
-"""Baseline serving systems for Figure 7 / Figure 10 comparisons.
+"""Serving systems for Figure 7 / Figure 10 comparisons.
 
-All baselines share the synchronized-batch decode model: per generated
-token, every layer executes its batched GEMMs plus per-user attention; the
-per-token latency is the sum over layers, and aggregate throughput is
-``n_users / latency``.
+Every system is one decode-step routine over per-session contexts
+(``_step``) and one capacity rule (``admits``); :class:`ServingSystem`
+derives the serving engine's ``step_latency_s`` and the figures'
+``evaluate`` / ``max_users`` (a uniform batch of ``n_users`` sessions at
+one context) from those two, so the figures and the engine cannot drift.
+
+The dense baselines share the synchronized-batch decode model: per
+generated token, every layer executes its batched GEMMs plus per-user
+attention; the per-token latency is the sum over layers, and aggregate
+throughput is ``n_users / latency``.  Data-parallel GPUs place users
+greedily (largest KV cache first, onto the GPU with the most free HBM);
+the same placement is the capacity rule (no GPU ends over its HBM) and
+the step's cost, which is the slowest GPU's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.llm.config import ModelConfig
 from repro.system.gpu import GpuModel
@@ -48,12 +57,71 @@ class ServingPoint:
         }
 
 
-class DenseGpuSystem:
+class ServingSystem:
+    """A system's one step routine and one capacity rule, and what follows.
+
+    Subclasses define ``name``, ``admits(config, contexts)`` — monotone:
+    a batch that fits still fits with a session removed — and
+    ``_step(config, contexts, degraded)``, which returns the per-token
+    latency in seconds and its breakdown by component.
+    """
+
+    def admits(self, config: ModelConfig, contexts: Sequence[int]) -> bool:
+        raise NotImplementedError
+
+    def _step(self, config: ModelConfig, contexts: List[int],
+              degraded: Optional[Sequence[bool]] = None
+              ) -> Tuple[float, Dict[str, float]]:
+        raise NotImplementedError
+
+    def step_latency_s(self, config: ModelConfig, contexts: Sequence[int],
+                       degraded: Optional[Sequence[bool]] = None) -> float:
+        """One decode step for users with individual context lengths.
+
+        ``degraded`` optionally flags, per session, a fall back to the
+        dense-only path; only a system that offloads charges it less.
+        """
+        if not contexts:
+            return 0.0
+        return self._step(config, list(contexts), degraded)[0]
+
+    def evaluate(self, config: ModelConfig, context: int,
+                 n_users: int) -> Optional[ServingPoint]:
+        """The step of ``n_users`` sessions at ``context``; None if they
+        do not fit."""
+        contexts = [context] * n_users
+        if not self.admits(config, contexts):
+            return None
+        latency, breakdown = self._step(config, contexts)
+        return ServingPoint(
+            system=self.name, model=config.name, context=context,
+            n_users=n_users, token_latency_s=latency, breakdown=breakdown)
+
+    def max_users(self, config: ModelConfig, context: int) -> int:
+        """Largest uniform batch at ``context`` that ``admits`` holds."""
+        def fits(n: int) -> bool:
+            return self.admits(config, [context] * n)
+
+        if not fits(1):
+            return 0
+        low, high = 1, 2
+        while fits(high):
+            low, high = high, 2 * high
+        while high - low > 1:  # fits(low) and not fits(high)
+            mid = (low + high) // 2
+            if fits(mid):
+                low = mid
+            else:
+                high = mid
+        return low
+
+
+class DenseGpuSystem(ServingSystem):
     """1..N GPUs running full dense attention, data-parallel across users.
 
     Data parallelism duplicates weights on every GPU but introduces no
-    communication (Section 8.2); users split evenly, so the slowest GPU
-    (the one with ``ceil(U / n_gpus)`` users) sets the token latency.
+    communication (Section 8.2); the GPU that the greedy placement loads
+    slowest sets the token latency.
     """
 
     def __init__(self, n_gpus: int = 1, spec: GpuSpec = H100) -> None:
@@ -66,62 +134,64 @@ class DenseGpuSystem:
     def name(self) -> str:
         return f"{self.n_gpus}-GPU"
 
-    def max_users(self, config: ModelConfig, context: int) -> int:
-        return self.gpu.max_users(config, context) * self.n_gpus
+    def gpu_resident_tokens(self, context: int) -> int:
+        """KV tokens one user keeps in HBM (and attends over)."""
+        return context
 
-    # -- heterogeneous-context interface (serving engine) ----------------------
+    def _attention_ns(self, config: ModelConfig, context: int) -> float:
+        """One user's decode attention, one layer."""
+        return self.gpu.dense_attention_ns(
+            config, 1, self.gpu_resident_tokens(context))
 
-    def admits(self, config: ModelConfig, contexts) -> bool:
-        """Do these per-user KV caches fit (greedy first-fit per GPU)?"""
-        per_user = [c * config.kv_bytes_per_token() for c in contexts]
-        free = self.gpu.spec.usable_bytes - self.gpu.weight_bytes(config)
-        if free <= 0:
-            return False
-        gpus = [free] * self.n_gpus
-        for need in sorted(per_user, reverse=True):
-            best = max(range(self.n_gpus), key=lambda i: gpus[i])
-            if gpus[best] < need:
-                return False
-            gpus[best] -= need
-        return True
+    def _place(self, config: ModelConfig,
+               contexts: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """Greedy placement: (free HBM bytes per GPU, GPU of each user).
 
-    def step_latency_s(self, config: ModelConfig, contexts) -> float:
-        """One decode step for users with individual context lengths."""
-        if not contexts:
-            return 0.0
-        per_gpu = -(-len(contexts) // self.n_gpus)
-        gemm = self.gpu.weight_gemm_ns(config, per_gpu) * config.n_layers
-        # Attention traffic is additive per user; split evenly over GPUs.
-        attn = sum(self.gpu.dense_attention_ns(config, 1, c)
-                   for c in contexts) / self.n_gpus * config.n_layers
-        head = self.gpu.lm_head_ns(config, per_gpu)
-        overhead = self.gpu.spec.kernel_overhead_ns * config.n_layers
-        return (gemm + attn + head + overhead) * 1e-9
+        Largest KV cache first, each onto the GPU with the most free HBM
+        (ties to the lower index).  A GPU may end below zero: the batch
+        then does not fit.
+        """
+        need = [self.gpu_resident_tokens(c) * config.kv_bytes_per_token()
+                for c in contexts]
+        free = [self.gpu.spec.usable_bytes
+                - self.gpu.weight_bytes(config)] * self.n_gpus
+        where = [0] * len(contexts)
+        for user in sorted(range(len(contexts)), key=lambda u: -need[u]):
+            gpu = max(range(self.n_gpus), key=free.__getitem__)
+            free[gpu] -= need[user]
+            where[user] = gpu
+        return free, where
 
-    def evaluate(self, config: ModelConfig, context: int,
-                 n_users: int) -> Optional[ServingPoint]:
-        """Per-token latency/throughput, or None if HBM cannot fit it."""
-        per_gpu = -(-n_users // self.n_gpus)  # ceil
-        if not self.gpu.fits(config, context, per_gpu):
-            return None
-        gemm = self.gpu.weight_gemm_ns(config, per_gpu) * config.n_layers
-        attn = self.gpu.dense_attention_ns(config, per_gpu, context) \
-            * config.n_layers
-        head = self.gpu.lm_head_ns(config, per_gpu)
-        overhead = self.gpu.spec.kernel_overhead_ns * config.n_layers
-        total_ns = gemm + attn + head + overhead
-        return ServingPoint(
-            system=self.name, model=config.name, context=context,
-            n_users=n_users, token_latency_s=total_ns * 1e-9,
-            breakdown={
-                "gemm_s": gemm * 1e-9,
-                "attention_s": attn * 1e-9,
-                "lm_head_s": head * 1e-9,
-                "overhead_s": overhead * 1e-9,
-            })
+    def admits(self, config: ModelConfig, contexts: Sequence[int]) -> bool:
+        """Do these per-user KV caches fit, placed greedily?"""
+        free, _ = self._place(config, contexts)
+        return min(free) >= 0
+
+    def _step(self, config, contexts, degraded=None):
+        _, where = self._place(config, contexts)
+        n_layers = config.n_layers
+        slowest = None
+        for gpu in range(self.n_gpus):
+            # Each GPU sums its users in the caller's order.
+            users = [c for c, g in zip(contexts, where) if g == gpu]
+            gemm = self.gpu.weight_gemm_ns(config, len(users)) * n_layers
+            attn = sum(self._attention_ns(config, c)
+                       for c in users) * n_layers
+            head = self.gpu.lm_head_ns(config, len(users))
+            overhead = self.gpu.spec.kernel_overhead_ns * n_layers
+            total = gemm + attn + head + overhead
+            if slowest is None or total > slowest[0]:
+                slowest = (total, gemm, attn, head, overhead)
+        total, gemm, attn, head, overhead = slowest
+        return total * 1e-9, {
+            "gemm_s": gemm * 1e-9,
+            "attention_s": attn * 1e-9,
+            "lm_head_s": head * 1e-9,
+            "overhead_s": overhead * 1e-9,
+        }
 
 
-class AttAccSystem:
+class AttAccSystem(DenseGpuSystem):
     """AttAcc-style baseline: dense decode attention on HBM-PIM.
 
     One H100 plus bank-level PIM in its HBM stacks: attention traffic runs
@@ -135,38 +205,18 @@ class AttAccSystem:
     #: parallelism on HBM3).
     PIM_BANDWIDTH_SCALE = 4.0
 
-    def __init__(self, spec: GpuSpec = H100) -> None:
-        self.gpu = GpuModel(spec)
-        self.pim_bandwidth = spec.hbm_bandwidth * self.PIM_BANDWIDTH_SCALE
-
     name = "AttAcc"
 
-    def max_users(self, config: ModelConfig, context: int) -> int:
-        return self.gpu.max_users(config, context)
+    def __init__(self, spec: GpuSpec = H100) -> None:
+        super().__init__(1, spec)
+        self.pim_bandwidth = spec.hbm_bandwidth * self.PIM_BANDWIDTH_SCALE
 
-    def evaluate(self, config: ModelConfig, context: int,
-                 n_users: int) -> Optional[ServingPoint]:
-        if not self.gpu.fits(config, context, n_users):
-            return None
-        gemm = self.gpu.weight_gemm_ns(config, n_users) * config.n_layers
-        attn = self.gpu.dense_attention_ns(
-            config, n_users, context,
-            bandwidth_override=self.pim_bandwidth) * config.n_layers
-        head = self.gpu.lm_head_ns(config, n_users)
-        overhead = self.gpu.spec.kernel_overhead_ns * config.n_layers
-        total_ns = gemm + attn + head + overhead
-        return ServingPoint(
-            system=self.name, model=config.name, context=context,
-            n_users=n_users, token_latency_s=total_ns * 1e-9,
-            breakdown={
-                "gemm_s": gemm * 1e-9,
-                "attention_s": attn * 1e-9,
-                "lm_head_s": head * 1e-9,
-                "overhead_s": overhead * 1e-9,
-            })
+    def _attention_ns(self, config: ModelConfig, context: int) -> float:
+        return self.gpu.dense_attention_ns(
+            config, 1, context, bandwidth_override=self.pim_bandwidth)
 
 
-class SlidingWindowGpuSystem:
+class SlidingWindowGpuSystem(DenseGpuSystem):
     """Sliding-window attention on one GPU (Figure 10's software baseline).
 
     Attention cost covers only sinks + window; the KV cache can be evicted
@@ -176,61 +226,13 @@ class SlidingWindowGpuSystem:
 
     def __init__(self, window: int = 1024, n_sink: int = 16,
                  spec: GpuSpec = H100) -> None:
+        super().__init__(1, spec)
         self.window = window
         self.n_sink = n_sink
-        self.gpu = GpuModel(spec)
 
     @property
     def name(self) -> str:
         return f"SlidingWindow(W={self.window})"
 
-    def max_users(self, config: ModelConfig, context: int) -> int:
-        kept = min(context, self.window + self.n_sink)
-        return self.gpu.max_users(config, kept)
-
-    # -- heterogeneous-context interface (serving engine) ----------------------
-
-    def _kept(self, context: int) -> int:
+    def gpu_resident_tokens(self, context: int) -> int:
         return min(context, self.window + self.n_sink)
-
-    def admits(self, config: ModelConfig, contexts) -> bool:
-        """Do the retained sink+window KV caches fit in HBM?"""
-        free = self.gpu.spec.usable_bytes - self.gpu.weight_bytes(config)
-        if free <= 0:
-            return False
-        need = sum(self._kept(c) for c in contexts) \
-            * config.kv_bytes_per_token()
-        return need <= free
-
-    def step_latency_s(self, config: ModelConfig, contexts) -> float:
-        """One decode step for users with individual context lengths."""
-        if not contexts:
-            return 0.0
-        n_users = len(contexts)
-        gemm = self.gpu.weight_gemm_ns(config, n_users) * config.n_layers
-        attn = sum(self.gpu.dense_attention_ns(config, 1, self._kept(c))
-                   for c in contexts) * config.n_layers
-        head = self.gpu.lm_head_ns(config, n_users)
-        overhead = self.gpu.spec.kernel_overhead_ns * config.n_layers
-        return (gemm + attn + head + overhead) * 1e-9
-
-    def evaluate(self, config: ModelConfig, context: int,
-                 n_users: int) -> Optional[ServingPoint]:
-        kept = min(context, self.window + self.n_sink)
-        if not self.gpu.fits(config, kept, n_users):
-            return None
-        gemm = self.gpu.weight_gemm_ns(config, n_users) * config.n_layers
-        attn = self.gpu.dense_attention_ns(config, n_users, kept) \
-            * config.n_layers
-        head = self.gpu.lm_head_ns(config, n_users)
-        overhead = self.gpu.spec.kernel_overhead_ns * config.n_layers
-        total_ns = gemm + attn + head + overhead
-        return ServingPoint(
-            system=self.name, model=config.name, context=context,
-            n_users=n_users, token_latency_s=total_ns * 1e-9,
-            breakdown={
-                "gemm_s": gemm * 1e-9,
-                "attention_s": attn * 1e-9,
-                "lm_head_s": head * 1e-9,
-                "overhead_s": overhead * 1e-9,
-            })

@@ -28,7 +28,7 @@ from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 from repro.drex.layout import rows_per_group
 from repro.drex.timing import DrexTimingModel, LatencyBreakdown, OffloadCost
 from repro.llm.config import ModelConfig
-from repro.system.baselines import ServingPoint
+from repro.system.baselines import ServingSystem
 from repro.system.cxl import CxlLink
 from repro.system.gpu import GpuModel
 from repro.system.specs import GpuSpec, H100
@@ -38,7 +38,7 @@ from repro.system.specs import GpuSpec, H100
 STAGING_OVERHANG = 64
 
 
-class LongSightSystem:
+class LongSightSystem(ServingSystem):
     """One GPU + one DReX unit serving hybrid dense-sparse attention."""
 
     name = "LongSight"
@@ -89,17 +89,6 @@ class LongSightSystem:
         """KV tokens kept in HBM per user: sinks + window + staging."""
         return min(context, self.ls.n_sink + self.ls.window + STAGING_OVERHANG)
 
-    def max_users(self, config: ModelConfig, context: int) -> int:
-        """Batch limit: DReX capacity, DCC queue depth, and GPU HBM."""
-        gpu_users = self.gpu.max_users(config,
-                                       self.gpu_resident_tokens(context))
-        per_user = self.drex_bytes_per_user(config, context)
-        if per_user == 0:
-            drex_users = 512
-        else:
-            drex_users = self.geometry.capacity_bytes // per_user
-        return int(min(512, gpu_users, drex_users))
-
     # -- DReX-side costs ------------------------------------------------------------
 
     def effective_top_k(self, context: int) -> int:
@@ -140,93 +129,10 @@ class LongSightSystem:
                      + config.dtype_bytes + 4)
         return config.n_kv_heads * k_eff * per_entry
 
-    def drex_layer_latency_ns(self, config: ModelConfig, context: int,
-                              n_users: int) -> float:
-        """NMA occupancy per layer: offload units queued on 8 NMAs.
-
-        Each user contributes ``n_kv_heads x segments`` package-units per
-        layer; units spread across the 8 NMAs and execute serially per NMA.
-        """
-        segments, _ = self._segments(context)
-        if segments == 0:
-            return 0.0
-        unit = self.offload_unit(config, context).compute_ns
-        units_total = n_users * config.n_kv_heads * segments
-        units_per_nma = math.ceil(units_total / self.geometry.n_nmas)
-        return units_per_nma * unit
-
-    def cxl_layer_latency_ns(self, config: ModelConfig, context: int,
-                             n_users: int) -> float:
-        """CXL occupancy per layer: requests out + responses back."""
-        if self.sparse_tokens(context) == 0:
-            return 0.0
-        request_bytes = 16 + config.n_q_heads * config.head_dim \
-            * config.dtype_bytes
-        response_bytes = self.value_bytes_per_user_layer(config, context)
-        return n_users * self.cxl.serialization_ns(
-            request_bytes + response_bytes)
-
-    # -- end-to-end ---------------------------------------------------------------
-
-    def evaluate(self, config: ModelConfig, context: int,
-                 n_users: int) -> Optional[ServingPoint]:
-        """Per-token decode latency/throughput; None if over capacity."""
-        if n_users > self.max_users(config, context):
-            return None
-        resident = self.gpu_resident_tokens(context)
-        sparse = self.sparse_tokens(context)
-
-        gemm = self.gpu.weight_gemm_ns(config, n_users)
-        itq = self.gpu.itq_ns(config, n_users) if self.ls.use_itq else 0.0
-        window_attn = self.gpu.dense_attention_ns(config, n_users, resident)
-        k_eff = self.effective_top_k(context)
-        merge = self.gpu.merge_ns(config, n_users, k_eff) if sparse else 0.0
-
-        drex = self.drex_layer_latency_ns(config, context, n_users)
-        cxl = self.cxl_layer_latency_ns(config, context, n_users)
-        poll = self.cxl.polling_overhead_ns if sparse else 0.0
-
-        # Value transfers for completed offloads overlap NMA compute of the
-        # queued ones (Section 9.2), so the offload path is the slower of
-        # the two occupancies; dense window attention overlaps it all.
-        offload_path = max(drex, cxl) + poll if sparse else 0.0
-        overlap_region = max(window_attn, offload_path)
-        layer_ns = gemm + itq + overlap_region + merge \
-            + self.gpu.spec.kernel_overhead_ns
-        total_ns = layer_ns * config.n_layers + self.gpu.lm_head_ns(
-            config, n_users)
-
-        exposed_drex = max(0.0, offload_path - window_attn)
-        return ServingPoint(
-            system=self.name, model=config.name, context=context,
-            n_users=n_users, token_latency_s=total_ns * 1e-9,
-            breakdown={
-                "gemm_s": (gemm + itq) * config.n_layers * 1e-9,
-                "window_attention_s": window_attn * config.n_layers * 1e-9,
-                "drex_s": drex * config.n_layers * 1e-9,
-                "cxl_s": (cxl + poll) * config.n_layers * 1e-9,
-                "exposed_offload_s": exposed_drex * config.n_layers * 1e-9,
-                "merge_s": merge * config.n_layers * 1e-9,
-                "lm_head_s": self.gpu.lm_head_ns(config, n_users) * 1e-9,
-            })
-
-    def bottleneck(self, config: ModelConfig, context: int,
-                   n_users: int) -> str:
-        """Which resource bounds the per-layer time (Figure 9's narrative)."""
-        resident = self.gpu_resident_tokens(context)
-        gpu_side = (self.gpu.weight_gemm_ns(config, n_users)
-                    + self.gpu.dense_attention_ns(config, n_users, resident)
-                    + self.gpu.merge_ns(config, n_users,
-                                        self.effective_top_k(context)))
-        drex = self.drex_layer_latency_ns(config, context, n_users)
-        cxl = self.cxl_layer_latency_ns(config, context, n_users)
-        costs = {"GPU": gpu_side, "DReX": drex, "CXL": cxl}
-        return max(costs, key=costs.get)
-
-    # -- heterogeneous-context interface (serving engine) -------------------------
+    # -- the decode step -----------------------------------------------------------
 
     def admits(self, config: ModelConfig, contexts) -> bool:
-        """Capacity check for users with individual context lengths."""
+        """Batch limit: DCC queue depth, DReX capacity, and GPU HBM."""
         if len(contexts) > 512:
             return False
         drex_need = sum(self.drex_bytes_per_user(config, c) for c in contexts)
@@ -237,28 +143,21 @@ class LongSightSystem:
             + gpu_resident * config.kv_bytes_per_token()
         return gpu_need <= self.gpu.spec.usable_bytes
 
-    def step_latency_s(self, config: ModelConfig, contexts) -> float:
-        """One decode step for users with individual context lengths."""
-        return self.step_latency_degraded_s(config, contexts, None)
-
-    def step_latency_degraded_s(self, config: ModelConfig, contexts,
-                                degraded) -> float:
-        """One decode step where some sessions fell back to dense-only.
+    def layer_occupancy_ns(self, config: ModelConfig, contexts,
+                           degraded=None) -> Dict[str, float]:
+        """Per-layer busy time of each resource for one decode step.
 
         ``degraded`` is a parallel sequence of booleans (or ``None`` for all
         healthy).  A degraded session still pays its dense sink+window
         attention but contributes nothing to the offload path — no runtime
-        ITQ, no DReX occupancy, no CXL response, no merge.  With all-healthy
-        flags this is exactly :meth:`step_latency_s`.
+        ITQ, no DReX occupancy, no CXL response, no merge.  A user's offload
+        units (``n_kv_heads x segments`` package-units) spread over the
+        NMAs, which execute them serially.
         """
-        if not contexts:
-            return 0.0
-        n_users = len(contexts)
         if degraded is None:
             sparse_ctx = list(contexts)
         else:
             sparse_ctx = [c for c, d in zip(contexts, degraded) if not d]
-        gemm = self.gpu.weight_gemm_ns(config, n_users)
         itq = self.gpu.itq_ns(config, len(sparse_ctx)) \
             if self.ls.use_itq and sparse_ctx else 0.0
         window_attn = sum(
@@ -283,13 +182,46 @@ class LongSightSystem:
                 * config.dtype_bytes
             cxl += self.cxl.serialization_ns(
                 request_bytes + self.value_bytes_per_user_layer(config, c))
-        poll = self.cxl.polling_overhead_ns if any_sparse else 0.0
-        offload_path = max(drex, cxl) + poll if any_sparse else 0.0
-        layer_ns = gemm + itq + max(window_attn, offload_path) + merge \
+        return {
+            "gemm": self.gpu.weight_gemm_ns(config, len(contexts)),
+            "itq": itq,
+            "window_attn": window_attn,
+            "merge": merge,
+            "drex": drex,
+            "cxl": cxl,
+            "poll": self.cxl.polling_overhead_ns if any_sparse else 0.0,
+        }
+
+    def _step(self, config, contexts, degraded=None):
+        occ = self.layer_occupancy_ns(config, contexts, degraded)
+        # Value transfers for completed offloads overlap NMA compute of the
+        # queued ones (Section 9.2), so the offload path is the slower of
+        # the two occupancies; dense window attention overlaps it all.
+        offload_path = max(occ["drex"], occ["cxl"]) + occ["poll"]
+        layer_ns = occ["gemm"] + occ["itq"] \
+            + max(occ["window_attn"], offload_path) + occ["merge"] \
             + self.gpu.spec.kernel_overhead_ns
-        total_ns = layer_ns * config.n_layers \
-            + self.gpu.lm_head_ns(config, n_users)
-        return total_ns * 1e-9
+        n_layers = config.n_layers
+        head = self.gpu.lm_head_ns(config, len(contexts))
+        total_ns = layer_ns * n_layers + head
+        exposed = max(0.0, offload_path - occ["window_attn"])
+        return total_ns * 1e-9, {
+            "gemm_s": (occ["gemm"] + occ["itq"]) * n_layers * 1e-9,
+            "window_attention_s": occ["window_attn"] * n_layers * 1e-9,
+            "drex_s": occ["drex"] * n_layers * 1e-9,
+            "cxl_s": (occ["cxl"] + occ["poll"]) * n_layers * 1e-9,
+            "exposed_offload_s": exposed * n_layers * 1e-9,
+            "merge_s": occ["merge"] * n_layers * 1e-9,
+            "lm_head_s": head * 1e-9,
+        }
+
+    def bottleneck(self, config: ModelConfig, context: int,
+                   n_users: int) -> str:
+        """Which resource bounds the per-layer time (Figure 9's narrative)."""
+        occ = self.layer_occupancy_ns(config, [context] * n_users)
+        costs = {"GPU": occ["gemm"] + occ["window_attn"] + occ["merge"],
+                 "DReX": occ["drex"], "CXL": occ["cxl"]}
+        return max(costs, key=costs.get)
 
     # -- discrete-event cross-validation -----------------------------------------
 

@@ -10,26 +10,8 @@ attention the bottleneck (Section 2.1).
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.llm.config import ModelConfig
 from repro.system.specs import GpuSpec, H100
-
-
-@dataclasses.dataclass
-class GpuLayerTimes:
-    """Per-layer, per-token decode costs for a batch (nanoseconds)."""
-
-    weight_gemm_ns: float
-    attention_ns: float
-    itq_ns: float
-    merge_ns: float
-    overhead_ns: float
-
-    @property
-    def total_ns(self) -> float:
-        return (self.weight_gemm_ns + self.attention_ns + self.itq_ns
-                + self.merge_ns + self.overhead_ns)
 
 
 class GpuModel:
@@ -110,20 +92,3 @@ class GpuModel:
         layers = self.layer_weight_bytes(config) * config.n_layers
         embed = config.vocab_size * config.d_model * config.dtype_bytes
         return layers + embed
-
-    def kv_bytes(self, config: ModelConfig, context: int, n_users: int) -> int:
-        return context * config.kv_bytes_per_token() * n_users
-
-    def fits(self, config: ModelConfig, context: int, n_users: int) -> bool:
-        """Does (weights + KV cache) fit in usable HBM?"""
-        needed = self.weight_bytes(config) + self.kv_bytes(config, context,
-                                                           n_users)
-        return needed <= self.spec.usable_bytes
-
-    def max_users(self, config: ModelConfig, context: int) -> int:
-        """Largest batch whose KV cache fits alongside the weights."""
-        free = self.spec.usable_bytes - self.weight_bytes(config)
-        if free <= 0:
-            return 0
-        per_user = context * config.kv_bytes_per_token()
-        return max(0, free // per_user) if per_user else 0

@@ -131,12 +131,10 @@ class TestDegradation:
     def test_degraded_steps_are_cheaper(self):
         engine = _engine()
         contexts = [131072] * 4
-        healthy = engine.step_latency_degraded_s(LLAMA3_8B, contexts,
-                                                 [False] * 4)
-        degraded = engine.step_latency_degraded_s(LLAMA3_8B, contexts,
-                                                  [True] * 4)
-        mixed = engine.step_latency_degraded_s(LLAMA3_8B, contexts,
-                                               [True, True, False, False])
+        healthy = engine.step_latency_s(LLAMA3_8B, contexts, [False] * 4)
+        degraded = engine.step_latency_s(LLAMA3_8B, contexts, [True] * 4)
+        mixed = engine.step_latency_s(LLAMA3_8B, contexts,
+                                      [True, True, False, False])
         assert healthy == engine.step_latency_s(LLAMA3_8B, contexts)
         assert degraded < healthy
         assert degraded <= mixed <= healthy

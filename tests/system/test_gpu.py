@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.llm.config import LLAMA3_1B, LLAMA3_8B
+from repro.system.baselines import DenseGpuSystem
 from repro.system.gpu import GpuModel
 from repro.system.specs import H100, GpuSpec
 
@@ -61,21 +62,24 @@ class TestCapacity:
         assert gpu.weight_bytes(LLAMA3_8B) == pytest.approx(
             LLAMA3_8B.n_params() * 2, rel=0.05)
 
-    def test_fits_boundary(self, gpu):
-        assert gpu.fits(LLAMA3_8B, 8192, 1)
-        assert not gpu.fits(LLAMA3_8B, 1_048_576, 1)  # 128 GB of KV
+    def test_fits_boundary(self):
+        system = DenseGpuSystem(1)
+        assert system.admits(LLAMA3_8B, [8192])
+        assert not system.admits(LLAMA3_8B, [1_048_576])  # 128 GB of KV
 
-    def test_max_users_consistent_with_fits(self, gpu):
+    def test_max_users_consistent_with_fits(self):
+        system = DenseGpuSystem(1)
         for context in (8192, 131072):
-            users = gpu.max_users(LLAMA3_8B, context)
-            assert gpu.fits(LLAMA3_8B, context, users)
-            assert not gpu.fits(LLAMA3_8B, context, users + 1)
+            users = system.max_users(LLAMA3_8B, context)
+            assert system.admits(LLAMA3_8B, [context] * users)
+            assert not system.admits(LLAMA3_8B, [context] * (users + 1))
 
     def test_max_users_zero_when_weights_dont_fit(self):
-        tiny_gpu = GpuModel(GpuSpec(name="tiny", tflops=1,
-                                    hbm_bytes=8 * 1024**3,
-                                    hbm_bandwidth=1e12))
-        assert tiny_gpu.max_users(LLAMA3_8B, 1024) == 0
+        tiny_gpu = GpuSpec(name="tiny", tflops=1, hbm_bytes=8 * 1024**3,
+                           hbm_bandwidth=1e12)
+        system = DenseGpuSystem(1, spec=tiny_gpu)
+        assert system.max_users(LLAMA3_8B, 1024) == 0
+        assert not system.admits(LLAMA3_8B, [])
 
-    def test_1b_supports_longer_contexts(self, gpu):
-        assert gpu.max_users(LLAMA3_1B, 1_048_576) >= 2
+    def test_1b_supports_longer_contexts(self):
+        assert DenseGpuSystem(1).max_users(LLAMA3_1B, 1_048_576) >= 2

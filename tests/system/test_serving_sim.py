@@ -17,7 +17,8 @@ from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest
 from repro.serve.workload import poisson_workload
-from repro.system.baselines import DenseGpuSystem
+from repro.system.baselines import (AttAccSystem, DenseGpuSystem,
+                                    SlidingWindowGpuSystem)
 from repro.system.engine import LongSightSystem
 from repro.system.prefill import PrefillModel
 from tests.conftest import TINY
@@ -25,6 +26,15 @@ from tests.conftest import TINY
 #: The functional prompt every request decodes, whatever it is charged.
 PROMPT_TOKENS = 12
 LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
+#: Every paper-scale serving system, by name.
+SYSTEMS = {
+    "1-GPU": DenseGpuSystem(1),
+    "2-GPU": DenseGpuSystem(2),
+    "AttAcc": AttAccSystem(),
+    "SlidingWindow": SlidingWindowGpuSystem(window=1024, n_sink=16),
+    "LongSight": LongSightSystem(LongSightConfig(
+        window=1024, n_sink=16, top_k=1024, use_itq=True)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -83,18 +93,36 @@ class TestWorkload:
 
 
 class TestHeterogeneousCosts:
-    def test_dense_step_matches_uniform_evaluate(self):
-        system = DenseGpuSystem(1)
-        uniform = system.evaluate(LLAMA3_8B, 32768, 4)
-        step = system.step_latency_s(LLAMA3_8B, [32768] * 4)
-        assert step == pytest.approx(uniform.token_latency_s, rel=1e-9)
+    @pytest.mark.parametrize("context", [8192, 32768, 131072, 262144,
+                                         524288, 1_048_576])
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_uniform_batch_is_the_step(self, name, context):
+        """The figures' ``evaluate`` is the serving step at a uniform
+        batch, exactly, and ``max_users`` is the boundary of ``admits``."""
+        system = SYSTEMS[name]
+        users = system.max_users(LLAMA3_8B, context)
+        for n in sorted({1, 2, 3, 5, max(users, 1)}):
+            point = system.evaluate(LLAMA3_8B, context, n)
+            if n > users:
+                assert point is None
+                continue
+            assert point.token_latency_s == system.step_latency_s(
+                LLAMA3_8B, [context] * n)
+        assert users == 0 or system.admits(LLAMA3_8B, [context] * users)
+        assert not system.admits(LLAMA3_8B, [context] * (users + 1))
 
-    def test_longsight_step_matches_uniform_evaluate(self):
-        engine = LongSightSystem(LongSightConfig(window=1024, n_sink=16,
-                                                 top_k=1024, use_itq=True))
-        uniform = engine.evaluate(LLAMA3_8B, 131072, 4)
-        step = engine.step_latency_s(LLAMA3_8B, [131072] * 4)
-        assert step == pytest.approx(uniform.token_latency_s, rel=0.02)
+    def test_two_gpus_charge_one_user_like_one_gpu(self):
+        one = DenseGpuSystem(1).step_latency_s(LLAMA3_8B, [131072])
+        assert DenseGpuSystem(2).step_latency_s(LLAMA3_8B, [131072]) == one
+
+    def test_two_gpus_cost_the_slowest_gpu(self):
+        """The 128K user lands alone on one GPU, both 8K users on the
+        other; the step waits for the slower of the two."""
+        one = DenseGpuSystem(1)
+        slowest = max(one.step_latency_s(LLAMA3_8B, [131072]),
+                      one.step_latency_s(LLAMA3_8B, [8192, 8192]))
+        assert DenseGpuSystem(2).step_latency_s(
+            LLAMA3_8B, [131072, 8192, 8192]) == slowest
 
     def test_mixed_contexts_between_extremes(self):
         system = DenseGpuSystem(1)
