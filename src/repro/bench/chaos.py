@@ -5,13 +5,13 @@ Sweeps fault rates x workloads through two layers of the stack:
 - **Serving**: the continuous-batching engine decodes a tiny transformer's
   tokens on steady-Poisson and bursty arrival traces, its clock charged
   for :class:`LongSightSystem`.  Every LongSight session offloads through
-  its own :class:`SupervisedOffloadBackend` under the rate's
+  its own supervised :class:`DrexOffloadBackend` under the rate's
   :class:`FaultPlan`; a session whose offloads keep failing is pinned to
   the dense window (shed from the sparse path) and still completes.  The
   fault-immune :class:`SlidingWindowGpuSystem` baseline, the hybrid at
   ``top_k = 0``, is the floor LongSight degrades *toward*, never below.
 - **Functional**: a tiny seeded Transformer decodes end to end through
-  :class:`SupervisedOffloadBackend` against an injected fault mix at each
+  :class:`DrexOffloadBackend` against an injected fault mix at each
   rate, recording degraded-token fraction, retries, repairs, and that
   generation always completes (the dense-fallback guarantee).
 
@@ -35,6 +35,7 @@ from repro.bench.serve import TINY_LS, TINY_MODEL
 from repro.bench.tables import Table, results_dir
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
+from repro.drex.backend import DrexOffloadBackend
 from repro.llm.config import LLAMA3_8B, ModelConfig
 from repro.llm.model import Transformer
 from repro.serve.engine import AnalyticTiming, ServeEngine
@@ -44,7 +45,6 @@ from repro.serve.workload import poisson_workload
 from repro.system.baselines import SlidingWindowGpuSystem
 from repro.system.engine import LongSightSystem
 from repro.system.faults import FaultPlan
-from repro.system.supervisor import SupervisedOffloadBackend
 
 SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_chaos.json"
@@ -104,8 +104,8 @@ def _serving_point(system, config: ModelConfig, workload: str,
         plan = _fault_mix(rate, seed)
 
         def factory(request):
-            return SupervisedOffloadBackend(TINY_MODEL, TINY_LS, plan=plan,
-                                            flush_granularity=1)
+            return DrexOffloadBackend(TINY_MODEL, TINY_LS, plan=plan,
+                                      flush_granularity=1)
     else:
         sliding = TINY_LS.replace(top_k=0)
 
@@ -145,9 +145,8 @@ def _functional_point(rate: float, seed: int, n_tokens: int) -> dict:
     model = Transformer(mc, seed=seed)
     tokens = np.random.default_rng(seed).integers(0, mc.vocab_size,
                                                   size=n_tokens)
-    backend = SupervisedOffloadBackend(mc, cfg, plan=_fault_mix(rate, seed),
-                                       flush_granularity=1,
-                                       supervisor_seed=seed)
+    backend = DrexOffloadBackend(mc, cfg, plan=_fault_mix(rate, seed),
+                                 flush_granularity=1, supervisor_seed=seed)
     out = model.forward_full(tokens, backend=backend, block_size=16)
     stats = backend.supervisor.stats
     return {
@@ -160,7 +159,7 @@ def _functional_point(rate: float, seed: int, n_tokens: int) -> dict:
         "timeouts": stats.timeouts,
         "queue_full": stats.queue_full,
         "kso_repairs": stats.repairs,
-        "injected_faults": backend.injector.total_fired,
+        "injected_faults": backend.device.injector.total_fired,
     }
 
 
@@ -207,7 +206,7 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
          "degraded_frac", "availability", "shed", "queue_delay_s",
          "retries"],
         note=f"{n_sessions} sessions/workload; functional: tiny model, "
-             f"{n_tokens} tokens through SupervisedOffloadBackend")
+             f"{n_tokens} tokens through DrexOffloadBackend")
     for workload in WORKLOADS:
         for name in SERVING_SYSTEMS:
             for point in serving[workload][name]:

@@ -11,16 +11,26 @@ attention-backend protocol by actually driving a :class:`DrexDevice`
   dense sink+window attention locally, then merges the returned top-k
   scores/values in a single softmax (Figure 2b steps 5–7).
 
-With ``flush_granularity=1`` the result equals the pure software backend
-:class:`repro.core.hybrid.LongSightAttention` to float round-off (1e-12,
-``tests/drex/test_backend.py``) — the integration test that pins the device
-model to the algorithm.  It is not bit-identical: this backend scores one
-query head at a time (its own BLAS call shapes) and merges the device's
-top-k in the device's order, so its sums round differently.
+Every offload and staged flush runs through an
+:class:`~repro.system.supervisor.OffloadSupervisor` against the device's
+own seeded :class:`~repro.system.faults.FaultPlan`: a flush under
+capacity pressure is deferred (the tokens stay staged and are attended
+densely), and an offload that still fails after the retry budget degrades
+its token to the dense region only, recorded in ``degraded_log``.  The
+default healthy plan fires nothing, so no token degrades.
+
+With ``flush_granularity=1`` and no faults the result equals the pure
+software backend :class:`repro.core.hybrid.LongSightAttention` to float
+round-off (1e-12, ``tests/drex/test_backend.py``) — the integration test
+that pins the device model to the algorithm.  It is not bit-identical:
+this backend scores one query head at a time (its own BLAS call shapes)
+and merges the device's top-k in the device's order, so its sums round
+differently.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,28 +38,36 @@ import numpy as np
 from repro.core.config import LongSightConfig
 from repro.core.itq import ItqRotations
 from repro.core.metrics import FilterStats
-from repro.drex.descriptors import RequestDescriptor, ResponseDescriptor
+from repro.drex.descriptors import RequestDescriptor
 from repro.drex.device import DrexDevice
 from repro.drex.timing import LatencyBreakdown
 from repro.llm.config import ModelConfig
 from repro.llm.ops import softmax
+from repro.system.faults import FaultPlan
+from repro.system.supervisor import (OffloadSupervisor, SupervisorPolicy,
+                                     SupervisorStats)
+
+#: The backend owns its device, so its one session is user 0.
+_UID = 0
 
 
 class DrexOffloadBackend:
-    """Attention backend that offloads the sparse phase to a DReX device."""
+    """Attention backend that offloads the sparse phase to its own DReX
+    device, under supervision (see the module docstring)."""
 
     def __init__(self, model_config: ModelConfig, config: LongSightConfig,
                  rotations: Optional[ItqRotations] = None,
-                 device: Optional[DrexDevice] = None, uid: int = 0,
+                 plan: Optional[FaultPlan] = None,
+                 policy: Optional[SupervisorPolicy] = None,
                  flush_granularity: int = 128,
-                 stats: Optional[FilterStats] = None) -> None:
+                 stats: Optional[FilterStats] = None,
+                 supervisor_seed: int = 0) -> None:
         if config.use_itq and rotations is None:
             raise ValueError("use_itq requires rotations")
         self.model_config = model_config
         self.config = config
-        self.uid = uid
         self.flush_granularity = max(1, flush_granularity)
-        self.device = device or DrexDevice(
+        self.device = DrexDevice(
             n_layers=model_config.n_layers,
             n_kv_heads=model_config.n_kv_heads,
             n_q_heads=model_config.n_q_heads,
@@ -57,10 +75,12 @@ class DrexOffloadBackend:
             thresholds=config.thresholds,
             rotations=rotations if config.use_itq else None,
             dtype_bytes=model_config.dtype_bytes,
+            plan=plan,
         )
-        if stats is not None:
-            self.device.stats = stats
-        self.device.register_user(uid)
+        self.device.stats = stats
+        self.device.register_user(_UID)
+        self.supervisor = OffloadSupervisor(self.device, policy,
+                                            seed=supervisor_seed)
         #: tokens already written to DReX, per layer (every KV head of a
         #: layer is flushed in lockstep)
         self._flushed: Dict[int, int] = {}
@@ -80,21 +100,13 @@ class DrexOffloadBackend:
 
     # -- staging -----------------------------------------------------------------
 
-    def _flush_gate(self, layer: int, n_new: int) -> bool:
-        """Hook: may ``n_new`` staged tokens be flushed to DReX now?
-
-        The base backend always flushes; a supervised backend may defer
-        (allocator capacity pressure), in which case the tokens simply stay
-        staged in the HBM window — still attended densely, never lost.  The
-        gate is consulted once per flush so all KV heads stay in lockstep.
-        """
-        return True
-
     def _flush(self, layer: int, k: np.ndarray, v: np.ndarray,
                upto: int) -> int:
         """Write eligible KV pairs (position < ``upto``) to DReX in groups.
 
-        Returns the per-layer flushed count (uniform across KV heads).
+        The supervisor gates each flush once, so all KV heads stay in
+        lockstep; a deferred flush leaves the tokens staged.  Returns the
+        per-layer flushed count (uniform across KV heads).
         """
         cfg = self.config
         flushed = self._flushed.get(layer, cfg.n_sink)
@@ -102,27 +114,15 @@ class DrexOffloadBackend:
         # Flush whole groups; the remainder stays staged in the HBM window.
         n_new = (target - flushed) // self.flush_granularity \
             * self.flush_granularity
-        if n_new > 0 and self._flush_gate(layer, n_new):
+        if n_new > 0 and self.supervisor.flush_allowed():
             for kv_head in range(self.model_config.n_kv_heads):
                 self.device.write_kv(
-                    self.uid, layer, kv_head,
+                    _UID, layer, kv_head,
                     k[kv_head, flushed : flushed + n_new],
                     v[kv_head, flushed : flushed + n_new])
             flushed += n_new
         self._flushed[layer] = flushed
         return flushed
-
-    # -- offload dispatch --------------------------------------------------------
-
-    def _offload(self, request: RequestDescriptor
-                 ) -> Optional[ResponseDescriptor]:
-        """Hook: run one offload; ``None`` degrades the token to dense-only.
-
-        The base backend drives the device directly and never degrades; the
-        supervised backend routes through :class:`OffloadSupervisor` which
-        retries and may return ``None`` after exhausting its budget.
-        """
-        return self.device.execute(request)
 
     # -- attention ------------------------------------------------------------------
 
@@ -144,9 +144,9 @@ class DrexOffloadBackend:
             if sparse_available:
                 self.sparse_token_attempts += 1
                 request = RequestDescriptor(
-                    uid=self.uid, layer=layer, queries=q[:, t, :],
+                    uid=_UID, layer=layer, queries=q[:, t, :],
                     top_k=cfg.top_k, dtype_bytes=mc.dtype_bytes)
-                response = self._offload(request)
+                response = self.supervisor.execute(request)
                 if response is None:
                     # Offload failed past the retry budget: this token falls
                     # back to the dense sliding-window path, recorded here
@@ -200,8 +200,54 @@ class DrexOffloadBackend:
         """Average per-offload latency breakdown so far."""
         if self.n_offloads == 0:
             return LatencyBreakdown()
-        import dataclasses
         return LatencyBreakdown(*[
             getattr(self.total_latency, f.name) / self.n_offloads
             for f in dataclasses.fields(LatencyBreakdown)
         ])
+
+    # -- durable serving hooks ---------------------------------------------------
+
+    def durable_state(self) -> dict:
+        """JSON-safe state a snapshot needs to resume this backend
+        bit-identically (see :mod:`repro.durable`).
+
+        Captures both seeded RNG streams (fault injector + supervisor
+        jitter), their accumulated telemetry, and the degradation record.
+        The device-side KV/sign stores are *not* captured: the restored
+        backend's ``_flushed`` watermarks reset to ``n_sink``, and the
+        next forward's catch-up flush rebuilds identical device content
+        because the flush watermark is a pure function of the cache
+        length.  Exactness preconditions: ``capacity_pressure_rate == 0``
+        (deferred flushes would desync the watermark) and no unrepaired
+        KSO corruption outstanding at the crash.
+        """
+        injector = self.device.injector
+        supervisor = self.supervisor
+        return {
+            "injector_rng": injector.rng.bit_generator.state,
+            "injector_counts": dict(injector.counts),
+            "supervisor_rng": supervisor.rng.bit_generator.state,
+            "supervisor_stats": supervisor.stats.as_dict(),
+            "total_latency": dataclasses.asdict(self.total_latency),
+            "n_offloads": self.n_offloads,
+            "sparse_token_attempts": self.sparse_token_attempts,
+            "degraded_tokens": self.degraded_tokens,
+            "degraded_log": [[int(layer), int(pos)]
+                             for layer, pos in self.degraded_log],
+        }
+
+    def restore_durable_state(self, state: dict) -> None:
+        """Inverse of :meth:`durable_state` on a freshly built backend."""
+        injector = self.device.injector
+        supervisor = self.supervisor
+        injector.rng.bit_generator.state = state["injector_rng"]
+        injector.counts = {k: int(v)
+                           for k, v in state["injector_counts"].items()}
+        supervisor.rng.bit_generator.state = state["supervisor_rng"]
+        supervisor.stats = SupervisorStats(**state["supervisor_stats"])
+        self.total_latency = LatencyBreakdown(**state["total_latency"])
+        self.n_offloads = int(state["n_offloads"])
+        self.sparse_token_attempts = int(state["sparse_token_attempts"])
+        self.degraded_tokens = int(state["degraded_tokens"])
+        self.degraded_log = [(int(layer), int(pos))
+                             for layer, pos in state["degraded_log"]]

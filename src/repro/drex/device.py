@@ -27,7 +27,9 @@ from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 from repro.drex.nma import NearMemoryAccelerator
 from repro.drex.pfu import PimFilterUnit
 from repro.drex.timing import DrexTimingModel, LatencyBreakdown, OffloadCost
+from repro.errors import OffloadTimeoutError, QueueFullError
 from repro.obs import Obs, resolve_obs
+from repro.system.faults import FaultInjector, FaultPlan
 
 
 #: Offload-latency histogram edges: log-spaced 100 ns .. 100 ms.
@@ -81,6 +83,8 @@ class DrexDevice:
         rotations: optional ITQ bank applied when *writing* Key Sign
             Objects and when quantizing request queries.
         geometry / timings: hardware configuration.
+        plan: the :class:`FaultPlan` this device's :attr:`injector`
+            draws from on every :meth:`execute` (default: healthy).
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, n_q_heads: int,
@@ -90,7 +94,8 @@ class DrexDevice:
                  timings: LpddrTimings = LPDDR5X,
                  timing_model: Optional[DrexTimingModel] = None,
                  dtype_bytes: int = 2,
-                 obs: Optional[Obs] = None) -> None:
+                 obs: Optional[Obs] = None,
+                 plan: Optional[FaultPlan] = None) -> None:
         if n_q_heads % n_kv_heads != 0:
             raise ValueError("n_q_heads must be a multiple of n_kv_heads")
         self.n_layers = n_layers
@@ -114,6 +119,7 @@ class DrexDevice:
         #: candidates/passed/retrieved counters as the software hybrid path.
         self.stats: Optional[FilterStats] = None
         self.obs = resolve_obs(obs)
+        self.injector = FaultInjector(plan or FaultPlan.none())
 
     # -- population ------------------------------------------------------------
 
@@ -177,7 +183,7 @@ class DrexDevice:
         return [kv_head for kv_head in range(self.n_kv_heads)
                 if not self.kso_intact(uid, layer, kv_head)]
 
-    def repair_kso(self, uid: int, layer: int, kv_head: int) -> None:
+    def repack_kso(self, uid: int, layer: int, kv_head: int) -> None:
         """Repack sign codes from the stored full-precision keys.
 
         Key/Value Objects are the source of truth (sign corruption leaves
@@ -220,12 +226,40 @@ class DrexDevice:
     # -- offload execution ---------------------------------------------------------
 
     def execute(self, request: RequestDescriptor) -> ResponseDescriptor:
-        """Submit, process and read back one offload synchronously."""
+        """Submit, process and read back one offload synchronously.
+
+        The injector is consulted in a fixed order: queue -> buffers ->
+        corruption -> CXL timeout before the offload runs, then the
+        latency faults after it.  KSO corruption persists in the sign
+        store until repaired — like real DRAM disturbance — while an NMA
+        stall or a degraded link distorts only the returned
+        :class:`LatencyBreakdown`, never the computed top-k.
+        """
+        inj = self.injector
+        if inj.fires("queue_full"):
+            raise QueueFullError(
+                "injected: DCC request queue full (depth "
+                f"{self.dcc.QUEUE_DEPTH})")
+        if inj.fires("response_buffer"):
+            raise QueueFullError(
+                "injected: all DCC response buffers exhausted")
+        if inj.fires("kso_corruption"):
+            kv_head = int(inj.rng.integers(self.n_kv_heads))
+            self.corrupt_kso(request.uid, request.layer, kv_head, inj.rng,
+                             n_bits=inj.plan.kso_bits_flipped)
+        if inj.fires("cxl_timeout"):
+            raise OffloadTimeoutError(
+                "injected: CXL response timed out (stalled link or lost "
+                "completion)")
         self.dcc.submit(request)
         popped = self.dcc.pop_next()
-        response = self._process(popped)
-        self.dcc.complete(response)
-        return self.dcc.read_response(request.uid)
+        self.dcc.complete(self._process(popped))
+        response = self.dcc.read_response(request.uid)
+        if inj.fires("nma_stall"):
+            response.latency.rank_ns += inj.plan.nma_stall_ns
+        if inj.fires("cxl_degraded"):
+            response.latency.value_read_ns *= inj.plan.cxl_degradation_factor
+        return response
 
     def _process(self, request: RequestDescriptor) -> ResponseDescriptor:
         queries = np.asarray(request.queries, dtype=np.float64)

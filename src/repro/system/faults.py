@@ -10,8 +10,10 @@ regression-tested instead of assumed.
 Everything is deterministic: a declarative :class:`FaultPlan` (per-fault
 rates + severity parameters + a seed) drives a :class:`FaultInjector`
 whose single seeded RNG stream makes any faulted run bit-reproducible.
-A zero-rate plan never draws from the RNG, so the supervised path with
-``FaultPlan.none()`` is bit-identical to the unsupervised one.
+Every :class:`repro.drex.DrexDevice` owns one and consults it on each
+offload; the offload supervisor consults it once per staged flush.  A
+zero-rate plan never draws from the RNG, so a ``FaultPlan.none()`` run
+never perturbs it and is a healthy device.
 
 Real-failure correspondence (see DESIGN.md for the full table):
 
@@ -40,9 +42,6 @@ import dataclasses
 from typing import Dict, Optional
 
 import numpy as np
-
-from repro.drex.device import DrexDevice
-from repro.errors import CapacityError, OffloadTimeoutError, QueueFullError
 
 #: Canonical fault kinds (rate attribute is ``<kind>_rate`` on FaultPlan).
 FAULT_KINDS = ("queue_full", "response_buffer", "cxl_timeout", "cxl_degraded",
@@ -253,61 +252,3 @@ class FaultInjector:
     @property
     def total_fired(self) -> int:
         return sum(self.counts.values())
-
-
-class FaultInjectingDevice(DrexDevice):
-    """A :class:`DrexDevice` whose request path consults a fault injector.
-
-    Request-path faults fire per :meth:`execute` call in a fixed order
-    (queue -> buffers -> corruption -> CXL timeout -> post-completion
-    latency faults).  KSO corruption persists in the sign store until
-    repaired — exactly like real DRAM disturbance — while the latency
-    faults (NMA stall, link degradation) distort only the returned
-    :class:`LatencyBreakdown`, never the computed top-k.
-    """
-
-    def __init__(self, *args, injector: FaultInjector, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.injector = injector
-
-    def execute(self, request):
-        inj = self.injector
-        if inj.fires("queue_full"):
-            raise QueueFullError(
-                "injected: DCC request queue full (depth "
-                f"{self.dcc.QUEUE_DEPTH})")
-        if inj.fires("response_buffer"):
-            raise QueueFullError(
-                "injected: all DCC response buffers exhausted")
-        if inj.fires("kso_corruption"):
-            kv_head = int(inj.rng.integers(self.n_kv_heads))
-            self.corrupt_kso(request.uid, request.layer, kv_head, inj.rng,
-                             n_bits=inj.plan.kso_bits_flipped)
-        if inj.fires("cxl_timeout"):
-            raise OffloadTimeoutError(
-                "injected: CXL response timed out (stalled link or lost "
-                "completion)")
-        response = super().execute(request)
-        if inj.fires("nma_stall"):
-            response.latency.rank_ns += inj.plan.nma_stall_ns
-        if inj.fires("cxl_degraded"):
-            response.latency.value_read_ns *= inj.plan.cxl_degradation_factor
-        return response
-
-
-def make_faulty_device(model_config, config, rotations=None,
-                       plan: Optional[FaultPlan] = None
-                       ) -> FaultInjectingDevice:
-    """Build a fault-injecting device matching a model/algorithm config
-    (same geometry the plain :class:`DrexOffloadBackend` would build)."""
-    plan = plan or FaultPlan.none()
-    return FaultInjectingDevice(
-        n_layers=model_config.n_layers,
-        n_kv_heads=model_config.n_kv_heads,
-        n_q_heads=model_config.n_q_heads,
-        head_dim=model_config.head_dim,
-        thresholds=config.thresholds,
-        rotations=rotations if config.use_itq else None,
-        dtype_bytes=model_config.dtype_bytes,
-        injector=FaultInjector(plan),
-    )

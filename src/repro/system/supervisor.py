@@ -1,19 +1,21 @@
 """Degradation-aware supervision of the DReX offload path.
 
-:class:`OffloadSupervisor` wraps a :class:`DrexDevice` the way a
-production serving engine wraps an accelerator: bounded retries with
+:class:`OffloadSupervisor` wraps a :class:`repro.drex.DrexDevice` the way
+a production serving engine wraps an accelerator: bounded retries with
 exponential backoff + jitter, a per-request timeout on the simulated
 device latency, KSO checksum verification with repack-from-KV repair, and
 — when the budget is exhausted — a recorded (never silent) degradation
 signal that the caller turns into dense sliding-window-only attention.
+Only the device's operational faults (:class:`QueueFullError`,
+:class:`OffloadTimeoutError`, :class:`CorruptedKsoError`) are retried;
+any other error is a programming error and propagates.
 
-:class:`SupervisedOffloadBackend` is the end-to-end integration: a
-:class:`DrexOffloadBackend` whose offload dispatch and staging flush run
-under supervision against a :class:`FaultInjectingDevice`.  With
-``FaultPlan.none()`` it is bit-identical to the unsupervised backend;
-with ``FaultPlan.total_failure()`` every sparse-eligible token falls back
-to the dense path and generation still completes — the correctness anchor
-that FlashAttention-style dense kernels provide real sparse systems.
+:class:`repro.drex.DrexOffloadBackend` runs every offload and staged
+flush through one.  With ``FaultPlan.none()`` nothing fires: no retry,
+no injector draw, no degraded token.  With ``FaultPlan.total_failure()``
+every sparse-eligible token falls back to the dense path and generation
+still completes — the correctness anchor that FlashAttention-style dense
+kernels provide real sparse systems.
 """
 
 from __future__ import annotations
@@ -23,16 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import LongSightConfig
-from repro.core.itq import ItqRotations
-from repro.core.metrics import FilterStats
-from repro.drex.backend import DrexOffloadBackend
 from repro.drex.descriptors import RequestDescriptor, ResponseDescriptor
-from repro.errors import (CorruptedKsoError, OffloadTimeoutError, QueueFullError,
-                          ReproError)
-from repro.llm.config import ModelConfig
+from repro.errors import CorruptedKsoError, OffloadTimeoutError, QueueFullError
 from repro.obs import Obs, resolve_obs
-from repro.system.faults import FaultInjector, FaultPlan, make_faulty_device
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,18 +44,19 @@ class SupervisorPolicy:
     #: per-request budget on the simulated device latency; a completed
     #: offload slower than this counts as timed out (None disables).
     timeout_ns: Optional[float] = 10e6
-    #: verify KSO checksums after each offload and discard tainted results.
-    verify_kso: bool = True
-    #: repair corrupted KSOs by repacking signs from the stored keys.
-    repair_kso: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.base_backoff_ns < 0.0:
+            raise ValueError("base_backoff_ns must be >= 0")
         if self.backoff_multiplier < 1.0:
             raise ValueError("backoff_multiplier must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
+        if self.timeout_ns is not None and self.timeout_ns <= 0.0:
+            # A zero budget times out every offload: every token degrades.
+            raise ValueError("timeout_ns must be > 0 (or None)")
 
 
 @dataclasses.dataclass
@@ -104,30 +100,27 @@ class OffloadSupervisor:
     # -- internals ---------------------------------------------------------------
 
     def _check_kso(self, request: RequestDescriptor) -> None:
-        """Verify (and repair) the request's sign stores; raise on taint."""
+        """Verify and repair the request's sign stores; raise on taint."""
         bad = self.device.corrupted_ksos(request.uid, request.layer)
         if not bad:
             return
         self.stats.corrupted_heads += len(bad)
         self._bump("corrupted_heads", len(bad))
-        if self.policy.repair_kso:
-            for kv_head in bad:
-                self.device.repair_kso(request.uid, request.layer, kv_head)
-                self.stats.repairs += 1
-            self._bump("repairs", len(bad))
+        for kv_head in bad:
+            self.device.repack_kso(request.uid, request.layer, kv_head)
+        self.stats.repairs += len(bad)
+        self._bump("repairs", len(bad))
         raise CorruptedKsoError(
             f"KSO checksum failed for uid={request.uid} "
-            f"layer={request.layer} kv_heads={bad}"
-            + (" (repaired from Key Objects)" if self.policy.repair_kso
-               else ""))
+            f"layer={request.layer} kv_heads={bad} "
+            "(repaired from Key Objects)")
 
     def _attempt(self, request: RequestDescriptor) -> ResponseDescriptor:
         """One supervised attempt: execute, verify integrity, check budget."""
         response = self.device.execute(request)
-        if self.policy.verify_kso:
-            # Corruption may have landed during this very offload; a tainted
-            # sign store means the returned top-k cannot be trusted.
-            self._check_kso(request)
+        # Corruption may have landed during this very offload; a tainted
+        # sign store means the returned top-k cannot be trusted.
+        self._check_kso(request)
         timeout = self.policy.timeout_ns
         if timeout is not None and response.latency is not None \
                 and response.latency.total_ns > timeout:
@@ -167,8 +160,6 @@ class OffloadSupervisor:
                 self._bump("queue_full")
             except CorruptedKsoError:
                 pass  # counted (and repaired) in _check_kso
-            except ReproError:
-                pass  # any other operational failure: retry, then degrade
             else:
                 self.stats.succeeded += 1
                 self._bump("succeeded")
@@ -192,96 +183,8 @@ class OffloadSupervisor:
         A blocked flush is not an error: tokens stay staged in the HBM
         window (attended densely) until pressure clears on a later step.
         """
-        injector = getattr(self.device, "injector", None)
-        if injector is not None and injector.fires("capacity_pressure"):
+        if self.device.injector.fires("capacity_pressure"):
             self.stats.flush_deferrals += 1
             self._bump("flush_deferrals")
             return False
         return True
-
-
-class SupervisedOffloadBackend(DrexOffloadBackend):
-    """The functional DReX offload path, end to end, under supervision.
-
-    Drop-in for :class:`DrexOffloadBackend`: same attention protocol, same
-    results when healthy, but every offload and flush runs through an
-    :class:`OffloadSupervisor` against a fault-injecting device.  Degraded
-    tokens are recorded in ``degraded_log`` / ``degraded_tokens`` (see the
-    base class) and attend via the dense sliding-window region only.
-    """
-
-    def __init__(self, model_config: ModelConfig, config: LongSightConfig,
-                 rotations: Optional[ItqRotations] = None,
-                 plan: Optional[FaultPlan] = None,
-                 policy: Optional[SupervisorPolicy] = None,
-                 uid: int = 0, flush_granularity: int = 128,
-                 stats: Optional[FilterStats] = None,
-                 supervisor_seed: int = 0) -> None:
-        if config.use_itq and rotations is None:
-            raise ValueError("use_itq requires rotations")
-        device = make_faulty_device(model_config, config, rotations=rotations,
-                                    plan=plan)
-        super().__init__(model_config, config, rotations=rotations,
-                         device=device, uid=uid,
-                         flush_granularity=flush_granularity, stats=stats)
-        self.supervisor = OffloadSupervisor(device, policy,
-                                            seed=supervisor_seed)
-
-    @property
-    def injector(self) -> FaultInjector:
-        return self.device.injector
-
-    def _offload(self, request: RequestDescriptor
-                 ) -> Optional[ResponseDescriptor]:
-        return self.supervisor.execute(request)
-
-    def _flush_gate(self, layer: int, n_new: int) -> bool:
-        return self.supervisor.flush_allowed()
-
-    # -- durable serving hooks ---------------------------------------------------
-
-    def durable_state(self) -> dict:
-        """JSON-safe state a snapshot needs to resume this backend
-        bit-identically (see :mod:`repro.durable`).
-
-        Captures both seeded RNG streams (fault injector + supervisor
-        jitter), their accumulated telemetry, and the degradation record.
-        The device-side KV/sign stores are *not* captured: the restored
-        backend's ``_flushed`` watermarks reset to ``n_sink``, and the
-        next forward's catch-up flush rebuilds identical device content
-        because the flush watermark is a pure function of the cache
-        length.  Exactness preconditions: ``capacity_pressure_rate == 0``
-        (deferred flushes would desync the watermark) and no unrepaired
-        KSO corruption outstanding at the crash.
-        """
-        injector = self.injector
-        supervisor = self.supervisor
-        return {
-            "injector_rng": injector.rng.bit_generator.state,
-            "injector_counts": dict(injector.counts),
-            "supervisor_rng": supervisor.rng.bit_generator.state,
-            "supervisor_stats": supervisor.stats.as_dict(),
-            "total_latency": dataclasses.asdict(self.total_latency),
-            "n_offloads": self.n_offloads,
-            "sparse_token_attempts": self.sparse_token_attempts,
-            "degraded_tokens": self.degraded_tokens,
-            "degraded_log": [[int(layer), int(pos)]
-                             for layer, pos in self.degraded_log],
-        }
-
-    def restore_durable_state(self, state: dict) -> None:
-        """Inverse of :meth:`durable_state` on a freshly built backend."""
-        from repro.drex.timing import LatencyBreakdown
-        injector = self.injector
-        supervisor = self.supervisor
-        injector.rng.bit_generator.state = state["injector_rng"]
-        injector.counts = {k: int(v)
-                           for k, v in state["injector_counts"].items()}
-        supervisor.rng.bit_generator.state = state["supervisor_rng"]
-        supervisor.stats = SupervisorStats(**state["supervisor_stats"])
-        self.total_latency = LatencyBreakdown(**state["total_latency"])
-        self.n_offloads = int(state["n_offloads"])
-        self.sparse_token_attempts = int(state["sparse_token_attempts"])
-        self.degraded_tokens = int(state["degraded_tokens"])
-        self.degraded_log = [(int(layer), int(pos))
-                             for layer, pos in state["degraded_log"]]

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.drex.device import DrexDevice
 from repro.errors import OffloadTimeoutError, QueueFullError
-from repro.system.faults import (FAULT_KINDS, FaultInjectingDevice,
-                                 FaultInjector, FaultPlan, make_faulty_device)
+from repro.system.faults import FAULT_KINDS, FaultInjector, FaultPlan
 
 pytestmark = pytest.mark.chaos
 
@@ -70,12 +70,15 @@ class TestFaultInjector:
 
 
 class TestFaultInjectingDevice:
+    """A :class:`DrexDevice` built with a plan injects its faults."""
+
     def _device(self, plan, tiny_config):
-        from repro.core.config import LongSightConfig
-        cfg = LongSightConfig(window=8, n_sink=4, top_k=8, thresholds=5)
-        device = make_faulty_device(tiny_config, cfg, plan=plan)
+        device = DrexDevice(tiny_config.n_layers, tiny_config.n_kv_heads,
+                            tiny_config.n_q_heads, tiny_config.head_dim,
+                            thresholds=5,
+                            dtype_bytes=tiny_config.dtype_bytes, plan=plan)
         device.register_user(0)
-        return device, cfg
+        return device
 
     def _fill(self, device, tiny_config, n=16, seed=0):
         rng = np.random.default_rng(seed)
@@ -95,25 +98,21 @@ class TestFaultInjectingDevice:
                                      tiny_config.head_dim)),
             top_k=8, dtype_bytes=tiny_config.dtype_bytes)
 
-    def test_is_a_drex_device(self, tiny_config):
-        device, _ = self._device(FaultPlan.none(), tiny_config)
-        assert isinstance(device, FaultInjectingDevice)
-
     def test_timeout_injection(self, tiny_config):
-        device, _ = self._device(FaultPlan.total_failure(), tiny_config)
+        device = self._device(FaultPlan.total_failure(), tiny_config)
         self._fill(device, tiny_config)
         with pytest.raises(OffloadTimeoutError):
             device.execute(self._request(tiny_config))
 
     def test_queue_full_injection(self, tiny_config):
-        device, _ = self._device(FaultPlan(queue_full_rate=1.0), tiny_config)
+        device = self._device(FaultPlan(queue_full_rate=1.0), tiny_config)
         self._fill(device, tiny_config)
         with pytest.raises(QueueFullError):
             device.execute(self._request(tiny_config))
 
     def test_latency_faults_distort_only_latency(self, tiny_config):
-        healthy, _ = self._device(FaultPlan.none(), tiny_config)
-        stalled, _ = self._device(
+        healthy = self._device(FaultPlan.none(), tiny_config)
+        stalled = self._device(
             FaultPlan(nma_stall_rate=1.0, cxl_degraded_rate=1.0),
             tiny_config)
         self._fill(healthy, tiny_config)
@@ -129,18 +128,18 @@ class TestFaultInjectingDevice:
 
     def test_kso_corruption_persists_until_repaired(self, tiny_config):
         plan = FaultPlan(kso_corruption_rate=1.0, kso_bits_flipped=3)
-        device, _ = self._device(plan, tiny_config)
+        device = self._device(plan, tiny_config)
         self._fill(device, tiny_config)
         assert device.corrupted_ksos(0, 0) == []
         device.execute(self._request(tiny_config))
         bad = device.corrupted_ksos(0, 0)
         assert bad, "corruption should be detectable by checksum"
         for kv_head in bad:
-            device.repair_kso(0, 0, kv_head)
+            device.repack_kso(0, 0, kv_head)
         assert device.corrupted_ksos(0, 0) == []
 
     def test_corrupt_kso_flips_distinct_bits(self, tiny_config):
-        device, _ = self._device(FaultPlan.none(), tiny_config)
+        device = self._device(FaultPlan.none(), tiny_config)
         self._fill(device, tiny_config)
         rng = np.random.default_rng(0)
         flips = device.corrupt_kso(0, 0, 0, rng, n_bits=5)

@@ -1,7 +1,7 @@
 """Serving under offload faults: one fault model, through the engine.
 
 Every LongSight session offloads through its own
-:class:`SupervisedOffloadBackend` under a seeded :class:`FaultPlan`; a
+:class:`DrexOffloadBackend` under a seeded :class:`FaultPlan`; a
 session whose offloads keep degrading is pinned to the dense window (shed
 from the sparse path, never from service).
 """
@@ -14,6 +14,7 @@ import pytest
 from repro.bench.chaos import _fault_mix
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
+from repro.drex.backend import DrexOffloadBackend
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.serve.engine import AnalyticTiming, ServeEngine
@@ -23,7 +24,6 @@ from repro.serve.workload import poisson_workload
 from repro.system.baselines import SlidingWindowGpuSystem
 from repro.system.engine import LongSightSystem
 from repro.system.faults import FaultPlan
-from repro.system.supervisor import SupervisedOffloadBackend
 from tests.conftest import TINY
 
 pytestmark = pytest.mark.chaos
@@ -54,7 +54,7 @@ def _requests(n, prompt=32768, output=OUTPUT, spacing=0.0):
 def _supervised(plan):
     """Per-session supervised offload, each session its own fault stream."""
     def factory(request):
-        return SupervisedOffloadBackend(
+        return DrexOffloadBackend(
             TINY, LS, flush_granularity=1, plan=dataclasses.replace(
                 plan, seed=plan.seed + request.request_id))
     return factory

@@ -1,4 +1,4 @@
-"""Supervisor tests: retries, repair, degradation, and equivalences."""
+"""Supervisor tests: retries, repair, degradation, and the healthy path."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,11 @@ from repro.core.config import LongSightConfig
 from repro.core.hybrid import (LongSightAttention, SlidingWindowAttention)
 from repro.core.metrics import FilterStats
 from repro.drex.backend import DrexOffloadBackend
+from repro.errors import UnknownUserError
+from repro.llm.kv_cache import KVCache
 from repro.llm.model import Transformer
 from repro.system.faults import FaultPlan
-from repro.system.supervisor import (OffloadSupervisor, SupervisedOffloadBackend,
-                                     SupervisorPolicy)
+from repro.system.supervisor import OffloadSupervisor, SupervisorPolicy
 
 pytestmark = pytest.mark.chaos
 
@@ -32,58 +33,97 @@ class TestPolicy:
             SupervisorPolicy(backoff_multiplier=0.5)
         with pytest.raises(ValueError):
             SupervisorPolicy(jitter=1.0)
+        # A non-positive budget would time out, and so silently degrade,
+        # every offload.
+        with pytest.raises(ValueError):
+            SupervisorPolicy(timeout_ns=0.0)
+        with pytest.raises(ValueError):
+            SupervisorPolicy(timeout_ns=-1.0)
+        with pytest.raises(ValueError):
+            SupervisorPolicy(base_backoff_ns=-1.0)
+        SupervisorPolicy(timeout_ns=None, base_backoff_ns=0.0)
 
 
 class TestZeroFaultEquivalence:
     """FaultPlan.none(): supervision must be an exact no-op."""
 
     def test_bit_identical_outputs_and_selections(self, tiny_config):
-        plain = DrexOffloadBackend(tiny_config, CFG, flush_granularity=1)
-        plain.selection_capture = {}
-        reference = _decode(tiny_config, plain)
+        backend = DrexOffloadBackend(tiny_config, CFG, flush_granularity=1)
+        backend.selection_capture = {}
+        rng_before = backend.device.injector.rng.bit_generator.state
+        out = _decode(tiny_config, backend)
+        stats = backend.supervisor.stats
+        assert stats.attempts == stats.succeeded \
+            == backend.sparse_token_attempts > 0
+        assert stats.retries == stats.degraded == stats.flush_deferrals == 0
+        assert backend.degraded_tokens == 0
+        assert backend.device.injector.total_fired == 0
+        assert backend.device.injector.rng.bit_generator.state == rng_before
 
-        supervised = SupervisedOffloadBackend(
-            tiny_config, CFG, plan=FaultPlan.none(), flush_granularity=1)
-        supervised.selection_capture = {}
-        out = _decode(tiny_config, supervised)
-
-        np.testing.assert_array_equal(out, reference)
-        assert set(supervised.selection_capture) == \
-            set(plain.selection_capture)
-        for key, indices in plain.selection_capture.items():
+        # Neither seeded stream is consulted, so their seeds cannot reach
+        # the outputs or the selected keys.
+        reseeded = DrexOffloadBackend(
+            tiny_config, CFG, plan=FaultPlan.none(seed=99),
+            flush_granularity=1, supervisor_seed=99)
+        reseeded.selection_capture = {}
+        np.testing.assert_array_equal(_decode(tiny_config, reseeded), out)
+        assert set(reseeded.selection_capture) == \
+            set(backend.selection_capture)
+        for key, indices in backend.selection_capture.items():
             np.testing.assert_array_equal(
-                supervised.selection_capture[key], indices)
-        assert supervised.degraded_tokens == 0
-        assert supervised.supervisor.stats.retries == 0
-        assert supervised.injector.total_fired == 0
+                reseeded.selection_capture[key], indices)
 
     def test_filter_stats_identical(self, tiny_config):
-        stats_plain = FilterStats(tiny_config.n_layers,
-                                  tiny_config.n_kv_heads)
-        _decode(tiny_config, DrexOffloadBackend(
-            tiny_config, CFG, flush_granularity=1, stats=stats_plain))
-        stats_supervised = FilterStats(tiny_config.n_layers,
-                                       tiny_config.n_kv_heads)
-        _decode(tiny_config, SupervisedOffloadBackend(
-            tiny_config, CFG, plan=FaultPlan.none(), flush_granularity=1,
-            stats=stats_supervised))
-        for field in ("candidates", "passed", "retrieved", "queries"):
+        """The device's filter counters equal the software kernel's; the
+        device counts only offloaded queries (one per q-head per sparse
+        token), the kernel every query."""
+        stats_device = FilterStats(tiny_config.n_layers,
+                                   tiny_config.n_kv_heads)
+        backend = DrexOffloadBackend(tiny_config, CFG, flush_granularity=1,
+                                     stats=stats_device)
+        _decode(tiny_config, backend)
+        stats_software = FilterStats(tiny_config.n_layers,
+                                     tiny_config.n_kv_heads)
+        _decode(tiny_config, LongSightAttention(CFG, stats=stats_software))
+        for field in ("candidates", "passed", "retrieved"):
             np.testing.assert_array_equal(
-                getattr(stats_supervised, field),
-                getattr(stats_plain, field))
+                getattr(stats_device, field),
+                getattr(stats_software, field))
+        assert stats_device.queries.sum() == \
+            backend.sparse_token_attempts * tiny_config.n_q_heads
 
     def test_matches_software_hybrid(self, tiny_config):
         software = _decode(tiny_config, LongSightAttention(CFG))
-        supervised = _decode(tiny_config, SupervisedOffloadBackend(
+        supervised = _decode(tiny_config, DrexOffloadBackend(
             tiny_config, CFG, plan=FaultPlan.none(), flush_granularity=1))
         np.testing.assert_allclose(supervised, software, atol=1e-10)
+
+
+class TestProgrammingErrors:
+    def test_unknown_user_propagates_instead_of_degrading(self,
+                                                          tiny_config):
+        """Only the device's operational faults are retried: a request for
+        a user the DCC no longer knows is a bug, raised, not a degraded
+        token."""
+        model = Transformer(tiny_config, seed=5)
+        backend = DrexOffloadBackend(tiny_config, CFG, flush_granularity=1)
+        cache = KVCache(tiny_config)
+        prompt = np.random.default_rng(21).integers(
+            0, tiny_config.vocab_size, size=40)
+        logits = model.prefill(prompt, cache, backend=backend)
+        assert backend.n_offloads > 0
+        backend.device.dcc.unregister_user(0)
+        with pytest.raises(UnknownUserError):
+            model.decode_step(int(np.argmax(logits)), cache, backend=backend)
+        assert backend.degraded_tokens == 0
+        assert backend.supervisor.stats.retries == 0
 
 
 class TestTotalFailure:
     """A dead device must degrade to dense sliding-window, not crash."""
 
     def test_completes_fully_degraded(self, tiny_config):
-        backend = SupervisedOffloadBackend(
+        backend = DrexOffloadBackend(
             tiny_config, CFG, plan=FaultPlan.total_failure(),
             flush_granularity=1)
         out = _decode(tiny_config, backend)
@@ -99,7 +139,7 @@ class TestTotalFailure:
     def test_equals_sliding_window_software(self, tiny_config):
         """With flush_granularity=1 the degraded dense region is exactly
         sinks + window, so the output must match the software baseline."""
-        backend = SupervisedOffloadBackend(
+        backend = DrexOffloadBackend(
             tiny_config, CFG, plan=FaultPlan.total_failure(),
             flush_granularity=1)
         degraded = _decode(tiny_config, backend)
@@ -110,7 +150,7 @@ class TestTotalFailure:
 
 class TestRetriesAndRepair:
     def test_transient_faults_are_retried(self, tiny_config):
-        backend = SupervisedOffloadBackend(
+        backend = DrexOffloadBackend(
             tiny_config, CFG, plan=FaultPlan.uniform(0.3, seed=2),
             flush_granularity=1)
         out = _decode(tiny_config, backend)
@@ -134,7 +174,7 @@ class TestRetriesAndRepair:
 
     def test_corruption_detected_and_repaired(self, tiny_config):
         plan = FaultPlan(kso_corruption_rate=0.5, kso_bits_flipped=3, seed=6)
-        backend = SupervisedOffloadBackend(
+        backend = DrexOffloadBackend(
             tiny_config, CFG, plan=plan, flush_granularity=1)
         out = _decode(tiny_config, backend)
         assert np.isfinite(out).all()
@@ -149,9 +189,9 @@ class TestRetriesAndRepair:
         """Sign repair reconstructs the exact signs, so a corrupted-then-
         repaired run selects the same keys as a healthy one — provided the
         retry budget is deep enough that no token ever degrades."""
-        healthy = _decode(tiny_config, SupervisedOffloadBackend(
+        healthy = _decode(tiny_config, DrexOffloadBackend(
             tiny_config, CFG, plan=FaultPlan.none(), flush_granularity=1))
-        backend = SupervisedOffloadBackend(
+        backend = DrexOffloadBackend(
             tiny_config, CFG,
             plan=FaultPlan(kso_corruption_rate=0.3, kso_bits_flipped=3,
                            seed=6),
@@ -165,12 +205,12 @@ class TestRetriesAndRepair:
 
 class TestReproducibility:
     def _run(self, tiny_config, seed):
-        backend = SupervisedOffloadBackend(
+        backend = DrexOffloadBackend(
             tiny_config, CFG,
             plan=FaultPlan.uniform(0.4, seed=seed), flush_granularity=1)
         out = _decode(tiny_config, backend)
         return out, backend.supervisor.stats.as_dict(), \
-            dict(backend.injector.counts), list(backend.degraded_log)
+            dict(backend.device.injector.counts), list(backend.degraded_log)
 
     def test_same_seed_same_everything(self, tiny_config):
         out_a, stats_a, counts_a, log_a = self._run(tiny_config, seed=13)
@@ -188,7 +228,7 @@ class TestReproducibility:
 
 class TestCapacityPressure:
     def test_flush_deferral_keeps_tokens_dense(self, tiny_config):
-        backend = SupervisedOffloadBackend(
+        backend = DrexOffloadBackend(
             tiny_config, CFG,
             plan=FaultPlan(capacity_pressure_rate=0.5, seed=8),
             flush_granularity=1)

@@ -21,10 +21,17 @@ def tokens():
     return np.random.default_rng(21).integers(0, TINY.vocab_size, size=70)
 
 
-def test_matches_software_backend_exactly(model, tokens):
+@pytest.mark.parametrize("thresholds", [0, 5, TINY.head_dim,
+                                        TINY.head_dim + 1])
+@pytest.mark.parametrize("top_k", [0, 1, 12, 500])
+def test_matches_software_backend_exactly(model, tokens, top_k, thresholds):
     """With flush granularity 1 the device-driven path equals the pure
-    software hybrid to round-off — the paper's Figure 2b equivalence."""
-    config = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=5)
+    software hybrid to round-off — the paper's Figure 2b equivalence —
+    across the numeric edges: an empty top-k, a single key, a top-k wider
+    than the context, a filter that passes every key (0), and thresholds
+    that pass only exact sign matches (head_dim) or nothing at all."""
+    config = LongSightConfig(window=8, n_sink=4, top_k=top_k,
+                             thresholds=thresholds)
     software = model.forward_full(tokens, backend=LongSightAttention(config),
                                   block_size=16)
     hardware = model.forward_full(

@@ -12,12 +12,12 @@ immediately.
 import pytest
 
 from repro.bench.serve import TINY_LS, TINY_MODEL
+from repro.drex.backend import DrexOffloadBackend
 from repro.durable import DurableRun, recover
 from repro.errors import WorkerKilledError
 from repro.serve.scheduler import SloPolicy
 from repro.system.faults import CrashPlan, FaultPlan
-from repro.system.supervisor import (SupervisedOffloadBackend,
-                                     SupervisorPolicy)
+from repro.system.supervisor import SupervisorPolicy
 
 pytestmark = pytest.mark.chaos
 
@@ -30,9 +30,9 @@ POLICY = SupervisorPolicy(max_retries=1)
 
 def _supervised_factory():
     def make_backend(request):
-        return SupervisedOffloadBackend(
+        return DrexOffloadBackend(
             TINY_MODEL, TINY_LS, plan=FAULT_PLAN, policy=POLICY,
-            uid=request.request_id, flush_granularity=1)
+            flush_granularity=1)
     return make_backend
 
 
@@ -120,9 +120,9 @@ class TestPinSurvivesRestore:
     @pytest.fixture
     def failing_builder(self, engine_builder):
         def make_backend(request):
-            return SupervisedOffloadBackend(
+            return DrexOffloadBackend(
                 TINY_MODEL, TINY_LS, plan=FaultPlan.total_failure(),
-                policy=POLICY, uid=request.request_id, flush_granularity=1)
+                policy=POLICY, flush_granularity=1)
 
         def build():
             return engine_builder(make_backend=make_backend, policy=SloPolicy(
@@ -164,7 +164,7 @@ class TestPinSurvivesRestore:
                 if r.backend is not None}
         assert {rid for rid, r in live.items() if r.pinned_dense} == pinned
         for rid in pinned:
-            assert isinstance(live[rid].backend, SupervisedOffloadBackend)
+            assert isinstance(live[rid].backend, DrexOffloadBackend)
         assert {rid: r.backend.durable_state()
                 for rid, r in live.items()} == before
         recovered.serve()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
+from repro.drex.backend import DrexOffloadBackend
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import DenseBackend, Transformer
 from repro.llm.sampling import generate
@@ -21,7 +22,6 @@ from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import RequestState, ServeRequest, SloPolicy
 from repro.system.faults import FaultPlan
 from repro.system.prefill import PrefillModel
-from repro.system.supervisor import SupervisedOffloadBackend
 from tests.conftest import TINY
 
 LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
@@ -56,7 +56,7 @@ class TestBitIdentity:
         prompt = rng.integers(0, TINY.vocab_size, size=33)
 
         def fresh_backend(_request=None):
-            return SupervisedOffloadBackend(
+            return DrexOffloadBackend(
                 TINY, LS, plan=FaultPlan.none(), flush_granularity=1)
 
         reference = generate(model, prompt, 8, backend=fresh_backend())
@@ -168,7 +168,7 @@ class TestDegradation:
         pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
 
         def factory(request):
-            return SupervisedOffloadBackend(
+            return DrexOffloadBackend(
                 TINY, LS, plan=FaultPlan.total_failure(),
                 flush_granularity=1, supervisor_seed=request.request_id)
 
@@ -201,7 +201,7 @@ class TestDegradation:
         built = {}
 
         def factory(request):
-            built[request.request_id] = SupervisedOffloadBackend(
+            built[request.request_id] = DrexOffloadBackend(
                 TINY, LS, plan=FaultPlan.total_failure(),
                 flush_granularity=1, supervisor_seed=request.request_id)
             return built[request.request_id]
@@ -247,8 +247,8 @@ class TestDegradation:
         pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
 
         def factory(request):
-            return SupervisedOffloadBackend(TINY, LS, plan=FaultPlan.none(),
-                                            flush_granularity=1)
+            return DrexOffloadBackend(TINY, LS, plan=FaultPlan.none(),
+                                      flush_granularity=1)
 
         engine = ServeEngine(model, pool, factory)
         request = ServeRequest(request_id=0,
