@@ -22,6 +22,12 @@ cannot provide:
   ``KEEP_SNAPSHOTS`` retained, so a snapshot torn by the crash itself
   still leaves a valid predecessor to fall back to.
 
+A fresh log owns its directory: a :class:`DurableRun` that begins one
+first deletes the snapshots (and torn ``.tmp`` files) any earlier run
+left there.  Every run writes the default epoch, so a leftover snapshot
+would otherwise sort after the new baseline, prune it, and be what a
+recovery restores — someone else's run, without an error.
+
 :func:`recover` inverts the process: newest verifiable snapshot → open
 the WAL (resume it, or restart it when stale) → a :class:`DurableRun`
 around that log on a fresh engine →
@@ -89,7 +95,8 @@ class DurableRun(EngineRun):
     Args:
         wal: an open log to continue (what :func:`recover` passes: the
             run then starts empty, to be restored into); ``None`` begins
-            a fresh log and writes the step-0 baseline snapshot.
+            a fresh log, deletes every snapshot already in ``directory``
+            and writes the step-0 baseline snapshot.
     """
 
     def __init__(self, engine: ServeEngine,
@@ -114,6 +121,11 @@ class DurableRun(EngineRun):
         self.fenced = False
         self.wal = wal
         if wal is None:
+            # A fresh log owns its directory: a previous run's snapshots
+            # would sort after this baseline, so pruning would delete the
+            # baseline and a recovery would restore that other run.
+            for stale in self.directory.glob("snapshot-*.bin*"):
+                stale.unlink()
             self.wal = WriteAheadLog(self.directory / WAL_NAME, epoch,
                                      fsync_every)
             self._snapshot()

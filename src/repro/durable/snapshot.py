@@ -212,8 +212,10 @@ def write_snapshot(path: pathlib.Path, run: EngineRun, *, epoch: str,
     tmp = path.with_suffix(path.suffix + ".tmp")
     digest = hashlib.blake2b(digest_size=32)
     with open(tmp, "wb") as fh:
-        def emit(payload: bytes) -> None:
-            prefix = len(payload).to_bytes(8, "big")
+        def emit(payload) -> None:
+            # ``payload`` is written and hashed through its buffer: an
+            # arena section is never copied into a ``bytes`` object.
+            prefix = memoryview(payload).nbytes.to_bytes(8, "big")
             fh.write(prefix)
             fh.write(payload)
             digest.update(prefix)
@@ -225,7 +227,7 @@ def write_snapshot(path: pathlib.Path, run: EngineRun, *, epoch: str,
         for layer in range(cfg.n_layers):
             for arena in (pool.k_arenas[layer], pool.v_arenas[layer],
                           pool.sign_arenas[layer]):
-                emit(np.ascontiguousarray(arena[:, rows]).tobytes())
+                emit(np.ascontiguousarray(arena[:, rows]))
         fh.write(digest.digest())
         fh.flush()
         os.fsync(fh.fileno())
@@ -234,21 +236,23 @@ def write_snapshot(path: pathlib.Path, run: EngineRun, *, epoch: str,
 
 # -- read ---------------------------------------------------------------------
 
-def read_snapshot(path: pathlib.Path) -> Tuple[dict, List[bytes]]:
+def read_snapshot(path: pathlib.Path) -> Tuple[dict, List[memoryview]]:
     """Load and integrity-check a snapshot; ``(meta, arena_sections)``.
 
-    Raises :class:`~repro.errors.SnapshotCorruptError` on any framing,
-    magic, or chain-hash failure — including truncation anywhere in the
-    file (a torn write cannot produce a valid footer).
+    The file is read once; the sections (and every hashed span) are
+    zero-copy slices of it.  Raises
+    :class:`~repro.errors.SnapshotCorruptError` on any framing, magic, or
+    chain-hash failure — including truncation anywhere in the file (a
+    torn write cannot produce a valid footer).
     """
-    raw = pathlib.Path(path).read_bytes()
+    raw = memoryview(pathlib.Path(path).read_bytes())
     if len(raw) < len(MAGIC) + 32 or raw[:len(MAGIC)] != MAGIC:
         raise SnapshotCorruptError(f"{path}: bad magic or truncated header")
     digest = hashlib.blake2b(digest_size=32)
     digest.update(MAGIC)
     body_end = len(raw) - 32
     pos = len(MAGIC)
-    sections: List[bytes] = []
+    sections: List[memoryview] = []
     while pos < body_end:
         if pos + 8 > body_end:
             raise SnapshotCorruptError(f"{path}: torn section length")
@@ -263,7 +267,7 @@ def read_snapshot(path: pathlib.Path) -> Tuple[dict, List[bytes]]:
     if not sections:
         raise SnapshotCorruptError(f"{path}: no sections")
     try:
-        meta = json.loads(sections[0])
+        meta = json.loads(sections[0].tobytes())
     except ValueError as exc:
         raise SnapshotCorruptError(f"{path}: bad metadata ({exc})") from exc
     if meta.get("format") != FORMAT or meta.get("version") != VERSION:
@@ -279,7 +283,7 @@ def read_snapshot(path: pathlib.Path) -> Tuple[dict, List[bytes]]:
 # -- restore ------------------------------------------------------------------
 
 def restore_run(run: EngineRun, meta: dict,
-                arenas: List[bytes]) -> EngineRun:
+                arenas: List[memoryview]) -> EngineRun:
     """Load snapshot state into ``run`` (and its engine's pool); returns it.
 
     ``run`` must be new, on a fresh engine (empty pool) with geometry

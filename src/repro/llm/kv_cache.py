@@ -17,8 +17,9 @@ Objects), each ``(n_kv_heads, arena_rows, width)`` — plus a *row source*:
 ``row_map`` (logical position -> arena row), ``contiguous`` (the map is one
 ascending run), ``reserve(n_tokens)`` (make that many rows exist, or raise)
 and ``prefix_signed_tokens`` (leading tokens whose sign rows a prefix
-publisher already packed).  Exactly two exist, and they are all that
-differs between the caches:
+publisher already packed).  A layer holds its row source weakly, so a
+dropped cache frees its arenas by reference counting.  Exactly two row
+sources exist, and they are all that differs between the caches:
 
 - **private** (:class:`LayerKV`, the layers of a plain :class:`KVCache`):
   arrays the layer owns, one run from row 0, doubled when full;
@@ -45,6 +46,8 @@ else one ``take`` of the arena rows the map names:
 
 from __future__ import annotations
 
+import mmap
+import weakref
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
@@ -90,10 +93,15 @@ class SessionLayerKV:
             to; ``None`` when the layer is its own (:class:`LayerKV`).
         arenas: the ``(keys, values, packed signs)`` arrays to store in
             (``signs`` may be ``None`` for a store that is only read).
+
+    The row source is held weakly: a session holds its layers, and a
+    strong reference back would be a cycle that keeps the arenas (for a
+    paged session, the whole pool) alive until the cycle collector runs.
+    A layer is therefore read only while its session is alive.
     """
 
     def __init__(self, session, arenas) -> None:
-        self._session = session
+        self._session = weakref.ref(self if session is None else session)
         self._k, self._v, self._signs = arenas
         self.n_kv_heads, _, self.head_dim = self._k.shape
         self.dtype = self._k.dtype
@@ -109,10 +117,7 @@ class SessionLayerKV:
 
     @property
     def _source(self):
-        # Looked up, not stored: a private layer is its own row source, and
-        # a stored self-reference would keep its arrays alive until the
-        # cycle collector runs instead of until the last reference drops.
-        return self if self._session is None else self._session
+        return self._session()
 
     def __len__(self) -> int:
         return self._len
@@ -261,12 +266,28 @@ class SessionLayerKV:
         self._len = 0
 
 
+def _mapped_zeros(shape, dtype) -> np.ndarray:
+    """A zero array over its own anonymous mapping."""
+    dtype = np.dtype(dtype)
+    buffer = mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize)
+    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
+
+
 def new_arenas(n_kv_heads: int, rows: int, head_dim: int,
                dtype: np.dtype) -> List[np.ndarray]:
-    """Zeroed ``[keys, values, packed signs]`` arenas of ``rows`` rows."""
+    """Zeroed ``[keys, values, packed signs]`` arenas of ``rows`` rows.
+
+    Each arena is an anonymous mapping, not a heap chunk: construction
+    reserves address space only, a page is committed by the first write
+    to it, and every page returns to the OS when the arena dies.  Resident
+    memory then follows the rows a run has written, not the rows it could
+    write, and a pool built after another died gets fresh pages instead of
+    a recycled heap chunk that ``calloc`` zeroes whole.  Unwritten rows
+    read zero, as ``np.zeros`` does.
+    """
     shape = (n_kv_heads, rows, head_dim)
-    return [np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype),
-            np.zeros((n_kv_heads, rows, (head_dim + 7) // 8), dtype=np.uint8)]
+    return [_mapped_zeros(shape, dtype), _mapped_zeros(shape, dtype),
+            _mapped_zeros((n_kv_heads, rows, (head_dim + 7) // 8), np.uint8)]
 
 
 class LayerKV(SessionLayerKV):

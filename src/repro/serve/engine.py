@@ -201,9 +201,10 @@ class ServeEngine:
 
     # -- capacity -------------------------------------------------------------
 
-    def _ensure_growth(self, scheduler: ContinuousBatchScheduler,
-                       request: ServeRequest, tokens: int) -> None:
-        """Secure pool blocks for ``tokens`` total, preempting if needed.
+    def _ensure_growth(self, run: "EngineRun", request: ServeRequest,
+                       tokens: int) -> None:
+        """Secure pool blocks for ``tokens`` total, preempting if needed
+        (each victim offered to ``run``'s :meth:`EngineRun.offer_migration`).
 
         Re-raises the pool's :class:`PoolExhaustedError` once no other
         session is left to preempt — which admission rules out: a session
@@ -215,7 +216,8 @@ class ServeEngine:
                 request.cache.ensure_tokens(tokens)
                 return
             except PoolExhaustedError:
-                if scheduler.preempt_victim(request) is None:
+                if run.scheduler.preempt_victim(
+                        request, run.offer_migration) is None:
                     raise
 
     # -- the run loop ---------------------------------------------------------
@@ -332,7 +334,7 @@ class ServeEngine:
                     target[:len(target) - 1])
             chunk = min(self.policy.prefill_chunk,
                         len(target) - request.prefilled)
-            self._ensure_growth(scheduler, request, request.prefilled + chunk)
+            self._ensure_growth(run, request, request.prefilled + chunk)
             segment = target[request.prefilled: request.prefilled + chunk]
             with tracer.span("prefill_chunk", request=request.request_id,
                              tokens=int(chunk)):
@@ -383,7 +385,7 @@ class ServeEngine:
         for request in decodes:
             if request.state is not RequestState.DECODE:
                 continue  # preempted by an earlier prefill's growth
-            self._ensure_growth(scheduler, request, len(request.cache) + 1)
+            self._ensure_growth(run, request, len(request.cache) + 1)
             ready.append(request)
         # A later session's growth may have preempted one already deemed
         # ready; drop anything no longer in DECODE before batching.
@@ -442,7 +444,6 @@ class EngineRun:
         self.engine = engine
         self.scheduler = ContinuousBatchScheduler(
             engine.pool, engine.policy, obs=engine.obs,
-            victim_sink=self.offer_migration,
             admits=getattr(engine.timing, "admits", None))
         self._arrivals = sorted(requests,
                                 key=lambda r: (r.arrival_s, r.request_id))
@@ -509,9 +510,11 @@ class EngineRun:
     def offer_migration(self, request: ServeRequest) -> bool:
         """Offer a detached (QUEUED, cache-free) session to the router.
 
-        This is the scheduler's ``victim_sink``.  A handler that answers
-        ``True`` has reported the departure (:meth:`note_departure`) and
-        handed the session to another worker.
+        The relocation hook :meth:`ServeEngine._ensure_growth` passes to
+        :meth:`ContinuousBatchScheduler.preempt_victim` with every
+        preemption.  A handler that answers ``True`` has reported the
+        departure (:meth:`note_departure`) and handed the session to
+        another worker.
         """
         handler = self.migrate_handler
         return handler is not None and handler(request)

@@ -3,8 +3,10 @@
 The serving engine cannot afford one doubling-and-copying numpy arena per
 session (:class:`~repro.llm.kv_cache.LayerKV`): admission/completion churn
 would fragment the heap and every admission would pay fresh allocations.
-Instead the pool preallocates **one arena per decoder layer** and hands
-out fixed-size *blocks* of token slots, vLLM-PagedAttention style:
+Instead the pool holds **one arena per decoder layer** — address space
+reserved at construction, each block committed on its first write
+(:func:`~repro.llm.kv_cache.new_arenas`) — and hands out fixed-size
+*blocks* of token slots, vLLM-PagedAttention style:
 
 - a block is ``block_tokens`` rows, shared across every layer's arena (the
   same block id addresses the same rows of layer 0's and layer N's K, V,
@@ -101,8 +103,13 @@ class PagedKVPool:
         obs: optional observability bundle; prefix hit/miss counters and
             the shared-block gauge report through it.
 
-    The pool never allocates after construction; :class:`PagedKVCache`
-    growth only moves block ids between the free list and sessions.
+    The arenas' address space is reserved at construction and each
+    block's pages are committed on its first write, so resident memory
+    follows the blocks ever written, not ``n_blocks``; a released block
+    keeps its pages and stale rows.  :class:`PagedKVCache` growth only
+    moves block ids between the free list and sessions.  The pool (its
+    arenas included) is freed by reference counting when the last engine,
+    scheduler and session cache referring to it is dropped.
     """
 
     def __init__(self, config: ModelConfig, n_blocks: int,

@@ -323,8 +323,6 @@ class ContinuousBatchScheduler:
     def __init__(self, pool: PagedKVPool,
                  policy: Optional[SloPolicy] = None,
                  obs: Optional[Obs] = None,
-                 victim_sink: Optional[
-                     Callable[[ServeRequest], bool]] = None,
                  admits: Optional[Callable[[List[int]], bool]] = None
                  ) -> None:
         self.pool = pool
@@ -340,10 +338,6 @@ class ContinuousBatchScheduler:
         #: current brownout ladder stage (0 = normal service).
         self.brownout_stage = 0
         self.brownout_transitions = 0
-        #: optional relocation hook: offered every preemption victim;
-        #: returning ``True`` claims the request (a fleet router moving
-        #: it to another worker) so it is *not* re-queued locally.
-        self.victim_sink = victim_sink
         #: optional capacity rule over charged contexts (the modeled
         #: system's HBM / DReX budget); ``None`` admits on pool blocks only.
         self.admits = admits
@@ -689,7 +683,10 @@ class ContinuousBatchScheduler:
 
     # -- preemption -----------------------------------------------------------
 
-    def preempt_victim(self, needy: ServeRequest) -> Optional[ServeRequest]:
+    def preempt_victim(
+            self, needy: ServeRequest,
+            relocate: Optional[Callable[[ServeRequest], bool]] = None
+    ) -> Optional[ServeRequest]:
         """Pick and preempt a session so ``needy`` can grow.
 
         Victim: the *youngest admitted* running session other than
@@ -700,10 +697,13 @@ class ContinuousBatchScheduler:
         or ``None`` when ``needy`` is the only running session (the caller
         must then shed or wait).
 
-        When a ``victim_sink`` is installed it is offered the victim
-        first; a sink that returns ``True`` has relocated the request (a
-        fleet router migrating the session to another worker), so it is
-        not re-queued here.
+        ``relocate``, when given, is offered the victim first; a hook that
+        returns ``True`` has relocated the request (a fleet router
+        migrating the session to another worker), so it is not re-queued
+        here.  The hook is passed per call, not stored: a stored bound
+        method of the run would tie the run and its scheduler into a
+        reference cycle, and the cycle would keep the pool alive after
+        the run is dropped.
         """
         candidates = [r for r in self.running if r is not needy]
         if not candidates:
@@ -714,7 +714,7 @@ class ContinuousBatchScheduler:
         victim.events.preemptions += 1
         self.preemptions += 1
         self._count("serve.preemptions")
-        if self.victim_sink is not None and self.victim_sink(victim):
+        if relocate is not None and relocate(victim):
             return victim
         self.submit(victim)
         return victim

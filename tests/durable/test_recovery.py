@@ -98,6 +98,34 @@ class TestKillAtEveryBoundary:
         assert stats.steps_replayed == 0
 
 
+class TestReusedDirectory:
+    def test_a_fresh_run_recovers_itself_not_the_previous_one(
+            self, tmp_path, engine_builder, make_workload):
+        """A fresh run in a directory a finished run (and a torn snapshot
+        write) left behind: its crash recovers its own requests, not the
+        finished run whose snapshots sort after the new baseline."""
+        directory = tmp_path / "reused"
+        finished = DurableRun(engine_builder(), make_workload(seed=7),
+                              directory, snapshot_every=4)
+        finished.serve()
+        assert finished.steps > 8
+        (directory / "snapshot-99999999.bin.tmp").write_bytes(b"torn")
+
+        def workload():
+            return make_workload(seed=8)
+
+        reference, _ = _uninterrupted(engine_builder, workload, tmp_path)
+        previous = {r.request_id: list(r.outputs)
+                    for r in finished._arrivals}
+        assert reference != previous
+        outputs, _, stats = _crash_and_recover(
+            engine_builder, workload, directory,
+            CrashPlan(kill_at_step=3, kind="kill_after_fsync"))
+        assert stats.snapshot_step == 0 and stats.steps_replayed == 3
+        assert outputs == reference
+        assert not list(directory.glob("*.tmp"))
+
+
 class TestBrownoutLadder:
     def test_brownout_stage_survives_restore(self, tmp_path,
                                              engine_builder):

@@ -14,6 +14,7 @@ The parity tests in ``tests/serve/test_paged_kv.py`` pin the two row
 sources against each other; these pin the store against arithmetic.
 """
 
+import contextlib
 import dataclasses
 import gc
 import weakref
@@ -25,10 +26,17 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
+import repro.core.hybrid as hybrid
+from repro.core.config import LongSightConfig
+from repro.core.hybrid import LongSightAttention
 from repro.core.itq import ItqRotations
 from repro.core.scf import pack_signs
+from repro.durable import DurableRun
 from repro.llm.kv_cache import KVCache, LayerKV
-from repro.serve.paged_kv import PagedKVPool
+from repro.llm.model import Transformer
+from repro.serve.engine import ServeEngine
+from repro.serve.paged_kv import PagedKVPool, block_rows
+from repro.serve.scheduler import ServeRequest
 from tests.conftest import TINY
 
 BT = 4                      # block_tokens of the paged sources
@@ -221,13 +229,50 @@ TestPrivateFloat16 = _case("private", "float16")
 TestPagedPrefixAttachedFloat16 = _case("prefix", "float16")
 
 
+@contextlib.contextmanager
+def _no_cycle_collector():
+    """Only reference counting frees what is dropped inside the block."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _fill(cache, rng, n_tokens):
+    k = rng.normal(size=(TINY.n_kv_heads, n_tokens, TINY.head_dim))
+    for layer in range(TINY.n_layers):
+        cache.append(layer, k, -k)
+
+
+LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
+
+
+def _requests(rng):
+    return [ServeRequest(request_id=i, max_new_tokens=8,
+                         prompt=rng.integers(0, TINY.vocab_size, size=n))
+            for i, n in enumerate((20, 33, 27))]
+
+
+def _engine(model, n_blocks=32):
+    pool = PagedKVPool(TINY, n_blocks=n_blocks, block_tokens=BT,
+                       prefix_caching=True)
+    return ServeEngine(model, pool, lambda request: LongSightAttention(LS))
+
+
 class TestRelease:
-    """Both row sources give their storage back without the cycle collector."""
+    """Every row source gives its storage back without the cycle
+    collector: a dropped cache, a dropped stateless-``forward`` session
+    and a dropped run (its scheduler, requests and caches) free the arenas
+    the moment the last reference goes."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return Transformer(TINY, seed=0)
 
     def test_dropped_private_cache_is_freed_by_reference_counting(self):
-        gc.collect()
-        gc.disable()
-        try:
+        with _no_cycle_collector():
             layer = LayerKV(2, 8)
             cache = KVCache(TINY)
             cache.enable_sign_cache()
@@ -237,8 +282,92 @@ class TestRelease:
             del layer, cache
             assert [ref() for ref in refs] == [None, None, None]
             assert arena() is None
-        finally:
-            gc.enable()
+
+    def test_dropped_paged_cache_frees_its_pool(self, rng):
+        with _no_cycle_collector():
+            pool = PagedKVPool(TINY, n_blocks=8, block_tokens=BT)
+            cache = pool.new_cache()
+            cache.enable_sign_cache()
+            _fill(cache, rng, 2 * BT + 1)
+            refs = [weakref.ref(pool), weakref.ref(cache),
+                    weakref.ref(cache.layers[0])]
+            del pool, cache
+            assert [ref() for ref in refs] == [None, None, None]
+
+    def test_stateless_forward_frees_its_array_cache(self, rng,
+                                                     monkeypatch):
+        made = []
+
+        class Recorded(hybrid._ArrayCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(hybrid, "_ArrayCache", Recorded)
+        backend = LongSightAttention(LS)
+        k = rng.normal(size=(TINY.n_kv_heads, 40, TINY.head_dim))
+        with _no_cycle_collector():
+            for n_new in (1, 40):
+                q = rng.normal(size=(TINY.n_q_heads, n_new, TINY.head_dim))
+                backend.forward(0, q, k, k)
+            assert len(made) == 2 and [ref() for ref in made] == [None, None]
+
+    def test_dropped_engine_run_frees_its_pool(self, model, rng):
+        with _no_cycle_collector():
+            engine = _engine(model)
+            run = engine.start(_requests(rng))
+            for _ in range(4):
+                run.step()
+            assert engine.pool.n_used and run.scheduler.running
+            pool = weakref.ref(engine.pool)
+            del engine, run
+            assert pool() is None
+
+    def test_dropped_durable_run_frees_its_pool(self, model, rng, tmp_path):
+        with _no_cycle_collector():
+            engine = _engine(model)
+            run = DurableRun(engine, _requests(rng), tmp_path,
+                             snapshot_every=2)
+            for _ in range(5):
+                run.step()
+            assert engine.pool.n_used and run.scheduler.running
+            pool = weakref.ref(engine.pool)
+            run.wal.close()
+            del engine, run
+            assert pool() is None
+
+    def test_fresh_pool_arenas_read_zero_and_are_writable(self):
+        pool = PagedKVPool(TINY, n_blocks=3, block_tokens=BT)
+        for arenas in (pool.k_arenas, pool.v_arenas, pool.sign_arenas):
+            for arena in arenas:
+                assert arena.flags.writeable and not arena.any()
+                arena[:, -1] = 1
+                assert arena[:, -1].all() and not arena[:, :-1].any()
+
+    def test_released_block_keeps_its_rows_until_overwritten(self, rng):
+        """A snapshot writes every used block's arena rows, stale tail
+        included, so a recycled block must read what its last owner wrote
+        until the new owner writes over it."""
+        pool = PagedKVPool(TINY, n_blocks=2, block_tokens=BT)
+        first = pool.new_cache()
+        first.enable_sign_cache()
+        _fill(first, rng, BT)
+        (block,) = first._blocks
+        rows = block_rows([block], BT)
+        written = [arena[:, rows].copy() for arena in
+                   pool.k_arenas + pool.v_arenas + pool.sign_arenas]
+        assert all(arena.any() for arena in written)
+        first.free()
+        second = pool.new_cache()
+        second.reserve(BT)
+        assert second._blocks == [block]
+        arenas = pool.k_arenas + pool.v_arenas + pool.sign_arenas
+        for arena, old in zip(arenas, written):
+            np.testing.assert_array_equal(arena[:, rows], old)
+        _fill(second, rng, 1)
+        for arena, old in zip(pool.k_arenas + pool.v_arenas, written):
+            assert not np.array_equal(arena[:, rows[0]], old[:, 0])
+            np.testing.assert_array_equal(arena[:, rows[1:]], old[:, 1:])
 
     def test_freed_paged_cache_returns_its_blocks(self, rng):
         pool = PagedKVPool(TINY, n_blocks=8, block_tokens=BT)
