@@ -3,8 +3,8 @@
 Public surface:
 
 - :class:`DurableRun` — an :class:`~repro.serve.engine.EngineRun` with
-  periodic chain-hashed snapshots and an fsync-batched WAL of its inputs
-  and emitted tokens.
+  periodic chain-hashed snapshots and an fsync-batched WAL of its record
+  stream.
 - :func:`recover` — newest-valid-snapshot restore + verified WAL replay;
   resumes mid-decode bit-identically to an uninterrupted run.
 - :class:`WriteAheadLog` / :func:`read_wal` — the log layer.

@@ -4,23 +4,23 @@
 overrides only what durability adds, the two mechanisms snapshots alone
 cannot provide:
 
-- a **write-ahead log** of everything that happens between snapshots.
-  True *inputs* (``inject`` of a dispatched/migrated request, ``depart``
-  of a migrated-away one) are force-synced before the run acts on them —
-  the write-ahead discipline — because they cannot be re-derived.
-  *Execution* is logged as one ``token`` record per request that emitted
-  in the step (``EngineRun.emitted``) plus a ``step`` marker carrying
-  the clock, fsync-batched: the engine is deterministic (argmax
-  sampling, seeded fault RNG), so a lost unsynced tail regenerates
-  identically on replay.  Replay therefore **re-executes** each logged
-  step and *verifies* every token (and, under analytic timing, the
-  clock) against the log, raising
-  :class:`~repro.errors.ReplayDivergenceError` on any mismatch — the WAL
-  is a redo/verification log, not an apply log.
+- a **write-ahead log**, the sink of the run's record stream
+  (:mod:`repro.serve.events`) in emission order, a ``step`` record
+  closing each step's bucket.  True *inputs* (``inject`` of a
+  dispatched/migrated request, ``depart`` of a migrated-away one) are
+  force-synced before the run acts on them — the write-ahead discipline
+  — because they cannot be re-derived.  Everything else is *execution*,
+  fsync-batched: the engine is deterministic (argmax sampling, seeded
+  fault RNG), so a lost unsynced tail regenerates identically on replay.
+  Replay therefore **re-executes** each logged step and *verifies* every
+  re-executed record of its bucket against the log (times only under
+  analytic timing), raising :class:`~repro.errors.ReplayDivergenceError`
+  on any mismatch — the WAL is a redo/verification log, not an apply log.
 - **periodic chain-hashed snapshots** (every ``snapshot_every`` steps,
   plus a step-0 baseline so recovery is always possible) with the last
   ``KEEP_SNAPSHOTS`` retained, so a snapshot torn by the crash itself
-  still leaves a valid predecessor to fall back to.
+  still leaves a valid predecessor to fall back to (recovery deletes the
+  ones it cannot verify, so retention counts only loadable snapshots).
 
 A fresh log owns its directory: a :class:`DurableRun` that begins one
 first deletes the snapshots (and torn ``.tmp`` files) any earlier run
@@ -36,9 +36,9 @@ suffix (records with LSN past the snapshot's) step-bucket by
 step-bucket.  Replay calls the *base-class* ``inject`` / ``step`` —
 those inputs and steps are in the log already.  Records after the last
 ``step`` marker belong to a step the dying process never completed
-logging; its inputs are applied and the step itself simply re-executes
-after recovery — re-logging a duplicate of the partial bucket, which is
-benign because replay verification is idempotent.
+logging; its inputs are applied and the step re-executes after recovery,
+checking the records the log already holds instead of writing them
+again, so every bucket in the log is one whole step.
 
 Exactly-once migration: a logged ``depart`` means the pre-crash router
 accepted the session and its target owns it, so it must not be migrated
@@ -68,25 +68,19 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
                           WorkerKilledError)
 from repro.serve.engine import EngineRun, ServeEngine
-from repro.serve.events import ServeReport
+from repro.serve.events import INPUT_KINDS, TIME_FIELDS, Record, ServeReport
 from repro.serve.scheduler import ServeRequest
 from repro.system.faults import CrashPlan
 from repro.durable.snapshot import (build_request, read_snapshot,
                                     restore_run, serialize_request,
                                     write_snapshot)
-from repro.durable.wal import (WalRecord, WriteAheadLog, _encode,
-                               iter_step_buckets, read_wal)
+from repro.durable.wal import (WAL_VERSION, WalRecord, WriteAheadLog,
+                               _encode, iter_step_buckets, read_wal)
 
 WAL_NAME = "wal.log"
 #: Snapshots retained: the newest, and one to fall back to when the crash
 #: tore it.
 KEEP_SNAPSHOTS = 2
-
-
-def _token_record(request: ServeRequest) -> dict:
-    """The ``token`` record of a request that just emitted."""
-    return {"rid": request.request_id, "index": len(request.outputs) - 1,
-            "token": int(request.outputs[-1])}
 
 
 class DurableRun(EngineRun):
@@ -114,10 +108,13 @@ class DurableRun(EngineRun):
         self.snapshot_every = snapshot_every
         self.crash = crash
         self.epoch = epoch
-        self.steps = 0
         #: ids whose ``depart`` is in the log but which this run, restored
         #: from before it, still holds: delivered to their target already.
         self.pending_departures: Set[int] = set()
+        #: the records the log already holds for the step being
+        #: re-executed (replay, or a step a crash left unfinished), which
+        #: :meth:`_write` checks instead of writing.
+        self.expected: list = []
         self.fenced = False
         self.wal = wal
         if wal is None:
@@ -130,24 +127,37 @@ class DurableRun(EngineRun):
                                      fsync_every)
             self._snapshot()
 
-    # -- durable inputs -------------------------------------------------------
+    # -- the WAL sink; durable inputs -----------------------------------------
 
-    def _log_input(self, kind: str, data: dict) -> None:
-        """Write-ahead: an input is on disk before the run acts on it."""
+    def _write(self, records: List[Record], sync: bool = False) -> None:
+        """Append ``records`` in order (an ``inject`` with its request),
+        checking each against :attr:`expected` instead while it lasts."""
         if self.fenced:
             return
-        self.wal.append(kind, data)
-        self.wal.sync()
-        self._count("recovery.wal_records")
+        for record in records:
+            if self.expected and record.kind not in INPUT_KINDS:
+                logged = self.expected.pop(0)
+                replayed, = _facts([record], self.engine.timing is not None)
+                if replayed != logged:
+                    raise ReplayDivergenceError(
+                        f"re-executed step {self.steps} did not reproduce "
+                        f"the log: logged {logged}, replayed {replayed}")
+                continue
+            data = dict(record.data)
+            if record.kind == "inject":
+                data["request"] = serialize_request(record.request,
+                                                    include_cache=False)
+            self.wal.append(record.kind, data)
+        if sync:
+            self.wal.sync()
 
     def inject(self, request: ServeRequest) -> None:
-        """Log-then-apply a new arrival."""
+        """Write-ahead: the arrival is on disk before the run acts on it."""
         if request.cache is not None:
             raise ValueError("cannot inject a request with a live cache "
                              "(sessions migrate detached)")
-        self._log_input("inject", {"request": serialize_request(
-            request, include_cache=False)})
         super().inject(request)
+        self._write(self.log.drain(), sync=True)
 
     def note_departure(self, request: ServeRequest) -> bool:
         """Log-then-apply a migration departure, exactly once.
@@ -158,13 +168,13 @@ class DurableRun(EngineRun):
         caller has nothing left to deliver.
         """
         rid = request.request_id
-        pending = rid in self.pending_departures
-        if pending:
+        if rid in self.pending_departures:
             self.pending_departures.discard(rid)
-        else:
-            self._log_input("depart", {"rid": rid})
+            self._departed.add(id(request))
+            return False
         super().note_departure(request)
-        return not pending
+        self._write(self.log.drain(), sync=True)
+        return True
 
     def offer_migration(self, request: ServeRequest) -> bool:
         """A pending departure is honored without asking the router."""
@@ -178,11 +188,7 @@ class DurableRun(EngineRun):
     def step(self) -> bool:
         """One engine step, logged; snapshots and crashes on schedule."""
         alive = super().step()
-        for request in self.emitted:
-            self.wal.append("token", _token_record(request))
-        self.steps += 1
-        self.wal.append("step", {"step": self.steps, "clock": self.clock})
-        self._count("recovery.wal_records", len(self.emitted) + 1)
+        self._write(self.records)
         crash = self.crash
         if crash is not None and self.steps >= crash.kill_at_step:
             self.crash = None
@@ -212,7 +218,6 @@ class DurableRun(EngineRun):
                                          step=self.steps):
             write_snapshot(path, self, epoch=self.epoch,
                            lsn=self.wal.last_lsn, step=self.steps)
-        self._count("recovery.snapshots")
         for old in sorted(
                 self.directory.glob("snapshot-*.bin"))[:-KEEP_SNAPSHOTS]:
             old.unlink()
@@ -237,17 +242,12 @@ class DurableRun(EngineRun):
             f"injected crash ({crash.kind}) after step {self.steps}",
             step=self.steps, kind=crash.kind)
 
-    def _count(self, name: str, n: int = 1) -> None:
-        metrics = self.engine.obs.metrics
-        if metrics.enabled:
-            metrics.counter(name).inc(n)
-
 
 def _mark_wal_stale(path: pathlib.Path) -> None:
     """Rewrite the WAL header with a foreign epoch (operator-error sim)."""
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[0] = _encode(0, "begin", {"epoch": "foreign-epoch",
-                                    "version": 1})
+                                    "version": WAL_VERSION})
     path.write_text("".join(lines), encoding="utf-8")
 
 
@@ -269,48 +269,52 @@ class RecoveryStats:
     wal_torn: bool = False
 
 
+def _apply_inputs(run: DurableRun, records: List[WalRecord]) -> None:
+    """Apply logged inputs — base-class ``inject``, and each ``depart`` as
+    a pending departure — whose records the log already holds."""
+    for record in records:
+        if record.kind == "inject":
+            EngineRun.inject(run, build_request(record.data["request"]))
+        elif record.kind == "depart":
+            run.pending_departures.add(record.data["rid"])
+    run.log.drain()
+
+
+def _facts(records, timed: bool) -> list:
+    """The re-executed records of a bucket as ``(kind, data)``, with
+    run-clock times only when ``timed`` (analytic timing: they repeat)."""
+    return [(r.kind, {k: v for k, v in r.data.items()
+                      if timed or k not in TIME_FIELDS})
+            for r in records if r.kind not in INPUT_KINDS]
+
+
 def _replay(run: DurableRun, suffix: List[WalRecord],
             stats: RecoveryStats) -> None:
     """Re-execute the logged steps of ``suffix`` on the restored ``run``,
-    verifying each against the log.
+    verifying each record against the log.
 
     Base-class ``inject`` / ``step``: these inputs and steps are in the
-    log already.  A ``depart`` becomes a pending departure, consumed when
-    its step re-offers the session.
+    log already, and the step's records go through :meth:`DurableRun.
+    _write` only to be checked.  A ``depart`` becomes a pending departure,
+    consumed when its step re-offers the session.  An unterminated last
+    bucket leaves its records expected by the step that re-executes after
+    recovery.
     """
+    timed = run.engine.timing is not None
     for bucket, marker in iter_step_buckets(suffix):
-        for record in bucket:
-            if record.kind == "inject":
-                EngineRun.inject(run, build_request(record.data["request"]))
-            elif record.kind == "depart":
-                run.pending_departures.add(record.data["rid"])
+        _apply_inputs(run, bucket)
+        run.expected = _facts(bucket + [marker] if marker else bucket, timed)
         if marker is None:
-            # Unterminated tail: inputs applied above; the step itself
-            # re-executes (and re-logs) after recovery.
             break
-        step = marker.data["step"]
+        stats.tokens_replayed += sum(kind == "token"
+                                     for kind, _ in run.expected)
         EngineRun.step(run)
+        run._write(run.records)     # both end in a step record: all match
         stats.steps_replayed += 1
-        emitted = {r.request_id: _token_record(r) for r in run.emitted}
-        for record in bucket:
-            if record.kind != "token":
-                continue
-            if emitted.get(record.data["rid"]) != record.data:
-                raise ReplayDivergenceError(
-                    f"replayed step {step} did not reproduce token "
-                    f"{record.data['index']} of request "
-                    f"{record.data['rid']} (logged {record.data['token']})")
-            stats.tokens_replayed += 1
         if run.pending_departures:
             raise ReplayDivergenceError(
                 f"logged departures {sorted(run.pending_departures)} were "
-                f"not re-offered during replay of step {step}")
-        if run.engine.timing is not None \
-                and run.clock != marker.data["clock"]:
-            raise ReplayDivergenceError(
-                f"replayed clock {run.clock!r} != logged "
-                f"{marker.data['clock']!r} at step {step}")
-    run.steps = stats.snapshot_step + stats.steps_replayed
+                f"not re-offered during replay of step {marker.data['step']}")
 
 
 def recover(directory: pathlib.Path, engine: ServeEngine, *,
@@ -319,15 +323,14 @@ def recover(directory: pathlib.Path, engine: ServeEngine, *,
     """Restore a durable directory into a fresh ``engine``.
 
     Loads the newest snapshot that passes chain-hash verification
-    (corrupt/torn ones are skipped — the step-0 baseline guarantees a
-    floor), replays and *verifies* the WAL suffix by deterministic
-    re-execution, and returns a :class:`DurableRun` ready to continue
-    stepping, plus :class:`RecoveryStats` timings.
+    (corrupt/torn ones are skipped and deleted — the step-0 baseline
+    guarantees a floor), replays and *verifies* the WAL suffix by
+    deterministic re-execution, and returns a :class:`DurableRun` ready
+    to continue stepping, plus :class:`RecoveryStats` timings.
     """
     directory = pathlib.Path(directory)
     stats = RecoveryStats()
     tracer = engine.obs.tracer
-    metrics = engine.obs.metrics
 
     t0 = time.perf_counter()
     with tracer.span("recovery.restore", directory=str(directory)):
@@ -335,6 +338,8 @@ def recover(directory: pathlib.Path, engine: ServeEngine, *,
             try:
                 meta, arenas = read_snapshot(path)
             except SnapshotCorruptError:
+                # It can never load: keep it out of snapshot retention.
+                path.unlink()
                 stats.snapshots_skipped += 1
                 continue
             stats.snapshot_path = str(path)
@@ -349,7 +354,7 @@ def recover(directory: pathlib.Path, engine: ServeEngine, *,
     # -- the log: resume it, or restart it when stale or missing --------------
     wal_path = directory / WAL_NAME
     epoch = meta["epoch"]
-    suffix = []
+    suffix: List[WalRecord] = []
     wal = None
     if wal_path.exists():
         wal_epoch, records, end_offset, stats.wal_torn = read_wal(wal_path)
@@ -384,7 +389,4 @@ def recover(directory: pathlib.Path, engine: ServeEngine, *,
         # that references it (older snapshots point into the discarded
         # epoch's LSN space).
         run._snapshot()
-    metrics.counter("recovery.restores").inc()
-    metrics.counter("recovery.steps_replayed").inc(stats.steps_replayed)
-    metrics.counter("recovery.tokens_replayed").inc(stats.tokens_replayed)
     return run, stats

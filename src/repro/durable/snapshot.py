@@ -9,14 +9,17 @@ needs to resume bit-identically:
   ``contiguous`` fast path, depends on it), the prefix-cache index with
   refcounts, and the pool telemetry;
 - every request (arrived or not): full scheduling state, generated
-  tokens, event log, and — for live sessions — the paged-cache block map
+  tokens, its :class:`~repro.serve.events.RequestEvents` (the fold of its
+  records so far), and — for live sessions — the paged-cache block map
   and prefix-caching state (``PagedKVCache.state()`` / ``from_state``:
   the session format lives with the cache), plus any backend-declared
   durable state (duck-typed ``durable_state()`` /
   ``restore_durable_state()``, e.g. the supervised offload backend's RNG
   streams and degradation counters);
 - scheduler queues / virtual times / running order / brownout ladder
-  stage, and the run's clock, arrival cursor, and departed-request set
+  stage, the run's record ``counts`` (the fold behind the report totals:
+  tokens, preemptions, brownout transitions), and the run's step, clock,
+  arrival cursor, and departed-request set
   (serialized by request id — object identity does not survive a
   restore).  A departed request is written without its cache and backend
   state: the object is shared with the worker it migrated to, so that
@@ -33,6 +36,7 @@ to a temp file and ``os.replace`` into place after fsync.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,15 +47,20 @@ import numpy as np
 
 from repro.errors import DurabilityError, SnapshotCorruptError
 from repro.serve.engine import EngineRun
+from repro.serve.events import RequestEvents
 from repro.serve.paged_kv import PagedKVCache, _PrefixEntry, block_rows
 from repro.serve.scheduler import RequestState, ServeRequest
 
 MAGIC = b"LSDURSNP"
 FORMAT = "longsight-durable-snapshot"
-VERSION = 2
+VERSION = 3
 
 
 # -- request (de)serialization -- shared with WAL ``inject`` records ----------
+
+#: the :class:`ServeRequest` fields not stored as they are.
+_CONVERTED = ("prompt", "state", "outputs", "events", "cache", "backend")
+
 
 def serialize_request(request: ServeRequest,
                       include_cache: bool = True) -> dict:
@@ -61,42 +70,17 @@ def serialize_request(request: ServeRequest,
     block map and the backend's durable state — for a request that is
     not (or no longer) resident in the pool being written.
     """
-    events = request.events
-    out = {
-        "request_id": int(request.request_id),
-        "prompt": np.asarray(request.prompt).astype(np.int64).tolist(),
-        "max_new_tokens": int(request.max_new_tokens),
-        "arrival_s": float(request.arrival_s),
-        "tenant": request.tenant,
-        "session": request.session,
-        "migrations": int(request.migrations),
-        "state": request.state.value,
-        "outputs": [int(t) for t in request.outputs],
-        "prefilled": int(request.prefilled),
-        "pending_token": None if request.pending_token is None
-        else int(request.pending_token),
-        "consecutive_degraded": int(request.consecutive_degraded),
-        "pinned_dense": bool(request.pinned_dense),
-        "charged_prompt_tokens": request.charged_prompt_tokens,
-        "prefill_charge_s": float(request.prefill_charge_s),
-        "ready_s": float(request.ready_s),
-        "events": {
-            "arrival_s": float(events.arrival_s),
-            "admitted_s": events.admitted_s,
-            "first_token_s": events.first_token_s,
-            "finished_s": events.finished_s,
-            "token_times_s": [float(t) for t in events.token_times_s],
-            "degraded_tokens": int(events.degraded_tokens),
-            "preemptions": int(events.preemptions),
-            "migrations": int(events.migrations),
-            "shed": bool(events.shed),
-            "rejected": bool(events.rejected),
-            "brownout_tokens": {str(stage): int(count) for stage, count
-                                in sorted(events.brownout_tokens.items())},
-        },
-        "cache": None,
-        "backend_state": None,
-    }
+    out = {f.name: getattr(request, f.name)
+           for f in dataclasses.fields(request) if f.name not in _CONVERTED}
+    out = {name: value.item() if isinstance(value, np.generic) else value
+           for name, value in out.items()}
+    events = dataclasses.asdict(request.events)
+    # JSON object keys are strings; the WAL's CRC re-encodes decoded keys.
+    events["brownout_tokens"] = {str(stage): count for stage, count
+                                 in request.events.brownout_tokens.items()}
+    out.update(prompt=np.asarray(request.prompt, np.int64).tolist(),
+               state=request.state.value, events=events, cache=None,
+               outputs=[int(t) for t in request.outputs], backend_state=None)
     if include_cache and request.cache is not None:
         out["cache"] = request.cache.state()
         durable_state = getattr(request.backend, "durable_state", None)
@@ -108,38 +92,14 @@ def serialize_request(request: ServeRequest,
 def build_request(data: dict) -> ServeRequest:
     """Rebuild a :class:`ServeRequest` from :func:`serialize_request`."""
     request = ServeRequest(
-        request_id=int(data["request_id"]),
+        **{f.name: data[f.name] for f in dataclasses.fields(ServeRequest)
+           if f.name not in _CONVERTED},
         prompt=np.asarray(data["prompt"], dtype=np.int64),
-        max_new_tokens=int(data["max_new_tokens"]),
-        arrival_s=float(data["arrival_s"]),
-        tenant=data["tenant"],
-        session=data["session"],
-        migrations=int(data["migrations"]),
-    )
-    request.state = RequestState(data["state"])
-    request.outputs = [int(t) for t in data["outputs"]]
-    request.prefilled = int(data["prefilled"])
-    request.pending_token = None if data["pending_token"] is None \
-        else int(data["pending_token"])
-    request.consecutive_degraded = int(data["consecutive_degraded"])
-    request.pinned_dense = bool(data["pinned_dense"])
-    request.charged_prompt_tokens = data["charged_prompt_tokens"]
-    request.prefill_charge_s = float(data["prefill_charge_s"])
-    request.ready_s = float(data["ready_s"])
-    ev = request.events
-    ed = data["events"]
-    ev.arrival_s = float(ed["arrival_s"])
-    ev.admitted_s = ed["admitted_s"]
-    ev.first_token_s = ed["first_token_s"]
-    ev.finished_s = ed["finished_s"]
-    ev.token_times_s = [float(t) for t in ed["token_times_s"]]
-    ev.degraded_tokens = int(ed["degraded_tokens"])
-    ev.preemptions = int(ed["preemptions"])
-    ev.migrations = int(ed["migrations"])
-    ev.shed = bool(ed["shed"])
-    ev.rejected = bool(ed["rejected"])
-    ev.brownout_tokens = {int(k): int(v) for k, v
-                          in ed.get("brownout_tokens", {}).items()}
+        state=RequestState(data["state"]), outputs=list(data["outputs"]))
+    events = dict(data["events"])
+    events["brownout_tokens"] = {int(stage): count for stage, count
+                                 in events["brownout_tokens"].items()}
+    request.events = RequestEvents(**events)
     return request
 
 
@@ -162,17 +122,15 @@ def write_snapshot(path: pathlib.Path, run: EngineRun, *, epoch: str,
         "lsn": int(lsn),
         "run": {
             "clock": float(run.clock),
-            "tokens_generated": int(run.tokens_generated),
             "peak_batch": int(run.peak_batch),
             "next_arrival": int(run._next_arrival),
         },
+        "counts": dict(run.log.counts),
         "departed": [r.request_id for r in run._arrivals
                      if id(r) in run._departed],
         "scheduler": {
             "vtime": {t: float(v) for t, v in scheduler._vtime.items()},
-            "preemptions": int(scheduler.preemptions),
             "brownout_stage": int(scheduler.brownout_stage),
-            "brownout_transitions": int(scheduler.brownout_transitions),
             "running": [r.request_id for r in scheduler.running],
             "finished": [r.request_id for r in scheduler.finished],
             "queues": {tenant: [r.request_id for r in queue]
@@ -315,16 +273,15 @@ def restore_run(run: EngineRun, meta: dict,
     run._arrivals = requests     # serialized in arrival order
     run._next_arrival = int(meta["run"]["next_arrival"])
     run._departed = {id(by_rid[rid]) for rid in meta["departed"]}
+    run.steps = int(meta["step"])
     run.clock = float(meta["run"]["clock"])
-    run.tokens_generated = int(meta["run"]["tokens_generated"])
     run.peak_batch = int(meta["run"]["peak_batch"])
+    run.log.counts = dict(meta["counts"])
 
     sm = meta["scheduler"]
     scheduler = run.scheduler
     scheduler._vtime = {t: float(v) for t, v in sm["vtime"].items()}
-    scheduler.preemptions = int(sm["preemptions"])
     scheduler.brownout_stage = int(sm["brownout_stage"])
-    scheduler.brownout_transitions = int(sm["brownout_transitions"])
     scheduler.running = [by_rid[rid] for rid in sm["running"]]
     scheduler.finished = [by_rid[rid] for rid in sm["finished"]]
     scheduler._queues = {tenant: [by_rid[rid] for rid in rids]

@@ -1,4 +1,4 @@
-"""Write-ahead log of run inputs and tokens, fsync-batched, monotonic LSNs.
+"""Write-ahead log of a run's records, fsync-batched, monotonic LSNs.
 
 The WAL is line-oriented JSON: one record per line, each carrying a
 monotonically increasing log sequence number and a CRC32 over its
@@ -30,11 +30,13 @@ import zlib
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import WalCorruptError
+from repro.serve import events
 
-#: record kinds the durable runner emits: the header, the two inputs
-#: (force-synced), one ``token`` per emitter of a step, and the ``step``
-#: marker closing the step's bucket — exactly what recovery reads.
-RECORD_KINDS = ("begin", "token", "inject", "depart", "step")
+#: the header, then the kinds of the run's record stream
+#: (:mod:`repro.serve.events`), which the log is the durable sink of; a
+#: ``step`` record closes each step's bucket.
+RECORD_KINDS = ("begin",) + events.RECORD_KINDS
+WAL_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,20 +82,22 @@ class WriteAheadLog:
         self.epoch = epoch
         self.fsync_every = fsync_every
         self._buffer: List[str] = []
-        self.records_appended = 0
         self.syncs = 0
         if _resume_lsn is None:
             self._lsn = 0
-            self._file = open(self.path, "w", encoding="utf-8")
-            self._buffer.append(_encode(0, "begin", {"epoch": epoch,
-                                                     "version": 1}))
+            self._file = open(self.path, "wb")
+            self._buffer.append(_encode(0, "begin", {
+                "epoch": epoch, "version": WAL_VERSION}))
             self.sync()
         else:
             self._lsn = _resume_lsn
-            # Truncate any torn tail before appending past it.
-            self._file = open(self.path, "r+", encoding="utf-8")
+            # Truncate past the resume point, then end a last record the
+            # crash cut off before its newline.
+            self._file = open(self.path, "r+b")
             self._file.truncate(_resume_offset)
-            self._file.seek(_resume_offset)
+            self._file.seek(max(0, _resume_offset - 1))
+            if self._file.read(1) not in (b"", b"\n"):
+                self._file.write(b"\n")
 
     @classmethod
     def resume(cls, path: pathlib.Path, epoch: str, last_lsn: int,
@@ -121,7 +125,6 @@ class WriteAheadLog:
             raise ValueError(f"unknown WAL record kind: {kind!r}")
         self._lsn += 1
         self._buffer.append(_encode(self._lsn, kind, data))
-        self.records_appended += 1
         if len(self._buffer) >= self.fsync_every:
             self.sync()
         return self._lsn
@@ -130,7 +133,7 @@ class WriteAheadLog:
         """Write buffered records and fsync them to disk."""
         if not self._buffer:
             return
-        self._file.write("".join(self._buffer))
+        self._file.write("".join(self._buffer).encode("utf-8"))
         self._file.flush()
         os.fsync(self._file.fileno())
         self._buffer.clear()
@@ -160,9 +163,10 @@ def read_wal(path: pathlib.Path
     undecodable or CRC-failing final line — is tolerated and truncated
     (``torn=True``); an invalid record followed by further valid lines is
     mid-file corruption and raises :class:`WalCorruptError`, as does a
-    missing or malformed header or a non-monotonic LSN.
-    ``end_offset`` is the byte offset just past the last valid record,
-    the resume point for :meth:`WriteAheadLog.resume`.
+    missing, malformed or other-version header or a non-monotonic LSN.
+    ``end_offset`` is the byte offset just past the last valid record
+    (and its newline, when the file has it), the resume point for
+    :meth:`WriteAheadLog.resume`.
     """
     raw = pathlib.Path(path).read_bytes()
     lines = raw.split(b"\n")
@@ -170,6 +174,7 @@ def read_wal(path: pathlib.Path
     offset = 0
     torn = False
     for i, line in enumerate(lines):
+        start, offset = offset, offset + len(line) + (i + 1 < len(lines))
         if not line:
             continue
         try:
@@ -178,17 +183,17 @@ def read_wal(path: pathlib.Path
             remainder = b"\n".join(lines[i + 1:]).strip()
             if remainder:
                 raise WalCorruptError(
-                    f"corrupt WAL record mid-file at byte {offset}: {exc}")
-            torn = True
+                    f"corrupt WAL record mid-file at byte {start}: {exc}")
+            torn, offset = True, start
             break
         expect = decoded[-1].lsn + 1 if decoded else 0
         if record.lsn != expect:
             raise WalCorruptError(
                 f"non-monotonic LSN {record.lsn} (expected {expect})")
         decoded.append(record)
-        offset += len(line) + 1
-    if not decoded or decoded[0].kind != "begin":
-        raise WalCorruptError("WAL has no begin header")
+    if not decoded or decoded[0].kind != "begin" \
+            or decoded[0].data.get("version") != WAL_VERSION:
+        raise WalCorruptError(f"WAL has no version-{WAL_VERSION} header")
     epoch = str(decoded[0].data.get("epoch", ""))
     return epoch, decoded[1:], offset, torn
 

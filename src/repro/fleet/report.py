@@ -80,7 +80,8 @@ class FleetReport:
 
     @property
     def preemptions(self) -> int:
-        """The schedulers' count, summed (what :attr:`pooled` carries)."""
+        """The workers' ``preempt`` records, summed (what :attr:`pooled`
+        carries)."""
         return sum(report.preemptions for report in self.workers)
 
     @property

@@ -23,12 +23,14 @@ over the live workers (:meth:`FleetRouter._best_worker`):
 Migration is cross-worker preemption: the source run detaches the victim
 exactly as local preemption does (blocks freed, state QUEUED, generated
 tokens kept) and offers it to the router's handler, which relocates it
-(:meth:`FleetRouter._relocate`: departure recorded on the source, then
-injected into the target) to a worker that can admit it *now*; there the
-standard resume path re-prefills ``prompt + outputs[:-1]`` and replays
-the last token — bit-identical to an uninterrupted run.  A per-request
-migration cap prevents ping-pong; a request over its cap is re-queued
-(or shed) locally by the source.
+(:meth:`FleetRouter._relocate`: departure recorded on the source, a
+``migrate`` record on the router's own log, then injected into the
+target) to a worker that can admit it *now*; there the standard resume
+path re-prefills ``prompt + outputs[:-1]`` and replays the last token —
+bit-identical to an uninterrupted run.  A per-request budget of
+``capacity`` migrations (the fold of its ``migrate`` records) prevents
+ping-pong; a request over its budget is re-queued (or shed) locally by
+the source.
 
 Recovery is one routine, :meth:`FleetRouter._rebuild`: a fresh engine
 from the worker's factory, its durable directory recovered into it.  A
@@ -62,6 +64,7 @@ from repro.errors import (SnapshotCorruptError, WorkerKilledError,
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer, resolve_obs
 from repro.serve.engine import EngineRun, ServeEngine, TimingModel
+from repro.serve.events import RecordLog
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest, SloPolicy
 from repro.system.faults import CrashPlan, GrayFailurePlan
@@ -146,8 +149,9 @@ class FleetRouter:
             request over budget falls back to the source worker's local
             preemption/shed handling.
         obs: router-level bundle for fleet counters (``fleet.dispatched``,
-            ``fleet.migrations``); worker metrics live in each worker's
-            own registry.
+            and the ``fleet.migrations`` family folded from the router's
+            ``migrate`` records); worker metrics live in each worker's own
+            registry.
         max_steps: hard bound on total worker steps across the run.
         gray_plans: per-worker :class:`GrayFailurePlan` schedules, read
             by the guarded step so their simulated stalls drive the real
@@ -182,11 +186,11 @@ class FleetRouter:
         self.gray_plans = dict(gray_plans or {})
         self.monitor = HealthMonitor(health)
         self._affinity: Dict[str, FleetWorker] = {}
-        self.migrations = 0
+        #: the router's record stream: one ``migrate`` per relocation.
+        self.log = RecordLog(self.obs.metrics)
         self.worker_restores = 0
         self.recoveries: List[RecoveryStats] = []
         self.failovers = 0
-        self.failover_sessions = 0
         self.failover_latency_s: List[float] = []
 
     # -- the fleet loop -------------------------------------------------------
@@ -405,15 +409,13 @@ class FleetRouter:
         if isinstance(worker.run, DurableRun):
             worker.run.fence()
         recovered = self._rebuild(worker)
-        moved = self._drain(worker)
+        self._drain(worker)
         latency = time.perf_counter() - t0
         self.failovers += 1
-        self.failover_sessions += moved
         self.failover_latency_s.append(latency)
         metrics = self.obs.metrics
         metrics.counter("fleet.failovers").inc()
         metrics.counter(f"fleet.worker{worker.worker_id}.failovers").inc()
-        metrics.counter("fleet.failover_sessions").inc(moved)
         metrics.histogram("fleet.failover_latency_s",
                           track_values=True).observe(latency)
         wmetrics = worker.obs.metrics
@@ -421,7 +423,7 @@ class FleetRouter:
         wmetrics.counter("fleet.failover_recovered" if recovered
                          else "fleet.failover_recomputed").inc()
 
-    def _drain(self, victim: FleetWorker) -> int:
+    def _drain(self, victim: FleetWorker) -> None:
         """Move every live session off ``victim``'s run to its siblings."""
         run = victim.run
         scheduler = run.scheduler
@@ -431,19 +433,17 @@ class FleetRouter:
             sessions.append(request)
         sessions.extend(scheduler.drain_queued())
         sessions.extend(run.pending)
-        moved = 0
         for request in sessions:
-            target = self._best_worker(request, exclude=victim)
-            if self._relocate(victim, request, target):
-                target.obs.metrics.counter("serve.failover_in").inc()
-                moved += 1
-        return moved
+            self._relocate(victim, request,
+                           self._best_worker(request, exclude=victim),
+                           "failover")
 
     # -- migration ------------------------------------------------------------
 
     def _relocate(self, source: FleetWorker, request: ServeRequest,
-                  target: FleetWorker) -> bool:
-        """Move a detached session from ``source`` to ``target``.
+                  target: FleetWorker, reason: str) -> bool:
+        """Move a detached session from ``source`` to ``target`` for
+        ``reason`` (``capacity`` or ``failover``).
 
         Write-ahead order: the departure is recorded (and, on a durable
         source, synced) before the target is told.  ``False`` when the
@@ -458,7 +458,8 @@ class FleetRouter:
         request.arrival_s = max(request.arrival_s, source.run.clock)
         if request.session is not None:
             self._affinity[request.session] = target
-        request.events.migrations += 1
+        self.log.emit("migrate", request, source=source.worker_id,
+                      target=target.worker_id, reason=reason)
         target.run.inject(request)
         return True
 
@@ -471,20 +472,22 @@ class FleetRouter:
         ``False`` keeps it on the source (local requeue).
         """
         def handler(request: ServeRequest) -> bool:
-            if request.migrations >= self.max_migrations:
+            if self._migrations("capacity", request.request_id) \
+                    >= self.max_migrations:
                 return False
             target = self._best_worker(request, exclude=source,
                                        admit_now=True)
             if target is None:
                 return False
-            request.migrations += 1
-            self.migrations += 1
-            self.obs.metrics.counter("fleet.migrations").inc()
-            source.obs.metrics.counter("serve.migrated_out").inc()
-            target.obs.metrics.counter("serve.migrated_in").inc()
-            return self._relocate(source, request, target)
+            return self._relocate(source, request, target, "capacity")
 
         return handler
+
+    def _migrations(self, reason: str, rid: Optional[int] = None) -> int:
+        """The fold of the log's ``migrate`` records for ``reason`` (of
+        request ``rid`` only, when given)."""
+        return sum(r.data["reason"] == reason and rid in (None, r.data["rid"])
+                   for r in self.log.records)
 
     # -- reduction ------------------------------------------------------------
 
@@ -500,13 +503,13 @@ class FleetRouter:
         return FleetReport(
             workers=reports,
             metrics=merged,
-            migrations=self.migrations,
+            migrations=self._migrations("capacity"),
             prefix_hits=sum(w.pool.prefix_hits for w in self.workers),
             prefix_misses=sum(w.pool.prefix_misses for w in self.workers),
             shared_blocks_peak=sum(w.pool.shared_blocks_peak
                                    for w in self.workers),
             failovers=self.failovers,
-            failover_sessions=self.failover_sessions,
+            failover_sessions=self._migrations("failover"),
             failover_latency_s=list(self.failover_latency_s),
             worker_suspects=self.monitor.suspect_transitions,
             worker_restores=self.worker_restores,

@@ -13,7 +13,8 @@ Layout:
 - :mod:`repro.serve.paged_kv` — block-granular KV pool + paged caches;
 - :mod:`repro.serve.scheduler` — request lifecycle, admission, preemption;
 - :mod:`repro.serve.engine` — the step loop, analytic/measured clocks;
-- :mod:`repro.serve.events` — per-request event log and ServeReport;
+- :mod:`repro.serve.events` — the record stream, its folds (per-request
+  events, counters) and ServeReport;
 - :mod:`repro.serve.workload` — the compared systems and the seeded
   Poisson trace generator.
 """

@@ -51,7 +51,7 @@ from repro.core.hybrid import LongSightAttention
 from repro.errors import PoolExhaustedError
 from repro.llm.model import Transformer
 from repro.obs import Obs, resolve_obs
-from repro.serve.events import ServeReport
+from repro.serve.events import Record, ServeReport
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (ContinuousBatchScheduler, RequestState,
                                    ServeRequest, SloPolicy, StepPlan)
@@ -309,11 +309,12 @@ class ServeEngine:
     # -- one step -------------------------------------------------------------
 
     def _execute(self, run: "EngineRun", plan: StepPlan):
-        """Run one engine step; returns (seconds, emitters, degradations)."""
+        """Run one engine step; returns its seconds and one ``(request,
+        brownout level, degraded)`` per token emitted."""
         scheduler = run.scheduler
         clock = run.clock
         wall0 = time.perf_counter()
-        emitted: List[ServeRequest] = []
+        emitted = []
         analytic_s = 0.0
         tracer = self.obs.tracer
 
@@ -371,14 +372,13 @@ class ServeEngine:
                     token = int(np.argmax(logits))
                     request.outputs.append(token)
                     request.pending_token = token
-                    emitted.append(request)
+                    emitted.append((request, 0, False))
                 # resumed sessions replay outputs[-1] via a decode step, so
                 # the rebuilt trajectory is bit-identical to the original.
                 else:
                     request.pending_token = request.outputs[-1]
 
         # -- decode batch -----------------------------------------------------
-        degraded_flags = []
         decodes = [r for r in plan.decodes
                    if r.state is RequestState.DECODE and r.ready_s <= clock]
         ready = []
@@ -400,17 +400,17 @@ class ServeEngine:
                     [r.pending_token for r in ready],
                     [r.cache for r in ready],
                     backends)
+            flags = []
             for request, logits, seen, backend, level in zip(
                     ready, logits_list, before, backends, levels):
                 token = int(np.argmax(logits))
                 request.outputs.append(token)
                 request.pending_token = token
-                emitted.append(request)
-                now_degraded = self._backend_degraded(backend)
-                degraded = request.pinned_dense or now_degraded > seen
-                degraded_flags.append((request, degraded))
-                if level and not request.pinned_dense:
-                    scheduler.note_brownout(request, level)
+                degraded = request.pinned_dense \
+                    or self._backend_degraded(backend) > seen
+                flags.append(degraded)
+                emitted.append((request, 0 if request.pinned_dense
+                                else level, degraded))
             if self.timing is not None:
                 # Level-3 tokens take the degraded step-latency path,
                 # brownout's as a pin's: they were served by exactly the
@@ -418,12 +418,11 @@ class ServeEngine:
                 # buys queue drain under overload.
                 analytic_s += self.timing.decode_step_s(
                     [r.charged_context for r in ready],
-                    [flag or level >= 3 for (_, flag), level
-                     in zip(degraded_flags, levels)])
+                    [flag or level >= 3 for flag, level in zip(flags, levels)])
 
         step_s = analytic_s if self.timing is not None \
             else time.perf_counter() - wall0
-        return step_s, emitted, degraded_flags
+        return step_s, emitted
 
 
 class EngineRun:
@@ -436,7 +435,8 @@ class EngineRun:
     several runs on interleaved clocks and uses :meth:`inject` to hand a
     migrated session to this worker mid-run; :meth:`note_departure`
     removes a migrated-away session from this run's report so every
-    request is reported by exactly one worker.
+    request is reported by exactly one worker.  Its facts go to the
+    scheduler's record ``log``; ``records`` holds the last step's.
     """
 
     def __init__(self, engine: ServeEngine,
@@ -455,11 +455,16 @@ class EngineRun:
         #: elsewhere (the router told this run it departed, then
         #: re-injected it into another worker).
         self.migrate_handler: Optional[Callable[[ServeRequest], bool]] = None
+        self.log = self.scheduler.log
         self.clock = 0.0
-        self.tokens_generated = 0
+        self.steps = 0
         self.peak_batch = 0
-        #: the requests that emitted a token (one each) in the last step.
-        self.emitted: List[ServeRequest] = []
+        #: the records of the last step, in the order they were emitted.
+        self.records: List[Record] = []
+
+    @property
+    def tokens_generated(self) -> int:
+        return self.log.counts.get("token", 0)
 
     # -- router-facing surface ------------------------------------------------
 
@@ -488,6 +493,7 @@ class EngineRun:
 
     def inject(self, request: ServeRequest) -> None:
         """Hand a (migrated) request to this run as a future arrival."""
+        self.log.emit("inject", request)
         self._departed.discard(id(request))
         idx = self._next_arrival
         key = (request.arrival_s, request.request_id)
@@ -504,6 +510,7 @@ class EngineRun:
         its new worker (always, for a run that cannot have delivered it
         in an earlier life).
         """
+        self.log.emit("depart", request)
         self._departed.add(id(request))
         return True
 
@@ -523,11 +530,19 @@ class EngineRun:
 
     def step(self) -> bool:
         """One engine-loop iteration; ``False`` when the run is done."""
+        self.steps += 1
+        alive, batch = self._iterate()
+        self.log.emit("step", step=self.steps, clock=self.clock, batch=batch)
+        self.records = self.log.drain()
+        return alive
+
+    def _iterate(self):
+        """The body of :meth:`step`; returns ``(alive, decode batch)``, the
+        batch ``None`` when no work ran."""
         engine = self.engine
         scheduler = self.scheduler
         metrics = engine.obs.metrics
         tracer = engine.obs.tracer
-        self.emitted = []
 
         while self._next_arrival < len(self._arrivals) \
                 and self._arrivals[self._next_arrival].arrival_s \
@@ -544,17 +559,15 @@ class EngineRun:
             pending = self.next_arrival_s
             if pending is not None:
                 self.clock = max(self.clock, pending)
-                return True
-            return False
+                return True, None
+            return False, None
 
         with tracer.span("engine.step"):
-            step_s, emitted, degraded_flags = engine._execute(self, plan)
-        self.emitted = emitted
+            step_s, emitted = engine._execute(self, plan)
+        batch = len(plan.decodes)
         if metrics.enabled:
-            metrics.counter("serve.steps").inc()
-            metrics.counter("serve.tokens").inc(len(emitted))
             metrics.histogram("serve.decode_batch",
-                              edges=_BATCH_EDGES).observe(len(plan.decodes))
+                              edges=_BATCH_EDGES).observe(batch)
             metrics.gauge("serve.queue_depth").set(len(scheduler.queued))
             metrics.gauge("serve.running_sessions").set(
                 len(scheduler.running))
@@ -566,24 +579,19 @@ class EngineRun:
                        and r.ready_s > self.clock]
             if waiting:
                 self.clock = min(waiting)
-                return True
+                return True, batch
         self.clock += step_s
-        self.peak_batch = max(self.peak_batch, len(plan.decodes))
-        self.tokens_generated += len(emitted)
-        for request in emitted:
-            stamp = max(self.clock, request.ready_s)
-            request.events.token_times_s.append(stamp)
-            if request.events.first_token_s is None:
-                request.events.first_token_s = stamp
-        for request, degraded in degraded_flags:
-            scheduler.note_degraded(request, degraded)
+        self.peak_batch = max(self.peak_batch, batch)
+        for request, level, degraded in emitted:
+            scheduler.note_token(request, max(self.clock, request.ready_s),
+                                 level, degraded)
         # A one-token request finishes on the prefill step that emitted it.
-        for request in emitted:
+        for request, _, _ in emitted:
             if request.state is RequestState.DECODE \
                     and len(request.outputs) >= request.max_new_tokens:
                 scheduler.request_finished(
                     request, max(self.clock, request.ready_s))
-        return True
+        return True, batch
 
     # -- reduction ------------------------------------------------------------
 
@@ -620,7 +628,7 @@ class EngineRun:
             clock_s=self.clock,
             tokens_generated=self.tokens_generated,
             peak_decode_batch=self.peak_batch,
-            preemptions=self.scheduler.preemptions,
+            preemptions=self.log.counts.get("preempt", 0),
             pool_blocks=engine.pool.n_blocks,
             pool_high_watermark=engine.pool.high_watermark,
         )

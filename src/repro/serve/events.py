@@ -1,31 +1,51 @@
-"""Per-request event logging and the serve-level report.
+"""A run's record stream, the folds over it, and the serve-level report.
 
-Every request carries timestamps for the canonical serving milestones —
-arrival, admission, first token, every subsequent token, completion — in
-the run's clock (analytic seconds by default, wall seconds in the
-engine's measured mode).  :class:`ServeReport` reduces the event log to
-the metrics a serving SLO is written against: TTFT and TPOT percentiles,
-aggregate decode throughput, queueing and end-to-end latency means, and
-the shed/degradation accounting the fault layer feeds.
-:class:`~repro.serve.engine.ServeEngine` produces one per run, and a
-fleet pools its workers' into one.
+Each fact of a run is written once, as a :class:`Record`, where it is
+decided: the scheduler emits ``admit``, ``reject``, ``preempt``,
+``brownout``, ``pin``, ``token`` and ``finish``; the engine run the
+inputs ``inject`` / ``depart`` and one ``step`` per engine step; the
+fleet router ``migrate`` on its own log.  :meth:`RecordLog.emit` folds
+each record into the request's :class:`RequestEvents` and the log's
+per-kind ``counts`` (the run totals of a :class:`ServeReport`), and
+sinks it into the ``serve.*`` / ``fleet.*`` counters; a durable run also
+writes it to its WAL.  Times are in the run's clock (analytic seconds by
+default, wall seconds in the engine's measured mode).
 
-Percentiles are :func:`repro.obs.exact_percentile` over the events.
+:class:`ServeReport` reduces the events to the metrics a serving SLO is
+written against: exact TTFT and TPOT percentiles
+(:func:`repro.obs.exact_percentile`), decode throughput, queueing and
+latency means, and the shed/degradation accounting.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.obs import exact_percentile
+from repro.obs import MetricsRegistry, exact_percentile
+
+RECORD_KINDS = ("inject", "admit", "reject", "token", "preempt", "pin",
+                "brownout", "migrate", "depart", "finish", "step")
+#: what a run is given rather than computes: replay applies these.
+INPUT_KINDS = ("inject", "depart")
+#: run-clock fields (wall seconds, so not reproducible, in measured mode).
+TIME_FIELDS = ("t", "clock")
+
+
+class Record(NamedTuple):
+    """One fact: its kind, its request (``None`` for a run-level record)
+    and its JSON-safe scalar fields, the request's id as ``rid``."""
+
+    kind: str
+    request: object
+    data: dict
 
 
 @dataclasses.dataclass
 class RequestEvents:
-    """Timestamps and counters for one request's lifetime."""
+    """One request's lifetime: the fold of its records."""
 
     request_id: int
     arrival_s: float
@@ -43,6 +63,26 @@ class RequestEvents:
     #: decoded at that stage (mirrors the degradation log; stage names
     #: in :data:`repro.serve.scheduler.BROWNOUT_STAGES`).
     brownout_tokens: Dict[int, int] = dataclasses.field(default_factory=dict)
+
+    def apply(self, record: Record) -> None:
+        """Fold one of this request's records in."""
+        kind, data = record.kind, record.data
+        if kind == "admit" and self.admitted_s is None:
+            self.admitted_s = data["t"]
+        elif kind == "token":
+            self.token_times_s.append(data["t"])
+            self.first_token_s = self.token_times_s[0]
+            self.degraded_tokens += data["degraded"]
+            if data["level"]:
+                _bump(self.brownout_tokens, data["level"])
+        elif kind == "preempt":
+            self.preemptions += 1
+        elif kind == "migrate":
+            self.migrations += 1
+        elif kind == "reject":
+            self.rejected = self.shed = True
+        elif kind == "finish":
+            self.finished_s, self.shed = data["t"], data["shed"]
 
     @property
     def brownout_token_total(self) -> int:
@@ -62,6 +102,69 @@ class RequestEvents:
             return None
         span = self.token_times_s[-1] - self.token_times_s[0]
         return span / (len(self.token_times_s) - 1)
+
+
+def _bump(counts: dict, key) -> None:
+    counts[key] = counts.get(key, 0) + 1
+
+
+#: counters of the kinds whose counters do not depend on the fields.
+_COUNTERS = {"preempt": ["serve.preemptions"],
+             "pin": ["serve.shed.degraded_pin"],
+             "brownout": ["serve.brownout.transitions"]}
+
+
+def _counters(record: Record) -> List[str]:
+    """The ``serve.*`` / ``fleet.*`` counters ``record`` increments."""
+    kind, data = record.kind, record.data
+    if kind == "token":
+        names = ["serve.tokens"]
+        if data["degraded"]:
+            names.append("serve.degraded_tokens")
+        if data["level"]:
+            names += ["serve.brownout.stage_tokens",
+                      f"serve.brownout.stage{data['level']}_tokens"]
+        return names
+    if kind == "step":
+        return ["serve.steps"] * (data["batch"] is not None)
+    if kind == "admit":
+        return [f"serve.tenant.{record.request.tenant}.admitted"]
+    if kind == "reject":
+        return ["serve.rejected", f"serve.shed.{data['cause']}"]
+    if kind == "migrate":
+        return ["fleet.migrations" if data["reason"] == "capacity"
+                else "fleet.failover_sessions"]
+    return _COUNTERS.get(kind, [])
+
+
+class RecordLog:
+    """A run's record stream: ``records`` emitted since the last
+    :meth:`drain`, and ``counts``, the computed (non-input) records per
+    kind."""
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self.metrics = metrics
+        self.records: List[Record] = []
+        self.counts: Dict[str, int] = {}
+
+    def emit(self, kind: str, request=None, **data) -> None:
+        """Write one record and fold it into every consumer."""
+        if request is not None:
+            data = {"rid": request.request_id, **data}
+        record = Record(kind, request, data)
+        self.records.append(record)
+        if kind not in INPUT_KINDS:
+            _bump(self.counts, kind)
+        if request is not None:
+            request.events.apply(record)
+        if self.metrics.enabled:
+            for name in _counters(record):
+                self.metrics.counter(name).inc()
+
+    def drain(self) -> List[Record]:
+        """The records emitted since the last drain, in order."""
+        records, self.records = self.records, []
+        return records
 
 
 @dataclasses.dataclass

@@ -9,7 +9,10 @@ Requests move through the lifecycle
 The scheduler owns the *decisions* — admission against pool capacity and
 the TTFT SLO, per-step batch assembly (chunked prefill interleaved with
 decode), and preemption victim selection — while the engine owns the
-*mechanics* (running the model, advancing the clock, event logging).
+*mechanics* (running the model, advancing the clock).  Each decision is
+written once, as a record on the scheduler's :class:`~repro.serve.events.
+RecordLog` (``admit``, ``reject``, ``preempt``, ``brownout``, ``pin``,
+``token``, ``finish``); the request events and counters are folds of it.
 Keeping the two apart makes the policy unit-testable without a model.
 
 Preemption follows the recompute discipline: a victim's blocks are
@@ -29,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.obs import Obs, resolve_obs
-from repro.serve.events import RequestEvents
+from repro.serve.events import RecordLog, RequestEvents
 from repro.serve.paged_kv import PagedKVPool
 
 
@@ -237,8 +240,6 @@ class ServeRequest:
     #: session-affinity key for fleet routing; ``None`` routes by load
     #: and prefix locality alone.
     session: Optional[str] = None
-    #: cross-worker relocations performed so far (router-owned).
-    migrations: int = 0
     state: RequestState = RequestState.QUEUED
     #: sampled output tokens (the last one may not be in the cache yet).
     outputs: List[int] = dataclasses.field(default_factory=list)
@@ -334,18 +335,17 @@ class ContinuousBatchScheduler:
         self._vtime: Dict[str, float] = {}
         self.running: List[ServeRequest] = []   # PREFILL or DECODE
         self.finished: List[ServeRequest] = []
-        self.preemptions = 0
         #: current brownout ladder stage (0 = normal service).
         self.brownout_stage = 0
-        self.brownout_transitions = 0
         #: optional capacity rule over charged contexts (the modeled
         #: system's HBM / DReX budget); ``None`` admits on pool blocks only.
         self.admits = admits
+        #: the run's record stream (the engine run writes to it too).
+        self.log = RecordLog(self.obs.metrics)
 
-    def _count(self, name: str, amount=1) -> None:
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter(name).inc(amount)
+    @property
+    def brownout_transitions(self) -> int:
+        return self.log.counts.get("brownout", 0)
 
     # -- submission -----------------------------------------------------------
 
@@ -485,19 +485,14 @@ class ContinuousBatchScheduler:
             self._vtime[tenant] += 1.0 / policy.tenant_weight(tenant)
             head.state = RequestState.PREFILL
             head.prefilled = 0
-            if head.events.admitted_s is None:
-                head.events.admitted_s = now
+            self.log.emit("admit", head, t=now)
             self.running.append(head)
             admitted.append(head)
-            self._count(f"serve.tenant.{tenant}.admitted")
         return admitted
 
     def _reject(self, request: ServeRequest, cause: str) -> None:
-        self._count("serve.rejected")
-        self._count(f"serve.shed.{cause}")
         request.state = RequestState.SHED
-        request.events.rejected = True
-        request.events.shed = True
+        self.log.emit("reject", request, cause=cause)
         self.finished.append(request)
 
     # -- overload brownout ----------------------------------------------------
@@ -540,8 +535,7 @@ class ContinuousBatchScheduler:
                 stage -= 1
         if stage != self.brownout_stage:
             self.brownout_stage = stage
-            self.brownout_transitions += 1
-            self._count("serve.brownout.transitions")
+            self.log.emit("brownout", stage=stage)
         metrics = self.obs.metrics
         if metrics.enabled:
             metrics.gauge("serve.brownout.stage").set(stage)
@@ -554,19 +548,6 @@ class ContinuousBatchScheduler:
                 self._queues[victim.tenant].remove(victim)
                 self._reject(victim, "brownout")
         return stage
-
-    def note_brownout(self, request: ServeRequest, stage: int) -> None:
-        """Attribute one emitted token to a brownout ladder stage.
-
-        Mirrors the offload degradation log: every token served below
-        full quality is recorded per request and per stage, so brownout
-        output remains attributable after the fact.
-        """
-        events = request.events
-        events.brownout_tokens[stage] = \
-            events.brownout_tokens.get(stage, 0) + 1
-        self._count("serve.brownout.stage_tokens")
-        self._count(f"serve.brownout.stage{stage}_tokens")
 
     # -- detach (preemption, failover drain) ----------------------------------
 
@@ -653,8 +634,7 @@ class ContinuousBatchScheduler:
         """Completion: release blocks, record timestamps, retire."""
         request.state = RequestState.SHED if request.pinned_dense \
             else RequestState.DONE
-        request.events.finished_s = now
-        request.events.shed = request.pinned_dense
+        self.log.emit("finish", request, t=now, shed=request.pinned_dense)
         if request.cache is not None:
             request.cache.free()
             request.cache = None
@@ -662,22 +642,26 @@ class ContinuousBatchScheduler:
         self.running.remove(request)
         self.finished.append(request)
 
-    def note_degraded(self, request: ServeRequest, degraded: bool) -> None:
-        """Track a token's offload health; pin after the budget is spent.
+    def note_token(self, request: ServeRequest, now: float, level: int = 0,
+                   degraded: bool = False) -> None:
+        """Record the token ``request`` just emitted — its brownout stage
+        ``level`` (0 when pinned: a pinned token is ``degraded``) and its
+        offload health — and pin after the degradation budget is spent.
 
         A pinned session *falls to the dense window without stalling the
         batch*: it stays in DECODE (tokens keep flowing every step) but is
         excluded from the sparse/offload path by the engine's timing and
         backend handling, and retires as SHED.
         """
+        self.log.emit("token", request, index=len(request.outputs) - 1,
+                      token=request.outputs[-1], level=level,
+                      degraded=degraded, t=now)
         if degraded:
-            request.events.degraded_tokens += 1
             request.consecutive_degraded += 1
-            self._count("serve.degraded_tokens")
             if not request.pinned_dense and request.consecutive_degraded \
                     >= self.policy.shed_after_consecutive_degraded:
                 request.pinned_dense = True
-                self._count("serve.shed.degraded_pin")
+                self.log.emit("pin", request)
         else:
             request.consecutive_degraded = 0
 
@@ -711,9 +695,7 @@ class ContinuousBatchScheduler:
         victim = max(candidates,
                      key=lambda r: (r.events.admitted_s, r.request_id))
         self.detach(victim)
-        victim.events.preemptions += 1
-        self.preemptions += 1
-        self._count("serve.preemptions")
+        self.log.emit("preempt", victim)
         if relocate is not None and relocate(victim):
             return victim
         self.submit(victim)

@@ -99,9 +99,9 @@ class TestRestoreAndRejoin:
         departure (not re-migrate it), and the snapshots taken while the
         departed session lives on the sibling must restore."""
         reference_router = make_fleet(tmp_path / "ref", n_blocks=8)
-        reference_router.run(make_workload(**TIGHT))
+        reference_report = reference_router.run(make_workload(**TIGHT))
         reference = _fleet_outputs(reference_router)
-        assert reference_router.migrations >= 1
+        assert reference_report.migrations >= 1
         kills = []
         for worker in reference_router.workers:
             departs = _depart_steps(worker)
@@ -135,13 +135,14 @@ class TestRestoreAndRejoin:
         """The point of restore-and-rejoin: a worker death must not
         scatter its sessions across the fleet."""
         reference_router = make_fleet(tmp_path / "ref")
-        reference_router.run(make_workload(n_requests=6, seed=11))
+        reference_report = reference_router.run(
+            make_workload(n_requests=6, seed=11))
 
         router = make_fleet(
             tmp_path / "crash",
             crash_plans={0: CrashPlan(kill_at_step=5)})
-        router.run(make_workload(n_requests=6, seed=11))
-        assert router.migrations == reference_router.migrations
+        report = router.run(make_workload(n_requests=6, seed=11))
+        assert report.migrations == reference_report.migrations
         assert router.obs.metrics.counter("fleet.worker_restores").value \
             == 1
 
@@ -176,7 +177,7 @@ class TestExactlyOnceReporting:
                 crash_plans={0: CrashPlan(kill_at_step=kill_at)},
                 n_blocks=8)
             report = router.run(make_workload(**TIGHT))
-            assert router.migrations >= 1
+            assert report.migrations >= 1
             counts = collections.Counter(_reported_rids(report))
             assert all(n == 1 for n in counts.values())
             assert sorted(counts) == list(range(8))

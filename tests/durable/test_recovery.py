@@ -247,6 +247,94 @@ class TestReplayVerification:
         with pytest.raises(ReplayDivergenceError):
             recover(directory, engine_builder())
 
+    @pytest.mark.parametrize("kind", ["admit", "finish", "step"])
+    def test_tampered_non_token_record_raises_divergence(
+            self, tmp_path, engine_builder, make_workload, kind):
+        """Every re-executed record of a bucket is verified, not only its
+        tokens: an admission, a completion or a step record that does not
+        match re-execution fails recovery too."""
+        directory = tmp_path / "tamper"
+        run = DurableRun(engine_builder(), make_workload(), directory,
+                         snapshot_every=100)  # only the step-0 snapshot
+        while run.step():
+            pass
+        run.wal.close()
+        path = directory / "wal.log"
+        lines = path.read_text().splitlines(keepends=True)
+        from repro.durable.wal import _decode, _encode
+        for i, line in enumerate(lines):
+            record = _decode(line.strip())
+            if record.kind == kind:
+                data = dict(record.data)
+                field = "clock" if kind == "step" else "t"
+                data[field] = data[field] + 1.0
+                lines[i] = _encode(record.lsn, kind, data)
+                break
+        else:
+            pytest.fail(f"no {kind} record in the log")
+        path.write_text("".join(lines))
+        with pytest.raises(ReplayDivergenceError):
+            recover(directory, engine_builder())
+
+
+class TestTwoCrashesInOneInterval:
+    """A second crash inside the snapshot interval the first one was
+    recovered into, for every ordered pair of crash kinds."""
+
+    @pytest.mark.parametrize("second", CRASH_KINDS)
+    @pytest.mark.parametrize("first", CRASH_KINDS)
+    @pytest.mark.parametrize("kills", [(6, 7), (5, 7)])
+    def test_outputs_equal_the_no_crash_run(
+            self, tmp_path, engine_builder, make_workload, kills, first,
+            second):
+        reference, _ = _uninterrupted(engine_builder, make_workload,
+                                      tmp_path)
+        directory = tmp_path / "twice"
+        plans = [CrashPlan(kill_at_step=kills[0], kind=first),
+                 CrashPlan(kill_at_step=kills[1], kind=second)]
+        run = DurableRun(engine_builder(), make_workload(), directory,
+                         snapshot_every=4, crash=plans.pop(0))
+        deaths = 0
+        while True:
+            try:
+                run.serve()
+                break
+            except WorkerKilledError:
+                deaths += 1
+                run, _ = recover(directory, engine_builder(),
+                                 snapshot_every=4)
+                run.crash = plans.pop(0) if plans else None
+        assert deaths == 2
+        outputs = {r.request_id: list(r.outputs) for r in run._arrivals}
+        assert outputs == reference
+
+
+class TestSnapshotRetention:
+    def test_a_skipped_torn_snapshot_does_not_evict_a_loadable_one(
+            self, tmp_path, engine_builder, make_workload):
+        """Torn at step 6, recovered from snapshot 4, torn again at step
+        7: retention must keep snapshot 4, the last one that can load."""
+        reference, _ = _uninterrupted(engine_builder, make_workload,
+                                      tmp_path)
+        directory = tmp_path / "torn-twice"
+        run = DurableRun(engine_builder(), make_workload(), directory,
+                         snapshot_every=4,
+                         crash=CrashPlan(kill_at_step=6,
+                                         kind="torn_snapshot"))
+        with pytest.raises(WorkerKilledError):
+            run.serve()
+        run, stats = recover(directory, engine_builder(), snapshot_every=4)
+        assert stats.snapshot_step == 4 and stats.snapshots_skipped == 1
+        run.crash = CrashPlan(kill_at_step=7, kind="torn_snapshot")
+        with pytest.raises(WorkerKilledError):
+            run.serve()
+        assert (directory / "snapshot-00000004.bin").exists()
+        run, stats = recover(directory, engine_builder(), snapshot_every=4)
+        assert stats.snapshot_step == 4
+        run.serve()
+        assert {r.request_id: list(r.outputs)
+                for r in run._arrivals} == reference
+
 
 class TestHypothesisProperty:
     @settings(max_examples=12, deadline=None,

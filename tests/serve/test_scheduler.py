@@ -122,13 +122,14 @@ class TestDegradation:
     def test_pins_after_consecutive_budget(self):
         sched, _ = _scheduler(shed_after_consecutive_degraded=3)
         request = _request(0)
+        request.outputs.append(0)
         for _ in range(2):
-            sched.note_degraded(request, True)
+            sched.note_token(request, 0.0, degraded=True)
         assert not request.pinned_dense
-        sched.note_degraded(request, False)  # healthy token resets
+        sched.note_token(request, 0.0, degraded=False)  # healthy resets
         assert request.consecutive_degraded == 0
         for _ in range(3):
-            sched.note_degraded(request, True)
+            sched.note_token(request, 0.0, degraded=True)
         assert request.pinned_dense
         assert request.events.degraded_tokens == 5
 
@@ -167,7 +168,7 @@ class TestPreemption:
         assert young.state is RequestState.QUEUED
         assert young.cache is None
         assert young.events.preemptions == 1
-        assert sched.preemptions == 1
+        assert sched.log.counts["preempt"] == 1
         # victim's blocks are back (only old's 2 blocks remain held)
         assert pool.n_used == 2
         # and it re-enters the queue for fair re-admission
