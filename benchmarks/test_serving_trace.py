@@ -10,7 +10,7 @@ admission capped, for Llama-3-8B at the charged prompt length.
 
 from benchmarks.conftest import run_once
 
-from repro.bench.serve import TINY_LS, TINY_MODEL
+from repro.bench.scenario import TINY_LS, TINY_MODEL, Tenant, Trace
 from repro.bench.tables import Table
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
@@ -19,7 +19,6 @@ from repro.llm.model import DenseBackend, Transformer
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import SloPolicy
-from repro.serve.workload import poisson_workload
 from repro.system.baselines import DenseGpuSystem
 from repro.system.engine import LongSightSystem
 
@@ -47,10 +46,9 @@ def test_serving_trace(benchmark, report):
             ["system", "completed", "throughput_tps", "peak_concurrency",
              "mean_queue_delay_s", "mean_session_latency_s"])
         for system, backend in systems:
-            requests = poisson_workload(
-                N_SESSIONS, ARRIVAL_RATE, FUNCTIONAL_PROMPT, OUTPUT,
-                TINY_MODEL.vocab_size, charged_prompt_tokens=PROMPT,
-                seed=11)
+            requests = Trace((Tenant(
+                N_SESSIONS, FUNCTIONAL_PROMPT, OUTPUT, seed=11,
+                rate=ARRIVAL_RATE, charged=PROMPT),)).requests()
             engine = ServeEngine(
                 model,
                 PagedKVPool(TINY_MODEL, n_blocks=16 * N_SESSIONS,

@@ -15,13 +15,12 @@ Run:
 
 import argparse
 
-from repro.bench.serve import TINY_LS, TINY_MODEL
+from repro.bench.scenario import TINY_LS, TINY_MODEL, Tenant, Trace
 from repro.core import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.llm.config import PAPER_MODELS
 from repro.llm.model import DenseBackend, Transformer
 from repro.serve import AnalyticTiming, PagedKVPool, ServeEngine, SloPolicy
-from repro.serve.workload import poisson_workload
 from repro.system import DenseGpuSystem, LongSightSystem
 
 
@@ -54,10 +53,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for system, backend in systems:
-        requests = poisson_workload(args.sessions, args.rate, 24,
-                                    args.output, TINY_MODEL.vocab_size,
-                                    charged_prompt_tokens=args.prompt,
-                                    seed=11)
+        requests = Trace((Tenant(args.sessions, 24, args.output, seed=11,
+                                 rate=args.rate, charged=args.prompt),)
+                         ).requests()
         engine = ServeEngine(
             model,
             PagedKVPool(TINY_MODEL, n_blocks=16 * args.sessions,

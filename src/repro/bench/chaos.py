@@ -15,6 +15,10 @@ Sweeps fault rates x workloads through two layers of the stack:
   rate, recording degraded-token fraction, retries, repairs, and that
   generation always completes (the dense-fallback guarantee).
 
+The serving sweep is a list of :mod:`repro.bench.scenario` scenarios, one
+per (workload, system, rate) (:func:`scenario`); the functional check is
+a plain decode, not a serving world.
+
 Results are written as ``BENCH_chaos.json`` (default: ``results/``); the
 schema is validated by ``validate_payload`` / ``tests/bench/test_chaos.py``:
 ``fault_rates`` is a strictly increasing axis with >= 3 points, and every
@@ -25,101 +29,61 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import pathlib
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bench.serve import TINY_LS, TINY_MODEL
-from repro.bench.tables import Table, results_dir
-from repro.core.config import LongSightConfig
-from repro.core.hybrid import LongSightAttention
+from repro.bench.scenario import (CHARGED_MODEL, TINY_LS, TINY_MODEL,
+                                  Faults, Scenario, Tenant, Topology, Trace,
+                                  run, tiny_model)
+from repro.bench.tables import (Table, missing_keys, run_cli,
+                                write_payload)
 from repro.drex.backend import DrexOffloadBackend
-from repro.llm.config import LLAMA3_8B, ModelConfig
-from repro.llm.model import Transformer
-from repro.serve.engine import AnalyticTiming, ServeEngine
-from repro.serve.paged_kv import PagedKVPool
-from repro.serve.scheduler import ServeRequest, SloPolicy
-from repro.serve.workload import poisson_workload
-from repro.system.baselines import SlidingWindowGpuSystem
-from repro.system.engine import LongSightSystem
+from repro.serve.scheduler import SloPolicy
 from repro.system.faults import FaultPlan
 
 SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_chaos.json"
 WORKLOADS = ("steady", "burst")
-SERVING_SYSTEMS = ("LongSight", "SlidingWindow")
+#: serving name -> (analytic system, backend kind).  The GPU-only
+#: baseline never offloads: fault-immune, the quality/latency floor the
+#: degraded path converges to.
+SERVING_SYSTEMS = {"LongSight": ("longsight", "offload"),
+                   "SlidingWindow": ("sliding_window", "sliding_window")}
 #: Serving sessions decode a tiny prompt, charged as a 32K one.
 PROMPT_TOKENS = 24
 CHARGED_PROMPT_TOKENS = 32768
 OUTPUT_TOKENS = 24
 
 
-def burst_workload(n_sessions: int, burst_every: int = 4,
-                   burst_gap_s: float = 2.0,
-                   seed: int = 0) -> List[ServeRequest]:
-    """Bursty arrivals: groups of requests land at one instant."""
-    rng = np.random.default_rng(seed)
-    requests = []
-    for i in range(n_sessions):
-        jitter = 1.0 + 0.25 * (2 * rng.random() - 1)
-        prompt = rng.integers(0, TINY_MODEL.vocab_size,
-                              size=max(1, int(PROMPT_TOKENS * jitter)))
-        requests.append(ServeRequest(
-            request_id=i, prompt=prompt, max_new_tokens=OUTPUT_TOKENS,
-            arrival_s=(i // burst_every) * burst_gap_s,
-            charged_prompt_tokens=max(
-                1, int(CHARGED_PROMPT_TOKENS * jitter))))
-    return requests
+def scenario(workload: str, name: str, n_sessions: int, rate: float,
+             seed: int) -> Scenario:
+    """One serving point: ``steady`` Poisson arrivals at 2/s or ``burst``
+    groups of four every 2 s, on one engine of system ``name``, its
+    offloads (if any) under the rate's fault mix."""
+    if workload not in WORKLOADS:
+        raise ValueError(f"unknown workload: {workload!r}")
+    arrivals = dict(rate=2.0) if workload == "steady" \
+        else dict(group=4, gap_s=2.0)
+    system, backend = SERVING_SYSTEMS[name]
+    return Scenario(
+        Trace((Tenant(n_sessions, PROMPT_TOKENS, OUTPUT_TOKENS, seed=seed,
+                      charged=CHARGED_PROMPT_TOKENS, **arrivals),)),
+        Topology(system=system, backend=backend,
+                 policy=SloPolicy(max_decode_batch=n_sessions),
+                 n_blocks=16 * n_sessions, charge_prefill=False),
+        Faults(offload=_fault_mix(rate, seed)
+               if backend == "offload" else None),
+        model_seed=seed)
 
 
-def _workload(name: str, n_sessions: int,
-              seed: int) -> List[ServeRequest]:
-    if name == "steady":
-        return poisson_workload(n_sessions, 2.0, PROMPT_TOKENS,
-                                OUTPUT_TOKENS, TINY_MODEL.vocab_size,
-                                charged_prompt_tokens=CHARGED_PROMPT_TOKENS,
-                                seed=seed)
-    if name == "burst":
-        return burst_workload(n_sessions, seed=seed)
-    raise ValueError(f"unknown workload: {name!r}")
-
-
-def serving_systems() -> Dict[str, tuple]:
-    """Name -> (system model, faultable) for the serving sweep."""
-    ls = LongSightSystem(LongSightConfig(window=1024, n_sink=16, top_k=1024,
-                                         use_itq=True))
-    sw = SlidingWindowGpuSystem(window=1024, n_sink=16)
-    return {"LongSight": (ls, True),
-            # The GPU-only baseline never offloads: fault-immune, the
-            # quality/latency floor the degraded path converges to.
-            "SlidingWindow": (sw, False)}
-
-
-def _serving_point(system, config: ModelConfig, workload: str,
-                   n_sessions: int, rate: float, seed: int,
-                   faultable: bool) -> dict:
-    if faultable:
-        plan = _fault_mix(rate, seed)
-
-        def factory(request):
-            return DrexOffloadBackend(TINY_MODEL, TINY_LS, plan=plan,
-                                      flush_granularity=1)
-    else:
-        sliding = TINY_LS.replace(top_k=0)
-
-        def factory(request):
-            return LongSightAttention(sliding)
-
-    engine = ServeEngine(
-        Transformer(TINY_MODEL, seed=seed),
-        PagedKVPool(TINY_MODEL, n_blocks=16 * n_sessions, block_tokens=16),
-        factory, policy=SloPolicy(max_decode_batch=n_sessions),
-        timing=AnalyticTiming(system, config), name=system.name)
-    report = engine.run(_workload(workload, n_sessions, seed))
+def _serving_point(workload: str, name: str, n_sessions: int, rate: float,
+                   seed: int) -> dict:
+    sc = scenario(workload, name, n_sessions, rate, seed)
+    report = run(sc).report
     return {
-        "fault_rate": rate if faultable else 0.0,
+        "fault_rate": rate if sc.faults.offload is not None else 0.0,
         "throughput_tps": report.throughput_tps,
         "tokens_generated": report.tokens_generated,
         "degraded_token_fraction": report.degraded_token_fraction,
@@ -138,16 +102,14 @@ def _fault_mix(rate: float, seed: int) -> FaultPlan:
 
 
 def _functional_point(rate: float, seed: int, n_tokens: int) -> dict:
-    mc = ModelConfig(name="chaos-tiny", vocab_size=64, n_layers=2,
-                     n_q_heads=4, n_kv_heads=2, head_dim=8, d_ff=32,
-                     qk_bias=True)
-    cfg = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=5)
-    model = Transformer(mc, seed=seed)
-    tokens = np.random.default_rng(seed).integers(0, mc.vocab_size,
-                                                  size=n_tokens)
-    backend = DrexOffloadBackend(mc, cfg, plan=_fault_mix(rate, seed),
+    cfg = TINY_LS.replace(thresholds=5)
+    tokens = np.random.default_rng(seed).integers(
+        0, TINY_MODEL.vocab_size, size=n_tokens)
+    backend = DrexOffloadBackend(TINY_MODEL, cfg,
+                                 plan=_fault_mix(rate, seed),
                                  flush_granularity=1, supervisor_seed=seed)
-    out = model.forward_full(tokens, backend=backend, block_size=16)
+    out = tiny_model(seed).forward_full(tokens, backend=backend,
+                                        block_size=16)
     stats = backend.supervisor.stats
     return {
         "fault_rate": rate,
@@ -170,15 +132,11 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
     rates = sorted(set(float(r) for r in rates))
     if len(rates) < 3:
         raise ValueError("need >= 3 fault-rate points")
-    systems = serving_systems()
     serving: Dict[str, Dict[str, List[dict]]] = {
-        w: {name: [] for name in SERVING_SYSTEMS} for w in WORKLOADS}
-    for workload in WORKLOADS:
-        for name, (system, faultable) in systems.items():
-            for rate in rates:
-                serving[workload][name].append(_serving_point(
-                    system, LLAMA3_8B, workload, n_sessions, rate, seed,
-                    faultable))
+        workload: {name: [_serving_point(workload, name, n_sessions, rate,
+                                         seed) for rate in rates]
+                   for name in SERVING_SYSTEMS}
+        for workload in WORKLOADS}
     functional = [_functional_point(rate, seed, n_tokens) for rate in rates]
 
     payload = {
@@ -190,15 +148,13 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
                       "fraction of tokens served dense-only",
                   "availability": "completed un-shed / completed sessions"},
         "config": {"n_sessions": n_sessions, "n_tokens": n_tokens,
-                   "seed": seed, "model": LLAMA3_8B.name,
+                   "seed": seed, "model": CHARGED_MODEL.name,
                    "workloads": list(WORKLOADS)},
         "fault_rates": rates,
         "serving": serving,
         "functional": functional,
     }
-    out_dir = pathlib.Path(out_dir) if out_dir is not None else results_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / RESULT_NAME).write_text(json.dumps(payload, indent=2) + "\n")
+    write_payload(payload, RESULT_NAME, out_dir)
 
     table = Table(
         "chaos sweep (fault rate x workload; serving + functional)",
@@ -230,11 +186,9 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
 
 def validate_payload(payload: dict) -> List[str]:
     """Schema check used by the smoke test; returns a list of problems."""
-    problems = []
-    for key in ("benchmark", "schema_version", "units", "config",
-                "fault_rates", "serving", "functional"):
-        if key not in payload:
-            problems.append(f"missing key: {key}")
+    problems = missing_keys(payload, (
+        "benchmark", "schema_version", "units", "config", "fault_rates",
+        "serving", "functional"))
     if problems:
         return problems
     rates = payload["fault_rates"]
@@ -287,17 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--n-tokens", type=int, default=56,
                         help="decode length for the functional check")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out-dir", type=pathlib.Path, default=None,
-                        help="directory for BENCH_chaos.json "
-                             "(default: results/)")
-    args = parser.parse_args(argv)
-    table = run_chaos(rates=args.rates, n_sessions=args.n_sessions,
-                      n_tokens=args.n_tokens, seed=args.seed,
-                      out_dir=args.out_dir)
-    print(table.render())
-    out_dir = args.out_dir if args.out_dir is not None else results_dir()
-    print(f"[saved to {pathlib.Path(out_dir) / RESULT_NAME}]")
-    return 0
+    return run_cli(parser, argv, run_chaos, RESULT_NAME)
 
 
 if __name__ == "__main__":

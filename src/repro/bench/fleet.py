@@ -12,7 +12,10 @@ Every sweep point is a full :class:`~repro.fleet.report.FleetReport`
 (``workers == 1`` is the single-engine baseline the fleet must beat);
 a separate fairness section reruns the two-worker point with the burst
 tenant removed and reports the steady tenant's p99-TTFT degradation
-ratio, which must stay under the configured bound.
+ratio, which must stay under the configured bound.  Each point is one
+:mod:`repro.bench.scenario` scenario, :func:`trace` on
+:func:`fleet_topology`, whose health monitor is inert: wall-clock jitter
+must not drain a worker and move the analytic numbers.
 
 Results are written as ``BENCH_fleet.json`` (default: ``results/``);
 the schema is validated by ``validate_payload`` /
@@ -22,113 +25,59 @@ the schema is validated by ``validate_payload`` /
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import pathlib
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro.bench.serve import TINY_LS, TINY_MODEL
-from repro.bench.tables import Table, results_dir
-from repro.fleet import FleetReport, FleetRouter, make_worker
-from repro.llm.config import LLAMA3_8B
-from repro.llm.model import Transformer
-from repro.serve.workload import backend_factory, default_systems
-from repro.serve.engine import AnalyticTiming
-from repro.serve.scheduler import ServeRequest, SloPolicy, TenantClass
-from repro.system.prefill import PrefillModel
+from repro.bench.scenario import (CHARGED_MODEL, TINY_MODEL, Scenario,
+                                  Tenant, Topology, Trace, run)
+from repro.bench.tables import (Table, missing_keys, run_cli,
+                                write_payload)
+from repro.fleet import HealthPolicy
+from repro.serve.scheduler import SloPolicy, TenantClass
 
 SCHEMA_VERSION = 1
 RESULT_NAME = "BENCH_fleet.json"
 
 #: admission weights: the steady tenant gets 4 slots per burst slot.
 TENANTS = (TenantClass("steady", weight=4), TenantClass("burst", weight=1))
+#: The sweep measures placement, not health: a monitor that never suspects.
+INERT_HEALTH = HealthPolicy(step_deadline_s=math.inf, suspect_phi=math.inf,
+                            fail_phi=math.inf)
 
 
-def fleet_workload(n_steady: int, n_burst: int, vocab_size: int,
-                   seed: int = 0, prefix_tokens: int = 32,
-                   tail_tokens: int = 20, output_tokens: int = 8,
-                   steady_rate_per_s: float = 50.0,
-                   charged_context: int = 32_768,
-                   include_burst: bool = True) -> List[ServeRequest]:
+def trace(n_steady: int, n_burst: int, seed: int = 0,
+          output_tokens: int = 8, charged_context: int = 32_768,
+          include_burst: bool = True) -> Trace:
     """Two-tenant trace with per-tenant shared system prefixes.
 
-    Each tenant's requests open with the same block-aligned
-    ``prefix_tokens``-token system prompt and diverge in a unique tail,
-    so temporally overlapping sessions of one tenant hit the prefix
-    cache.  Burst arrivals all land at t=0; steady arrivals are Poisson.
-    Separate RNG streams per concern keep the steady trace bit-identical
-    whether or not the burst tenant is included (the fairness A/B).
+    Each tenant's requests open with the same block-aligned 32-token
+    system prompt and diverge in a unique 20-27-token tail, so temporally
+    overlapping sessions of one tenant hit the prefix cache.  Steady
+    arrivals are Poisson at 50/s; burst arrivals all land at t=0.  Each
+    tenant draws from its own stream, so the steady requests are
+    identical whether or not the burst tenant is included (the fairness
+    A/B).
     """
-    prefix_rng = np.random.default_rng(seed)
-    steady_rng = np.random.default_rng(seed + 1)
-    burst_rng = np.random.default_rng(seed + 2)
-    steady_prefix = prefix_rng.integers(0, vocab_size, size=prefix_tokens)
-    burst_prefix = prefix_rng.integers(0, vocab_size, size=prefix_tokens)
+    def tenant(name, n, offset, **arrivals):
+        return Tenant(n, 20, output_tokens, seed=seed + 1 + offset,
+                      extra=8, charged=charged_context, prefix_tokens=32,
+                      name=name, id_offset=1000 * offset, **arrivals)
 
-    requests: List[ServeRequest] = []
-    t = 0.0
-    for i in range(n_steady):
-        t += steady_rng.exponential(1.0 / steady_rate_per_s)
-        tail = steady_rng.integers(
-            0, vocab_size, size=tail_tokens + int(steady_rng.integers(0, 8)))
-        requests.append(ServeRequest(
-            request_id=i, prompt=np.concatenate([steady_prefix, tail]),
-            max_new_tokens=output_tokens, arrival_s=t,
-            charged_prompt_tokens=charged_context, tenant="steady"))
-    if include_burst:
-        for i in range(n_burst):
-            tail = burst_rng.integers(
-                0, vocab_size,
-                size=tail_tokens + int(burst_rng.integers(0, 8)))
-            requests.append(ServeRequest(
-                request_id=1000 + i,
-                prompt=np.concatenate([burst_prefix, tail]),
-                max_new_tokens=output_tokens, arrival_s=0.0,
-                charged_prompt_tokens=charged_context, tenant="burst"))
-    return requests
+    steady = tenant("steady", n_steady, 0, rate=50.0)
+    burst = tenant("burst", n_burst, 1)
+    return Trace((steady, burst) if include_burst else (steady,),
+                 prefix_seed=seed)
 
 
-def _build_fleet(n_workers: int, model: Transformer, system,
-                 blocks_per_worker: int, max_decode_batch: int, *,
-                 policy: Optional[SloPolicy] = None,
-                 durable_root: Optional[pathlib.Path] = None,
-                 snapshot_every: int = 8,
-                 crash_plans: Optional[dict] = None,
-                 gray_plans: Optional[dict] = None,
-                 health=None) -> FleetRouter:
-    """A fresh fleet: per-worker prefix-cached pools and analytic timing.
-
-    Deterministic by construction — every random choice lives in the
-    seeded trace (:func:`fleet_workload`) and the seeded model, both
-    owned by the caller.  The resilience/durability knobs are forwarded
-    so ``repro.bench.fleet_chaos`` can reuse the exact same fleet.
-    """
-    if policy is None:
-        policy = SloPolicy(max_decode_batch=max_decode_batch,
-                           tenant_classes=TENANTS)
-    prefill = PrefillModel()
-    factory = backend_factory("longsight", TINY_LS)
-    workers = [
-        make_worker(
-            wid, model, factory, n_blocks=blocks_per_worker,
-            block_tokens=16, policy=policy,
-            timing_factory=lambda obs: AnalyticTiming(
-                system, LLAMA3_8B, prefill=prefill, obs=obs),
-            durable_root=durable_root)
-        for wid in range(n_workers)
-    ]
-    return FleetRouter(workers, snapshot_every=snapshot_every,
-                       crash_plans=crash_plans, gray_plans=gray_plans,
-                       health=health)
-
-
-def _run_point(n_workers: int, model: Transformer, system,
-               blocks_per_worker: int, max_decode_batch: int,
-               requests: Sequence[ServeRequest]) -> FleetReport:
-    fleet = _build_fleet(n_workers, model, system, blocks_per_worker,
-                         max_decode_batch)
-    return fleet.run(requests)
+def fleet_topology(n_workers: int, blocks_per_worker: int,
+                   max_decode_batch: int, **durability) -> Topology:
+    """``n_workers`` prefix-cached LongSight workers under per-tenant
+    weighted admission (``durability``: ``snapshot_every``, ``health``)."""
+    return Topology(policy=SloPolicy(max_decode_batch=max_decode_batch,
+                                     tenant_classes=TENANTS),
+                    n_blocks=blocks_per_worker, workers=n_workers,
+                    **durability)
 
 
 def run_fleet(workers_axis: Sequence[int] = (1, 2, 4),
@@ -145,28 +94,21 @@ def run_fleet(workers_axis: Sequence[int] = (1, 2, 4),
     if len(workers_axis) < 2:
         raise ValueError("need >= 2 worker-count points")
 
-    model = Transformer(TINY_MODEL, seed=seed)
-    system = default_systems()["longsight"]
+    def point(n_workers: int, include_burst: bool = True):
+        return run(Scenario(
+            trace(n_steady, n_burst, seed, output_tokens, charged_context,
+                  include_burst),
+            fleet_topology(n_workers, blocks_per_worker, max_decode_batch,
+                           health=INERT_HEALTH),
+            model_seed=seed)).report
 
-    def trace(include_burst: bool = True) -> List[ServeRequest]:
-        return fleet_workload(
-            n_steady, n_burst, model.config.vocab_size, seed=seed,
-            output_tokens=output_tokens, charged_context=charged_context,
-            include_burst=include_burst)
-
-    sweep: List[dict] = []
-    for n_workers in workers_axis:
-        report = _run_point(n_workers, model, system, blocks_per_worker,
-                            max_decode_batch, trace())
-        sweep.append(report.as_dict())
+    sweep = [point(n_workers).as_dict() for n_workers in workers_axis]
 
     # Fairness A/B at the first multi-worker point: the steady tenant's
     # p99 TTFT with the burst tenant present vs with it removed.
     fair_workers = workers_axis[1]
-    contended = _run_point(fair_workers, model, system, blocks_per_worker,
-                           max_decode_batch, trace())
-    alone = _run_point(fair_workers, model, system, blocks_per_worker,
-                       max_decode_batch, trace(include_burst=False))
+    contended = point(fair_workers)
+    alone = point(fair_workers, include_burst=False)
     p99_contended = contended.pooled.ttft_percentile_s(99.0, tenant="steady")
     p99_alone = alone.pooled.ttft_percentile_s(99.0, tenant="steady")
     fairness = {
@@ -198,16 +140,14 @@ def run_fleet(workers_axis: Sequence[int] = (1, 2, 4),
             "tenants": {t.name: t.weight for t in TENANTS},
             "seed": seed,
             "functional_model": TINY_MODEL.name,
-            "charged_model": LLAMA3_8B.name,
+            "charged_model": CHARGED_MODEL.name,
             "system": "longsight",
         },
         "workers_axis": workers_axis,
         "sweep": sweep,
         "fairness": fairness,
     }
-    out_dir = pathlib.Path(out_dir) if out_dir is not None else results_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / RESULT_NAME).write_text(json.dumps(payload, indent=2) + "\n")
+    write_payload(payload, RESULT_NAME, out_dir)
 
     base_tps = sweep[0]["throughput_tps"]
     table = Table(
@@ -234,11 +174,9 @@ def run_fleet(workers_axis: Sequence[int] = (1, 2, 4),
 
 def validate_payload(payload: dict) -> List[str]:
     """Schema check used by the smoke test; returns a list of problems."""
-    problems = []
-    for key in ("benchmark", "schema_version", "units", "config",
-                "workers_axis", "sweep", "fairness"):
-        if key not in payload:
-            problems.append(f"missing key: {key}")
+    problems = missing_keys(payload, (
+        "benchmark", "schema_version", "units", "config", "workers_axis",
+        "sweep", "fairness"))
     if problems:
         return problems
     axis = payload["workers_axis"]
@@ -310,6 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "throughput, prefix-cache hit rate, and per-tenant "
                     "SLOs on a two-tenant shared-prefix trace.")
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
+                        dest="workers_axis", metavar="WORKERS",
                         help="worker counts to sweep (must include 1, "
                              "the single-engine baseline)")
     parser.add_argument("--n-steady", type=int, default=8,
@@ -330,21 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="max allowed steady-tenant p99 TTFT "
                              "degradation under the burst")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out-dir", type=pathlib.Path, default=None,
-                        help=f"directory for {RESULT_NAME} "
-                             "(default: results/)")
-    args = parser.parse_args(argv)
-    table = run_fleet(workers_axis=args.workers, n_steady=args.n_steady,
-                      n_burst=args.n_burst, output_tokens=args.output_tokens,
-                      charged_context=args.charged_context,
-                      blocks_per_worker=args.blocks_per_worker,
-                      max_decode_batch=args.max_decode_batch,
-                      fairness_limit=args.fairness_limit, seed=args.seed,
-                      out_dir=args.out_dir)
-    print(table.render())
-    out_dir = args.out_dir if args.out_dir is not None else results_dir()
-    print(f"[saved to {pathlib.Path(out_dir) / RESULT_NAME}]")
-    return 0
+    return run_cli(parser, argv, run_fleet, RESULT_NAME)
 
 
 if __name__ == "__main__":

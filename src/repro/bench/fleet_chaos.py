@@ -27,6 +27,11 @@ Two resilience experiments over the functional fleet:
    a smaller fraction of requests than the no-ladder baseline, and every
    browned-out token must be attributed to a ladder stage.
 
+Both are lists of :mod:`repro.bench.scenario` scenarios: the fleet
+benchmark's :func:`~repro.bench.fleet.trace` on a durable
+:func:`~repro.bench.fleet.fleet_topology`, fault-free and then under each
+gray plan; :func:`overload_scenario` without and with the ladder.
+
 Results are written as ``BENCH_fleet_chaos.json`` (default:
 ``results/``); the schema is validated by ``validate_payload`` /
 ``tests/bench/test_fleet_chaos.py``.
@@ -35,34 +40,29 @@ Results are written as ``BENCH_fleet_chaos.json`` (default:
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import pathlib
-import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.bench.fleet import _build_fleet, fleet_workload
-from repro.bench.serve import TINY_LS, TINY_MODEL
-from repro.bench.tables import Table, results_dir
-from repro.fleet import FleetReport, HealthPolicy
-from repro.llm.config import LLAMA3_8B
-from repro.llm.model import Transformer
-from repro.obs import MetricsRegistry, Obs, Tracer
-from repro.serve.workload import backend_factory, default_systems
-from repro.serve.engine import AnalyticTiming, ServeEngine
-from repro.serve.paged_kv import PagedKVPool
-from repro.serve.scheduler import (BROWNOUT_STAGES, BrownoutPolicy,
-                                   ServeRequest, SloPolicy)
+from repro.bench.fleet import fleet_topology, trace
+from repro.bench.scenario import (CHARGED_MODEL, TINY_MODEL, Faults,
+                                  Scenario, Tenant, Topology, Trace, run)
+from repro.bench.tables import (Table, missing_keys, run_cli,
+                                write_payload)
+from repro.fleet import HealthPolicy
+from repro.serve.scheduler import BROWNOUT_STAGES, BrownoutPolicy, SloPolicy
 from repro.system.faults import GRAY_KINDS, GrayFailurePlan
-from repro.system.prefill import PrefillModel
 
 SCHEMA_VERSION = 1
 RESULT_NAME = "BENCH_fleet_chaos.json"
 
 #: fixed step deadline for the sweep: simulated stalls (2 s) always miss
 #: it, real tiny-model steps (milliseconds) never do — the verdicts are
-#: deterministic regardless of host jitter.
+#: deterministic regardless of host jitter.  The phi score stays off
+#: (infinite thresholds): it judges a step against the worker's own
+#: millisecond baseline, so host jitter alone could suspect a worker.
 STEP_DEADLINE_S = 1.0
 STALL_S = 2.0
 
@@ -78,60 +78,30 @@ def gray_plan(kind: str, seed: int) -> GrayFailurePlan:
                            period=period)
 
 
-def _fleet_outputs(fleet) -> Dict[int, List[int]]:
-    """request_id -> decoded tokens, read from the workers' runs.
-
-    Failover rebuilds sessions from the durable snapshot, so the
-    authoritative request objects live in the (possibly recovered)
-    worker runs, not in the caller's trace list; departed twins are
-    skipped so every request is read from the worker that finished it.
-    """
-    outs: Dict[int, List[int]] = {}
-    for worker in fleet.workers:
-        run = worker.run
-        for request in run._arrivals:
-            if id(request) in run._departed:
-                continue
-            outs[request.request_id] = [int(t) for t in request.outputs]
-    return outs
-
-
-def _run_gray(model: Transformer, system, requests: List[ServeRequest],
-              plan: Optional[GrayFailurePlan], durable_root: pathlib.Path,
-              n_workers: int, blocks_per_worker: int,
-              snapshot_every: int):
-    health = HealthPolicy(step_deadline_s=STEP_DEADLINE_S,
-                          fail_after_deadline_misses=2)
-    fleet = _build_fleet(
-        n_workers, model, system, blocks_per_worker, max_decode_batch=4,
-        durable_root=durable_root, snapshot_every=snapshot_every,
-        gray_plans=None if plan is None else {0: plan}, health=health)
-    report = fleet.run(requests)
-    return report, _fleet_outputs(fleet)
-
-
-def run_gray_sweep(model: Transformer, system, seed: int,
-                   n_steady: int = 10, n_burst: int = 6,
+def run_gray_sweep(seed: int, n_steady: int = 10, n_burst: int = 6,
                    output_tokens: int = 8, n_workers: int = 4,
                    blocks_per_worker: int = 64,
                    snapshot_every: int = 4,
                    ttft_slo_s: float = 5.0) -> dict:
     """Fault-free reference plus one run per gray kind, all compared."""
-    def trace() -> List[ServeRequest]:
-        return fleet_workload(n_steady, n_burst, model.config.vocab_size,
-                              seed=seed, output_tokens=output_tokens)
+    topology = fleet_topology(
+        n_workers, blocks_per_worker, max_decode_batch=4,
+        snapshot_every=snapshot_every,
+        health=HealthPolicy(step_deadline_s=STEP_DEADLINE_S,
+                            fail_after_deadline_misses=2,
+                            suspect_phi=math.inf, fail_phi=math.inf))
 
     def point(plan: Optional[GrayFailurePlan]) -> dict:
-        requests = trace()
-        with tempfile.TemporaryDirectory() as tmp:
-            report, outputs = _run_gray(model, system, requests, plan,
-                                        pathlib.Path(tmp), n_workers,
-                                        blocks_per_worker, snapshot_every)
+        outcome = run(Scenario(
+            trace(n_steady, n_burst, seed, output_tokens), topology,
+            Faults(gray={} if plan is None else {0: plan}),
+            model_seed=seed))
+        report = outcome.report
         events = report.events
         attained = [e for e in events if e.ttft_s is not None
                     and e.ttft_s <= ttft_slo_s]
         return {
-            "outputs": outputs,
+            "outputs": outcome.outputs,
             "summary": {
                 "completed": report.completed,
                 "shed": report.shed,
@@ -174,42 +144,24 @@ def run_gray_sweep(model: Transformer, system, seed: int,
 
 # -- overload brownout A/B ----------------------------------------------------
 
-def overload_workload(n_requests: int, rate_per_s: float, vocab_size: int,
-                      seed: int, prompt_tokens: int = 24,
-                      output_tokens: int = 8,
-                      charged_context: int = 8_192
-                      ) -> List[ServeRequest]:
-    """Poisson single-tenant trace driven well past sustainable rate."""
-    rng = np.random.default_rng(seed + 7)
-    requests = []
-    t = 0.0
-    for i in range(n_requests):
-        t += rng.exponential(1.0 / rate_per_s)
-        prompt = rng.integers(0, vocab_size,
-                              size=prompt_tokens + int(rng.integers(0, 8)))
-        requests.append(ServeRequest(
-            request_id=i, prompt=prompt, max_new_tokens=output_tokens,
-            arrival_s=t, charged_prompt_tokens=charged_context))
-    return requests
+def overload_scenario(n_requests: int, rate_per_s: float, seed: int,
+                      brownout: Optional[BrownoutPolicy],
+                      n_blocks: int, queue_timeout_s: float) -> Scenario:
+    """One engine driven well past its sustainable rate: a Poisson
+    single-tenant trace of 96-token outputs at a charged 32k context."""
+    return Scenario(
+        Trace((Tenant(n_requests, 24, 96, seed=seed + 7, rate=rate_per_s,
+                      extra=8, charged=32_768),)),
+        Topology(policy=SloPolicy(max_decode_batch=4,
+                                  queue_timeout_s=queue_timeout_s),
+                 n_blocks=n_blocks),
+        Faults(brownout=brownout), model_seed=seed)
 
 
-def _overload_point(model: Transformer, system,
-                    brownout: Optional[BrownoutPolicy],
-                    requests_factory, n_blocks: int,
-                    queue_timeout_s: float) -> dict:
-    obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
-    pool = PagedKVPool(model.config, n_blocks=n_blocks, block_tokens=16,
-                       obs=obs)
-    policy = SloPolicy(max_decode_batch=4, queue_timeout_s=queue_timeout_s,
-                       brownout=brownout)
-    engine = ServeEngine(
-        model, pool, backend_factory("longsight", TINY_LS), policy=policy,
-        timing=AnalyticTiming(system, LLAMA3_8B, prefill=PrefillModel(),
-                              obs=obs),
-        name="overload", obs=obs)
-    requests = requests_factory()
-    report = engine.run(requests)
-    n = len(requests)
+def _overload_point(scenario: Scenario) -> dict:
+    outcome = run(scenario)
+    report = outcome.report
+    n = len(report.events)
     shed = sum(1 for e in report.events if e.shed or e.rejected)
     stage_tokens = report.brownout_stage_tokens
     return {
@@ -222,15 +174,14 @@ def _overload_point(model: Transformer, system,
         "brownout_token_fraction": report.brownout_token_fraction,
         "brownout_stage_tokens": {str(s): c
                                   for s, c in stage_tokens.items()},
-        "brownout_transitions": engine.obs.metrics.counter(
-            "serve.brownout.transitions").value,
+        "brownout_transitions": sum(r.kind == "brownout"
+                                    for r in outcome.records),
         "makespan_s": report.clock_s,
         "ttft_p99_s": report.ttft_percentile_s(99.0),
     }
 
 
-def run_overload_ab(model: Transformer, system, seed: int,
-                    n_requests: int = 40, rate_per_s: float = 8.0,
+def run_overload_ab(seed: int, n_requests: int = 40, rate_per_s: float = 8.0,
                     n_blocks: int = 48, queue_timeout_s: float = 1.0,
                     ttft_budget_s: float = 1.0) -> dict:
     """Same overload trace with and without the brownout ladder.
@@ -250,20 +201,15 @@ def run_overload_ab(model: Transformer, system, seed: int,
     additionally sheds the youngest excess beyond ``shed_to_depth``
     before those requests can time out at the head.
     """
-    def requests_factory() -> List[ServeRequest]:
-        return overload_workload(n_requests, rate_per_s,
-                                 model.config.vocab_size, seed,
-                                 output_tokens=96,
-                                 charged_context=32_768)
-
     ladder_policy = BrownoutPolicy(
         queue_high=(1, 2, 3, 12), ttft_budget_s=ttft_budget_s,
         budget_fractions=(0.1, 0.2, 0.3, 99.0), admit_per_step=4,
         shed_to_depth=10)
-    baseline = _overload_point(model, system, None, requests_factory,
-                               n_blocks, queue_timeout_s)
-    ladder = _overload_point(model, system, ladder_policy,
-                             requests_factory, n_blocks, queue_timeout_s)
+    baseline, ladder = (
+        _overload_point(overload_scenario(n_requests, rate_per_s, seed,
+                                          brownout, n_blocks,
+                                          queue_timeout_s))
+        for brownout in (None, ladder_policy))
     attributed = sum(int(c) for c in
                      ladder["brownout_stage_tokens"].values())
     return {
@@ -288,16 +234,12 @@ def run_fleet_chaos(seed: int = 0, n_steady: int = 10, n_burst: int = 6,
                     overload_rate_per_s: float = 8.0,
                     out_dir: Optional[pathlib.Path] = None) -> Table:
     """Run both experiments; returns the table and writes the JSON."""
-    model = Transformer(TINY_MODEL, seed=seed)
-    system = default_systems()["longsight"]
-
-    gray = run_gray_sweep(model, system, seed, n_steady=n_steady,
+    gray = run_gray_sweep(seed, n_steady=n_steady,
                           n_burst=n_burst, output_tokens=output_tokens,
                           n_workers=n_workers,
                           blocks_per_worker=blocks_per_worker,
                           snapshot_every=snapshot_every)
-    brownout = run_overload_ab(model, system, seed,
-                               n_requests=overload_requests,
+    brownout = run_overload_ab(seed, n_requests=overload_requests,
                                rate_per_s=overload_rate_per_s)
 
     payload = {
@@ -322,16 +264,14 @@ def run_fleet_chaos(seed: int = 0, n_steady: int = 10, n_burst: int = 6,
             "blocks_per_worker": blocks_per_worker,
             "snapshot_every": snapshot_every,
             "functional_model": TINY_MODEL.name,
-            "charged_model": LLAMA3_8B.name,
+            "charged_model": CHARGED_MODEL.name,
             "system": "longsight",
             "gray_kinds": list(GRAY_KINDS),
         },
         "gray": gray,
         "brownout": brownout,
     }
-    out_dir = pathlib.Path(out_dir) if out_dir is not None else results_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / RESULT_NAME).write_text(json.dumps(payload, indent=2) + "\n")
+    write_payload(payload, RESULT_NAME, out_dir)
 
     table = Table(
         "fleet chaos: gray failures on worker 0 of "
@@ -357,11 +297,8 @@ def run_fleet_chaos(seed: int = 0, n_steady: int = 10, n_burst: int = 6,
 
 def validate_payload(payload: dict) -> List[str]:
     """Schema check used by the smoke test; returns a list of problems."""
-    problems = []
-    for key in ("benchmark", "schema_version", "units", "config",
-                "gray", "brownout"):
-        if key not in payload:
-            problems.append(f"missing key: {key}")
+    problems = missing_keys(payload, (
+        "benchmark", "schema_version", "units", "config", "gray", "brownout"))
     if problems:
         return problems
     if payload["benchmark"] != "fleet_chaos":
@@ -431,26 +368,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--n-steady", type=int, default=10)
     parser.add_argument("--n-burst", type=int, default=6)
     parser.add_argument("--output-tokens", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=4, dest="n_workers",
+                        metavar="WORKERS")
     parser.add_argument("--blocks-per-worker", type=int, default=64)
     parser.add_argument("--snapshot-every", type=int, default=4)
     parser.add_argument("--overload-requests", type=int, default=40)
-    parser.add_argument("--overload-rate", type=float, default=8.0)
-    parser.add_argument("--out-dir", type=pathlib.Path, default=None,
-                        help=f"directory for {RESULT_NAME} "
-                             "(default: results/)")
-    args = parser.parse_args(argv)
-    table = run_fleet_chaos(
-        seed=args.seed, n_steady=args.n_steady, n_burst=args.n_burst,
-        output_tokens=args.output_tokens, n_workers=args.workers,
-        blocks_per_worker=args.blocks_per_worker,
-        snapshot_every=args.snapshot_every,
-        overload_requests=args.overload_requests,
-        overload_rate_per_s=args.overload_rate, out_dir=args.out_dir)
-    print(table.render())
-    out_dir = args.out_dir if args.out_dir is not None else results_dir()
-    print(f"[saved to {pathlib.Path(out_dir) / RESULT_NAME}]")
-    return 0
+    parser.add_argument("--overload-rate", type=float, default=8.0,
+                        dest="overload_rate_per_s", metavar="OVERLOAD_RATE")
+    return run_cli(parser, argv, run_fleet_chaos, RESULT_NAME)
 
 
 if __name__ == "__main__":

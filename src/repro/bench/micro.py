@@ -39,14 +39,14 @@ gone, and medians with their spread in place of best-of) is validated by
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.tables import Table, results_dir
+from repro.bench.tables import (Table, missing_keys, run_cli,
+                                write_payload)
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
 from repro.core.reference import ReferenceAttention
@@ -218,9 +218,7 @@ def run_micro(contexts: Sequence[int] = (512, 1024, 2048, 4096),
         "backends": series,
         "speedup": speedup,
     }
-    out_dir = pathlib.Path(out_dir) if out_dir is not None else results_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / RESULT_NAME).write_text(json.dumps(payload, indent=2) + "\n")
+    write_payload(payload, RESULT_NAME, out_dir)
 
     def _ms(value: Optional[float]) -> Optional[float]:
         return None if value is None else value * 1e3
@@ -247,11 +245,9 @@ def run_micro(contexts: Sequence[int] = (512, 1024, 2048, 4096),
 
 def validate_payload(payload: dict) -> List[str]:
     """Schema check used by the smoke test; returns a list of problems."""
-    problems = []
-    for key in ("benchmark", "schema_version", "units", "model", "config",
-                "contexts", "backends", "speedup"):
-        if key not in payload:
-            problems.append(f"missing key: {key}")
+    problems = missing_keys(payload, (
+        "benchmark", "schema_version", "units", "model", "config", "contexts",
+        "backends", "speedup"))
     if problems:
         return problems
     if payload["schema_version"] != SCHEMA_VERSION:
@@ -328,21 +324,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="largest context at which the reference "
                              "prefill series is still measured; null "
                              "beyond")
-    parser.add_argument("--out-dir", type=pathlib.Path, default=None,
-                        help="directory for BENCH_attention.json "
-                             "(default: results/)")
-    args = parser.parse_args(argv)
-    table = run_micro(
-        contexts=args.contexts, repeats=args.repeats, window=args.window,
-        n_sink=args.n_sink, top_k=args.top_k, threshold=args.threshold,
-        n_q_heads=args.n_q_heads, n_kv_heads=args.n_kv_heads,
-        head_dim=args.head_dim, block_size=args.block_size,
-        max_reference_context=args.max_reference_context,
-        out_dir=args.out_dir)
-    print(table.render())
-    out_dir = args.out_dir if args.out_dir is not None else results_dir()
-    print(f"[saved to {pathlib.Path(out_dir) / RESULT_NAME}]")
-    return 0
+    return run_cli(parser, argv, run_micro, RESULT_NAME)
 
 
 if __name__ == "__main__":

@@ -25,14 +25,14 @@ than the 5% it gates.  Results are written as schema-checked
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import time
 from typing import List, Optional
 
 import numpy as np
 
-from repro.bench.tables import Table, results_dir
+from repro.bench.tables import (Table, missing_keys, run_cli,
+                                write_payload)
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.llm.config import ModelConfig
@@ -139,9 +139,7 @@ def run_obs_overhead(steps: int = 512, reps: int = 3, seed: int = 0,
                    "model": TINY_MODEL.name},
         "results": results,
     }
-    out_dir = pathlib.Path(out_dir) if out_dir is not None else results_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / RESULT_NAME).write_text(json.dumps(payload, indent=2) + "\n")
+    write_payload(payload, RESULT_NAME, out_dir)
 
     table = Table(
         "instrumentation overhead (decode microloop, best of "
@@ -159,10 +157,8 @@ def run_obs_overhead(steps: int = 512, reps: int = 3, seed: int = 0,
 
 def validate_payload(payload: dict) -> List[str]:
     """Schema check used by the smoke tests; returns a list of problems."""
-    problems = []
-    for key in ("benchmark", "schema_version", "units", "config", "results"):
-        if key not in payload:
-            problems.append(f"missing key: {key}")
+    problems = missing_keys(payload, (
+        "benchmark", "schema_version", "units", "config", "results"))
     if problems:
         return problems
     if payload["benchmark"] != "obs_overhead":
@@ -195,18 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--prompt-tokens", type=int, default=24)
-    parser.add_argument("--out-dir", type=pathlib.Path, default=None,
-                        help=f"directory for {RESULT_NAME} "
-                             "(default: results/)")
-    args = parser.parse_args(argv)
-    table = run_obs_overhead(steps=args.steps, reps=args.reps,
-                             seed=args.seed,
-                             prompt_tokens=args.prompt_tokens,
-                             out_dir=args.out_dir)
-    print(table.render())
-    out_dir = args.out_dir if args.out_dir is not None else results_dir()
-    print(f"[saved to {pathlib.Path(out_dir) / RESULT_NAME}]")
-    return 0
+    return run_cli(parser, argv, run_obs_overhead, RESULT_NAME)
 
 
 if __name__ == "__main__":

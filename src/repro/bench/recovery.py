@@ -11,6 +11,11 @@ payload records the recovery timings (``snapshot_load_s``, ``replay_s``,
 identity verdict comparing every session's final token stream against
 the uninterrupted run — the same property ``tests/durable/`` pins.
 
+Both runs are one :mod:`repro.bench.scenario` world (:func:`scenario`):
+the baseline is stepped here, for its per-step wall clocks; the crash run
+is that scenario made durable under a crash plan, which
+:func:`repro.bench.scenario.run` kills, recovers and continues.
+
 Results are written as ``BENCH_recovery.json`` (default: ``results/``);
 the schema is validated by ``validate_payload`` /
 ``tests/bench/test_recovery.py`` and registered in
@@ -20,42 +25,34 @@ the schema is validated by ``validate_payload`` /
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import pathlib
-import tempfile
 import time
 from typing import List, Optional
 
-from repro.bench.serve import TINY_LS, TINY_MODEL
-from repro.bench.tables import Table, results_dir
-from repro.durable import DurableRun, recover
-from repro.errors import WorkerKilledError
-from repro.llm.config import LLAMA3_8B
-from repro.llm.model import Transformer
-from repro.serve.workload import backend_factory, default_systems, \
-    poisson_workload
-from repro.serve.engine import AnalyticTiming, ServeEngine
-from repro.serve.paged_kv import PagedKVPool
+from repro.bench.scenario import (CHARGED_MODEL, TINY_MODEL, Faults,
+                                  Scenario, Tenant, Topology, Trace,
+                                  build_engine, run, served_outputs)
+from repro.bench.tables import (Table, missing_keys, run_cli,
+                                write_payload)
 from repro.serve.scheduler import SloPolicy
 from repro.system.faults import CrashPlan
-from repro.system.prefill import PrefillModel
 
 SCHEMA_VERSION = 1
 RESULT_NAME = "BENCH_recovery.json"
 
 
-def _engine_builder(model: Transformer, system, n_requests: int):
-    """Factory of fresh engines (restore needs a clean pool each time)."""
-    def build() -> ServeEngine:
-        pool = PagedKVPool(model.config, n_blocks=16 * n_requests,
-                           block_tokens=16, prefix_caching=True)
-        return ServeEngine(
-            model, pool, backend_factory("longsight", TINY_LS),
-            policy=SloPolicy(max_decode_batch=max(4, n_requests)),
-            timing=AnalyticTiming(system, LLAMA3_8B,
-                                  prefill=PrefillModel()),
-            name="longsight")
-    return build
+def scenario(n_requests: int, prompt_tokens: int, output_tokens: int,
+             charged_context: int, arrival_rate: float,
+             seed: int) -> Scenario:
+    """The uninterrupted world: a Poisson trace on one prefix-cached
+    LongSight engine."""
+    return Scenario(
+        Trace((Tenant(n_requests, prompt_tokens, output_tokens, seed=seed,
+                      rate=arrival_rate, charged=charged_context),)),
+        Topology(policy=SloPolicy(max_decode_batch=max(4, n_requests)),
+                 n_blocks=16 * n_requests, prefix_caching=True),
+        model_seed=seed)
 
 
 def run_recovery(n_requests: int = 4, prompt_tokens: int = 24,
@@ -65,50 +62,37 @@ def run_recovery(n_requests: int = 4, prompt_tokens: int = 24,
                  crash_kind: str = "kill_after_fsync", seed: int = 0,
                  out_dir: Optional[pathlib.Path] = None) -> Table:
     """Run the crash-recovery benchmark; returns the table, writes JSON."""
-    model = Transformer(TINY_MODEL, seed=seed)
-    system = default_systems()["longsight"]
-    build = _engine_builder(model, system, n_requests)
-
-    def workload():
-        return poisson_workload(
-            n_requests, arrival_rate, prompt_tokens, output_tokens,
-            model.config.vocab_size,
-            charged_prompt_tokens=charged_context, seed=seed)
+    uninterrupted = scenario(n_requests, prompt_tokens, output_tokens,
+                             charged_context, arrival_rate, seed)
 
     # -- uninterrupted baseline: plain engine, per-step wall clocks ----------
-    reference = workload()
-    run = build().start(reference)
+    run_ = build_engine(uninterrupted).start(uninterrupted.trace.requests())
     cumulative: List[float] = []
     t0 = time.perf_counter()
-    while run.step():
+    while run_.step():
         cumulative.append(time.perf_counter() - t0)
     total_serve_s = time.perf_counter() - t0
     total_steps = len(cumulative)
-    ref_outputs = {r.request_id: list(r.outputs) for r in reference}
-    ref_tokens = run.tokens_generated
+    ref_outputs = served_outputs(run_)
+    ref_tokens = run_.tokens_generated
 
-    # -- crash run + recovery ------------------------------------------------
+    # -- the same world, durable, killed, recovered, continued ---------------
     kill_step = max(1, min(total_steps, int(total_steps * kill_fraction)))
     recompute_to_kill_s = cumulative[kill_step - 1]
-    with tempfile.TemporaryDirectory(prefix="bench-recovery-") as tmp:
-        durable_dir = pathlib.Path(tmp)
-        crashing = DurableRun(build(), workload(), durable_dir,
-                              snapshot_every=snapshot_every,
-                              crash=CrashPlan(kill_at_step=kill_step,
-                                              kind=crash_kind))
-        crash_info = {"kill_step": kill_step, "kind": crash_kind}
-        try:
-            while crashing.step():
-                pass
-            raise RuntimeError("crash plan never fired (kill_step beyond "
-                               "the end of the run)")
-        except WorkerKilledError as death:
-            crash_info["died_at_step"] = death.step
-        recovered, stats = recover(durable_dir, build(),
-                                   snapshot_every=snapshot_every)
-        recovered.serve()
-        out = {r.request_id: list(r.outputs)
-               for r in recovered._arrivals}
+    crashing = dataclasses.replace(
+        uninterrupted,
+        topology=dataclasses.replace(uninterrupted.topology,
+                                     snapshot_every=snapshot_every),
+        faults=Faults(crashes={0: CrashPlan(kill_at_step=kill_step,
+                                             kind=crash_kind)}))
+    outcome = run(crashing)
+    if not outcome.deaths:
+        raise RuntimeError("crash plan never fired (kill_step beyond the "
+                           "end of the run)")
+    crash_info = {"kill_step": kill_step, "kind": crash_kind,
+                  "died_at_step": outcome.deaths[0]}
+    stats = outcome.recoveries[0]
+    out = outcome.outputs
 
     identical = out == ref_outputs
     recovery_s = stats.snapshot_load_s + stats.replay_s
@@ -138,7 +122,7 @@ def run_recovery(n_requests: int = 4, prompt_tokens: int = 24,
                    "kill_fraction": kill_fraction,
                    "seed": seed,
                    "functional_model": TINY_MODEL.name,
-                   "charged_model": LLAMA3_8B.name},
+                   "charged_model": CHARGED_MODEL.name},
         "uninterrupted": {"steps": total_steps,
                           "tokens_generated": ref_tokens,
                           "total_serve_s": total_serve_s,
@@ -158,9 +142,7 @@ def run_recovery(n_requests: int = 4, prompt_tokens: int = 24,
                      "tokens_compared": sum(len(v)
                                             for v in ref_outputs.values())},
     }
-    out_dir = pathlib.Path(out_dir) if out_dir is not None else results_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / RESULT_NAME).write_text(json.dumps(payload, indent=2) + "\n")
+    write_payload(payload, RESULT_NAME, out_dir)
 
     table = Table(
         "crash recovery vs recompute (64k-charged-context trace)",
@@ -180,11 +162,9 @@ def run_recovery(n_requests: int = 4, prompt_tokens: int = 24,
 
 def validate_payload(payload: dict) -> List[str]:
     """Schema check used by the artifact test; returns problems."""
-    problems = []
-    for key in ("benchmark", "schema_version", "units", "config",
-                "uninterrupted", "crash", "recovery", "identity"):
-        if key not in payload:
-            problems.append(f"missing key: {key}")
+    problems = missing_keys(payload, (
+        "benchmark", "schema_version", "units", "config", "uninterrupted",
+        "crash", "recovery", "identity"))
     if problems:
         return problems
     config = payload["config"]
@@ -244,23 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=("kill_after_fsync", "kill_before_fsync",
                                  "torn_snapshot", "stale_wal"))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out-dir", type=pathlib.Path, default=None,
-                        help=f"directory for {RESULT_NAME} "
-                             "(default: results/)")
-    args = parser.parse_args(argv)
-    table = run_recovery(n_requests=args.n_requests,
-                         prompt_tokens=args.prompt_tokens,
-                         output_tokens=args.output_tokens,
-                         charged_context=args.charged_context,
-                         arrival_rate=args.arrival_rate,
-                         snapshot_every=args.snapshot_every,
-                         kill_fraction=args.kill_fraction,
-                         crash_kind=args.crash_kind, seed=args.seed,
-                         out_dir=args.out_dir)
-    print(table.render())
-    out_dir = args.out_dir if args.out_dir is not None else results_dir()
-    print(f"[saved to {pathlib.Path(out_dir) / RESULT_NAME}]")
-    return 0
+    return run_cli(parser, argv, run_recovery, RESULT_NAME)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,15 @@
 
 Every benchmark that writes a ``results/BENCH_*.json`` file registers
 here, pairing the CLI module with the artifact name, the payload
-``benchmark`` tag, the expected ``schema_version``, and the module's
-``validate_payload`` checker.  ``check_artifact`` / ``check_all`` load
-the committed JSON and re-run the schema validation, so a bench whose
-artifact was never regenerated after a schema bump -- or never committed
-at all -- fails ``tests/bench/test_artifacts.py`` instead of silently
-shipping stale numbers.
+``benchmark`` tag, the expected ``schema_version``, the module's
+``validate_payload`` checker, and the payload leaves that are wall-clock
+measurements (everything else reruns to the same value).
+``check_artifact`` / ``check_all`` load the committed JSON and re-run the
+schema validation, so a bench whose artifact was never regenerated after
+a schema bump -- or never committed at all -- fails
+``tests/bench/test_artifacts.py`` instead of silently shipping stale
+numbers; that suite also reruns the serving benchmarks at their
+committed configs and compares every deterministic leaf.
 
 Registering a new benchmark is one :class:`BenchSpec` line; the artifact
 test picks it up automatically.
@@ -34,6 +37,9 @@ class BenchSpec:
     result_name: str
     #: value of the payload's ``benchmark`` field
     benchmark: str
+    #: wall-clock leaves: dotted key paths (list indices dropped), or a
+    #: trailing part of one, whose values differ from run to run
+    wall_clock: Tuple[str, ...] = ()
 
     def load(self) -> Tuple[int, Callable[[dict], List[str]]]:
         """Import the module and return (schema_version, validate_payload)."""
@@ -53,9 +59,15 @@ REGISTRY: Dict[str, BenchSpec] = {
         BenchSpec("repro.bench.obs_overhead", "BENCH_obs.json",
                   "obs_overhead"),
         BenchSpec("repro.bench.recovery", "BENCH_recovery.json",
-                  "recovery"),
+                  "recovery", wall_clock=(
+                      "recovery.snapshot_load_s", "recovery.replay_s",
+                      "recovery.recovery_s",
+                      "recovery.speedup_vs_recompute",
+                      "uninterrupted.total_serve_s",
+                      "uninterrupted.recompute_to_kill_s")),
         BenchSpec("repro.bench.fleet_chaos", "BENCH_fleet_chaos.json",
-                  "fleet_chaos"),
+                  "fleet_chaos", wall_clock=("failover_latency_s",
+                                             "failover_latency_max_s")),
     )
 }
 

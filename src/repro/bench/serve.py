@@ -20,6 +20,10 @@ only while the system holds every running session's charged context, so
 ``dense`` decodes at most three 128K sessions at once on one GPU while
 ``longsight`` keeps admitting (``peak_decode_batch``).
 
+The sweep is a list of :mod:`repro.bench.scenario` scenarios, one per
+(system, rate, context) cell (:func:`scenario`): a seeded Poisson trace
+on one engine of that system.
+
 Results are written as ``BENCH_serve.json`` (default: ``results/``); the
 schema is validated by ``validate_payload`` / ``tests/bench/test_serve.py``.
 """
@@ -27,66 +31,54 @@ schema is validated by ``validate_payload`` / ``tests/bench/test_serve.py``.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.tables import Table, results_dir
-from repro.core.config import LongSightConfig
-from repro.llm.config import LLAMA3_8B, ModelConfig
-from repro.llm.model import Transformer
+from repro.bench.scenario import (CHARGED_MODEL, TINY_MODEL, Scenario,
+                                  Tenant, Topology, Trace, run)
+from repro.bench.tables import (Table, missing_keys, run_cli,
+                                write_payload)
 from repro.obs import MetricsRegistry, Obs, Tracer
-from repro.serve.engine import AnalyticTiming, ServeEngine
-from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import SloPolicy
-from repro.serve.workload import (SYSTEM_NAMES, backend_factory,
-                                  default_systems, poisson_workload)
-from repro.system.prefill import PrefillModel
+from repro.serve.workload import SYSTEM_NAMES
 
 SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_serve.json"
 
-#: Tiny functional model: real tokens at laptop scale.
-TINY_MODEL = ModelConfig(name="serve-tiny", vocab_size=64, n_layers=2,
-                         n_q_heads=4, n_kv_heads=2, head_dim=8, d_ff=32,
-                         qk_bias=True)
-#: Tiny algorithm config sized to the tiny contexts actually decoded.
-TINY_LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
+
+def scenario(system_name: str, rate: float, charged_context: int,
+             n_requests: int, prompt_tokens: int, output_tokens: int,
+             seed: int) -> Scenario:
+    """One (system, arrival rate, context) cell of the sweep: a Poisson
+    trace on one engine of that system."""
+    return Scenario(
+        Trace((Tenant(n_requests, prompt_tokens, output_tokens, seed=seed,
+                      rate=rate, charged=charged_context),)),
+        Topology(system=system_name, backend=system_name,
+                 policy=SloPolicy(max_decode_batch=max(4, n_requests)),
+                 n_blocks=16 * n_requests),
+        model_seed=seed)
 
 
-def _point(model: Transformer, system_name: str, system,
-           rate: float, charged_context: int, n_requests: int,
-           prompt_tokens: int, output_tokens: int, seed: int,
-           obs: Optional[Obs] = None) -> dict:
-    """One (system, arrival rate, context) cell of the sweep."""
-    requests = poisson_workload(
-        n_requests, rate, prompt_tokens, output_tokens,
-        model.config.vocab_size, charged_prompt_tokens=charged_context,
-        seed=seed)
-    pool = PagedKVPool(model.config, n_blocks=16 * n_requests,
-                       block_tokens=16)
-    timing = AnalyticTiming(system, LLAMA3_8B, prefill=PrefillModel(),
-                            obs=obs)
-    engine = ServeEngine(
-        model, pool, backend_factory(system_name, TINY_LS),
-        policy=SloPolicy(max_decode_batch=max(4, n_requests)),
-        timing=timing, name=system_name, obs=obs)
-    report = engine.run(requests)
-    point = report.as_dict()
+def _point(system_name: str, rate: float, charged_context: int,
+           n_requests: int, prompt_tokens: int, output_tokens: int,
+           seed: int, obs: Optional[Obs] = None) -> dict:
+    outcome = run(scenario(system_name, rate, charged_context, n_requests,
+                           prompt_tokens, output_tokens, seed), obs=obs)
+    point = outcome.report.as_dict()
     point.update({
         "arrival_rate_per_s": rate,
         "charged_context": charged_context,
         "all_tokens_served": all(
             len(r.outputs) == r.max_new_tokens or r.events.rejected
-            for r in requests),
+            for r in outcome.world.served),
     })
     return point
 
 
-def write_trace(model: Transformer, systems: dict, rate: float,
-                charged_context: int, n_requests: int, prompt_tokens: int,
-                output_tokens: int, seed: int,
+def write_trace(rate: float, charged_context: int, n_requests: int,
+                prompt_tokens: int, output_tokens: int, seed: int,
                 trace_out: pathlib.Path) -> dict:
     """Re-run one fully instrumented ``longsight`` point; dump the trace.
 
@@ -102,9 +94,8 @@ def write_trace(model: Transformer, systems: dict, rate: float,
     with obs.tracer.span("bench.serve_point", system="longsight",
                          arrival_rate_per_s=rate,
                          charged_context=charged_context):
-        _point(model, "longsight", systems["longsight"], rate,
-               charged_context, n_requests, prompt_tokens, output_tokens,
-               seed, obs=obs)
+        _point("longsight", rate, charged_context, n_requests,
+               prompt_tokens, output_tokens, seed, obs=obs)
     wall_s = time.perf_counter() - start
     path = obs.tracer.write_chrome_trace(trace_out)
     return {"path": str(path),
@@ -127,15 +118,11 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
     if len(contexts) < 2:
         raise ValueError("need >= 2 context points")
 
-    model = Transformer(TINY_MODEL, seed=seed)
-    systems = default_systems()
-    sweep: Dict[str, List[dict]] = {name: [] for name in SYSTEM_NAMES}
-    for name in SYSTEM_NAMES:
-        for rate in rates:
-            for ctx in contexts:
-                sweep[name].append(_point(
-                    model, name, systems[name], rate, ctx, n_requests,
-                    prompt_tokens, output_tokens, seed))
+    sweep: Dict[str, List[dict]] = {
+        name: [_point(name, rate, ctx, n_requests, prompt_tokens,
+                      output_tokens, seed)
+               for rate in rates for ctx in contexts]
+        for name in SYSTEM_NAMES}
 
     payload = {
         "benchmark": "serve",
@@ -152,7 +139,7 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
                    "prompt_tokens": prompt_tokens,
                    "output_tokens": output_tokens, "seed": seed,
                    "functional_model": TINY_MODEL.name,
-                   "charged_model": LLAMA3_8B.name,
+                   "charged_model": CHARGED_MODEL.name,
                    "systems": list(SYSTEM_NAMES)},
         "arrival_rates": rates,
         "contexts": contexts,
@@ -160,14 +147,12 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
     }
     if trace_out is not None:
         payload["trace"] = write_trace(
-            model, systems, rates[0], contexts[0], n_requests,
-            prompt_tokens, output_tokens, seed, pathlib.Path(trace_out))
+            rates[0], contexts[0], n_requests, prompt_tokens,
+            output_tokens, seed, pathlib.Path(trace_out))
         print(f"[chrome trace: {payload['trace']['path']}  "
               f"spans={payload['trace']['n_spans']}  "
               f"root_coverage={payload['trace']['root_coverage']:.3f}]")
-    out_dir = pathlib.Path(out_dir) if out_dir is not None else results_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / RESULT_NAME).write_text(json.dumps(payload, indent=2) + "\n")
+    write_payload(payload, RESULT_NAME, out_dir)
 
     table = Table(
         "functional serving sweep (arrival rate x charged context)",
@@ -175,7 +160,7 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
          "peak_batch", "ttft_p50_ms", "ttft_p99_ms", "tpot_p50_ms",
          "completed", "preempt"],
         note=f"{n_requests} requests/point; tiny model decodes real "
-             f"tokens, clock charged for {LLAMA3_8B.name}")
+             f"tokens, clock charged for {CHARGED_MODEL.name}")
     for name in SYSTEM_NAMES:
         for point in sweep[name]:
             table.add_row(
@@ -194,11 +179,9 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
 
 def validate_payload(payload: dict) -> List[str]:
     """Schema check used by the smoke test; returns a list of problems."""
-    problems = []
-    for key in ("benchmark", "schema_version", "units", "config",
-                "arrival_rates", "contexts", "sweep"):
-        if key not in payload:
-            problems.append(f"missing key: {key}")
+    problems = missing_keys(payload, (
+        "benchmark", "schema_version", "units", "config", "arrival_rates",
+        "contexts", "sweep"))
     if problems:
         return problems
     rates = payload["arrival_rates"]
@@ -253,22 +236,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="functional (tiny-model) prompt length")
     parser.add_argument("--output-tokens", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out-dir", type=pathlib.Path, default=None,
-                        help=f"directory for {RESULT_NAME} "
-                             "(default: results/)")
     parser.add_argument("--trace-out", type=pathlib.Path, default=None,
                         help="also run one fully traced longsight point "
                              "and write a Chrome trace_event JSON here")
-    args = parser.parse_args(argv)
-    table = run_serve(rates=args.rates, contexts=args.contexts,
-                      n_requests=args.n_requests,
-                      prompt_tokens=args.prompt_tokens,
-                      output_tokens=args.output_tokens, seed=args.seed,
-                      out_dir=args.out_dir, trace_out=args.trace_out)
-    print(table.render())
-    out_dir = args.out_dir if args.out_dir is not None else results_dir()
-    print(f"[saved to {pathlib.Path(out_dir) / RESULT_NAME}]")
-    return 0
+    return run_cli(parser, argv, run_serve, RESULT_NAME)
 
 
 if __name__ == "__main__":

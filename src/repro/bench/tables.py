@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
@@ -81,6 +82,37 @@ class Table:
         txt.write_text(self.render() + "\n")
         (directory / f"{stem}.json").write_text(self.to_json() + "\n")
         return txt
+
+
+def write_payload(payload: dict, name: str,
+                  out_dir: Optional[pathlib.Path] = None) -> pathlib.Path:
+    """Write a benchmark's JSON payload as ``out_dir / name`` (default:
+    ``results/``); returns the path."""
+    out_dir = pathlib.Path(out_dir) if out_dir is not None else results_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return path
+
+
+def missing_keys(payload: dict, keys: Sequence[str]) -> List[str]:
+    """The check every ``validate_payload`` opens with."""
+    return [f"missing key: {key}" for key in keys if key not in payload]
+
+
+def run_cli(parser: argparse.ArgumentParser, argv: Optional[List[str]],
+            run: Callable[..., Table], result_name: str) -> int:
+    """What every benchmark CLI ends with: the ``--out-dir`` flag, then
+    ``run(**flags)`` (each flag's dest is a parameter of ``run``), its
+    table printed, and where the payload went."""
+    parser.add_argument("--out-dir", type=pathlib.Path, default=None,
+                        help=f"directory for {result_name} "
+                             "(default: results/)")
+    args = parser.parse_args(argv)
+    print(run(**vars(args)).render())
+    out_dir = args.out_dir if args.out_dir is not None else results_dir()
+    print(f"[saved to {out_dir / result_name}]")
+    return 0
 
 
 def results_dir() -> pathlib.Path:

@@ -149,9 +149,10 @@ class FleetRouter:
             request over budget falls back to the source worker's local
             preemption/shed handling.
         obs: router-level bundle for fleet counters (``fleet.dispatched``,
-            and the ``fleet.migrations`` family folded from the router's
-            ``migrate`` records); worker metrics live in each worker's own
-            registry.
+            and the ``fleet.migrations``, ``fleet.failovers`` and
+            ``fleet.worker_restores`` families sunk from the router's
+            ``migrate`` / ``failover`` / ``restore`` records); worker
+            metrics live in each worker's own registry.
         max_steps: hard bound on total worker steps across the run.
         gray_plans: per-worker :class:`GrayFailurePlan` schedules, read
             by the guarded step so their simulated stalls drive the real
@@ -186,12 +187,11 @@ class FleetRouter:
         self.gray_plans = dict(gray_plans or {})
         self.monitor = HealthMonitor(health)
         self._affinity: Dict[str, FleetWorker] = {}
-        #: the router's record stream: one ``migrate`` per relocation.
+        #: the router's record stream: one ``migrate`` per relocation, one
+        #: ``failover`` per failed-over worker, one ``restore`` per killed
+        #: worker rebuilt in place.
         self.log = RecordLog(self.obs.metrics)
-        self.worker_restores = 0
         self.recoveries: List[RecoveryStats] = []
-        self.failovers = 0
-        self.failover_latency_s: List[float] = []
 
     # -- the fleet loop -------------------------------------------------------
 
@@ -347,11 +347,7 @@ class FleetRouter:
                 if not self._rebuild(worker):
                     raise  # nothing to restore from: the kill is fatal
                 self.monitor.attach(worker.worker_id, worker.obs.metrics)
-                self.worker_restores += 1
-                metrics = self.obs.metrics
-                metrics.counter("fleet.worker_restores").inc()
-                metrics.counter(
-                    f"fleet.worker{worker.worker_id}.restores").inc()
+                self.log.emit("restore", worker=worker.worker_id)
                 return  # recovery time is not a step-latency sample
         observed = time.perf_counter() - t0 + stall
         _, after = self.monitor.observe(worker.worker_id, observed)
@@ -410,14 +406,9 @@ class FleetRouter:
             worker.run.fence()
         recovered = self._rebuild(worker)
         self._drain(worker)
-        latency = time.perf_counter() - t0
-        self.failovers += 1
-        self.failover_latency_s.append(latency)
-        metrics = self.obs.metrics
-        metrics.counter("fleet.failovers").inc()
-        metrics.counter(f"fleet.worker{worker.worker_id}.failovers").inc()
-        metrics.histogram("fleet.failover_latency_s",
-                          track_values=True).observe(latency)
+        self.log.emit("failover", worker=worker.worker_id,
+                      recovered=recovered,
+                      latency_s=time.perf_counter() - t0)
         wmetrics = worker.obs.metrics
         wmetrics.counter("fleet.failovers").inc()
         wmetrics.counter("fleet.failover_recovered" if recovered
@@ -486,7 +477,8 @@ class FleetRouter:
     def _migrations(self, reason: str, rid: Optional[int] = None) -> int:
         """The fold of the log's ``migrate`` records for ``reason`` (of
         request ``rid`` only, when given)."""
-        return sum(r.data["reason"] == reason and rid in (None, r.data["rid"])
+        return sum(r.kind == "migrate" and r.data["reason"] == reason
+                   and rid in (None, r.data["rid"])
                    for r in self.log.records)
 
     # -- reduction ------------------------------------------------------------
@@ -508,9 +500,10 @@ class FleetRouter:
             prefix_misses=sum(w.pool.prefix_misses for w in self.workers),
             shared_blocks_peak=sum(w.pool.shared_blocks_peak
                                    for w in self.workers),
-            failovers=self.failovers,
+            failovers=self.log.counts.get("failover", 0),
             failover_sessions=self._migrations("failover"),
-            failover_latency_s=list(self.failover_latency_s),
+            failover_latency_s=[r.data["latency_s"] for r in self.log.records
+                                if r.kind == "failover"],
             worker_suspects=self.monitor.suspect_transitions,
-            worker_restores=self.worker_restores,
+            worker_restores=self.log.counts.get("restore", 0),
         )

@@ -15,8 +15,8 @@ Layout:
 - :mod:`repro.serve.engine` — the step loop, analytic/measured clocks;
 - :mod:`repro.serve.events` — the record stream, its folds (per-request
   events, counters) and ServeReport;
-- :mod:`repro.serve.workload` — the compared systems and the seeded
-  Poisson trace generator.
+- :mod:`repro.serve.workload` — the compared systems and their backends
+  (traces are :mod:`repro.bench.scenario` specs).
 """
 
 from repro.serve.engine import AnalyticTiming, EngineRun, ServeEngine

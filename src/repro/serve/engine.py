@@ -373,6 +373,14 @@ class ServeEngine:
                     request.outputs.append(token)
                     request.pending_token = token
                     emitted.append((request, 0, False))
+                    if len(request.outputs) >= request.max_new_tokens:
+                        # Its one token is out and its K/V is never read
+                        # again: release the blocks now, so no later
+                        # session's growth preempts it before it retires
+                        # at the end of the step (a resume would replay a
+                        # token past its budget).
+                        request.cache.free()
+                        request.cache = None
                 # resumed sessions replay outputs[-1] via a decode step, so
                 # the rebuilt trajectory is bit-identical to the original.
                 else:
@@ -490,6 +498,16 @@ class EngineRun:
         """Arrived-but-unsubmitted requests (router load estimation)."""
         return [r for r in self._arrivals[self._next_arrival:]
                 if id(r) not in self._departed]
+
+    @property
+    def served(self) -> List[ServeRequest]:
+        """The requests this run reports, in arrival order: each arrival
+        once, the migrated-away ones excluded."""
+        served: dict = {}
+        for request in self._arrivals:
+            if id(request) not in self._departed:
+                served.setdefault(id(request), request)
+        return list(served.values())
 
     def inject(self, request: ServeRequest) -> None:
         """Hand a (migrated) request to this run as a future arrival."""
@@ -615,16 +633,9 @@ class EngineRun:
     def finish(self) -> ServeReport:
         """Reduce the run's events to a :class:`ServeReport`."""
         engine = self.engine
-        events = []
-        seen: set = set()
-        for request in self._arrivals:
-            if id(request) in seen or id(request) in self._departed:
-                continue
-            seen.add(id(request))
-            events.append(request.events)
         return ServeReport(
             system=engine.name,
-            events=events,
+            events=[request.events for request in self.served],
             clock_s=self.clock,
             tokens_generated=self.tokens_generated,
             peak_decode_batch=self.peak_batch,

@@ -4,9 +4,10 @@ Each fact of a run is written once, as a :class:`Record`, where it is
 decided: the scheduler emits ``admit``, ``reject``, ``preempt``,
 ``brownout``, ``pin``, ``token`` and ``finish``; the engine run the
 inputs ``inject`` / ``depart`` and one ``step`` per engine step; the
-fleet router ``migrate`` on its own log.  :meth:`RecordLog.emit` folds
-each record into the request's :class:`RequestEvents` and the log's
-per-kind ``counts`` (the run totals of a :class:`ServeReport`), and
+fleet router ``migrate``, ``failover`` and ``restore`` on its own log.
+:meth:`RecordLog.emit` folds each record into the request's
+:class:`RequestEvents` and the log's per-kind ``counts`` (the run totals
+of a :class:`ServeReport`), and
 sinks it into the ``serve.*`` / ``fleet.*`` counters; a durable run also
 writes it to its WAL.  Times are in the run's clock (analytic seconds by
 default, wall seconds in the engine's measured mode).
@@ -27,7 +28,8 @@ import numpy as np
 from repro.obs import MetricsRegistry, exact_percentile
 
 RECORD_KINDS = ("inject", "admit", "reject", "token", "preempt", "pin",
-                "brownout", "migrate", "depart", "finish", "step")
+                "brownout", "migrate", "depart", "finish", "step",
+                "failover", "restore")
 #: what a run is given rather than computes: replay applies these.
 INPUT_KINDS = ("inject", "depart")
 #: run-clock fields (wall seconds, so not reproducible, in measured mode).
@@ -134,6 +136,11 @@ def _counters(record: Record) -> List[str]:
     if kind == "migrate":
         return ["fleet.migrations" if data["reason"] == "capacity"
                 else "fleet.failover_sessions"]
+    if kind == "failover":
+        return ["fleet.failovers", f"fleet.worker{data['worker']}.failovers"]
+    if kind == "restore":
+        return ["fleet.worker_restores",
+                f"fleet.worker{data['worker']}.restores"]
     return _COUNTERS.get(kind, [])
 
 
@@ -160,6 +167,10 @@ class RecordLog:
         if self.metrics.enabled:
             for name in _counters(record):
                 self.metrics.counter(name).inc()
+            if kind == "failover":
+                self.metrics.histogram("fleet.failover_latency_s",
+                                       track_values=True).observe(
+                    data["latency_s"])
 
     def drain(self) -> List[Record]:
         """The records emitted since the last drain, in order."""

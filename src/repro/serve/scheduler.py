@@ -675,7 +675,9 @@ class ContinuousBatchScheduler:
 
         Victim: the *youngest admitted* running session other than
         ``needy`` (LIFO preemption preserves the FIFO fairness of the
-        queue: the request that joined last loses its slot first).  The
+        queue: the request that joined last loses its slot first) whose
+        output budget is not spent — a spent one holds no blocks and
+        only awaits retirement.  The
         victim's blocks return to the pool and it re-enters the queue
         head-of-line for its original arrival order.  Returns the victim,
         or ``None`` when ``needy`` is the only running session (the caller
@@ -689,7 +691,8 @@ class ContinuousBatchScheduler:
         reference cycle, and the cycle would keep the pool alive after
         the run is dropped.
         """
-        candidates = [r for r in self.running if r is not needy]
+        candidates = [r for r in self.running if r is not needy
+                      and len(r.outputs) < r.max_new_tokens]
         if not candidates:
             return None
         victim = max(candidates,

@@ -11,13 +11,10 @@ import json
 
 import pytest
 
-from repro.bench import chaos, serve
+from repro.bench import chaos, fleet, fleet_chaos, recovery, serve
 from repro.bench.registry import (REGISTRY, BenchSpec, check_all,
                                   check_artifact)
 from repro.bench.tables import results_dir
-from repro.llm.config import LLAMA3_8B
-from repro.llm.model import Transformer
-from repro.serve.workload import default_systems
 
 
 def test_registry_covers_known_artifacts():
@@ -77,7 +74,7 @@ def test_unregistered_spec_roundtrip(tmp_path):
     assert "missing" in check_artifact(spec, tmp_path)[0]
 
 
-# -- the published analytic-clock numbers are what the code computes ---------
+# -- the committed artifacts are what the code computes ----------------------
 
 
 def _committed(spec_tag):
@@ -85,38 +82,105 @@ def _committed(spec_tag):
         (results_dir() / REGISTRY[spec_tag].result_name).read_text())
 
 
-def test_committed_chaos_serving_points_are_reproduced():
-    payload = _committed("chaos")
+def _rerun_serve(payload, out_dir):
     config = payload["config"]
-    assert config["model"] == LLAMA3_8B.name
-    for workload in config["workloads"]:
-        for name, (system, faultable) in chaos.serving_systems().items():
-            fresh = [chaos._serving_point(
-                system, LLAMA3_8B, workload, config["n_sessions"], rate,
-                config["seed"], faultable)
-                for rate in payload["fault_rates"]]
-            assert fresh == payload["serving"][workload][name], \
-                (workload, name)
+    serve.run_serve(rates=payload["arrival_rates"],
+                    contexts=payload["contexts"],
+                    n_requests=config["n_requests"],
+                    prompt_tokens=config["prompt_tokens"],
+                    output_tokens=config["output_tokens"],
+                    seed=config["seed"], out_dir=out_dir)
 
 
-def test_committed_serve_analytic_throughput_is_reproduced():
-    """Every BENCH_serve point's throughput, TTFT and peak batch on the
-    analytic clock — the capacity rule included — is recomputed."""
-    payload = _committed("serve")
+def _rerun_chaos(payload, out_dir):
     config = payload["config"]
-    assert config["charged_model"] == LLAMA3_8B.name
-    assert config["functional_model"] == serve.TINY_MODEL.name
-    model = Transformer(serve.TINY_MODEL, seed=config["seed"])
-    systems = default_systems()
-    for name, points in payload["sweep"].items():
-        for point in points:
-            fresh = serve._point(
-                model, name, systems[name], point["arrival_rate_per_s"],
-                point["charged_context"], config["n_requests"],
-                config["prompt_tokens"], config["output_tokens"],
-                config["seed"])
-            for key in ("throughput_tps", "ttft_p50_s",
-                        "peak_decode_batch"):
-                assert fresh[key] == point[key], \
-                    (name, point["arrival_rate_per_s"],
-                     point["charged_context"], key)
+    chaos.run_chaos(rates=payload["fault_rates"],
+                    n_sessions=config["n_sessions"],
+                    n_tokens=config["n_tokens"], seed=config["seed"],
+                    out_dir=out_dir)
+
+
+def _rerun_fleet(payload, out_dir):
+    config = payload["config"]
+    fleet.run_fleet(workers_axis=payload["workers_axis"],
+                    n_steady=config["n_steady"], n_burst=config["n_burst"],
+                    output_tokens=config["output_tokens"],
+                    charged_context=config["charged_context"],
+                    blocks_per_worker=config["blocks_per_worker"],
+                    max_decode_batch=config["max_decode_batch"],
+                    fairness_limit=payload["fairness"]["limit"],
+                    seed=config["seed"], out_dir=out_dir)
+
+
+def _rerun_recovery(payload, out_dir):
+    config = payload["config"]
+    recovery.run_recovery(
+        n_requests=config["n_requests"],
+        prompt_tokens=config["prompt_tokens"],
+        output_tokens=config["output_tokens"],
+        charged_context=config["charged_context"],
+        arrival_rate=config["arrival_rate_per_s"],
+        snapshot_every=config["snapshot_every"],
+        kill_fraction=config["kill_fraction"],
+        crash_kind=payload["crash"]["kind"], seed=config["seed"],
+        out_dir=out_dir)
+
+
+def _rerun_fleet_chaos(payload, out_dir):
+    config = payload["config"]
+    fleet_chaos.run_fleet_chaos(
+        seed=config["seed"], n_steady=config["n_steady"],
+        n_burst=config["n_burst"], output_tokens=config["output_tokens"],
+        n_workers=config["n_workers"],
+        blocks_per_worker=config["blocks_per_worker"],
+        snapshot_every=config["snapshot_every"],
+        overload_requests=payload["brownout"]["n_requests"],
+        overload_rate_per_s=payload["brownout"]["rate_per_s"],
+        out_dir=out_dir)
+
+
+#: the serving benchmarks, each rerun at its committed config.
+RERUN = {"serve": _rerun_serve, "chaos": _rerun_chaos,
+         "fleet": _rerun_fleet, "recovery": _rerun_recovery,
+         "fleet_chaos": _rerun_fleet_chaos}
+
+
+def _leaves(value, path=()):
+    """(dotted key path without list indices, index path) -> leaf."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, value
+
+
+def _is_wall_clock(path, wall_clock):
+    keys = ".".join(str(p) for p in path if isinstance(p, str))
+    return any(keys == name or keys.endswith("." + name)
+               for name in wall_clock)
+
+
+@pytest.mark.parametrize("bench_tag", sorted(RERUN))
+def test_committed_artifact_reproduces(bench_tag, tmp_path):
+    """Every deterministic leaf of a serving artifact is what a fresh run
+    at its committed config computes: ints, bools and strings exactly,
+    floats to 1e-9 relative; only the spec's wall-clock leaves differ."""
+    spec = REGISTRY[bench_tag]
+    committed = _committed(bench_tag)
+    RERUN[bench_tag](committed, tmp_path)
+    fresh = json.loads((tmp_path / spec.result_name).read_text())
+
+    def deterministic(payload):
+        return {path: value for path, value in _leaves(payload)
+                if not _is_wall_clock(path, spec.wall_clock)}
+
+    expected, got = deterministic(committed), deterministic(fresh)
+    assert sorted(got, key=str) == sorted(expected, key=str)
+    for path, value in expected.items():
+        if isinstance(value, float):
+            assert got[path] == pytest.approx(value, rel=1e-9, abs=0.0), path
+        else:
+            assert (type(got[path]), got[path]) == (type(value), value), path

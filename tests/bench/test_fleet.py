@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.bench.fleet import (RESULT_NAME, SCHEMA_VERSION, fleet_workload,
+from repro.bench.fleet import (RESULT_NAME, SCHEMA_VERSION, trace,
                                run_fleet, validate_payload)
 
 
@@ -77,8 +77,8 @@ def test_axis_must_start_at_baseline(tmp_path):
 
 
 def test_fairness_ab_traces_share_steady_stream():
-    with_burst = fleet_workload(4, 4, 64, seed=3)
-    without = fleet_workload(4, 4, 64, seed=3, include_burst=False)
+    with_burst = trace(4, 4, seed=3).requests()
+    without = trace(4, 4, seed=3, include_burst=False).requests()
     steady_a = [r for r in with_burst if r.tenant == "steady"]
     assert len(without) == len(steady_a) == 4
     for a, b in zip(steady_a, without):

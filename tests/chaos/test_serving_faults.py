@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bench.chaos import _fault_mix
+from repro.bench.scenario import Tenant, Trace
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.drex.backend import DrexOffloadBackend
@@ -20,7 +21,6 @@ from repro.llm.model import Transformer
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest
-from repro.serve.workload import poisson_workload
 from repro.system.baselines import SlidingWindowGpuSystem
 from repro.system.engine import LongSightSystem
 from repro.system.faults import FaultPlan
@@ -88,8 +88,8 @@ class TestZeroFaultCompatibility:
     def test_zero_rate_matches_no_fault_model(self, model):
         """A rate-0 plan must not change the trajectory at all."""
         def workload():
-            return poisson_workload(6, 2.0, 20, 16, TINY.vocab_size,
-                                    charged_prompt_tokens=32768, seed=3)
+            return Trace((Tenant(6, 20, 16, seed=3, rate=2.0,
+                                 charged=32768),)).requests()
 
         base_requests, faulted_requests = workload(), workload()
         base = _serve(model, _engine(), base_requests,

@@ -14,15 +14,10 @@ import threading
 
 import pytest
 
-from repro.bench.serve import TINY_LS, TINY_MODEL
-from repro.llm.config import LLAMA3_8B
-from repro.llm.model import Transformer
-from repro.serve.workload import backend_factory, default_systems, \
-    poisson_workload
-from repro.serve.engine import AnalyticTiming, ServeEngine
-from repro.serve.paged_kv import PagedKVPool
+from repro.bench.scenario import (Scenario, Tenant, Topology, Trace,
+                                  build_engine)
+from repro.serve.engine import ServeEngine
 from repro.serve.scheduler import SloPolicy
-from repro.system.prefill import PrefillModel
 
 #: Replay/recovery loops must converge far faster than the global limit.
 DURABLE_TIMEOUT_S = 60.0
@@ -55,31 +50,18 @@ def _durable_watchdog():
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture(scope="session")
-def durable_model():
-    return Transformer(TINY_MODEL, seed=0)
-
-
-@pytest.fixture(scope="session")
-def longsight_system():
-    return default_systems()["longsight"]
-
-
 @pytest.fixture
-def engine_builder(durable_model, longsight_system):
+def engine_builder():
     """Factory of fresh engines with identical geometry (restore needs a
     clean pool per recovery)."""
     def build(n_blocks: int = 64, prefix_caching: bool = True,
               make_backend=None, policy=None) -> ServeEngine:
-        pool = PagedKVPool(durable_model.config, n_blocks=n_blocks,
-                           block_tokens=16, prefix_caching=prefix_caching)
-        return ServeEngine(
-            durable_model, pool,
-            make_backend or backend_factory("longsight", TINY_LS),
+        engine = build_engine(Scenario(topology=Topology(
             policy=policy or SloPolicy(max_decode_batch=4),
-            timing=AnalyticTiming(longsight_system, LLAMA3_8B,
-                                  prefill=PrefillModel()),
-            name="longsight")
+            n_blocks=n_blocks, prefix_caching=prefix_caching)))
+        if make_backend is not None:
+            engine.backend_factory = make_backend
+        return engine
     return build
 
 
@@ -88,8 +70,7 @@ def make_workload():
     """Deterministic small workload; fresh request objects per call."""
     def build(n_requests: int = 3, prompt_tokens: int = 24,
               output_tokens: int = 8, seed: int = 7):
-        return poisson_workload(
-            n_requests, 50.0, prompt_tokens, output_tokens,
-            TINY_MODEL.vocab_size, charged_prompt_tokens=65_536,
-            seed=seed)
+        return Trace((Tenant(n_requests, prompt_tokens, output_tokens,
+                             seed=seed, rate=50.0, charged=65_536),)
+                     ).requests()
     return build

@@ -10,15 +10,15 @@ worker self-heals (flapping at period 1 never strikes twice in a row).
 
 from __future__ import annotations
 
-import pathlib
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.fleet import _build_fleet
-from repro.bench.fleet_chaos import _fleet_outputs
+from repro.bench.fleet import fleet_topology
+from repro.bench.scenario import (Faults, Scenario, build_fleet,
+                                  served_outputs as _fleet_outputs)
 from repro.fleet import HealthPolicy
 from repro.system.faults import GRAY_KINDS, GrayFailurePlan
 
@@ -30,20 +30,19 @@ HEALTH = HealthPolicy(step_deadline_s=1.0, fail_after_deadline_misses=2)
 _reference_cache = {}
 
 
-def _run_fleet(model, system, requests, plan):
+def _run_fleet(requests, plan):
     with tempfile.TemporaryDirectory() as tmp:
-        fleet = _build_fleet(
-            2, model, system, blocks_per_worker=64, max_decode_batch=4,
-            durable_root=pathlib.Path(tmp), snapshot_every=4,
-            gray_plans=None if plan is None else {0: plan},
-            health=HEALTH)
+        fleet = build_fleet(Scenario(
+            topology=fleet_topology(2, 64, 4, snapshot_every=4,
+                                    health=HEALTH),
+            faults=Faults(gray={} if plan is None else {0: plan})), tmp)
         report = fleet.run(requests)
         return report, _fleet_outputs(fleet)
 
 
-def _reference(model, system, make_workload):
+def _reference(make_workload):
     if "outputs" not in _reference_cache:
-        _, outputs = _run_fleet(model, system, make_workload(
+        _, outputs = _run_fleet(make_workload(
             n_requests=N_REQUESTS, output_tokens=OUTPUT_TOKENS), None)
         _reference_cache["outputs"] = outputs
     return _reference_cache["outputs"]
@@ -53,16 +52,14 @@ def _reference(model, system, make_workload):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(GRAY_KINDS), start=st.integers(2, 12))
 def test_failover_bit_identical_for_every_kind_and_onset(
-        kind, start, durable_model, longsight_system, make_workload):
+        kind, start, make_workload):
     plan = GrayFailurePlan(
         kind=kind, start_step=start, stall_s=2.0,
         period=1 if kind == "flapping_worker" else 4)
     requests = make_workload(n_requests=N_REQUESTS,
                              output_tokens=OUTPUT_TOKENS)
-    report, outputs = _run_fleet(durable_model, longsight_system,
-                                 requests, plan)
-    assert outputs == _reference(durable_model, longsight_system,
-                                 make_workload)
+    report, outputs = _run_fleet(requests, plan)
+    assert outputs == _reference(make_workload)
     assert report.completed == N_REQUESTS
     assert report.shed == 0 and report.rejected == 0
     if kind == "flapping_worker":
@@ -73,9 +70,8 @@ def test_failover_bit_identical_for_every_kind_and_onset(
         assert report.failovers <= 1
 
 
-def test_reference_outputs_are_nonempty(durable_model, longsight_system,
-                                        make_workload):
-    outputs = _reference(durable_model, longsight_system, make_workload)
+def test_reference_outputs_are_nonempty(make_workload):
+    outputs = _reference(make_workload)
     assert len(outputs) == N_REQUESTS
     assert all(len(tokens) == OUTPUT_TOKENS
                for tokens in outputs.values())

@@ -4,45 +4,21 @@ import collections
 
 import pytest
 
-from repro.bench.serve import TINY_LS
+from repro.bench.scenario import (Faults, Scenario, Topology, build_fleet,
+                                  served_outputs as _fleet_outputs)
 from repro.durable import iter_step_buckets, read_wal
-from repro.llm.config import LLAMA3_8B
-from repro.obs import MetricsRegistry, Obs, Tracer
-from repro.serve.workload import backend_factory
-from repro.serve.engine import AnalyticTiming, EngineRun
+from repro.serve.engine import EngineRun
 from repro.system.faults import CrashPlan
-from repro.system.prefill import PrefillModel
-from repro.fleet.router import FleetRouter, make_worker
 
 
 @pytest.fixture
-def make_fleet(durable_model, longsight_system):
+def make_fleet():
     def build(root, crash_plans=None, n_workers=2, n_blocks=48):
-        def timing_factory(obs):
-            return AnalyticTiming(longsight_system, LLAMA3_8B,
-                                  prefill=PrefillModel(), obs=obs)
-        workers = [make_worker(i, durable_model,
-                               backend_factory("longsight", TINY_LS),
-                               n_blocks=n_blocks,
-                               timing_factory=timing_factory,
-                               durable_root=root)
-                   for i in range(n_workers)]
-        # Private bundle: router counters must not leak across tests
-        # through the process-global default registry.
-        obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
-        return FleetRouter(workers, snapshot_every=4,
-                           crash_plans=crash_plans or {}, obs=obs)
+        return build_fleet(Scenario(
+            topology=Topology(n_blocks=n_blocks, workers=n_workers,
+                              snapshot_every=4),
+            faults=Faults(crashes=crash_plans or {})), root)
     return build
-
-
-def _fleet_outputs(router):
-    outputs = {}
-    for worker in router.workers:
-        run = worker.run
-        for request in run._arrivals:
-            if id(request) not in run._departed:
-                outputs[request.request_id] = list(request.outputs)
-    return outputs
 
 
 def _reported_rids(report):
@@ -85,7 +61,7 @@ class TestRestoreAndRejoin:
             tmp_path / f"{kind}-{kill_at}",
             crash_plans={0: CrashPlan(kill_at_step=kill_at, kind=kind)})
         report = router.run(make_workload(n_requests=6, seed=11))
-        assert router.worker_restores == 1
+        assert report.worker_restores == 1
         assert len(router.recoveries) == 1
         assert _fleet_outputs(router) == reference
         assert sorted(_reported_rids(report)) \
@@ -125,7 +101,7 @@ class TestRestoreAndRejoin:
                 n_blocks=8)
             report = router.run(make_workload(**TIGHT))
             where = f"worker {worker_id} {kind} at step {kill_at}"
-            assert router.worker_restores == 1, where
+            assert report.worker_restores == 1, where
             assert _fleet_outputs(router) == reference, where
             assert sorted(_reported_rids(report)) == list(range(8)), where
             _assert_no_proxy(router)

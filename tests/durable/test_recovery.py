@@ -9,11 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.serve import TINY_MODEL
+from repro.bench.scenario import Tenant, Trace
 from repro.durable import DurableRun, recover
 from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
                           WorkerKilledError)
-from repro.serve.workload import poisson_workload
 from repro.serve.scheduler import BrownoutPolicy, SloPolicy
 from repro.system.faults import CRASH_KINDS, CrashPlan
 
@@ -139,9 +138,8 @@ class TestBrownoutLadder:
             return engine_builder(policy=policy)
 
         def workload():
-            return poisson_workload(
-                8, 500.0, 40, 8, TINY_MODEL.vocab_size,
-                charged_prompt_tokens=65_536, seed=7)
+            return Trace((Tenant(8, 40, 8, seed=7, rate=500.0,
+                                 charged=65_536),)).requests()
 
         def summary(run):
             return ({r.request_id: list(r.outputs) for r in run._arrivals},

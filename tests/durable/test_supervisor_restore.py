@@ -11,7 +11,7 @@ immediately.
 
 import pytest
 
-from repro.bench.serve import TINY_LS, TINY_MODEL
+from repro.bench.scenario import TINY_LS, TINY_MODEL
 from repro.drex.backend import DrexOffloadBackend
 from repro.durable import DurableRun, recover
 from repro.errors import WorkerKilledError

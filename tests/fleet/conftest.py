@@ -16,10 +16,7 @@ import threading
 
 import pytest
 
-from repro.bench.fleet import fleet_workload
-from repro.bench.serve import TINY_MODEL
-from repro.llm.model import Transformer
-from repro.serve.workload import default_systems
+from repro.bench import fleet
 
 #: A healthy router iteration is milliseconds; a hung one never returns.
 RESILIENCE_TIMEOUT_S = 60.0
@@ -53,22 +50,10 @@ def _resilience_watchdog():
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture(scope="session")
-def fleet_model():
-    return Transformer(TINY_MODEL, seed=0)
-
-
-@pytest.fixture(scope="session")
-def longsight_system():
-    return default_systems()["longsight"]
-
-
 @pytest.fixture
-def make_trace(fleet_model):
+def make_trace():
     """Deterministic two-tenant fleet trace; fresh requests per call."""
     def build(n_steady: int = 10, n_burst: int = 6,
               output_tokens: int = 8, seed: int = 0):
-        return fleet_workload(n_steady, n_burst,
-                              fleet_model.config.vocab_size, seed=seed,
-                              output_tokens=output_tokens)
+        return fleet.trace(n_steady, n_burst, seed, output_tokens).requests()
     return build

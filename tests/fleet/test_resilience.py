@@ -14,8 +14,9 @@ import pathlib
 import pytest
 
 import repro.fleet.router as router_module
-from repro.bench.fleet import _build_fleet
-from repro.bench.fleet_chaos import _fleet_outputs
+from repro.bench.fleet import fleet_topology
+from repro.bench.scenario import (Faults, Scenario, build_fleet as _fleet,
+                                  served_outputs as _fleet_outputs)
 from repro.errors import WorkerStalledError
 from repro.fleet import HealthMonitor, HealthPolicy, WorkerState
 from repro.obs import MetricsRegistry
@@ -141,34 +142,31 @@ class TestSuspicionModel:
 HEALTH = HealthPolicy(step_deadline_s=1.0, fail_after_deadline_misses=2)
 
 
-def build_fleet(model, system, tmp_path, *, n_workers=4, plan=None,
-                durable=True, blocks=64):
-    return _build_fleet(
-        n_workers, model, system, blocks, max_decode_batch=4,
-        durable_root=pathlib.Path(tmp_path) if durable else None,
-        snapshot_every=4,
-        gray_plans=None if plan is None else {0: plan}, health=HEALTH)
+def build_fleet(tmp_path, *, n_workers=4, plan=None, durable=True,
+                blocks=64):
+    return _fleet(Scenario(
+        topology=fleet_topology(n_workers, blocks, 4,
+                                snapshot_every=4 if durable else None,
+                                health=HEALTH),
+        faults=Faults(gray={} if plan is None else {0: plan})),
+        pathlib.Path(tmp_path))
 
 
 class TestRouterResilience:
     @pytest.fixture()
-    def reference(self, fleet_model, longsight_system, make_trace,
-                  tmp_path):
-        fleet = build_fleet(fleet_model, longsight_system,
-                            tmp_path / "ref")
+    def reference(self, make_trace, tmp_path):
+        fleet = build_fleet(tmp_path / "ref")
         report = fleet.run(make_trace())
         return report, _fleet_outputs(fleet)
 
     @pytest.mark.parametrize("kind", GRAY_KINDS)
-    def test_failover_outputs_bit_identical(self, kind, fleet_model,
-                                            longsight_system, make_trace,
+    def test_failover_outputs_bit_identical(self, kind, make_trace,
                                             tmp_path, reference):
         ref_report, ref_outputs = reference
         plan = GrayFailurePlan(
             kind=kind, start_step=3, stall_s=2.0,
             period=1 if kind == "flapping_worker" else 4)
-        fleet = build_fleet(fleet_model, longsight_system,
-                            tmp_path / kind, plan=plan)
+        fleet = build_fleet(tmp_path / kind, plan=plan)
         report = fleet.run(make_trace())
         assert _fleet_outputs(fleet) == ref_outputs
         assert report.completed == ref_report.completed
@@ -187,16 +185,14 @@ class TestRouterResilience:
         assert all(isinstance(w.run, EngineRun) for w in fleet.workers)
 
     def test_recompute_failover_without_durable_dir(
-            self, fleet_model, longsight_system, make_trace, tmp_path,
-            reference):
+            self, make_trace, tmp_path, reference):
         # No snapshots to recover from: failover falls back to draining
         # the raw in-memory run via recompute migration, still
         # bit-identical.
         _, ref_outputs = reference
         plan = GrayFailurePlan(kind="stuck_worker", start_step=3,
                                stall_s=2.0, period=4)
-        fleet = build_fleet(fleet_model, longsight_system, tmp_path,
-                            plan=plan, durable=False)
+        fleet = build_fleet(tmp_path, plan=plan, durable=False)
         report = fleet.run(make_trace())
         assert _fleet_outputs(fleet) == ref_outputs
         assert report.failovers == 1
@@ -205,8 +201,7 @@ class TestRouterResilience:
         assert all(isinstance(w.run, EngineRun) for w in fleet.workers)
 
     def test_recompute_failover_of_a_durable_worker_without_snapshots(
-            self, fleet_model, longsight_system, make_trace, tmp_path,
-            reference, monkeypatch):
+            self, make_trace, tmp_path, reference, monkeypatch):
         # A durable worker whose snapshots are all unverifiable by the
         # time it fails over has nothing to rebuild from: the drain runs
         # off the *fenced* durable run, which must not try to log the
@@ -223,8 +218,7 @@ class TestRouterResilience:
                             recover_after_corruption)
         plan = GrayFailurePlan(kind="stuck_worker", start_step=3,
                                stall_s=2.0, period=4)
-        fleet = build_fleet(fleet_model, longsight_system, tmp_path,
-                            plan=plan)
+        fleet = build_fleet(tmp_path, plan=plan)
         report = fleet.run(make_trace())
         assert _fleet_outputs(fleet) == ref_outputs
         assert report.failovers == 1
@@ -236,29 +230,26 @@ class TestRouterResilience:
         assert all(isinstance(w.run, EngineRun) for w in fleet.workers)
 
     def test_single_worker_stall_raises_typed_error(
-            self, fleet_model, longsight_system, make_trace, tmp_path):
+            self, make_trace, tmp_path):
         # Bounded-wait guard: with nowhere to fail over to, the router
         # must raise instead of waiting on the wedged worker forever.
         plan = GrayFailurePlan(kind="stuck_worker", start_step=2,
                                stall_s=2.0, period=4)
-        fleet = build_fleet(fleet_model, longsight_system, tmp_path,
-                            n_workers=1, plan=plan)
+        fleet = build_fleet(tmp_path, n_workers=1, plan=plan)
         with pytest.raises(WorkerStalledError) as excinfo:
             fleet.run(make_trace(n_steady=4, n_burst=2))
         assert excinfo.value.worker_id == 0
         assert excinfo.value.observed_s > excinfo.value.deadline_s
 
     def test_slow_worker_below_deadline_self_heals(
-            self, fleet_model, longsight_system, make_trace, tmp_path,
-            reference):
+            self, make_trace, tmp_path, reference):
         # Stalls well under the fixed deadline: the worker may be
         # suspected via phi (gated at half the deadline -> never a
         # strike) but must keep its sessions and finish them itself.
         _, ref_outputs = reference
         plan = GrayFailurePlan(kind="slow_worker", start_step=3,
                                stall_s=0.2, period=4)
-        fleet = build_fleet(fleet_model, longsight_system, tmp_path,
-                            plan=plan)
+        fleet = build_fleet(tmp_path, plan=plan)
         report = fleet.run(make_trace())
         assert _fleet_outputs(fleet) == ref_outputs
         assert report.failovers == 0

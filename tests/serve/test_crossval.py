@@ -12,14 +12,15 @@ the systems' per-step latency ratios.
 import numpy as np
 import pytest
 
+from repro.bench.scenario import Tenant, Trace
 from repro.core.config import LongSightConfig
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest
-from repro.serve.workload import (SYSTEM_NAMES, backend_factory,
-                                  default_systems, poisson_workload)
+from repro.serve.workload import SYSTEM_NAMES, backend_factory, \
+    default_systems
 from repro.system.prefill import PrefillModel
 from tests.conftest import TINY
 
@@ -39,8 +40,8 @@ def _trace(charged):
     # The default arrival rate *saturates* the decode loop (requests land
     # faster than steps retire them), so throughput reflects per-step
     # latency rather than arrival spacing.
-    return poisson_workload(N_REQUESTS, 200.0, 24, 10, TINY.vocab_size,
-                            charged_prompt_tokens=charged, seed=0)
+    return Trace((Tenant(N_REQUESTS, 24, 10, seed=0, rate=200.0,
+                         charged=charged),)).requests()
 
 
 def _serve_all(model, charged):
@@ -112,10 +113,9 @@ class TestPairedWorkload:
         """The analytic clock reads arrival, charged prompt length and
         output budget only: two traces that differ only in their prompt
         ids give equal reports."""
-        first = poisson_workload(
-            n_requests=7, arrival_rate_per_s=3.0, prompt_tokens=20,
-            output_tokens=5, vocab_size=TINY.vocab_size,
-            charged_prompt_tokens=32_768, seed=1)
+        first = Trace((Tenant(n=7, prompt_tokens=20, output_tokens=5,
+                              seed=1, rate=3.0, charged=32_768),)
+                      ).requests()
         second = [ServeRequest(
             request_id=r.request_id,
             prompt=(r.prompt + 1) % TINY.vocab_size,

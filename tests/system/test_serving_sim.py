@@ -8,6 +8,7 @@ capacity rule (``system.admits`` over the sessions' charged contexts).
 import numpy as np
 import pytest
 
+from repro.bench.scenario import Tenant, Trace
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.llm.config import LLAMA3_8B, LLAMA3_1B
@@ -16,7 +17,6 @@ from repro.llm.sampling import generate
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest
-from repro.serve.workload import poisson_workload
 from repro.system.baselines import (AttAccSystem, DenseGpuSystem,
                                     SlidingWindowGpuSystem)
 from repro.system.engine import LongSightSystem
@@ -72,17 +72,16 @@ def _sparse():
 
 class TestWorkload:
     def test_poisson_deterministic_and_sorted(self):
-        a = poisson_workload(20, 1.0, 24, 10, TINY.vocab_size, seed=3)
-        b = poisson_workload(20, 1.0, 24, 10, TINY.vocab_size, seed=3)
+        a = Trace((Tenant(20, 24, 10, seed=3, rate=1.0),)).requests()
+        b = Trace((Tenant(20, 24, 10, seed=3, rate=1.0),)).requests()
         assert [r.arrival_s for r in a] == [r.arrival_s for r in b]
         assert all(np.array_equal(x.prompt, y.prompt) for x, y in zip(a, b))
         arrivals = [r.arrival_s for r in a]
         assert arrivals == sorted(arrivals)
 
     def test_prompt_jitter_bounded(self):
-        requests = poisson_workload(50, 1.0, 24, 10, TINY.vocab_size,
-                                    charged_prompt_tokens=1000, seed=0,
-                                    prompt_jitter=0.25)
+        requests = Trace((Tenant(50, 24, 10, seed=0, rate=1.0,
+                                 charged=1000),)).requests()
         charged = [r.charged_prompt_tokens for r in requests]
         assert min(charged) >= 750 and max(charged) <= 1250
         assert len(set(charged)) > 1
