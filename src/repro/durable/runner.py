@@ -7,9 +7,10 @@ cannot provide:
 - a **write-ahead log**, the sink of the run's record stream
   (:mod:`repro.serve.events`) in emission order, a ``step`` record
   closing each step's bucket.  True *inputs* (``inject`` of a
-  dispatched/migrated request, ``depart`` of a migrated-away one) are
-  force-synced before the run acts on them — the write-ahead discipline
-  — because they cannot be re-derived.  Everything else is *execution*,
+  dispatched/migrated request, ``depart`` of a migrated-away one) arrive
+  between steps, so they open a bucket, and are force-synced before the
+  run acts on them — the write-ahead discipline — because they cannot be
+  re-derived.  Everything else is *execution*,
   fsync-batched: the engine is deterministic (argmax sampling, seeded
   fault RNG), so a lost unsynced tail regenerates identically on replay.
   Replay therefore **re-executes** each logged step and *verifies* every
@@ -33,21 +34,17 @@ the WAL (resume it, or restart it when stale) → a :class:`DurableRun`
 around that log on a fresh engine →
 :func:`~repro.durable.snapshot.restore_run` into it → replay the WAL
 suffix (records with LSN past the snapshot's) step-bucket by
-step-bucket.  Replay calls the *base-class* ``inject`` / ``step`` —
-those inputs and steps are in the log already.  Records after the last
+step-bucket.  Replay calls the *base-class* ``inject`` /
+``note_departure`` / ``step`` — those inputs and steps are in the log
+already.  Records after the last
 ``step`` marker belong to a step the dying process never completed
 logging; its inputs are applied and the step re-executes after recovery,
 checking the records the log already holds instead of writing them
 again, so every bucket in the log is one whole step.
 
-Exactly-once migration: a logged ``depart`` means the pre-crash router
-accepted the session and its target owns it, so it must not be migrated
-again.  Replay turns every ``depart`` record — in a completed bucket or
-in the unterminated tail alike — into a *pending departure*; when the
-re-executed step offers that session, :meth:`DurableRun.offer_migration`
-consumes the pending departure without consulting the router or
-re-logging.  A completed bucket whose departures are still pending after
-its step did not reproduce the logged run.
+Exactly-once migration: a departure is an input.  A logged ``depart``
+is applied where it was logged, between steps, as an ``inject`` is, so
+the recovered run no longer holds the session its target owns.
 
 A stale WAL (epoch differs from every snapshot's — mixed durable dirs,
 operator error) is never replayed: the file is set aside as
@@ -63,7 +60,7 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import time
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
                           WorkerKilledError)
@@ -108,9 +105,6 @@ class DurableRun(EngineRun):
         self.snapshot_every = snapshot_every
         self.crash = crash
         self.epoch = epoch
-        #: ids whose ``depart`` is in the log but which this run, restored
-        #: from before it, still holds: delivered to their target already.
-        self.pending_departures: Set[int] = set()
         #: the records the log already holds for the step being
         #: re-executed (replay, or a step a crash left unfinished), which
         #: :meth:`_write` checks instead of writing.
@@ -159,29 +153,11 @@ class DurableRun(EngineRun):
         super().inject(request)
         self._write(self.log.drain(), sync=True)
 
-    def note_departure(self, request: ServeRequest) -> bool:
-        """Log-then-apply a migration departure, exactly once.
-
-        A *pending* departure was logged, and the session delivered to
-        its target, before the crash this run was recovered from: it is
-        consumed without re-logging and the answer is ``False`` — the
-        caller has nothing left to deliver.
-        """
-        rid = request.request_id
-        if rid in self.pending_departures:
-            self.pending_departures.discard(rid)
-            self._departed.add(id(request))
-            return False
+    def note_departure(self, request: ServeRequest) -> None:
+        """Write-ahead: the departure is on disk before the target is
+        told."""
         super().note_departure(request)
         self._write(self.log.drain(), sync=True)
-        return True
-
-    def offer_migration(self, request: ServeRequest) -> bool:
-        """A pending departure is honored without asking the router."""
-        if request.request_id in self.pending_departures:
-            self.note_departure(request)
-            return True
-        return super().offer_migration(request)
 
     # -- the durable step -----------------------------------------------------
 
@@ -270,13 +246,14 @@ class RecoveryStats:
 
 
 def _apply_inputs(run: DurableRun, records: List[WalRecord]) -> None:
-    """Apply logged inputs — base-class ``inject``, and each ``depart`` as
-    a pending departure — whose records the log already holds."""
+    """Apply logged inputs — base-class ``inject`` and ``note_departure``
+    — whose records the log already holds."""
     for record in records:
         if record.kind == "inject":
             EngineRun.inject(run, build_request(record.data["request"]))
         elif record.kind == "depart":
-            run.pending_departures.add(record.data["rid"])
+            held = {r.request_id: r for r in run._arrivals}
+            EngineRun.note_departure(run, held[record.data["rid"]])
     run.log.drain()
 
 
@@ -295,10 +272,9 @@ def _replay(run: DurableRun, suffix: List[WalRecord],
 
     Base-class ``inject`` / ``step``: these inputs and steps are in the
     log already, and the step's records go through :meth:`DurableRun.
-    _write` only to be checked.  A ``depart`` becomes a pending departure,
-    consumed when its step re-offers the session.  An unterminated last
-    bucket leaves its records expected by the step that re-executes after
-    recovery.
+    _write` only to be checked.  An unterminated last bucket has its
+    inputs applied and leaves its records expected by the step that
+    re-executes after recovery.
     """
     timed = run.engine.timing is not None
     for bucket, marker in iter_step_buckets(suffix):
@@ -311,10 +287,6 @@ def _replay(run: DurableRun, suffix: List[WalRecord],
         EngineRun.step(run)
         run._write(run.records)     # both end in a step record: all match
         stats.steps_replayed += 1
-        if run.pending_departures:
-            raise ReplayDivergenceError(
-                f"logged departures {sorted(run.pending_departures)} were "
-                f"not re-offered during replay of step {marker.data['step']}")
 
 
 def recover(directory: pathlib.Path, engine: ServeEngine, *,

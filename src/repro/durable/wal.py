@@ -36,7 +36,9 @@ from repro.serve import events
 #: (:mod:`repro.serve.events`), which the log is the durable sink of; a
 #: ``step`` record closes each step's bucket.
 RECORD_KINDS = ("begin",) + events.RECORD_KINDS
-WAL_VERSION = 2
+#: 3: a ``depart`` is logged between steps, opening a bucket; a version-2
+#: log can hold one logged mid-step, which replay would apply too early.
+WAL_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,17 +20,18 @@ over the live workers (:meth:`FleetRouter._best_worker`):
 3. **Load** — the most free blocks net of blocks already promised to
    queued work; then the lowest worker id.
 
-Migration is cross-worker preemption: the source run detaches the victim
-exactly as local preemption does (blocks freed, state QUEUED, generated
-tokens kept) and offers it to the router's handler, which relocates it
-(:meth:`FleetRouter._relocate`: departure recorded on the source, a
+Migration is cross-worker preemption, made between steps.  Local
+preemption requeues its victim (blocks freed, state QUEUED, generated
+tokens kept); once the source's step is over, the router offers each
+session that step preempted to a worker that can admit it *now* and
+moves it with :meth:`FleetRouter._relocate` — the one relocation path,
+which a failover drain takes too: departure recorded on the source, a
 ``migrate`` record on the router's own log, then injected into the
-target) to a worker that can admit it *now*; there the standard resume
-path re-prefills ``prompt + outputs[:-1]`` and replays the last token —
-bit-identical to an uninterrupted run.  A per-request budget of
-``capacity`` migrations (the fold of its ``migrate`` records) prevents
-ping-pong; a request over its budget is re-queued (or shed) locally by
-the source.
+target.  There the standard resume path re-prefills
+``prompt + outputs[:-1]`` and replays the last token — bit-identical to
+an uninterrupted run.  A per-request budget of ``max_migrations``
+capacity migrations (the fold of its ``migrate`` records) prevents
+ping-pong; a request over its budget stays requeued on the source.
 
 Recovery is one routine, :meth:`FleetRouter._rebuild`: a fresh engine
 from the worker's factory, its durable directory recovered into it.  A
@@ -145,9 +146,8 @@ class FleetRouter:
     Args:
         workers: the serving shards (distinct pools; same model family
             and backend family, or prefix sharing would not be valid).
-        max_migrations: per-request cross-worker relocation budget; a
-            request over budget falls back to the source worker's local
-            preemption/shed handling.
+        max_migrations: per-request capacity-migration budget; a
+            preempted request over budget stays requeued on its source.
         obs: router-level bundle for fleet counters (``fleet.dispatched``,
             and the ``fleet.migrations``, ``fleet.failovers`` and
             ``fleet.worker_restores`` families sunk from the router's
@@ -206,51 +206,46 @@ class FleetRouter:
             else:
                 worker.run = worker.engine.start([])
             worker.run_steps = 0
-            worker.run.migrate_handler = self._handler_for(worker)
             self.monitor.attach(worker.worker_id, worker.obs.metrics)
         pending = sorted(requests,
                          key=lambda r: (r.arrival_s, r.request_id))
         next_dispatch = 0
         probe_every = self.monitor.policy.probe_every
         step_key = lambda w: (w.run.clock, w.worker_id)  # noqa: E731
-        try:
-            for iteration in range(1, self.max_steps + 1):
-                busy = [w for w in self._live() if not w.run.idle]
-                if not busy and next_dispatch >= len(pending):
-                    break
-                # Dispatch every arrival at or before the laggard's clock:
-                # placement decisions are made in arrival order, against
-                # pool/prefix state no worker has stepped past yet.
-                frontier = min((w.run.clock for w in busy),
-                               default=pending[next_dispatch].arrival_s
-                               if next_dispatch < len(pending) else 0.0)
-                while next_dispatch < len(pending) \
-                        and pending[next_dispatch].arrival_s <= frontier:
-                    self._dispatch(pending[next_dispatch])
-                    next_dispatch += 1
-                busy = [w for w in self._live() if not w.run.idle]
-                if not busy:
-                    continue
-                healthy_busy = [w for w in busy if self._worker_state(w)
-                                is WorkerState.HEALTHY]
-                suspect_busy = [w for w in busy if w not in healthy_busy]
-                if healthy_busy:
-                    self._guarded_step(min(healthy_busy, key=step_key))
-                    # Hedged probe: a suspect is stepped off the critical
-                    # path so it can prove recovery (or finish failing)
-                    # without the healthy laggard ever waiting on it.
-                    if suspect_busy and iteration % probe_every == 0:
-                        self._guarded_step(min(suspect_busy, key=step_key))
-                else:
-                    # Only suspects hold live work: probing the suspect
-                    # laggard is the sole way forward.
+        for iteration in range(1, self.max_steps + 1):
+            busy = [w for w in self._live() if not w.run.idle]
+            if not busy and next_dispatch >= len(pending):
+                break
+            # Dispatch every arrival at or before the laggard's clock:
+            # placement decisions are made in arrival order, against
+            # pool/prefix state no worker has stepped past yet.
+            frontier = min((w.run.clock for w in busy),
+                           default=pending[next_dispatch].arrival_s
+                           if next_dispatch < len(pending) else 0.0)
+            while next_dispatch < len(pending) \
+                    and pending[next_dispatch].arrival_s <= frontier:
+                self._dispatch(pending[next_dispatch])
+                next_dispatch += 1
+            busy = [w for w in self._live() if not w.run.idle]
+            if not busy:
+                continue
+            healthy_busy = [w for w in busy if self._worker_state(w)
+                            is WorkerState.HEALTHY]
+            suspect_busy = [w for w in busy if w not in healthy_busy]
+            if healthy_busy:
+                self._guarded_step(min(healthy_busy, key=step_key))
+                # Hedged probe: a suspect is stepped off the critical
+                # path so it can prove recovery (or finish failing)
+                # without the healthy laggard ever waiting on it.
+                if suspect_busy and iteration % probe_every == 0:
                     self._guarded_step(min(suspect_busy, key=step_key))
             else:
-                raise RuntimeError(
-                    f"fleet did not converge within {self.max_steps} steps")
-        finally:
-            for worker in self.workers:
-                worker.run.migrate_handler = None
+                # Only suspects hold live work: probing the suspect
+                # laggard is the sole way forward.
+                self._guarded_step(min(suspect_busy, key=step_key))
+        else:
+            raise RuntimeError(
+                f"fleet did not converge within {self.max_steps} steps")
         return self._report()
 
     # -- placement ------------------------------------------------------------
@@ -349,6 +344,7 @@ class FleetRouter:
                 self.monitor.attach(worker.worker_id, worker.obs.metrics)
                 self.log.emit("restore", worker=worker.worker_id)
                 return  # recovery time is not a step-latency sample
+            self._migrate_preempted(worker)
         observed = time.perf_counter() - t0 + stall
         _, after = self.monitor.observe(worker.worker_id, observed)
         if after is WorkerState.FAILED:
@@ -375,7 +371,6 @@ class FleetRouter:
         # transplant them across the engine swap so the latency baseline
         # and suspicion counters survive into the merged fleet report.
         engine.obs.metrics.merge(worker.obs.metrics, prefix="fleet.")
-        run.migrate_handler = self._handler_for(worker)
         worker.engine, worker.run, worker.run_steps = engine, run, 0
         self.recoveries.append(stats)
         return True
@@ -389,8 +384,8 @@ class FleetRouter:
         records never land, exactly as if the process were unreachable.
         Without a verifiable snapshot (or a durable dir at all) the
         sessions recompute-migrate off the fenced in-memory run instead.
-        Either way departures are exactly-once: pending departures
-        already delivered pre-failure are consumed, not re-shipped.
+        Either way departures are exactly-once: the rebuild applied every
+        departure its log holds, so the drain never sees those sessions.
         """
         self.monitor.mark_failed(worker.worker_id)
         if not self._live(exclude=worker):
@@ -417,32 +412,36 @@ class FleetRouter:
     def _drain(self, victim: FleetWorker) -> None:
         """Move every live session off ``victim``'s run to its siblings."""
         run = victim.run
-        scheduler = run.scheduler
-        sessions: List[ServeRequest] = []
-        for request in list(scheduler.running):
-            scheduler.detach(request)
-            sessions.append(request)
-        sessions.extend(scheduler.drain_queued())
-        sessions.extend(run.pending)
-        for request in sessions:
+        for request in list(run.scheduler.running) + run.scheduler.queued \
+                + run.pending:
             self._relocate(victim, request,
                            self._best_worker(request, exclude=victim),
                            "failover")
 
     # -- migration ------------------------------------------------------------
 
+    def _migrate_preempted(self, source: FleetWorker) -> None:
+        """Offer each session ``source``'s last step preempted (requeued
+        there) to a sibling that can admit it now; within its budget,
+        :meth:`_relocate` moves it (see module docstring)."""
+        for record in source.run.records:
+            if record.kind != "preempt" or self._migrations(
+                    "capacity", record.data["rid"]) >= self.max_migrations:
+                continue
+            target = self._best_worker(record.request, exclude=source,
+                                       admit_now=True)
+            if target is not None:
+                self._relocate(source, record.request, target, "capacity")
+
     def _relocate(self, source: FleetWorker, request: ServeRequest,
-                  target: FleetWorker, reason: str) -> bool:
-        """Move a detached session from ``source`` to ``target`` for
+                  target: FleetWorker, reason: str) -> None:
+        """Move a session from ``source`` to ``target`` between steps, for
         ``reason`` (``capacity`` or ``failover``).
 
         Write-ahead order: the departure is recorded (and, on a durable
-        source, synced) before the target is told.  ``False`` when the
-        source run says there is nothing to deliver — the session reached
-        its target before the crash the run was recovered from.
+        source, synced) before the target is told.
         """
-        if not source.run.note_departure(request):
-            return False
+        source.run.note_departure(request)
         # The relocated session cannot restart before the moment the
         # source released it; events keep the original arrival for TTFT
         # accounting.
@@ -452,27 +451,6 @@ class FleetRouter:
         self.log.emit("migrate", request, source=source.worker_id,
                       target=target.worker_id, reason=reason)
         target.run.inject(request)
-        return True
-
-    def _handler_for(self, source: FleetWorker):
-        """The migrate hook installed on ``source``'s run.
-
-        Receives sessions the source would otherwise preempt-requeue,
-        already detached (blocks freed, state QUEUED).  Returns ``True``
-        after relocating the session to a sibling that can admit it now;
-        ``False`` keeps it on the source (local requeue).
-        """
-        def handler(request: ServeRequest) -> bool:
-            if self._migrations("capacity", request.request_id) \
-                    >= self.max_migrations:
-                return False
-            target = self._best_worker(request, exclude=source,
-                                       admit_now=True)
-            if target is None:
-                return False
-            return self._relocate(source, request, target, "capacity")
-
-        return handler
 
     def _migrations(self, reason: str, rid: Optional[int] = None) -> int:
         """The fold of the log's ``migrate`` records for ``reason`` (of

@@ -36,13 +36,16 @@ re-prefilling ``prompt + outputs[:-1]`` and replaying the last sampled
 token through a real decode step.  That rebuilds K/V with prefill's block
 GEMMs instead of decode steps, so it is pinned at the token level by the
 preemption / migration / recovery suites, not by a K/V-bits argument.
+A migration is the same resume on another worker: a fleet router moves a
+session between two runs' steps, never inside one
+(:meth:`EngineRun.note_departure`, then :meth:`EngineRun.inject`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -203,8 +206,7 @@ class ServeEngine:
 
     def _ensure_growth(self, run: "EngineRun", request: ServeRequest,
                        tokens: int) -> None:
-        """Secure pool blocks for ``tokens`` total, preempting if needed
-        (each victim offered to ``run``'s :meth:`EngineRun.offer_migration`).
+        """Secure pool blocks for ``tokens`` total, preempting if needed.
 
         Re-raises the pool's :class:`PoolExhaustedError` once no other
         session is left to preempt — which admission rules out: a session
@@ -216,8 +218,7 @@ class ServeEngine:
                 request.cache.ensure_tokens(tokens)
                 return
             except PoolExhaustedError:
-                if run.scheduler.preempt_victim(
-                        request, run.offer_migration) is None:
+                if run.scheduler.preempt_victim(request) is None:
                     raise
 
     # -- the run loop ---------------------------------------------------------
@@ -355,14 +356,9 @@ class ServeEngine:
                 # length, scaled to the fraction of prompt processed.
                 # The charge runs *overlapped* with the decode batch: it
                 # delays this session's readiness, not the global clock.
-                scale = 1.0
-                if request.charged_prompt_tokens is not None \
-                        and len(request.prompt):
-                    scale = request.charged_prompt_tokens \
-                        / len(request.prompt)
                 request.prefill_charge_s += self.timing.prefill_chunk_s(
-                    int(ctx_before * scale),
-                    int(request.prefilled * scale))
+                    request.charged_position(ctx_before),
+                    request.charged_position(request.prefilled))
             if request.prefilled == len(target):
                 scheduler.prefill_complete(request)
                 admitted_s = request.events.admitted_s or 0.0
@@ -440,10 +436,10 @@ class EngineRun:
     exactly one iteration of the original loop (arrival submission,
     admission, batch assembly, execution, clock advance, bookkeeping) and
     returns ``False`` when the run is complete.  A fleet router drives
-    several runs on interleaved clocks and uses :meth:`inject` to hand a
-    migrated session to this worker mid-run; :meth:`note_departure`
-    removes a migrated-away session from this run's report so every
-    request is reported by exactly one worker.  Its facts go to the
+    several runs on interleaved clocks and, between their steps, uses
+    :meth:`inject` to hand a migrated session to this worker and
+    :meth:`note_departure` to take one away, so every request is reported
+    by exactly one worker.  Its facts go to the
     scheduler's record ``log``; ``records`` holds the last step's.
     """
 
@@ -457,12 +453,6 @@ class EngineRun:
                                 key=lambda r: (r.arrival_s, r.request_id))
         self._next_arrival = 0
         self._departed: set = set()          # id(request) of migrated-away
-        #: optional relocation hook ``(request) -> bool``, set by a fleet
-        #: router: offered every session this run would otherwise
-        #: preempt-requeue; returning ``True`` means the request now lives
-        #: elsewhere (the router told this run it departed, then
-        #: re-injected it into another worker).
-        self.migrate_handler: Optional[Callable[[ServeRequest], bool]] = None
         self.log = self.scheduler.log
         self.clock = 0.0
         self.steps = 0
@@ -503,16 +493,21 @@ class EngineRun:
     def served(self) -> List[ServeRequest]:
         """The requests this run reports, in arrival order: each arrival
         once, the migrated-away ones excluded."""
-        served: dict = {}
-        for request in self._arrivals:
-            if id(request) not in self._departed:
-                served.setdefault(id(request), request)
-        return list(served.values())
+        return [r for r in self._arrivals if id(r) not in self._departed]
 
     def inject(self, request: ServeRequest) -> None:
-        """Hand a (migrated) request to this run as a future arrival."""
+        """Hand a (migrated) request to this run as a future arrival.
+
+        A session migrating back to a run it left replaces its departed
+        entry, so each request is held (and snapshotted) once.
+        """
         self.log.emit("inject", request)
-        self._departed.discard(id(request))
+        for idx, held in enumerate(self._arrivals):
+            if held.request_id == request.request_id:
+                del self._arrivals[idx]
+                self._departed.discard(id(held))
+                self._next_arrival -= idx < self._next_arrival
+                break
         idx = self._next_arrival
         key = (request.arrival_s, request.request_id)
         while idx < len(self._arrivals) and (
@@ -521,28 +516,13 @@ class EngineRun:
             idx += 1
         self._arrivals.insert(idx, request)
 
-    def note_departure(self, request: ServeRequest) -> bool:
-        """Mark a request as migrated away (reported by its new worker).
-
-        Returns whether the caller still has to deliver the session to
-        its new worker (always, for a run that cannot have delivered it
-        in an earlier life).
-        """
+    def note_departure(self, request: ServeRequest) -> None:
+        """Release a request migrating away (reported by its new worker):
+        withdrawn from the scheduler wherever it is, marked departed.
+        Called between steps, like :meth:`inject`."""
+        self.scheduler.withdraw(request)
         self.log.emit("depart", request)
         self._departed.add(id(request))
-        return True
-
-    def offer_migration(self, request: ServeRequest) -> bool:
-        """Offer a detached (QUEUED, cache-free) session to the router.
-
-        The relocation hook :meth:`ServeEngine._ensure_growth` passes to
-        :meth:`ContinuousBatchScheduler.preempt_victim` with every
-        preemption.  A handler that answers ``True`` has reported the
-        departure (:meth:`note_departure`) and handed the session to
-        another worker.
-        """
-        handler = self.migrate_handler
-        return handler is not None and handler(request)
 
     # -- one loop iteration ---------------------------------------------------
 

@@ -21,6 +21,10 @@ tokens; on re-admission the engine re-prefills prompt + generated[:-1]
 and resumes decoding from the last sampled token.  The rebuilt cache comes
 from prefill's block GEMMs rather than decode steps, so what is guaranteed
 (and pinned by the preemption suites) is the resumed token stream.
+
+A session leaves for another worker only between steps:
+:meth:`ContinuousBatchScheduler.withdraw` takes it out wherever it is,
+and a capacity migration's victim is one that preemption requeued first.
 """
 
 from __future__ import annotations
@@ -280,6 +284,18 @@ class ServeRequest:
         base = self.charged_prompt_tokens if self.charged_prompt_tokens \
             is not None else len(self.prompt)
         return base + len(self.outputs)
+
+    def charged_position(self, position: int) -> int:
+        """Position ``position`` of :attr:`resume_tokens` as seen by the
+        analytic timing model: prompt positions scaled to the charged
+        prompt, generated ones one to one (as in :attr:`charged_context`).
+        """
+        n_prompt = len(self.prompt)
+        if self.charged_prompt_tokens is None or not n_prompt:
+            return position
+        scale = self.charged_prompt_tokens / n_prompt
+        return int(min(position, n_prompt) * scale) \
+            + max(0, position - n_prompt)
 
     @property
     def resume_tokens(self) -> np.ndarray:
@@ -549,13 +565,12 @@ class ContinuousBatchScheduler:
                 self._reject(victim, "brownout")
         return stage
 
-    # -- detach (preemption, failover drain) ----------------------------------
+    # -- detach and withdraw (preemption, relocation) -------------------------
 
     def detach(self, request: ServeRequest) -> None:
         """Detach a running session: blocks freed, state QUEUED, generated
-        tokens kept — the mechanics every relocation shares (preemption,
-        which adds its accounting, and cross-worker failover, where the
-        move is the router's doing, not a capacity decision)."""
+        tokens kept — what preemption (which adds its accounting and the
+        requeue) and :meth:`withdraw` share."""
         self.running.remove(request)
         if request.cache is not None:
             request.cache.free()
@@ -566,12 +581,15 @@ class ContinuousBatchScheduler:
         request.prefill_charge_s = 0.0
         request.ready_s = 0.0
 
-    def drain_queued(self) -> List[ServeRequest]:
-        """Pop every queued request (arrival order) for relocation."""
-        drained = self.queued
-        for queue in self._queues.values():
-            queue.clear()
-        return drained
+    def withdraw(self, request: ServeRequest) -> None:
+        """Take ``request`` out of this scheduler for relocation: detached
+        if it is running, dequeued if it is queued (a request that was
+        never submitted is in neither)."""
+        if any(r is request for r in self.running):
+            self.detach(request)
+        elif request.tenant in self._queues:
+            queue = self._queues[request.tenant]
+            queue[:] = [r for r in queue if r is not request]
 
     # -- step assembly --------------------------------------------------------
 
@@ -667,10 +685,7 @@ class ContinuousBatchScheduler:
 
     # -- preemption -----------------------------------------------------------
 
-    def preempt_victim(
-            self, needy: ServeRequest,
-            relocate: Optional[Callable[[ServeRequest], bool]] = None
-    ) -> Optional[ServeRequest]:
+    def preempt_victim(self, needy: ServeRequest) -> Optional[ServeRequest]:
         """Pick and preempt a session so ``needy`` can grow.
 
         Victim: the *youngest admitted* running session other than
@@ -681,15 +696,8 @@ class ContinuousBatchScheduler:
         victim's blocks return to the pool and it re-enters the queue
         head-of-line for its original arrival order.  Returns the victim,
         or ``None`` when ``needy`` is the only running session (the caller
-        must then shed or wait).
-
-        ``relocate``, when given, is offered the victim first; a hook that
-        returns ``True`` has relocated the request (a fleet router
-        migrating the session to another worker), so it is not re-queued
-        here.  The hook is passed per call, not stored: a stored bound
-        method of the run would tie the run and its scheduler into a
-        reference cycle, and the cycle would keep the pool alive after
-        the run is dropped.
+        must then shed or wait).  A fleet router may move the requeued
+        victim to another worker once the step is over.
         """
         candidates = [r for r in self.running if r is not needy
                       and len(r.outputs) < r.max_new_tokens]
@@ -699,7 +707,5 @@ class ContinuousBatchScheduler:
                      key=lambda r: (r.events.admitted_s, r.request_id))
         self.detach(victim)
         self.log.emit("preempt", victim)
-        if relocate is not None and relocate(victim):
-            return victim
         self.submit(victim)
         return victim

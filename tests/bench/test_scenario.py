@@ -11,13 +11,19 @@ charged lengths and prompt ids.
 
 import dataclasses
 import hashlib
+import os
+import pathlib
+import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.bench import chaos, fleet, fleet_chaos, recovery, serve
 from repro.bench.scenario import (Faults, Scenario, Tenant, Topology, Trace,
-                                  run, solo_outputs)
+                                  build_fleet, run, served_outputs,
+                                  solo_outputs)
+from repro.durable import iter_step_buckets, read_wal
+from repro.serve.events import INPUT_KINDS
 from repro.fleet import HealthPolicy
 from repro.system.faults import CRASH_KINDS, CrashPlan, GrayFailurePlan
 from tests.scenarios import scenarios
@@ -144,12 +150,41 @@ def test_trace_reproduces_the_replaced_generator(name):
     assert digest(trace.requests()) == DIGESTS[name]
 
 
-@settings(max_examples=40, deadline=None,
+#: drawn scenarios per run; CI's long form sets ``SCENARIO_EXAMPLES``.
+EXAMPLES = int(os.environ.get("SCENARIO_EXAMPLES", "40"))
+
+
+def assert_inputs_open_every_bucket(wal_path: pathlib.Path) -> None:
+    """A run's inputs (``inject``, ``depart``) arrive between its steps,
+    so in each step's bucket of a run that never crashed they come before
+    every computed record."""
+    _, records, _, _ = read_wal(wal_path)
+    for bucket, marker in iter_step_buckets(records):
+        kinds = [r.kind for r in bucket]
+        inputs = [kind in INPUT_KINDS for kind in kinds]
+        assert inputs == sorted(inputs, reverse=True), (marker, kinds)
+
+
+#: a durable fleet whose tight pools migrate a session each way.
+MIGRATING = Scenario(
+    Trace((Tenant(8, 24, 20, seed=13, rate=50.0, charged=65_536),)),
+    Topology(n_blocks=8, workers=2, snapshot_every=3))
+
+
+@settings(max_examples=EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=scenarios())
+@example(scenario=MIGRATING)
 def test_drawn_scenario_serves_every_request_as_solo(scenario):
-    outcome = run(scenario)
-    assert outcome.outputs == solo_outputs(scenario)
+    if not (scenario.topology.workers and scenario.topology.snapshot_every):
+        assert run(scenario).outputs == solo_outputs(scenario)
+        return
+    with tempfile.TemporaryDirectory(prefix="scenario-") as tmp:
+        router = build_fleet(scenario, pathlib.Path(tmp))
+        router.run(scenario.trace.requests())
+        for worker in router.workers:
+            assert_inputs_open_every_bucket(worker.durable_dir / "wal.log")
+    assert served_outputs(router) == solo_outputs(scenario)
 
 
 def test_one_token_request_is_not_preempted_past_its_budget():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.bench.fleet import fleet_topology
 from repro.bench.scenario import (Faults, Scenario, build_fleet,
                                   served_outputs as _fleet_outputs)
+from repro.durable import recover
 from repro.fleet import HealthPolicy
 from repro.system.faults import GRAY_KINDS, GrayFailurePlan
 
@@ -75,3 +76,27 @@ def test_reference_outputs_are_nonempty(make_workload):
     assert len(outputs) == N_REQUESTS
     assert all(len(tokens) == OUTPUT_TOKENS
                for tokens in outputs.values())
+
+
+def test_a_failed_over_directory_recovers_without_its_drained_sessions(
+        tmp_path, make_workload):
+    """The drain's departures are inputs in the failed worker's log:
+    recovering its directory again gives a run that holds none of the
+    sessions the drain relocated, so none is reported twice."""
+    fleet = build_fleet(Scenario(
+        topology=fleet_topology(2, 64, 4, snapshot_every=4, health=HEALTH),
+        faults=Faults(gray={0: GrayFailurePlan(kind="stuck_worker",
+                                               start_step=3)})), tmp_path)
+    report = fleet.run(make_workload(n_requests=6))
+    drained = {r.data["rid"] for r in fleet.log.records
+               if r.kind == "migrate" and r.data["reason"] == "failover"}
+    assert report.failovers == 1 and drained
+    failed = fleet.workers[0]
+    run, _ = recover(failed.durable_dir, failed.engine_factory())
+    try:
+        reported = {r.request_id for r in run.served}
+        assert not reported & drained
+        assert reported == {e.request_id for e in report.workers[0].events}
+        assert run.idle
+    finally:
+        run.wal.close()

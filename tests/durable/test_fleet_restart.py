@@ -36,7 +36,7 @@ TIGHT = dict(n_requests=8, prompt_tokens=24, output_tokens=20, seed=13)
 
 def _depart_steps(worker):
     """Steps of ``worker``'s finished run whose WAL bucket holds a
-    ``depart`` record (a session migrated away during that step)."""
+    ``depart`` record (a session migrated away just before that step)."""
     _, records, _, _ = read_wal(worker.durable_dir / "wal.log")
     return [marker.data["step"]
             for bucket, marker in iter_step_buckets(records)
@@ -71,9 +71,10 @@ class TestRestoreAndRejoin:
     def test_migrating_fleet_recovers_from_kills_around_departures(
             self, tmp_path, make_fleet, make_workload):
         """Kill either worker of a fleet that migrates, around every
-        step a session departed in: replay must re-offer the logged
-        departure (not re-migrate it), and the snapshots taken while the
-        departed session lives on the sibling must restore."""
+        step a session departed before: replay must apply the logged
+        departure as an input (not re-migrate the session), and the
+        snapshots taken while the departed session lives on the sibling
+        must restore."""
         reference_router = make_fleet(tmp_path / "ref", n_blocks=8)
         reference_report = reference_router.run(make_workload(**TIGHT))
         reference = _fleet_outputs(reference_router)
@@ -142,8 +143,8 @@ class TestExactlyOnceReporting:
     def test_departures_in_wal_tail_are_not_remigrated(
             self, tmp_path, make_fleet, make_workload):
         """A depart record in the unterminated WAL tail means the target
-        already owns the session; the restored worker must honor it via
-        the pending-departure path rather than re-migrating (which would
+        already owns the session; the restored worker must apply it as an
+        input, like an inject, rather than re-migrating (which would
         double the session) or re-reporting it."""
         # Tight pools force preemption->migration traffic between the
         # two workers, so depart records land near crash points.

@@ -126,6 +126,35 @@ class TestRoundTrip:
         assert [r.request_id for r in run2.scheduler.running] \
             == [r.request_id for r in run.scheduler.running]
 
+    def test_a_session_migrating_back_is_held_once(
+            self, tmp_path, engine_builder, make_workload):
+        """A session that leaves a run and later migrates back replaces
+        its departed entry there: the snapshot lists each request once,
+        and the restored run reports each once."""
+        home, away = engine_builder(), engine_builder()
+        run = _run_some_steps(home, make_workload(), 4)
+        migrant = run.scheduler.running[-1]
+        run.scheduler.detach(migrant)
+        run.note_departure(migrant)
+        elsewhere = away.start([])
+        elsewhere.inject(migrant)
+        while migrant.cache is None:
+            elsewhere.step()
+        elsewhere.scheduler.detach(migrant)
+        elsewhere.note_departure(migrant)
+        run.inject(migrant)
+
+        meta, arenas = read_snapshot(_snapshot_of(tmp_path, run))
+        rids = [r["request_id"] for r in meta["requests"]]
+        assert sorted(rids) == [0, 1, 2]
+        assert meta["departed"] == []
+        run2 = restore_run(engine_builder().start([]), meta, arenas)
+        report = run2.serve()
+        assert sorted(e.request_id for e in report.events) == [0, 1, 2]
+        run.serve()
+        assert {r.request_id: r.outputs for r in run2.served} \
+            == {r.request_id: r.outputs for r in run.served}
+
     def test_restore_refuses_dirty_engine(self, tmp_path, engine_builder,
                                           make_workload):
         engine = engine_builder()

@@ -2,9 +2,10 @@
 
 :func:`scenarios` draws one to three tenants — shared prefixes or none,
 Poisson / grouped / simultaneous arrivals, either length rule, outputs of
-one token and more — onto one engine, a durable run or a two-worker
-fleet, with a pool that is either tight (the largest session just fits
-alone, so sessions contend and are preempted or migrated) or loose.  No
+one token and more — onto one engine, a durable run, or a two-worker
+fleet, plain or durable, with a pool that is either tight (the largest
+session just fits alone, so sessions contend and are preempted or
+migrated, through the workers' logs when they are durable) or loose.  No
 faults yet: every drawn scenario must serve each request exactly as solo
 ``generate`` does.
 """
@@ -40,11 +41,12 @@ def scenarios(draw) -> Scenario:
                   for r in trace.requests())
     backend = draw(st.sampled_from(["longsight", "dense",
                                     "sliding_window"]))
-    kind = draw(st.sampled_from(["engine", "durable", "fleet"]))
+    kind = draw(st.sampled_from(["engine", "durable", "fleet",
+                                 "durable_fleet"]))
     topology = Topology(
         system=backend, backend=backend,
         n_blocks=draw(st.sampled_from([largest, largest + 1, 64])),
         prefix_caching=draw(st.booleans()),
-        snapshot_every=3 if kind == "durable" else None,
-        workers=2 if kind == "fleet" else 0)
+        snapshot_every=3 if "durable" in kind else None,
+        workers=2 if "fleet" in kind else 0)
     return Scenario(trace, topology, model_seed=draw(st.integers(0, 3)))

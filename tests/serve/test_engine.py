@@ -140,6 +140,35 @@ class TestAnalyticClock:
         assert request.events.token_times_s == \
             sorted(request.events.token_times_s)
 
+    def test_resumed_prefill_charges_generated_tokens_one_to_one(
+            self, model, rng):
+        """A resumed session re-prefills its prompt and all but its last
+        generated token: the prompt is charged at its paper-scale length,
+        each generated token as one token, as ``charged_context`` counts
+        them — not scaled up with the prompt."""
+        charged = []
+
+        class Recording:
+            def decode_step_s(self, contexts, degraded=None):
+                return 0.01
+
+            def prefill_chunk_s(self, before, after):
+                charged.append((before, after))
+                return 0.0
+
+        prompt = rng.integers(0, TINY.vocab_size, size=27)
+        reference = generate(model, prompt, 12, backend=DenseBackend())
+        pool = PagedKVPool(TINY, n_blocks=32, block_tokens=16)
+        engine = ServeEngine(model, pool, lambda r: DenseBackend(),
+                             timing=Recording())
+        request = ServeRequest(request_id=0, prompt=prompt,
+                               max_new_tokens=12,
+                               charged_prompt_tokens=37_765,
+                               outputs=[int(t) for t in reference[:10]])
+        engine.run([request])
+        assert charged == [(0, 37_765 + 9)]
+        assert request.outputs == list(reference)
+
     def test_report_metrics_are_consistent(self, model, rng):
         prompts = _prompts(rng, (16, 16, 16))
         timing = AnalyticTiming(default_systems()["longsight"], LLAMA3_8B)

@@ -174,6 +174,20 @@ class TestPreemption:
         # and it re-enters the queue for fair re-admission
         assert sched.queued == [young]
 
+    def test_withdraw_takes_a_request_out_wherever_it_is(self):
+        """Relocation's one scheduler call: a running request is detached
+        (blocks freed), a queued one dequeued, an unknown one ignored."""
+        sched, pool, old, young = self._running_pair()
+        queued = _request(2, arrival=2.0)
+        sched.submit(queued)
+        sched.withdraw(young)
+        assert young.state is RequestState.QUEUED and young.cache is None
+        assert sched.running == [old] and pool.n_used == 2
+        sched.withdraw(queued)
+        sched.withdraw(_request(3))
+        assert sched.queued == [] and sched.running == [old]
+        assert "preempt" not in sched.log.counts
+
     def test_no_victim_when_alone(self):
         sched, pool = _scheduler()
         lone = _request(0)
