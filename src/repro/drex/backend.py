@@ -86,10 +86,7 @@ class DrexOffloadBackend:
         self._flushed: Dict[int, int] = {}
         #: accumulated offload latency across the run
         self.total_latency = LatencyBreakdown()
-        self.n_offloads = 0
-        #: (layer, position) sparse tokens attempted / degraded to dense-only
-        self.sparse_token_attempts = 0
-        self.degraded_tokens = 0
+        #: (layer, position) of every token degraded to dense-only
         self.degraded_log: List[Tuple[int, int]] = []
         #: when set to a dict, every offloaded token records its selected
         #: global key positions per query head as ``(layer, pos, head)`` —
@@ -142,7 +139,6 @@ class DrexOffloadBackend:
             flushed = self._flush(layer, k, v, eligible_upto)
             sparse_available = flushed > cfg.n_sink
             if sparse_available:
-                self.sparse_token_attempts += 1
                 request = RequestDescriptor(
                     uid=_UID, layer=layer, queries=q[:, t, :],
                     top_k=cfg.top_k, dtype_bytes=mc.dtype_bytes)
@@ -152,11 +148,9 @@ class DrexOffloadBackend:
                     # back to the dense sliding-window path, recorded here
                     # (never silently).
                     sparse_available = False
-                    self.degraded_tokens += 1
                     self.degraded_log.append((layer, p))
                 else:
                     self.total_latency = self.total_latency + response.latency
-                    self.n_offloads += 1
                     if self.selection_capture is not None:
                         for h in range(n_q_heads):
                             # Store index i holds global position n_sink + i.
@@ -188,6 +182,21 @@ class DrexOffloadBackend:
         return out
 
     # -- bookkeeping -----------------------------------------------------------------
+
+    # Views of the supervisor's stats, which count one offload per sparse
+    # token: succeeded (offloaded) or degraded (dense-only).
+
+    @property
+    def n_offloads(self) -> int:
+        return self.supervisor.stats.succeeded
+
+    @property
+    def degraded_tokens(self) -> int:
+        return self.supervisor.stats.degraded
+
+    @property
+    def sparse_token_attempts(self) -> int:
+        return self.n_offloads + self.degraded_tokens
 
     @property
     def degraded_token_fraction(self) -> float:
@@ -229,9 +238,6 @@ class DrexOffloadBackend:
             "supervisor_rng": supervisor.rng.bit_generator.state,
             "supervisor_stats": supervisor.stats.as_dict(),
             "total_latency": dataclasses.asdict(self.total_latency),
-            "n_offloads": self.n_offloads,
-            "sparse_token_attempts": self.sparse_token_attempts,
-            "degraded_tokens": self.degraded_tokens,
             "degraded_log": [[int(layer), int(pos)]
                              for layer, pos in self.degraded_log],
         }
@@ -246,8 +252,5 @@ class DrexOffloadBackend:
         supervisor.rng.bit_generator.state = state["supervisor_rng"]
         supervisor.stats = SupervisorStats(**state["supervisor_stats"])
         self.total_latency = LatencyBreakdown(**state["total_latency"])
-        self.n_offloads = int(state["n_offloads"])
-        self.sparse_token_attempts = int(state["sparse_token_attempts"])
-        self.degraded_tokens = int(state["degraded_tokens"])
         self.degraded_log = [(int(layer), int(pos))
                              for layer, pos in state["degraded_log"]]

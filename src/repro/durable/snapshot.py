@@ -53,7 +53,7 @@ from repro.serve.scheduler import RequestState, ServeRequest
 
 MAGIC = b"LSDURSNP"
 FORMAT = "longsight-durable-snapshot"
-VERSION = 3
+VERSION = 4
 
 
 # -- request (de)serialization -- shared with WAL ``inject`` records ----------

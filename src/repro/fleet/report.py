@@ -7,7 +7,9 @@ request appears exactly once fleet-wide).  :class:`FleetReport` reduces
 those: clocks reduce by max (workers ran concurrently on one timeline),
 token counts by sum, SLO percentiles exactly over the pooled events, and
 the per-worker metrics registries through the associative
-:meth:`~repro.obs.MetricsRegistry.merge`.
+:meth:`~repro.obs.MetricsRegistry.merge`.  The resilience counts are
+folds of the router's records; the ``fleet.*`` counters are their sink on
+the router's registry, not in the merge.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ class FleetReport:
     """Outcome of one :class:`~repro.fleet.router.FleetRouter` run."""
 
     workers: List[ServeReport]
-    #: associative reduction of every worker's private registry.
+    #: associative reduction of every worker's private registry (worker
+    #: facts only: ``fleet.*`` counters are on the router's registry).
     metrics: MetricsRegistry
     migrations: int
     prefix_hits: int

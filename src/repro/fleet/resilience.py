@@ -18,9 +18,10 @@ doing that:
   FAILED from its observed step latencies: a **phi-accrual-style
   suspicion score** (phi = -log10 of the survival probability of the
   observed latency under a normal model of the worker's recent healthy
-  samples, kept in a ``repro.obs`` ``fleet.step_latency_s`` histogram in
-  the worker's own registry) plus a hard **step deadline** derived from
-  the healthy p95 (factor + floor, or a fixed policy override).
+  samples, a bounded window the monitor keeps) plus a hard **step
+  deadline** derived from the healthy p95 (factor + floor, or a fixed
+  policy override).  Verdict changes and strikes are ``health`` records
+  on the router's log.
 - Verdict semantics the router enforces: a SUSPECT worker is *drained*
   (no new placements, stepped only as an occasional hedged probe so the
   healthy laggard always makes progress) and recovers to HEALTHY when
@@ -32,19 +33,19 @@ doing that:
 The deadline baseline is fed only with *within-deadline* samples: a
 worker stalling at 2 s must not drag its own p95 — and therefore its own
 deadline — up until the stall looks normal (the classic self-licking
-feedback loop of naive adaptive timeouts).  Deadline-missing samples are
-recorded separately (``fleet.step_latency_stalled_s``,
-``fleet.step_deadline_miss``) so the merged fleet report still sees them.
+feedback loop of naive adaptive timeouts).
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import math
 from typing import Dict, Optional, Tuple
 
-from repro.obs import Histogram, MetricsRegistry, exact_percentile
+from repro.obs import exact_percentile
+from repro.serve.events import RecordLog
 
 
 class WorkerState(enum.Enum):
@@ -62,7 +63,8 @@ class HealthPolicy:
             over (sliding window of the most recent).
         min_samples: below this many healthy samples phi is 0 — a cold
             worker is given the benefit of the doubt (the deadline floor
-            still guards against a wedge during warmup).
+            still guards against a wedge during warmup).  At most
+            ``window``.
         suspect_phi: suspicion score at or above which a worker is
             classified SUSPECT (drained + hedge-probed, not failed).
         fail_phi: suspicion score at or above which an observation
@@ -98,8 +100,8 @@ class HealthPolicy:
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ValueError("window must be >= 2")
-        if self.min_samples < 2:
-            raise ValueError("min_samples must be >= 2")
+        if not 2 <= self.min_samples <= self.window:
+            raise ValueError("need 2 <= min_samples <= window")
         if not 0.0 < self.suspect_phi <= self.fail_phi:
             raise ValueError("need 0 < suspect_phi <= fail_phi")
         if self.step_deadline_s is not None and self.step_deadline_s <= 0:
@@ -115,30 +117,18 @@ class HealthPolicy:
 
 
 class WorkerHealth:
-    """One worker's latency baseline and current verdict."""
+    """One worker's healthy-latency window and current verdict."""
 
-    def __init__(self, worker_id: int, policy: HealthPolicy,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, worker_id: int, policy: HealthPolicy) -> None:
         self.worker_id = worker_id
         self.policy = policy
-        self.metrics = metrics
         self.state = WorkerState.HEALTHY
         self.deadline_misses = 0
         self.last_phi = 0.0
-        # The healthy baseline lives in the worker's own registry so the
-        # distribution survives into the merged fleet report.
-        if metrics is not None and metrics.enabled:
-            self.baseline = metrics.histogram("fleet.step_latency_s",
-                                              track_values=True)
-        else:
-            self.baseline = Histogram("fleet.step_latency_s",
-                                      track_values=True)
+        #: the last ``policy.window`` healthy step latencies, oldest first.
+        self.window = collections.deque(maxlen=policy.window)
 
     # -- the suspicion score --------------------------------------------------
-
-    def _window(self):
-        values = self.baseline.values or []
-        return values[-self.policy.window:]
 
     def phi(self, observed_s: float) -> float:
         """-log10 survival probability of ``observed_s`` under a normal
@@ -148,7 +138,7 @@ class WorkerHealth:
         multiplicatively (allocator, GC), so anything under ~5x the mean
         scores low and a simulated multi-second stall scores enormous.
         """
-        samples = self._window()
+        samples = self.window
         if len(samples) < self.policy.min_samples:
             return 0.0
         mean = sum(samples) / len(samples)
@@ -163,7 +153,7 @@ class WorkerHealth:
     def deadline_s(self) -> float:
         if self.policy.step_deadline_s is not None:
             return self.policy.step_deadline_s
-        samples = self._window()
+        samples = self.window
         p95 = 0.0
         if len(samples) >= self.policy.min_samples:
             p95 = exact_percentile(samples, 95.0)
@@ -176,19 +166,21 @@ class HealthMonitor:
 
     SUSPECT is recomputed per observation (a transient spike self-heals
     on the next healthy sample — required for flapping workers); FAILED
-    is sticky and only ever set by consecutive deadline misses, an
-    extreme phi, or an explicit :meth:`mark_failed`.
+    is sticky and only ever set by consecutive strikes (deadline misses
+    or material extreme-phi outliers).  Every verdict change and every
+    counted strike is written to ``log`` as one ``health`` record
+    (``worker``, ``before``, ``state``, ``phi``, ``strikes``,
+    ``observed_s``, ``deadline_s``); a steady verdict writes nothing.
     """
 
-    def __init__(self, policy: Optional[HealthPolicy] = None) -> None:
+    def __init__(self, log: RecordLog,
+                 policy: Optional[HealthPolicy] = None) -> None:
+        self.log = log
         self.policy = policy or HealthPolicy()
         self._health: Dict[int, WorkerHealth] = {}
-        self.suspect_transitions = 0
-        self.failures = 0
 
-    def attach(self, worker_id: int,
-               metrics: Optional[MetricsRegistry] = None) -> WorkerHealth:
-        health = WorkerHealth(worker_id, self.policy, metrics)
+    def attach(self, worker_id: int) -> WorkerHealth:
+        health = WorkerHealth(worker_id, self.policy)
         self._health[worker_id] = health
         return health
 
@@ -204,28 +196,26 @@ class HealthMonitor:
     def deadline_s(self, worker_id: int) -> float:
         return self._health[worker_id].deadline_s()
 
+    def reset(self, worker_id: int) -> None:
+        """A restored worker starts HEALTHY with no strikes; its healthy
+        window is still its own latency history, so it is kept."""
+        health = self._health[worker_id]
+        health.state = WorkerState.HEALTHY
+        health.deadline_misses = 0
+        health.last_phi = 0.0
+
     def observe(self, worker_id: int, observed_s: float
                 ) -> Tuple[WorkerState, WorkerState]:
         """Fold one observed step latency in; returns (before, after)."""
         health = self._health[worker_id]
         policy = self.policy
-        before = health.state
+        before, strikes = health.state, health.deadline_misses
         if before is WorkerState.FAILED:
             return before, before
         deadline = health.deadline_s()
-        metrics = health.metrics
         if observed_s > deadline:
-            health.deadline_misses += 1
             health.last_phi = math.inf
-            if metrics is not None and metrics.enabled:
-                metrics.counter("fleet.step_deadline_miss").inc()
-                if math.isfinite(observed_s):
-                    metrics.histogram(
-                        "fleet.step_latency_stalled_s").observe(observed_s)
-            if health.deadline_misses >= policy.fail_after_deadline_misses:
-                health.state = WorkerState.FAILED
-            else:
-                health.state = WorkerState.SUSPECT
+            self._strike(health)
         else:
             health.last_phi = health.phi(observed_s)
             if health.last_phi >= policy.fail_phi \
@@ -236,12 +226,7 @@ class HealthMonitor:
                 # the deadline), so a millisecond snapshot-fsync spike
                 # over a microsecond baseline suspects at most, while a
                 # wedged worker keeps striking its way to FAILED.
-                health.deadline_misses += 1
-                if health.deadline_misses \
-                        >= policy.fail_after_deadline_misses:
-                    health.state = WorkerState.FAILED
-                else:
-                    health.state = WorkerState.SUSPECT
+                self._strike(health)
             elif health.last_phi >= policy.suspect_phi:
                 health.state = WorkerState.SUSPECT
                 # Outliers are judged against the baseline but do not
@@ -249,19 +234,17 @@ class HealthMonitor:
             else:
                 health.deadline_misses = 0
                 health.state = WorkerState.HEALTHY
-                health.baseline.observe(observed_s)
+                health.window.append(observed_s)
         after = health.state
-        if before is not WorkerState.SUSPECT \
-                and after is WorkerState.SUSPECT:
-            self.suspect_transitions += 1
-            if metrics is not None and metrics.enabled:
-                metrics.counter("fleet.worker_suspect").inc()
-        if before is not WorkerState.FAILED and after is WorkerState.FAILED:
-            self.failures += 1
+        if after is not before or health.deadline_misses > strikes:
+            self.log.emit("health", worker=worker_id, before=before.value,
+                          state=after.value, phi=health.last_phi,
+                          strikes=health.deadline_misses,
+                          observed_s=observed_s, deadline_s=deadline)
         return before, after
 
-    def mark_failed(self, worker_id: int) -> None:
-        health = self._health[worker_id]
-        if health.state is not WorkerState.FAILED:
-            self.failures += 1
-        health.state = WorkerState.FAILED
+    def _strike(self, health: WorkerHealth) -> None:
+        health.deadline_misses += 1
+        failed = health.deadline_misses \
+            >= self.policy.fail_after_deadline_misses
+        health.state = WorkerState.FAILED if failed else WorkerState.SUSPECT

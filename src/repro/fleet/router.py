@@ -149,10 +149,10 @@ class FleetRouter:
         max_migrations: per-request capacity-migration budget; a
             preempted request over budget stays requeued on its source.
         obs: router-level bundle for fleet counters (``fleet.dispatched``,
-            and the ``fleet.migrations``, ``fleet.failovers`` and
-            ``fleet.worker_restores`` families sunk from the router's
-            ``migrate`` / ``failover`` / ``restore`` records); worker
-            metrics live in each worker's own registry.
+            and every ``fleet.*`` family sunk from the router's
+            ``migrate`` / ``failover`` / ``restore`` / ``health``
+            records); worker metrics live in each worker's own registry,
+            which holds worker facts only.
         max_steps: hard bound on total worker steps across the run.
         gray_plans: per-worker :class:`GrayFailurePlan` schedules, read
             by the guarded step so their simulated stalls drive the real
@@ -160,6 +160,9 @@ class FleetRouter:
         health: suspicion-model knobs (:class:`HealthPolicy` defaults
             when ``None`` — monitoring is always on; with wall steps in
             the milliseconds the deadline floor keeps it inert).
+
+    Each :meth:`run` starts its own ``log``, monitor and recovery list,
+    and its sessions' affinity ends with it: no run sees another's facts.
     """
 
     def __init__(self, workers: Sequence[FleetWorker],
@@ -185,18 +188,22 @@ class FleetRouter:
         self.snapshot_every = snapshot_every
         self.crash_plans = dict(crash_plans or {})
         self.gray_plans = dict(gray_plans or {})
-        self.monitor = HealthMonitor(health)
+        self.health_policy = health
         self._affinity: Dict[str, FleetWorker] = {}
-        #: the router's record stream: one ``migrate`` per relocation, one
-        #: ``failover`` per failed-over worker, one ``restore`` per killed
-        #: worker rebuilt in place.
+        self._begin()
+
+    def _begin(self) -> None:
+        """A fresh record stream (``migrate``, ``failover``, ``restore``
+        and the monitor's ``health``), monitor and recovery list."""
         self.log = RecordLog(self.obs.metrics)
+        self.monitor = HealthMonitor(self.log, self.health_policy)
         self.recoveries: List[RecoveryStats] = []
 
     # -- the fleet loop -------------------------------------------------------
 
     def run(self, requests: Sequence[ServeRequest]) -> FleetReport:
         """Serve ``requests`` across the fleet; returns the fleet report."""
+        self._begin()
         for worker in self.workers:
             if worker.durable_dir is not None:
                 worker.run = DurableRun(
@@ -206,7 +213,15 @@ class FleetRouter:
             else:
                 worker.run = worker.engine.start([])
             worker.run_steps = 0
-            self.monitor.attach(worker.worker_id, worker.obs.metrics)
+            self.monitor.attach(worker.worker_id)
+        try:
+            self._serve(requests)
+        finally:
+            self._affinity.clear()  # the run's sessions end with it
+        return self._report()
+
+    def _serve(self, requests: Sequence[ServeRequest]) -> None:
+        """The lockstep loop: dispatch arrivals, step the laggard."""
         pending = sorted(requests,
                          key=lambda r: (r.arrival_s, r.request_id))
         next_dispatch = 0
@@ -246,7 +261,6 @@ class FleetRouter:
         else:
             raise RuntimeError(
                 f"fleet did not converge within {self.max_steps} steps")
-        return self._report()
 
     # -- placement ------------------------------------------------------------
 
@@ -330,7 +344,8 @@ class FleetRouter:
         verdict triggers failover.  A killed durable worker is rebuilt in
         place — fresh engine, state from its durable directory, sessions
         kept: the affinity map stays valid because the
-        :class:`FleetWorker` (its sessions' home) does not change."""
+        :class:`FleetWorker` (its sessions' home) does not change, and
+        its verdict and strikes reset while its latency window stays."""
         worker.run_steps += 1
         plan = self.gray_plans.get(worker.worker_id)
         stall = 0.0 if plan is None else plan.stall_at(worker.run_steps)
@@ -341,7 +356,7 @@ class FleetRouter:
             except WorkerKilledError:
                 if not self._rebuild(worker):
                     raise  # nothing to restore from: the kill is fatal
-                self.monitor.attach(worker.worker_id, worker.obs.metrics)
+                self.monitor.reset(worker.worker_id)
                 self.log.emit("restore", worker=worker.worker_id)
                 return  # recovery time is not a step-latency sample
             self._migrate_preempted(worker)
@@ -367,18 +382,14 @@ class FleetRouter:
                                  snapshot_every=self.snapshot_every)
         except SnapshotCorruptError:
             return False
-        # Health instruments (fleet.*) are router-owned, never replayed:
-        # transplant them across the engine swap so the latency baseline
-        # and suspicion counters survive into the merged fleet report.
-        engine.obs.metrics.merge(worker.obs.metrics, prefix="fleet.")
         worker.engine, worker.run, worker.run_steps = engine, run, 0
         self.recoveries.append(stats)
         return True
 
     def _fail_worker(self, worker: FleetWorker,
                      observed_s: float = 0.0) -> None:
-        """Fail ``worker`` over: fence, rebuild, and ship every live
-        session to the best sibling.
+        """Fail ``worker`` over, once the monitor has ruled it FAILED:
+        fence, rebuild, and ship every live session to the best sibling.
 
         The fence makes it true failover — the wedged run's unflushed
         records never land, exactly as if the process were unreachable.
@@ -387,7 +398,6 @@ class FleetRouter:
         Either way departures are exactly-once: the rebuild applied every
         departure its log holds, so the drain never sees those sessions.
         """
-        self.monitor.mark_failed(worker.worker_id)
         if not self._live(exclude=worker):
             deadline = self.monitor.deadline_s(worker.worker_id)
             raise WorkerStalledError(
@@ -404,10 +414,6 @@ class FleetRouter:
         self.log.emit("failover", worker=worker.worker_id,
                       recovered=recovered,
                       latency_s=time.perf_counter() - t0)
-        wmetrics = worker.obs.metrics
-        wmetrics.counter("fleet.failovers").inc()
-        wmetrics.counter("fleet.failover_recovered" if recovered
-                         else "fleet.failover_recomputed").inc()
 
     def _drain(self, victim: FleetWorker) -> None:
         """Move every live session off ``victim``'s run to its siblings."""
@@ -463,10 +469,8 @@ class FleetRouter:
 
     def _report(self) -> FleetReport:
         reports = [w.run.finish() for w in self.workers]
-        # Per-worker registries are private, so the associative merge
-        # reduces exactly the fleet's own instruments; router-level
-        # counters (fleet.dispatched, fleet.migrations) stay in the
-        # router's bundle, which may be the shared process default.
+        # Worker registries hold worker facts; every fleet.* counter is
+        # in the router's bundle (which may be the process default).
         merged = MetricsRegistry(enabled=True)
         for worker in self.workers:
             merged.merge(worker.obs.metrics)
@@ -482,6 +486,8 @@ class FleetRouter:
             failover_sessions=self._migrations("failover"),
             failover_latency_s=[r.data["latency_s"] for r in self.log.records
                                 if r.kind == "failover"],
-            worker_suspects=self.monitor.suspect_transitions,
+            worker_suspects=sum(r.kind == "health" and r.data["state"]
+                                == "suspect" != r.data["before"]
+                                for r in self.log.records),
             worker_restores=self.log.counts.get("restore", 0),
         )

@@ -15,7 +15,7 @@ order:
 2. **Exact where it matters.**  Histograms keep fixed-bucket counts for
    streaming percentile *estimates* (property-tested to land within one
    bucket of the exact answer) and can optionally retain raw samples for
-   exact percentiles (the fleet's step-latency baselines).
+   exact percentiles (the fleet's failover latencies).
 3. **Mergeable.**  Counter merges are associative and commutative
    (integer increments merge exactly), so per-worker registries can be
    reduced in any order.
@@ -254,30 +254,20 @@ class MetricsRegistry:
 
     # -- aggregation ----------------------------------------------------------
 
-    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
-        """Fold in ``other``'s instruments named under ``prefix`` (all by
-        default): counters add, gauges max, histograms merge.
-
-        The fleet router merges only ``fleet.*`` across an engine swap
-        after a restore or failover: those instruments are router-owned
-        and never replayed, while a whole-registry merge would double
-        count the ``serve.*`` work the fresh engine re-executes during
-        recovery.
-        """
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold in every one of ``other``'s instruments: counters add,
+        gauges max, histograms merge — associative and commutative, so
+        the fleet report reduces its workers' registries in any order."""
         if not self.enabled:
             return
         for name, counter in other._counters.items():
-            if name.startswith(prefix):
-                self.counter(name).inc(counter.value)
+            self.counter(name).inc(counter.value)
         for name, gauge in other._gauges.items():
-            if name.startswith(prefix):
-                mine = self.gauge(name)
-                mine.set(max(mine.value, gauge.value))
-                mine.high_watermark = max(mine.high_watermark,
-                                          gauge.high_watermark)
+            mine = self.gauge(name)
+            mine.set(max(mine.value, gauge.value))
+            mine.high_watermark = max(mine.high_watermark,
+                                      gauge.high_watermark)
         for name, hist in other._histograms.items():
-            if not name.startswith(prefix):
-                continue
             if name in self._histograms:
                 self._histograms[name].merge(hist)
             else:

@@ -4,7 +4,9 @@ Each fact of a run is written once, as a :class:`Record`, where it is
 decided: the scheduler emits ``admit``, ``reject``, ``preempt``,
 ``brownout``, ``pin``, ``token`` and ``finish``; the engine run the
 inputs ``inject`` / ``depart`` and one ``step`` per engine step; the
-fleet router ``migrate``, ``failover`` and ``restore`` on its own log.
+fleet router ``migrate``, ``failover`` and ``restore`` on its own log,
+and its health monitor ``health`` there, one per verdict change or
+counted strike.
 :meth:`RecordLog.emit` folds each record into the request's
 :class:`RequestEvents` and the log's per-kind ``counts`` (the run totals
 of a :class:`ServeReport`), and
@@ -29,7 +31,7 @@ from repro.obs import MetricsRegistry, exact_percentile
 
 RECORD_KINDS = ("inject", "admit", "reject", "token", "preempt", "pin",
                 "brownout", "migrate", "depart", "finish", "step",
-                "failover", "restore")
+                "failover", "restore", "health")
 #: what a run is given rather than computes: replay applies these.
 INPUT_KINDS = ("inject", "depart")
 #: run-clock fields (wall seconds, so not reproducible, in measured mode).
@@ -137,10 +139,19 @@ def _counters(record: Record) -> List[str]:
         return ["fleet.migrations" if data["reason"] == "capacity"
                 else "fleet.failover_sessions"]
     if kind == "failover":
-        return ["fleet.failovers", f"fleet.worker{data['worker']}.failovers"]
+        return ["fleet.failovers", f"fleet.worker{data['worker']}.failovers",
+                "fleet.failover_recovered" if data["recovered"]
+                else "fleet.failover_recomputed"]
     if kind == "restore":
         return ["fleet.worker_restores",
                 f"fleet.worker{data['worker']}.restores"]
+    if kind == "health":
+        names = []
+        if data["state"] == "suspect" != data["before"]:
+            names.append("fleet.worker_suspect")
+        if data["observed_s"] > data["deadline_s"]:
+            names.append("fleet.step_deadline_miss")
+        return names
     return _COUNTERS.get(kind, [])
 
 

@@ -14,6 +14,7 @@ import hashlib
 import os
 import pathlib
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -182,8 +183,33 @@ def test_drawn_scenario_serves_every_request_as_solo(scenario):
     with tempfile.TemporaryDirectory(prefix="scenario-") as tmp:
         router = build_fleet(scenario, pathlib.Path(tmp))
         router.run(scenario.trace.requests())
+        departures = []
         for worker in router.workers:
-            assert_inputs_open_every_bucket(worker.durable_dir / "wal.log")
+            wal = worker.durable_dir / "wal.log"
+            assert_inputs_open_every_bucket(wal)
+            departures += [(r.data["rid"], worker.worker_id)
+                           for r in read_wal(wal)[1] if r.kind == "depart"]
+    # Each migration departs its source exactly once.
+    assert Counter((r.data["rid"], r.data["source"])
+                   for r in router.log.records if r.kind == "migrate") \
+        == Counter(departures)
+    assert served_outputs(router) == solo_outputs(scenario)
+
+
+def test_a_second_fleet_run_reports_and_budgets_only_its_own_moves():
+    """Each ``FleetRouter.run`` starts its own record stream: a second run
+    of the same trace reports its own migrations, not both runs', and its
+    sessions spend a fresh migration budget."""
+    scenario = dataclasses.replace(MIGRATING, topology=dataclasses.replace(
+        MIGRATING.topology, snapshot_every=None))
+    router = build_fleet(scenario)
+    router.max_migrations = 1
+    first = router.run(scenario.trace.requests())
+    assert first.migrations == 2
+    second = router.run(scenario.trace.requests())
+    assert second.migrations == first.migrations
+    assert sum(e.migrations for e in second.events) == 2
+    assert router.log.counts == {"migrate": 2}
     assert served_outputs(router) == solo_outputs(scenario)
 
 

@@ -15,12 +15,15 @@ import pytest
 
 import repro.fleet.router as router_module
 from repro.bench.fleet import fleet_topology
-from repro.bench.scenario import (Faults, Scenario, build_fleet as _fleet,
+from repro.bench.scenario import (Faults, Scenario, Tenant, Trace,
+                                  build_engine, build_fleet as _fleet,
                                   served_outputs as _fleet_outputs)
 from repro.errors import WorkerStalledError
-from repro.fleet import HealthMonitor, HealthPolicy, WorkerState
-from repro.obs import MetricsRegistry
+from repro.fleet import (FleetRouter, FleetWorker, HealthMonitor,
+                         HealthPolicy, WorkerState)
+from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.engine import EngineRun
+from repro.serve.events import RecordLog
 from repro.system.faults import GRAY_KINDS, GrayFailurePlan
 
 BASELINE_S = 0.001  #: synthetic healthy step latency
@@ -29,11 +32,40 @@ BASELINE_S = 0.001  #: synthetic healthy step latency
 def warmed_monitor(policy: HealthPolicy,
                    n: int = 16) -> HealthMonitor:
     """Monitor with one attached worker and a settled healthy baseline."""
-    monitor = HealthMonitor(policy)
-    monitor.attach(0, MetricsRegistry(enabled=True))
+    monitor = HealthMonitor(RecordLog(MetricsRegistry(enabled=True)), policy)
+    monitor.attach(0)
     for _ in range(n):
         monitor.observe(0, BASELINE_S)
     return monitor
+
+
+def suspects(monitor: HealthMonitor) -> int:
+    """Verdicts that entered SUSPECT: the fold of the monitor's ``health``
+    records that ``FleetReport.worker_suspects`` is."""
+    return sum(r.data["state"] == "suspect" != r.data["before"]
+               for r in monitor.log.records)
+
+
+class TestHealthPolicy:
+    @pytest.mark.parametrize("knobs", [
+        {"window": 1}, {"min_samples": 1},
+        {"window": 4, "min_samples": 8},
+        {"suspect_phi": 0.0}, {"suspect_phi": 13.0, "fail_phi": 12.0},
+        {"step_deadline_s": 0.0}, {"deadline_factor": 0.5},
+        {"deadline_floor_s": 0.0}, {"fail_after_deadline_misses": 0},
+        {"probe_every": 0}])
+    def test_rejects_invalid_knobs(self, knobs):
+        with pytest.raises(ValueError):
+            HealthPolicy(**knobs)
+
+    def test_min_samples_up_to_the_window_scores(self):
+        # min_samples above the window would keep phi at 0 and the
+        # deadline at its floor forever; at the window it scores.
+        monitor = warmed_monitor(HealthPolicy(window=4, min_samples=4),
+                                 n=100)
+        _, after = monitor.observe(0, 0.1)
+        assert monitor.health(0).last_phi > 0.0
+        assert after is WorkerState.SUSPECT
 
 
 class TestSuspicionModel:
@@ -41,11 +73,10 @@ class TestSuspicionModel:
         monitor = warmed_monitor(HealthPolicy())
         before, after = monitor.observe(0, BASELINE_S * 1.5)
         assert after is WorkerState.HEALTHY
-        assert monitor.suspect_transitions == 0
+        assert suspects(monitor) == 0
 
     def test_cold_worker_gets_benefit_of_doubt(self):
-        monitor = HealthMonitor(HealthPolicy(min_samples=8))
-        monitor.attach(0, MetricsRegistry(enabled=True))
+        monitor = warmed_monitor(HealthPolicy(min_samples=8), n=0)
         # Below min_samples phi is 0; only the deadline floor guards.
         _, after = monitor.observe(0, 0.2)
         assert after is WorkerState.HEALTHY
@@ -107,9 +138,9 @@ class TestSuspicionModel:
         # samples are judged against the baseline but never join it.
         policy = HealthPolicy(step_deadline_s=1e6)
         monitor = warmed_monitor(policy)
-        before = len(monitor.health(0).baseline.values)
+        before = len(monitor.health(0).window)
         monitor.observe(0, BASELINE_S * 50)
-        assert len(monitor.health(0).baseline.values) == before
+        assert len(monitor.health(0).window) == before
 
     def test_derived_deadline_scales_with_healthy_p95(self):
         policy = HealthPolicy(deadline_factor=20.0, deadline_floor_s=0.25)
@@ -121,12 +152,15 @@ class TestSuspicionModel:
         assert slow.deadline_s(0) == pytest.approx(2.0)  # 20 * p95
 
     def test_state_or_healthy_for_unattached_worker(self):
-        monitor = HealthMonitor()
+        monitor = HealthMonitor(RecordLog(MetricsRegistry(enabled=True)),
+                                HealthPolicy(step_deadline_s=1.0))
         assert monitor.state_or_healthy(99) is WorkerState.HEALTHY
-        monitor.attach(1, MetricsRegistry(enabled=True))
-        monitor.mark_failed(1)
+        monitor.attach(1)
+        monitor.observe(1, 2.0)
+        monitor.observe(1, 2.0)
         assert monitor.state_or_healthy(1) is WorkerState.FAILED
-        assert monitor.failures == 1
+        assert [r.data["state"] for r in monitor.log.records
+                ].count("failed") == 1
 
     def test_suspect_counter_increments_on_transitions_only(self):
         policy = HealthPolicy(step_deadline_s=1.0,
@@ -134,9 +168,74 @@ class TestSuspicionModel:
         monitor = warmed_monitor(policy)
         monitor.observe(0, 2.0)
         monitor.observe(0, 2.0)  # still SUSPECT, no new transition
-        assert monitor.suspect_transitions == 1
-        registry = monitor.health(0).metrics
+        assert suspects(monitor) == 1
+        registry = monitor.log.metrics
         assert registry.counter("fleet.worker_suspect").value == 1
+
+
+    def test_health_records_verdict_changes_and_strikes_only(self):
+        policy = HealthPolicy(step_deadline_s=1.0,
+                              fail_after_deadline_misses=10)
+        monitor = warmed_monitor(policy)
+        assert monitor.log.records == []     # steady HEALTHY: no record
+        monitor.observe(0, 2.0)              # HEALTHY -> SUSPECT, strike
+        monitor.observe(0, 2.0)              # strike, verdict unchanged
+        monitor.observe(0, BASELINE_S)       # SUSPECT -> HEALTHY
+        monitor.observe(0, BASELINE_S)       # steady: no record
+        assert [(r.kind, r.data["worker"], r.data["before"],
+                 r.data["state"], r.data["strikes"], r.data["observed_s"],
+                 r.data["deadline_s"]) for r in monitor.log.records] == [
+            ("health", 0, "healthy", "suspect", 1, 2.0, 1.0),
+            ("health", 0, "suspect", "suspect", 2, 2.0, 1.0),
+            ("health", 0, "suspect", "healthy", 0, BASELINE_S, 1.0)]
+        assert monitor.log.records[0].data["phi"] == float("inf")
+        metrics = monitor.log.metrics
+        assert metrics.counter("fleet.step_deadline_miss").value == 2
+
+    def test_reset_clears_verdict_and_strikes_and_keeps_window(self):
+        policy = HealthPolicy(step_deadline_s=1.0,
+                              fail_after_deadline_misses=2)
+        monitor = warmed_monitor(policy)
+        monitor.observe(0, 2.0)
+        monitor.reset(0)
+        health = monitor.health(0)
+        assert health.state is WorkerState.HEALTHY
+        assert health.deadline_misses == 0
+        assert list(health.window) == [BASELINE_S] * 16
+
+    def test_window_is_bounded(self):
+        monitor = warmed_monitor(HealthPolicy(window=8), n=20)
+        assert len(monitor.health(0).window) == 8
+
+
+def shared_registry_fleet(obs: Obs) -> FleetRouter:
+    """Two workers whose engines share one registry (as every engine
+    built without an ``obs`` shares the process default)."""
+    return FleetRouter([FleetWorker(wid, build_engine(Scenario(), obs))
+                        for wid in range(2)])
+
+
+class TestMonitorOwnsTheWindow:
+    def test_workers_sharing_a_registry_keep_separate_windows(self):
+        router = shared_registry_fleet(
+            Obs(MetricsRegistry(enabled=True), Tracer(enabled=False)))
+        router.run([])
+        monitor = router.monitor
+        for _ in range(16):
+            monitor.observe(0, BASELINE_S)
+        assert len(monitor.health(1).window) == 0
+        _, after = monitor.observe(1, 0.2)   # cold: only the floor
+        assert after is WorkerState.HEALTHY
+
+    def test_a_second_router_starts_with_empty_windows(self):
+        obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
+        first = shared_registry_fleet(obs)
+        first.run(Trace((Tenant(4, 24, 4, rate=50.0),)).requests())
+        assert any(len(first.monitor.health(w).window) for w in (0, 1))
+        second = shared_registry_fleet(obs)
+        second.run([])
+        assert [len(second.monitor.health(w).window) for w in (0, 1)] \
+            == [0, 0]
 
 
 HEALTH = HealthPolicy(step_deadline_s=1.0, fail_after_deadline_misses=2)
@@ -180,7 +279,7 @@ class TestRouterResilience:
             assert report.failovers == 1
             assert report.failover_sessions >= 0
             assert report.failover_latency_max_s > 0.0
-            assert report.metrics.counter("fleet.failovers").value == 1
+            assert fleet.obs.metrics.counter("fleet.failovers").value == 1
         # The run is the run: no proxy between the router and it.
         assert all(isinstance(w.run, EngineRun) for w in fleet.workers)
 
@@ -196,7 +295,7 @@ class TestRouterResilience:
         report = fleet.run(make_trace())
         assert _fleet_outputs(fleet) == ref_outputs
         assert report.failovers == 1
-        assert report.metrics.counter(
+        assert fleet.obs.metrics.counter(
             "fleet.failover_recomputed").value == 1
         assert all(isinstance(w.run, EngineRun) for w in fleet.workers)
 
@@ -222,9 +321,9 @@ class TestRouterResilience:
         report = fleet.run(make_trace())
         assert _fleet_outputs(fleet) == ref_outputs
         assert report.failovers == 1
-        assert report.metrics.counter(
+        assert fleet.obs.metrics.counter(
             "fleet.failover_recomputed").value == 1
-        assert report.metrics.counter(
+        assert fleet.obs.metrics.counter(
             "fleet.failover_recovered").value == 0
         assert fleet.workers[0].run.fenced
         assert all(isinstance(w.run, EngineRun) for w in fleet.workers)
