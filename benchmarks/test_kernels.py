@@ -13,8 +13,9 @@ from repro.core.itq import learn_itq_rotation
 from repro.core.scf import concordance, concordance_packed, pack_signs
 from repro.core.sparse import sparse_retrieve
 from repro.core.topk import top_k_mask
-from repro.drex.descriptors import RequestDescriptor
-from repro.drex.device import DrexDevice
+from repro.drex.backend import DrexOffloadBackend
+from repro.llm.config import ModelConfig
+from repro.llm.kv_cache import KVCache
 
 RNG = np.random.default_rng(7)
 D = 64
@@ -58,15 +59,21 @@ def test_bench_itq_learning(benchmark):
 
 
 def test_bench_drex_offload(benchmark):
-    device = DrexDevice(n_layers=1, n_kv_heads=4, n_q_heads=16, head_dim=D,
-                        thresholds=33)
-    device.register_user(0)
-    for head in range(4):
-        device.write_kv(0, 0, head, KEYS[:2048], KEYS[:2048])
-    request = RequestDescriptor(uid=0, layer=0,
-                                queries=RNG.normal(size=(16, D)), top_k=128)
-    response = benchmark(device.execute, request)
-    assert len(response.heads) == 16
+    """One offload decode row at a 4k context: the kernel's decode row,
+    the supervisor and the device pricing the offload from its
+    survivors."""
+    model = ModelConfig(name="bench-drex", vocab_size=64, n_layers=1,
+                        n_q_heads=16, n_kv_heads=4, head_dim=D, d_ff=64)
+    config = LongSightConfig(window=128, n_sink=16, top_k=128, thresholds=33)
+    backend = DrexOffloadBackend(model, config)
+    cache = KVCache(model)
+    backend.prepare_cache(cache)
+    cache.append(0, RNG.normal(size=(4, 4096, D)),
+                 RNG.normal(size=(4, 4096, D)))
+    q = RNG.normal(size=(16, 1, D))
+    out = benchmark(backend.forward_cached, 0, q, cache)
+    assert out.shape == q.shape
+    assert backend.n_offloads > 0
 
 
 def test_bench_hybrid_attention_block(benchmark):

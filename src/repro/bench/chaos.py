@@ -107,7 +107,7 @@ def _functional_point(rate: float, seed: int, n_tokens: int) -> dict:
         0, TINY_MODEL.vocab_size, size=n_tokens)
     backend = DrexOffloadBackend(TINY_MODEL, cfg,
                                  plan=_fault_mix(rate, seed),
-                                 flush_granularity=1, supervisor_seed=seed)
+                                 supervisor_seed=seed)
     out = tiny_model(seed).forward_full(tokens, backend=backend,
                                         block_size=16)
     stats = backend.supervisor.stats

@@ -50,7 +50,8 @@ score ``matmul(q_group, keys.T)``      per unit    BLAS call shape = the
 left-align, ``pool ++ tile``,          the stack   index arithmetic;
 ``top_k_mask``, re-compaction                      ``top_k_mask`` is
                                                    row-wise exact
-``stats`` / ``selection_capture``      per unit    after the loop
+``stats`` / ``selection_capture`` /  per unit    after the loop
+``survivor_capture``
 =====================================  ==========  =========================
 
 Concatenating the units' survivors into one GEMM would not do: a row's
@@ -405,7 +406,12 @@ class _SparseSpan:
         column order, then score -inf / column ``_PAD`` — so a row's
         entries sit at the same offsets whatever it was stacked with; and
         the pass / selection counts per unit, which are also recorded into
-        the backend's ``stats`` and ``selection_capture``.
+        the backend's ``stats`` and ``selection_capture``.  When the
+        backend's ``survivor_capture`` is a list, each unit appends
+        ``(h0, passes, union)``: its heads' pass counts per row ``(n_heads,
+        n_new)`` and, per row, which span columns (from ``n_sink``) any of
+        its heads passed ``(n_new, span)`` — what DReX's filter units
+        report and its NMA fetches (:mod:`repro.drex.device`).
         """
         backend = self.backend
         cfg = backend.config
@@ -422,6 +428,11 @@ class _SparseSpan:
         pool_s = np.empty((n_units * unit_rows, 0))
         pool_c = np.empty(pool_s.shape, dtype=np.int64)
         passed = np.zeros(len(pool_s), dtype=np.int64)
+        union = None
+        if backend.survivor_capture is not None:
+            # Per unit and row, the columns any of its heads passed.
+            union = np.zeros((n_units, n_new, max(0, int(hi.max()) - lo)),
+                             dtype=bool)
         # A stack of several units is one tile per unit (the tile rule and
         # _fill_pools see to it); only a stack of one walks several.
         for t0 in range(lo, int(hi.max()), int(tile.max())):
@@ -447,6 +458,8 @@ class _SparseSpan:
             if cut < t0 + width:
                 pass_t[..., cut - t0:] &= self._before_row_end(
                     n_ctx, cut, t0 + width)
+            if union is not None:
+                union[..., t0 - lo:t0 - lo + width] = pass_t.any(axis=1)
             # The gather rule, per unit, on that unit's own survivors.
             kept = pass_t.reshape(n_units, unit_rows, width).any(axis=1)
             cols = [k.nonzero()[0] for k in kept]
@@ -512,7 +525,10 @@ class _SparseSpan:
         pool_w = pool_s.shape[1]
         valid = (pool_c != _PAD).reshape(n_units, n_heads, n_new, pool_w)
         retrieved = valid.sum(axis=(2, 3))
-        passed = passed.reshape(n_units, n_heads, n_new).sum(axis=2)
+        per_row = passed.reshape(n_units, n_heads, n_new)
+        passed = per_row.sum(axis=2)
+        if union is not None:
+            backend.survivor_capture.extend(zip(h0.tolist(), per_row, union))
         if backend.stats is not None or backend.selection_capture is not None:
             for u, unit_ctx in enumerate(n_ctx.tolist()):
                 candidates = self.candidates(unit_ctx)
@@ -548,7 +564,10 @@ class LongSightAttention:
     optional ``selection_capture`` debug dict: when set to a dictionary,
     every forward stores the selected sparse-key mask per
     ``(layer, q_head)`` — the equivalence suite uses this to compare the
-    kernel's selections with the reference loop's bit-for-bit.
+    kernel's selections with the reference loop's bit-for-bit.  A list in
+    ``survivor_capture`` collects stage 1's survivors per unit
+    (:meth:`_SparseSpan.select`); the DReX offload backend prices its
+    offloads from them.
     """
 
     def __init__(self, config: LongSightConfig,
@@ -563,6 +582,7 @@ class LongSightAttention:
         self.stats = stats
         self.obs = resolve_obs(obs)
         self.selection_capture: Optional[Dict[Tuple[int, int], np.ndarray]] = None
+        self.survivor_capture: Optional[list] = None
         #: id(config) -> variant; a variant holds its config, so the id
         #: cannot be reused while the entry lives.
         self._variants: Dict[int, "LongSightAttention"] = {}
@@ -606,10 +626,11 @@ class LongSightAttention:
         identity would never stack anything; what has to agree is what the
         routine reads — the class and the ``config`` / ``rotations`` /
         ``obs`` objects.  A backend that accumulates ``stats`` or a
-        ``selection_capture`` stacks only with itself, so its counters
-        fill exactly as they do per session.
+        capture stacks only with itself, so its counters fill exactly as
+        they do per session.
         """
-        if self.stats is not None or self.selection_capture is not None:
+        if self.stats is not None or self.selection_capture is not None \
+                or self.survivor_capture is not None:
             return id(self)
         return (type(self), id(self.config), id(self.rotations),
                 id(self.obs))

@@ -3,8 +3,9 @@
 :func:`sparse_retrieve` is the clean per-request form of what a DReX offload
 computes for one (user, layer, KV head): given query vector(s) and that
 head's offloaded key/value history, return the top-k keys by dot-product
-score.  The functional DReX device model
-(:mod:`repro.drex.device`) is property-tested to return exactly this result.
+score.  The attention kernel (:mod:`repro.core.hybrid`) and the DReX
+hardware units' functional reference (``tests/drex/hardware_reference.py``)
+are property-tested to select exactly this result.
 """
 
 from __future__ import annotations

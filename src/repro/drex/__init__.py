@@ -7,10 +7,11 @@ attention: the GPU writes Key/Value/Key-Sign objects into DReX's address
 space and submits per-(user, layer) attention request descriptors; DReX
 filters in-DRAM, scores and ranks near-DRAM, and returns top-k keys/values.
 
-The model here is *functional + timed*: offloads compute real results
-(property-tested to match the reference pipeline in
-:mod:`repro.core.sparse`) and return a latency breakdown composed from the
-paper's published constants (Section 8.2).
+The functional result is the software kernel's:
+:class:`DrexOffloadBackend` is :class:`repro.core.hybrid.LongSightAttention`
+driving a :class:`DrexDevice`, which holds no K/V and prices each offload
+from the kernel's own filter survivors into a latency breakdown composed
+from the paper's published constants (Section 8.2).
 """
 
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT

@@ -1,48 +1,55 @@
-"""End-to-end functional integration: the GPU side of hybrid attention.
+"""The GPU side of hybrid attention: the kernel, offloading to DReX.
 
-:class:`DrexOffloadBackend` implements the transformer substrate's
-attention-backend protocol by actually driving a :class:`DrexDevice`
-(Section 6's execution model):
+:class:`DrexOffloadBackend` *is* the kernel — a
+:class:`~repro.core.hybrid.LongSightAttention` whose every output row is
+the software kernel's — driven the way Section 6 drives DReX.  The dense
+window doubles as the staging buffer: a token is written to the session's
+own :class:`~repro.drex.device.DrexDevice` (by count; the device holds no
+data) as it leaves the window.  Per (layer, token) the backend asks the
+device's :class:`~repro.system.supervisor.OffloadSupervisor`, in this
+order, whether the flush may proceed (capacity pressure defers it) and
+then to execute the offload, which the device prices from the kernel's
+own stage-1 survivors (``survivor_capture``).  The answers decide the
+config a row is served at, always by the kernel:
 
-- KV pairs are *staged* in HBM (the dense window doubles as the staging
-  buffer) and flushed to DReX in groups of 128 once they leave the window —
-  "off the critical path" batching of updates.
-- Each attention call submits a Request Descriptor per layer, performs the
-  dense sink+window attention locally, then merges the returned top-k
-  scores/values in a single softmax (Figure 2b steps 5–7).
+- offloaded: this config — sinks + window dense, sparse over
+  ``[n_sink, p - window + 1)``;
+- flush deferred: the staged tokens stay dense — the kernel at ``window =
+  p - flushed + 1``, sparse over ``[n_sink, flushed)``;
+- degraded (the retry budget spent): the dense floor at that window,
+  ``top_k = 0``, recorded in ``degraded_log``.
 
-Every offload and staged flush runs through an
-:class:`~repro.system.supervisor.OffloadSupervisor` against the device's
-own seeded :class:`~repro.system.faults.FaultPlan`: a flush under
-capacity pressure is deferred (the tokens stay staged and are attended
-densely), and an offload that still fails after the retry budget degrades
-its token to the dense region only, recorded in ``degraded_log``.  The
-default healthy plan fires nothing, so no token degrades.
+A block is run once, as the kernel; a row answered otherwise is rerun
+alone over the cache's first ``p + 1`` positions at its own config.  With
+``FaultPlan.none()`` nothing fires and every row is offloaded, so the
+output is bit-identical to ``LongSightAttention``'s
+(``tests/drex/test_backend.py``).  ``stats`` count every sparse row the
+kernel runs, a degraded row's included.  At ``top_k = 0`` there is
+nothing to retrieve: the backend is the plain kernel and never offloads.
 
-With ``flush_granularity=1`` and no faults the result equals the pure
-software backend :class:`repro.core.hybrid.LongSightAttention` to float
-round-off (1e-12, ``tests/drex/test_backend.py``) — the integration test
-that pins the device model to the algorithm.  It is not bit-identical:
-this backend scores one query head at a time (its own BLAS call shapes)
-and merges the device's top-k in the device's order, so its sums round
-differently.
+Each backend owns its device, so it stacks only with itself.  Its
+``with_config`` variants (the serving quality ladder) share the device,
+the supervisor and the flush watermarks; at ``top_k = 0`` a variant is the
+plain kernel.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import LongSightConfig
+from repro.core.hybrid import LongSightAttention
 from repro.core.itq import ItqRotations
 from repro.core.metrics import FilterStats
 from repro.drex.descriptors import RequestDescriptor
 from repro.drex.device import DrexDevice
 from repro.drex.timing import LatencyBreakdown
 from repro.llm.config import ModelConfig
-from repro.llm.ops import softmax
+from repro.llm.kv_cache import KVCache
 from repro.system.faults import FaultPlan
 from repro.system.supervisor import (OffloadSupervisor, SupervisorPolicy,
                                      SupervisorStats)
@@ -51,134 +58,197 @@ from repro.system.supervisor import (OffloadSupervisor, SupervisorPolicy,
 _UID = 0
 
 
-class DrexOffloadBackend:
-    """Attention backend that offloads the sparse phase to its own DReX
-    device, under supervision (see the module docstring)."""
+@dataclasses.dataclass
+class _Session:
+    """Offload state a backend shares with its ``with_config`` variants."""
+
+    #: tokens written to DReX, per layer (every KV head in lockstep)
+    flushed: Dict[int, int] = dataclasses.field(default_factory=dict)
+    latency: LatencyBreakdown = dataclasses.field(
+        default_factory=LatencyBreakdown)
+    degraded_log: List[Tuple[int, int]] = dataclasses.field(
+        default_factory=list)
+
+
+class _Prefix:
+    """The first ``n`` positions of one layer of a cache, read as a cache
+    (the context a row of a block had when it was the last)."""
+
+    window_view = KVCache.window_view        # reads ``layers[layer]`` only
+
+    def __init__(self, cache, layer: int, n: int) -> None:
+        kv = copy.copy(cache.layers[layer])
+        kv._len = n
+        self.layers = {layer: kv}
+        self.sign_cache_enabled = cache.sign_cache_enabled
+        self.sign_rotations = cache.sign_rotations
+
+
+def _context(cache, layer: int, n: int):
+    """``cache`` as the context of its row at position ``n - 1``."""
+    return cache if len(cache.layers[layer]) == n \
+        else _Prefix(cache, layer, n)
+
+
+class DrexOffloadBackend(LongSightAttention):
+    """The kernel, offloading its sparse phase to its own DReX device
+    under supervision (see the module docstring)."""
 
     def __init__(self, model_config: ModelConfig, config: LongSightConfig,
                  rotations: Optional[ItqRotations] = None,
                  plan: Optional[FaultPlan] = None,
                  policy: Optional[SupervisorPolicy] = None,
-                 flush_granularity: int = 128,
                  stats: Optional[FilterStats] = None,
                  supervisor_seed: int = 0) -> None:
-        if config.use_itq and rotations is None:
-            raise ValueError("use_itq requires rotations")
+        super().__init__(config, rotations=rotations, stats=stats)
         self.model_config = model_config
-        self.config = config
-        self.flush_granularity = max(1, flush_granularity)
         self.device = DrexDevice(
             n_layers=model_config.n_layers,
             n_kv_heads=model_config.n_kv_heads,
             n_q_heads=model_config.n_q_heads,
             head_dim=model_config.head_dim,
-            thresholds=config.thresholds,
-            rotations=rotations if config.use_itq else None,
             dtype_bytes=model_config.dtype_bytes,
             plan=plan,
         )
-        self.device.stats = stats
         self.device.register_user(_UID)
         self.supervisor = OffloadSupervisor(self.device, policy,
                                             seed=supervisor_seed)
-        #: tokens already written to DReX, per layer (every KV head of a
-        #: layer is flushed in lockstep)
-        self._flushed: Dict[int, int] = {}
-        #: accumulated offload latency across the run
-        self.total_latency = LatencyBreakdown()
-        #: (layer, position) of every token degraded to dense-only
-        self.degraded_log: List[Tuple[int, int]] = []
-        #: when set to a dict, every offloaded token records its selected
-        #: global key positions per query head as ``(layer, pos, head)`` —
-        #: the device-path analogue of
-        #: :attr:`repro.core.hybrid.LongSightAttention.selection_capture`.
-        self.selection_capture: Optional[Dict[Tuple[int, int, int],
-                                              np.ndarray]] = None
+        self._session = _Session()
+        #: (window, dense floor) -> the kernel serving rows at them
+        self._kernels: Dict[Tuple[int, bool], LongSightAttention] = {}
 
-    # -- staging -----------------------------------------------------------------
+    @property
+    def total_latency(self) -> LatencyBreakdown:
+        """Accumulated offload latency across the run."""
+        return self._session.latency
 
-    def _flush(self, layer: int, k: np.ndarray, v: np.ndarray,
-               upto: int) -> int:
-        """Write eligible KV pairs (position < ``upto``) to DReX in groups.
+    @property
+    def degraded_log(self) -> List[Tuple[int, int]]:
+        """(layer, position) of every token degraded to the dense floor."""
+        return self._session.degraded_log
 
-        The supervisor gates each flush once, so all KV heads stay in
-        lockstep; a deferred flush leaves the tokens staged.  Returns the
-        per-layer flushed count (uniform across KV heads).
+    def with_config(self, config: LongSightConfig) -> LongSightAttention:
+        """A quality-ladder variant: at ``top_k = 0`` the plain kernel (the
+        dense floor), otherwise an offload backend at ``config`` sharing
+        this one's device, supervisor and flush watermarks, so its tokens
+        flush, fault and are priced as this session's.  One per config
+        object, as :meth:`LongSightAttention.with_config`."""
+        if not config.top_k:
+            return super().with_config(config)
+        variant = self._variants.get(id(config))
+        if variant is None:
+            variant = self._variants[id(config)] = copy.copy(self)
+            variant.config, variant._kernels = config, {}
+            variant.stats = variant.selection_capture = None
+        return variant
+
+    def stack_key(self):
+        """Each backend owns its device: it stacks only with itself."""
+        return id(self)
+
+    # -- attention ------------------------------------------------------------
+
+    def forward_cached(self, layer: int, q: np.ndarray,
+                       cache: KVCache) -> np.ndarray:
+        return self._serve(layer, q, cache)
+
+    def forward_cached_batch(self, layer: int, qs, caches) -> np.ndarray:
+        return np.stack([self._serve(layer, np.asarray(q), cache)
+                         for q, cache in zip(qs, caches)])
+
+    def _kernel(self, window: int, floor: bool = False) -> LongSightAttention:
+        """The plain kernel at this config with ``window``, at ``top_k = 0``
+        if ``floor`` — memoised by those values."""
+        kernel = self._kernels.get((window, floor))
+        if kernel is None:
+            config = self.config.replace(window=window) \
+                if window != self.config.window else self.config
+            if floor:
+                config = config.replace(top_k=0)
+            kernel = self._kernels[(window, floor)] = LongSightAttention(
+                config, rotations=self.rotations, obs=self.obs)
+        kernel.stats = self.stats
+        kernel.selection_capture = self.selection_capture
+        return kernel
+
+    def _run(self, kernel: LongSightAttention, layer: int, q: np.ndarray,
+             cache) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``kernel`` over the rows of ``q`` (the last rows of ``cache``).
+
+        Returns the output, each query head's passes per row ``(n_q_heads,
+        rows)`` and per KV head and row which span columns any head of its
+        group passed ``(n_kv_heads, rows, span)`` — the offloads' prices.
         """
-        cfg = self.config
-        flushed = self._flushed.get(layer, cfg.n_sink)
-        target = max(flushed, upto)
-        # Flush whole groups; the remainder stays staged in the HBM window.
-        n_new = (target - flushed) // self.flush_granularity \
-            * self.flush_granularity
-        if n_new > 0 and self.supervisor.flush_allowed():
+        kernel.survivor_capture = capture = []
+        try:
+            out = kernel.forward_cached(layer, q, cache)
+        finally:
+            kernel.survivor_capture = None
+        n_q_heads, n_rows, _ = q.shape
+        n_kv_heads = self.model_config.n_kv_heads
+        group = n_q_heads // n_kv_heads
+        passed = np.zeros((n_q_heads, n_rows), dtype=np.int64)
+        union = np.zeros((n_kv_heads, n_rows,
+                          capture[0][2].shape[-1] if capture else 0),
+                         dtype=bool)
+        for h0, passes, rows in capture:
+            passed[h0:h0 + len(passes)] = passes
+            union[h0 // group] |= rows
+        return out, passed, union
+
+    def _flush(self, layer: int, eligible: int) -> int:
+        """Write the tokens before ``eligible`` to DReX unless capacity
+        pressure defers it; returns the layer's watermark."""
+        flushed = self._session.flushed.get(layer, self.config.n_sink)
+        if eligible > flushed and self.supervisor.flush_allowed():
             for kv_head in range(self.model_config.n_kv_heads):
-                self.device.write_kv(
-                    _UID, layer, kv_head,
-                    k[kv_head, flushed : flushed + n_new],
-                    v[kv_head, flushed : flushed + n_new])
-            flushed += n_new
-        self._flushed[layer] = flushed
+                self.device.write_kv(_UID, layer, kv_head,
+                                     eligible - flushed)
+            flushed = self._session.flushed[layer] = eligible
         return flushed
 
-    # -- attention ------------------------------------------------------------------
-
-    def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
-                v: np.ndarray) -> np.ndarray:
+    def _serve(self, layer: int, q: np.ndarray, cache) -> np.ndarray:
         cfg = self.config
-        mc = self.model_config
-        n_q_heads, n_new, head_dim = q.shape
-        n_kv_heads, n_ctx, _ = k.shape
-        group = n_q_heads // n_kv_heads
-        scale = 1.0 / np.sqrt(head_dim)
+        if not cfg.top_k:
+            return self._kernel(cfg.window).forward_cached(layer, q, cache)
+        n_new = q.shape[1]
+        n_ctx = len(cache.layers[layer])
         out = np.empty_like(q)
+        block = None          # (first row, its run) of the kernel's block
         for t in range(n_new):
             p = n_ctx - n_new + t
             # Tokens strictly older than the window are eligible for DReX.
-            eligible_upto = max(cfg.n_sink, p - cfg.window + 1)
-            flushed = self._flush(layer, k, v, eligible_upto)
-            sparse_available = flushed > cfg.n_sink
-            if sparse_available:
-                request = RequestDescriptor(
-                    uid=_UID, layer=layer, queries=q[:, t, :],
-                    top_k=cfg.top_k, dtype_bytes=mc.dtype_bytes)
-                response = self.supervisor.execute(request)
-                if response is None:
-                    # Offload failed past the retry budget: this token falls
-                    # back to the dense sliding-window path, recorded here
-                    # (never silently).
-                    sparse_available = False
-                    self.degraded_log.append((layer, p))
-                else:
-                    self.total_latency = self.total_latency + response.latency
-                    if self.selection_capture is not None:
-                        for h in range(n_q_heads):
-                            # Store index i holds global position n_sink + i.
-                            self.selection_capture[(layer, p, h)] = \
-                                cfg.n_sink + response.heads[h].indices
-            # Dense region: sinks + everything not yet flushed (window and
-            # staging overhang), causally clipped.
-            dense_positions = np.concatenate([
-                np.arange(min(cfg.n_sink, p + 1)),
-                np.arange(min(flushed, p + 1), p + 1),
-            ])
-            for kv_head in range(n_kv_heads):
-                dense_k = k[kv_head, dense_positions]
-                dense_v = v[kv_head, dense_positions]
-                for g in range(group):
-                    h = kv_head * group + g
-                    dense_scores = (dense_k @ q[h, t]) * scale
-                    if sparse_available:
-                        result = response.heads[h]
-                        sparse_scores = result.scores * scale
-                        sparse_v = result.values
-                        merged = np.concatenate([dense_scores, sparse_scores])
-                        merged_v = np.concatenate([dense_v, sparse_v]) \
-                            if sparse_v.size else dense_v
-                        probs = softmax(merged)
-                        out[h, t] = probs @ merged_v
-                    else:
-                        out[h, t] = softmax(dense_scores) @ dense_v
+            eligible = max(cfg.n_sink, p - cfg.window + 1)
+            flushed = self._flush(layer, eligible)
+            window = p - flushed + 1 if flushed < eligible else cfg.window
+            if window == cfg.window:
+                if block is None:
+                    block = t, self._run(self._kernel(window), layer,
+                                         q[:, t:], cache)
+                first, (rows, passed, union) = block
+                r = t - first
+            else:
+                rows, passed, union = self._run(
+                    self._kernel(window), layer, q[:, t:t + 1],
+                    _context(cache, layer, p + 1))
+                r = 0
+            out[:, t] = rows[:, r]
+            if flushed == cfg.n_sink:
+                continue                    # nothing in DReX yet
+            response = self.supervisor.execute(RequestDescriptor(
+                uid=_UID, layer=layer, queries=q[:, t], top_k=cfg.top_k,
+                dtype_bytes=self.model_config.dtype_bytes,
+                passed=passed[:, r],
+                survivors=union[:, r, :flushed - cfg.n_sink]))
+            if response is None:
+                # Offload failed past the retry budget: this token falls
+                # back to the dense floor, recorded here (never silently).
+                out[:, t] = self._kernel(window, floor=True).forward_cached(
+                    layer, q[:, t:t + 1], _context(cache, layer, p + 1))[:, 0]
+                self.degraded_log.append((layer, p))
+            else:
+                self._session.latency = self._session.latency \
+                    + response.latency
         return out
 
     # -- bookkeeping -----------------------------------------------------------------
@@ -218,17 +288,11 @@ class DrexOffloadBackend:
 
     def durable_state(self) -> dict:
         """JSON-safe state a snapshot needs to resume this backend
-        bit-identically (see :mod:`repro.durable`).
-
-        Captures both seeded RNG streams (fault injector + supervisor
-        jitter), their accumulated telemetry, and the degradation record.
-        The device-side KV/sign stores are *not* captured: the restored
-        backend's ``_flushed`` watermarks reset to ``n_sink``, and the
-        next forward's catch-up flush rebuilds identical device content
-        because the flush watermark is a pure function of the cache
-        length.  Exactness preconditions: ``capacity_pressure_rate == 0``
-        (deferred flushes would desync the watermark) and no unrepaired
-        KSO corruption outstanding at the crash.
+        bit-identically (see :mod:`repro.durable`): both seeded RNG streams
+        (fault injector + supervisor jitter) and their telemetry, the
+        accumulated latency, the degradation record, the per-layer flush
+        watermarks and any KSO bit flips not yet repaired.  The device
+        holds no data, so that is all of it.
         """
         injector = self.device.injector
         supervisor = self.supervisor
@@ -240,6 +304,11 @@ class DrexOffloadBackend:
             "total_latency": dataclasses.asdict(self.total_latency),
             "degraded_log": [[int(layer), int(pos)]
                              for layer, pos in self.degraded_log],
+            "flushed": [[int(layer), int(n)] for layer, n
+                        in sorted(self._session.flushed.items())],
+            "kso_flipped": [[int(layer), int(kv_head), sorted(bits)]
+                            for (_, layer, kv_head), bits
+                            in sorted(self.device.flipped.items())],
         }
 
     def restore_durable_state(self, state: dict) -> None:
@@ -251,6 +320,14 @@ class DrexOffloadBackend:
                            for k, v in state["injector_counts"].items()}
         supervisor.rng.bit_generator.state = state["supervisor_rng"]
         supervisor.stats = SupervisorStats(**state["supervisor_stats"])
-        self.total_latency = LatencyBreakdown(**state["total_latency"])
-        self.degraded_log = [(int(layer), int(pos))
-                             for layer, pos in state["degraded_log"]]
+        self._session.latency = LatencyBreakdown(**state["total_latency"])
+        self._session.degraded_log[:] = [
+            (int(layer), int(pos)) for layer, pos in state["degraded_log"]]
+        for layer, n in state["flushed"]:
+            self._session.flushed[int(layer)] = int(n)
+            for kv_head in range(self.model_config.n_kv_heads):
+                self.device.write_kv(_UID, int(layer), kv_head,
+                                     int(n) - self.config.n_sink)
+        self.device.flipped = {
+            (_UID, int(layer), int(kv_head)): frozenset(map(int, bits))
+            for layer, kv_head, bits in state["kso_flipped"]}

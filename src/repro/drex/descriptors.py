@@ -20,7 +20,7 @@ transfers exactly.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +75,11 @@ class RequestDescriptor:
     ``queries`` carries the post-RoPE query vectors for every query head:
     shape ``(n_q_heads, head_dim)`` for single-token decode, or
     ``(n_q_heads, n_tokens, head_dim)`` for grouped decode (the PFU supports
-    groups of up to 16 queries per KV head).
+    groups of up to 16 queries per KV head).  The selection itself is the
+    software kernel's; the request carries its stage-1 counts, which the
+    device prices: ``passed``, the keys each query passed (``(n_q_heads,
+    ...)``, one per query), and ``survivors``, per KV head a bitmap over
+    its stored keys of those any query of its group passed.
     """
 
     uid: int
@@ -83,6 +87,8 @@ class RequestDescriptor:
     queries: np.ndarray
     top_k: int = 1024
     dtype_bytes: int = 2
+    passed: Optional[np.ndarray] = None
+    survivors: Optional[Sequence[np.ndarray]] = None
 
     @property
     def n_bytes(self) -> int:
@@ -91,32 +97,20 @@ class RequestDescriptor:
 
 
 @dataclasses.dataclass
-class HeadResult:
-    """Top-k result for one query head."""
-
-    indices: np.ndarray   # positions within the offloaded region
-    scores: np.ndarray    # raw dot products (pre-softmax, unscaled)
-    values: np.ndarray    # (n_retrieved, head_dim)
-
-
-@dataclasses.dataclass
 class ResponseDescriptor:
-    """Completed offload: per-query-head top-k lists (Section 7.3.1)."""
+    """Completed offload: ``n_entries`` top-k (value, score, id) entries
+    across the query heads (Section 7.3.1) and the modelled latency."""
 
     uid: int
     layer: int
-    heads: list  # list[HeadResult], indexed by query head
+    n_entries: int = 0
     dtype_bytes: int = 2
     latency: Optional[object] = None  # LatencyBreakdown, attached by the device
 
-    @property
-    def n_bytes(self) -> int:
-        """Bytes the GPU must pull over CXL: scores + values (+ ids)."""
-        total = 16
-        for head in self.heads:
-            n, d = head.values.shape if head.values.size else (0, 0)
-            total += n * (d * self.dtype_bytes + self.dtype_bytes + 4)
-        return total
+    def n_bytes(self, head_dim: int) -> int:
+        """Bytes the GPU must pull over CXL: scores + values + ids."""
+        return 16 + self.n_entries * (head_dim * self.dtype_bytes
+                                      + self.dtype_bytes + 4)
 
     @staticmethod
     def max_bytes(n_q_heads: int, head_dim: int, top_k: int = 1024,

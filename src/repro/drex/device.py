@@ -1,32 +1,36 @@
-"""The assembled DReX device: functional sparse-attention offload + timing.
+"""The assembled DReX device: allocation, the DCC, offload cost and faults.
 
-:class:`DrexDevice` wires together the allocator, the DCC front-end, the
-per-bank PFU model and per-package NMA model.  Offloads compute *real*
-results — the returned top-k is property-tested to equal the reference
-pipeline (:func:`repro.core.sparse.sparse_retrieve`) — and every response
-carries a :class:`repro.drex.timing.LatencyBreakdown` composed from the
-paper's latency constants.
+:class:`DrexDevice` keeps what the paper's hardware model needs and no
+K/V or sign data: the allocator's slice chains (how many keys each
+(user, layer, KV head) holds and in which packages), the DCC front-end,
+the :class:`~repro.drex.timing.DrexTimingModel` and the fault injector.
+The sparse-attention result is the software kernel's
+(:class:`repro.core.hybrid.LongSightAttention`, driven by
+:class:`repro.drex.backend.DrexOffloadBackend`).  A Request Descriptor
+carries that kernel's stage-1 counts — each query's passes and, per KV
+head, which stored keys any query of its group passed — and
+:meth:`DrexDevice.execute` prices the offload from them, package by
+package, into a :class:`repro.drex.timing.LatencyBreakdown` composed from
+the paper's latency constants.
+
+Key Sign Object integrity is checksum state: a corruption event records
+which stored sign bits it flipped, a KV head's checksum fails while any
+flip is outstanding, and a repack from the Key Objects clears them.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.itq import ItqRotations
-from repro.core.metrics import FilterStats
-from repro.core.scf import pack_signs, sign_bits
 from repro.drex.allocator import DrexAllocator
 from repro.drex.dcc import DrexCxlController
-from repro.drex.descriptors import HeadResult, RequestDescriptor, ResponseDescriptor
+from repro.drex.descriptors import RequestDescriptor, ResponseDescriptor
 from repro.drex.dram import LpddrTimings, LPDDR5X
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
-from repro.drex.nma import NearMemoryAccelerator
-from repro.drex.pfu import PimFilterUnit
-from repro.drex.timing import DrexTimingModel, LatencyBreakdown, OffloadCost
+from repro.drex.layout import ContextSlice
+from repro.drex.timing import DrexTimingModel, OffloadCost
 from repro.errors import OffloadTimeoutError, QueueFullError
 from repro.obs import Obs, resolve_obs
 from repro.system.faults import FaultInjector, FaultPlan
@@ -36,41 +40,6 @@ from repro.system.faults import FaultInjector, FaultPlan
 _LATENCY_NS_EDGES = tuple(float(e) for e in np.geomspace(1e2, 1e8, 61))
 
 
-def _sign_crc(blocks: List[np.ndarray]) -> int:
-    """CRC32 over the packed Key Sign Object bytes, block order preserved.
-
-    Rows pack independently (``packbits`` along the last axis), so the
-    checksum is invariant to how appends were chunked.
-    """
-    crc = 0
-    for block in blocks:
-        crc = zlib.crc32(np.packbits(block.astype(np.uint8), axis=-1)
-                         .tobytes(), crc)
-    return crc
-
-
-@dataclasses.dataclass
-class _HeadStore:
-    """Keys/values/sign-codes for one (user, layer, KV head)."""
-
-    keys: List[np.ndarray] = dataclasses.field(default_factory=list)
-    values: List[np.ndarray] = dataclasses.field(default_factory=list)
-    signs: List[np.ndarray] = dataclasses.field(default_factory=list)
-    #: running CRC32 of the packed sign bytes as written; recomputing it
-    #: from the live ``signs`` detects KSO bit corruption.
-    sign_crc: int = 0
-
-    def stacked(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.keys:
-            return (np.empty((0, 0)),) * 3
-        return (np.concatenate(self.keys), np.concatenate(self.values),
-                np.concatenate(self.signs))
-
-    @property
-    def n_keys(self) -> int:
-        return sum(len(k) for k in self.keys)
-
-
 class DrexDevice:
     """A compute-enabled CXL memory expander serving sparse attention.
 
@@ -78,19 +47,13 @@ class DrexDevice:
         n_layers / n_kv_heads / n_q_heads / head_dim: model geometry the
             device is configured for (per-user databases are independent
             per layer and KV head, Section 4).
-        thresholds: SCF thresholds, broadcastable to
-            ``(n_layers, n_kv_heads)``.
-        rotations: optional ITQ bank applied when *writing* Key Sign
-            Objects and when quantizing request queries.
         geometry / timings: hardware configuration.
         plan: the :class:`FaultPlan` this device's :attr:`injector`
             draws from on every :meth:`execute` (default: healthy).
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, n_q_heads: int,
-                 head_dim: int, thresholds=0,
-                 rotations: Optional[ItqRotations] = None,
-                 geometry: DrexGeometry = DREX_DEFAULT,
+                 head_dim: int, geometry: DrexGeometry = DREX_DEFAULT,
                  timings: LpddrTimings = LPDDR5X,
                  timing_model: Optional[DrexTimingModel] = None,
                  dtype_bytes: int = 2,
@@ -103,23 +66,16 @@ class DrexDevice:
         self.n_q_heads = n_q_heads
         self.group = n_q_heads // n_kv_heads
         self.head_dim = head_dim
-        self.thresholds = np.broadcast_to(
-            np.asarray(thresholds, dtype=np.float64),
-            (n_layers, n_kv_heads)).copy()
-        self.rotations = rotations
         self.geometry = geometry
         self.allocator = DrexAllocator(geometry, dtype_bytes)
         self.dcc = DrexCxlController()
-        self.pfu = PimFilterUnit(geometry, timings)
-        self.nma = NearMemoryAccelerator(geometry, timings)
         self.timing = timing_model or DrexTimingModel(geometry, timings)
         self.dtype_bytes = dtype_bytes
-        self._stores: Dict[Tuple[int, int, int], _HeadStore] = {}
-        #: optional :class:`FilterStats` accumulating the same
-        #: candidates/passed/retrieved counters as the software hybrid path.
-        self.stats: Optional[FilterStats] = None
         self.obs = resolve_obs(obs)
         self.injector = FaultInjector(plan or FaultPlan.none())
+        #: (uid, layer, kv_head) -> flat sign-bit positions (key index x
+        #: head_dim + dimension) flipped since the last repack.
+        self.flipped: Dict[Tuple[int, int, int], FrozenSet[int]] = {}
 
     # -- population ------------------------------------------------------------
 
@@ -129,54 +85,31 @@ class DrexDevice:
     def evict_user(self, uid: int) -> None:
         self.dcc.unregister_user(uid)
         self.allocator.free_user(uid)
-        for key in [k for k in self._stores if k[0] == uid]:
-            del self._stores[key]
+        for key in [k for k in self.flipped if k[0] == uid]:
+            del self.flipped[key]
 
-    def _store(self, uid: int, layer: int, kv_head: int) -> _HeadStore:
-        key = (uid, layer, kv_head)
-        if key not in self._stores:
-            self._stores[key] = _HeadStore()
-        return self._stores[key]
-
-    def write_kv(self, uid: int, layer: int, kv_head: int, keys: np.ndarray,
-                 values: np.ndarray) -> None:
-        """Append Key/Value/Key-Sign Objects for one (layer, KV head).
-
-        The GPU prepares objects in groups (the engine stages 128 at a
-        time); sign bits are extracted after the optional ITQ rotation,
-        matching Section 5.4's runtime application.
-        """
-        keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-        values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        if keys.shape != values.shape or keys.shape[1] != self.head_dim:
-            raise ValueError("keys/values must be (n, head_dim) and match")
-        self.allocator.append_keys(uid, layer, kv_head, len(keys),
+    def write_kv(self, uid: int, layer: int, kv_head: int,
+                 n_keys: int) -> None:
+        """Append ``n_keys`` Key/Value/Key Sign Objects to one (layer, KV
+        head)'s slice chain (the GPU writes them as tokens leave its
+        window)."""
+        self.allocator.append_keys(uid, layer, kv_head, n_keys,
                                    self.head_dim)
-        if self.rotations is not None:
-            rotated = keys @ self.rotations.get(layer, kv_head)
-        else:
-            rotated = keys
-        store = self._store(uid, layer, kv_head)
-        signs = sign_bits(rotated)
-        store.keys.append(keys)
-        store.values.append(values)
-        store.signs.append(signs)
-        store.sign_crc = zlib.crc32(
-            np.packbits(signs.astype(np.uint8), axis=-1).tobytes(),
-            store.sign_crc)
+
+    def _chain(self, uid: int, layer: int,
+               kv_head: int) -> List[ContextSlice]:
+        partition = self.allocator.partitions.get(uid)
+        return [] if partition is None \
+            else partition.slices.get((layer, kv_head), [])
 
     def context_length(self, uid: int, layer: int, kv_head: int) -> int:
-        key = (uid, layer, kv_head)
-        return self._stores[key].n_keys if key in self._stores else 0
+        return sum(s.n_keys for s in self._chain(uid, layer, kv_head))
 
     # -- KSO integrity ---------------------------------------------------------
 
     def kso_intact(self, uid: int, layer: int, kv_head: int) -> bool:
-        """Recompute the sign-store checksum and compare with write-time CRC."""
-        store = self._stores.get((uid, layer, kv_head))
-        if store is None:
-            return True
-        return _sign_crc(store.signs) == store.sign_crc
+        """Does the sign store's checksum match its write-time value?"""
+        return (uid, layer, kv_head) not in self.flipped
 
     def corrupted_ksos(self, uid: int, layer: int) -> List[int]:
         """KV heads of ``(uid, layer)`` whose Key Sign Objects fail checksum."""
@@ -187,53 +120,44 @@ class DrexDevice:
         """Repack sign codes from the stored full-precision keys.
 
         Key/Value Objects are the source of truth (sign corruption leaves
-        them intact), so a corrupted KSO is repaired by re-quantizing —
-        the same operation the GPU performs when first writing the keys.
+        them intact), so re-quantizing — what the GPU did when first
+        writing the keys — restores every flipped bit.
         """
-        store = self._stores.get((uid, layer, kv_head))
-        if store is None:
-            return
-        rot = (self.rotations.get(layer, kv_head)
-               if self.rotations is not None else None)
-        store.signs = [sign_bits(block @ rot if rot is not None else block)
-                       for block in store.keys]
-        store.sign_crc = _sign_crc(store.signs)
+        self.flipped.pop((uid, layer, kv_head), None)
 
     def corrupt_kso(self, uid: int, layer: int, kv_head: int,
                     rng: np.random.Generator, n_bits: int = 1) -> int:
         """Flip random stored sign bits (fault-injection hook).
 
-        The write-time CRC is deliberately left untouched, so the
-        corruption is detectable by :meth:`kso_intact`.  Returns the number
-        of bits flipped (0 when the store is empty).
+        Draws distinct flat positions over the stored keys x ``head_dim``
+        bits (none for an empty store) and toggles them: a bit flipped
+        twice is restored, as it would be in DRAM, and fails no checksum.
+        Returns the number of bits flipped.
         """
-        store = self._stores.get((uid, layer, kv_head))
-        if store is None or not store.signs:
+        total = self.context_length(uid, layer, kv_head) * self.head_dim
+        if total == 0:
             return 0
-        sizes = [block.size for block in store.signs]
-        total = sum(sizes)
-        # Distinct flat positions: an even number of flips at one position
+        # Distinct positions: an even number of flips at one position
         # would cancel out and evade the checksum.
         chosen = rng.choice(total, size=min(n_bits, total), replace=False)
-        starts = np.cumsum([0] + sizes[:-1])
-        for flat in np.sort(chosen):
-            b = int(np.searchsorted(starts, flat, side="right")) - 1
-            block = store.signs[b]
-            i, j = divmod(int(flat - starts[b]), block.shape[1])
-            block[i, j] ^= True
+        key = (uid, layer, kv_head)
+        flips = self.flipped.pop(key, frozenset()) ^ frozenset(
+            chosen.tolist())
+        if flips:
+            self.flipped[key] = flips
         return len(chosen)
 
     # -- offload execution ---------------------------------------------------------
 
     def execute(self, request: RequestDescriptor) -> ResponseDescriptor:
-        """Submit, process and read back one offload synchronously.
+        """Submit, price and read back one offload synchronously.
 
         The injector is consulted in a fixed order: queue -> buffers ->
         corruption -> CXL timeout before the offload runs, then the
         latency faults after it.  KSO corruption persists in the sign
         store until repaired — like real DRAM disturbance — while an NMA
         stall or a degraded link distorts only the returned
-        :class:`LatencyBreakdown`, never the computed top-k.
+        :class:`LatencyBreakdown`.
         """
         inj = self.injector
         if inj.fires("queue_full"):
@@ -262,25 +186,16 @@ class DrexDevice:
         return response
 
     def _process(self, request: RequestDescriptor) -> ResponseDescriptor:
-        queries = np.asarray(request.queries, dtype=np.float64)
-        if queries.ndim == 2:  # (n_q_heads, d) single-token decode
-            queries = queries[:, None, :]
-        n_q_heads, n_tokens, d = queries.shape
+        queries = request.queries
+        n_q_heads, d = queries.shape[0], queries.shape[-1]
+        n_tokens = queries.shape[1] if queries.ndim == 3 else 1
         if n_q_heads != self.n_q_heads or d != self.head_dim:
             raise ValueError("request query shape mismatch")
         if n_tokens * self.group > self.geometry.pfu_max_queries:
             raise ValueError("attention group exceeds PFU limit of 16 queries")
-        heads: List[Optional[HeadResult]] = [None] * (n_q_heads * n_tokens)
         costs: List[OffloadCost] = []
         for kv_head in range(self.n_kv_heads):
-            results, cost = self._offload_head(request.uid, request.layer,
-                                               kv_head, queries,
-                                               request.top_k)
-            costs.extend(cost)
-            for g in range(self.group):
-                for t in range(n_tokens):
-                    heads[(kv_head * self.group + g) * n_tokens + t] = \
-                        results[g * n_tokens + t]
+            costs += self._package_costs(request, kv_head)
         latency = self.timing.offload_latency(costs, self.head_dim,
                                               self.dtype_bytes)
         latency.queue_ns += self.timing.request_submit_ns(
@@ -296,87 +211,43 @@ class DrexDevice:
             metrics.histogram("drex.offload_total_ns",
                               edges=_LATENCY_NS_EDGES).observe(
                                   latency.total_ns)
-        return ResponseDescriptor(uid=request.uid, layer=request.layer,
-                                  heads=heads, dtype_bytes=self.dtype_bytes,
-                                  latency=latency)
+        return ResponseDescriptor(
+            uid=request.uid, layer=request.layer,
+            n_entries=sum(c.n_retrieved * c.n_query_heads for c in costs),
+            dtype_bytes=self.dtype_bytes, latency=latency)
 
-    def _offload_head(self, uid: int, layer: int, kv_head: int,
-                      queries: np.ndarray, top_k: int):
-        """Filter/score/rank one KV head's group of queries.
-
-        Returns (list of HeadResult per (group-head, token)), and the
-        per-package OffloadCost list for the timing model.
-        """
-        group_q = queries[kv_head * self.group : (kv_head + 1) * self.group]
-        flat_q = group_q.reshape(-1, self.head_dim)  # (G*, d)
-        store = self._stores.get((uid, layer, kv_head))
-        if store is None or store.n_keys == 0:
-            empty = [HeadResult(np.empty(0, dtype=np.int64), np.empty(0),
-                                np.empty((0, self.head_dim)))
-                     for _ in range(len(flat_q))]
-            return empty, []
-        keys, values, signs = store.stacked()
-        n = len(keys)
-        threshold = float(self.thresholds[layer, kv_head])
-
-        # Stage 1: PFU filtering, block by 128-key block (bank granularity).
-        if self.rotations is not None:
-            q_rot = flat_q @ self.rotations.get(layer, kv_head)
-        else:
-            q_rot = flat_q
-        q_packed = pack_signs(q_rot)
-        survive = np.zeros((len(flat_q), n), dtype=bool)
-        block = self.geometry.pfu_keys_per_block
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            k_packed = np.packbits(signs[start:stop].astype(np.uint8), axis=-1)
-            survive[:, start:stop] = self.pfu.filter_block(
-                k_packed, q_packed, self.head_dim, threshold)
-
-        # Stage 2/3: NMA scoring + ranking.  Keys surviving for any query of
-        # the group are fetched once; each query then ranks only the keys
-        # its own bitmap passed (the NMA's per-query valid mask).
-        results: List[HeadResult] = []
-        survivors_union = np.flatnonzero(survive.any(axis=0))
-        sub_keys = keys[survivors_union]
-        scored = self.nma.score_and_rank(flat_q, sub_keys, top_k,
-                                         valid_mask=survive[:, survivors_union])
-        n_tokens = len(flat_q) // self.group
-        stats_per_q = (self.stats is not None
-                       and self.stats.n_kv_heads == self.n_q_heads
-                       and self.n_q_heads != self.n_kv_heads)
-        for qi in range(len(flat_q)):
-            global_idx = survivors_union[scored.indices[qi]]
-            results.append(HeadResult(
-                indices=global_idx,
-                scores=scored.scores[qi],
-                values=values[global_idx],
-            ))
-            if self.stats is not None:
-                h = kv_head * self.group + qi // n_tokens
-                self.stats.update(
-                    layer, h if stats_per_q else kv_head,
-                    candidates=n, passed=int(survive[qi].sum()),
-                    retrieved=len(global_idx), queries=1)
-
-        # Timing inputs: split the slice chain by package.
-        chain = self.allocator.partitions[uid].slices[(layer, kv_head)]
-        costs = []
-        offset = 0
-        per_query_survivors = survive.sum(axis=1)
-        total_survivors = max(1, int(survive.any(axis=0).sum()))
+    def _package_costs(self, request: RequestDescriptor,
+                       kv_head: int) -> List[OffloadCost]:
+        """One KV head's offload work, split by package along its slice
+        chain: each slice filters its keys, scores its share of the
+        group's survivors and returns its share of the retrieved keys."""
+        chain = self._chain(request.uid, request.layer, kv_head)
+        n_keys = sum(s.n_keys for s in chain)
+        if n_keys == 0:
+            return []
+        if request.passed is None or request.survivors is None:
+            raise ValueError("request carries no filter counts to price")
+        survivors = np.asarray(request.survivors[kv_head])
+        if survivors.shape != (n_keys,):
+            raise ValueError(
+                f"survivor bitmap covers {survivors.shape[0]} keys; "
+                f"layer {request.layer} KV head {kv_head} holds {n_keys}")
+        passed = np.asarray(request.passed[kv_head * self.group:
+                                           (kv_head + 1) * self.group]
+                            ).ravel()
+        total_survivors = max(1, int(survivors.sum()))
+        retrieved = min(request.top_k, float(passed.mean()))
+        costs, offset = [], 0
         for s in chain:
             seg = s.n_keys
             if seg == 0:
                 continue
-            seg_survivors = int(survive[:, offset : offset + seg].any(axis=0).sum())
-            seg_retrieved = int(round(
-                min(top_k, float(per_query_survivors.mean()))
-                * seg_survivors / total_survivors))
+            seg_survivors = int(survivors[offset:offset + seg].sum())
             costs.append(OffloadCost(
                 n_keys=seg, n_survivors=seg_survivors,
-                n_retrieved=seg_retrieved, n_query_heads=len(flat_q),
-                head_dim=self.head_dim, top_k=top_k,
-                dtype_bytes=self.dtype_bytes))
+                n_retrieved=int(round(
+                    retrieved * seg_survivors / total_survivors)),
+                n_query_heads=len(passed), head_dim=self.head_dim,
+                top_k=request.top_k, dtype_bytes=self.dtype_bytes))
             offset += seg
-        return results, costs
+        return costs

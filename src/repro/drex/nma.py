@@ -9,15 +9,15 @@ partial top-k (hardware cap 1,024).
 
 Table 2 gives the aggregate NMA compute of 26.11 TFlop/s (3.26 TFlop/s per
 NMA) and 1.1 TB/s of aggregate NMA-side memory bandwidth.
+
+Only the timing lives here: scoring and ranking are the software kernel's
+stages 2-4 (:mod:`repro.core.hybrid`), and
+``tests/drex/hardware_reference.py`` keeps the functional unit they are
+checked against.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
-
-from repro.core.topk import top_k_indices
 from repro.drex.dram import LpddrTimings, LPDDR5X
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 
@@ -25,16 +25,8 @@ from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 TOTAL_NMA_TFLOPS = 26.11
 
 
-@dataclasses.dataclass
-class NmaScoreResult:
-    """Per-query partial top-k produced by one NMA."""
-
-    indices: list  # list[np.ndarray], survivor-set indices per query
-    scores: list   # list[np.ndarray]
-
-
 class NearMemoryAccelerator:
-    """Functional + timed model of one per-package accelerator."""
+    """Timed model of one per-package accelerator."""
 
     def __init__(self, geometry: DrexGeometry = DREX_DEFAULT,
                  timings: LpddrTimings = LPDDR5X,
@@ -44,45 +36,6 @@ class NearMemoryAccelerator:
         self.timings = timings
         self.flops = tflops * 1e12
         self.clock_ghz = clock_ghz
-
-    # -- functional -----------------------------------------------------------
-
-    def score_and_rank(self, queries: np.ndarray, survivor_keys: np.ndarray,
-                       k: int,
-                       valid_mask: np.ndarray | None = None) -> NmaScoreResult:
-        """Exhaustive full-precision scoring of survivors + per-query top-k.
-
-        Args:
-            queries: ``(G, D)`` query group.
-            survivor_keys: ``(n_s, D)`` keys that passed filtering for at
-                least one query of the group (fetched once, reused across
-                the group).
-            k: top-k size (clamped to the hardware cap).
-            valid_mask: optional ``(G, n_s)`` bitmap — each query ranks only
-                the keys *it* passed; others are masked out, mirroring the
-                hardware's per-query bitmaps.
-
-        Returns:
-            Per-query indices (into the survivor set) and raw scores.
-        """
-        k = min(k, self.geometry.max_top_k)
-        indices, scores = [], []
-        if survivor_keys.size == 0:
-            for _ in range(len(queries)):
-                indices.append(np.empty(0, dtype=np.int64))
-                scores.append(np.empty(0))
-            return NmaScoreResult(indices, scores)
-        all_scores = survivor_keys @ queries.T  # (n_s, G)
-        for g in range(len(queries)):
-            col = all_scores[:, g]
-            if valid_mask is not None:
-                col = np.where(valid_mask[g], col, -np.inf)
-            idx = top_k_indices(col, k)
-            indices.append(idx)
-            scores.append(all_scores[idx, g])
-        return NmaScoreResult(indices, scores)
-
-    # -- timing -----------------------------------------------------------------
 
     #: Back-to-back bitmap read interval once the pipeline is primed
     #: (column-to-column cadence on one channel).

@@ -6,52 +6,24 @@ dimension across the block — against the sign bits of up to 16 queries,
 emitting a 128-bit bitmap per query (bit set = key passes the
 sign-concordance threshold).
 
-The functional path operates on the same packed representation the hardware
-would (XOR + popcount per column) and is verified to agree with the float
-reference in :mod:`repro.core.scf`.
+Only the timing lives here: the filter itself is the software kernel's
+stage 1 (:mod:`repro.core.hybrid`), and ``tests/drex/hardware_reference.py``
+keeps the block-wise functional unit it is checked against.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.scf import concordance_packed
 from repro.drex.dram import LpddrTimings, LPDDR5X
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 
 
 class PimFilterUnit:
-    """Functional + timed model of a single per-bank filter unit."""
+    """Timed model of a single per-bank filter unit."""
 
     def __init__(self, geometry: DrexGeometry = DREX_DEFAULT,
                  timings: LpddrTimings = LPDDR5X) -> None:
         self.geometry = geometry
         self.timings = timings
-
-    def filter_block(self, key_signs_packed: np.ndarray,
-                     query_signs_packed: np.ndarray, head_dim: int,
-                     threshold: float) -> np.ndarray:
-        """Filter one Key Sign Object for a query group.
-
-        Args:
-            key_signs_packed: ``(n_keys <= 128, n_bytes)`` packed key signs.
-            query_signs_packed: ``(n_queries <= 16, n_bytes)`` packed query
-                signs.
-            head_dim: true vector dimension.
-            threshold: sign-concordance threshold for this KV head.
-
-        Returns:
-            Boolean bitmap ``(n_queries, n_keys)``; True = key survives.
-        """
-        n_keys = key_signs_packed.shape[0]
-        n_queries = query_signs_packed.shape[0]
-        if n_keys > self.geometry.pfu_keys_per_block:
-            raise ValueError("PFU blocks hold at most 128 keys")
-        if n_queries > self.geometry.pfu_max_queries:
-            raise ValueError("PFU supports attention groups of <= 16 queries")
-        matches = concordance_packed(query_signs_packed, key_signs_packed,
-                                     head_dim)
-        return matches >= threshold
 
     def bitmap_latency_ns(self, head_dim: int) -> float:
         """Bitmap generation time for one epoch: ``d x 1.25 ns``.

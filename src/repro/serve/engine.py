@@ -50,7 +50,6 @@ from typing import List, Optional, Protocol, Sequence
 import numpy as np
 
 from repro.core.config import LongSightConfig
-from repro.core.hybrid import LongSightAttention
 from repro.errors import PoolExhaustedError
 from repro.llm.model import Transformer
 from repro.obs import Obs, resolve_obs
@@ -282,9 +281,12 @@ class ServeEngine:
         dense floor (shed from the offload path), else the brownout
         ``stage``; 0 is ``request.backend`` itself, which is never
         replaced — a pinned supervised backend keeps its durable state.
-        The level returned is 0 whenever service is actually unchanged (a
-        backend without a :class:`LongSightConfig`, or already at
-        ``top_k = 0``), so only genuinely degraded tokens are attributed.
+        Any other level is the backend's ``with_config`` variant at
+        :meth:`_level_config` (an offload backend's shares its device; at
+        ``top_k = 0`` every variant is the plain kernel).  The level
+        returned is 0 whenever service is actually unchanged (a backend
+        without a :class:`LongSightConfig`, or already at ``top_k = 0``),
+        so only genuinely degraded tokens are attributed.
 
         Safe on the live cache: ``top_k`` / ``thresholds`` are query-time
         retrieval knobs (the packed-sign layout is identical across
@@ -297,15 +299,7 @@ class ServeEngine:
         if not level or not isinstance(cfg, LongSightConfig) \
                 or not cfg.top_k:
             return backend, 0
-        with_config = getattr(backend, "with_config", None)
-        if with_config is not None:
-            return with_config(self._level_config(cfg, level)), level
-        # An offload backend retrieves on its device: only the dense
-        # floor — what it degrades a token to — has a software twin.
-        if level < 3:
-            return backend, 0
-        return LongSightAttention(self._level_config(cfg, level),
-                                  obs=self.obs), level
+        return backend.with_config(self._level_config(cfg, level)), level
 
     # -- one step -------------------------------------------------------------
 

@@ -56,6 +56,6 @@ def backend_factory(name: str, tiny_ls: LongSightConfig,
         sliding = tiny_ls.replace(top_k=0)
         return lambda request: LongSightAttention(sliding)
     if name == "offload":
-        return lambda request: DrexOffloadBackend(
-            model_config, tiny_ls, plan=plan, flush_granularity=1)
+        return lambda request: DrexOffloadBackend(model_config, tiny_ls,
+                                                  plan=plan)
     raise ValueError(f"unknown system: {name!r}")

@@ -3,7 +3,8 @@
 :class:`OffloadSupervisor` wraps a :class:`repro.drex.DrexDevice` the way
 a production serving engine wraps an accelerator: bounded retries with
 exponential backoff + jitter, a per-request timeout on the simulated
-device latency, KSO checksum verification with repack-from-KV repair, and
+device latency, KSO checksum verification with repack-from-KV repair
+(the device keeps each sign store's outstanding bit flips), and
 — when the budget is exhausted — a recorded (never silent) degradation
 signal that the caller turns into dense sliding-window-only attention.
 Only the device's operational faults (:class:`QueueFullError`,

@@ -55,7 +55,7 @@ def _supervised(plan):
     """Per-session supervised offload, each session its own fault stream."""
     def factory(request):
         return DrexOffloadBackend(
-            TINY, LS, flush_granularity=1, plan=dataclasses.replace(
+            TINY, LS, plan=dataclasses.replace(
                 plan, seed=plan.seed + request.request_id))
     return factory
 

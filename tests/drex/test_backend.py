@@ -1,4 +1,9 @@
-"""End-to-end integration: DReX-offload backend == software hybrid."""
+"""End-to-end integration: the DReX-offload backend *is* the kernel.
+
+With a healthy device every row is served by ``LongSightAttention`` at the
+backend's config, so the outputs are the same bits; a row the supervisor
+answers otherwise is the kernel at the config that answer names.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +13,8 @@ from repro.core.hybrid import LongSightAttention
 from repro.core.itq import fit_itq
 from repro.drex.backend import DrexOffloadBackend
 from repro.llm.model import Transformer
+from repro.llm.sampling import generate
+from repro.system.faults import FaultPlan
 from tests.conftest import TINY
 
 
@@ -21,55 +28,87 @@ def tokens():
     return np.random.default_rng(21).integers(0, TINY.vocab_size, size=70)
 
 
+def _assert_same_bits(model, tokens, software, hardware):
+    np.testing.assert_array_equal(
+        model.forward_full(tokens, backend=hardware(), block_size=16),
+        model.forward_full(tokens, backend=software(), block_size=16))
+    np.testing.assert_array_equal(
+        generate(model, tokens[:40], 12, backend=hardware()),
+        generate(model, tokens[:40], 12, backend=software()))
+
+
 @pytest.mark.parametrize("thresholds", [0, 5, TINY.head_dim,
                                         TINY.head_dim + 1])
 @pytest.mark.parametrize("top_k", [0, 1, 12, 500])
 def test_matches_software_backend_exactly(model, tokens, top_k, thresholds):
-    """With flush granularity 1 the device-driven path equals the pure
-    software hybrid to round-off — the paper's Figure 2b equivalence —
-    across the numeric edges: an empty top-k, a single key, a top-k wider
-    than the context, a filter that passes every key (0), and thresholds
-    that pass only exact sign matches (head_dim) or nothing at all."""
+    """The device-driven path is the software hybrid, bit for bit — the
+    paper's Figure 2b equivalence — for teacher-forced blocks and for
+    generation, across the numeric edges: an empty top-k, a single key, a
+    top-k wider than the context, a filter that passes every key (0), and
+    thresholds that pass only exact sign matches (head_dim) or nothing at
+    all."""
     config = LongSightConfig(window=8, n_sink=4, top_k=top_k,
                              thresholds=thresholds)
-    software = model.forward_full(tokens, backend=LongSightAttention(config),
-                                  block_size=16)
-    hardware = model.forward_full(
-        tokens, backend=DrexOffloadBackend(TINY, config, flush_granularity=1),
-        block_size=16)
-    np.testing.assert_allclose(hardware, software, atol=1e-12)
+    _assert_same_bits(model, tokens, lambda: LongSightAttention(config),
+                      lambda: DrexOffloadBackend(TINY, config))
 
 
 def test_matches_software_backend_with_itq(model, tokens):
     rotations = fit_itq(model, tokens[:32], n_iter=3)
     config = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=6,
                              use_itq=True)
-    software = model.forward_full(
-        tokens, backend=LongSightAttention(config, rotations=rotations),
-        block_size=16)
-    hardware = model.forward_full(
-        tokens, backend=DrexOffloadBackend(TINY, config, rotations=rotations,
-                                           flush_granularity=1),
-        block_size=16)
-    np.testing.assert_allclose(hardware, software, atol=1e-12)
+    _assert_same_bits(
+        model, tokens,
+        lambda: LongSightAttention(config, rotations=rotations),
+        lambda: DrexOffloadBackend(TINY, config, rotations=rotations))
 
 
 def test_group_flushing_keeps_staged_tokens_dense(model, tokens):
-    """With the default group size, unflushed tokens stay in the dense
-    (staging) region — output must equal a software run whose dense region
-    is extended the same way, and never lose tokens."""
+    """Deferred flushes (capacity pressure) keep tokens staged in the
+    dense region: with thresholds=0 and top_k large every token is
+    attended densely or via sparse retrieval, so the output equals dense
+    attention and no token is lost between HBM and DReX."""
     config = LongSightConfig(window=8, n_sink=4, top_k=64, thresholds=0)
-    backend = DrexOffloadBackend(TINY, config, flush_granularity=16)
+    backend = DrexOffloadBackend(
+        TINY, config, plan=FaultPlan(capacity_pressure_rate=0.6, seed=4))
     hardware = model.forward_full(tokens, backend=backend, block_size=16)
-    # With thresholds=0 and top_k large, every token is attended either
-    # densely or via sparse retrieval => identical to dense attention.
-    dense = model.forward_full(tokens)
-    np.testing.assert_allclose(hardware, dense, atol=1e-12)
+    assert backend.supervisor.stats.flush_deferrals > 0
+    np.testing.assert_allclose(hardware, model.forward_full(tokens),
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("plan", [
+    FaultPlan(capacity_pressure_rate=0.5, seed=1),
+    FaultPlan(capacity_pressure_rate=0.5, cxl_timeout_rate=0.7, seed=2)])
+def test_each_row_is_the_kernel_at_its_served_config(rng, plan):
+    """Row by row, a deferred flush serves the kernel at ``window = p -
+    flushed + 1`` and a degraded offload the same window at ``top_k =
+    0``."""
+    config = LongSightConfig(window=6, n_sink=2, top_k=5, thresholds=7)
+    backend = DrexOffloadBackend(TINY, config, plan=plan)
+    n_ctx = 40
+    k = rng.normal(size=(TINY.n_kv_heads, n_ctx, TINY.head_dim))
+    v = rng.normal(size=k.shape)
+    q = rng.normal(size=(TINY.n_q_heads, n_ctx, TINY.head_dim))
+    served = set()
+    for p in range(n_ctx):
+        degraded = len(backend.degraded_log)
+        out = backend.forward(0, q[:, p:p + 1], k[:, :p + 1], v[:, :p + 1])
+        flushed = backend._session.flushed.get(0, config.n_sink)
+        row = config.replace(window=max(config.window, p - flushed + 1))
+        if len(backend.degraded_log) > degraded:
+            row = row.replace(top_k=0)
+        served.add((row.window > config.window, row.top_k == 0))
+        np.testing.assert_array_equal(out, LongSightAttention(row).forward(
+            0, q[:, p:p + 1], k[:, :p + 1], v[:, :p + 1]))
+    assert (True, False) in served and (False, False) in served
+    if plan.cxl_timeout_rate:
+        assert (False, True) in served
 
 
 def test_latency_accumulates(model, tokens):
     config = LongSightConfig(window=8, n_sink=4, top_k=8, thresholds=4)
-    backend = DrexOffloadBackend(TINY, config, flush_granularity=1)
+    backend = DrexOffloadBackend(TINY, config)
     model.forward_full(tokens, backend=backend, block_size=16)
     assert backend.n_offloads > 0
     assert backend.total_latency.total_ns > 0
@@ -84,7 +123,7 @@ def test_requires_rotations_for_itq():
 
 def test_device_population_follows_flush(model, tokens):
     config = LongSightConfig(window=8, n_sink=4, top_k=8, thresholds=0)
-    backend = DrexOffloadBackend(TINY, config, flush_granularity=1)
+    backend = DrexOffloadBackend(TINY, config)
     model.forward_full(tokens, backend=backend, block_size=16)
     n = len(tokens)
     expected = n - 1 - config.window + 1 - config.n_sink

@@ -13,7 +13,7 @@ def _request(uid, layer=0):
 
 
 def _response(uid, layer=0):
-    return ResponseDescriptor(uid=uid, layer=layer, heads=[])
+    return ResponseDescriptor(uid=uid, layer=layer)
 
 
 class TestRegistration:
@@ -156,14 +156,13 @@ class TestDescriptors:
         r = RequestDescriptor(uid=0, layer=0, queries=np.zeros((32, 128)))
         assert r.n_bytes == 16 + 32 * 128 * 2
 
-    def test_response_max_bytes_bounds_actual(self, rng):
-        from repro.drex.descriptors import HeadResult
-
-        heads = [HeadResult(indices=np.arange(10), scores=np.zeros(10),
-                            values=rng.normal(size=(10, 64)))
-                 for _ in range(4)]
-        resp = ResponseDescriptor(uid=0, layer=0, heads=heads)
-        assert resp.n_bytes <= ResponseDescriptor.max_bytes(4, 64, top_k=10)
+    def test_response_max_bytes_bounds_actual(self):
+        # Four query heads retrieving their full top-10 fill the buffer.
+        resp = ResponseDescriptor(uid=0, layer=0, n_entries=4 * 10)
+        assert resp.n_bytes(64) == ResponseDescriptor.max_bytes(4, 64,
+                                                                top_k=10)
+        assert ResponseDescriptor(uid=0, layer=0, n_entries=39).n_bytes(64) \
+            < ResponseDescriptor.max_bytes(4, 64, top_k=10)
 
     def test_sign_object_size(self):
         from repro.drex.descriptors import KeySignObject

@@ -11,7 +11,8 @@ immediately.
 
 import pytest
 
-from repro.bench.scenario import TINY_LS, TINY_MODEL
+from repro.bench.scenario import (TINY_LS, TINY_MODEL, Faults, Scenario,
+                                  Tenant, Topology, Trace, build_engine)
 from repro.drex.backend import DrexOffloadBackend
 from repro.durable import DurableRun, recover
 from repro.errors import WorkerKilledError
@@ -31,8 +32,7 @@ POLICY = SupervisorPolicy(max_retries=1)
 def _supervised_factory():
     def make_backend(request):
         return DrexOffloadBackend(
-            TINY_MODEL, TINY_LS, plan=FAULT_PLAN, policy=POLICY,
-            flush_granularity=1)
+            TINY_MODEL, TINY_LS, plan=FAULT_PLAN, policy=POLICY)
     return make_backend
 
 
@@ -124,7 +124,7 @@ class TestPinSurvivesRestore:
         def make_backend(request):
             return DrexOffloadBackend(
                 TINY_MODEL, TINY_LS, plan=FaultPlan.total_failure(),
-                policy=POLICY, flush_granularity=1)
+                policy=POLICY)
 
         def build():
             return engine_builder(make_backend=make_backend, policy=SloPolicy(
@@ -171,3 +171,60 @@ class TestPinSurvivesRestore:
                 for rid, r in live.items()} == before
         recovered.serve()
         assert _events_by_rid(recovered) == expected
+
+
+def _live_states(run):
+    """request id -> durable state of every live offload backend: RNG
+    positions, supervisor stats, total latency, degraded log, flush
+    watermarks and outstanding KSO flips."""
+    return {r.request_id: r.backend.durable_state()
+            for r in run._arrivals if r.backend is not None}
+
+
+class TestRecoveryIsExactUnderEveryFault:
+    """A durable offload engine killed at every step recovers into
+    exactly the uninterrupted run: the same live backend state at the
+    recovery point and after every later step, and the same tokens.
+    Deferred flushes (capacity pressure) and unrepaired KSO flips at the
+    crash are part of the backend's durable state."""
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(capacity_pressure_rate=0.3, seed=3),
+        FaultPlan(kso_corruption_rate=0.3, seed=3),
+    ], ids=["capacity_pressure", "kso_corruption"])
+    def test_every_kill_point_recovers_the_uninterrupted_run(
+            self, tmp_path, plan):
+        scenario = Scenario(Trace((Tenant(3, 40, 40),)),
+                            Topology(backend="offload", snapshot_every=4),
+                            Faults(offload=plan))
+        reference = DurableRun(build_engine(scenario),
+                               scenario.trace.requests(),
+                               tmp_path / "reference", snapshot_every=4)
+        states = {0: _live_states(reference)}
+        while reference.step():
+            states[reference.steps] = _live_states(reference)
+        states[reference.steps] = _live_states(reference)
+        expected = _events_by_rid(reference)
+        stats = [s["supervisor_stats"] for step in states.values()
+                 for s in step.values()]
+        fired = "flush_deferrals" if plan.capacity_pressure_rate \
+            else "corrupted_heads"
+        assert max(s[fired] for s in stats) > 0       # non-vacuous
+
+        for kill_at in range(1, reference.steps + 1):
+            directory = tmp_path / f"kill-{kill_at}"
+            run = DurableRun(build_engine(scenario),
+                             scenario.trace.requests(), directory,
+                             snapshot_every=4,
+                             crash=CrashPlan(kill_at_step=kill_at,
+                                             kind="kill_before_fsync"))
+            with pytest.raises(WorkerKilledError):
+                run.serve()
+            run, _ = recover(directory, build_engine(scenario),
+                             snapshot_every=4)
+            assert _live_states(run) == states[run.steps], \
+                f"backend state diverged recovering a kill at {kill_at}"
+            while run.step():
+                assert _live_states(run) == states[run.steps], \
+                    f"step {run.steps} diverged after a kill at {kill_at}"
+            assert _events_by_rid(run) == expected

@@ -12,6 +12,7 @@ from repro.llm.model import Transformer
 from repro.llm.perplexity import perplexity
 from repro.llm.sampling import generate
 from repro.llm.training import train
+from repro.system.faults import FaultPlan
 from tests.conftest import TINY
 
 
@@ -58,46 +59,64 @@ class TestGenerationWithDrex:
         sw = generate(model, prompt, n_new=10,
                       backend=LongSightAttention(config))
         hw = generate(model, prompt, n_new=10,
-                      backend=DrexOffloadBackend(TINY, config,
-                                                 flush_granularity=1))
+                      backend=DrexOffloadBackend(TINY, config))
         np.testing.assert_array_equal(sw, hw)
 
     def test_generation_with_itq_and_group_flush(self, trained):
+        """With ITQ signs, and with flushes deferred under capacity
+        pressure (the staged window grows), generation through the device
+        completes and offloads; healthy, it is the software hybrid's."""
         model, tokens = trained
         rotations = fit_itq(model, tokens[:64], n_iter=3)
         config = LongSightConfig(window=8, n_sink=4, top_k=16, thresholds=5,
                                  use_itq=True)
-        backend = DrexOffloadBackend(TINY, config, rotations=rotations,
-                                     flush_granularity=16)
+        sw = generate(model, tokens[:80], n_new=6,
+                      backend=LongSightAttention(config, rotations=rotations))
+        hw = generate(model, tokens[:80], n_new=6,
+                      backend=DrexOffloadBackend(TINY, config,
+                                                 rotations=rotations))
+        np.testing.assert_array_equal(sw, hw)
+        backend = DrexOffloadBackend(
+            TINY, config, rotations=rotations,
+            plan=FaultPlan(capacity_pressure_rate=0.5, seed=1))
         out = generate(model, tokens[:80], n_new=6, backend=backend)
         assert out.shape == (6,)
         assert backend.n_offloads > 0
+        assert backend.supervisor.stats.flush_deferrals > 0
 
 
 class TestMultiUserDevice:
     def test_users_are_isolated(self, trained, rng):
-        """Two users' databases must not bleed into each other."""
+        """Two users' slice chains, prices and sign stores must not bleed
+        into each other."""
         from repro.drex.descriptors import RequestDescriptor
         from repro.drex.device import DrexDevice
 
-        device = DrexDevice(TINY.n_layers, TINY.n_kv_heads, TINY.n_q_heads,
-                            TINY.head_dim, thresholds=0)
-        device.register_user(0)
-        device.register_user(1)
-        keys0 = rng.normal(size=(40, TINY.head_dim))
-        keys1 = rng.normal(size=(40, TINY.head_dim)) + 5.0
+        def request(uid, n_keys):
+            return RequestDescriptor(
+                uid=uid, layer=0, top_k=40,
+                queries=np.ones((TINY.n_q_heads, TINY.head_dim)),
+                passed=np.full(TINY.n_q_heads, n_keys // 2),
+                survivors=np.ones((TINY.n_kv_heads, n_keys), dtype=bool))
+
+        shared = DrexDevice(TINY.n_layers, TINY.n_kv_heads, TINY.n_q_heads,
+                            TINY.head_dim)
+        alone = DrexDevice(TINY.n_layers, TINY.n_kv_heads, TINY.n_q_heads,
+                           TINY.head_dim)
+        for device in (shared, alone):
+            device.register_user(0)
+        shared.register_user(1)
         for head in range(TINY.n_kv_heads):
-            device.write_kv(0, 0, head, keys0, keys0)
-            device.write_kv(1, 0, head, keys1, keys1)
-        q = rng.normal(size=(TINY.n_q_heads, TINY.head_dim))
-        r0 = device.execute(RequestDescriptor(uid=0, layer=0, queries=q,
-                                              top_k=40))
-        r1 = device.execute(RequestDescriptor(uid=1, layer=0, queries=q,
-                                              top_k=40))
-        np.testing.assert_allclose(r0.heads[0].values[
-            np.argsort(r0.heads[0].indices)], keys0)
-        np.testing.assert_allclose(r1.heads[0].values[
-            np.argsort(r1.heads[0].indices)], keys1)
+            shared.write_kv(0, 0, head, 40)
+            shared.write_kv(1, 0, head, 400)
+            alone.write_kv(0, 0, head, 40)
+        assert shared.context_length(0, 0, 0) == 40
+        assert shared.context_length(1, 0, 0) == 400
+        assert shared.execute(request(0, 40)).latency \
+            == alone.execute(request(0, 40)).latency
+        shared.corrupt_kso(1, 0, 0, rng, n_bits=3)
+        assert shared.corrupted_ksos(0, 0) == []
+        assert shared.corrupted_ksos(1, 0) == [0]
 
     def test_eviction_frees_capacity_for_new_user(self, rng):
         from repro.drex.device import DrexDevice
@@ -105,14 +124,13 @@ class TestMultiUserDevice:
         device = DrexDevice(TINY.n_layers, TINY.n_kv_heads, TINY.n_q_heads,
                             TINY.head_dim)
         device.register_user(0)
-        keys = rng.normal(size=(5000, TINY.head_dim))
         for head in range(TINY.n_kv_heads):
-            device.write_kv(0, 0, head, keys, keys)
+            device.write_kv(0, 0, head, 5000)
         used = device.allocator.bytes_used
         device.evict_user(0)
         device.register_user(2)
         for head in range(TINY.n_kv_heads):
-            device.write_kv(2, 0, head, keys, keys)
+            device.write_kv(2, 0, head, 5000)
         assert device.allocator.bytes_used == used
 
 

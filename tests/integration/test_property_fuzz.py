@@ -2,8 +2,8 @@
 
 These are the load-bearing invariants of the reproduction: the software
 hybrid backend degenerates to dense attention in the right limits, and the
-functional DReX device agrees with the reference pipeline under random
-configurations.
+counts the DReX device prices agree with the hardware units' filter under
+random configurations.
 """
 
 import numpy as np
@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
-from repro.core.sparse import sparse_retrieve
-from repro.drex.descriptors import RequestDescriptor
-from repro.drex.device import DrexDevice
 from repro.llm.model import Transformer
+from repro.system.faults import FaultPlan
 from tests.conftest import TINY
+from tests.drex.hardware_reference import offload
 
 MODEL = Transformer(TINY, seed=13)
 
@@ -40,41 +39,58 @@ def test_hybrid_equals_dense_whenever_everything_attends(window, n_sink,
 
 
 @given(threshold=st.integers(min_value=0, max_value=TINY.head_dim),
-       k=st.integers(min_value=0, max_value=60),
+       k=st.integers(min_value=1, max_value=60),
        n_keys=st.integers(min_value=1, max_value=400),
+       n_new=st.sampled_from([1, 7]),
        seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
-def test_device_always_matches_reference(threshold, k, n_keys, seed):
+def test_device_always_matches_reference(threshold, k, n_keys, n_new, seed):
+    """Every offload the backend submits carries the filter counts the
+    hardware units compute from the same keys: each query's passes and,
+    per KV head, the group's survivor bitmap over the stored keys."""
+    from repro.drex.backend import DrexOffloadBackend
+
     rng = np.random.default_rng(seed)
-    device = DrexDevice(1, TINY.n_kv_heads, TINY.n_q_heads, TINY.head_dim,
-                        thresholds=threshold)
-    device.register_user(0)
-    keys = rng.normal(size=(TINY.n_kv_heads, n_keys, TINY.head_dim))
-    values = rng.normal(size=(TINY.n_kv_heads, n_keys, TINY.head_dim))
-    for head in range(TINY.n_kv_heads):
-        device.write_kv(0, 0, head, keys[head], values[head])
-    queries = rng.normal(size=(TINY.n_q_heads, TINY.head_dim))
-    response = device.execute(
-        RequestDescriptor(uid=0, layer=0, queries=queries, top_k=k))
-    for h in range(TINY.n_q_heads):
-        kv_head = h // TINY.gqa_group_size
-        ref = sparse_retrieve(queries[h], keys[kv_head], threshold, k)
-        np.testing.assert_array_equal(response.heads[h].indices, ref.indices)
+    config = LongSightConfig(window=5, n_sink=3, top_k=k,
+                             thresholds=threshold)
+    n_ctx = n_keys + config.window + config.n_sink + n_new - 1
+    keys = rng.normal(size=(TINY.n_kv_heads, n_ctx, TINY.head_dim))
+    values = rng.normal(size=keys.shape)
+    queries = rng.normal(size=(TINY.n_q_heads, n_new, TINY.head_dim))
+    backend = DrexOffloadBackend(TINY, config)
+    submitted = []
+    execute = backend.device.execute
+    backend.device.execute = lambda r: submitted.append(r) or execute(r)
+    backend.forward(0, queries, keys, values)
+    assert len(submitted) == n_new
+    group = TINY.gqa_group_size
+    for request in submitted:
+        for kv_head in range(TINY.n_kv_heads):
+            stored = request.survivors[kv_head]
+            heads = slice(kv_head * group, (kv_head + 1) * group)
+            _, survive = offload(
+                request.queries[heads],
+                keys[kv_head, config.n_sink:config.n_sink + len(stored)],
+                threshold, k)
+            np.testing.assert_array_equal(stored, survive.any(axis=0))
+            np.testing.assert_array_equal(request.passed[heads],
+                                          survive.sum(axis=1))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000),
-       flush=st.sampled_from([1, 4, 16, 128]))
+       pressure=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
 @settings(max_examples=8, deadline=None)
-def test_backend_never_drops_tokens(seed, flush):
-    """Whatever the flush granularity, thresholds=0 + big k must equal
-    dense attention: every token is attended somewhere (HBM staging or
-    DReX), never lost in between."""
+def test_backend_never_drops_tokens(seed, pressure):
+    """Whatever flushes capacity pressure defers, thresholds=0 + big k
+    must equal dense attention: every token is attended somewhere (HBM
+    staging or DReX), never lost in between."""
     from repro.drex.backend import DrexOffloadBackend
 
     rng = np.random.default_rng(seed)
     tokens = rng.integers(0, TINY.vocab_size, size=50)
     dense = MODEL.forward_full(tokens)
     config = LongSightConfig(window=6, n_sink=2, top_k=50, thresholds=0)
-    backend = DrexOffloadBackend(TINY, config, flush_granularity=flush)
+    backend = DrexOffloadBackend(TINY, config, plan=FaultPlan(
+        capacity_pressure_rate=pressure, seed=seed))
     out = MODEL.forward_full(tokens, backend=backend, block_size=16)
     np.testing.assert_allclose(dense, out, atol=1e-12)

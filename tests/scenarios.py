@@ -5,17 +5,20 @@ Poisson / grouped / simultaneous arrivals, either length rule, outputs of
 one token and more — onto one engine, a durable run, or a two-worker
 fleet, plain or durable, with a pool that is either tight (the largest
 session just fits alone, so sessions contend and are preempted or
-migrated, through the workers' logs when they are durable) or loose.  No
-faults yet: every drawn scenario must serve each request exactly as solo
-``generate`` does.
+migrated, through the workers' logs when they are durable) or loose.
+Sessions decode through the software kernel, dense, the sliding window, or
+the supervised DReX offload backend on a healthy device.  No faults yet:
+every drawn scenario must serve each request exactly as solo ``generate``
+does.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.bench.scenario import (BLOCK_TOKENS, Scenario, Tenant, Topology,
-                                  Trace)
+from repro.bench.scenario import (BLOCK_TOKENS, Faults, Scenario, Tenant,
+                                  Topology, Trace)
+from repro.system.faults import FaultPlan
 
 
 @st.composite
@@ -40,13 +43,17 @@ def scenarios(draw) -> Scenario:
     largest = max(-(-(len(r.prompt) + r.max_new_tokens) // BLOCK_TOKENS)
                   for r in trace.requests())
     backend = draw(st.sampled_from(["longsight", "dense",
-                                    "sliding_window"]))
+                                    "sliding_window", "offload"]))
     kind = draw(st.sampled_from(["engine", "durable", "fleet",
                                  "durable_fleet"]))
     topology = Topology(
-        system=backend, backend=backend,
+        system="longsight" if backend == "offload" else backend,
+        backend=backend,
         n_blocks=draw(st.sampled_from([largest, largest + 1, 64])),
         prefix_caching=draw(st.booleans()),
         snapshot_every=3 if "durable" in kind else None,
         workers=2 if "fleet" in kind else 0)
-    return Scenario(trace, topology, model_seed=draw(st.integers(0, 3)))
+    faults = Faults(offload=FaultPlan.none()) if backend == "offload" \
+        else Faults()
+    return Scenario(trace, topology, faults,
+                    model_seed=draw(st.integers(0, 3)))

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
+from repro.drex.backend import DrexOffloadBackend
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.engine import ServeEngine
@@ -278,12 +279,15 @@ class TestBrownoutVariantsStack:
                 stacked[i],
                 model.decode_step(tokens[i], twins[i], backend=sliding))
 
+    @pytest.mark.parametrize("kind", ["longsight", "offload"])
     def test_deescalating_session_equals_the_solo_replay_of_its_levels(
-            self, model, monkeypatch):
+            self, model, monkeypatch, kind):
         """A run that climbs to stage 3 and drains back to 0: every
         session's stream equals solo decoding at the level each of its
         tokens was served at — from the token it de-escalates on, the
-        full-quality backend again, on the cache the floor left."""
+        full-quality backend again, on the cache the floor left.  An
+        offload session is served at stages 1 and 2 too, by its backend's
+        variant, which shares the session's device."""
         levels = {}
         served = ServeEngine._served_backend
 
@@ -293,11 +297,15 @@ class TestBrownoutVariantsStack:
                 levels.setdefault(request.request_id, []).append(level)
             return backend, level
 
+        def make(request):
+            return LongSightAttention(LS) if kind == "longsight" \
+                else DrexOffloadBackend(TINY, LS)
+
         monkeypatch.setattr(ServeEngine, "_served_backend", spy)
         rng = np.random.default_rng(9)
         pool = PagedKVPool(TINY, n_blocks=128, block_tokens=16)
         engine = ServeEngine(
-            model, pool, lambda r: LongSightAttention(LS),
+            model, pool, make,
             policy=SloPolicy(max_decode_batch=4, brownout=BrownoutPolicy(
                 queue_high=(1, 2, 3, 50), admit_per_step=2)))
         requests = [ServeRequest(
@@ -305,19 +313,19 @@ class TestBrownoutVariantsStack:
             prompt=rng.integers(0, TINY.vocab_size, size=14 + 3 * i))
             for i in range(8)]
         report = engine.run(requests)
-        assert report.brownout_stage_tokens.get(3, 0) > 0
+        assert {1, 2, 3} <= set(report.brownout_stage_tokens)
         recovered = [r for r in requests
                      if 3 in levels[r.request_id]
                      and levels[r.request_id][-1] == 0]
         assert recovered                        # some session went 3 -> 0
 
-        base = LongSightAttention(LS)
-        at_level = {0: base, 3: SlidingWindowAttention(window=LS.window,
-                                                       n_sink=LS.n_sink)}
-        for level in (1, 2):
-            at_level[level] = base.with_config(
-                engine._level_config(LS, level))
+        floor = SlidingWindowAttention(window=LS.window, n_sink=LS.n_sink)
         for request in requests:
+            base = make(request)
+            at_level = {0: base, 3: floor}
+            for level in (1, 2):
+                at_level[level] = base.with_config(
+                    engine._level_config(LS, level))
             cache = pool.new_cache()
             token = int(np.argmax(model.prefill(request.prompt, cache,
                                                 backend=base)))
