@@ -162,10 +162,10 @@ class Scenario:
 @dataclasses.dataclass
 class Outcome:
     """What :func:`run` returns.  ``records``: an engine run's step
-    records (a recovered run's history once), or a fleet router's own
-    ``migrate`` / ``failover`` / ``restore`` records.  ``deaths``: the
-    steps an engine's crash plan killed it at.  ``world``: the finished
-    run or router."""
+    records (a recovered run's history once), or a fleet's stream (the
+    router's records and every worker's, tagged).  ``deaths``: the steps
+    an engine's crash plan killed it at.  ``world``: the finished run or
+    router."""
 
     outputs: Dict[int, List[int]]
     report: Union[ServeReport, FleetReport]
@@ -257,8 +257,12 @@ def run(scenario: Scenario, obs: Optional[Obs] = None) -> Outcome:
         if not scenario.topology.workers:
             return _run_engine(scenario, requests, pathlib.Path(tmp), obs)
         router = build_fleet(scenario, pathlib.Path(tmp))
-        report = router.run(requests)
-    return Outcome(served_outputs(router), report, list(router.log.records),
+        router.start(requests)
+        records: List[Record] = []
+        while router.step():
+            records += router.records
+        report = router.finish()
+    return Outcome(served_outputs(router), report, records,
                    list(router.recoveries), [], router)
 
 

@@ -114,8 +114,8 @@ class DrexOffloadBackend(LongSightAttention):
         self.supervisor = OffloadSupervisor(self.device, policy,
                                             seed=supervisor_seed)
         self._session = _Session()
-        #: (window, dense floor) -> the kernel serving rows at them
-        self._kernels: Dict[Tuple[int, bool], LongSightAttention] = {}
+        #: dense floor? -> the kernel serving rows at this config's window
+        self._kernels: Dict[bool, LongSightAttention] = {}
 
     @property
     def total_latency(self) -> LatencyBreakdown:
@@ -158,15 +158,18 @@ class DrexOffloadBackend(LongSightAttention):
 
     def _kernel(self, window: int, floor: bool = False) -> LongSightAttention:
         """The plain kernel at this config with ``window``, at ``top_k = 0``
-        if ``floor`` — memoised by those values."""
-        kernel = self._kernels.get((window, floor))
+        if ``floor``: memoised at this config's window, built for its one
+        call at a deferred flush's wider one (which grows every token)."""
+        own = window == self.config.window
+        kernel = self._kernels.get(floor) if own else None
         if kernel is None:
-            config = self.config.replace(window=window) \
-                if window != self.config.window else self.config
-            if floor:
-                config = config.replace(top_k=0)
-            kernel = self._kernels[(window, floor)] = LongSightAttention(
-                config, rotations=self.rotations, obs=self.obs)
+            config = self.config if own \
+                else self.config.replace(window=window)
+            kernel = LongSightAttention(
+                config.replace(top_k=0) if floor else config,
+                rotations=self.rotations, obs=self.obs)
+            if own:
+                self._kernels[floor] = kernel
         kernel.stats = self.stats
         kernel.selection_capture = self.selection_capture
         return kernel

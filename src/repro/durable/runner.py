@@ -151,13 +151,13 @@ class DurableRun(EngineRun):
             raise ValueError("cannot inject a request with a live cache "
                              "(sessions migrate detached)")
         super().inject(request)
-        self._write(self.log.drain(), sync=True)
+        self._write(self.records, sync=True)
 
     def note_departure(self, request: ServeRequest) -> None:
         """Write-ahead: the departure is on disk before the target is
         told."""
         super().note_departure(request)
-        self._write(self.log.drain(), sync=True)
+        self._write(self.records, sync=True)
 
     # -- the durable step -----------------------------------------------------
 
@@ -254,7 +254,6 @@ def _apply_inputs(run: DurableRun, records: List[WalRecord]) -> None:
         elif record.kind == "depart":
             held = {r.request_id: r for r in run._arrivals}
             EngineRun.note_departure(run, held[record.data["rid"]])
-    run.log.drain()
 
 
 def _facts(records, timed: bool) -> list:

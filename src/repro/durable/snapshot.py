@@ -60,6 +60,7 @@ VERSION = 5
 
 #: the :class:`ServeRequest` fields not stored as they are.
 _CONVERTED = ("prompt", "state", "outputs", "events", "cache", "backend")
+_EVENT_FIELDS = tuple(f.name for f in dataclasses.fields(RequestEvents))
 
 
 def serialize_request(request: ServeRequest,
@@ -74,10 +75,13 @@ def serialize_request(request: ServeRequest,
            for f in dataclasses.fields(request) if f.name not in _CONVERTED}
     out = {name: value.item() if isinstance(value, np.generic) else value
            for name, value in out.items()}
-    events = dataclasses.asdict(request.events)
-    # JSON object keys are strings; the WAL's CRC re-encodes decoded keys.
-    events["brownout_tokens"] = {str(stage): count for stage, count
-                                 in request.events.brownout_tokens.items()}
+    # ``dataclasses.asdict`` without its recursive deep copy: the events
+    # hold scalars, one list and one dict.  JSON object keys are strings;
+    # the WAL's CRC re-encodes decoded keys.
+    events = {name: getattr(request.events, name) for name in _EVENT_FIELDS}
+    events.update(token_times_s=list(events["token_times_s"]),
+                  brownout_tokens={str(stage): count for stage, count
+                                   in events["brownout_tokens"].items()})
     out.update(prompt=np.asarray(request.prompt, np.int64).tolist(),
                state=request.state.value, events=events, cache=None,
                outputs=[int(t) for t in request.outputs], backend_state=None)

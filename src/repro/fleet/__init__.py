@@ -20,8 +20,9 @@ Layout:
   :class:`HealthPolicy` / :class:`WorkerState` (phi-accrual-style
   suspicion over step latencies; the router feeds it wall time plus the
   simulated stalls of a :class:`~repro.system.faults.GrayFailurePlan`);
-- :mod:`repro.fleet.report` — :class:`FleetReport` (per-worker
-  :class:`~repro.serve.events.ServeReport` reduction plus the merged
+- :mod:`repro.fleet.report` — :class:`FleetReport` (the folds of the
+  fleet's one record stream, the workers' own
+  :class:`~repro.serve.events.ServeReport` and their merged
   :class:`~repro.obs.MetricsRegistry`).
 """
 

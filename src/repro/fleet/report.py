@@ -1,15 +1,11 @@
-"""Fleet-level reduction of per-worker serve reports.
+"""A fleet run's report: the folds of its one record stream.
 
-Each worker finishes its run with a normal
-:class:`~repro.serve.events.ServeReport` over the requests it retired
-(a migrated session is reported by the worker it *ended* on, so every
-request appears exactly once fleet-wide).  :class:`FleetReport` reduces
-those: clocks reduce by max (workers ran concurrently on one timeline),
-token counts by sum, SLO percentiles exactly over the pooled events, and
-the per-worker metrics registries through the associative
-:meth:`~repro.obs.MetricsRegistry.merge`.  The resilience counts are
-folds of the router's records; the ``fleet.*`` counters are their sink on
-the router's registry, not in the merge.
+:class:`FleetReport` folds each record of a
+:class:`~repro.fleet.router.FleetRouter` run's stream as it is written:
+each request once, with its latest events; clocks by max; SLO
+percentiles exactly over the pooled events.  At run end the router adds
+what no record carries: the workers' own reports, their merged
+registries (``fleet.*`` counters are on the router's) and pool counters.
 """
 
 from __future__ import annotations
@@ -18,56 +14,80 @@ import dataclasses
 from typing import Dict, List
 
 from repro.obs import MetricsRegistry
-from repro.serve.events import RequestEvents, ServeReport
+from repro.serve.events import Record, RequestEvents, ServeReport
 
 
 @dataclasses.dataclass
 class FleetReport:
     """Outcome of one :class:`~repro.fleet.router.FleetRouter` run."""
 
-    workers: List[ServeReport]
-    #: associative reduction of every worker's private registry (worker
-    #: facts only: ``fleet.*`` counters are on the router's registry).
-    metrics: MetricsRegistry
-    migrations: int
-    prefix_hits: int
-    prefix_misses: int
-    #: sum of per-pool shared-block peaks (pools are disjoint, so this is
-    #: the fleet's peak resident shared footprint up to step skew).
-    shared_blocks_peak: int
-    #: resilience accounting (defaults keep hand-built reports working).
-    failovers: int = 0
+    #: request id -> its events, in order of the request's first record.
+    requests: Dict[int, RequestEvents] = dataclasses.field(
+        default_factory=dict)
+    #: request id -> its capacity migrations (the router's budget).
+    moves: Dict[int, int] = dataclasses.field(default_factory=dict)
     failover_sessions: int = 0
     failover_latency_s: List[float] = dataclasses.field(
         default_factory=list)
     worker_suspects: int = 0
     worker_restores: int = 0
+    #: fleet time: the latest clock a worker's step reached.
+    makespan_s: float = 0.0
+    peak_decode_batch: int = 0
+    # -- added at run end -----------------------------------------------------
+    workers: List[ServeReport] = dataclasses.field(default_factory=list)
+    #: associative reduction of every worker's private registry (worker
+    #: facts only: ``fleet.*`` counters are on the router's registry).
+    metrics: MetricsRegistry = dataclasses.field(
+        default_factory=lambda: MetricsRegistry(enabled=True))
+    prefix_hits: int = 0
+    prefix_misses: int = 0
+    #: sum of per-pool shared-block peaks (pools are disjoint, so this is
+    #: the fleet's peak resident shared footprint up to step skew).
+    shared_blocks_peak: int = 0
 
-    # -- pooled views ---------------------------------------------------------
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.workers)
+    def apply(self, record: Record) -> None:
+        """Fold one record of the fleet's stream in."""
+        kind, data = record.kind, record.data
+        if record.request is not None:
+            self.requests[data["rid"]] = record.request.events
+        if kind == "step":
+            self.makespan_s = max(self.makespan_s, data["clock"])
+            if data["batch"] is not None:
+                self.peak_decode_batch = max(self.peak_decode_batch,
+                                             data["batch"])
+        elif kind == "migrate":
+            if data["reason"] == "capacity":
+                self.moves[data["rid"]] = self.moves.get(data["rid"], 0) + 1
+            else:
+                self.failover_sessions += 1
+        elif kind == "failover":
+            self.failover_latency_s.append(data["latency_s"])
+        elif kind == "restore":
+            self.worker_restores += 1
+        elif kind == "health" and data["state"] == "suspect" \
+                != data["before"]:
+            self.worker_suspects += 1
 
     @property
     def events(self) -> List[RequestEvents]:
-        return [e for report in self.workers for e in report.events]
+        return list(self.requests.values())
 
     @property
-    def makespan_s(self) -> float:
-        """Fleet wall time: the slowest worker's clock."""
-        return max((report.clock_s for report in self.workers),
-                   default=0.0)
+    def migrations(self) -> int:
+        return sum(self.moves.values())
+
+    @property
+    def failovers(self) -> int:
+        return len(self.failover_latency_s)
 
     @property
     def tokens_generated(self) -> int:
-        return sum(report.tokens_generated for report in self.workers)
+        return sum(len(e.token_times_s) for e in self.requests.values())
 
     @property
-    def throughput_tps(self) -> float:
-        """Aggregate decode tokens per second of fleet time."""
-        span = self.makespan_s
-        return self.tokens_generated / span if span else 0.0
+    def preemptions(self) -> int:
+        return sum(e.preemptions for e in self.requests.values())
 
     @property
     def completed(self) -> int:
@@ -82,12 +102,6 @@ class FleetReport:
         return len(self.pooled.rejected)
 
     @property
-    def preemptions(self) -> int:
-        """The workers' ``preempt`` records, summed (what :attr:`pooled`
-        carries)."""
-        return sum(report.preemptions for report in self.workers)
-
-    @property
     def prefix_hit_rate(self) -> float:
         """Fraction of full-block prefix lookups served from the cache."""
         total = self.prefix_hits + self.prefix_misses
@@ -95,57 +109,40 @@ class FleetReport:
 
     @property
     def availability(self) -> float:
-        """Served / arrived: the fraction of arrived requests that
-        completed un-shed fleet-wide (rejected and shed requests count
-        against it; an empty run is vacuously up).  A worker's
-        :attr:`ServeReport.availability` is completed-un-shed / completed
-        instead — the two are different questions, so this one is not
-        read off :attr:`pooled`."""
+        """Served / arrived (rejected and shed requests count against
+        it; an empty run is vacuously up) — not :attr:`pooled`'s
+        completed-un-shed / completed, a different question."""
         events = self.events
-        if not events:
-            return 1.0
-        served = sum(1 for e in events
-                     if e.finished_s is not None and not e.shed)
-        return served / len(events)
+        served = sum(e.finished_s is not None and not e.shed for e in events)
+        return served / len(events) if events else 1.0
 
     @property
     def failover_latency_max_s(self) -> float:
         return max(self.failover_latency_s, default=0.0)
 
-    # -- pooled SLO and brownout reductions -----------------------------------
-
     @property
     def pooled(self) -> ServeReport:
-        """The fleet as one :class:`ServeReport` over the pooled events.
-
-        Every per-event reduction — exact TTFT/TPOT percentiles, the
-        tenant summary, brownout attribution — is the worker report's own
-        code run on this view, not a second copy of it.  No registry
-        histograms: percentiles are exact over the events.
-        """
+        """The fleet as one :class:`ServeReport` over the pooled events:
+        every per-event reduction is the worker report's own code."""
         workers = self.workers
         return ServeReport(
             system="fleet", events=self.events, clock_s=self.makespan_s,
             tokens_generated=self.tokens_generated,
-            peak_decode_batch=max((w.peak_decode_batch for w in workers),
-                                  default=0),
+            peak_decode_batch=self.peak_decode_batch,
             preemptions=self.preemptions,
             pool_blocks=sum(w.pool_blocks for w in workers),
             pool_high_watermark=sum(w.pool_high_watermark for w in workers))
 
     def as_dict(self) -> Dict:
-        """JSON-ready summary (the per-point payload of BENCH_fleet).
-
-        Tenants are listed sorted: workers interleave, so there is no
-        fleet-wide order of first appearance (a worker's
-        :attr:`ServeReport.tenants` keeps its event order)."""
+        """JSON-ready summary (the per-point payload of BENCH_fleet);
+        tenants sorted, as workers interleave."""
         pooled = self.pooled
         tenants = pooled.tenant_summary()
         return {
-            "workers": self.n_workers,
+            "workers": len(self.workers),
             "makespan_s": self.makespan_s,
             "tokens_generated": self.tokens_generated,
-            "throughput_tps": self.throughput_tps,
+            "throughput_tps": pooled.throughput_tps,
             "ttft_p50_s": pooled.ttft_percentile_s(50.0),
             "ttft_p99_s": pooled.ttft_percentile_s(99.0),
             "tpot_p50_s": pooled.tpot_percentile_s(50.0),

@@ -26,12 +26,13 @@ tokens kept); once the source's step is over, the router offers each
 session that step preempted to a worker that can admit it *now* and
 moves it with :meth:`FleetRouter._relocate` — the one relocation path,
 which a failover drain takes too: departure recorded on the source, a
-``migrate`` record on the router's own log, then injected into the
-target.  There the standard resume path re-prefills
-``prompt + outputs[:-1]`` and replays the last token — bit-identical to
-an uninterrupted run.  A per-request budget of ``max_migrations``
-capacity migrations (the fold of its ``migrate`` records) prevents
-ping-pong; a request over its budget stays requeued on the source.
+``migrate`` record, then injected into the target.  There the standard
+resume path re-prefills ``prompt + outputs[:-1]`` and replays the last
+token — bit-identical to an uninterrupted run.  A per-request budget of
+``max_migrations`` capacity migrations (the fold of its ``migrate``
+records) prevents ping-pong; a request over its budget stays requeued on
+the source.  Every record — the router's, its monitor's, each worker's,
+tagged — goes to the router's ``log``, the fleet's one stream.
 
 Recovery is one routine, :meth:`FleetRouter._rebuild`: a fresh engine
 from the worker's factory, its durable directory recovered into it.  A
@@ -65,7 +66,7 @@ from repro.errors import (SnapshotCorruptError, WorkerKilledError,
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer, resolve_obs
 from repro.serve.engine import EngineRun, ServeEngine, TimingModel
-from repro.serve.events import RecordLog
+from repro.serve.events import Record, RecordLog
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest, SloPolicy
 from repro.system.faults import CrashPlan, GrayFailurePlan
@@ -140,6 +141,19 @@ def make_worker(worker_id: int, model: Transformer, backend_factory,
                        durable_dir=durable_dir)
 
 
+class FleetLog(RecordLog):
+    """The fleet's one record stream: the router's records and every
+    worker's, tagged; ``report`` folds each record as it is written."""
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        super().__init__(metrics)
+        self.report = FleetReport()
+
+    def append(self, record: Record) -> None:
+        super().append(record)
+        self.report.apply(record)
+
+
 class FleetRouter:
     """Route requests over N workers; shed/migrate on pool exhaustion.
 
@@ -153,7 +167,7 @@ class FleetRouter:
             ``migrate`` / ``failover`` / ``restore`` / ``health``
             records); worker metrics live in each worker's own registry,
             which holds worker facts only.
-        max_steps: hard bound on total worker steps across the run.
+        max_steps: hard bound on router iterations across the run.
         gray_plans: per-worker :class:`GrayFailurePlan` schedules, read
             by the guarded step so their simulated stalls drive the real
             detection path.
@@ -161,8 +175,10 @@ class FleetRouter:
             when ``None`` — monitoring is always on; with wall steps in
             the milliseconds the deadline floor keeps it inert).
 
-    Each :meth:`run` starts its own ``log``, monitor and recovery list,
-    and its sessions' affinity ends with it: no run sees another's facts.
+    :meth:`run` is :meth:`start`, :meth:`step` until ``False``,
+    :meth:`finish`.  Each run starts its own ``log``, monitor and
+    recovery list, and its sessions' affinity ends with it: no run sees
+    another's facts.
     """
 
     def __init__(self, workers: Sequence[FleetWorker],
@@ -193,9 +209,10 @@ class FleetRouter:
         self._begin()
 
     def _begin(self) -> None:
-        """A fresh record stream (``migrate``, ``failover``, ``restore``
-        and the monitor's ``health``), monitor and recovery list."""
-        self.log = RecordLog(self.obs.metrics)
+        """A fresh record stream, monitor and recovery list."""
+        self.log = FleetLog(self.obs.metrics)
+        #: the records of the last iteration, in stream order.
+        self.records: List[Record] = []
         self.monitor = HealthMonitor(self.log, self.health_policy)
         self.recoveries: List[RecoveryStats] = []
 
@@ -203,6 +220,16 @@ class FleetRouter:
 
     def run(self, requests: Sequence[ServeRequest]) -> FleetReport:
         """Serve ``requests`` across the fleet; returns the fleet report."""
+        self.start(requests)
+        try:
+            while self.step():
+                pass
+        finally:
+            self._affinity.clear()  # the run's sessions end with it
+        return self.finish()
+
+    def start(self, requests: Sequence[ServeRequest]) -> None:
+        """Begin a run of ``requests``, none dispatched yet."""
         self._begin()
         for worker in self.workers:
             if worker.durable_dir is not None:
@@ -214,53 +241,68 @@ class FleetRouter:
                 worker.run = worker.engine.start([])
             worker.run_steps = 0
             self.monitor.attach(worker.worker_id)
-        try:
-            self._serve(requests)
-        finally:
-            self._affinity.clear()  # the run's sessions end with it
-        return self._report()
+        self._pending = sorted(requests,
+                               key=lambda r: (r.arrival_s, r.request_id))
+        self._next_dispatch = 0
+        self._iteration = 0
 
-    def _serve(self, requests: Sequence[ServeRequest]) -> None:
-        """The lockstep loop: dispatch arrivals, step the laggard."""
-        pending = sorted(requests,
-                         key=lambda r: (r.arrival_s, r.request_id))
-        next_dispatch = 0
-        probe_every = self.monitor.policy.probe_every
+    def step(self) -> bool:
+        """One iteration of the lockstep loop: dispatch the arrivals due,
+        step the laggard.  ``records`` then holds the iteration's stream;
+        ``False`` (and no records) when the fleet is done."""
+        pending = self._pending
         step_key = lambda w: (w.run.clock, w.worker_id)  # noqa: E731
-        for iteration in range(1, self.max_steps + 1):
-            busy = [w for w in self._live() if not w.run.idle]
-            if not busy and next_dispatch >= len(pending):
-                break
-            # Dispatch every arrival at or before the laggard's clock:
-            # placement decisions are made in arrival order, against
-            # pool/prefix state no worker has stepped past yet.
-            frontier = min((w.run.clock for w in busy),
-                           default=pending[next_dispatch].arrival_s
-                           if next_dispatch < len(pending) else 0.0)
-            while next_dispatch < len(pending) \
-                    and pending[next_dispatch].arrival_s <= frontier:
-                self._dispatch(pending[next_dispatch])
-                next_dispatch += 1
-            busy = [w for w in self._live() if not w.run.idle]
-            if not busy:
-                continue
-            healthy_busy = [w for w in busy if self._worker_state(w)
-                            is WorkerState.HEALTHY]
-            suspect_busy = [w for w in busy if w not in healthy_busy]
-            if healthy_busy:
-                self._guarded_step(min(healthy_busy, key=step_key))
-                # Hedged probe: a suspect is stepped off the critical
-                # path so it can prove recovery (or finish failing)
-                # without the healthy laggard ever waiting on it.
-                if suspect_busy and iteration % probe_every == 0:
-                    self._guarded_step(min(suspect_busy, key=step_key))
-            else:
-                # Only suspects hold live work: probing the suspect
-                # laggard is the sole way forward.
-                self._guarded_step(min(suspect_busy, key=step_key))
-        else:
+        busy = [w for w in self._live() if not w.run.idle]
+        if not busy and self._next_dispatch >= len(pending):
+            self.records = []
+            return False
+        self._iteration += 1
+        if self._iteration > self.max_steps:
             raise RuntimeError(
                 f"fleet did not converge within {self.max_steps} steps")
+        # Dispatch every arrival at or before the laggard's clock:
+        # placement decisions are made in arrival order, against
+        # pool/prefix state no worker has stepped past yet.
+        frontier = min((w.run.clock for w in busy),
+                       default=pending[self._next_dispatch].arrival_s
+                       if self._next_dispatch < len(pending) else 0.0)
+        while self._next_dispatch < len(pending) \
+                and pending[self._next_dispatch].arrival_s <= frontier:
+            self._dispatch(pending[self._next_dispatch])
+            self._next_dispatch += 1
+        busy = [w for w in self._live() if not w.run.idle]
+        healthy_busy = [w for w in busy if self._worker_state(w)
+                        is WorkerState.HEALTHY]
+        suspect_busy = [w for w in busy if w not in healthy_busy]
+        if healthy_busy:
+            self._guarded_step(min(healthy_busy, key=step_key))
+            # Hedged probe: a suspect is stepped off the critical path so
+            # it can prove recovery (or finish failing) without the
+            # healthy laggard ever waiting on it.
+            if suspect_busy and self._iteration \
+                    % self.monitor.policy.probe_every == 0:
+                self._guarded_step(min(suspect_busy, key=step_key))
+        elif suspect_busy:
+            # Only suspects hold live work: probing the suspect laggard
+            # is the sole way forward.
+            self._guarded_step(min(suspect_busy, key=step_key))
+        self.records = self.log.drain()
+        return True
+
+    def finish(self) -> FleetReport:
+        """End the run; its report is the stream's folds plus what no
+        record carries (worker reports, registries, pool counters)."""
+        self._affinity.clear()
+        report = self.log.report
+        report.workers = [w.run.finish() for w in self.workers]
+        # Worker registries hold worker facts; every fleet.* counter is
+        # in the router's bundle (which may be the process default).
+        for worker in self.workers:
+            report.metrics.merge(worker.obs.metrics)
+            report.prefix_hits += worker.pool.prefix_hits
+            report.prefix_misses += worker.pool.prefix_misses
+            report.shared_blocks_peak += worker.pool.shared_blocks_peak
+        return report
 
     # -- placement ------------------------------------------------------------
 
@@ -274,6 +316,7 @@ class FleetRouter:
             metrics.counter(
                 f"fleet.worker{worker.worker_id}.dispatched").inc()
         worker.run.inject(request)
+        self._carry(worker)
 
     def _worker_state(self, worker: FleetWorker) -> WorkerState:
         return self.monitor.state_or_healthy(worker.worker_id)
@@ -354,12 +397,13 @@ class FleetRouter:
             try:
                 worker.run.step()
             except WorkerKilledError:
+                self._carry(worker)  # the step ran; the kill came after
                 if not self._rebuild(worker):
                     raise  # nothing to restore from: the kill is fatal
                 self.monitor.reset(worker.worker_id)
                 self.log.emit("restore", worker=worker.worker_id)
                 return  # recovery time is not a step-latency sample
-            self._migrate_preempted(worker)
+            self._migrate_preempted(worker, self._carry(worker))
         observed = time.perf_counter() - t0 + stall
         _, after = self.monitor.observe(worker.worker_id, observed)
         if after is WorkerState.FAILED:
@@ -426,13 +470,23 @@ class FleetRouter:
 
     # -- migration ------------------------------------------------------------
 
-    def _migrate_preempted(self, source: FleetWorker) -> None:
-        """Offer each session ``source``'s last step preempted (requeued
-        there) to a sibling that can admit it now; within its budget,
-        :meth:`_relocate` moves it (see module docstring)."""
-        for record in source.run.records:
-            if record.kind != "preempt" or self._migrations(
-                    "capacity", record.data["rid"]) >= self.max_migrations:
+    def _carry(self, worker: FleetWorker) -> List[Record]:
+        """Write what ``worker``'s run last wrote to the fleet's stream,
+        tagged with its id; returns those records."""
+        records = worker.run.records
+        for record in records:
+            self.log.append(record._replace(worker=worker.worker_id))
+        return records
+
+    def _migrate_preempted(self, source: FleetWorker,
+                           records: List[Record]) -> None:
+        """Offer each session ``source``'s step ``records`` preempted
+        (requeued there) to a sibling that can admit it now; within its
+        budget, :meth:`_relocate` moves it (see module docstring)."""
+        moves = self.log.report.moves
+        for record in records:
+            if record.kind != "preempt" or moves.get(
+                    record.data["rid"], 0) >= self.max_migrations:
                 continue
             target = self._best_worker(record.request, exclude=source,
                                        admit_now=True)
@@ -448,6 +502,7 @@ class FleetRouter:
         source, synced) before the target is told.
         """
         source.run.note_departure(request)
+        self._carry(source)
         # The relocated session cannot restart before the moment the
         # source released it; events keep the original arrival for TTFT
         # accounting.
@@ -457,37 +512,4 @@ class FleetRouter:
         self.log.emit("migrate", request, source=source.worker_id,
                       target=target.worker_id, reason=reason)
         target.run.inject(request)
-
-    def _migrations(self, reason: str, rid: Optional[int] = None) -> int:
-        """The fold of the log's ``migrate`` records for ``reason`` (of
-        request ``rid`` only, when given)."""
-        return sum(r.kind == "migrate" and r.data["reason"] == reason
-                   and rid in (None, r.data["rid"])
-                   for r in self.log.records)
-
-    # -- reduction ------------------------------------------------------------
-
-    def _report(self) -> FleetReport:
-        reports = [w.run.finish() for w in self.workers]
-        # Worker registries hold worker facts; every fleet.* counter is
-        # in the router's bundle (which may be the process default).
-        merged = MetricsRegistry(enabled=True)
-        for worker in self.workers:
-            merged.merge(worker.obs.metrics)
-        return FleetReport(
-            workers=reports,
-            metrics=merged,
-            migrations=self._migrations("capacity"),
-            prefix_hits=sum(w.pool.prefix_hits for w in self.workers),
-            prefix_misses=sum(w.pool.prefix_misses for w in self.workers),
-            shared_blocks_peak=sum(w.pool.shared_blocks_peak
-                                   for w in self.workers),
-            failovers=self.log.counts.get("failover", 0),
-            failover_sessions=self._migrations("failover"),
-            failover_latency_s=[r.data["latency_s"] for r in self.log.records
-                                if r.kind == "failover"],
-            worker_suspects=sum(r.kind == "health" and r.data["state"]
-                                == "suspect" != r.data["before"]
-                                for r in self.log.records),
-            worker_restores=self.log.counts.get("restore", 0),
-        )
+        self._carry(target)

@@ -433,8 +433,9 @@ class EngineRun:
     several runs on interleaved clocks and, between their steps, uses
     :meth:`inject` to hand a migrated session to this worker and
     :meth:`note_departure` to take one away, so every request is reported
-    by exactly one worker.  Its facts go to the
-    scheduler's record ``log``; ``records`` holds the last step's.
+    by exactly one worker.  Its facts go to the scheduler's record
+    ``log``; ``records`` holds what the last call wrote: a step's bucket,
+    or an input's one record.
     """
 
     def __init__(self, engine: ServeEngine,
@@ -451,7 +452,7 @@ class EngineRun:
         self.clock = 0.0
         self.steps = 0
         self.peak_batch = 0
-        #: the records of the last step, in the order they were emitted.
+        #: the records of the last step or input, in emission order.
         self.records: List[Record] = []
 
     @property
@@ -509,6 +510,7 @@ class EngineRun:
                 self._arrivals[idx].request_id) <= key:
             idx += 1
         self._arrivals.insert(idx, request)
+        self.records = self.log.drain()
 
     def note_departure(self, request: ServeRequest) -> None:
         """Release a request migrating away (reported by its new worker):
@@ -517,6 +519,7 @@ class EngineRun:
         self.scheduler.withdraw(request)
         self.log.emit("depart", request)
         self._departed.add(id(request))
+        self.records = self.log.drain()
 
     # -- one loop iteration ---------------------------------------------------
 

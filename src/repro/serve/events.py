@@ -39,12 +39,14 @@ TIME_FIELDS = ("t", "clock")
 
 
 class Record(NamedTuple):
-    """One fact: its kind, its request (``None`` for a run-level record)
-    and its JSON-safe scalar fields, the request's id as ``rid``."""
+    """One fact: its kind, its request (``None`` for a run-level record),
+    its JSON-safe scalar fields (the request's id as ``rid``) and, in a
+    fleet's stream, the id of the ``worker`` that wrote it."""
 
     kind: str
     request: object
     data: dict
+    worker: Optional[int] = None
 
 
 @dataclasses.dataclass
@@ -170,9 +172,6 @@ class RecordLog:
         if request is not None:
             data = {"rid": request.request_id, **data}
         record = Record(kind, request, data)
-        self.records.append(record)
-        if kind not in INPUT_KINDS:
-            _bump(self.counts, kind)
         if request is not None:
             request.events.apply(record)
         if self.metrics.enabled:
@@ -182,6 +181,14 @@ class RecordLog:
                 self.metrics.histogram("fleet.failover_latency_s",
                                        track_values=True).observe(
                     data["latency_s"])
+        self.append(record)
+
+    def append(self, record: Record) -> None:
+        """Add a record already folded into its request and sunk (by
+        :meth:`emit`, or a worker's log for a fleet's stream)."""
+        self.records.append(record)
+        if record.kind not in INPUT_KINDS:
+            _bump(self.counts, record.kind)
 
     def drain(self) -> List[Record]:
         """The records emitted since the last drain, in order."""

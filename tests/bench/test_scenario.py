@@ -14,7 +14,7 @@ import hashlib
 import os
 import pathlib
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -23,7 +23,6 @@ from repro.bench import chaos, fleet, fleet_chaos, recovery, serve
 from repro.bench.scenario import (Faults, Scenario, Tenant, Topology, Trace,
                                   build_fleet, run, served_outputs,
                                   solo_outputs)
-from repro.durable import iter_step_buckets, read_wal
 from repro.serve.events import INPUT_KINDS
 from repro.fleet import HealthPolicy
 from repro.system.faults import CRASH_KINDS, CrashPlan, GrayFailurePlan
@@ -155,15 +154,49 @@ def test_trace_reproduces_the_replaced_generator(name):
 EXAMPLES = int(os.environ.get("SCENARIO_EXAMPLES", "40"))
 
 
-def assert_inputs_open_every_bucket(wal_path: pathlib.Path) -> None:
-    """A run's inputs (``inject``, ``depart``) arrive between its steps,
-    so in each step's bucket of a run that never crashed they come before
-    every computed record."""
-    _, records, _, _ = read_wal(wal_path)
-    for bucket, marker in iter_step_buckets(records):
-        kinds = [r.kind for r in bucket]
-        inputs = [kind in INPUT_KINDS for kind in kinds]
-        assert inputs == sorted(inputs, reverse=True), (marker, kinds)
+class StreamFolds:
+    """The fleet facts the drawn property holds a fleet's stream to,
+    folded record by record and checked after every router iteration:
+
+    - each live request (injected, neither finished nor rejected) is held
+      by exactly one worker: its injects less its departures;
+    - each ``depart`` matches exactly one ``migrate`` from that worker;
+    - a worker's inputs (``inject``, ``depart``) arrive between its
+      steps, so in each step's bucket of a run that never crashed they
+      come before every computed record.
+    """
+
+    def __init__(self) -> None:
+        self.held = defaultdict(Counter)       # rid -> worker -> holds
+        self.done = set()
+        self.departs, self.migrates = Counter(), Counter()
+        self.buckets = defaultdict(list)       # worker -> kinds so far
+
+    def apply(self, record) -> None:
+        kind, data, worker = record.kind, record.data, record.worker
+        if kind == "inject":
+            self.held[data["rid"]][worker] += 1
+        elif kind == "depart":
+            self.held[data["rid"]][worker] -= 1
+            self.departs[data["rid"], worker] += 1
+        elif kind == "migrate":
+            self.migrates[data["rid"], data["source"]] += 1
+        elif kind in ("finish", "reject"):
+            self.done.add(data["rid"])
+        if worker is None:
+            return
+        if kind == "step":
+            inputs = [k in INPUT_KINDS for k in self.buckets.pop(worker, [])]
+            assert inputs == sorted(inputs, reverse=True), (worker, data)
+        else:
+            self.buckets[worker].append(kind)
+
+    def check(self) -> None:
+        for rid, holds in self.held.items():
+            if rid not in self.done:
+                assert sorted(n for n in holds.values() if n) == [1], \
+                    (rid, holds)
+        assert self.departs == self.migrates
 
 
 #: a durable fleet whose tight pools migrate a session each way.
@@ -184,22 +217,19 @@ def test_drawn_scenario_serves_every_request_as_solo(scenario):
         assert expected == solo_outputs(dataclasses.replace(
             scenario, topology=dataclasses.replace(scenario.topology,
                                                    backend="longsight")))
-    if not (scenario.topology.workers and scenario.topology.snapshot_every):
+    if not scenario.topology.workers:
         assert run(scenario).outputs == expected
         return
+    folds = StreamFolds()
     with tempfile.TemporaryDirectory(prefix="scenario-") as tmp:
         router = build_fleet(scenario, pathlib.Path(tmp))
-        router.run(scenario.trace.requests())
-        departures = []
-        for worker in router.workers:
-            wal = worker.durable_dir / "wal.log"
-            assert_inputs_open_every_bucket(wal)
-            departures += [(r.data["rid"], worker.worker_id)
-                           for r in read_wal(wal)[1] if r.kind == "depart"]
-    # Each migration departs its source exactly once.
-    assert Counter((r.data["rid"], r.data["source"])
-                   for r in router.log.records if r.kind == "migrate") \
-        == Counter(departures)
+        router.start(scenario.trace.requests())
+        while router.step():
+            for record in router.records:
+                folds.apply(record)
+            folds.check()
+        report = router.finish()
+    assert set(folds.held) == {e.request_id for e in report.events}
     assert served_outputs(router) == expected
 
 
@@ -211,12 +241,19 @@ def test_a_second_fleet_run_reports_and_budgets_only_its_own_moves():
         MIGRATING.topology, snapshot_every=None))
     router = build_fleet(scenario)
     router.max_migrations = 1
+
+    def counts():   # the stream's records per kind (health follows wall time)
+        return {k: n for k, n in router.log.counts.items() if k != "health"}
+
     first = router.run(scenario.trace.requests())
     assert first.migrations == 2
+    first_counts = counts()
+    assert first_counts["migrate"] == 2 and first_counts["step"] > 0
     second = router.run(scenario.trace.requests())
-    assert second.migrations == first.migrations
+    assert second is not first
+    assert second.moves == first.moves and max(second.moves.values()) == 1
     assert sum(e.migrations for e in second.events) == 2
-    assert router.log.counts == {"migrate": 2}
+    assert counts() == first_counts
     assert served_outputs(router) == solo_outputs(scenario)
 
 

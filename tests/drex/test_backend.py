@@ -128,3 +128,24 @@ def test_device_population_follows_flush(model, tokens):
     n = len(tokens)
     expected = n - 1 - config.window + 1 - config.n_sink
     assert backend.device.context_length(0, 0, 0) == expected
+
+
+def test_sustained_capacity_pressure_keeps_the_kernel_memo_bounded(model,
+                                                                   tokens):
+    """At ``capacity_pressure_rate=1.0`` no flush ever lands, so a
+    deferred row's window widens every token.  Only the backend's own
+    window is memoised (its kernel and dense floor): a deferred window's
+    kernel lives for its one call, so a long session keeps at most two,
+    and generates what it did when every window was memoised."""
+    config = LongSightConfig(window=4, n_sink=2, top_k=4, thresholds=3)
+    backend = DrexOffloadBackend(
+        TINY, config, plan=FaultPlan(capacity_pressure_rate=1.0))
+    out = generate(model, tokens[:20], 60, backend=backend,
+                   temperature=1.0, seed=3)
+    assert backend.supervisor.stats.flush_deferrals > 0
+    assert len(backend._kernels) <= 2
+    assert [int(t) for t in out] == [
+        5, 14, 51, 36, 6, 27, 29, 10, 46, 7, 24, 33, 28, 37, 46, 61, 19, 40,
+        45, 19, 0, 62, 20, 19, 56, 36, 30, 50, 2, 44, 24, 6, 41, 59, 13, 39,
+        19, 46, 46, 14, 52, 42, 43, 52, 27, 48, 55, 6, 54, 24, 30, 9, 44, 18,
+        55, 18, 35, 25, 39, 12]

@@ -87,9 +87,12 @@ def test_a_failed_over_directory_recovers_without_its_drained_sessions(
         topology=fleet_topology(2, 64, 4, snapshot_every=4, health=HEALTH),
         faults=Faults(gray={0: GrayFailurePlan(kind="stuck_worker",
                                                start_step=3)})), tmp_path)
-    report = fleet.run(make_workload(n_requests=6))
-    drained = {r.data["rid"] for r in fleet.log.records
-               if r.kind == "migrate" and r.data["reason"] == "failover"}
+    fleet.start(make_workload(n_requests=6))
+    drained = set()
+    while fleet.step():
+        drained |= {r.data["rid"] for r in fleet.records
+                    if r.kind == "migrate" and r.data["reason"] == "failover"}
+    report = fleet.finish()
     assert report.failovers == 1 and drained
     failed = fleet.workers[0]
     run, _ = recover(failed.durable_dir, failed.engine_factory())

@@ -1,10 +1,15 @@
 """Snapshot round-trip fidelity and corruption rejection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.durable import read_snapshot, restore_run, write_snapshot
+from repro.durable.snapshot import build_request, serialize_request
 from repro.errors import DurabilityError, SnapshotCorruptError
+from repro.serve.events import Record
+from repro.serve.scheduler import ServeRequest
 
 
 def _run_some_steps(engine, requests, n_steps):
@@ -165,6 +170,26 @@ class TestRoundTrip:
         dirty.pool.allocate(1)
         with pytest.raises(DurabilityError):
             restore_run(dirty.start([]), meta, arenas)
+
+
+def test_serialized_events_are_asdict_with_string_stage_keys():
+    """A request's events serialize as ``dataclasses.asdict`` would (the
+    brownout stages keyed by string), as copies, and build back equal."""
+    request = ServeRequest(request_id=3, prompt=np.arange(5),
+                           max_new_tokens=4)
+    for kind, data in (("token", {"t": 0.5, "degraded": 0, "level": 2}),
+                       ("token", {"t": 0.75, "degraded": 1, "level": 0}),
+                       ("token", {"t": 1.0, "degraded": 0, "level": 2}),
+                       ("preempt", {})):
+        request.events.apply(Record(kind, request, data))
+    events = serialize_request(request)["events"]
+    expected = dataclasses.asdict(request.events)
+    expected["brownout_tokens"] = {"2": 2}
+    assert events == expected
+    assert events["token_times_s"] == [0.5, 0.75, 1.0]
+    assert events["token_times_s"] is not request.events.token_times_s
+    assert build_request(serialize_request(request)).events \
+        == request.events
 
 
 class TestCorruptionRejection:
