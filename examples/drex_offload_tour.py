@@ -75,9 +75,9 @@ def main() -> None:
     submitted = []
     execute = device.execute
 
-    def spy(request):
+    def spy(request, *site):
         submitted.append(request)
-        return execute(request)
+        return execute(request, *site)
 
     device.execute = spy
     token = int(np.argmax(logits))

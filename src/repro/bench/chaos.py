@@ -106,8 +106,7 @@ def _functional_point(rate: float, seed: int, n_tokens: int) -> dict:
     tokens = np.random.default_rng(seed).integers(
         0, TINY_MODEL.vocab_size, size=n_tokens)
     backend = DrexOffloadBackend(TINY_MODEL, cfg,
-                                 plan=_fault_mix(rate, seed),
-                                 supervisor_seed=seed)
+                                 plan=_fault_mix(rate, seed))
     out = tiny_model(seed).forward_full(tokens, backend=backend,
                                         block_size=16)
     stats = backend.supervisor.stats

@@ -6,11 +6,11 @@ the software kernel's — driven the way Section 6 drives DReX.  The dense
 window doubles as the staging buffer: a token is written to the session's
 own :class:`~repro.drex.device.DrexDevice` (by count; the device holds no
 data) as it leaves the window.  Per (layer, token) the backend asks the
-device's :class:`~repro.system.supervisor.OffloadSupervisor`, in this
-order, whether the flush may proceed (capacity pressure defers it) and
-then to execute the offload, which the device prices from the kernel's
-own stage-1 survivors (``survivor_capture``).  The answers decide the
-config a row is served at, always by the kernel:
+device's :class:`~repro.system.supervisor.OffloadSupervisor` whether the
+flush may proceed (capacity pressure defers it) and then to execute the
+offload, which the device prices from the kernel's own stage-1 survivors
+(``survivor_capture``).  The answers decide the config a row is served
+at, always by the kernel:
 
 - offloaded: this config — sinks + window dense, sparse over
   ``[n_sink, p - window + 1)``;
@@ -19,8 +19,9 @@ config a row is served at, always by the kernel:
 - degraded (the retry budget spent): the dense floor at that window,
   ``top_k = 0``, recorded in ``degraded_log``.
 
-A block is run once, as the kernel; a row answered otherwise is rerun
-alone over the cache's first ``p + 1`` positions at its own config.  With
+Faults are keyed by site, so a block's flushes are decided before it
+runs: each run of rows at one window is one kernel block over the context
+ending at its last row, and a degraded row is rerun at the floor.  With
 ``FaultPlan.none()`` nothing fires and every row is offloaded, so the
 output is bit-identical to ``LongSightAttention``'s
 (``tests/drex/test_backend.py``).  ``stats`` count every sparse row the
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -98,8 +100,7 @@ class DrexOffloadBackend(LongSightAttention):
                  rotations: Optional[ItqRotations] = None,
                  plan: Optional[FaultPlan] = None,
                  policy: Optional[SupervisorPolicy] = None,
-                 stats: Optional[FilterStats] = None,
-                 supervisor_seed: int = 0) -> None:
+                 stats: Optional[FilterStats] = None) -> None:
         super().__init__(config, rotations=rotations, stats=stats)
         self.model_config = model_config
         self.device = DrexDevice(
@@ -111,8 +112,7 @@ class DrexOffloadBackend(LongSightAttention):
             plan=plan,
         )
         self.device.register_user(_UID)
-        self.supervisor = OffloadSupervisor(self.device, policy,
-                                            seed=supervisor_seed)
+        self.supervisor = OffloadSupervisor(self.device, policy)
         self._session = _Session()
         #: dense floor? -> the kernel serving rows at this config's window
         self._kernels: Dict[bool, LongSightAttention] = {}
@@ -199,54 +199,56 @@ class DrexOffloadBackend(LongSightAttention):
             union[h0 // group] |= rows
         return out, passed, union
 
-    def _flush(self, layer: int, eligible: int) -> int:
-        """Write the tokens before ``eligible`` to DReX unless capacity
-        pressure defers it; returns the layer's watermark."""
-        flushed = self._session.flushed.get(layer, self.config.n_sink)
-        if eligible > flushed and self.supervisor.flush_allowed():
-            for kv_head in range(self.model_config.n_kv_heads):
-                self.device.write_kv(_UID, layer, kv_head,
-                                     eligible - flushed)
-            flushed = self._session.flushed[layer] = eligible
-        return flushed
-
     def _serve(self, layer: int, q: np.ndarray, cache) -> np.ndarray:
         cfg = self.config
         if not cfg.top_k:
             return self._kernel(cfg.window).forward_cached(layer, q, cache)
         n_new = q.shape[1]
-        n_ctx = len(cache.layers[layer])
-        out = np.empty_like(q)
-        block = None          # (first row, its run) of the kernel's block
-        for t in range(n_new):
-            p = n_ctx - n_new + t
-            # Tokens strictly older than the window are eligible for DReX.
+        first = len(cache.layers[layer]) - n_new
+        # Each row's flush watermark, every deferral decided (and counted)
+        # before anything runs or is written: at row p the tokens older
+        # than the window are flushed unless capacity pressure defers it,
+        # and a deferred row keeps the staged tokens dense, widening its
+        # window.
+        flushed = self._session.flushed.get(layer, cfg.n_sink)
+        marks, windows = [], []
+        for p in range(first, first + n_new):
             eligible = max(cfg.n_sink, p - cfg.window + 1)
-            flushed = self._flush(layer, eligible)
-            window = p - flushed + 1 if flushed < eligible else cfg.window
-            if window == cfg.window:
-                if block is None:
-                    block = t, self._run(self._kernel(window), layer,
-                                         q[:, t:], cache)
-                first, (rows, passed, union) = block
-                r = t - first
-            else:
-                rows, passed, union = self._run(
-                    self._kernel(window), layer, q[:, t:t + 1],
-                    _context(cache, layer, p + 1))
-                r = 0
-            out[:, t] = rows[:, r]
-            if flushed == cfg.n_sink:
+            if eligible > flushed and self.supervisor.flush_allowed(layer, p):
+                flushed = eligible
+            marks.append(flushed)
+            windows.append(max(cfg.window, p - flushed + 1))
+        out = np.empty_like(q)
+        prices = []           # per row: its passes and survivors
+        end = 0               # one block per run of rows at one window
+        for window, rows in itertools.groupby(windows):
+            t, end = end, end + len(list(rows))
+            out[:, t:end], passed, union = self._run(
+                self._kernel(window), layer, q[:, t:end],
+                _context(cache, layer, first + end))
+            prices += zip(passed.T, union.transpose(1, 0, 2))
+        # Flush writes, offloads and degradations in row order: each
+        # offload is priced against the slice chain its row sees.
+        flushed = self._session.flushed.get(layer, cfg.n_sink)
+        for t, mark in enumerate(marks):
+            if mark > flushed:
+                for kv_head in range(self.model_config.n_kv_heads):
+                    self.device.write_kv(_UID, layer, kv_head,
+                                         mark - flushed)
+                flushed = self._session.flushed[layer] = mark
+            if mark == cfg.n_sink:
                 continue                    # nothing in DReX yet
+            passed, union = prices[t]
+            p = first + t
             response = self.supervisor.execute(RequestDescriptor(
-                uid=_UID, layer=layer, queries=q[:, t], top_k=cfg.top_k,
-                dtype_bytes=self.model_config.dtype_bytes,
-                passed=passed[:, r],
-                survivors=union[:, r, :flushed - cfg.n_sink]))
+                uid=_UID, layer=layer, queries=q[:, t], position=p,
+                top_k=cfg.top_k, dtype_bytes=self.model_config.dtype_bytes,
+                passed=passed, survivors=union[:, :mark - cfg.n_sink]))
             if response is None:
                 # Offload failed past the retry budget: this token falls
                 # back to the dense floor, recorded here (never silently).
-                out[:, t] = self._kernel(window, floor=True).forward_cached(
+                floor = self._kernel(windows[t], floor=True)
+                out[:, t] = floor.forward_cached(
                     layer, q[:, t:t + 1], _context(cache, layer, p + 1))[:, 0]
                 self.degraded_log.append((layer, p))
             else:
@@ -291,19 +293,14 @@ class DrexOffloadBackend(LongSightAttention):
 
     def durable_state(self) -> dict:
         """JSON-safe state a snapshot needs to resume this backend
-        bit-identically (see :mod:`repro.durable`): both seeded RNG streams
-        (fault injector + supervisor jitter) and their telemetry, the
-        accumulated latency, the degradation record, the per-layer flush
-        watermarks and any KSO bit flips not yet repaired.  The device
-        holds no data, so that is all of it.
-        """
-        injector = self.device.injector
-        supervisor = self.supervisor
+        bit-identically (see :mod:`repro.durable`): the fault and
+        supervisor telemetry, the accumulated latency, the degradation
+        record, the per-layer flush watermarks and any KSO bit flips not
+        yet repaired.  Faults are keyed by site and the device holds no
+        data, so that is all of it."""
         return {
-            "injector_rng": injector.rng.bit_generator.state,
-            "injector_counts": dict(injector.counts),
-            "supervisor_rng": supervisor.rng.bit_generator.state,
-            "supervisor_stats": supervisor.stats.as_dict(),
+            "injector_counts": dict(self.device.injector.counts),
+            "supervisor_stats": self.supervisor.stats.as_dict(),
             "total_latency": dataclasses.asdict(self.total_latency),
             "degraded_log": [[int(layer), int(pos)]
                              for layer, pos in self.degraded_log],
@@ -316,13 +313,9 @@ class DrexOffloadBackend(LongSightAttention):
 
     def restore_durable_state(self, state: dict) -> None:
         """Inverse of :meth:`durable_state` on a freshly built backend."""
-        injector = self.device.injector
-        supervisor = self.supervisor
-        injector.rng.bit_generator.state = state["injector_rng"]
-        injector.counts = {k: int(v)
-                           for k, v in state["injector_counts"].items()}
-        supervisor.rng.bit_generator.state = state["supervisor_rng"]
-        supervisor.stats = SupervisorStats(**state["supervisor_stats"])
+        self.device.injector.counts = {
+            k: int(v) for k, v in state["injector_counts"].items()}
+        self.supervisor.stats = SupervisorStats(**state["supervisor_stats"])
         self._session.latency = LatencyBreakdown(**state["total_latency"])
         self._session.degraded_log[:] = [
             (int(layer), int(pos)) for layer, pos in state["degraded_log"]]

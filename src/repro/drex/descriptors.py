@@ -79,12 +79,14 @@ class RequestDescriptor:
     software kernel's; the request carries its stage-1 counts, which the
     device prices: ``passed``, the keys each query passed (``(n_q_heads,
     ...)``, one per query), and ``survivors``, per KV head a bitmap over
-    its stored keys of those any query of its group passed.
+    its stored keys of those any query of its group passed; ``position``
+    (the first query's) keys its fault sites.
     """
 
     uid: int
     layer: int
     queries: np.ndarray
+    position: int = 0
     top_k: int = 1024
     dtype_bytes: int = 2
     passed: Optional[np.ndarray] = None

@@ -49,7 +49,7 @@ class DrexDevice:
             per layer and KV head, Section 4).
         geometry / timings: hardware configuration.
         plan: the :class:`FaultPlan` this device's :attr:`injector`
-            draws from on every :meth:`execute` (default: healthy).
+            asks on every :meth:`execute` (default: healthy).
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, n_q_heads: int,
@@ -149,29 +149,31 @@ class DrexDevice:
 
     # -- offload execution ---------------------------------------------------------
 
-    def execute(self, request: RequestDescriptor) -> ResponseDescriptor:
+    def execute(self, request: RequestDescriptor,
+                site: Tuple[int, ...] = (0, 0, 0)) -> ResponseDescriptor:
         """Submit, price and read back one offload synchronously.
 
-        The injector is consulted in a fixed order: queue -> buffers ->
+        Faults are decided at the attempt's ``site``: queue -> buffers ->
         corruption -> CXL timeout before the offload runs, then the
-        latency faults after it.  KSO corruption persists in the sign
-        store until repaired — like real DRAM disturbance — while an NMA
-        stall or a degraded link distorts only the returned
+        latency faults after it.  KSO corruption persists
+        in the sign store until repaired — like real DRAM disturbance —
+        while an NMA stall or a degraded link distorts only the returned
         :class:`LatencyBreakdown`.
         """
         inj = self.injector
-        if inj.fires("queue_full"):
+        if inj.fires("queue_full", site):
             raise QueueFullError(
                 "injected: DCC request queue full (depth "
                 f"{self.dcc.QUEUE_DEPTH})")
-        if inj.fires("response_buffer"):
+        if inj.fires("response_buffer", site):
             raise QueueFullError(
                 "injected: all DCC response buffers exhausted")
-        if inj.fires("kso_corruption"):
-            kv_head = int(inj.rng.integers(self.n_kv_heads))
-            self.corrupt_kso(request.uid, request.layer, kv_head, inj.rng,
+        rng = inj.fires("kso_corruption", site)
+        if rng is not None:
+            self.corrupt_kso(request.uid, request.layer,
+                             int(rng.integers(self.n_kv_heads)), rng,
                              n_bits=inj.plan.kso_bits_flipped)
-        if inj.fires("cxl_timeout"):
+        if inj.fires("cxl_timeout", site):
             raise OffloadTimeoutError(
                 "injected: CXL response timed out (stalled link or lost "
                 "completion)")
@@ -179,9 +181,9 @@ class DrexDevice:
         popped = self.dcc.pop_next()
         self.dcc.complete(self._process(popped))
         response = self.dcc.read_response(request.uid)
-        if inj.fires("nma_stall"):
+        if inj.fires("nma_stall", site):
             response.latency.rank_ns += inj.plan.nma_stall_ns
-        if inj.fires("cxl_degraded"):
+        if inj.fires("cxl_degraded", site):
             response.latency.value_read_ns *= inj.plan.cxl_degradation_factor
         return response
 

@@ -11,8 +11,8 @@ cannot provide:
   between steps, so they open a bucket, and are force-synced before the
   run acts on them — the write-ahead discipline — because they cannot be
   re-derived.  Everything else is *execution*,
-  fsync-batched: the engine is deterministic (argmax sampling, seeded
-  fault RNG), so a lost unsynced tail regenerates identically on replay.
+  fsync-batched: the engine is deterministic (argmax sampling, keyed
+  faults), so a lost unsynced tail regenerates identically on replay.
   Replay therefore **re-executes** each logged step and *verifies* every
   re-executed record of its bucket against the log (times only under
   analytic timing), raising :class:`~repro.errors.ReplayDivergenceError`

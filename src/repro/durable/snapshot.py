@@ -14,8 +14,8 @@ needs to resume bit-identically:
   and prefix-caching state (``PagedKVCache.state()`` / ``from_state``:
   the session format lives with the cache), plus any backend-declared
   durable state (duck-typed ``durable_state()`` /
-  ``restore_durable_state()``, e.g. the supervised offload backend's RNG
-  streams, degradation counters and flush watermarks);
+  ``restore_durable_state()``, e.g. the supervised offload backend's
+  degradation counters, flush watermarks and unrepaired KSO flips);
 - scheduler queues / virtual times / running order / brownout ladder
   stage, the run's record ``counts`` (the fold behind the report totals:
   tokens, preemptions, brownout transitions), and the run's step, clock,
@@ -53,7 +53,7 @@ from repro.serve.scheduler import RequestState, ServeRequest
 
 MAGIC = b"LSDURSNP"
 FORMAT = "longsight-durable-snapshot"
-VERSION = 5
+VERSION = 6
 
 
 # -- request (de)serialization -- shared with WAL ``inject`` records ----------

@@ -43,7 +43,7 @@ def backend_factory(name: str, tiny_ls: LongSightConfig,
     :class:`DrexOffloadBackend` under ``plan``.
 
     A fresh backend per session keeps per-cache state (threshold caches,
-    sign-rotation expectations, the supervisor's fault stream) from
+    sign-rotation expectations, the device's flush watermarks) from
     leaking across sessions.
     """
     if name == "longsight":

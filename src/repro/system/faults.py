@@ -7,13 +7,12 @@ bit corruption, allocator pressure — so the hybrid algorithm's *graceful
 degradation* to the dense sliding-window path can be exercised and
 regression-tested instead of assumed.
 
-Everything is deterministic: a declarative :class:`FaultPlan` (per-fault
-rates + severity parameters + a seed) drives a :class:`FaultInjector`
-whose single seeded RNG stream makes any faulted run bit-reproducible.
-Every :class:`repro.drex.DrexDevice` owns one and consults it on each
-offload; the offload supervisor consults it once per staged flush.  A
-zero-rate plan never draws from the RNG, so a ``FaultPlan.none()`` run
-never perturbs it and is a healthy device.
+Faults are keyed, not drawn in sequence: :func:`fault` decides each
+(kind, *site*) of a declarative :class:`FaultPlan` (rates + severities +
+a seed) as a pure function — an offload attempt's site is ``(layer,
+position, attempt)``, a staged flush's ``(layer, position)`` — so replay,
+recompute and recovery get the same answers in any order, and no
+generator state is kept.  ``FaultPlan.none()`` is a healthy device.
 
 Real-failure correspondence (see DESIGN.md for the full table):
 
@@ -39,7 +38,7 @@ Real-failure correspondence (see DESIGN.md for the full table):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -208,7 +207,7 @@ class FaultPlan:
 
     @classmethod
     def none(cls, seed: int = 0) -> "FaultPlan":
-        """Healthy device: nothing fires, the RNG is never consumed."""
+        """Healthy device: nothing fires, no generator is built."""
         return cls(seed=seed)
 
     @classmethod
@@ -226,28 +225,39 @@ class FaultPlan:
         return cls(cxl_timeout_rate=1.0, seed=seed)
 
 
-class FaultInjector:
-    """Seeded Bernoulli trigger shared by all injection points.
+_KEYS = FAULT_KINDS + ("backoff",)       # the keys of :func:`site_rng`
 
-    One RNG stream + a fixed consultation order per operation makes every
-    faulted run reproducible from ``plan.seed`` alone.  Zero-rate kinds
-    never draw, so adding injection points does not perturb existing
-    sequences for plans that do not use them.
-    """
+
+def site_rng(plan: FaultPlan, key: str,
+             site: Tuple[int, ...]) -> np.random.Generator:
+    """The generator of ``key`` (a fault kind, or ``"backoff"`` for the
+    supervisor's jitter) at ``site``: a pure function of its arguments."""
+    return np.random.default_rng((plan.seed, _KEYS.index(key), *site))
+
+
+def fault(plan: FaultPlan, kind: str,
+          site: Tuple[int, ...]) -> Optional[np.random.Generator]:
+    """The one decision of every fault: ``None`` unless ``kind`` fires at
+    ``site``, else the site's generator for the fault's own draws (KSO
+    corruption's KV head and bits).  A zero-rate kind builds none."""
+    rate = plan.rate(kind)
+    rng = site_rng(plan, kind, site) if rate > 0.0 else None
+    return rng if rng is not None and rng.random() < rate else None
+
+
+class FaultInjector:
+    """A device's plan and the count of faults :func:`fault` fired."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.rng = np.random.default_rng(plan.seed)
         self.counts: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 
-    def fires(self, kind: str) -> bool:
-        rate = self.plan.rate(kind)
-        if rate <= 0.0:
-            return False
-        fired = bool(self.rng.random() < rate)
-        if fired:
+    def fires(self, kind: str, site: Tuple[int, ...]
+              ) -> Optional[np.random.Generator]:
+        rng = fault(self.plan, kind, site)
+        if rng is not None:
             self.counts[kind] += 1
-        return fired
+        return rng
 
     @property
     def total_fired(self) -> int:

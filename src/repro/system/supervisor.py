@@ -13,7 +13,7 @@ any other error is a programming error and propagates.
 
 :class:`repro.drex.DrexOffloadBackend` runs every offload and staged
 flush through one.  With ``FaultPlan.none()`` nothing fires: no retry,
-no injector draw, no degraded token.  With ``FaultPlan.total_failure()``
+no keyed draw, no degraded token.  With ``FaultPlan.total_failure()``
 every sparse-eligible token falls back to the dense path and generation
 still completes — the correctness anchor that FlashAttention-style dense
 kernels provide real sparse systems.
@@ -22,13 +22,12 @@ kernels provide real sparse systems.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.drex.descriptors import RequestDescriptor, ResponseDescriptor
 from repro.errors import CorruptedKsoError, OffloadTimeoutError, QueueFullError
 from repro.obs import Obs, resolve_obs
+from repro.system.faults import site_rng
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,7 +39,8 @@ class SupervisorPolicy:
     #: backoff before retry ``i`` is ``base * multiplier**i``, jittered.
     base_backoff_ns: float = 2_000.0
     backoff_multiplier: float = 2.0
-    #: uniform jitter fraction: each backoff is scaled by ``1 +/- jitter``.
+    #: uniform jitter fraction: each backoff is scaled by ``1 +/- jitter``,
+    #: drawn at its attempt's site.
     jitter: float = 0.25
     #: per-request budget on the simulated device latency; a completed
     #: offload slower than this counts as timed out (None disables).
@@ -83,17 +83,15 @@ class OffloadSupervisor:
     """Retry / verify / repair / degrade wrapper around one device."""
 
     def __init__(self, device, policy: Optional[SupervisorPolicy] = None,
-                 seed: int = 0, obs: Optional[Obs] = None) -> None:
+                 obs: Optional[Obs] = None) -> None:
         self.device = device
         self.policy = policy or SupervisorPolicy()
-        #: jitter stream, independent of the injector's fault stream so the
-        #: two never perturb each other's determinism.
-        self.rng = np.random.default_rng(seed)
         self.stats = SupervisorStats()
         self.obs = resolve_obs(obs)
 
-    def _bump(self, name: str, amount=1) -> None:
-        """Mirror a :class:`SupervisorStats` increment into the registry."""
+    def _count(self, name: str, amount=1) -> None:
+        """Add to a :class:`SupervisorStats` field and its counter."""
+        setattr(self.stats, name, getattr(self.stats, name) + amount)
         metrics = self.obs.metrics
         if metrics.enabled:
             metrics.counter("offload." + name).inc(amount)
@@ -105,20 +103,19 @@ class OffloadSupervisor:
         bad = self.device.corrupted_ksos(request.uid, request.layer)
         if not bad:
             return
-        self.stats.corrupted_heads += len(bad)
-        self._bump("corrupted_heads", len(bad))
+        self._count("corrupted_heads", len(bad))
         for kv_head in bad:
             self.device.repack_kso(request.uid, request.layer, kv_head)
-        self.stats.repairs += len(bad)
-        self._bump("repairs", len(bad))
+        self._count("repairs", len(bad))
         raise CorruptedKsoError(
             f"KSO checksum failed for uid={request.uid} "
             f"layer={request.layer} kv_heads={bad} "
             "(repaired from Key Objects)")
 
-    def _attempt(self, request: RequestDescriptor) -> ResponseDescriptor:
+    def _attempt(self, request: RequestDescriptor,
+                 site: Tuple[int, ...]) -> ResponseDescriptor:
         """One supervised attempt: execute, verify integrity, check budget."""
-        response = self.device.execute(request)
+        response = self.device.execute(request, site)
         # Corruption may have landed during this very offload; a tainted
         # sign store means the returned top-k cannot be trusted.
         self._check_kso(request)
@@ -130,11 +127,12 @@ class OffloadSupervisor:
                 f"{response.latency.total_ns:.0f} ns > {timeout:.0f} ns")
         return response
 
-    def _backoff(self, attempt: int) -> float:
+    def _backoff(self, attempt: int, site: Tuple[int, ...]) -> float:
         policy = self.policy
         delay = policy.base_backoff_ns * policy.backoff_multiplier ** attempt
         if policy.jitter > 0.0:
-            delay *= 1.0 + policy.jitter * (2.0 * self.rng.random() - 1.0)
+            rng = site_rng(self.device.injector.plan, "backoff", site)
+            delay *= 1.0 + policy.jitter * (2.0 * rng.random() - 1.0)
         return delay
 
     # -- public API --------------------------------------------------------------
@@ -149,43 +147,38 @@ class OffloadSupervisor:
         """
         backoff_total = 0.0
         for attempt in range(self.policy.max_retries + 1):
-            self.stats.attempts += 1
-            self._bump("attempts")
+            site = (request.layer, request.position, attempt)
+            self._count("attempts")
             try:
-                response = self._attempt(request)
+                response = self._attempt(request, site)
             except OffloadTimeoutError:
-                self.stats.timeouts += 1  # injected stall or budget overrun
-                self._bump("timeouts")
+                self._count("timeouts")  # injected stall or budget overrun
             except QueueFullError:
-                self.stats.queue_full += 1
-                self._bump("queue_full")
+                self._count("queue_full")
             except CorruptedKsoError:
                 pass  # counted (and repaired) in _check_kso
             else:
-                self.stats.succeeded += 1
-                self._bump("succeeded")
+                self._count("succeeded")
                 if backoff_total > 0.0 and response.latency is not None:
                     response.latency.queue_ns += backoff_total
                 return response
             if attempt < self.policy.max_retries:
-                self.stats.retries += 1
-                self._bump("retries")
-                delay = self._backoff(attempt)
+                self._count("retries")
+                delay = self._backoff(attempt, site)
                 backoff_total += delay
-                self.stats.backoff_ns += delay
-                self._bump("backoff_ns", delay)
-        self.stats.degraded += 1
-        self._bump("degraded")
+                self._count("backoff_ns", delay)
+        self._count("degraded")
         return None
 
-    def flush_allowed(self) -> bool:
-        """Gate for staged KV flushes (allocator capacity pressure).
+    def flush_allowed(self, layer: int, position: int) -> bool:
+        """Gate for the staged KV flush before row ``position`` of
+        ``layer`` (allocator capacity pressure), decided at that site.
 
         A blocked flush is not an error: tokens stay staged in the HBM
-        window (attended densely) until pressure clears on a later step.
+        window (attended densely) until pressure clears on a later row.
         """
-        if self.device.injector.fires("capacity_pressure"):
-            self.stats.flush_deferrals += 1
-            self._bump("flush_deferrals")
+        if self.device.injector.fires("capacity_pressure",
+                                      (layer, position)):
+            self._count("flush_deferrals")
             return False
         return True

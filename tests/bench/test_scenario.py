@@ -25,7 +25,8 @@ from repro.bench.scenario import (Faults, Scenario, Tenant, Topology, Trace,
                                   solo_outputs)
 from repro.serve.events import INPUT_KINDS
 from repro.fleet import HealthPolicy
-from repro.system.faults import CRASH_KINDS, CrashPlan, GrayFailurePlan
+from repro.system.faults import (CRASH_KINDS, CrashPlan, FaultPlan,
+                                 GrayFailurePlan)
 from tests.scenarios import scenarios
 
 
@@ -212,11 +213,13 @@ MIGRATING = Scenario(
 def test_drawn_scenario_serves_every_request_as_solo(scenario):
     expected = solo_outputs(scenario)
     if scenario.topology.backend == "offload":
-        # The offload backend is the kernel: its tokens are the software
-        # hybrid's, so served offload == software kernel, in bits.
-        assert expected == solo_outputs(dataclasses.replace(
-            scenario, topology=dataclasses.replace(scenario.topology,
-                                                   backend="longsight")))
+        # On a healthy device the offload backend is the kernel: its
+        # tokens are the software hybrid's, in bits.
+        assert solo_outputs(dataclasses.replace(
+            scenario, faults=Faults(offload=FaultPlan.none()))) \
+            == solo_outputs(dataclasses.replace(
+                scenario, topology=dataclasses.replace(scenario.topology,
+                                                       backend="longsight")))
     if not scenario.topology.workers:
         assert run(scenario).outputs == expected
         return

@@ -1,13 +1,15 @@
-"""Fault-plan and fault-injector unit tests."""
+"""Fault-plan, keyed-fault and fault-injector unit tests."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.drex.device import DrexDevice
 from repro.errors import OffloadTimeoutError, QueueFullError
-from repro.system.faults import FAULT_KINDS, FaultInjector, FaultPlan
+from repro.system.faults import FAULT_KINDS, FaultInjector, FaultPlan, fault
 
 pytestmark = pytest.mark.chaos
 
@@ -44,29 +46,69 @@ class TestFaultPlan:
 
 class TestFaultInjector:
     def test_zero_rate_never_draws(self):
-        """A zero-rate kind must not consume RNG state, so plans that do
-        not use a fault kind are unaffected by its injection point."""
+        """A zero-rate kind never fires and builds no generator, so plans
+        that do not use a fault kind are unaffected by its injection
+        point."""
         injector = FaultInjector(FaultPlan.none(seed=3))
-        before = injector.rng.bit_generator.state["state"]["state"]
         for kind in FAULT_KINDS:
-            assert not injector.fires(kind)
-        after = injector.rng.bit_generator.state["state"]["state"]
-        assert before == after
+            assert injector.fires(kind, (0, 5, 0)) is None
         assert injector.total_fired == 0
 
     def test_same_seed_same_sequence(self):
+        """Answers are keyed by site: two injectors on one plan agree on
+        every site, asked in opposite orders."""
         plan = FaultPlan.uniform(0.5, seed=11)
         a = FaultInjector(plan)
         b = FaultInjector(plan)
-        seq_a = [a.fires("cxl_timeout") for _ in range(200)]
-        seq_b = [b.fires("cxl_timeout") for _ in range(200)]
+        sites = [(layer, p, attempt) for layer in range(2)
+                 for p in range(25) for attempt in range(4)]
+        seq_a = [a.fires("cxl_timeout", site) is not None for site in sites]
+        seq_b = [b.fires("cxl_timeout", site) is not None
+                 for site in reversed(sites)][::-1]
         assert seq_a == seq_b
         assert a.counts == b.counts
-        assert 0 < a.counts["cxl_timeout"] < 200
+        assert 0 < a.counts["cxl_timeout"] < len(sites)
 
     def test_rate_one_always_fires(self):
         injector = FaultInjector(FaultPlan.total_failure())
-        assert all(injector.fires("cxl_timeout") for _ in range(50))
+        assert all(injector.fires("cxl_timeout", (0, p, 0)) is not None
+                   for p in range(50))
+
+
+#: a site: ``(layer, position)`` of a flush or ``(layer, position,
+#: attempt)`` of an offload attempt.
+_SITES = st.lists(st.integers(0, 4096), min_size=2, max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rates=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                      min_size=len(FAULT_KINDS), max_size=len(FAULT_KINDS)),
+       seed=st.integers(0, 2 ** 32), sites=st.lists(_SITES, max_size=12),
+       data=st.data())
+def test_keyed_answers_are_order_free(rates, seed, sites, data):
+    """:func:`fault` is a function of (plan, kind, site): any permutation
+    of a list of sites gets the same answers, the fault's own draws
+    included, and a zero-rate kind never fires."""
+    plan = FaultPlan(**{f"{kind}_rate": rate
+                        for kind, rate in zip(FAULT_KINDS, rates)},
+                     seed=seed)
+
+    def answers(order):
+        out = {}
+        for site in order:
+            for kind in FAULT_KINDS:
+                rng = fault(plan, kind, site)
+                out[kind, site] = None if rng is None \
+                    else int(rng.integers(2 ** 32))
+        return out
+
+    asked = answers(sites)
+    assert answers(data.draw(st.permutations(sites))) == asked
+    for (kind, _), answer in asked.items():
+        if plan.rate(kind) == 0.0:
+            assert answer is None
+        if plan.rate(kind) == 1.0:
+            assert answer is not None
 
 
 class TestFaultInjectingDevice:

@@ -7,6 +7,7 @@ from repro.core.config import LongSightConfig
 from repro.core.hybrid import (LongSightAttention, SlidingWindowAttention)
 from repro.core.metrics import FilterStats
 from repro.drex.backend import DrexOffloadBackend
+from repro.drex.device import DrexDevice
 from repro.errors import UnknownUserError
 from repro.llm.kv_cache import KVCache
 from repro.llm.model import Transformer
@@ -50,7 +51,6 @@ class TestZeroFaultEquivalence:
     def test_bit_identical_outputs_and_selections(self, tiny_config):
         backend = DrexOffloadBackend(tiny_config, CFG)
         backend.selection_capture = {}
-        rng_before = backend.device.injector.rng.bit_generator.state
         out = _decode(tiny_config, backend)
         stats = backend.supervisor.stats
         assert stats.attempts == stats.succeeded \
@@ -58,13 +58,11 @@ class TestZeroFaultEquivalence:
         assert stats.retries == stats.degraded == stats.flush_deferrals == 0
         assert backend.degraded_tokens == 0
         assert backend.device.injector.total_fired == 0
-        assert backend.device.injector.rng.bit_generator.state == rng_before
 
-        # Neither seeded stream is consulted, so their seeds cannot reach
-        # the outputs or the selected keys.
+        # No fault is decided and no backoff drawn, so the plan's seed
+        # cannot reach the outputs or the selected keys.
         reseeded = DrexOffloadBackend(
-            tiny_config, CFG, plan=FaultPlan.none(seed=99),
-            supervisor_seed=99)
+            tiny_config, CFG, plan=FaultPlan.none(seed=99))
         reseeded.selection_capture = {}
         np.testing.assert_array_equal(_decode(tiny_config, reseeded), out)
         assert set(reseeded.selection_capture) == \
@@ -158,14 +156,19 @@ class TestRetriesAndRepair:
         # with 3 retries.
         assert backend.degraded_token_fraction < 0.5
 
-    def test_backoff_grows_and_jitters(self):
-        supervisor = OffloadSupervisor(device=None, policy=SupervisorPolicy(
-            base_backoff_ns=1000.0, backoff_multiplier=2.0, jitter=0.25),
-            seed=4)
-        d0 = supervisor._backoff(0)
-        d2 = supervisor._backoff(2)
+    def test_backoff_grows_and_jitters(self, tiny_config):
+        """Each backoff's jitter is drawn at its attempt's site: a retry
+        asked again waits as long."""
+        device = DrexDevice(tiny_config.n_layers, tiny_config.n_kv_heads,
+                            tiny_config.n_q_heads, tiny_config.head_dim,
+                            plan=FaultPlan(seed=4))
+        supervisor = OffloadSupervisor(device, policy=SupervisorPolicy(
+            base_backoff_ns=1000.0, backoff_multiplier=2.0, jitter=0.25))
+        d0 = supervisor._backoff(0, (1, 30, 0))
+        d2 = supervisor._backoff(2, (1, 30, 2))
         assert 750.0 <= d0 <= 1250.0
         assert 3000.0 <= d2 <= 5000.0
+        assert supervisor._backoff(2, (1, 30, 2)) == d2
 
     def test_corruption_detected_and_repaired(self, tiny_config):
         plan = FaultPlan(kso_corruption_rate=0.5, kso_bits_flipped=3, seed=6)

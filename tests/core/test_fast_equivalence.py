@@ -233,7 +233,7 @@ def test_model_level_equivalence(rng):
 
 def test_supervised_offload_equivalence(rng):
     """The zero-fault device path joins the equivalence chain: supervision
-    never retries, degrades or draws from the injector, the filter
+    never retries, degrades or fires a fault, the filter
     counters equal the software kernel's, and the outputs are its bits."""
     from repro.drex.backend import DrexOffloadBackend
     from repro.llm.model import Transformer
@@ -244,13 +244,10 @@ def test_supervised_offload_equivalence(rng):
                              thresholds=TINY.head_dim // 2)
     stats_dev = FilterStats(TINY.n_layers, TINY.n_kv_heads)
     backend = DrexOffloadBackend(TINY, config, stats=stats_dev)
-    injector = backend.device.injector
-    rng_before = injector.rng.bit_generator.state
     out = model.forward_full(tokens, backend=backend, block_size=16)
     assert backend.supervisor.stats.retries == 0
     assert backend.degraded_tokens == 0 < backend.n_offloads
-    assert injector.total_fired == 0
-    assert injector.rng.bit_generator.state == rng_before
+    assert backend.device.injector.total_fired == 0
     stats_sw = FilterStats(TINY.n_layers, TINY.n_kv_heads)
     software = model.forward_full(
         tokens, backend=LongSightAttention(config, stats=stats_sw),

@@ -11,6 +11,7 @@ import pytest
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.core.itq import fit_itq
+from repro.core.metrics import FilterStats
 from repro.drex.backend import DrexOffloadBackend
 from repro.llm.model import Transformer
 from repro.llm.sampling import generate
@@ -149,3 +150,22 @@ def test_sustained_capacity_pressure_keeps_the_kernel_memo_bounded(model,
         45, 19, 0, 62, 20, 19, 56, 36, 30, 50, 2, 44, 24, 6, 41, 59, 13, 39,
         19, 46, 46, 14, 52, 42, 43, 52, 27, 48, 55, 6, 54, 24, 30, 9, 44, 18,
         55, 18, 35, 25, 39, 12]
+
+
+def test_a_deferred_row_is_computed_once(model, tokens):
+    """Capacity pressure is decided for a whole block before it runs: a
+    row whose flush is deferred runs once, alone at its widened window,
+    and is not also computed inside the kernel's block, so the filter
+    counts no more queries than a healthy device's run."""
+    config = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=5)
+
+    def queries(plan):
+        stats = FilterStats(TINY.n_layers, TINY.n_kv_heads)
+        backend = DrexOffloadBackend(TINY, config, plan=plan, stats=stats)
+        model.forward_full(tokens, backend=backend, block_size=16)
+        return int(stats.queries.sum()), backend.supervisor.stats
+
+    healthy, _ = queries(FaultPlan.none())
+    pressured, stats = queries(FaultPlan(capacity_pressure_rate=0.5, seed=1))
+    assert stats.flush_deferrals > 0
+    assert pressured <= healthy

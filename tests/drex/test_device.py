@@ -56,9 +56,9 @@ def _priced_requests(threshold, top_k, rotations=None):
     submitted = []
     execute = backend.device.execute
 
-    def spy(request):
+    def spy(request, *site):
         submitted.append(request)
-        return execute(request)
+        return execute(request, *site)
 
     backend.device.execute = spy
     cache = KVCache(TINY)

@@ -1,12 +1,14 @@
 """Chaos x durability: supervised-offload degradation survives restore.
 
-The satellite property: degradation the :class:`OffloadSupervisor`
-records mid-decode (degraded tokens, fault-injector RNG position,
-retry/repair telemetry) is part of the durable state — after a crash and
-recovery the degraded_token_fraction must be identical to an
-uninterrupted run, not merely "small".  A fault plan harsh enough to
-degrade ~20% of sparse attempts makes any RNG-stream desync visible
-immediately.
+The property: degradation the :class:`OffloadSupervisor` records
+mid-decode (degraded tokens, retry/repair telemetry, flush watermarks,
+unrepaired KSO flips) is part of the durable state, and every fault is
+keyed by its site, so no generator state is saved or restored: a
+re-executed step asks the sites it asked before and gets the same
+answers.  After a crash and recovery the degraded_token_fraction must be
+identical to an uninterrupted run, not merely "small".  A fault plan
+harsh enough to degrade ~20% of sparse attempts makes any divergence
+visible immediately.
 """
 
 import pytest
@@ -24,7 +26,7 @@ pytestmark = pytest.mark.chaos
 
 #: One lost offload retry, then degrade: with a 0.5 timeout rate the
 #: degradation probability per sparse attempt is 0.25 — high enough that
-#: a desynced RNG stream diverges within a step or two of the restore.
+#: a restore that asked other sites would diverge within a step or two.
 FAULT_PLAN = FaultPlan(cxl_timeout_rate=0.5, seed=3)
 POLICY = SupervisorPolicy(max_retries=1)
 
@@ -60,8 +62,8 @@ class TestDegradationSurvivesRestore:
         expected = _events_by_rid(reference)
 
         # kill_before_fsync is the adversarial kind here: the lost WAL
-        # tail is *re-executed*, so the restored injector/supervisor RNG
-        # streams must resume at exactly the snapshotted position.
+        # tail is *re-executed*, so its offloads must ask the same sites
+        # from exactly the snapshotted watermarks and flips.
         for kill_at in range(1, reference.steps + 1):
             directory = tmp_path / f"kill-{kill_at}"
             run = DurableRun(supervised_builder(), make_workload(),
@@ -174,8 +176,8 @@ class TestPinSurvivesRestore:
 
 
 def _live_states(run):
-    """request id -> durable state of every live offload backend: RNG
-    positions, supervisor stats, total latency, degraded log, flush
+    """request id -> durable state of every live offload backend: fault
+    counts, supervisor stats, total latency, degraded log, flush
     watermarks and outstanding KSO flips."""
     return {r.request_id: r.backend.durable_state()
             for r in run._arrivals if r.backend is not None}

@@ -9,6 +9,7 @@ cross-worker failover with bit-identical outputs for every gray kind.
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import pytest
@@ -238,7 +239,12 @@ class TestMonitorOwnsTheWindow:
             == [0, 0]
 
 
-HEALTH = HealthPolicy(step_deadline_s=1.0, fail_after_deadline_misses=2)
+#: Deadline strikes on the simulated stalls decide failover, as the fleet
+#: benches' jitter-free health does: phi judges wall-clock step latency,
+#: which host load can push into a strike on a flapping worker's healthy
+#: step (phi strikes keep their own unit tests).
+HEALTH = HealthPolicy(step_deadline_s=1.0, fail_after_deadline_misses=2,
+                      suspect_phi=math.inf, fail_phi=math.inf)
 
 
 def build_fleet(tmp_path, *, n_workers=4, plan=None, durable=True,

@@ -60,7 +60,8 @@ def test_device_always_matches_reference(threshold, k, n_keys, n_new, seed):
     backend = DrexOffloadBackend(TINY, config)
     submitted = []
     execute = backend.device.execute
-    backend.device.execute = lambda r: submitted.append(r) or execute(r)
+    backend.device.execute = \
+        lambda r, *site: submitted.append(r) or execute(r, *site)
     backend.forward(0, queries, keys, values)
     assert len(submitted) == n_new
     group = TINY.gqa_group_size

@@ -7,9 +7,10 @@ fleet, plain or durable, with a pool that is either tight (the largest
 session just fits alone, so sessions contend and are preempted or
 migrated, through the workers' logs when they are durable) or loose.
 Sessions decode through the software kernel, dense, the sliding window, or
-the supervised DReX offload backend on a healthy device.  No faults yet:
-every drawn scenario must serve each request exactly as solo ``generate``
-does.
+the supervised DReX offload backend under a drawn :class:`FaultPlan` (each
+of the seven fault kinds at rate 0, 0.1 or 0.5, and a seed).  Every drawn
+scenario must serve each request exactly as solo ``generate`` does under
+the same plan.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.bench.scenario import (BLOCK_TOKENS, Faults, Scenario, Tenant,
                                   Topology, Trace)
-from repro.system.faults import FaultPlan
+from repro.system.faults import FAULT_KINDS, FaultPlan
 
 
 @st.composite
@@ -33,6 +34,14 @@ def tenants(draw, index: int) -> Tenant:
         extra=draw(st.sampled_from([0, 8])),
         prefix_tokens=draw(st.sampled_from([0, BLOCK_TOKENS, 40])),
         name=f"tenant{index}", id_offset=100 * index, **arrivals)
+
+
+@st.composite
+def fault_plans(draw) -> FaultPlan:
+    """An offload fault plan: every kind's rate from {0, 0.1, 0.5}."""
+    rates = {f"{kind}_rate": draw(st.sampled_from([0.0, 0.1, 0.5]))
+             for kind in FAULT_KINDS}
+    return FaultPlan(**rates, seed=draw(st.integers(0, 2 ** 16)))
 
 
 @st.composite
@@ -53,7 +62,7 @@ def scenarios(draw) -> Scenario:
         prefix_caching=draw(st.booleans()),
         snapshot_every=3 if "durable" in kind else None,
         workers=2 if "fleet" in kind else 0)
-    faults = Faults(offload=FaultPlan.none()) if backend == "offload" \
+    faults = Faults(offload=draw(fault_plans())) if backend == "offload" \
         else Faults()
     return Scenario(trace, topology, faults,
                     model_seed=draw(st.integers(0, 3)))

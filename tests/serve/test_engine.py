@@ -196,9 +196,8 @@ class TestDegradation:
         pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
 
         def factory(request):
-            return DrexOffloadBackend(
-                TINY, LS, plan=FaultPlan.total_failure(),
-                supervisor_seed=request.request_id)
+            return DrexOffloadBackend(TINY, LS,
+                                      plan=FaultPlan.total_failure())
 
         engine = ServeEngine(
             model, pool, factory,
@@ -230,8 +229,7 @@ class TestDegradation:
 
         def factory(request):
             built[request.request_id] = DrexOffloadBackend(
-                TINY, LS, plan=FaultPlan.total_failure(),
-                supervisor_seed=request.request_id)
+                TINY, LS, plan=FaultPlan.total_failure())
             return built[request.request_id]
 
         engine = ServeEngine(
