@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.llm.config import ModelConfig
 
 ThresholdLike = Union[int, float, np.ndarray]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class LongSightConfig:
     """Hyper-parameters of the hybrid dense–sparse attention algorithm.
 
@@ -41,14 +44,21 @@ class LongSightConfig:
     Every field is an algorithm knob.  How the attention kernel sizes its
     work — key tiles, head slabs, gathered columns — is derived from the
     query count and the context (``repro.core.hybrid``), not configured.
+
+    A config is a frozen value: ``thresholds`` is stored as a read-only
+    float64 array, and configs of equal fields are equal and hash alike,
+    so sessions whose backends were built from distinct but equal configs
+    share one decode call.
     """
 
     window: int = 1024
     n_sink: int = 16
     top_k: int = 1024
-    thresholds: ThresholdLike = 0
+    thresholds: ThresholdLike = dataclasses.field(default=0, compare=False)
     use_itq: bool = False
     per_q_head_thresholds: bool = False
+    #: ``thresholds`` by value — what equality and hash compare of it.
+    _thresholds_value: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -57,10 +67,30 @@ class LongSightConfig:
             raise ValueError("n_sink must be >= 0")
         if self.top_k < 0:
             raise ValueError("top_k must be >= 0")
+        thresholds = np.array(self.thresholds, dtype=np.float64)
+        if thresholds.ndim > 2:
+            raise ValueError(f"thresholds of shape {thresholds.shape} have "
+                             "more than the two axes (layer, head)")
+        thresholds.flags.writeable = False
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "_thresholds_value",
+                           (thresholds.shape, thresholds.tobytes()))
 
-    def threshold_for(self, layer: int, kv_head: int,
-                      q_head: Optional[int] = None) -> float:
-        """Resolve the SCF threshold for one (layer, head).
+    def check_model(self, model: "ModelConfig") -> None:
+        """Raise ``ValueError`` unless ``thresholds`` broadcasts to the
+        model's ``(n_layers, heads)`` — query heads with
+        ``per_q_head_thresholds``, else KV heads."""
+        want = (model.n_layers, model.n_q_heads if self.per_q_head_thresholds
+                else model.n_kv_heads)
+        shape = self.thresholds.shape
+        if any(n not in (1, w) for n, w in zip(shape[::-1], want[::-1])):
+            raise ValueError(f"thresholds of shape {shape} do not broadcast "
+                             f"to (n_layers, heads) = {want}")
+
+    def threshold_for(self, layer: int, kv_head, q_head=None):
+        """Resolve the SCF threshold of one (layer, head), or one per head
+        for index arrays of heads, by broadcasting: an axis of length 1
+        serves every layer or head.
 
         With ``per_q_head_thresholds`` the last axis indexes query heads
         (``q_head`` required); otherwise it indexes KV heads.
@@ -70,12 +100,9 @@ class LongSightConfig:
             if q_head is None:
                 raise ValueError("per_q_head_thresholds requires q_head")
             head = q_head
-        t = np.asarray(self.thresholds)
-        if t.ndim == 0:
-            return float(t)
-        if t.ndim == 1:
-            return float(t[head])
-        return float(t[layer, head])
+        t = self.thresholds
+        index = (layer, head)[2 - t.ndim:]
+        return t[tuple(i if n > 1 else 0 for i, n in zip(index, t.shape))]
 
     def replace(self, **kwargs) -> "LongSightConfig":
         """Return a copy with fields overridden."""

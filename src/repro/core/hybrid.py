@@ -170,6 +170,7 @@ from repro.core.scf import mismatches_packed, pack_signs
 from repro.core.topk import top_k_mask
 from repro.errors import require_finite
 from repro.llm.kv_cache import KVCache, SessionLayerKV
+from repro.llm.model import AttentionBackend
 from repro.llm.ops import softmax
 
 #: Element bound on one key tile's ``n_new x tile`` temporaries and one
@@ -547,7 +548,7 @@ class _SparseSpan:
         return pool_s, pool_c, passed.sum(axis=1), retrieved.sum(axis=1)
 
 
-class LongSightAttention:
+class LongSightAttention(AttentionBackend):
     """Hybrid dense+sparse attention backend for :class:`Transformer`.
 
     Args:
@@ -583,12 +584,11 @@ class LongSightAttention:
         self.obs = resolve_obs(obs)
         self.selection_capture: Optional[Dict[Tuple[int, int], np.ndarray]] = None
         self.survivor_capture: Optional[list] = None
-        #: id(config) -> variant; a variant holds its config, so the id
-        #: cannot be reused while the entry lives.
-        self._variants: Dict[int, "LongSightAttention"] = {}
+
+    # -- the backend protocol ---------------------------------------------------
 
     def with_config(self, config: LongSightConfig) -> "LongSightAttention":
-        """A variant backend with swapped retrieval knobs, shared state.
+        """A variant backend with swapped retrieval knobs.
 
         The serving quality ladder serves some tokens at reduced
         ``top_k`` / raised ``thresholds``, down to ``top_k = 0``; all are
@@ -596,44 +596,38 @@ class LongSightAttention:
         across variants), so the variant can read the same KV cache.
         Rotations and the obs bundle are shared; stats/selection capture
         are not (variants are transient quality levels, not measurement
-        subjects).  One variant per config object: asked again — once a
-        token — the same backend comes back.
+        subjects).  Variants of equal configs stack (:meth:`stack_key`).
         """
-        variant = self._variants.get(id(config))
-        if variant is None:
-            variant = self._variants[id(config)] = LongSightAttention(
-                config, rotations=self.rotations, obs=self.obs)
-        return variant
-
-    # -- hooks Transformer discovers by name ----------------------------------
+        return LongSightAttention(config, rotations=self.rotations,
+                                  obs=self.obs)
 
     def prepare_cache(self, cache: "KVCache") -> None:
-        """Enable the cache's incremental sign store for this backend.
+        """Check the thresholds against the cache's model and enable its
+        incremental sign store for this backend.
 
-        Called by :class:`Transformer` before prefill/decode (duck-typed
-        hook).  Idempotent.  At ``top_k = 0`` no sign is ever read, so a
-        cache is left as it is.
+        Idempotent.  At ``top_k = 0`` no sign is ever read, so the store
+        is left as it is.
         """
+        self.config.check_model(cache.config)
         if self.config.top_k:
             cache.enable_sign_cache(
                 self.rotations if self.config.use_itq else None)
 
     def stack_key(self):
-        """Sessions whose backends return equal keys may share one
-        :meth:`forward_cached_batch` call (duck-typed hook).
+        """Sessions whose backends return equal keys share one
+        :meth:`forward_cached_batch` call.
 
         The serving engine builds one backend *instance* per request, so
         identity would never stack anything; what has to agree is what the
-        routine reads — the class and the ``config`` / ``rotations`` /
-        ``obs`` objects.  A backend that accumulates ``stats`` or a
-        capture stacks only with itself, so its counters fill exactly as
-        they do per session.
+        routine reads — the class, the ``config`` by value and the
+        ``rotations`` / ``obs`` objects.  A backend that accumulates
+        ``stats`` or a capture stacks only with itself, so its counters
+        fill exactly as they do per session.
         """
         if self.stats is not None or self.selection_capture is not None \
                 or self.survivor_capture is not None:
-            return id(self)
-        return (type(self), id(self.config), id(self.rotations),
-                id(self.obs))
+            return self
+        return type(self), self.config, id(self.rotations), id(self.obs)
 
     # -- entry points -----------------------------------------------------------
 
@@ -671,9 +665,10 @@ class LongSightAttention:
         clipped so that it compares in the counts' unsigned dtype: 0
         passes nothing (threshold > d), d + 1 everything.
         """
-        return np.array([np.floor(head_dim - self.config.threshold_for(
-            layer, h // group, h)) + 1 for h in range(n_q_heads)]
-        ).clip(0, head_dim + 1)
+        heads = np.arange(n_q_heads)
+        thresholds = np.broadcast_to(self.config.threshold_for(
+            layer, heads // group, heads), (n_q_heads,))
+        return (np.floor(head_dim - thresholds) + 1).clip(0, head_dim + 1)
 
     def forward_cached(self, layer: int, q: np.ndarray,
                        cache: "KVCache") -> np.ndarray:

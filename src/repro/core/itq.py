@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.scf import sign_pm1
+from repro.llm.kv_cache import KVCache
 from repro.llm.model import DenseBackend, Transformer
 
 
@@ -82,19 +83,19 @@ class ItqRotations:
         return x @ self.matrices[layer, kv_head]
 
 
-class _RecordingBackend:
+class _RecordingBackend(DenseBackend):
     """Dense backend that captures post-RoPE Q/K per layer for ITQ fitting."""
 
     def __init__(self, n_layers: int) -> None:
-        self._dense = DenseBackend()
         self.queries: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
         self.keys: list[Optional[np.ndarray]] = [None] * n_layers
 
-    def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
-                v: np.ndarray) -> np.ndarray:
+    def forward_cached(self, layer: int, q: np.ndarray,
+                       cache: KVCache) -> np.ndarray:
         self.queries[layer].append(q.copy())
-        self.keys[layer] = k.copy()  # cumulative history; final call has all
-        return self._dense.forward(layer, q, k, v)
+        # cumulative history; the final call has all of it
+        self.keys[layer] = cache.layers[layer].keys.copy()
+        return super().forward_cached(layer, q, cache)
 
 
 def fit_itq(model: Transformer, tokens: np.ndarray, n_iter: int = 50,

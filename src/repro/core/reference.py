@@ -14,7 +14,7 @@ as the ``hybrid_reference`` column.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,11 +24,9 @@ from repro.core.itq import ItqRotations
 from repro.core.metrics import FilterStats
 from repro.core.scf import concordance
 from repro.core.topk import top_k_mask
+from repro.llm.model import AttentionBackend
 from repro.llm.ops import softmax
 from repro.obs import Obs, resolve_obs
-
-if TYPE_CHECKING:
-    from repro.llm.kv_cache import KVCache
 
 
 def _region_masks(q_positions: np.ndarray, n_ctx: int, n_sink: int,
@@ -46,13 +44,15 @@ def _region_masks(q_positions: np.ndarray, n_ctx: int, n_sink: int,
     return dense, sparse
 
 
-class ReferenceAttention:
+class ReferenceAttention(AttentionBackend):
     """Per-head reference loop behind the attention-backend protocol.
 
     Same constructor arguments, ``stats`` accumulation and
     ``selection_capture`` debug dict as
-    :class:`~repro.core.hybrid.LongSightAttention`.  It never consumes the
-    packed sign store, so it has no ``prepare_cache`` hook.
+    :class:`~repro.core.hybrid.LongSightAttention`.  It reads the whole
+    key and value history and never the packed sign store, so it keeps
+    the protocol's defaults: ``forward_cached`` is ``forward`` over the
+    cache's arrays, ``prepare_cache`` does nothing.
     """
 
     def __init__(self, config: LongSightConfig,
@@ -66,11 +66,6 @@ class ReferenceAttention:
         self.stats = stats
         self.obs = resolve_obs(obs)
         self.selection_capture: Optional[Dict[Tuple[int, int], np.ndarray]] = None
-
-    def forward_cached(self, layer: int, q: np.ndarray,
-                       cache: "KVCache") -> np.ndarray:
-        kv = cache.layers[layer]
-        return self.forward(layer, q, kv.keys, kv.values)
 
     def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ output is bit-identical to ``LongSightAttention``'s
 kernel runs, a degraded row's included.  At ``top_k = 0`` there is
 nothing to retrieve: the backend is the plain kernel and never offloads.
 
-Each backend owns its device, so it stacks only with itself.  Its
+Each backend owns its device, so it keeps the protocol's default
+``stack_key`` (itself) and batch call (a loop over its rows).  Its
 ``with_config`` variants (the serving quality ladder) share the device,
 the supervisor and the flush watermarks; at ``top_k = 0`` a variant is the
 plain kernel.
@@ -52,6 +53,7 @@ from repro.drex.device import DrexDevice
 from repro.drex.timing import LatencyBreakdown
 from repro.llm.config import ModelConfig
 from repro.llm.kv_cache import KVCache
+from repro.llm.model import AttentionBackend
 from repro.system.faults import FaultPlan
 from repro.system.supervisor import (OffloadSupervisor, SupervisorPolicy,
                                      SupervisorStats)
@@ -131,30 +133,20 @@ class DrexOffloadBackend(LongSightAttention):
         """A quality-ladder variant: at ``top_k = 0`` the plain kernel (the
         dense floor), otherwise an offload backend at ``config`` sharing
         this one's device, supervisor and flush watermarks, so its tokens
-        flush, fault and are priced as this session's.  One per config
-        object, as :meth:`LongSightAttention.with_config`."""
+        flush, fault and are priced as this session's."""
         if not config.top_k:
             return super().with_config(config)
-        variant = self._variants.get(id(config))
-        if variant is None:
-            variant = self._variants[id(config)] = copy.copy(self)
-            variant.config, variant._kernels = config, {}
-            variant.stats = variant.selection_capture = None
+        variant = copy.copy(self)
+        variant.config, variant._kernels = config, {}
+        variant.stats = variant.selection_capture = None
         return variant
-
-    def stack_key(self):
-        """Each backend owns its device: it stacks only with itself."""
-        return id(self)
 
     # -- attention ------------------------------------------------------------
 
-    def forward_cached(self, layer: int, q: np.ndarray,
-                       cache: KVCache) -> np.ndarray:
-        return self._serve(layer, q, cache)
-
-    def forward_cached_batch(self, layer: int, qs, caches) -> np.ndarray:
-        return np.stack([self._serve(layer, np.asarray(q), cache)
-                         for q, cache in zip(qs, caches)])
+    # Each backend owns its device: it stacks only with itself, and its
+    # batch call serves its rows one by one.
+    stack_key = AttentionBackend.stack_key
+    forward_cached_batch = AttentionBackend.forward_cached_batch
 
     def _kernel(self, window: int, floor: bool = False) -> LongSightAttention:
         """The plain kernel at this config with ``window``, at ``top_k = 0``
@@ -199,7 +191,8 @@ class DrexOffloadBackend(LongSightAttention):
             union[h0 // group] |= rows
         return out, passed, union
 
-    def _serve(self, layer: int, q: np.ndarray, cache) -> np.ndarray:
+    def forward_cached(self, layer: int, q: np.ndarray,
+                       cache: KVCache) -> np.ndarray:
         cfg = self.config
         if not cfg.top_k:
             return self._kernel(cfg.window).forward_cached(layer, q, cache)

@@ -13,9 +13,10 @@ needs to resume bit-identically:
   records so far), and — for live sessions — the paged-cache block map
   and prefix-caching state (``PagedKVCache.state()`` / ``from_state``:
   the session format lives with the cache), plus any backend-declared
-  durable state (duck-typed ``durable_state()`` /
-  ``restore_durable_state()``, e.g. the supervised offload backend's
-  degradation counters, flush watermarks and unrepaired KSO flips);
+  durable state (``AttentionBackend.durable_state()`` /
+  ``restore_durable_state()``: ``None`` for most backends, the supervised
+  offload backend's degradation counters, flush watermarks and
+  unrepaired KSO flips);
 - scheduler queues / virtual times / running order / brownout ladder
   stage, the run's record ``counts`` (the fold behind the report totals:
   tokens, preemptions, brownout transitions), and the run's step, clock,
@@ -87,9 +88,7 @@ def serialize_request(request: ServeRequest,
                outputs=[int(t) for t in request.outputs], backend_state=None)
     if include_cache and request.cache is not None:
         out["cache"] = request.cache.state()
-        durable_state = getattr(request.backend, "durable_state", None)
-        if callable(durable_state):
-            out["backend_state"] = durable_state()
+        out["backend_state"] = request.backend.durable_state()
     return out
 
 
@@ -326,8 +325,7 @@ def restore_run(run: EngineRun, meta: dict,
         if cd is None:
             continue
         request.cache = PagedKVCache.from_state(pool, cd)
-        request.backend = backend = engine.backend_factory(request)
-        restore_state = getattr(backend, "restore_durable_state", None)
-        if data["backend_state"] is not None and callable(restore_state):
-            restore_state(data["backend_state"])
+        request.backend = engine.backend_factory(request)
+        if data["backend_state"] is not None:
+            request.backend.restore_durable_state(data["backend_state"])
     return run

@@ -16,7 +16,7 @@ Three pieces live here:
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional, Protocol
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -59,14 +59,30 @@ def init_weights(config: ModelConfig, seed: int = 0) -> Weights:
     return weights
 
 
-class AttentionBackend(Protocol):
-    """Per-layer attention strategy.
+class AttentionBackend:
+    """Per-layer attention strategy: the seam where LongSight replaces
+    dense attention, declared once with its defaults.
 
     The model hands the backend post-RoPE queries for the *new* tokens and
-    the full post-RoPE key/value history (GQA layout); the backend returns
-    per-query-head outputs.  This is the seam where LongSight replaces dense
-    attention.
+    the session's KV cache, whose rows for them are already appended; the
+    backend returns per-query-head outputs.  A subclass defines
+    :meth:`forward` or :meth:`forward_cached` and overrides what else it
+    needs:
+
+    - :meth:`prepare_cache` installs per-cache metadata before prefill and
+      decode (LongSight's packed sign store); by default nothing;
+    - :meth:`stack_key` says which sessions of a decode step share one
+      :meth:`forward_cached_batch` call: those whose keys are equal.  By
+      default the backend itself, and the batch call loops
+      :meth:`forward_cached`;
+    - ``degraded_tokens`` counts tokens served below the backend's own
+      quality (the supervised offload backend's fallbacks), 0 by default;
+    - :meth:`durable_state` / :meth:`restore_durable_state` carry what a
+      snapshot must hold to resume the backend bit-identically: nothing by
+      default.
     """
+
+    degraded_tokens: int = 0
 
     def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
@@ -82,10 +98,39 @@ class AttentionBackend(Protocol):
         Returns:
             ``(n_q_heads, n_new, head_dim)`` outputs.
         """
-        ...
+        raise NotImplementedError
+
+    def forward_cached(self, layer: int, q: np.ndarray,
+                       cache: KVCache) -> np.ndarray:
+        """:meth:`forward` over ``cache``'s layer, which holds ``q``'s rows."""
+        kv = cache.layers[layer]
+        return self.forward(layer, q, kv.keys, kv.values)
+
+    def forward_cached_batch(self, layer: int, qs, caches) -> np.ndarray:
+        """One decode query per session: ``(n_sessions, n_q_heads, 1,
+        head_dim)`` outputs, every backend of the call sharing this one's
+        :meth:`stack_key`."""
+        return np.stack([self.forward_cached(layer, q, cache)
+                         for q, cache in zip(qs, caches)])
+
+    def prepare_cache(self, cache: KVCache) -> None:
+        """Set up per-cache state before prefill or decode (idempotent)."""
+
+    def stack_key(self):
+        """Sessions whose backends return equal keys share one
+        :meth:`forward_cached_batch` call."""
+        return self
+
+    def durable_state(self) -> Optional[dict]:
+        """JSON-safe state a snapshot needs to resume this backend, or
+        ``None`` when it holds none."""
+        return None
+
+    def restore_durable_state(self, state: dict) -> None:
+        """Inverse of :meth:`durable_state` on a freshly built backend."""
 
 
-class DenseBackend:
+class DenseBackend(AttentionBackend):
     """Reference dense causal attention (the paper's GPU-only baseline)."""
 
     def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
@@ -191,25 +236,12 @@ class Transformer:
         return (apply_rope(q, positions, c.rope_theta),
                 *self._kv(layer, x, positions, matmul))
 
-    @staticmethod
-    def _attention(layer: int, q: np.ndarray, cache: KVCache,
-                   backend: AttentionBackend) -> np.ndarray:
-        """Run one session's backend over ``q``; its K/V rows are cached."""
-        # Cache-aware backends (duck-typed) get the cache itself, so they
-        # can consume incrementally maintained metadata such as the packed
-        # sign store instead of recomputing it from the raw keys.
-        fwd_cached = getattr(backend, "forward_cached", None)
-        if fwd_cached is not None:
-            return fwd_cached(layer, q, cache)
-        return backend.forward(layer, q, cache.layers[layer].keys,
-                               cache.layers[layer].values)
-
     def _attend(self, layer: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray, cache: KVCache,
                 backend: AttentionBackend) -> np.ndarray:
         """Append one session's new K/V rows, then run its backend."""
         cache.append(layer, k, v)
-        return self._attention(layer, q, cache, backend)
+        return backend.forward_cached(layer, q, cache)
 
     def _layer(self, layer: int, x: np.ndarray, positions: np.ndarray,
                attend, matmul=np.matmul) -> np.ndarray:
@@ -236,13 +268,6 @@ class Transformer:
         return x + ops.swiglu(h, w[f"w_gate.{layer}"], w[f"w_up.{layer}"],
                               w[f"w_down.{layer}"], matmul)
 
-    @staticmethod
-    def _prepare_cache(cache: KVCache, backend: AttentionBackend) -> None:
-        """Let the backend set up per-cache state (e.g. the sign cache)."""
-        prepare = getattr(backend, "prepare_cache", None)
-        if prepare is not None:
-            prepare(cache)
-
     def _unembed(self, x: np.ndarray, matmul=np.matmul) -> np.ndarray:
         c, w = self.config, self.weights
         x = ops.rms_norm(x, w["final_norm"], c.norm_eps)
@@ -268,7 +293,7 @@ class Transformer:
         n = len(tokens)
         cache = KVCache(self.config)
         cache.reserve(n)
-        self._prepare_cache(cache, backend)
+        backend.prepare_cache(cache)
         attend = functools.partial(self._attend, cache=cache,
                                    backend=backend)
         logits = np.empty((n, self.config.vocab_size))
@@ -309,7 +334,7 @@ class Transformer:
         # One up-front allocation for the whole prompt instead of repeated
         # doubling-and-copying during blockwise prefill.
         cache.reserve(start0 + len(tokens))
-        self._prepare_cache(cache, backend)
+        backend.prepare_cache(cache)
         attend = functools.partial(self._attend, cache=cache,
                                    backend=backend)
         c, w = self.config, self.weights
@@ -325,7 +350,7 @@ class Transformer:
                 positions, np.matmul))
         x = self._layer(
             final, x[-1:], positions[-1:],
-            lambda layer, q, k, v: self._attention(layer, q, cache, backend),
+            lambda layer, q, k, v: backend.forward_cached(layer, q, cache),
             _tile_matmul)
         return self._unembed(x, _tile_matmul)[0]
 
@@ -349,14 +374,12 @@ class Transformer:
         end, the unembedding — once on that stack, so each weight matrix
         is read once per ``_ROW_TILE`` sessions instead of once per
         session.  Attention is stacked too: each session's K/V row is
-        appended to its cache, then sessions whose backends agree on the
-        duck-typed ``stack_key()`` hook make **one**
+        appended to its cache, then sessions whose backends agree on
+        :meth:`AttentionBackend.stack_key` make **one**
         ``forward_cached_batch(layer, qs, caches)`` call per layer (the
-        engine builds one backend per request, so the key compares what
-        the routine reads, not identity; see
-        :meth:`repro.core.hybrid.LongSightAttention.stack_key`).  Only a
-        backend without the hook — dense, sliding window, offload — is
-        still dispatched per session through :meth:`_attend`.
+        engine builds one backend per request, so LongSight's key compares
+        what the routine reads, its config by value, not identity; see
+        :meth:`repro.core.hybrid.LongSightAttention.stack_key`).
 
         Each session's logits are bit-identical to stepping it alone.
         The stacked attention routine is batch-invariant by construction
@@ -389,30 +412,20 @@ class Transformer:
         if n == 0:
             return []
         for cache, backend in zip(caches, backends):
-            self._prepare_cache(cache, backend)
+            backend.prepare_cache(cache)
         n_rows = n + -n % _ROW_TILE
         x = np.zeros((n_rows, self.config.d_model))
         x[:n] = self.weights["embed"][np.asarray(tokens, dtype=np.intp)]
         positions = np.zeros(n_rows, dtype=np.intp)
         positions[:n] = [len(cache) for cache in caches]
         # Sessions whose backends agree on ``stack_key`` share one
-        # attention call per layer; a backend without the hook is
-        # dispatched per session.
+        # attention call per layer.
         stacks: Dict[object, list] = {}
-        alone = []
         for i, backend in enumerate(backends):
-            stack_key = getattr(backend, "stack_key", None)
-            if stack_key is None:
-                alone.append(i)
-            else:
-                stacks.setdefault(stack_key(), []).append(i)
+            stacks.setdefault(backend.stack_key(), []).append(i)
 
         def attend(layer, q, k, v):
             attn = np.zeros(q.shape)        # pad rows attend to nothing
-            for i in alone:
-                row = slice(i, i + 1)
-                attn[:, row] = self._attend(layer, q[:, row], k[:, row],
-                                            v[:, row], caches[i], backends[i])
             for members in stacks.values():
                 for i in members:
                     caches[i].append(layer, k[:, i:i + 1], v[:, i:i + 1])

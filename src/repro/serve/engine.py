@@ -43,20 +43,20 @@ session between two runs' steps, never inside one
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.config import LongSightConfig
+from repro.core.hybrid import LongSightAttention
 from repro.errors import PoolExhaustedError
 from repro.llm.model import Transformer
 from repro.obs import Obs, resolve_obs
 from repro.serve.events import Record, ServeReport
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (ContinuousBatchScheduler, RequestState,
-                                   ServeRequest, SloPolicy, StepPlan)
+                                   ServeRequest, SloPolicy, StepPlan,
+                                   level_config)
 
 #: Decode-batch-size histogram edges: one bucket per batch size up to 256.
 _BATCH_EDGES = tuple(float(x) for x in range(1, 257))
@@ -132,18 +132,6 @@ class AnalyticTiming:
         return chunk
 
 
-def _config_value(cfg) -> tuple:
-    """Hashable value of a backend config dataclass (arrays by bytes)."""
-    def value_of(field):
-        value = getattr(cfg, field.name)
-        if np.ndim(value) == 0:
-            return value
-        array = np.asarray(value)
-        return array.dtype.str, array.shape, array.tobytes()
-
-    return (type(cfg), *map(value_of, dataclasses.fields(cfg)))
-
-
 class ServeEngine:
     """Continuous-batching serving over one model and one paged KV pool.
 
@@ -186,8 +174,6 @@ class ServeEngine:
         self.prefill_block_size = prefill_block_size
         self.max_steps = max_steps
         self.obs = resolve_obs(obs)
-        #: (base config by value, quality level) -> the config served.
-        self._level_configs: dict = {}
 
     # -- session plumbing -----------------------------------------------------
 
@@ -195,11 +181,6 @@ class ServeEngine:
         """Give an admitted request a pool-backed cache and a backend."""
         request.cache = self.pool.new_cache()
         request.backend = self.backend_factory(request)
-
-    @staticmethod
-    def _backend_degraded(backend) -> int:
-        """Supervisor degradation counter, 0 for unsupervised backends."""
-        return int(getattr(backend, "degraded_tokens", 0) or 0)
 
     # -- capacity -------------------------------------------------------------
 
@@ -242,38 +223,6 @@ class ServeEngine:
 
     # -- the quality ladder ---------------------------------------------------
 
-    def _level_config(self, cfg: LongSightConfig,
-                      level: int) -> LongSightConfig:
-        """The config served at quality ``level`` of base config ``cfg``.
-
-        The whole ladder: 1 shrinks ``top_k`` by the brownout policy's
-        ``top_k_scale``, 2 also raises the thresholds by its
-        ``threshold_bump``, 3 is ``top_k = 0`` — the dense floor, sinks +
-        window only.  Memoised per (base config's field values, level),
-        because the engine builds one backend per request and sessions
-        stack into one attention call only when their backends share a
-        config *object* — under overload the batch is at its fullest,
-        which is exactly when that matters.  Keyed by value, the map is
-        bounded by the distinct configurations served, and a factory that
-        builds an equal config per request still gets one variant object.
-        """
-        key = (_config_value(cfg), level)
-        if key not in self._level_configs:
-            if level >= 3:
-                variant = cfg.replace(top_k=0)
-            else:
-                policy = self.policy.brownout
-                variant = cfg.replace(
-                    top_k=max(1, int(cfg.top_k * policy.top_k_scale)))
-                if level >= 2:
-                    bumped = np.asarray(cfg.thresholds) \
-                        + policy.threshold_bump
-                    variant = variant.replace(
-                        thresholds=int(bumped) if bumped.ndim == 0
-                        else bumped)
-            self._level_configs[key] = variant
-        return self._level_configs[key]
-
     def _served_backend(self, request: ServeRequest, stage: int = 0):
         """The backend that serves ``request`` now, and its quality level.
 
@@ -282,11 +231,13 @@ class ServeEngine:
         ``stage``; 0 is ``request.backend`` itself, which is never
         replaced — a pinned supervised backend keeps its durable state.
         Any other level is the backend's ``with_config`` variant at
-        :meth:`_level_config` (an offload backend's shares its device; at
-        ``top_k = 0`` every variant is the plain kernel).  The level
-        returned is 0 whenever service is actually unchanged (a backend
-        without a :class:`LongSightConfig`, or already at ``top_k = 0``),
-        so only genuinely degraded tokens are attributed.
+        :func:`~repro.serve.scheduler.level_config` (an offload backend's
+        shares its device; at ``top_k = 0`` every variant is the plain
+        kernel), built per token: variants of equal configs stack by
+        value.  The level returned is 0 whenever service is actually
+        unchanged (a backend that is not a :class:`LongSightAttention`, or
+        already at ``top_k = 0``), so only genuinely degraded tokens are
+        attributed.
 
         Safe on the live cache: ``top_k`` / ``thresholds`` are query-time
         retrieval knobs (the packed-sign layout is identical across
@@ -295,11 +246,11 @@ class ServeEngine:
         """
         backend = request.backend
         level = 3 if request.pinned_dense else stage
-        cfg = getattr(backend, "config", None)
-        if not level or not isinstance(cfg, LongSightConfig) \
-                or not cfg.top_k:
+        if not level or not isinstance(backend, LongSightAttention) \
+                or not backend.config.top_k:
             return backend, 0
-        return backend.with_config(self._level_config(cfg, level)), level
+        return backend.with_config(level_config(
+            backend.config, level, self.policy.brownout)), level
 
     # -- one step -------------------------------------------------------------
 
@@ -392,7 +343,7 @@ class ServeEngine:
             backends, levels = zip(*(
                 self._served_backend(request, scheduler.brownout_stage)
                 for request in ready))
-            before = [self._backend_degraded(b) for b in backends]
+            before = [b.degraded_tokens for b in backends]
             with tracer.span("decode_batch", batch=len(ready)):
                 logits_list = self.model.decode_step_batch(
                     [r.pending_token for r in ready],
@@ -405,7 +356,7 @@ class ServeEngine:
                 request.outputs.append(token)
                 request.pending_token = token
                 degraded = request.pinned_dense \
-                    or self._backend_degraded(backend) > seen
+                    or backend.degraded_tokens > seen
                 flags.append(degraded)
                 emitted.append((request, 0 if request.pinned_dense
                                 else level, degraded))

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.config import LongSightConfig
 from repro.obs import Obs, resolve_obs
 from repro.serve.events import RecordLog, RequestEvents
 from repro.serve.paged_kv import PagedKVPool
@@ -155,6 +156,25 @@ class BrownoutPolicy:
             raise ValueError("admit_per_step must be >= 1")
         if self.shed_to_depth is not None and self.shed_to_depth < 1:
             raise ValueError("shed_to_depth must be >= 1")
+
+
+def level_config(config: LongSightConfig, level: int,
+                 brownout: Optional[BrownoutPolicy]) -> LongSightConfig:
+    """The config served at quality ``level`` (1-3) of base ``config``.
+
+    The whole ladder: 1 shrinks ``top_k`` by ``brownout.top_k_scale`` (to
+    at least 1), 2 also raises the thresholds by its ``threshold_bump``,
+    3 is ``top_k = 0`` — the dense floor, sinks + window only, which a
+    dense pin reaches with no brownout policy at all.  A pure function of
+    its arguments: configs are values, so equal bases give equal variants
+    and their sessions stack without sharing a config object.
+    """
+    if level >= 3:
+        return config.replace(top_k=0)
+    changes = {"top_k": max(1, int(config.top_k * brownout.top_k_scale))}
+    if level >= 2:
+        changes["thresholds"] = config.thresholds + brownout.threshold_bump
+    return config.replace(**changes)
 
 
 @dataclasses.dataclass(frozen=True)

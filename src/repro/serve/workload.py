@@ -51,8 +51,8 @@ def backend_factory(name: str, tiny_ls: LongSightConfig,
     if name == "dense":
         return lambda request: DenseBackend()
     if name == "sliding_window":
-        # The hybrid at top_k = 0; one config object for every session,
-        # so their decode rows stack.
+        # The hybrid at top_k = 0; its sessions' configs are equal, so
+        # their decode rows stack.
         sliding = tiny_ls.replace(top_k=0)
         return lambda request: LongSightAttention(sliding)
     if name == "offload":

@@ -1,5 +1,8 @@
 """Hybrid attention backend: dense-equivalence cases, masks, stats."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
 from repro.core.itq import fit_itq
 from repro.core.metrics import FilterStats
 from repro.core.reference import _region_masks
+from repro.llm.config import LLAMA_SIM_SMALL
+from repro.llm.kv_cache import KVCache
 from repro.llm.model import DenseBackend, Transformer
 from tests.conftest import TINY
 
@@ -160,3 +165,63 @@ class TestConfig:
         a = LongSightConfig(window=10)
         b = a.replace(top_k=5)
         assert b.window == 10 and b.top_k == 5 and a.top_k != 5
+
+    def test_a_config_is_a_frozen_value(self):
+        per_layer = np.full((2, 2), 3)
+        a = LongSightConfig(thresholds=per_layer)
+        b = LongSightConfig(thresholds=per_layer.astype(float))
+        per_layer[0, 0] = 9                  # the config holds its own copy
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert LongSightConfig(thresholds=3) == LongSightConfig(thresholds=3.0)
+        assert a != a.replace(thresholds=4) and a != a.replace(top_k=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.top_k = 5
+        with pytest.raises(ValueError, match="read-only"):
+            a.thresholds[0, 0] = 9
+
+
+# LLAMA_SIM_SMALL has 3 layers and 2 KV heads: a shape with one axis of
+# length L or H tells the two axes apart (TINY has 2 and 2).
+SMALL_LS = LongSightConfig(window=8, n_sink=4, top_k=8)
+
+
+@pytest.fixture(scope="module")
+def small():
+    model = Transformer(LLAMA_SIM_SMALL, seed=0)
+    return model, np.random.default_rng(1).integers(
+        0, LLAMA_SIM_SMALL.vocab_size, size=48)
+
+
+@pytest.mark.parametrize("short", [
+    [[6.0, 9.0]], [[6.0], [7.0], [8.0]], [6.0, 9.0], 6.0],
+    ids=["1xH", "Lx1", "H", "scalar"])
+def test_thresholds_broadcast_to_every_layer_and_head(small, short):
+    """A threshold array of a broadcastable shape serves every (layer, KV
+    head) what its full ``(n_layers, n_kv_heads)`` broadcast serves."""
+    model, tokens = small
+    full = np.broadcast_to(short, (3, 2))
+    config = SMALL_LS.replace(thresholds=short)
+    for layer in range(3):
+        for kv_head in range(2):
+            assert config.threshold_for(layer, kv_head) == full[layer,
+                                                                kv_head]
+    stats = FilterStats(3, 2)
+    out = model.forward_full(tokens, LongSightAttention(config, stats=stats))
+    want_stats = FilterStats(3, 2)
+    want = model.forward_full(tokens, LongSightAttention(
+        SMALL_LS.replace(thresholds=full.copy()), stats=want_stats))
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(stats.passed, want_stats.passed)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 3), (1, 1, 1)])
+def test_thresholds_that_do_not_broadcast_fail_before_any_row(small, shape):
+    """A length-L vector would index heads by layer; a shape that does not
+    broadcast to (3, 2) is a ``ValueError`` naming it, and prefill has
+    appended no row when it is raised."""
+    model, tokens = small
+    cache = KVCache(LLAMA_SIM_SMALL)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        model.prefill(tokens, cache, backend=LongSightAttention(
+            SMALL_LS.replace(thresholds=np.full(shape, 6.0))))
+    assert len(cache) == 0

@@ -60,7 +60,9 @@ def test_sessions_round_trip_through_their_own_state(
     run = engine.start([])
     run._arrivals = [ServeRequest(i, prompt, 4) for i in range(len(sessions))]
     for request, cache in zip(run._arrivals, sessions):
+        # A live session, as the engine attaches one: a cache and a backend.
         request.cache = cache
+        request.backend = engine.backend_factory(request)
     path = tmp_path / "snapshot-00000001.bin"
     write_snapshot(path, run, epoch="e", lsn=1, step=1)
     meta, arenas = read_snapshot(path)

@@ -95,8 +95,7 @@ class TestDegradationSurvivesRestore:
         # state of every live session at the moment of death.
         before = {r.request_id: r.backend.durable_state()
                   for r in run._arrivals
-                  if r.backend is not None
-                  and hasattr(r.backend, "durable_state")}
+                  if r.backend is not None}
         fractions = {r.request_id: r.events.degraded_tokens
                      for r in run._arrivals}
         assert any(s["supervisor_stats"]["succeeded"]
@@ -107,8 +106,7 @@ class TestDegradationSurvivesRestore:
                                    snapshot_every=4)
         after = {r.request_id: r.backend.durable_state()
                  for r in recovered._arrivals
-                 if r.backend is not None
-                 and hasattr(r.backend, "durable_state")}
+                 if r.backend is not None}
         assert after == before
         assert {r.request_id: r.events.degraded_tokens
                 for r in recovered._arrivals} == fractions

@@ -60,7 +60,7 @@ def _all_rows_prefill(model, tokens, cache, backend) -> np.ndarray:
     """Every layer over every position, then read one row: the reference."""
     start0 = len(cache)
     cache.reserve(start0 + len(tokens))
-    model._prepare_cache(cache, backend)
+    backend.prepare_cache(cache)
     attend = functools.partial(model._attend, cache=cache, backend=backend)
     for start in range(0, len(tokens), BLOCK):
         x = model.weights["embed"][tokens[start:start + BLOCK]]

@@ -19,7 +19,7 @@ from repro.serve.engine import ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (BROWNOUT_STAGES, BrownoutPolicy,
                                    ContinuousBatchScheduler, RequestState,
-                                   ServeRequest, SloPolicy)
+                                   ServeRequest, SloPolicy, level_config)
 from tests.conftest import TINY
 
 LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
@@ -188,10 +188,10 @@ class TestEngineAttribution:
 
 class TestBrownoutVariantsStack:
     """The engine builds one backend per request; under brownout each
-    gets a ``with_config`` variant.  The variant *config* is shared per
-    (base config, stage), so the browned-out batch still decodes in one
-    stacked attention call per layer — under overload, when the batch is
-    at its fullest."""
+    gets a ``with_config`` variant.  The variant configs of one (base
+    config, stage) are equal values, and backends stack by config value,
+    so the browned-out batch still decodes in one stacked attention call
+    per layer — under overload, when the batch is at its fullest."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -220,14 +220,16 @@ class TestBrownoutVariantsStack:
         backends = [backend for backend, _ in staged]
         assert [applied for _, applied in staged] == [1] * len(requests)
         assert len({id(b) for b in backends}) == len(requests)
-        assert len({id(b.config) for b in backends}) == 1
+        assert len({b.config for b in backends}) == 1
+        assert len({b.stack_key() for b in backends}) == 1
         assert backends[0].config.top_k == LS.top_k // 2
-        # Memoised per request too: the same variant on the next token.
-        assert engine._served_backend(requests[0], 1)[0] is backends[0]
+        # The same config on the next token: it stacks with this one.
+        assert engine._served_backend(requests[0], 1)[0].stack_key() \
+            == backends[0].stack_key()
         stage2 = engine._served_backend(requests[0], 2)[0]
-        assert stage2.config is engine._served_backend(
+        assert stage2.config == engine._served_backend(
             requests[1], 2)[0].config
-        assert stage2.config is not backends[0].config
+        assert stage2.config != backends[0].config
 
         stacked_calls.clear()
         tokens = [3, 1, 4, 1, 5]
@@ -263,7 +265,8 @@ class TestBrownoutVariantsStack:
         staged = [engine._served_backend(r, 3) for r in requests]
         backends = [backend for backend, _ in staged]
         assert [level for _, level in staged] == [3] * len(requests)
-        assert len({id(b.config) for b in backends}) == 1
+        assert len({b.config for b in backends}) == 1
+        assert len({b.stack_key() for b in backends}) == 1
         assert backends[0].config == LS.replace(top_k=0)
         assert all(r.backend.config is LS for r in requests)   # not swapped
 
@@ -278,6 +281,45 @@ class TestBrownoutVariantsStack:
             np.testing.assert_array_equal(
                 stacked[i],
                 model.decode_step(tokens[i], twins[i], backend=sliding))
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_equal_valued_configs_stack_at_every_level(self, model, level,
+                                                       stacked_calls):
+        """Backends built from distinct but equal configs, one per
+        request, decode in one stacked call per layer at every quality
+        level, each row bit-equal to stepping its session alone."""
+        rng = np.random.default_rng(12)
+        per_layer = np.full((TINY.n_layers, TINY.n_kv_heads), 3)
+        pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
+        engine = ServeEngine(
+            model, pool, lambda r: LongSightAttention(LS.replace(
+                thresholds=per_layer.copy())),
+            policy=SloPolicy(brownout=BrownoutPolicy()))
+        requests = [ServeRequest(request_id=i, max_new_tokens=4,
+                                 prompt=rng.integers(0, TINY.vocab_size,
+                                                     size=12 + 5 * i))
+                    for i in range(3)]
+        twins = []
+        for request in requests:
+            engine._attach(request)
+            model.prefill(request.prompt, request.cache,
+                          backend=request.backend)
+            twins.append(pool.new_cache())
+            model.prefill(request.prompt, twins[-1],
+                          backend=request.backend)
+        assert len({id(r.backend.config) for r in requests}) == len(requests)
+        backends = [engine._served_backend(r, level)[0] for r in requests]
+
+        stacked_calls.clear()
+        tokens = [2, 7, 1]
+        stacked = model.decode_step_batch(
+            tokens, [r.cache for r in requests], backends)
+        assert stacked_calls == [(backends[0].config, layer, len(requests))
+                                 for layer in range(TINY.n_layers)]
+        for i, backend in enumerate(backends):
+            np.testing.assert_array_equal(
+                stacked[i],
+                model.decode_step(tokens[i], twins[i], backend=backend))
 
     @pytest.mark.parametrize("kind", ["longsight", "offload"])
     def test_deescalating_session_equals_the_solo_replay_of_its_levels(
@@ -325,7 +367,7 @@ class TestBrownoutVariantsStack:
             at_level = {0: base, 3: floor}
             for level in (1, 2):
                 at_level[level] = base.with_config(
-                    engine._level_config(LS, level))
+                    level_config(LS, level, engine.policy.brownout))
             cache = pool.new_cache()
             token = int(np.argmax(model.prefill(request.prompt, cache,
                                                 backend=base)))
@@ -366,9 +408,9 @@ class TestBrownoutVariantsStack:
         assert run() == stacked
         assert stacked_calls and all(n == 1 for _, _, n in stacked_calls)
 
-    def test_config_map_is_bounded_with_a_config_per_request(self, model):
-        """A factory that builds an equal config per request must not
-        grow the engine's variant map by one entry per request."""
+    def test_equal_configs_per_request_stack_by_value(self, model):
+        """A factory that builds an equal config per request serves what a
+        shared config serves, and its variants stack by value."""
         def run(factory):
             rng = np.random.default_rng(11)
             pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
@@ -392,19 +434,20 @@ class TestBrownoutVariantsStack:
                             thresholds=per_layer.copy())))
         assert outputs == expected
         assert set(report.brownout_stage_tokens) >= {1, 2}
-        stages = len(BROWNOUT_STAGES) - 1
-        assert 0 < len(engine._level_configs) <= stages
-        # Equal-valued bases share the variant object, so they stack.
+        # Equal-valued bases give equal variants, so they stack.
         fresh = [ServeRequest(request_id=100 + i, max_new_tokens=1,
                               prompt=np.zeros(4, dtype=np.int64))
                  for i in range(2)]
         for request in fresh:
             engine._attach(request)
         a, b = (engine._served_backend(r, 2)[0] for r in fresh)
-        assert a.config is b.config and a.stack_key() == b.stack_key()
-        # A different value is a different entry.
+        assert a.config is not b.config
+        assert a.config == b.config and a.stack_key() == b.stack_key()
+        # A different value is a different key.
         other = ServeRequest(request_id=200, max_new_tokens=1,
                              prompt=np.zeros(4, dtype=np.int64))
         other.backend = LongSightAttention(shared.replace(
             thresholds=per_layer + 1))
-        assert engine._served_backend(other, 2)[0].config is not a.config
+        variant = engine._served_backend(other, 2)[0]
+        assert variant.config != a.config
+        assert variant.stack_key() != a.stack_key()

@@ -18,7 +18,8 @@ from repro.llm.sampling import generate
 from repro.serve.workload import default_systems
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
-from repro.serve.scheduler import RequestState, ServeRequest, SloPolicy
+from repro.serve.scheduler import (RequestState, ServeRequest, SloPolicy,
+                                   level_config)
 from repro.system.faults import FaultPlan
 from repro.system.prefill import PrefillModel
 from tests.conftest import TINY
@@ -247,20 +248,26 @@ class TestDegradation:
                 if r.pinned_dense and r.backend is not None)
         assert backends_seen and all(
             backend is built[rid] for rid, backend in backends_seen)
-        # The pinned steps' calls are the engine's one top_k = 0 config,
+        # The pinned steps' calls are at the engine's top_k = 0 config,
         # one per layer, stacking every pinned session; the offload
-        # backends' own kernel calls (one session each) are not theirs.
-        floor = engine._level_config(LS, 3)
+        # backends' own kernel calls (one session each, from the kernels
+        # each backend keeps, whose floor config is an equal value) are
+        # not theirs.
+        floor = level_config(LS, 3, engine.policy.brownout)
         assert floor == LS.replace(top_k=0)
+        own = {id(kernel.config) for backend in built.values()
+               for kernel in backend._kernels.values()}
         pinned = [(layer, n) for config, layer, n in stacked_calls
-                  if config is floor]
+                  if id(config) not in own]
         steps = len(pinned) // TINY.n_layers
         assert steps > 0
+        assert all(config == floor for config, _, _ in stacked_calls
+                   if id(config) not in own)
         assert [layer for layer, _ in pinned] \
             == list(range(TINY.n_layers)) * steps
         assert max(n for _, n in pinned) == len(requests)
         assert all(n == 1 for config, _, n in stacked_calls
-                   if config is not floor)
+                   if id(config) in own)
         sliding = SlidingWindowAttention(window=LS.window, n_sink=LS.n_sink)
         for request in requests:
             assert request.events.shed
