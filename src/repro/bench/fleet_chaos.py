@@ -88,7 +88,6 @@ def run_gray_sweep(seed: int, n_steady: int = 10, n_burst: int = 6,
         n_workers, blocks_per_worker, max_decode_batch=4,
         snapshot_every=snapshot_every,
         health=HealthPolicy(step_deadline_s=STEP_DEADLINE_S,
-                            fail_after_deadline_misses=2,
                             suspect_phi=math.inf, fail_phi=math.inf))
 
     def point(plan: Optional[GrayFailurePlan]) -> dict:

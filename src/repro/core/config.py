@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -80,12 +80,19 @@ class LongSightConfig:
         """Raise ``ValueError`` unless ``thresholds`` broadcasts to the
         model's ``(n_layers, heads)`` — query heads with
         ``per_q_head_thresholds``, else KV heads."""
-        want = (model.n_layers, model.n_q_heads if self.per_q_head_thresholds
-                else model.n_kv_heads)
+        self.check_heads(model.n_q_heads, model.n_kv_heads, model.n_layers)
+
+    def check_heads(self, n_q_heads: int, n_kv_heads: int,
+                    n_layers: Optional[int] = None) -> None:
+        """:meth:`check_model` over head counts: with no ``n_layers`` (a
+        stateless call, which knows no layer count) the head axis alone."""
+        heads = n_q_heads if self.per_q_head_thresholds else n_kv_heads
+        want, axes = ((heads,), "(heads,)") if n_layers is None \
+            else ((n_layers, heads), "(n_layers, heads)")
         shape = self.thresholds.shape
         if any(n not in (1, w) for n, w in zip(shape[::-1], want[::-1])):
             raise ValueError(f"thresholds of shape {shape} do not broadcast "
-                             f"to (n_layers, heads) = {want}")
+                             f"to {axes} = {want}")
 
     def threshold_for(self, layer: int, kv_head, q_head=None):
         """Resolve the SCF threshold of one (layer, head), or one per head

@@ -684,7 +684,9 @@ class LongSightAttention(AttentionBackend):
 
     def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
-        """Stateless forward: :meth:`forward_cached` over the arrays."""
+        """Stateless forward: :meth:`forward_cached` over the arrays,
+        once the thresholds are checked against their head counts."""
+        self.config.check_heads(q.shape[0], k.shape[0])
         return self.forward_cached(layer, q, _ArrayCache(layer, k, v))
 
     # -- the prefill kernel ---------------------------------------------------

@@ -72,6 +72,7 @@ class ReferenceAttention(AttentionBackend):
         cfg = self.config
         n_q_heads, n_new, head_dim = q.shape
         n_kv_heads, n_ctx, _ = k.shape
+        cfg.check_heads(n_q_heads, n_kv_heads)
         group = n_q_heads // n_kv_heads
         scale = 1.0 / np.sqrt(head_dim)
         q_positions = np.arange(n_ctx - n_new, n_ctx)

@@ -55,8 +55,7 @@ from repro.llm.config import ModelConfig
 from repro.llm.kv_cache import KVCache
 from repro.llm.model import AttentionBackend
 from repro.system.faults import FaultPlan
-from repro.system.supervisor import (OffloadSupervisor, SupervisorPolicy,
-                                     SupervisorStats)
+from repro.system.supervisor import OffloadSupervisor, SupervisorStats
 
 #: The backend owns its device, so its one session is user 0.
 _UID = 0
@@ -101,7 +100,6 @@ class DrexOffloadBackend(LongSightAttention):
     def __init__(self, model_config: ModelConfig, config: LongSightConfig,
                  rotations: Optional[ItqRotations] = None,
                  plan: Optional[FaultPlan] = None,
-                 policy: Optional[SupervisorPolicy] = None,
                  stats: Optional[FilterStats] = None) -> None:
         super().__init__(config, rotations=rotations, stats=stats)
         self.model_config = model_config
@@ -114,7 +112,7 @@ class DrexOffloadBackend(LongSightAttention):
             plan=plan,
         )
         self.device.register_user(_UID)
-        self.supervisor = OffloadSupervisor(self.device, policy)
+        self.supervisor = OffloadSupervisor(self.device)
         self._session = _Session()
         #: dense floor? -> the kernel serving rows at this config's window
         self._kernels: Dict[bool, LongSightAttention] = {}

@@ -14,7 +14,8 @@ LongSight allocates DReX memory at the granularity of:
   scores; populated into a per-user response buffer.
 
 Each class knows its byte footprint so the CXL/bandwidth models can charge
-transfers exactly.
+transfers exactly; the two descriptor sizes are :func:`request_bytes` and
+:func:`response_entry_bytes`, which the analytic models charge too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,17 @@ import dataclasses
 from typing import Optional, Sequence
 
 import numpy as np
+
+
+def request_bytes(n_values: int, dtype_bytes: int = 2) -> int:
+    """A Request Descriptor's size: a 16-byte header (UID, layer, k,
+    flags) and ``n_values`` query elements."""
+    return 16 + n_values * dtype_bytes
+
+
+def response_entry_bytes(head_dim: int, dtype_bytes: int = 2) -> int:
+    """One Response Descriptor entry: a value, its score and its key ID."""
+    return head_dim * dtype_bytes + dtype_bytes + 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,8 +106,7 @@ class RequestDescriptor:
 
     @property
     def n_bytes(self) -> int:
-        header = 16  # UID, layer, k, flags
-        return header + self.queries.size * self.dtype_bytes
+        return request_bytes(self.queries.size, self.dtype_bytes)
 
 
 @dataclasses.dataclass
@@ -111,12 +122,12 @@ class ResponseDescriptor:
 
     def n_bytes(self, head_dim: int) -> int:
         """Bytes the GPU must pull over CXL: scores + values + ids."""
-        return 16 + self.n_entries * (head_dim * self.dtype_bytes
-                                      + self.dtype_bytes + 4)
+        return 16 + self.n_entries * response_entry_bytes(head_dim,
+                                                          self.dtype_bytes)
 
     @staticmethod
     def max_bytes(n_q_heads: int, head_dim: int, top_k: int = 1024,
                   dtype_bytes: int = 2) -> int:
         """Sizing bound for the DCC's fixed response buffers."""
-        per_entry = head_dim * dtype_bytes + dtype_bytes + 4
-        return 16 + n_q_heads * top_k * per_entry
+        return 16 + n_q_heads * top_k * response_entry_bytes(head_dim,
+                                                             dtype_bytes)

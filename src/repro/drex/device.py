@@ -33,7 +33,8 @@ from repro.drex.layout import ContextSlice
 from repro.drex.timing import DrexTimingModel, OffloadCost
 from repro.errors import OffloadTimeoutError, QueueFullError
 from repro.obs import Obs, resolve_obs
-from repro.system.faults import FaultInjector, FaultPlan
+from repro.system.faults import (CXL_DEGRADATION_FACTOR, KSO_BITS_FLIPPED,
+                                 NMA_STALL_NS, FaultInjector, FaultPlan)
 
 
 #: Offload-latency histogram edges: log-spaced 100 ns .. 100 ms.
@@ -172,7 +173,7 @@ class DrexDevice:
         if rng is not None:
             self.corrupt_kso(request.uid, request.layer,
                              int(rng.integers(self.n_kv_heads)), rng,
-                             n_bits=inj.plan.kso_bits_flipped)
+                             n_bits=KSO_BITS_FLIPPED)
         if inj.fires("cxl_timeout", site):
             raise OffloadTimeoutError(
                 "injected: CXL response timed out (stalled link or lost "
@@ -182,9 +183,9 @@ class DrexDevice:
         self.dcc.complete(self._process(popped))
         response = self.dcc.read_response(request.uid)
         if inj.fires("nma_stall", site):
-            response.latency.rank_ns += inj.plan.nma_stall_ns
+            response.latency.rank_ns += NMA_STALL_NS
         if inj.fires("cxl_degraded", site):
-            response.latency.value_read_ns *= inj.plan.cxl_degradation_factor
+            response.latency.value_read_ns *= CXL_DEGRADATION_FACTOR
         return response
 
     def _process(self, request: RequestDescriptor) -> ResponseDescriptor:

@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.drex.descriptors import request_bytes, response_entry_bytes
 from repro.drex.dram import LpddrTimings, LPDDR5X
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 from repro.drex.nma import NearMemoryAccelerator
+
+if TYPE_CHECKING:
+    from repro.system.cxl import CxlLink
 
 
 @dataclasses.dataclass
@@ -87,17 +91,20 @@ class OffloadCost:
 
 
 class DrexTimingModel:
-    """Latency calculator shared by the functional device and the perf model."""
+    """Latency calculator shared by the functional device and the perf
+    model; both CXL transfers are ``cxl``'s (default: a :class:`CxlLink`
+    at its defaults)."""
 
     def __init__(self, geometry: DrexGeometry = DREX_DEFAULT,
                  timings: LpddrTimings = LPDDR5X,
-                 cxl_bandwidth_gbps: float = 100.0,
-                 cxl_latency_ns: float = 600.0) -> None:
+                 cxl: Optional["CxlLink"] = None) -> None:
+        # repro.system imports this module: the link model is imported
+        # when the link is defaulted.
+        from repro.system.cxl import CxlLink
         self.geometry = geometry
         self.timings = timings
         self.nma = NearMemoryAccelerator(geometry, timings)
-        self.cxl_bandwidth = cxl_bandwidth_gbps * 1e9
-        self.cxl_latency_ns = cxl_latency_ns
+        self.cxl = cxl or CxlLink()
 
     def epochs(self, n_keys: int) -> int:
         """Filtering epochs: blocks beyond one per PFU wrap into new epochs."""
@@ -126,15 +133,14 @@ class DrexTimingModel:
     def value_read_ns(self, n_retrieved_total: int, head_dim: int,
                       dtype_bytes: int = 2) -> float:
         """CXL transfer of the response: values + scores + IDs."""
-        per_entry = head_dim * dtype_bytes + dtype_bytes + 4
-        n_bytes = n_retrieved_total * per_entry
-        return self.cxl_latency_ns + n_bytes / self.cxl_bandwidth * 1e9
+        return self.cxl.transfer_ns(
+            n_retrieved_total * response_entry_bytes(head_dim, dtype_bytes))
 
     def request_submit_ns(self, n_query_heads: int, head_dim: int,
                           dtype_bytes: int = 2) -> float:
         """GPU -> DCC descriptor write over CXL."""
-        n_bytes = 16 + n_query_heads * head_dim * dtype_bytes
-        return self.cxl_latency_ns + n_bytes / self.cxl_bandwidth * 1e9
+        return self.cxl.transfer_ns(
+            request_bytes(n_query_heads * head_dim, dtype_bytes))
 
     def offload_latency(self, per_package_costs: Sequence[OffloadCost],
                         head_dim: int, dtype_bytes: int = 2) -> LatencyBreakdown:

@@ -67,7 +67,7 @@ from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
 from repro.serve.engine import EngineRun, ServeEngine
 from repro.serve.events import INPUT_KINDS, TIME_FIELDS, Record, ServeReport
 from repro.serve.scheduler import ServeRequest
-from repro.system.faults import CrashPlan
+from repro.system.faults import TORN_FRACTION, CrashPlan
 from repro.durable.snapshot import (build_request, read_snapshot,
                                     restore_run, serialize_request,
                                     write_snapshot)
@@ -209,7 +209,7 @@ class DurableRun(EngineRun):
         elif crash.kind == "torn_snapshot":
             path = self._snapshot()
             data = path.read_bytes()
-            keep = max(16, int(len(data) * crash.torn_fraction))
+            keep = max(16, int(len(data) * TORN_FRACTION))
             path.write_bytes(data[:keep])
         elif crash.kind == "stale_wal":
             self.wal.sync()

@@ -6,9 +6,9 @@ canonical payload, so a torn tail (the half-written line a crash leaves
 behind) is detected and truncated while mid-file corruption is reported
 as :class:`~repro.errors.WalCorruptError` rather than silently replayed.
 The first record is a ``begin`` header naming the *epoch* — one serving
-lifetime of one durable directory — which snapshots also carry; replaying
-a WAL whose epoch does not match the snapshot is refused
-(:class:`~repro.errors.StaleWalError` semantics, handled by recovery).
+lifetime of one durable directory — which snapshots also carry; a WAL
+whose epoch does not match the snapshot is not replayed: recovery sets it
+aside as ``wal.log.stale`` and begins a fresh log.
 
 Appends buffer in memory and reach disk in fsync batches
 (``fsync_every`` records), so steady-state logging costs one fsync per

@@ -106,11 +106,6 @@ class WalCorruptError(DurabilityError):
     final record — mid-file corruption, not an ordinary torn tail."""
 
 
-class StaleWalError(DurabilityError):
-    """The write-ahead log belongs to a different epoch than the snapshot
-    being restored; its suffix cannot be trusted for replay."""
-
-
 class ReplayDivergenceError(DurabilityError):
     """Deterministic re-execution of the WAL suffix produced a different
     token (or clock) than the logged record — the restored state is not

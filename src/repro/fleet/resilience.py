@@ -19,9 +19,9 @@ doing that:
   suspicion score** (phi = -log10 of the survival probability of the
   observed latency under a normal model of the worker's recent healthy
   samples, a bounded window the monitor keeps) plus a hard **step
-  deadline** derived from the healthy p95 (factor + floor, or a fixed
-  policy override).  Verdict changes and strikes are ``health`` records
-  on the router's log.
+  deadline** derived from the healthy p95 (``DEADLINE_FACTOR`` +
+  ``DEADLINE_FLOOR_S``, or a fixed policy override).  Verdict changes
+  and strikes are ``health`` records on the router's log.
 - Verdict semantics the router enforces: a SUSPECT worker is *drained*
   (no new placements, stepped only as an occasional hedged probe so the
   healthy laggard always makes progress) and recovers to HEALTHY when
@@ -54,17 +54,34 @@ class WorkerState(enum.Enum):
     FAILED = "failed"
 
 
+#: Healthy step-latency samples the normal model is fit over (a sliding
+#: window of the most recent).
+WINDOW = 64
+#: Below this many healthy samples phi is 0 — a cold worker is given the
+#: benefit of the doubt (the deadline floor still guards against a wedge
+#: during warmup).
+MIN_SAMPLES = 8
+#: A derived deadline is ``max(DEADLINE_FLOOR_S, DEADLINE_FACTOR *
+#: healthy p95)``; the floor keeps warmup jitter and sub-millisecond
+#: tiny-model steps from tripping the guard.
+DEADLINE_FACTOR = 20.0
+DEADLINE_FLOOR_S = 0.25
+#: Consecutive strikes (deadline misses or phi >= ``fail_phi``) that
+#: escalate SUSPECT to FAILED — a single strike only suspects, so one GC
+#: pause, snapshot fsync, or flap does not trigger a failover.
+FAIL_AFTER_STRIKES = 2
+#: Hedged-probe cadence: a SUSPECT worker is stepped once per this many
+#: router iterations, off the critical path.
+PROBE_EVERY = 4
+
+
 @dataclasses.dataclass(frozen=True)
 class HealthPolicy:
-    """Knobs of the suspicion model and the bounded-wait guard.
+    """Knobs of the suspicion model and the bounded-wait guard; the
+    window, warmup, derived deadline, strike count and probe cadence are
+    the module constants above.
 
     Attributes:
-        window: healthy step-latency samples the normal model is fit
-            over (sliding window of the most recent).
-        min_samples: below this many healthy samples phi is 0 — a cold
-            worker is given the benefit of the doubt (the deadline floor
-            still guards against a wedge during warmup).  At most
-            ``window``.
         suspect_phi: suspicion score at or above which a worker is
             classified SUSPECT (drained + hedge-probed, not failed).
         fail_phi: suspicion score at or above which an observation
@@ -74,46 +91,18 @@ class HealthPolicy:
             absolute deadline, but sub-deadline-scale spikes (snapshot
             fsync) must never accumulate into a failover.
         step_deadline_s: fixed per-step deadline override; ``None``
-            derives it as ``max(deadline_floor_s, deadline_factor *
-            healthy_p95)``.
-        deadline_factor: multiplier on the healthy-window p95 latency.
-        deadline_floor_s: minimum derived deadline — keeps warmup jitter
-            and sub-millisecond tiny-model steps from tripping the guard.
-        fail_after_deadline_misses: consecutive strikes (deadline misses
-            or phi >= ``fail_phi``) that escalate SUSPECT to FAILED — a
-            single strike only suspects, so one GC pause, snapshot
-            fsync, or flap does not trigger a failover.
-        probe_every: hedged-probe cadence — a SUSPECT worker is stepped
-            once per this many router iterations, off the critical path.
+            derives it from the healthy window's p95.
     """
 
-    window: int = 64
-    min_samples: int = 8
     suspect_phi: float = 5.0
     fail_phi: float = 12.0
     step_deadline_s: Optional[float] = None
-    deadline_factor: float = 20.0
-    deadline_floor_s: float = 0.25
-    fail_after_deadline_misses: int = 2
-    probe_every: int = 4
 
     def __post_init__(self) -> None:
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if not 2 <= self.min_samples <= self.window:
-            raise ValueError("need 2 <= min_samples <= window")
         if not 0.0 < self.suspect_phi <= self.fail_phi:
             raise ValueError("need 0 < suspect_phi <= fail_phi")
         if self.step_deadline_s is not None and self.step_deadline_s <= 0:
             raise ValueError("step_deadline_s must be > 0")
-        if self.deadline_factor < 1.0:
-            raise ValueError("deadline_factor must be >= 1")
-        if self.deadline_floor_s <= 0.0:
-            raise ValueError("deadline_floor_s must be > 0")
-        if self.fail_after_deadline_misses < 1:
-            raise ValueError("fail_after_deadline_misses must be >= 1")
-        if self.probe_every < 1:
-            raise ValueError("probe_every must be >= 1")
 
 
 class WorkerHealth:
@@ -125,8 +114,8 @@ class WorkerHealth:
         self.state = WorkerState.HEALTHY
         self.deadline_misses = 0
         self.last_phi = 0.0
-        #: the last ``policy.window`` healthy step latencies, oldest first.
-        self.window = collections.deque(maxlen=policy.window)
+        #: the last ``WINDOW`` healthy step latencies, oldest first.
+        self.window = collections.deque(maxlen=WINDOW)
 
     # -- the suspicion score --------------------------------------------------
 
@@ -139,7 +128,7 @@ class WorkerHealth:
         scores low and a simulated multi-second stall scores enormous.
         """
         samples = self.window
-        if len(samples) < self.policy.min_samples:
+        if len(samples) < MIN_SAMPLES:
             return 0.0
         mean = sum(samples) / len(samples)
         var = sum((s - mean) ** 2 for s in samples) / len(samples)
@@ -155,10 +144,9 @@ class WorkerHealth:
             return self.policy.step_deadline_s
         samples = self.window
         p95 = 0.0
-        if len(samples) >= self.policy.min_samples:
+        if len(samples) >= MIN_SAMPLES:
             p95 = exact_percentile(samples, 95.0)
-        return max(self.policy.deadline_floor_s,
-                   self.policy.deadline_factor * p95)
+        return max(DEADLINE_FLOOR_S, DEADLINE_FACTOR * p95)
 
 
 class HealthMonitor:
@@ -245,6 +233,5 @@ class HealthMonitor:
 
     def _strike(self, health: WorkerHealth) -> None:
         health.deadline_misses += 1
-        failed = health.deadline_misses \
-            >= self.policy.fail_after_deadline_misses
+        failed = health.deadline_misses >= FAIL_AFTER_STRIKES
         health.state = WorkerState.FAILED if failed else WorkerState.SUSPECT

@@ -72,7 +72,8 @@ from repro.serve.scheduler import ServeRequest, SloPolicy
 from repro.system.faults import CrashPlan, GrayFailurePlan
 
 from repro.fleet.report import FleetReport
-from repro.fleet.resilience import HealthMonitor, HealthPolicy, WorkerState
+from repro.fleet.resilience import (PROBE_EVERY, HealthMonitor, HealthPolicy,
+                                    WorkerState)
 
 
 class FleetWorker:
@@ -109,7 +110,6 @@ def make_worker(worker_id: int, model: Transformer, backend_factory,
                 policy: Optional[SloPolicy] = None,
                 timing_factory: Optional[
                     Callable[[Obs], TimingModel]] = None,
-                prefill_block_size: int = 256,
                 max_steps: int = 1_000_000,
                 durable_root: Optional[pathlib.Path] = None) -> FleetWorker:
     """Build a worker with its own prefix-cached pool and metrics registry.
@@ -132,7 +132,6 @@ def make_worker(worker_id: int, model: Transformer, backend_factory,
         timing = timing_factory(obs) if timing_factory is not None else None
         return ServeEngine(model, pool, backend_factory, policy=policy,
                            timing=timing, name=f"worker{worker_id}",
-                           prefill_block_size=prefill_block_size,
                            max_steps=max_steps, obs=obs)
 
     durable_dir = None if durable_root is None \
@@ -279,8 +278,7 @@ class FleetRouter:
             # Hedged probe: a suspect is stepped off the critical path so
             # it can prove recovery (or finish failing) without the
             # healthy laggard ever waiting on it.
-            if suspect_busy and self._iteration \
-                    % self.monitor.policy.probe_every == 0:
+            if suspect_busy and self._iteration % PROBE_EVERY == 0:
                 self._guarded_step(min(suspect_busy, key=step_key))
         elif suspect_busy:
             # Only suspects hold live work: probing the suspect laggard

@@ -159,6 +159,11 @@ class DenseBackend(AttentionBackend):
 #: solo step ~1.25x and ~1.5x).
 _ROW_TILE = 2
 
+#: Query rows per prefill block: :meth:`Transformer.prefill` and
+#: :meth:`Transformer.forward_full` feed a sequence through in blocks of
+#: this many rows, and the serving engine's prefill chunk is one block.
+PREFILL_BLOCK = 256
+
 
 def _tile_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x (n, K) @ w (K, N)``, batch-invariant: one GEMM per row tile.
@@ -278,7 +283,7 @@ class Transformer:
 
     def forward_full(self, tokens: np.ndarray,
                      backend: Optional[AttentionBackend] = None,
-                     block_size: int = 256) -> np.ndarray:
+                     block_size: int = PREFILL_BLOCK) -> np.ndarray:
         """Teacher-forced logits for every position of ``tokens``.
 
         The sequence is fed through in query blocks of ``block_size`` with a
@@ -308,7 +313,7 @@ class Transformer:
 
     def prefill(self, tokens: np.ndarray, cache: KVCache,
                 backend: Optional[AttentionBackend] = None,
-                block_size: int = 256) -> np.ndarray:
+                block_size: int = PREFILL_BLOCK) -> np.ndarray:
         """Populate ``cache`` from a prompt; return logits of the last token.
 
         Only the last position's output is read, and a layer's K/V rows

@@ -19,14 +19,14 @@ Two clocks are supported:
   reproduces the paper's capacity argument (Section 9.1);
 - **measured** (``timing=None``): wall-clock seconds of the numpy compute.
 
-Correctness anchor: with an ample pool, a zero-fault backend, and the
-default chunking, every served session's token stream is **bit-identical**
-to single-session :func:`repro.llm.sampling.generate` on the same prompt —
-chunked prefill splits on the model's prefill block boundaries (the same
-block GEMMs), paged reads gather identical values, and decode rows are
-batch-invariant by construction: ``decode_step_batch`` stacks the sessions,
-every dense product goes through one fixed-tile helper whose per-row result
-depends on the row and the weight only, and compatible sessions share one
+Correctness anchor: with an ample pool and a zero-fault backend, every
+served session's token stream is **bit-identical** to single-session
+:func:`repro.llm.sampling.generate` on the same prompt — a prefill chunk
+is one of the model's prefill blocks (the same block GEMMs), paged reads
+gather identical values, and decode rows are batch-invariant by
+construction: ``decode_step_batch`` stacks the sessions, every dense
+product goes through one fixed-tile helper whose per-row result depends
+on the row and the weight only, and compatible sessions share one
 attention call per layer whose row layout depends on each session's own
 context only (``decode_step`` is the one-session case; pinned by
 ``tests/llm/test_batch_invariance.py`` and
@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core.hybrid import LongSightAttention
 from repro.errors import PoolExhaustedError
-from repro.llm.model import Transformer
+from repro.llm.model import PREFILL_BLOCK, Transformer
 from repro.obs import Obs, resolve_obs
 from repro.serve.events import Record, ServeReport
 from repro.serve.paged_kv import PagedKVPool
@@ -119,7 +119,7 @@ class AnalyticTiming:
     def prefill_chunk_s(self, context_before: int, context_after: int) -> float:
         if self.prefill is None or context_after <= context_before:
             return 0.0
-        ls = getattr(self.system, "ls", None)
+        ls = self.system.ls
         after = self.prefill.prefill(self.model_config, context_after,
                                      ls=ls).total_s
         if context_before <= 0:
@@ -144,9 +144,6 @@ class ServeEngine:
         policy: scheduling knobs (:class:`SloPolicy`).
         timing: step-time model; ``None`` measures wall-clock numpy time.
         name: label for the report (e.g. the system being modeled).
-        prefill_block_size: the model-level prefill block; the policy's
-            ``prefill_chunk`` must be a multiple of it so chunked prefill
-            reproduces single-shot prefill exactly.
         obs: observability bundle shared with the scheduler.  Metrics
             (queue depth, batch sizes, shed causes, TTFT/TPOT) always
             record when the registry is enabled; spans
@@ -158,20 +155,14 @@ class ServeEngine:
     def __init__(self, model: Transformer, pool: PagedKVPool,
                  backend_factory, policy: Optional[SloPolicy] = None,
                  timing: Optional[TimingModel] = None,
-                 name: str = "serve", prefill_block_size: int = 256,
-                 max_steps: int = 1_000_000,
+                 name: str = "serve", max_steps: int = 1_000_000,
                  obs: Optional[Obs] = None) -> None:
         self.model = model
         self.pool = pool
         self.backend_factory = backend_factory
         self.policy = policy or SloPolicy()
-        if self.policy.prefill_chunk % prefill_block_size != 0:
-            raise ValueError(
-                "prefill_chunk must be a multiple of prefill_block_size so "
-                "chunked prefill splits on the model's block boundaries")
         self.timing = timing
         self.name = name
-        self.prefill_block_size = prefill_block_size
         self.max_steps = max_steps
         self.obs = resolve_obs(obs)
 
@@ -249,8 +240,8 @@ class ServeEngine:
         if not level or not isinstance(backend, LongSightAttention) \
                 or not backend.config.top_k:
             return backend, 0
-        return backend.with_config(level_config(
-            backend.config, level, self.policy.brownout)), level
+        return backend.with_config(
+            level_config(backend.config, level)), level
 
     # -- one step -------------------------------------------------------------
 
@@ -279,16 +270,14 @@ class ServeEngine:
                     and not request.pinned_dense and len(target) > 1:
                 request.prefilled = request.cache.attach_prefix(
                     target[:len(target) - 1])
-            chunk = min(self.policy.prefill_chunk,
-                        len(target) - request.prefilled)
+            chunk = min(PREFILL_BLOCK, len(target) - request.prefilled)
             self._ensure_growth(run, request, request.prefilled + chunk)
             segment = target[request.prefilled: request.prefilled + chunk]
             with tracer.span("prefill_chunk", request=request.request_id,
                              tokens=int(chunk)):
                 logits = self.model.prefill(
                     segment, request.cache,
-                    backend=self._served_backend(request)[0],
-                    block_size=self.prefill_block_size)
+                    backend=self._served_backend(request)[0])
             ctx_before = request.prefilled
             request.prefilled += chunk
             # Publish the freshly written full prompt blocks so later

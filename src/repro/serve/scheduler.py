@@ -51,7 +51,7 @@ class RequestState(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class TenantClass:
-    """Per-tenant SLO class: admission weight and optional overrides.
+    """Per-tenant SLO class: its admission weight.
 
     Attributes:
         name: tenant identifier requests carry in ``ServeRequest.tenant``.
@@ -59,13 +59,10 @@ class TenantClass:
             advances the tenant's virtual time by ``1/weight``, so a
             weight-4 tenant is offered four admissions for every one of a
             weight-1 tenant when both are backlogged.
-        queue_timeout_s: per-tenant queueing-delay shed override; ``None``
-            inherits the policy-wide ``queue_timeout_s``.
     """
 
     name: str
     weight: int = 1
-    queue_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -78,6 +75,19 @@ class TenantClass:
 BROWNOUT_STAGES = ("normal", "shrink_topk", "raise_threshold",
                    "dense_pin", "shed")
 
+#: Brownout de-escalation hysteresis: a stage is left once both signals
+#: sit at or below this fraction of its entry point.
+EXIT_FRACTION = 0.5
+#: Quality level 1's multiplier on the backend's ``top_k``.
+TOP_K_SCALE = 0.5
+#: Quality level 2's increment on the SCF sign-agreement threshold(s).
+THRESHOLD_BUMP = 2
+#: Sessions that advance one prefill chunk per engine step.
+MAX_PREFILLS_PER_STEP = 1
+#: Consecutive offload-degraded tokens that pin a session to the dense
+#: floor for the rest of its life.
+SHED_AFTER_DEGRADED = 4
+
 
 @dataclasses.dataclass(frozen=True)
 class BrownoutPolicy:
@@ -86,12 +96,13 @@ class BrownoutPolicy:
     Under overload the scheduler climbs a ladder of progressively
     cheaper service instead of dropping requests outright — the
     SparseAccelerate observation (sparsity level is a runtime resource
-    knob) applied to serving:
+    knob) applied to serving.  The policy decides *when* to climb; the
+    rungs are fixed (:func:`level_config`):
 
     - stage 1 (``shrink_topk``): decode with ``top_k`` scaled by
-      ``top_k_scale`` — fewer sparse keys retrieved per head;
+      ``TOP_K_SCALE`` — fewer sparse keys retrieved per head;
     - stage 2 (``raise_threshold``): additionally raise the SCF
-      sign-agreement threshold by ``threshold_bump`` — a stricter filter
+      sign-agreement threshold by ``THRESHOLD_BUMP`` — a stricter filter
       passes fewer keys to score at all;
     - stage 3 (``dense_pin``): decode on the dense sliding-window
       fallback for the step (the supervisor's degradation target);
@@ -106,9 +117,9 @@ class BrownoutPolicy:
     returns to full quality the moment the ladder steps down.  Entry is
     driven by queue depth (``queue_high``) and head-of-queue wait
     against the TTFT budget (``budget_fractions`` of ``ttft_budget_s``);
-    exit requires both signals below ``exit_fraction`` of the current
-    stage's entry point (hysteresis), one stage per scheduler pass.
-    While any stage is active, admissions are paced to
+    exit requires both signals at or below ``EXIT_FRACTION`` of the
+    current stage's entry point (hysteresis), one stage per scheduler
+    pass.  While any stage is active, admissions are paced to
     ``admit_per_step`` per scheduler pass (admission-rate control).
     """
 
@@ -119,12 +130,6 @@ class BrownoutPolicy:
     #: fractions of ``ttft_budget_s`` entering stages 1..4.
     budget_fractions: Tuple[float, float, float, float] = \
         (0.25, 0.5, 0.75, 1.0)
-    #: de-escalation hysteresis: exit = this fraction of the entry point.
-    exit_fraction: float = 0.5
-    #: stage-1 multiplier on the backend's ``top_k``.
-    top_k_scale: float = 0.5
-    #: stage-2 increment on the SCF sign-agreement threshold(s).
-    threshold_bump: int = 2
     #: admissions per scheduler pass while browned out (>= 1).
     admit_per_step: int = 1
     #: stage-4 shed target depth; ``None`` uses ``queue_high[-1]``.
@@ -146,34 +151,27 @@ class BrownoutPolicy:
             raise ValueError("budget_fractions must be > 0")
         if self.ttft_budget_s is not None and self.ttft_budget_s <= 0:
             raise ValueError("ttft_budget_s must be > 0")
-        if not 0.0 < self.exit_fraction < 1.0:
-            raise ValueError("exit_fraction must be in (0, 1)")
-        if not 0.0 < self.top_k_scale < 1.0:
-            raise ValueError("top_k_scale must be in (0, 1)")
-        if self.threshold_bump < 1:
-            raise ValueError("threshold_bump must be >= 1")
         if self.admit_per_step < 1:
             raise ValueError("admit_per_step must be >= 1")
         if self.shed_to_depth is not None and self.shed_to_depth < 1:
             raise ValueError("shed_to_depth must be >= 1")
 
 
-def level_config(config: LongSightConfig, level: int,
-                 brownout: Optional[BrownoutPolicy]) -> LongSightConfig:
+def level_config(config: LongSightConfig, level: int) -> LongSightConfig:
     """The config served at quality ``level`` (1-3) of base ``config``.
 
-    The whole ladder: 1 shrinks ``top_k`` by ``brownout.top_k_scale`` (to
-    at least 1), 2 also raises the thresholds by its ``threshold_bump``,
-    3 is ``top_k = 0`` — the dense floor, sinks + window only, which a
-    dense pin reaches with no brownout policy at all.  A pure function of
-    its arguments: configs are values, so equal bases give equal variants
-    and their sessions stack without sharing a config object.
+    The whole ladder: 1 shrinks ``top_k`` by ``TOP_K_SCALE`` (to at least
+    1), 2 also raises the thresholds by ``THRESHOLD_BUMP``, 3 is ``top_k
+    = 0`` — the dense floor, sinks + window only, which a dense pin
+    reaches too.  A pure function of its arguments: configs are values,
+    so equal bases give equal variants and their sessions stack without
+    sharing a config object.
     """
     if level >= 3:
         return config.replace(top_k=0)
-    changes = {"top_k": max(1, int(config.top_k * brownout.top_k_scale))}
+    changes = {"top_k": max(1, int(config.top_k * TOP_K_SCALE))}
     if level >= 2:
-        changes["thresholds"] = config.thresholds + brownout.threshold_bump
+        changes["thresholds"] = config.thresholds + THRESHOLD_BUMP
     return config.replace(**changes)
 
 
@@ -181,39 +179,28 @@ def level_config(config: LongSightConfig, level: int,
 class SloPolicy:
     """Scheduling knobs, all expressed against serving objectives.
 
+    A prefill chunk is the model's prefill block
+    (:data:`~repro.llm.model.PREFILL_BLOCK` tokens), so chunked prefill
+    reproduces single-shot prefill bit-for-bit; ``MAX_PREFILLS_PER_STEP``
+    sessions advance one chunk per engine step; and a DECODE session
+    whose offload degrades ``SHED_AFTER_DEGRADED`` consecutive tokens is
+    pinned to the dense sliding-window fallback for the rest of its life
+    (shed from the sparse path, never from service).
+
     Attributes:
         max_decode_batch: decode sessions stepped together per engine step.
-        prefill_chunk: prompt tokens processed per engine step for the
-            session being prefilled; must be a multiple of the model's
-            prefill block size so chunked prefill reproduces single-shot
-            prefill bit-for-bit.
-        max_prefills_per_step: how many sessions may advance their prefill
-            in one engine step (chunked prefill interleaves with decode, so
-            decode steps keep flowing while long prompts stream in).
         queue_timeout_s: shed a QUEUED request once its queueing delay
             alone exceeds this (its TTFT SLO is already unattainable);
             ``None`` disables shedding at admission.
-        admission_headroom_blocks: free blocks that must remain *after*
-            admitting a request (reserve for decode growth of the running
-            batch; prevents admission from immediately forcing preemption).
-        shed_after_consecutive_degraded: a DECODE session whose offload
-            degrades this many consecutive tokens is pinned to the dense
-            sliding-window fallback for the rest of its life (shed from
-            the sparse path, never from service) — it keeps decoding and
-            completing.
-        tenant_classes: declared per-tenant SLO classes (weight, timeout
-            override).  Tenants without a declared class get weight 1 and
-            the policy-wide timeout; an empty tuple (the default) makes
-            every request one implicit tenant, which degenerates to the
-            original FIFO admission order exactly.
+        tenant_classes: declared per-tenant SLO classes (admission
+            weight).  Tenants without a declared class get weight 1; an
+            empty tuple (the default) makes every request one implicit
+            tenant, which degenerates to the original FIFO admission
+            order exactly.
     """
 
     max_decode_batch: int = 16
-    prefill_chunk: int = 256
-    max_prefills_per_step: int = 1
     queue_timeout_s: Optional[float] = None
-    admission_headroom_blocks: int = 0
-    shed_after_consecutive_degraded: int = 4
     tenant_classes: Tuple[TenantClass, ...] = ()
     #: overload brownout ladder; ``None`` (the default) disables it and
     #: keeps scheduling bit-identical to the pre-brownout policy.
@@ -229,23 +216,9 @@ class SloPolicy:
         cls = self.tenant_class(name)
         return cls.weight if cls is not None else 1
 
-    def tenant_timeout_s(self, name: str) -> Optional[float]:
-        cls = self.tenant_class(name)
-        if cls is not None and cls.queue_timeout_s is not None:
-            return cls.queue_timeout_s
-        return self.queue_timeout_s
-
     def __post_init__(self) -> None:
         if self.max_decode_batch < 1:
             raise ValueError("max_decode_batch must be >= 1")
-        if self.prefill_chunk < 1:
-            raise ValueError("prefill_chunk must be >= 1")
-        if self.max_prefills_per_step < 1:
-            raise ValueError("max_prefills_per_step must be >= 1")
-        if self.admission_headroom_blocks < 0:
-            raise ValueError("admission_headroom_blocks must be >= 0")
-        if self.shed_after_consecutive_degraded < 1:
-            raise ValueError("shed_after_consecutive_degraded must be >= 1")
         names = [cls.name for cls in self.tenant_classes]
         if len(names) != len(set(names)):
             raise ValueError("tenant class names must be unique")
@@ -336,7 +309,7 @@ class ServeRequest:
 class StepPlan:
     """What the engine should execute this step."""
 
-    prefills: List[ServeRequest]   # advance each by <= prefill_chunk tokens
+    prefills: List[ServeRequest]   # advance each by <= PREFILL_BLOCK tokens
     decodes: List[ServeRequest]    # one decode token each
 
     @property
@@ -432,7 +405,8 @@ class ContinuousBatchScheduler:
         reserved = 0
         for request in self.running:
             if request.state is RequestState.PREFILL:
-                held = getattr(request.cache, "n_blocks", 0) or 0
+                held = 0 if request.cache is None \
+                    else request.cache.n_blocks
                 reserved += max(0, self._prompt_blocks(request) - held)
         return reserved
 
@@ -501,8 +475,8 @@ class ContinuousBatchScheduler:
                 self._queues[t][0].request_id))
             queue = self._queues[tenant]
             head = queue[0]
-            timeout = policy.tenant_timeout_s(tenant)
-            if timeout is not None and now - head.arrival_s > timeout:
+            if policy.queue_timeout_s is not None \
+                    and now - head.arrival_s > policy.queue_timeout_s:
                 queue.pop(0)
                 self._reject(head, "queue_timeout")
                 continue
@@ -510,10 +484,7 @@ class ContinuousBatchScheduler:
                 queue.pop(0)
                 self._reject(head, "impossible_fit")
                 continue
-            # Headroom protects the growth of *running* sessions; an idle
-            # system admits whenever the request fits at all (no livelock).
-            headroom = policy.admission_headroom_blocks if self.running else 0
-            if not self.fits_now(head, reserved + headroom):
+            if not self.fits_now(head, reserved):
                 blocked.add(tenant)
                 continue
             reserved += self._prompt_blocks(head)
@@ -538,8 +509,8 @@ class ContinuousBatchScheduler:
 
         Escalation is immediate to whatever stage the queue-depth and
         head-of-queue-wait signals demand; de-escalation is one stage per
-        pass and only when both signals sit below ``exit_fraction`` of
-        the current stage's entry point (hysteresis, so the ladder does
+        pass and only when both signals sit at or below ``EXIT_FRACTION``
+        of the current stage's entry point (hysteresis, so the ladder does
         not chatter around a threshold).  At stage 4 the youngest queued
         requests beyond the shed depth are rejected — by then stages 1-3
         have already cheapened service as far as it goes.
@@ -562,9 +533,9 @@ class ContinuousBatchScheduler:
         if target > stage:
             stage = target
         elif target < stage:
-            depth_exit = policy.exit_fraction * policy.queue_high[stage - 1]
+            depth_exit = EXIT_FRACTION * policy.queue_high[stage - 1]
             wait_exit = None if policy.ttft_budget_s is None else (
-                policy.exit_fraction * policy.budget_fractions[stage - 1]
+                EXIT_FRACTION * policy.budget_fractions[stage - 1]
                 * policy.ttft_budget_s)
             if depth <= depth_exit \
                     and (wait_exit is None or wait <= wait_exit):
@@ -618,7 +589,7 @@ class ContinuousBatchScheduler:
 
         Decode-first continuous batching: every DECODE session (up to
         ``max_decode_batch``, oldest admitted first) generates one token
-        this step; up to ``max_prefills_per_step`` PREFILL sessions
+        this step; up to ``MAX_PREFILLS_PER_STEP`` PREFILL sessions
         advance one chunk alongside, so prompt streaming never stalls the
         token clock of running sessions.
         """
@@ -629,7 +600,7 @@ class ContinuousBatchScheduler:
                                           self.policy.max_decode_batch)
         prefills = [r for r in self.running
                     if r.state is RequestState.PREFILL]
-        prefills = prefills[: self.policy.max_prefills_per_step]
+        prefills = prefills[:MAX_PREFILLS_PER_STEP]
         return StepPlan(prefills=prefills, decodes=decodes)
 
     def _fair_truncate(self, decodes: List[ServeRequest],
@@ -697,7 +668,7 @@ class ContinuousBatchScheduler:
         if degraded:
             request.consecutive_degraded += 1
             if not request.pinned_dense and request.consecutive_degraded \
-                    >= self.policy.shed_after_consecutive_degraded:
+                    >= SHED_AFTER_DEGRADED:
                 request.pinned_dense = True
                 self.log.emit("pin", request)
         else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import LongSightConfig
 from repro.llm.config import ModelConfig
 from repro.system.gpu import GpuModel
 from repro.system.specs import GpuSpec, H100
@@ -65,6 +66,10 @@ class ServingSystem:
     ``_step(config, contexts, degraded)``, which returns the per-token
     latency in seconds and its breakdown by component.
     """
+
+    #: the hybrid-attention config a system offloads under (what prefill
+    #: is charged at); ``None`` for a system that serves dense attention.
+    ls: Optional[LongSightConfig] = None
 
     def admits(self, config: ModelConfig, contexts: Sequence[int]) -> bool:
         raise NotImplementedError

@@ -18,11 +18,11 @@ KV head x slice segment), and the CXL link (one response per user).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Dict, Optional
 
 from repro.core.config import LongSightConfig
+from repro.drex.descriptors import request_bytes, response_entry_bytes
 from repro.drex.dram import LpddrTimings, LPDDR5X
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 from repro.drex.layout import rows_per_group
@@ -62,10 +62,7 @@ class LongSightSystem(ServingSystem):
         self.gpu = GpuModel(gpu_spec)
         self.geometry = geometry
         self.cxl = cxl or CxlLink()
-        self.timing = DrexTimingModel(
-            geometry, timings,
-            cxl_bandwidth_gbps=self.cxl.bandwidth / 1e9,
-            cxl_latency_ns=self.cxl.latency_ns)
+        self.timing = DrexTimingModel(geometry, timings, self.cxl)
 
     # -- capacity ---------------------------------------------------------------
 
@@ -124,10 +121,8 @@ class LongSightSystem(ServingSystem):
     def value_bytes_per_user_layer(self, config: ModelConfig,
                                    context: int) -> float:
         """Response size: top-k scores+values per KV head (group-shared)."""
-        k_eff = self.effective_top_k(context)
-        per_entry = (config.head_dim * config.dtype_bytes
-                     + config.dtype_bytes + 4)
-        return config.n_kv_heads * k_eff * per_entry
+        return config.n_kv_heads * self.effective_top_k(context) \
+            * response_entry_bytes(config.head_dim, config.dtype_bytes)
 
     # -- the decode step -----------------------------------------------------------
 
@@ -178,10 +173,10 @@ class LongSightSystem(ServingSystem):
             unit = self.offload_unit(config, c).compute_ns
             units = config.n_kv_heads * segments
             drex += units * unit / self.geometry.n_nmas
-            request_bytes = 16 + config.n_q_heads * config.head_dim \
-                * config.dtype_bytes
             cxl += self.cxl.serialization_ns(
-                request_bytes + self.value_bytes_per_user_layer(config, c))
+                request_bytes(config.n_q_heads * config.head_dim,
+                              config.dtype_bytes)
+                + self.value_bytes_per_user_layer(config, c))
         return {
             "gemm": self.gpu.weight_gemm_ns(config, len(contexts)),
             "itq": itq,

@@ -8,9 +8,9 @@ degradation* to the dense sliding-window path can be exercised and
 regression-tested instead of assumed.
 
 Faults are keyed, not drawn in sequence: :func:`fault` decides each
-(kind, *site*) of a declarative :class:`FaultPlan` (rates + severities +
-a seed) as a pure function — an offload attempt's site is ``(layer,
-position, attempt)``, a staged flush's ``(layer, position)`` — so replay,
+(kind, *site*) of a declarative :class:`FaultPlan` (rates + a seed) as
+a pure function — an offload attempt's site is ``(layer, position,
+attempt)``, a staged flush's ``(layer, position)`` — so replay,
 recompute and recovery get the same answers in any order, and no
 generator state is kept.  ``FaultPlan.none()`` is a healthy device.
 
@@ -23,13 +23,13 @@ Real-failure correspondence (see DESIGN.md for the full table):
 - ``cxl_timeout`` — a lost/stalled CXL response; the GPU's poll never
   completes within its budget.
 - ``cxl_degraded`` — link retraining / congestion collapses effective
-  bandwidth by ``cxl_degradation_factor``.
-- ``nma_stall`` — a near-memory accelerator wedges for ``nma_stall_ns``
+  bandwidth by ``CXL_DEGRADATION_FACTOR``.
+- ``nma_stall`` — a near-memory accelerator wedges for ``NMA_STALL_NS``
   (refresh collision, scheduler livelock); surfaces as a latency spike
   that the supervisor's per-request timeout converts into a retry.
-- ``kso_corruption`` — bit flips in a stored Key Sign Object (DRAM
-  disturbance); detected by checksum, repaired by repacking signs from
-  the intact Key Objects.
+- ``kso_corruption`` — ``KSO_BITS_FLIPPED`` bit flips in a stored Key
+  Sign Object (DRAM disturbance); detected by checksum, repaired by
+  repacking signs from the intact Key Objects.
 - ``capacity_pressure`` — the allocator transiently cannot place a Key
   Block group (fragmentation / competing tenants); staged tokens stay in
   the HBM window until pressure clears.
@@ -58,6 +58,16 @@ CRASH_KINDS = ("kill_after_fsync", "kill_before_fsync", "torn_snapshot",
 #: liveness check misses.
 GRAY_KINDS = ("slow_worker", "stuck_worker", "flapping_worker")
 
+#: Fault severities: the latency an NMA stall adds to device compute, the
+#: multiplier a degraded link puts on the CXL value read, and the sign
+#: bits one corruption event flips.
+NMA_STALL_NS = 20e6
+CXL_DEGRADATION_FACTOR = 8.0
+KSO_BITS_FLIPPED = 4
+
+#: Fraction of a torn snapshot's bytes that survive on disk.
+TORN_FRACTION = 0.5
+
 
 @dataclasses.dataclass(frozen=True)
 class CrashPlan:
@@ -73,8 +83,9 @@ class CrashPlan:
     - ``kill_before_fsync``: the fsync-batched WAL tail is lost with the
       process; deterministic re-execution regenerates those records.
     - ``torn_snapshot``: the process dies mid-snapshot-write, leaving a
-      truncated file whose chain-hash footer cannot verify; recovery must
-      fall back to the previous valid snapshot.
+      file truncated to ``TORN_FRACTION`` of its bytes whose chain-hash
+      footer cannot verify; recovery must fall back to the previous valid
+      snapshot.
     - ``stale_wal``: the on-disk WAL belongs to a different epoch than the
       snapshots (operator error / mixed durable dirs); recovery must
       reject its suffix instead of replaying garbage.
@@ -84,8 +95,6 @@ class CrashPlan:
     #: (1-based) durable step.
     kill_at_step: int = 1
     kind: str = "kill_after_fsync"
-    #: fraction of the torn snapshot's bytes that survive on disk.
-    torn_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.kill_at_step < 1:
@@ -93,8 +102,6 @@ class CrashPlan:
         if self.kind not in CRASH_KINDS:
             raise ValueError(f"unknown crash kind: {self.kind!r} "
                              f"(one of {CRASH_KINDS})")
-        if not 0.0 < self.torn_fraction < 1.0:
-            raise ValueError("torn_fraction must be in (0, 1)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,8 +135,6 @@ class GrayFailurePlan:
     #: flapping half-period in steps (faulty for ``period``, then healthy
     #: for ``period``, repeating).
     period: int = 4
-    #: step at which the fault clears for good; ``None`` = never.
-    stop_step: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in GRAY_KINDS:
@@ -141,15 +146,11 @@ class GrayFailurePlan:
             raise ValueError("stall_s must be > 0")
         if self.period < 1:
             raise ValueError("period must be >= 1")
-        if self.stop_step is not None and self.stop_step <= self.start_step:
-            raise ValueError("stop_step must be > start_step")
 
     def stall_at(self, step: int) -> float:
         """Simulated stall seconds injected at (1-based) worker ``step``;
         ``inf`` means the step makes no progress at all."""
         if step < self.start_step:
-            return 0.0
-        if self.stop_step is not None and step >= self.stop_step:
             return 0.0
         if self.kind == "stuck_worker":
             return float("inf")
@@ -165,6 +166,8 @@ class FaultPlan:
 
     Rates are per-injection-point probabilities in ``[0, 1]``: request-path
     faults fire per offload attempt, ``capacity_pressure`` per staged flush.
+    How hard a fault hits is fixed (``NMA_STALL_NS``,
+    ``CXL_DEGRADATION_FACTOR``, ``KSO_BITS_FLIPPED``).
     """
 
     queue_full_rate: float = 0.0
@@ -176,23 +179,11 @@ class FaultPlan:
     capacity_pressure_rate: float = 0.0
     seed: int = 0
 
-    # -- severity parameters --
-    #: latency added to the device-side compute when an NMA stalls.
-    nma_stall_ns: float = 20e6
-    #: multiplier on the CXL value-read time under link degradation.
-    cxl_degradation_factor: float = 8.0
-    #: sign bits flipped per corruption event.
-    kso_bits_flipped: int = 4
-
     def __post_init__(self) -> None:
         for kind in FAULT_KINDS:
             rate = getattr(self, f"{kind}_rate")
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{kind}_rate must be in [0, 1], got {rate}")
-        if self.cxl_degradation_factor < 1.0:
-            raise ValueError("cxl_degradation_factor must be >= 1")
-        if self.kso_bits_flipped < 1:
-            raise ValueError("kso_bits_flipped must be >= 1")
 
     def rate(self, kind: str) -> float:
         if kind not in FAULT_KINDS:

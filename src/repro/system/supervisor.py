@@ -30,34 +30,17 @@ from repro.obs import Obs, resolve_obs
 from repro.system.faults import site_rng
 
 
-@dataclasses.dataclass(frozen=True)
-class SupervisorPolicy:
-    """Retry/timeout/repair policy for supervised offloads."""
-
-    #: additional attempts after the first failure (0 = degrade immediately).
-    max_retries: int = 3
-    #: backoff before retry ``i`` is ``base * multiplier**i``, jittered.
-    base_backoff_ns: float = 2_000.0
-    backoff_multiplier: float = 2.0
-    #: uniform jitter fraction: each backoff is scaled by ``1 +/- jitter``,
-    #: drawn at its attempt's site.
-    jitter: float = 0.25
-    #: per-request budget on the simulated device latency; a completed
-    #: offload slower than this counts as timed out (None disables).
-    timeout_ns: Optional[float] = 10e6
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.base_backoff_ns < 0.0:
-            raise ValueError("base_backoff_ns must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.timeout_ns is not None and self.timeout_ns <= 0.0:
-            # A zero budget times out every offload: every token degrades.
-            raise ValueError("timeout_ns must be > 0 (or None)")
+#: Additional attempts after an offload's first failure.
+MAX_RETRIES = 3
+#: The backoff before retry ``i`` is ``BASE_BACKOFF_NS *
+#: BACKOFF_MULTIPLIER**i``, scaled by ``1 +/- JITTER`` drawn at the
+#: attempt's site.
+BASE_BACKOFF_NS = 2_000.0
+BACKOFF_MULTIPLIER = 2.0
+JITTER = 0.25
+#: Per-request budget on the simulated device latency: a completed
+#: offload slower than this counts as timed out.
+TIMEOUT_NS = 10e6
 
 
 @dataclasses.dataclass
@@ -82,10 +65,8 @@ class SupervisorStats:
 class OffloadSupervisor:
     """Retry / verify / repair / degrade wrapper around one device."""
 
-    def __init__(self, device, policy: Optional[SupervisorPolicy] = None,
-                 obs: Optional[Obs] = None) -> None:
+    def __init__(self, device, obs: Optional[Obs] = None) -> None:
         self.device = device
-        self.policy = policy or SupervisorPolicy()
         self.stats = SupervisorStats()
         self.obs = resolve_obs(obs)
 
@@ -119,21 +100,17 @@ class OffloadSupervisor:
         # Corruption may have landed during this very offload; a tainted
         # sign store means the returned top-k cannot be trusted.
         self._check_kso(request)
-        timeout = self.policy.timeout_ns
-        if timeout is not None and response.latency is not None \
-                and response.latency.total_ns > timeout:
+        if response.latency is not None \
+                and response.latency.total_ns > TIMEOUT_NS:
             raise OffloadTimeoutError(
                 f"offload exceeded per-request budget: "
-                f"{response.latency.total_ns:.0f} ns > {timeout:.0f} ns")
+                f"{response.latency.total_ns:.0f} ns > {TIMEOUT_NS:.0f} ns")
         return response
 
     def _backoff(self, attempt: int, site: Tuple[int, ...]) -> float:
-        policy = self.policy
-        delay = policy.base_backoff_ns * policy.backoff_multiplier ** attempt
-        if policy.jitter > 0.0:
-            rng = site_rng(self.device.injector.plan, "backoff", site)
-            delay *= 1.0 + policy.jitter * (2.0 * rng.random() - 1.0)
-        return delay
+        rng = site_rng(self.device.injector.plan, "backoff", site)
+        return BASE_BACKOFF_NS * BACKOFF_MULTIPLIER ** attempt \
+            * (1.0 + JITTER * (2.0 * rng.random() - 1.0))
 
     # -- public API --------------------------------------------------------------
 
@@ -146,7 +123,7 @@ class OffloadSupervisor:
         the caller's signal to degrade this token to the dense path.
         """
         backoff_total = 0.0
-        for attempt in range(self.policy.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             site = (request.layer, request.position, attempt)
             self._count("attempts")
             try:
@@ -162,7 +139,7 @@ class OffloadSupervisor:
                 if backoff_total > 0.0 and response.latency is not None:
                     response.latency.queue_ns += backoff_total
                 return response
-            if attempt < self.policy.max_retries:
+            if attempt < MAX_RETRIES:
                 self._count("retries")
                 delay = self._backoff(attempt, site)
                 backoff_total += delay

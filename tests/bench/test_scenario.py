@@ -314,8 +314,7 @@ def test_restores_and_failovers_are_router_records():
     stuck = run(Scenario(
         trace, fleet.fleet_topology(
             2, 64, 4, snapshot_every=4,
-            health=HealthPolicy(step_deadline_s=1.0,
-                                fail_after_deadline_misses=2)),
+            health=HealthPolicy(step_deadline_s=1.0)),
         Faults(gray={0: GrayFailurePlan(kind="stuck_worker",
                                         start_step=3)})))
     failovers = [r for r in stuck.records if r.kind == "failover"]

@@ -10,7 +10,7 @@ from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
 from repro.core.itq import fit_itq
 from repro.core.metrics import FilterStats
-from repro.core.reference import _region_masks
+from repro.core.reference import ReferenceAttention, _region_masks
 from repro.llm.config import LLAMA_SIM_SMALL
 from repro.llm.kv_cache import KVCache
 from repro.llm.model import DenseBackend, Transformer
@@ -225,3 +225,25 @@ def test_thresholds_that_do_not_broadcast_fail_before_any_row(small, shape):
         model.prefill(tokens, cache, backend=LongSightAttention(
             SMALL_LS.replace(thresholds=np.full(shape, 6.0))))
     assert len(cache) == 0
+
+
+@pytest.mark.parametrize("kernel", [LongSightAttention, ReferenceAttention])
+def test_stateless_forward_checks_the_head_axis(rng, kernel):
+    """The stateless entry point has no model config, so it checks the
+    thresholds' head axis against the arrays it is given before serving
+    any row: three thresholds on 2 KV heads (4 query heads) raise
+    ``check_model``'s error, a per-query-head vector is checked against
+    the query heads, and a vector that broadcasts serves."""
+    q = rng.normal(size=(4, 3, 8))
+    k = rng.normal(size=(2, 40, 8))
+    v = rng.normal(size=(2, 40, 8))
+    config = LongSightConfig(window=4, n_sink=2, top_k=5)
+    with pytest.raises(ValueError, match=re.escape("(3,)")):
+        kernel(config.replace(thresholds=[1, 9, 30])).forward(2, q, k, v)
+    with pytest.raises(ValueError, match=re.escape("(2,)")):
+        kernel(config.replace(thresholds=[1, 9],
+                              per_q_head_thresholds=True)).forward(2, q, k, v)
+    for ok in (config.replace(thresholds=[1, 9]),
+               config.replace(thresholds=[1, 9, 30, 4],
+                              per_q_head_thresholds=True)):
+        assert np.isfinite(kernel(ok).forward(2, q, k, v)).all()

@@ -90,4 +90,4 @@ class TestOffload:
 
     def test_request_submit_small(self, model):
         t = model.request_submit_ns(32, 128)
-        assert t < 1000 + model.cxl_latency_ns
+        assert t < 1000 + model.cxl.latency_ns

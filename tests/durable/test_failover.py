@@ -30,8 +30,8 @@ OUTPUT_TOKENS = 8
 #: benches' jitter-free health does: phi judges wall-clock step latency,
 #: which host load can push into a strike on a flapping worker's healthy
 #: step (phi strikes keep their own unit tests).
-HEALTH = HealthPolicy(step_deadline_s=1.0, fail_after_deadline_misses=2,
-                      suspect_phi=math.inf, fail_phi=math.inf)
+HEALTH = HealthPolicy(step_deadline_s=1.0, suspect_phi=math.inf,
+                      fail_phi=math.inf)
 
 #: fault-free reference outputs, computed once per module run.
 _reference_cache = {}

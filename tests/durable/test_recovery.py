@@ -178,8 +178,7 @@ class TestTornSnapshot:
         directory = tmp_path / "torn"
         outputs, _, stats = _crash_and_recover(
             engine_builder, make_workload, directory,
-            CrashPlan(kill_at_step=9, kind="torn_snapshot",
-                      torn_fraction=0.6))
+            CrashPlan(kill_at_step=9, kind="torn_snapshot"))
         assert outputs == reference
         assert stats.snapshots_skipped == 1  # the torn one was rejected
         assert stats.snapshot_step < 9

@@ -20,21 +20,19 @@ from repro.durable import DurableRun, recover
 from repro.errors import WorkerKilledError
 from repro.serve.scheduler import SloPolicy
 from repro.system.faults import CrashPlan, FaultPlan
-from repro.system.supervisor import SupervisorPolicy
 
 pytestmark = pytest.mark.chaos
 
-#: One lost offload retry, then degrade: with a 0.5 timeout rate the
-#: degradation probability per sparse attempt is 0.25 — high enough that
-#: a restore that asked other sites would diverge within a step or two.
-FAULT_PLAN = FaultPlan(cxl_timeout_rate=0.5, seed=3)
-POLICY = SupervisorPolicy(max_retries=1)
+#: Four attempts (three retries), then degrade: with a 0.7 timeout rate
+#: the degradation probability per sparse attempt is 0.7**4 ~ 0.24 — high
+#: enough that a restore that asked other sites would diverge within a
+#: step or two.
+FAULT_PLAN = FaultPlan(cxl_timeout_rate=0.7, seed=3)
 
 
 def _supervised_factory():
     def make_backend(request):
-        return DrexOffloadBackend(
-            TINY_MODEL, TINY_LS, plan=FAULT_PLAN, policy=POLICY)
+        return DrexOffloadBackend(TINY_MODEL, TINY_LS, plan=FAULT_PLAN)
     return make_backend
 
 
@@ -123,12 +121,11 @@ class TestPinSurvivesRestore:
     def failing_builder(self, engine_builder):
         def make_backend(request):
             return DrexOffloadBackend(
-                TINY_MODEL, TINY_LS, plan=FaultPlan.total_failure(),
-                policy=POLICY)
+                TINY_MODEL, TINY_LS, plan=FaultPlan.total_failure())
 
         def build():
-            return engine_builder(make_backend=make_backend, policy=SloPolicy(
-                max_decode_batch=4, shed_after_consecutive_degraded=2))
+            return engine_builder(make_backend=make_backend,
+                                  policy=SloPolicy(max_decode_batch=4))
         return build
 
     def test_mid_pin_restore_resumes_pinned_with_backend_state(

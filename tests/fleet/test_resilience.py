@@ -22,6 +22,7 @@ from repro.bench.scenario import (Faults, Scenario, Tenant, Trace,
 from repro.errors import WorkerStalledError
 from repro.fleet import (FleetRouter, FleetWorker, HealthMonitor,
                          HealthPolicy, WorkerState)
+from repro.fleet.resilience import MIN_SAMPLES, WINDOW
 from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.engine import EngineRun
 from repro.serve.events import RecordLog
@@ -49,21 +50,17 @@ def suspects(monitor: HealthMonitor) -> int:
 
 class TestHealthPolicy:
     @pytest.mark.parametrize("knobs", [
-        {"window": 1}, {"min_samples": 1},
-        {"window": 4, "min_samples": 8},
         {"suspect_phi": 0.0}, {"suspect_phi": 13.0, "fail_phi": 12.0},
-        {"step_deadline_s": 0.0}, {"deadline_factor": 0.5},
-        {"deadline_floor_s": 0.0}, {"fail_after_deadline_misses": 0},
-        {"probe_every": 0}])
+        {"step_deadline_s": 0.0}])
     def test_rejects_invalid_knobs(self, knobs):
         with pytest.raises(ValueError):
             HealthPolicy(**knobs)
 
     def test_min_samples_up_to_the_window_scores(self):
-        # min_samples above the window would keep phi at 0 and the
-        # deadline at its floor forever; at the window it scores.
-        monitor = warmed_monitor(HealthPolicy(window=4, min_samples=4),
-                                 n=100)
+        # MIN_SAMPLES above WINDOW would keep phi at 0 and the deadline
+        # at its floor forever; a full window scores.
+        assert MIN_SAMPLES <= WINDOW
+        monitor = warmed_monitor(HealthPolicy(), n=100)
         _, after = monitor.observe(0, 0.1)
         assert monitor.health(0).last_phi > 0.0
         assert after is WorkerState.SUSPECT
@@ -77,14 +74,13 @@ class TestSuspicionModel:
         assert suspects(monitor) == 0
 
     def test_cold_worker_gets_benefit_of_doubt(self):
-        monitor = warmed_monitor(HealthPolicy(min_samples=8), n=0)
-        # Below min_samples phi is 0; only the deadline floor guards.
+        monitor = warmed_monitor(HealthPolicy(), n=0)
+        # Below MIN_SAMPLES phi is 0; only the deadline floor guards.
         _, after = monitor.observe(0, 0.2)
         assert after is WorkerState.HEALTHY
 
     def test_deadline_miss_suspects_then_fails(self):
-        policy = HealthPolicy(step_deadline_s=1.0,
-                              fail_after_deadline_misses=2)
+        policy = HealthPolicy(step_deadline_s=1.0)
         monitor = warmed_monitor(policy)
         _, after = monitor.observe(0, 2.0)
         assert after is WorkerState.SUSPECT
@@ -95,8 +91,7 @@ class TestSuspicionModel:
         assert after is WorkerState.FAILED
 
     def test_healthy_sample_resets_strikes(self):
-        policy = HealthPolicy(step_deadline_s=1.0,
-                              fail_after_deadline_misses=2)
+        policy = HealthPolicy(step_deadline_s=1.0)
         monitor = warmed_monitor(policy)
         monitor.observe(0, 2.0)                      # strike 1 -> SUSPECT
         _, after = monitor.observe(0, BASELINE_S)    # heals
@@ -117,8 +112,7 @@ class TestSuspicionModel:
         # The half-deadline gate: a ms-scale fsync spike over a us-scale
         # baseline has astronomical phi but must stay a SUSPECT verdict
         # forever, never striking its way to FAILED.
-        policy = HealthPolicy(step_deadline_s=1.0,
-                              fail_after_deadline_misses=2)
+        policy = HealthPolicy(step_deadline_s=1.0)
         monitor = warmed_monitor(policy)
         for _ in range(10):
             _, after = monitor.observe(0, 0.05)  # phi >> fail_phi, < D/2
@@ -126,8 +120,7 @@ class TestSuspicionModel:
         assert monitor.health(0).deadline_misses == 0
 
     def test_material_phi_strikes_accumulate(self):
-        policy = HealthPolicy(step_deadline_s=1.0,
-                              fail_after_deadline_misses=2)
+        policy = HealthPolicy(step_deadline_s=1.0)
         monitor = warmed_monitor(policy)
         _, after = monitor.observe(0, 0.6)  # >= D/2, phi extreme
         assert after is WorkerState.SUSPECT
@@ -144,7 +137,7 @@ class TestSuspicionModel:
         assert len(monitor.health(0).window) == before
 
     def test_derived_deadline_scales_with_healthy_p95(self):
-        policy = HealthPolicy(deadline_factor=20.0, deadline_floor_s=0.25)
+        policy = HealthPolicy()    # DEADLINE_FACTOR 20, DEADLINE_FLOOR_S 0.25
         monitor = warmed_monitor(policy, n=32)
         assert monitor.deadline_s(0) == pytest.approx(0.25)  # floor wins
         slow = warmed_monitor(policy, n=0)
@@ -164,38 +157,37 @@ class TestSuspicionModel:
                 ].count("failed") == 1
 
     def test_suspect_counter_increments_on_transitions_only(self):
-        policy = HealthPolicy(step_deadline_s=1.0,
-                              fail_after_deadline_misses=10)
+        # Sub-half-deadline phi outliers suspect without a strike, so the
+        # worker stays SUSPECT however many arrive.
+        policy = HealthPolicy(step_deadline_s=1.0)
         monitor = warmed_monitor(policy)
-        monitor.observe(0, 2.0)
-        monitor.observe(0, 2.0)  # still SUSPECT, no new transition
+        monitor.observe(0, 0.05)
+        monitor.observe(0, 0.05)  # still SUSPECT, no new transition
         assert suspects(monitor) == 1
         registry = monitor.log.metrics
         assert registry.counter("fleet.worker_suspect").value == 1
 
 
     def test_health_records_verdict_changes_and_strikes_only(self):
-        policy = HealthPolicy(step_deadline_s=1.0,
-                              fail_after_deadline_misses=10)
+        policy = HealthPolicy(step_deadline_s=1.0)
         monitor = warmed_monitor(policy)
         assert monitor.log.records == []     # steady HEALTHY: no record
-        monitor.observe(0, 2.0)              # HEALTHY -> SUSPECT, strike
+        monitor.observe(0, 0.05)             # HEALTHY -> SUSPECT, by phi
         monitor.observe(0, 2.0)              # strike, verdict unchanged
         monitor.observe(0, BASELINE_S)       # SUSPECT -> HEALTHY
         monitor.observe(0, BASELINE_S)       # steady: no record
         assert [(r.kind, r.data["worker"], r.data["before"],
                  r.data["state"], r.data["strikes"], r.data["observed_s"],
                  r.data["deadline_s"]) for r in monitor.log.records] == [
-            ("health", 0, "healthy", "suspect", 1, 2.0, 1.0),
-            ("health", 0, "suspect", "suspect", 2, 2.0, 1.0),
+            ("health", 0, "healthy", "suspect", 0, 0.05, 1.0),
+            ("health", 0, "suspect", "suspect", 1, 2.0, 1.0),
             ("health", 0, "suspect", "healthy", 0, BASELINE_S, 1.0)]
-        assert monitor.log.records[0].data["phi"] == float("inf")
+        assert monitor.log.records[1].data["phi"] == float("inf")
         metrics = monitor.log.metrics
-        assert metrics.counter("fleet.step_deadline_miss").value == 2
+        assert metrics.counter("fleet.step_deadline_miss").value == 1
 
     def test_reset_clears_verdict_and_strikes_and_keeps_window(self):
-        policy = HealthPolicy(step_deadline_s=1.0,
-                              fail_after_deadline_misses=2)
+        policy = HealthPolicy(step_deadline_s=1.0)
         monitor = warmed_monitor(policy)
         monitor.observe(0, 2.0)
         monitor.reset(0)
@@ -205,8 +197,8 @@ class TestSuspicionModel:
         assert list(health.window) == [BASELINE_S] * 16
 
     def test_window_is_bounded(self):
-        monitor = warmed_monitor(HealthPolicy(window=8), n=20)
-        assert len(monitor.health(0).window) == 8
+        monitor = warmed_monitor(HealthPolicy(), n=WINDOW + 12)
+        assert len(monitor.health(0).window) == WINDOW
 
 
 def shared_registry_fleet(obs: Obs) -> FleetRouter:
@@ -243,8 +235,8 @@ class TestMonitorOwnsTheWindow:
 #: benches' jitter-free health does: phi judges wall-clock step latency,
 #: which host load can push into a strike on a flapping worker's healthy
 #: step (phi strikes keep their own unit tests).
-HEALTH = HealthPolicy(step_deadline_s=1.0, fail_after_deadline_misses=2,
-                      suspect_phi=math.inf, fail_phi=math.inf)
+HEALTH = HealthPolicy(step_deadline_s=1.0, suspect_phi=math.inf,
+                      fail_phi=math.inf)
 
 
 def build_fleet(tmp_path, *, n_workers=4, plan=None, durable=True,

@@ -33,7 +33,7 @@ from repro.llm.model import DenseBackend, Transformer
 from repro.llm.sampling import generate
 from repro.serve.engine import ServeEngine
 from repro.serve.paged_kv import PagedKVCache, PagedKVPool
-from repro.serve.scheduler import ServeRequest, SloPolicy
+from repro.serve.scheduler import ServeRequest
 from tests.conftest import TINY
 
 #: Model block of these tests: small, so three blocks stay cheap.
@@ -207,8 +207,7 @@ def test_served_first_token_is_solo_generates(backend_name, rng):
                 (prompts[0], prompts[1], prompts[1])]
     pool = PagedKVPool(model.config, n_blocks=256, block_tokens=16,
                        prefix_caching=True)
-    engine = ServeEngine(model, pool, lambda request: make(),
-                         policy=SloPolicy(prefill_chunk=256))
+    engine = ServeEngine(model, pool, lambda request: make())
     requests = [ServeRequest(request_id=i, prompt=p, max_new_tokens=3)
                 for i, p in enumerate(prompts)]
     engine.run(requests)

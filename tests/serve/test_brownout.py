@@ -51,8 +51,6 @@ class TestPolicyValidation:
         dict(queue_high=(6, 10, 14)),            # not four stages
         dict(queue_high=(6, 6, 14, 18)),         # not increasing
         dict(budget_fractions=(0.5, 0.25, 0.75, 1.0)),
-        dict(exit_fraction=1.0),
-        dict(top_k_scale=0.0),
         dict(admit_per_step=0),
         dict(shed_to_depth=0),
     ])
@@ -69,12 +67,11 @@ class TestLadderTransitions:
         assert sched.brownout_transitions == 1
 
     def test_deescalation_is_one_stage_with_hysteresis(self):
-        sched = _scheduler(BrownoutPolicy(queue_high=(2, 4, 6, 8),
-                                          exit_fraction=0.5))
+        sched = _scheduler(BrownoutPolicy(queue_high=(2, 4, 6, 8)))
         _queue(sched, 6)
         assert sched.update_brownout(now=0.1) == 3
         # Drain below the *current* stage's entry point: not enough —
-        # exit needs depth <= exit_fraction * entry (hysteresis against
+        # exit needs depth <= EXIT_FRACTION * entry (hysteresis against
         # chatter around the threshold).
         sched._queues["default"] = sched._queues["default"][:4]
         assert sched.update_brownout(now=0.2) == 3  # 4 > 0.5 * 6
@@ -367,7 +364,7 @@ class TestBrownoutVariantsStack:
             at_level = {0: base, 3: floor}
             for level in (1, 2):
                 at_level[level] = base.with_config(
-                    level_config(LS, level, engine.policy.brownout))
+                    level_config(LS, level))
             cache = pool.new_cache()
             token = int(np.argmax(model.prefill(request.prompt, cache,
                                                 backend=base)))

@@ -18,8 +18,7 @@ from repro.llm.sampling import generate
 from repro.serve.workload import default_systems
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
-from repro.serve.scheduler import (RequestState, ServeRequest, SloPolicy,
-                                   level_config)
+from repro.serve.scheduler import RequestState, ServeRequest, level_config
 from repro.system.faults import FaultPlan
 from repro.system.prefill import PrefillModel
 from tests.conftest import TINY
@@ -111,13 +110,6 @@ class TestBitIdentity:
             assert request.events.finished_s is not None
         assert pool.n_free == pool.n_blocks  # all blocks returned
 
-    def test_chunk_must_align_with_model_blocks(self, model):
-        pool = PagedKVPool(TINY, n_blocks=8, block_tokens=16)
-        with pytest.raises(ValueError):
-            ServeEngine(model, pool, lambda r: DenseBackend(),
-                        policy=SloPolicy(prefill_chunk=100),
-                        prefill_block_size=256)
-
 
 class TestAnalyticClock:
     def test_ttft_includes_charged_prefill(self, model, rng):
@@ -200,9 +192,7 @@ class TestDegradation:
             return DrexOffloadBackend(TINY, LS,
                                       plan=FaultPlan.total_failure())
 
-        engine = ServeEngine(
-            model, pool, factory,
-            policy=SloPolicy(shed_after_consecutive_degraded=3))
+        engine = ServeEngine(model, pool, factory)
         requests = [ServeRequest(request_id=i,
                                  prompt=rng.integers(0, TINY.vocab_size,
                                                      size=30),
@@ -233,9 +223,7 @@ class TestDegradation:
                 TINY, LS, plan=FaultPlan.total_failure())
             return built[request.request_id]
 
-        engine = ServeEngine(
-            model, pool, factory,
-            policy=SloPolicy(shed_after_consecutive_degraded=3))
+        engine = ServeEngine(model, pool, factory)
         requests = [ServeRequest(request_id=i, max_new_tokens=10,
                                  prompt=rng.integers(0, TINY.vocab_size,
                                                      size=30 + 7 * i))
@@ -253,7 +241,7 @@ class TestDegradation:
         # backends' own kernel calls (one session each, from the kernels
         # each backend keeps, whose floor config is an equal value) are
         # not theirs.
-        floor = level_config(LS, 3, engine.policy.brownout)
+        floor = level_config(LS, 3)
         assert floor == LS.replace(top_k=0)
         own = {id(kernel.config) for backend in built.values()
                for kernel in backend._kernels.values()}

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.serve.paged_kv import PagedKVPool
-from repro.serve.scheduler import (ContinuousBatchScheduler, RequestState,
+from repro.serve.scheduler import (SHED_AFTER_DEGRADED,
+                                   ContinuousBatchScheduler, RequestState,
                                    ServeRequest, SloPolicy)
 from tests.conftest import TINY
 
@@ -64,14 +65,15 @@ class TestAdmission:
         assert [r.request_id for r in admitted] == [1]
         assert sched.finished[0].events.rejected
 
-    def test_headroom_only_binds_when_running(self):
-        sched, _ = _scheduler(n_blocks=3, admission_headroom_blocks=2)
-        sched.submit(_request(0))  # needs 3 blocks == whole pool
-        # idle system: headroom waived, the request is admitted
+    def test_admission_waits_on_blocks_promised_to_a_running_prefill(self):
+        sched, _ = _scheduler(n_blocks=3)
+        sched.submit(_request(0))  # whole session: 3 blocks == whole pool
+        # idle system: the request fits, it is admitted
         assert len(sched.admit(now=0.0)) == 1
         sched.running[0].cache = sched.pool.new_cache()
         sched.submit(_request(1))
-        # busy system: 0 free < need + headroom -> wait, not shed
+        # busy system: the running prefill's 2 unclaimed prompt blocks are
+        # promised, so 3 free < 2 promised + 2 needed -> wait, not shed
         assert sched.admit(now=0.0) == []
         assert len(sched.queued) == 1
 
@@ -101,8 +103,7 @@ class TestAdmission:
 
 class TestAssembly:
     def test_decode_first_with_caps(self):
-        sched, _ = _scheduler(n_blocks=64, max_decode_batch=2,
-                              max_prefills_per_step=1)
+        sched, _ = _scheduler(n_blocks=64, max_decode_batch=2)
         requests = [_request(i, arrival=i * 0.1) for i in range(5)]
         for r in requests:
             sched.submit(r)
@@ -120,18 +121,18 @@ class TestAssembly:
 
 class TestDegradation:
     def test_pins_after_consecutive_budget(self):
-        sched, _ = _scheduler(shed_after_consecutive_degraded=3)
+        sched, _ = _scheduler()
         request = _request(0)
         request.outputs.append(0)
-        for _ in range(2):
+        for _ in range(SHED_AFTER_DEGRADED - 1):
             sched.note_token(request, 0.0, degraded=True)
         assert not request.pinned_dense
         sched.note_token(request, 0.0, degraded=False)  # healthy resets
         assert request.consecutive_degraded == 0
-        for _ in range(3):
+        for _ in range(SHED_AFTER_DEGRADED):
             sched.note_token(request, 0.0, degraded=True)
         assert request.pinned_dense
-        assert request.events.degraded_tokens == 5
+        assert request.events.degraded_tokens == 2 * SHED_AFTER_DEGRADED - 1
 
     def test_pinned_session_retires_as_shed_with_output(self):
         sched, pool = _scheduler()
@@ -210,10 +211,6 @@ class TestPreemption:
 class TestPolicyValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_decode_batch": 0},
-        {"prefill_chunk": 0},
-        {"max_prefills_per_step": 0},
-        {"admission_headroom_blocks": -1},
-        {"shed_after_consecutive_degraded": 0},
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -71,17 +71,6 @@ class TestWeightedAdmission:
         assert [r.request_id for r in admitted] == [0, 1]
         assert len(sched.queued) == 1  # gold's second head waits, unshed
 
-    def test_per_tenant_timeout_overrides_policy(self):
-        classes = (TenantClass("strict", weight=1, queue_timeout_s=1.0),
-                   TenantClass("lax", weight=1))
-        sched, _ = _scheduler(tenant_classes=classes, queue_timeout_s=60.0)
-        sched.submit(_request(0, tenant="strict", arrival=0.0))
-        sched.submit(_request(1, tenant="lax", arrival=0.0))
-        admitted = sched.admit(now=5.0)
-        assert [r.request_id for r in admitted] == [1]
-        shed = sched.finished[0]
-        assert shed.request_id == 0 and shed.events.rejected
-
     def test_late_joining_tenant_cannot_monopolize(self):
         # a tenant that sat idle must not bank virtual time: its vtime is
         # clamped to the active minimum on (re)activation, so it gets its

@@ -18,7 +18,7 @@ from repro.llm.model import DenseBackend, Transformer
 from repro.llm.sampling import generate
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
-from repro.serve.scheduler import ServeRequest, SloPolicy
+from repro.serve.scheduler import ServeRequest
 from repro.system.baselines import DenseGpuSystem
 from tests.conftest import TINY
 
@@ -31,11 +31,10 @@ BLOCK_TOKENS = 16
        shared=st.sampled_from([0, 16, 48, 300]),
        prefix_caching=st.booleans(),
        sparse=st.booleans(),
-       max_prefills=st.integers(min_value=1, max_value=2),
        seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
 def test_exact_fit_pool_serves_every_request_as_solo(
-        n_sessions, shared, prefix_caching, sparse, max_prefills, seed):
+        n_sessions, shared, prefix_caching, sparse, seed):
     rng = np.random.default_rng(seed)
     prefix = rng.integers(0, TINY.vocab_size, size=shared)
     requests = [ServeRequest(
@@ -55,7 +54,6 @@ def test_exact_fit_pool_serves_every_request_as_solo(
 
     engine = ServeEngine(
         MODEL, pool, backend,
-        policy=SloPolicy(max_prefills_per_step=max_prefills),
         timing=AnalyticTiming(DenseGpuSystem(), LLAMA3_8B))
     report = engine.run(requests)
     # Steer the search toward runs where growth had to preempt.

@@ -44,6 +44,11 @@ Traps:
   ``PYTHONPATH`` is not followed.
 - Anything else that calls ``sys.setprofile`` (``cProfile``, a profiler
   under test) replaces the hook for the rest of that process.
+- Figures 3, 4 and 10, ``test_ablation_granularity.py`` and
+  ``test_dynax_comparison.py`` under ``benchmarks/`` train the miniature
+  model when no checkpoint is cached (``repro.llm.zoo.cache_dir``), which
+  under the hook runs for well over ten minutes: ``--ignore`` them, or warm
+  the cache first.
 """
 
 from __future__ import annotations
