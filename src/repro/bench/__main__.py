@@ -16,26 +16,25 @@ from __future__ import annotations
 import sys
 from typing import Callable, Dict
 
+from repro.bench.chaos import run_chaos
+from repro.bench.dynax import run_dynax
+from repro.bench.fig3 import run_fig3
+from repro.bench.fig4 import run_fig4
+from repro.bench.fig7 import run_fig7
+from repro.bench.fig8 import run_fig8
+from repro.bench.fig9 import run_fig9
+from repro.bench.fig10 import run_fig10
+from repro.bench.fleet import run_fleet
+from repro.bench.fleet_chaos import run_fleet_chaos
+from repro.bench.micro import run_micro
+from repro.bench.obs_overhead import run_obs_overhead
+from repro.bench.recovery import run_recovery
+from repro.bench.serve import run_serve
+from repro.bench.spec_tables import run_power_area, run_table1, run_table2
 from repro.bench.tables import Table, results_dir
 
 
 def _runners() -> Dict[str, Callable[[], Table]]:
-    from repro.bench.chaos import run_chaos
-    from repro.bench.dynax import run_dynax
-    from repro.bench.micro import run_micro
-    from repro.bench.fleet import run_fleet
-    from repro.bench.fleet_chaos import run_fleet_chaos
-    from repro.bench.obs_overhead import run_obs_overhead
-    from repro.bench.recovery import run_recovery
-    from repro.bench.serve import run_serve
-    from repro.bench.fig3 import run_fig3
-    from repro.bench.fig4 import run_fig4
-    from repro.bench.fig7 import run_fig7
-    from repro.bench.fig8 import run_fig8
-    from repro.bench.fig9 import run_fig9
-    from repro.bench.fig10 import run_fig10
-    from repro.bench.spec_tables import run_power_area, run_table1, run_table2
-
     return {
         "table1": run_table1,
         "table2": run_table2,

@@ -40,8 +40,8 @@ from repro.bench.scenario import (CHARGED_MODEL, TINY_LS, TINY_MODEL,
 from repro.bench.tables import (Table, missing_keys, run_cli,
                                 write_payload)
 from repro.drex.backend import DrexOffloadBackend
+from repro.faults import FaultPlan
 from repro.serve.scheduler import SloPolicy
-from repro.system.faults import FaultPlan
 
 SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_chaos.json"

@@ -13,6 +13,7 @@ import os
 from typing import List
 
 from repro.bench import algo
+from repro.bench.fig7 import best_point
 from repro.bench.tables import Table
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import SlidingWindowAttention
@@ -30,15 +31,12 @@ PAPER_CONTEXT = 32768 if os.environ.get("REPRO_BENCH_FULL") else 16384
 
 def _dense_tput(config, context: int) -> float:
     system = DenseGpuSystem(1)
-    from repro.bench.fig7 import best_point
     point = best_point(system, config, context)
     return point.throughput_tps if point else float("nan")
 
 
 def longsight_points(paper_name: str, dataset: str = "PG") -> List[ParetoPoint]:
     """LongSight configs: sweep (W, k, TH); accuracy mini, throughput full."""
-    from repro.bench.fig7 import best_point
-
     mini_ctx = PAPER_CONTEXT // algo.SCALE
     model = algo.get_model(paper_name)
     d = model.config.head_dim
@@ -75,8 +73,6 @@ def longsight_points(paper_name: str, dataset: str = "PG") -> List[ParetoPoint]:
 def sliding_window_points(paper_name: str,
                           dataset: str = "PG") -> List[ParetoPoint]:
     """Sliding-window baseline: sweep window size."""
-    from repro.bench.fig7 import best_point
-
     mini_ctx = PAPER_CONTEXT // algo.SCALE
     model = algo.get_model(paper_name)
     tokens = algo.get_tokens(dataset, mini_ctx)

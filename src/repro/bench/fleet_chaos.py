@@ -4,7 +4,7 @@ Two resilience experiments over the functional fleet:
 
 1. **Gray-failure sweep** — a four-worker *durable* fleet serves the
    seeded two-tenant trace of ``repro.bench.fleet`` while worker 0
-   misbehaves per :data:`repro.system.faults.GRAY_KINDS`:
+   misbehaves per :data:`repro.faults.GRAY_KINDS`:
 
    - ``slow_worker`` / ``stuck_worker``: the health monitor suspects,
      then fails the worker; its sessions fail over (newest durable
@@ -51,9 +51,9 @@ from repro.bench.scenario import (CHARGED_MODEL, TINY_MODEL, Faults,
                                   Scenario, Tenant, Topology, Trace, run)
 from repro.bench.tables import (Table, missing_keys, run_cli,
                                 write_payload)
+from repro.faults import GRAY_KINDS, GrayFailurePlan
 from repro.fleet import HealthPolicy
 from repro.serve.scheduler import BROWNOUT_STAGES, BrownoutPolicy, SloPolicy
-from repro.system.faults import GRAY_KINDS, GrayFailurePlan
 
 SCHEMA_VERSION = 1
 RESULT_NAME = "BENCH_fleet_chaos.json"

@@ -3,7 +3,7 @@
 Measures what durable serving buys on a worker death: a 64k-charged-
 context trace is served once uninterrupted (the *recompute* baseline —
 what re-serving from scratch up to the crash point costs), then served
-again under a :class:`~repro.system.faults.CrashPlan` that kills the
+again under a :class:`~repro.faults.CrashPlan` that kills the
 worker mid-decode, recovered via :func:`repro.durable.recover` (newest
 valid snapshot + verified WAL replay), and stepped to completion.  The
 payload records the recovery timings (``snapshot_load_s``, ``replay_s``,
@@ -35,8 +35,8 @@ from repro.bench.scenario import (CHARGED_MODEL, TINY_MODEL, Faults,
                                   build_engine, run, served_outputs)
 from repro.bench.tables import (Table, missing_keys, run_cli,
                                 write_payload)
+from repro.faults import CrashPlan
 from repro.serve.scheduler import SloPolicy
-from repro.system.faults import CrashPlan
 
 SCHEMA_VERSION = 1
 RESULT_NAME = "BENCH_recovery.json"

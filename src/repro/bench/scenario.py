@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.config import LongSightConfig
 from repro.durable import DurableRun, RecoveryStats, recover
 from repro.errors import WorkerKilledError
+from repro.faults import CrashPlan, FaultPlan, GrayFailurePlan
 from repro.fleet import FleetReport, FleetRouter, HealthPolicy, make_worker
 from repro.llm.config import LLAMA3_8B, ModelConfig
 from repro.llm.model import Transformer
@@ -32,7 +33,6 @@ from repro.serve.events import Record, ServeReport
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import BrownoutPolicy, ServeRequest, SloPolicy
 from repro.serve.workload import backend_factory, default_systems
-from repro.system.faults import CrashPlan, FaultPlan, GrayFailurePlan
 from repro.system.prefill import PrefillModel
 
 #: Tiny functional model: real tokens at laptop scale.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.bench.tables import Table
+from repro.drex.dram import LPDDR5X
 from repro.drex.geometry import DREX_DEFAULT
 from repro.llm.config import LLAMA3_1B, LLAMA3_8B, SIM_FOR_PAPER
 from repro.system.power import PowerAreaModel
@@ -46,7 +47,6 @@ def run_table2() -> Table:
     """Table 2: system configuration."""
     spec = PAPER_SYSTEM
     g = DREX_DEFAULT
-    from repro.drex.dram import LPDDR5X
 
     table = Table("Table 2: system configuration", ["device", "field", "value"])
     rows = [

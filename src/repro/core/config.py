@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from repro.llm.config import ModelConfig
+from repro.llm.config import ModelConfig
 
 ThresholdLike = Union[int, float, np.ndarray]
+
+#: Quality level 1's multiplier on the backend's ``top_k``.
+TOP_K_SCALE = 0.5
+#: Quality level 2's increment on the SCF sign-agreement threshold(s).
+THRESHOLD_BUMP = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +80,7 @@ class LongSightConfig:
         object.__setattr__(self, "_thresholds_value",
                            (thresholds.shape, thresholds.tobytes()))
 
-    def check_model(self, model: "ModelConfig") -> None:
+    def check_model(self, model: ModelConfig) -> None:
         """Raise ``ValueError`` unless ``thresholds`` broadcasts to the
         model's ``(n_layers, heads)`` — query heads with
         ``per_q_head_thresholds``, else KV heads."""
@@ -114,3 +118,21 @@ class LongSightConfig:
     def replace(self, **kwargs) -> "LongSightConfig":
         """Return a copy with fields overridden."""
         return dataclasses.replace(self, **kwargs)
+
+
+def level_config(config: LongSightConfig, level: int) -> LongSightConfig:
+    """The config served at quality ``level`` (1-3) of base ``config``.
+
+    The whole ladder: 1 shrinks ``top_k`` by ``TOP_K_SCALE`` (to at least
+    1), 2 also raises the thresholds by ``THRESHOLD_BUMP``, 3 is ``top_k
+    = 0`` — the dense floor, sinks + window only, which a dense pin
+    reaches too.  A pure function of its arguments: configs are values,
+    so equal bases give equal variants and their sessions stack without
+    sharing a config object.
+    """
+    if level >= 3:
+        return config.replace(top_k=0)
+    changes = {"top_k": max(1, int(config.top_k * TOP_K_SCALE))}
+    if level >= 2:
+        changes["thresholds"] = config.thresholds + THRESHOLD_BUMP
+    return config.replace(**changes)

@@ -11,20 +11,16 @@ Two implementations are provided:
 - a bit-packed path (:func:`pack_signs`, :func:`concordance_packed`) that
   mirrors what DReX's PIM Filter Units actually compute (XOR + popcount on
   one-bit Key Sign Objects).  The two are verified to agree bit-exactly.
+
+The one-bit format itself (:func:`sign_bits`, :func:`pack_signs`) is the
+KV store's, which packs it on every append (:mod:`repro.llm.kv_cache`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def sign_bits(x: np.ndarray) -> np.ndarray:
-    """One-bit quantization: True where the dimension is non-negative.
-
-    The paper quantizes "based on the sign bit of the full-precision data
-    representation"; IEEE sign-bit semantics make 0.0 positive.
-    """
-    return np.asarray(x) >= 0
+from repro.llm.kv_cache import pack_signs, sign_bits
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
@@ -75,16 +71,6 @@ def scf_filter(q: np.ndarray, k: np.ndarray, threshold: float) -> np.ndarray:
 
 
 # --- bit-packed path (hardware-faithful) -----------------------------------
-
-
-def pack_signs(x: np.ndarray) -> np.ndarray:
-    """Pack sign bits of ``(..., n, D)`` vectors into uint8 words.
-
-    This is the Key Sign Object representation stored in DReX DRAM: one bit
-    per dimension, padded to a whole number of bytes.
-    """
-    bits = sign_bits(x).astype(np.uint8)
-    return np.packbits(bits, axis=-1)
 
 
 def unpack_signs_pm1(packed: np.ndarray, d: int) -> np.ndarray:

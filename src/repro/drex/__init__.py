@@ -17,6 +17,7 @@ from the paper's published constants (Section 8.2).
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 from repro.drex.address import AddressMap, PhysicalLocation
 from repro.drex.dram import LpddrTimings, LPDDR5X
+from repro.drex.cxl import CxlLink
 from repro.drex.descriptors import (
     RequestDescriptor,
     ResponseDescriptor,
@@ -40,6 +41,7 @@ __all__ = [
     "PhysicalLocation",
     "LpddrTimings",
     "LPDDR5X",
+    "CxlLink",
     "RequestDescriptor",
     "ResponseDescriptor",
     "KeySignObject",

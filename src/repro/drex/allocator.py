@@ -58,10 +58,6 @@ class DrexAllocator:
     def bytes_used(self) -> int:
         return self.rows_used * self.geometry.row_bytes
 
-    @property
-    def bytes_free(self) -> int:
-        return self.geometry.capacity_bytes - self.bytes_used
-
     def utilization(self) -> float:
         return self.bytes_used / self.geometry.capacity_bytes
 

@@ -6,7 +6,7 @@ the software kernel's — driven the way Section 6 drives DReX.  The dense
 window doubles as the staging buffer: a token is written to the session's
 own :class:`~repro.drex.device.DrexDevice` (by count; the device holds no
 data) as it leaves the window.  Per (layer, token) the backend asks the
-device's :class:`~repro.system.supervisor.OffloadSupervisor` whether the
+device's :class:`~repro.drex.supervisor.OffloadSupervisor` whether the
 flush may proceed (capacity pressure defers it) and then to execute the
 offload, which the device prices from the kernel's own stage-1 survivors
 (``survivor_capture``).  The answers decide the config a row is served
@@ -50,12 +50,12 @@ from repro.core.itq import ItqRotations
 from repro.core.metrics import FilterStats
 from repro.drex.descriptors import RequestDescriptor
 from repro.drex.device import DrexDevice
+from repro.drex.supervisor import OffloadSupervisor, SupervisorStats
 from repro.drex.timing import LatencyBreakdown
+from repro.faults import FaultPlan
 from repro.llm.config import ModelConfig
 from repro.llm.kv_cache import KVCache
 from repro.llm.model import AttentionBackend
-from repro.system.faults import FaultPlan
-from repro.system.supervisor import OffloadSupervisor, SupervisorStats
 
 #: The backend owns its device, so its one session is user 0.
 _UID = 0

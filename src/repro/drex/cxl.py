@@ -3,7 +3,8 @@
 The paper emulates CXL on a dual-socket Xeon and folds memory-copy and
 polling overheads into its model; we parameterize the same three costs:
 propagation latency, link bandwidth, and the GPU-side polling loop that
-watches the DCC's Polling Register.
+watches the DCC's Polling Register.  DReX has one attach, so every
+model charges the one :data:`LINK`.
 """
 
 from __future__ import annotations
@@ -38,3 +39,7 @@ class CxlLink:
     def polling_overhead_ns(self) -> float:
         """Expected completion-discovery delay of the GPU polling loop."""
         return self.polling_interval_ns / 2.0 + self.latency_ns
+
+
+#: The one link every model charges: DReX's attach at the defaults above.
+LINK = CxlLink()

@@ -32,9 +32,9 @@ from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 from repro.drex.layout import ContextSlice
 from repro.drex.timing import DrexTimingModel, OffloadCost
 from repro.errors import OffloadTimeoutError, QueueFullError
+from repro.faults import (CXL_DEGRADATION_FACTOR, KSO_BITS_FLIPPED,
+                          NMA_STALL_NS, FaultInjector, FaultPlan)
 from repro.obs import Obs, resolve_obs
-from repro.system.faults import (CXL_DEGRADATION_FACTOR, KSO_BITS_FLIPPED,
-                                 NMA_STALL_NS, FaultInjector, FaultPlan)
 
 
 #: Offload-latency histogram edges: log-spaced 100 ns .. 100 ms.

@@ -45,10 +45,6 @@ class DrexGeometry:
         return self.channels_per_package * self.banks_per_channel
 
     @property
-    def total_channels(self) -> int:
-        return self.n_packages * self.channels_per_package
-
-    @property
     def total_banks(self) -> int:
         return self.n_packages * self.banks_per_package
 

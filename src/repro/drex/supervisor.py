@@ -26,8 +26,8 @@ from typing import Optional, Tuple
 
 from repro.drex.descriptors import RequestDescriptor, ResponseDescriptor
 from repro.errors import CorruptedKsoError, OffloadTimeoutError, QueueFullError
+from repro.faults import site_rng
 from repro.obs import Obs, resolve_obs
-from repro.system.faults import site_rng
 
 
 #: Additional attempts after an offload's first failure.

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Sequence
 
+from repro.drex.cxl import LINK
 from repro.drex.descriptors import request_bytes, response_entry_bytes
 from repro.drex.dram import LpddrTimings, LPDDR5X
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 from repro.drex.nma import NearMemoryAccelerator
-
-if TYPE_CHECKING:
-    from repro.system.cxl import CxlLink
 
 
 @dataclasses.dataclass
@@ -92,19 +90,13 @@ class OffloadCost:
 
 class DrexTimingModel:
     """Latency calculator shared by the functional device and the perf
-    model; both CXL transfers are ``cxl``'s (default: a :class:`CxlLink`
-    at its defaults)."""
+    model; both CXL transfers cross :data:`repro.drex.cxl.LINK`."""
 
     def __init__(self, geometry: DrexGeometry = DREX_DEFAULT,
-                 timings: LpddrTimings = LPDDR5X,
-                 cxl: Optional["CxlLink"] = None) -> None:
-        # repro.system imports this module: the link model is imported
-        # when the link is defaulted.
-        from repro.system.cxl import CxlLink
+                 timings: LpddrTimings = LPDDR5X) -> None:
         self.geometry = geometry
         self.timings = timings
         self.nma = NearMemoryAccelerator(geometry, timings)
-        self.cxl = cxl or CxlLink()
 
     def epochs(self, n_keys: int) -> int:
         """Filtering epochs: blocks beyond one per PFU wrap into new epochs."""
@@ -133,13 +125,13 @@ class DrexTimingModel:
     def value_read_ns(self, n_retrieved_total: int, head_dim: int,
                       dtype_bytes: int = 2) -> float:
         """CXL transfer of the response: values + scores + IDs."""
-        return self.cxl.transfer_ns(
+        return LINK.transfer_ns(
             n_retrieved_total * response_entry_bytes(head_dim, dtype_bytes))
 
     def request_submit_ns(self, n_query_heads: int, head_dim: int,
                           dtype_bytes: int = 2) -> float:
         """GPU -> DCC descriptor write over CXL."""
-        return self.cxl.transfer_ns(
+        return LINK.transfer_ns(
             request_bytes(n_query_heads * head_dim, dtype_bytes))
 
     def offload_latency(self, per_package_costs: Sequence[OffloadCost],

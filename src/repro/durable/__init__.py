@@ -11,7 +11,7 @@ Public surface:
 - :func:`write_snapshot` / :func:`read_snapshot` / :func:`restore_run` —
   the snapshot layer.
 
-Crash points are scheduled with :class:`repro.system.faults.CrashPlan`;
+Crash points are scheduled with :class:`repro.faults.CrashPlan`;
 the errors live in :mod:`repro.errors` (``DurabilityError`` family).
 """
 

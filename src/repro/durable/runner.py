@@ -64,10 +64,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
                           WorkerKilledError)
+from repro.faults import TORN_FRACTION, CrashPlan
 from repro.serve.engine import EngineRun, ServeEngine
 from repro.serve.events import INPUT_KINDS, TIME_FIELDS, Record, ServeReport
 from repro.serve.scheduler import ServeRequest
-from repro.system.faults import TORN_FRACTION, CrashPlan
 from repro.durable.snapshot import (build_request, read_snapshot,
                                     restore_run, serialize_request,
                                     write_snapshot)

@@ -114,7 +114,7 @@ class ReplayDivergenceError(DurabilityError):
 
 class WorkerKilledError(DurabilityError):
     """An injected crash point killed the worker mid-run (see
-    :class:`repro.system.faults.CrashPlan`).  The fleet router catches
+    :class:`repro.faults.CrashPlan`).  The fleet router catches
     this and restores the worker from its durable directory."""
 
     def __init__(self, message: str, *, step: int = 0,

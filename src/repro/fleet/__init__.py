@@ -19,7 +19,7 @@ Layout:
 - :mod:`repro.fleet.resilience` — :class:`HealthMonitor` /
   :class:`HealthPolicy` / :class:`WorkerState` (phi-accrual-style
   suspicion over step latencies; the router feeds it wall time plus the
-  simulated stalls of a :class:`~repro.system.faults.GrayFailurePlan`);
+  simulated stalls of a :class:`~repro.faults.GrayFailurePlan`);
 - :mod:`repro.fleet.report` — :class:`FleetReport` (the folds of the
   fleet's one record stream, the workers' own
   :class:`~repro.serve.events.ServeReport` and their merged

@@ -6,7 +6,7 @@ dispatch loop that always waits for the laggard will happily wait on it
 forever.  This module gives the router the three pieces it needs to stop
 doing that:
 
-- :class:`GrayFailurePlan` (in :mod:`repro.system.faults`) schedules
+- :class:`GrayFailurePlan` (in :mod:`repro.faults`) schedules
   deterministic gray failures.  Stalls are **simulated**, so they are
   router input rather than worker behaviour: the router's guarded step
   reads the plan at the worker's step count, adds the stall seconds to

@@ -43,7 +43,7 @@ nothing to load (no durable directory, no verifiable snapshot) the drain
 runs off the fenced in-memory run instead — recompute migration.
 
 Gray failures are router input, not worker behaviour: a worker's
-:class:`~repro.system.faults.GrayFailurePlan` is read at every guarded
+:class:`~repro.faults.GrayFailurePlan` is read at every guarded
 step against the worker's step count, its stall seconds are added to the
 observed latency fed to the :class:`HealthMonitor`, and an infinite
 stall skips the step.  A SUSPECT worker is drained — no new placements,
@@ -63,13 +63,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.durable import DurableRun, RecoveryStats, recover
 from repro.errors import (SnapshotCorruptError, WorkerKilledError,
                           WorkerStalledError)
+from repro.faults import CrashPlan, GrayFailurePlan
 from repro.llm.model import Transformer
 from repro.obs import MetricsRegistry, Obs, Tracer, resolve_obs
 from repro.serve.engine import EngineRun, ServeEngine, TimingModel
 from repro.serve.events import Record, RecordLog
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest, SloPolicy
-from repro.system.faults import CrashPlan, GrayFailurePlan
 
 from repro.fleet.report import FleetReport
 from repro.fleet.resilience import (PROBE_EVERY, HealthMonitor, HealthPolicy,

@@ -59,6 +59,25 @@ if TYPE_CHECKING:
     from repro.core.itq import ItqRotations
 
 
+def sign_bits(x: np.ndarray) -> np.ndarray:
+    """One-bit quantization: True where the dimension is non-negative.
+
+    The paper quantizes "based on the sign bit of the full-precision data
+    representation"; IEEE sign-bit semantics make 0.0 positive.
+    """
+    return np.asarray(x) >= 0
+
+
+def pack_signs(x: np.ndarray) -> np.ndarray:
+    """Pack sign bits of ``(..., n, D)`` vectors into uint8 words.
+
+    This is the Key Sign Object representation stored in DReX DRAM: one bit
+    per dimension, padded to a whole number of bytes.
+    """
+    bits = sign_bits(x).astype(np.uint8)
+    return np.packbits(bits, axis=-1)
+
+
 class _MappedRows:
     """One KV head's rows of an arena in a session's logical order.
 
@@ -226,9 +245,6 @@ class SessionLayerKV:
     def _pack_rows(self, keys: np.ndarray, rows: np.ndarray) -> None:
         """Pack the signs of ``keys`` — as stored — into arena ``rows``
         (exactly once per token)."""
-        # Deferred import: repro.core.itq imports this module transitively.
-        from repro.core.scf import pack_signs
-
         if self._sign_rot is not None:
             keys = np.matmul(keys, self._sign_rot)
         self._signs[:, rows] = pack_signs(keys)

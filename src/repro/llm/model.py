@@ -24,7 +24,7 @@ from repro.llm import autograd as ag
 from repro.llm import ops
 from repro.llm.config import ModelConfig
 from repro.llm.kv_cache import KVCache
-from repro.llm.rope import apply_rope
+from repro.llm.rope import apply_rope, rope_cos_sin
 
 Weights = Dict[str, np.ndarray]
 
@@ -462,8 +462,6 @@ class TrainableTransformer:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def _rope(self, x: ag.Tensor, positions: np.ndarray) -> ag.Tensor:
-        from repro.llm.rope import rope_cos_sin
-
         half = self.config.head_dim // 2
         cos, sin = rope_cos_sin(positions, self.config.head_dim,
                                 self.config.rope_theta)

@@ -48,6 +48,7 @@ from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
+from repro.core.config import level_config
 from repro.core.hybrid import LongSightAttention
 from repro.errors import PoolExhaustedError
 from repro.llm.model import PREFILL_BLOCK, Transformer
@@ -55,8 +56,7 @@ from repro.obs import Obs, resolve_obs
 from repro.serve.events import Record, ServeReport
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (ContinuousBatchScheduler, RequestState,
-                                   ServeRequest, SloPolicy, StepPlan,
-                                   level_config)
+                                   ServeRequest, SloPolicy, StepPlan)
 
 #: Decode-batch-size histogram edges: one bucket per batch size up to 256.
 _BATCH_EDGES = tuple(float(x) for x in range(1, 257))
@@ -222,7 +222,7 @@ class ServeEngine:
         ``stage``; 0 is ``request.backend`` itself, which is never
         replaced — a pinned supervised backend keeps its durable state.
         Any other level is the backend's ``with_config`` variant at
-        :func:`~repro.serve.scheduler.level_config` (an offload backend's
+        :func:`~repro.core.config.level_config` (an offload backend's
         shares its device; at ``top_k = 0`` every variant is the plain
         kernel), built per token: variants of equal configs stack by
         value.  The level returned is 0 whenever service is actually

@@ -53,18 +53,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.itq import ItqRotations
 from repro.errors import PoolExhaustedError
 from repro.llm.config import ModelConfig
 from repro.llm.kv_cache import KVCache, SessionLayerKV, new_arenas
-from repro.obs import resolve_obs
-
-if TYPE_CHECKING:
-    from repro.core.itq import ItqRotations
-    from repro.obs import Obs
+from repro.obs import Obs, resolve_obs
 
 
 @dataclasses.dataclass
@@ -114,7 +111,7 @@ class PagedKVPool:
 
     def __init__(self, config: ModelConfig, n_blocks: int,
                  block_tokens: int = 16, prefix_caching: bool = False,
-                 obs: Optional["Obs"] = None) -> None:
+                 obs: Optional[Obs] = None) -> None:
         if n_blocks < 1 or block_tokens < 1:
             raise ValueError("need at least one block of at least one token")
         self.config = config
@@ -401,7 +398,7 @@ class PagedKVCache(KVCache):
     # -- what the prefix index adds to the KVCache lifecycle -----------------
 
     def enable_sign_cache(
-            self, rotations: Optional["ItqRotations"] = None) -> None:
+            self, rotations: Optional[ItqRotations] = None) -> None:
         """Enable per-layer sign packing (idempotent for the same bank)."""
         if self.sign_cache_enabled and self.sign_rotations is rotations:
             return      # every decode step asks: do not walk the entries

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import LongSightConfig
 from repro.obs import Obs, resolve_obs
 from repro.serve.events import RecordLog, RequestEvents
 from repro.serve.paged_kv import PagedKVPool
@@ -78,10 +77,6 @@ BROWNOUT_STAGES = ("normal", "shrink_topk", "raise_threshold",
 #: Brownout de-escalation hysteresis: a stage is left once both signals
 #: sit at or below this fraction of its entry point.
 EXIT_FRACTION = 0.5
-#: Quality level 1's multiplier on the backend's ``top_k``.
-TOP_K_SCALE = 0.5
-#: Quality level 2's increment on the SCF sign-agreement threshold(s).
-THRESHOLD_BUMP = 2
 #: Sessions that advance one prefill chunk per engine step.
 MAX_PREFILLS_PER_STEP = 1
 #: Consecutive offload-degraded tokens that pin a session to the dense
@@ -97,7 +92,7 @@ class BrownoutPolicy:
     cheaper service instead of dropping requests outright — the
     SparseAccelerate observation (sparsity level is a runtime resource
     knob) applied to serving.  The policy decides *when* to climb; the
-    rungs are fixed (:func:`level_config`):
+    rungs are fixed (:func:`repro.core.config.level_config`):
 
     - stage 1 (``shrink_topk``): decode with ``top_k`` scaled by
       ``TOP_K_SCALE`` — fewer sparse keys retrieved per head;
@@ -155,24 +150,6 @@ class BrownoutPolicy:
             raise ValueError("admit_per_step must be >= 1")
         if self.shed_to_depth is not None and self.shed_to_depth < 1:
             raise ValueError("shed_to_depth must be >= 1")
-
-
-def level_config(config: LongSightConfig, level: int) -> LongSightConfig:
-    """The config served at quality ``level`` (1-3) of base ``config``.
-
-    The whole ladder: 1 shrinks ``top_k`` by ``TOP_K_SCALE`` (to at least
-    1), 2 also raises the thresholds by ``THRESHOLD_BUMP``, 3 is ``top_k
-    = 0`` — the dense floor, sinks + window only, which a dense pin
-    reaches too.  A pure function of its arguments: configs are values,
-    so equal bases give equal variants and their sessions stack without
-    sharing a config object.
-    """
-    if level >= 3:
-        return config.replace(top_k=0)
-    changes = {"top_k": max(1, int(config.top_k * TOP_K_SCALE))}
-    if level >= 2:
-        changes["thresholds"] = config.thresholds + THRESHOLD_BUMP
-    return config.replace(**changes)
 
 
 @dataclasses.dataclass(frozen=True)

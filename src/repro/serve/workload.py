@@ -13,11 +13,11 @@ from typing import Dict, Optional
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.drex.backend import DrexOffloadBackend
+from repro.faults import FaultPlan
 from repro.llm.config import ModelConfig
 from repro.llm.model import DenseBackend
 from repro.system.baselines import DenseGpuSystem, SlidingWindowGpuSystem
 from repro.system.engine import LongSightSystem
-from repro.system.faults import FaultPlan
 
 #: The three systems every serve benchmark compares.
 SYSTEM_NAMES = ("longsight", "dense", "sliding_window")

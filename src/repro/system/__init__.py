@@ -1,7 +1,8 @@
 """System integration and performance modeling (Sections 6, 8.2, 9).
 
-Combines an H100 roofline model, a CXL link model and the DReX timing
-model into end-to-end decode-phase throughput/latency estimates for:
+Combines an H100 roofline model with the DReX timing model and its CXL
+link (:mod:`repro.drex.cxl`) into end-to-end decode-phase
+throughput/latency estimates for:
 
 - 1-GPU and 2-GPU (data-parallel) dense baselines,
 - AttAcc-style HBM-PIM dense attention,
@@ -18,7 +19,6 @@ Section 8.1.2).
 """
 
 from repro.system.specs import GpuSpec, H100, SystemSpec, PAPER_SYSTEM
-from repro.system.cxl import CxlLink
 from repro.system.gpu import GpuModel
 from repro.system.baselines import (
     ServingPoint,
@@ -35,7 +35,6 @@ __all__ = [
     "H100",
     "SystemSpec",
     "PAPER_SYSTEM",
-    "CxlLink",
     "GpuModel",
     "ServingPoint",
     "DenseGpuSystem",

@@ -22,14 +22,15 @@ import math
 from typing import Dict, Optional
 
 from repro.core.config import LongSightConfig
+from repro.drex.cxl import LINK
 from repro.drex.descriptors import request_bytes, response_entry_bytes
 from repro.drex.dram import LpddrTimings, LPDDR5X
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 from repro.drex.layout import rows_per_group
+from repro.drex.sched import DrexScheduler, SimOutcome, decode_step_jobs
 from repro.drex.timing import DrexTimingModel, LatencyBreakdown, OffloadCost
 from repro.llm.config import ModelConfig
 from repro.system.baselines import ServingSystem
-from repro.system.cxl import CxlLink
 from repro.system.gpu import GpuModel
 from repro.system.specs import GpuSpec, H100
 
@@ -47,22 +48,19 @@ class LongSightSystem(ServingSystem):
                  pass_rate: float = 0.05,
                  gpu_spec: GpuSpec = H100,
                  geometry: DrexGeometry = DREX_DEFAULT,
-                 timings: LpddrTimings = LPDDR5X,
-                 cxl: Optional[CxlLink] = None) -> None:
+                 timings: LpddrTimings = LPDDR5X) -> None:
         """
         Args:
             ls_config: algorithm parameters (window, sinks, k, thresholds).
             pass_rate: expected fraction of sparse keys surviving SCF.  The
                 paper's tuned configuration achieves a ~20x filter ratio;
                 with k = 1,024 that corresponds to a pass rate of ~5%.
-            cxl: link model (defaults to the module's CXL 5.0 x16 numbers).
         """
         self.ls = ls_config or LongSightConfig()
         self.pass_rate = pass_rate
         self.gpu = GpuModel(gpu_spec)
         self.geometry = geometry
-        self.cxl = cxl or CxlLink()
-        self.timing = DrexTimingModel(geometry, timings, self.cxl)
+        self.timing = DrexTimingModel(geometry, timings)
 
     # -- capacity ---------------------------------------------------------------
 
@@ -173,7 +171,7 @@ class LongSightSystem(ServingSystem):
             unit = self.offload_unit(config, c).compute_ns
             units = config.n_kv_heads * segments
             drex += units * unit / self.geometry.n_nmas
-            cxl += self.cxl.serialization_ns(
+            cxl += LINK.serialization_ns(
                 request_bytes(config.n_q_heads * config.head_dim,
                               config.dtype_bytes)
                 + self.value_bytes_per_user_layer(config, c))
@@ -184,7 +182,7 @@ class LongSightSystem(ServingSystem):
             "merge": merge,
             "drex": drex,
             "cxl": cxl,
-            "poll": self.cxl.polling_overhead_ns if any_sparse else 0.0,
+            "poll": LINK.polling_overhead_ns if any_sparse else 0.0,
         }
 
     def _step(self, config, contexts, degraded=None):
@@ -231,15 +229,12 @@ class LongSightSystem(ServingSystem):
         measure per-request latency distributions / SLO attainment
         (Section 4's "few hundred microseconds" budget).
         """
-        from repro.drex.sched import DrexScheduler, decode_step_jobs
-
         segments, _ = self._segments(context)
         if segments == 0:
-            from repro.drex.sched import SimOutcome
             return SimOutcome(results=[], makespan_ns=0.0,
                               nma_busy_ns={}, cxl_busy_ns=0.0)
         unit = self.offload_unit(config, context).compute_ns
-        transfer = self.cxl.serialization_ns(
+        transfer = LINK.serialization_ns(
             self.value_bytes_per_user_layer(config, context))
         jobs = decode_step_jobs(
             n_users=n_users, unit_compute_ns=unit,
@@ -266,9 +261,9 @@ class LongSightSystem(ServingSystem):
         # NMAs are free (single user): latency ~= one unit + value read.
         chain_serial = math.ceil(
             segments * config.n_kv_heads / self.geometry.n_nmas)
-        value_ns = self.cxl.serialization_ns(
+        value_ns = LINK.serialization_ns(
             self.value_bytes_per_user_layer(config, context)) \
-            + self.cxl.latency_ns
+            + LINK.latency_ns
         parts = unit.components()
         return {
             "address_gen": parts["address_gen"] * chain_serial,

@@ -19,8 +19,8 @@ import dataclasses
 from typing import Optional
 
 from repro.core.config import LongSightConfig
+from repro.drex.cxl import LINK
 from repro.llm.config import ModelConfig
-from repro.system.cxl import CxlLink
 from repro.system.gpu import GpuModel
 from repro.system.specs import GpuSpec, H100
 
@@ -50,10 +50,8 @@ class PrefillModel:
     #: Objects stream in groups of 128 keys (Section 6).
     GROUP_TOKENS = 128
 
-    def __init__(self, spec: GpuSpec = H100,
-                 cxl: Optional[CxlLink] = None) -> None:
+    def __init__(self, spec: GpuSpec = H100) -> None:
         self.gpu = GpuModel(spec)
-        self.cxl = cxl or CxlLink()
 
     def gpu_gemm_s(self, config: ModelConfig, prompt: int) -> float:
         """Linear kernels (QKV, projections, FFN, unembed) over the prompt."""
@@ -89,7 +87,7 @@ class PrefillModel:
         attention = self.gpu_attention_s(config, prompt)
         if ls is None:
             return PrefillBreakdown(gemm, attention, 0.0, 0.0)
-        write = self.cxl.serialization_ns(
+        write = LINK.serialization_ns(
             self.drex_object_bytes(config, prompt, ls)) * 1e-9
         # Transfers overlap GPU compute (separate kernels/DMA, Section 6);
         # only the excess over compute is exposed.

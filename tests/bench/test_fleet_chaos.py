@@ -15,7 +15,7 @@ import pytest
 
 from repro.bench.fleet_chaos import (RESULT_NAME, SCHEMA_VERSION,
                                      run_fleet_chaos, validate_payload)
-from repro.system.faults import GRAY_KINDS
+from repro.faults import GRAY_KINDS
 
 
 @pytest.fixture(scope="module")

@@ -58,7 +58,11 @@ def test_kv_store_spans_fire_on_the_served_path(recorder):
     ``.keys`` and ``PagedKVCache.ensure_tokens`` / ``attach_prefix`` for
     ``serve.kv_append_s`` / ``kv_gather_s`` / ``pool_s`` / ``prefix_s`` to
     mean anything.  One prefill chunk and one pooled decode step of a
-    prefix-attached session record each of them at least once."""
+    prefix-attached session record each of them at least once.  Sign
+    packing is the store's (``repro.llm.kv_cache.pack_signs``, which
+    ``repro.core.scf`` re-exports), so a ``core.scf`` span must open
+    directly under a ``serve.kv_append`` span: packing on append is
+    traced wherever the function is defined."""
     import numpy as np
 
     from repro.core.config import LongSightConfig
@@ -87,3 +91,7 @@ def test_kv_store_spans_fire_on_the_served_path(recorder):
     names = {span[0] for span in recorder.spans[mark:]}
     assert names >= {"serve.kv_append", "serve.kv_gather", "serve.pool",
                      "serve.prefix", "core.attn_prefill", "core.attn_decode"}
+    spans = recorder.spans
+    assert any(name == "core.scf" and parent >= 0
+               and spans[parent][0] == "serve.kv_append"
+               for name, _, _, parent, _ in spans[mark:])

@@ -23,10 +23,9 @@ from repro.bench import chaos, fleet, fleet_chaos, recovery, serve
 from repro.bench.scenario import (Faults, Scenario, Tenant, Topology, Trace,
                                   build_fleet, run, served_outputs,
                                   solo_outputs)
+from repro.faults import CRASH_KINDS, CrashPlan, FaultPlan, GrayFailurePlan
 from repro.serve.events import INPUT_KINDS
 from repro.fleet import HealthPolicy
-from repro.system.faults import (CRASH_KINDS, CrashPlan, FaultPlan,
-                                 GrayFailurePlan)
 from tests.scenarios import scenarios
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.drex.device import DrexDevice
 from repro.errors import OffloadTimeoutError, QueueFullError
-from repro.system.faults import (FAULT_KINDS, NMA_STALL_NS, FaultInjector,
-                                 FaultPlan, fault)
+from repro.faults import (FAULT_KINDS, NMA_STALL_NS, FaultInjector, FaultPlan,
+                          fault)
 
 pytestmark = pytest.mark.chaos
 

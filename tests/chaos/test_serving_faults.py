@@ -16,6 +16,7 @@ from repro.bench.scenario import Tenant, Trace
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.drex.backend import DrexOffloadBackend
+from repro.faults import FaultPlan
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.serve.engine import AnalyticTiming, ServeEngine
@@ -23,7 +24,6 @@ from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest
 from repro.system.baselines import SlidingWindowGpuSystem
 from repro.system.engine import LongSightSystem
-from repro.system.faults import FaultPlan
 from tests.conftest import TINY
 
 pytestmark = pytest.mark.chaos

@@ -8,12 +8,12 @@ from repro.core.hybrid import (LongSightAttention, SlidingWindowAttention)
 from repro.core.metrics import FilterStats
 from repro.drex.backend import DrexOffloadBackend
 from repro.drex.device import DrexDevice
+from repro.drex.supervisor import (BACKOFF_MULTIPLIER, BASE_BACKOFF_NS,
+                                   JITTER, MAX_RETRIES, OffloadSupervisor)
 from repro.errors import UnknownUserError
+from repro.faults import FaultPlan
 from repro.llm.kv_cache import KVCache
 from repro.llm.model import Transformer
-from repro.system.faults import FaultPlan
-from repro.system.supervisor import (BACKOFF_MULTIPLIER, BASE_BACKOFF_NS,
-                                     JITTER, MAX_RETRIES, OffloadSupervisor)
 
 pytestmark = pytest.mark.chaos
 

@@ -13,9 +13,9 @@ from repro.core.hybrid import LongSightAttention
 from repro.core.itq import fit_itq
 from repro.core.metrics import FilterStats
 from repro.drex.backend import DrexOffloadBackend
+from repro.faults import FaultPlan
 from repro.llm.model import Transformer
 from repro.llm.sampling import generate
-from repro.system.faults import FaultPlan
 from tests.conftest import TINY
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.system.cxl import CxlLink
+from repro.drex.cxl import CxlLink
 
 
 def test_transfer_includes_latency_and_serialization():

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.drex.cxl import LINK
 from repro.drex.dram import LPDDR5X
 from repro.drex.timing import DrexTimingModel, LatencyBreakdown, OffloadCost
 
@@ -90,4 +91,4 @@ class TestOffload:
 
     def test_request_submit_small(self, model):
         t = model.request_submit_ns(32, 128)
-        assert t < 1000 + model.cxl.latency_ns
+        assert t < 1000 + LINK.latency_ns

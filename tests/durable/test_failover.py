@@ -21,8 +21,8 @@ from repro.bench.fleet import fleet_topology
 from repro.bench.scenario import (Faults, Scenario, build_fleet,
                                   served_outputs as _fleet_outputs)
 from repro.durable import recover
+from repro.faults import GRAY_KINDS, GrayFailurePlan
 from repro.fleet import HealthPolicy
-from repro.system.faults import GRAY_KINDS, GrayFailurePlan
 
 N_REQUESTS = 4
 OUTPUT_TOKENS = 8

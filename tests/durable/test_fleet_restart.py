@@ -7,8 +7,8 @@ import pytest
 from repro.bench.scenario import (Faults, Scenario, Topology, build_fleet,
                                   served_outputs as _fleet_outputs)
 from repro.durable import iter_step_buckets, read_wal
+from repro.faults import CrashPlan
 from repro.serve.engine import EngineRun
-from repro.system.faults import CrashPlan
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ from repro.bench.scenario import Tenant, Trace
 from repro.durable import DurableRun, recover
 from repro.errors import (ReplayDivergenceError, SnapshotCorruptError,
                           WorkerKilledError)
+from repro.faults import CRASH_KINDS, CrashPlan
 from repro.serve.scheduler import BrownoutPolicy, SloPolicy
-from repro.system.faults import CRASH_KINDS, CrashPlan
 
 
 def _uninterrupted(engine_builder, make_workload, tmp_path,

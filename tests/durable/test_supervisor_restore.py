@@ -18,8 +18,8 @@ from repro.bench.scenario import (TINY_LS, TINY_MODEL, Faults, Scenario,
 from repro.drex.backend import DrexOffloadBackend
 from repro.durable import DurableRun, recover
 from repro.errors import WorkerKilledError
+from repro.faults import CrashPlan, FaultPlan
 from repro.serve.scheduler import SloPolicy
-from repro.system.faults import CrashPlan, FaultPlan
 
 pytestmark = pytest.mark.chaos
 

@@ -20,13 +20,13 @@ from repro.bench.scenario import (Faults, Scenario, Tenant, Trace,
                                   build_engine, build_fleet as _fleet,
                                   served_outputs as _fleet_outputs)
 from repro.errors import WorkerStalledError
+from repro.faults import GRAY_KINDS, GrayFailurePlan
 from repro.fleet import (FleetRouter, FleetWorker, HealthMonitor,
                          HealthPolicy, WorkerState)
 from repro.fleet.resilience import MIN_SAMPLES, WINDOW
 from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.engine import EngineRun
 from repro.serve.events import RecordLog
-from repro.system.faults import GRAY_KINDS, GrayFailurePlan
 
 BASELINE_S = 0.001  #: synthetic healthy step latency
 

@@ -7,12 +7,12 @@ from repro.core import LongSightConfig, LongSightAttention, FilterStats, fit_itq
 from repro.core.tuning import tune_thresholds
 from repro.data.synthetic import pg_like
 from repro.drex.backend import DrexOffloadBackend
+from repro.faults import FaultPlan
 from repro.llm.kv_cache import KVCache
 from repro.llm.model import Transformer
 from repro.llm.perplexity import perplexity
 from repro.llm.sampling import generate
 from repro.llm.training import train
-from repro.system.faults import FaultPlan
 from tests.conftest import TINY
 
 

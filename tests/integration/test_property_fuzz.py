@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
+from repro.faults import FaultPlan
 from repro.llm.model import Transformer
-from repro.system.faults import FaultPlan
 from tests.conftest import TINY
 from tests.drex.hardware_reference import offload
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.bench.scenario import (BLOCK_TOKENS, Faults, Scenario, Tenant,
                                   Topology, Trace)
-from repro.system.faults import FAULT_KINDS, FaultPlan
+from repro.faults import FAULT_KINDS, FaultPlan
 
 
 @st.composite

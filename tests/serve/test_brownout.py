@@ -10,7 +10,7 @@ changes nothing).
 import numpy as np
 import pytest
 
-from repro.core.config import LongSightConfig
+from repro.core.config import LongSightConfig, level_config
 from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
 from repro.drex.backend import DrexOffloadBackend
 from repro.llm.model import Transformer
@@ -19,7 +19,7 @@ from repro.serve.engine import ServeEngine
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (BROWNOUT_STAGES, BrownoutPolicy,
                                    ContinuousBatchScheduler, RequestState,
-                                   ServeRequest, SloPolicy, level_config)
+                                   ServeRequest, SloPolicy)
 from tests.conftest import TINY
 
 LS = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)

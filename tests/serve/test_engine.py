@@ -9,17 +9,17 @@ prefill, concurrent batching, and even preemption + recompute-resume.
 import numpy as np
 import pytest
 
-from repro.core.config import LongSightConfig
+from repro.core.config import LongSightConfig, level_config
 from repro.core.hybrid import LongSightAttention, SlidingWindowAttention
 from repro.drex.backend import DrexOffloadBackend
+from repro.faults import FaultPlan
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import DenseBackend, Transformer
 from repro.llm.sampling import generate
 from repro.serve.workload import default_systems
 from repro.serve.engine import AnalyticTiming, ServeEngine
 from repro.serve.paged_kv import PagedKVPool
-from repro.serve.scheduler import RequestState, ServeRequest, level_config
-from repro.system.faults import FaultPlan
+from repro.serve.scheduler import RequestState, ServeRequest
 from repro.system.prefill import PrefillModel
 from tests.conftest import TINY
 
