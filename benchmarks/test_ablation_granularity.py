@@ -36,7 +36,6 @@ def test_ablation_threshold_granularity(benchmark, report):
         for granularity in ("kv_head", "q_head"):
             result = tune_thresholds(
                 model, tokens, config, dense, max_increase=0.05,
-                step=max(1, model.config.head_dim // 8),
                 max_iterations=16, rotations=rotations,
                 granularity=granularity)
             ppls = np.array([p for p, _ in result.history])

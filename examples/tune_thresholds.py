@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.bench import algo
 from repro.core import LongSightConfig, fit_itq
-from repro.core.tuning import tune_thresholds
+from repro.core.tuning import threshold_step, tune_thresholds
 from repro.data.synthetic import pg_like
 from repro.llm.perplexity import perplexity
 from repro.llm.zoo import trained_model
@@ -47,7 +47,7 @@ def main() -> None:
         rotations = fit_itq(model, pg_like(1024, seed=11))
 
     print(f"tuning thresholds (step = head_dim/8 = "
-          f"{max(1, model.config.head_dim // 8)} bits)...\n")
+          f"{threshold_step(model.config.head_dim)} bits)...\n")
     result = tune_thresholds(model, tokens, config, dense_ppl,
                              max_increase=args.budget,
                              max_iterations=args.iterations,

@@ -10,6 +10,9 @@ operating points.
 Tuned thresholds and ITQ rotations are cached under ``.cache/`` because the
 tuning loop is the expensive part (it re-evaluates perplexity per step,
 exactly like the paper's procedure).
+
+Kept unreached: ``*`` — entered only by the five training benchmarks the
+audit skips.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ TOP_K_LARGE = 1024 // SCALE     # k = 1024
 #: Threshold-tuning contexts (paper: "128K context for Llama-3-1B and 32K
 #: for Llama-3-8B, the longest that fit in GPU memory" — i.e. the larger
 #: model tunes at a shorter context; scaled by 1/16 and 1/32 here).
-TUNE_CONTEXT = 2048
 TUNE_CONTEXTS = {"llama-3-1b": 2048, "llama-3-8b": 1024}
 
 #: Paper model -> miniature stand-in names.
@@ -147,7 +149,6 @@ def tuned_thresholds(paper_name: str, variant: str, top_k: int,
     rotations = get_rotations(paper_name) if config.use_itq else None
     result = tune_thresholds(model, tokens, config, dense_ppl,
                              max_increase=max_increase,
-                             step=max(1, model.config.head_dim // 8),
                              max_iterations=12, rotations=rotations,
                              init_threshold=init)
     np.savez(path, thresholds=result.thresholds,

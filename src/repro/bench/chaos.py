@@ -23,6 +23,9 @@ Results are written as ``BENCH_chaos.json`` (default: ``results/``); the
 schema is validated by ``validate_payload`` / ``tests/bench/test_chaos.py``:
 ``fault_rates`` is a strictly increasing axis with >= 3 points, and every
 serving/functional series has exactly one entry per rate.
+
+Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
+validation step).
 """
 
 from __future__ import annotations

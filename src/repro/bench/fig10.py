@@ -5,6 +5,9 @@ Accuracy comes from the miniature models (scaled parameters); throughput
 comes from the analytical perf model at paper dimensions with the
 corresponding *unscaled* parameters, normalized to the 1-GPU dense system
 at the same context — so the x-axis reads "x over dense attention".
+
+Kept unreached: ``*`` — entered only by the five training benchmarks the
+audit skips.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ sliding window), (c) ITQ-enhanced hybrid.  For every (model, dataset,
 context, k) the harness reports the filter ratio achieved with thresholds
 tuned for <=5% perplexity increase; configurations that cannot reach the
 perplexity target even unfiltered are marked 'X', as in the paper.
+
+Kept unreached: ``*`` — entered only by the five training benchmarks the
+audit skips.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ configurations highlighted plus the all-configs frontier.
 
 Scaled here to the miniatures' 4K context (= 32K / SCALE); axes are
 identical in meaning.
+
+Kept unreached: ``*`` — entered only by the five training benchmarks the
+audit skips.
 """
 
 from __future__ import annotations

@@ -20,6 +20,9 @@ must not drain a worker and move the analytic numbers.
 Results are written as ``BENCH_fleet.json`` (default: ``results/``);
 the schema is validated by ``validate_payload`` /
 ``tests/bench/test_fleet.py``.
+
+Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
+validation step).
 """
 
 from __future__ import annotations

@@ -35,6 +35,9 @@ gray plan; :func:`overload_scenario` without and with the ladder.
 Results are written as ``BENCH_fleet_chaos.json`` (default:
 ``results/``); the schema is validated by ``validate_payload`` /
 ``tests/bench/test_fleet_chaos.py``.
+
+Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
+validation step).
 """
 
 from __future__ import annotations

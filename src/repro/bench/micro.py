@@ -34,6 +34,9 @@ gone, and medians with their spread in place of best-of) is validated by
   not measured),
 - all times are seconds: the median of ``--repeats`` runs, and the
   interquartile range of those runs (0.0 for a single run).
+
+Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
+validation step).
 """
 
 from __future__ import annotations

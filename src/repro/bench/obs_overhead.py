@@ -20,6 +20,9 @@ difference of two whole decode loops (how this was measured before)
 drifts by several percent of a loop from run to run on a shared host, more
 than the 5% it gates.  Results are written as schema-checked
 ``BENCH_obs.json``.
+
+Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
+validation step).
 """
 
 from __future__ import annotations

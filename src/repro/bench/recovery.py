@@ -20,6 +20,9 @@ Results are written as ``BENCH_recovery.json`` (default: ``results/``);
 the schema is validated by ``validate_payload`` /
 ``tests/bench/test_recovery.py`` and registered in
 :mod:`repro.bench.registry`.
+
+Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
+validation step).
 """
 
 from __future__ import annotations

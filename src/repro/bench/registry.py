@@ -14,6 +14,8 @@ committed configs and compares every deterministic leaf.
 
 Registering a new benchmark is one :class:`BenchSpec` line; the artifact
 test picks it up automatically.
+
+Kept unreached: ``*`` — CI-only (bench-smoke's artifact validation step).
 """
 
 from __future__ import annotations

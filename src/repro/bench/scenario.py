@@ -7,6 +7,8 @@ trace through it — a killed durable run is recovered and continued here,
 once for every caller — returning each request's tokens, the report and
 the run's records; :func:`solo_outputs` is the reference they are held
 to, single-session :func:`repro.llm.sampling.generate` per request.
+
+Kept unreached: ``solo_outputs`` — reference oracle of the scenario tests.
 """
 
 from __future__ import annotations

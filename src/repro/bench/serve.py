@@ -26,6 +26,9 @@ on one engine of that system.
 
 Results are written as ``BENCH_serve.json`` (default: ``results/``); the
 schema is validated by ``validate_payload`` / ``tests/bench/test_serve.py``.
+
+Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
+validation step).
 """
 
 from __future__ import annotations

@@ -1,4 +1,8 @@
-"""Plain-text result tables for the benchmark harness."""
+"""Plain-text result tables for the benchmark harness.
+
+Kept unreached: ``missing_keys`` — CI-only (bench-smoke's artifact
+validation step).
+"""
 
 from __future__ import annotations
 

@@ -10,6 +10,9 @@ improves.
 Per the paper, one rotation is trained per (layer, KV head) on a ~1K-token
 sample of *post-RoPE* keys and queries ("positional embeddings break
 distance invariance, so ITQ cannot be fused into the projection layers").
+
+Kept unreached: ``quantization_loss``, ``ItqRotations.get`` — reference
+oracles (the ITQ objective; ``ReferenceAttention``'s read).
 """
 
 from __future__ import annotations
@@ -77,10 +80,6 @@ class ItqRotations:
 
     def get(self, layer: int, kv_head: int) -> np.ndarray:
         return self.matrices[layer, kv_head]
-
-    def apply(self, layer: int, kv_head: int, x: np.ndarray) -> np.ndarray:
-        """Rotate ``(..., D)`` vectors for sign extraction."""
-        return x @ self.matrices[layer, kv_head]
 
 
 class _RecordingBackend(DenseBackend):

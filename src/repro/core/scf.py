@@ -14,6 +14,11 @@ Two implementations are provided:
 
 The one-bit format itself (:func:`sign_bits`, :func:`pack_signs`) is the
 KV store's, which packs it on every append (:mod:`repro.llm.kv_cache`).
+
+Kept unreached: ``_popcount`` — platform path (numpy < 2.0 has no
+``bitwise_count``).  ``unpack_signs_pm1``, ``scf_filter_packed``,
+``concordance_packed_sessions`` — the frozen ``perf/spans.py`` patches
+them until ROADMAP item 7(c).
 """
 
 from __future__ import annotations

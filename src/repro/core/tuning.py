@@ -49,6 +49,12 @@ class ThresholdTuneResult:
     history: List[Tuple[float, float]]  # (perplexity, filter_ratio) per step
 
 
+def threshold_step(head_dim: int) -> int:
+    """The tuner's default threshold increment: ``head_dim // 8`` (>= 1)
+    matching bits."""
+    return max(1, head_dim // 8)
+
+
 def tune_thresholds(model: Transformer, tokens: np.ndarray,
                     base_config: LongSightConfig, dense_ppl: float,
                     max_increase: float = 0.05, step: Optional[int] = None,
@@ -65,7 +71,7 @@ def tune_thresholds(model: Transformer, tokens: np.ndarray,
 
     Args:
         step: threshold increment in matching-bit units; defaults to
-            ``head_dim // 16`` (>= 1).
+            :func:`threshold_step` of the head dimension.
         granularity: ``"kv_head"`` (the paper's choice) or ``"q_head"``
             (the finer granularity the paper found unstable, Section 5.1).
         init_threshold: starting threshold for every head.  The paper
@@ -82,7 +88,7 @@ def tune_thresholds(model: Transformer, tokens: np.ndarray,
     n_heads = model.config.n_q_heads if per_q else model.config.n_kv_heads
     d = model.config.head_dim
     if step is None:
-        step = max(1, d // 16)
+        step = threshold_step(d)
     shape = (model.config.n_layers, n_heads)
     thresholds = np.full(shape, float(init_threshold))
     best = None

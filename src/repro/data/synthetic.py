@@ -12,6 +12,9 @@ earlier in the stream.  Copy bursts are what give long contexts value — a
 model that can attend to the matching earlier span predicts the burst almost
 perfectly, so quality degrades measurably when sparse attention fails to
 retrieve the right distant keys.
+
+Kept unreached: ``wiki2_like`` — entered only by the five training
+benchmarks the audit skips.
 """
 
 from __future__ import annotations

@@ -15,19 +15,11 @@ from the paper's published constants (Section 8.2).
 """
 
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
-from repro.drex.address import AddressMap, PhysicalLocation
 from repro.drex.dram import LpddrTimings, LPDDR5X
 from repro.drex.cxl import CxlLink
-from repro.drex.descriptors import (
-    RequestDescriptor,
-    ResponseDescriptor,
-    KeySignObject,
-    KeyObject,
-    ValueObject,
-)
+from repro.drex.descriptors import RequestDescriptor, ResponseDescriptor
 from repro.drex.layout import KeyBlockGroup, ContextSlice, UserPartition
 from repro.drex.allocator import DrexAllocator, CapacityError
-from repro.drex.pfu import PimFilterUnit
 from repro.drex.nma import NearMemoryAccelerator
 from repro.drex.dcc import DrexCxlController, QueueFullError
 from repro.drex.timing import DrexTimingModel, LatencyBreakdown, OffloadCost
@@ -37,22 +29,16 @@ from repro.drex.backend import DrexOffloadBackend
 __all__ = [
     "DrexGeometry",
     "DREX_DEFAULT",
-    "AddressMap",
-    "PhysicalLocation",
     "LpddrTimings",
     "LPDDR5X",
     "CxlLink",
     "RequestDescriptor",
     "ResponseDescriptor",
-    "KeySignObject",
-    "KeyObject",
-    "ValueObject",
     "KeyBlockGroup",
     "ContextSlice",
     "UserPartition",
     "DrexAllocator",
     "CapacityError",
-    "PimFilterUnit",
     "NearMemoryAccelerator",
     "DrexCxlController",
     "QueueFullError",

@@ -16,6 +16,10 @@ Row bookkeeping is per (package, bank index): rows are allocated at the
 same offsets in every channel, which keeps address generation deterministic
 for the NMA (Section 7.3.3).  The allocator never double-books a row and
 raises :class:`CapacityError` when the device is full — both property-tested.
+
+Kept unreached: ``DrexAllocator.free_user``,
+``DrexAllocator._rebuild_cursors`` — eviction; ROADMAP item 22 (one shared
+device per worker) makes it live.
 """
 
 from __future__ import annotations

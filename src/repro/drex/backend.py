@@ -17,7 +17,7 @@ at, always by the kernel:
 - flush deferred: the staged tokens stay dense — the kernel at ``window =
   p - flushed + 1``, sparse over ``[n_sink, flushed)``;
 - degraded (the retry budget spent): the dense floor at that window,
-  ``top_k = 0``, recorded in ``degraded_log``.
+  ``top_k = 0``, recorded in the session's ``degraded_log``.
 
 Faults are keyed by site, so a block's flushes are decided before it
 runs: each run of rows at one window is one kernel block over the context
@@ -33,6 +33,12 @@ Each backend owns its device, so it keeps the protocol's default
 ``with_config`` variants (the serving quality ladder) share the device,
 the supervisor and the flush watermarks; at ``top_k = 0`` a variant is the
 plain kernel.
+
+Kept unreached: ``DrexOffloadBackend.with_config``,
+``DrexOffloadBackend.durable_state``,
+``DrexOffloadBackend.restore_durable_state`` — brownout and durable offload;
+ROADMAP item 22 (one shared device per worker) makes it live.
+``_Prefix.__init__`` — fault path (deferred flush, degraded row).
 """
 
 from __future__ import annotations
@@ -121,11 +127,6 @@ class DrexOffloadBackend(LongSightAttention):
     def total_latency(self) -> LatencyBreakdown:
         """Accumulated offload latency across the run."""
         return self._session.latency
-
-    @property
-    def degraded_log(self) -> List[Tuple[int, int]]:
-        """(layer, position) of every token degraded to the dense floor."""
-        return self._session.degraded_log
 
     def with_config(self, config: LongSightConfig) -> LongSightAttention:
         """A quality-ladder variant: at ``top_k = 0`` the plain kernel (the
@@ -241,7 +242,7 @@ class DrexOffloadBackend(LongSightAttention):
                 floor = self._kernel(windows[t], floor=True)
                 out[:, t] = floor.forward_cached(
                     layer, q[:, t:t + 1], _context(cache, layer, p + 1))[:, 0]
-                self.degraded_log.append((layer, p))
+                self._session.degraded_log.append((layer, p))
             else:
                 self._session.latency = self._session.latency \
                     + response.latency
@@ -294,7 +295,7 @@ class DrexOffloadBackend(LongSightAttention):
             "supervisor_stats": self.supervisor.stats.as_dict(),
             "total_latency": dataclasses.asdict(self.total_latency),
             "degraded_log": [[int(layer), int(pos)]
-                             for layer, pos in self.degraded_log],
+                             for layer, pos in self._session.degraded_log],
             "flushed": [[int(layer), int(n)] for layer, n
                         in sorted(self._session.flushed.items())],
             "kso_flipped": [[int(layer), int(kv_head), sorted(bits)]

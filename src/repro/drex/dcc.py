@@ -6,6 +6,10 @@ user's sparse attention must complete before its next request), 512
 **Response Buffers** sized for the maximum Response Descriptor, a 512-bit
 **Polling Register**, and a CAM mapping User IDs to buffer/polling-bit
 indices (read once by the GPU and reused across layers and iterations).
+
+Kept unreached: ``DrexCxlController.unregister_user``,
+``DrexCxlController.pending``, ``DrexCxlController.poll`` — a multi-user
+DCC; ROADMAP item 22 (one shared device per worker) makes it live.
 """
 
 from __future__ import annotations

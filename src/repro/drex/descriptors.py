@@ -13,9 +13,11 @@ LongSight allocates DReX memory at the granularity of:
 - **Response Descriptor** — up to ``1,024 x H`` top keys/values plus their
   scores; populated into a per-user response buffer.
 
-Each class knows its byte footprint so the CXL/bandwidth models can charge
-transfers exactly; the two descriptor sizes are :func:`request_bytes` and
-:func:`response_entry_bytes`, which the analytic models charge too.
+The three memory objects are sized where they are placed, by
+:func:`repro.drex.layout.rows_per_group`.  The two descriptors know their
+byte footprint so the CXL/bandwidth models can charge transfers exactly;
+their sizes are :func:`request_bytes` and :func:`response_entry_bytes`,
+which the analytic models charge too.
 """
 
 from __future__ import annotations
@@ -35,49 +37,6 @@ def request_bytes(n_values: int, dtype_bytes: int = 2) -> int:
 def response_entry_bytes(head_dim: int, dtype_bytes: int = 2) -> int:
     """One Response Descriptor entry: a value, its score and its key ID."""
     return head_dim * dtype_bytes + dtype_bytes + 4
-
-
-@dataclasses.dataclass(frozen=True)
-class KeySignObject:
-    """One-bit sign codes for a block of keys (<= 128 per object)."""
-
-    n_keys: int
-    head_dim: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.n_keys <= 128:
-            raise ValueError("Key Sign Objects hold 1..128 keys")
-
-    @property
-    def n_bytes(self) -> int:
-        """One bit per (key, dimension): d columns of 128 bits."""
-        return self.head_dim * 128 // 8
-
-
-@dataclasses.dataclass(frozen=True)
-class KeyObject:
-    """Full-precision key block (channel-interleaved within a package)."""
-
-    n_keys: int
-    head_dim: int
-    dtype_bytes: int = 2
-
-    @property
-    def n_bytes(self) -> int:
-        return self.n_keys * self.head_dim * self.dtype_bytes
-
-
-@dataclasses.dataclass(frozen=True)
-class ValueObject:
-    """Full-precision value block for one (user, layer, head)."""
-
-    n_values: int
-    head_dim: int
-    dtype_bytes: int = 2
-
-    @property
-    def n_bytes(self) -> int:
-        return self.n_values * self.head_dim * self.dtype_bytes
 
 
 @dataclasses.dataclass
@@ -124,10 +83,3 @@ class ResponseDescriptor:
         """Bytes the GPU must pull over CXL: scores + values + ids."""
         return 16 + self.n_entries * response_entry_bytes(head_dim,
                                                           self.dtype_bytes)
-
-    @staticmethod
-    def max_bytes(n_q_heads: int, head_dim: int, top_k: int = 1024,
-                  dtype_bytes: int = 2) -> int:
-        """Sizing bound for the DCC's fixed response buffers."""
-        return 16 + n_q_heads * top_k * response_entry_bytes(head_dim,
-                                                             dtype_bytes)

@@ -16,6 +16,9 @@ the paper's latency constants.
 Key Sign Object integrity is checksum state: a corruption event records
 which stored sign bits it flipped, a KV head's checksum fails while any
 flip is outstanding, and a repack from the Key Objects clears them.
+
+Kept unreached: ``DrexDevice.evict_user`` — eviction; ROADMAP item 22 (one
+shared device per worker) makes it live.
 """
 
 from __future__ import annotations

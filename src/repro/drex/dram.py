@@ -45,7 +45,12 @@ class LpddrTimings:
         return per_pfu * geometry.n_pfus
 
     def bitmap_generation_ns(self, head_dim: int) -> float:
-        """PFU bitmap time for one 128-key block: d x 1.25 ns."""
+        """PFU bitmap time for one 128-key block: d x 1.25 ns.
+
+        One 128-bit column access per dimension; the XOR/accumulate against
+        all (<= 16) query sign registers happens in the same cycle, so the
+        epoch is column-read bound regardless of group size.
+        """
         return head_dim * self.column_cycle_ns
 
     def stream_ns(self, n_bytes: float, n_channels: int) -> float:

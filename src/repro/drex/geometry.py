@@ -62,18 +62,6 @@ class DrexGeometry:
     def rows_per_bank(self) -> int:
         return self.capacity_bytes // (self.total_banks * self.row_bytes)
 
-    @property
-    def cols_per_row(self) -> int:
-        return self.row_bytes // self.col_bytes
-
-    @property
-    def bank_bytes(self) -> int:
-        return self.rows_per_bank * self.row_bytes
-
-    @property
-    def package_bytes(self) -> int:
-        return self.banks_per_package * self.bank_bytes
-
     # -- layout capacities (Section 7.3) ------------------------------------------
 
     @property

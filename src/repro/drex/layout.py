@@ -14,6 +14,10 @@ The hierarchy maps multi-user context data onto DReX's physical parallelism:
 - **User Partition** — one Multi-Layer Context Slice per KV head, each in a
   different package for head-level parallelism.  Contexts longer than a
   full slice spill into additional slices ("temporal expansion").
+
+Kept unreached: ``UserPartition.total_keys``,
+``UserPartition.packages_used``, ``ContextSlice.bytes_used`` — eviction;
+ROADMAP item 22 (one shared device per worker) makes it live.
 """
 
 from __future__ import annotations
@@ -77,10 +81,6 @@ class ContextSlice:
     @property
     def n_keys(self) -> int:
         return sum(group.n_keys for group in self.groups)
-
-    @property
-    def capacity(self) -> int:
-        return sum(group.capacity for group in self.groups)
 
     def banks_spanned(self, geometry: DrexGeometry = DREX_DEFAULT) -> int:
         """Distinct (channel, bank) pairs holding this slice's sign blocks.

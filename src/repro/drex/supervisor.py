@@ -13,10 +13,13 @@ any other error is a programming error and propagates.
 
 :class:`repro.drex.DrexOffloadBackend` runs every offload and staged
 flush through one.  With ``FaultPlan.none()`` nothing fires: no retry,
-no keyed draw, no degraded token.  With ``FaultPlan.total_failure()``
+no keyed draw, no degraded token.  With ``FaultPlan(cxl_timeout_rate=1.0)``
 every sparse-eligible token falls back to the dense path and generation
 still completes — the correctness anchor that FlashAttention-style dense
 kernels provide real sparse systems.
+
+Kept unreached: ``SupervisorStats.as_dict`` — durable offload; ROADMAP item
+22 (one shared device per worker) makes it live.
 """
 
 from __future__ import annotations

@@ -53,6 +53,8 @@ immediately so the directory is self-consistent again.  Snapshots are
 self-contained, so a solo run recovered this way is still bit-identical;
 only unreplayable cross-worker injects in the stale suffix (none, for a
 solo run) would be lost.
+
+Kept unreached: ``_mark_wal_stale`` — error path.
 """
 
 from __future__ import annotations

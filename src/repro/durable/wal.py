@@ -117,10 +117,6 @@ class WriteAheadLog:
     def last_lsn(self) -> int:
         return self._lsn
 
-    @property
-    def unsynced(self) -> int:
-        return len(self._buffer)
-
     def append(self, kind: str, data: dict) -> int:
         """Buffer one record; auto-syncs every ``fsync_every`` records."""
         if kind not in RECORD_KINDS:

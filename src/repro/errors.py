@@ -9,6 +9,8 @@ degrade, shed) can catch one family instead of enumerating bare
 ``except RuntimeError`` call sites keep working; :class:`UnknownUserError`
 additionally subclasses :class:`KeyError` because it replaces the bare
 ``KeyError`` the DCC CAM used to raise for unregistered UIDs.
+
+Kept unreached: ``*`` — error paths.
 """
 
 from __future__ import annotations

@@ -195,10 +195,6 @@ class FaultPlan:
             raise ValueError(f"unknown fault kind: {kind!r}")
         return getattr(self, f"{kind}_rate")
 
-    @property
-    def any_faults(self) -> bool:
-        return any(self.rate(kind) > 0 for kind in FAULT_KINDS)
-
     # -- common plans --
 
     @classmethod
@@ -213,12 +209,6 @@ class FaultPlan:
         return cls(queue_full_rate=rate, response_buffer_rate=rate,
                    cxl_timeout_rate=rate, cxl_degraded_rate=rate,
                    nma_stall_rate=rate, seed=seed)
-
-    @classmethod
-    def total_failure(cls, seed: int = 0) -> "FaultPlan":
-        """The device is gone: every offload times out.  LongSight must
-        converge to the dense sliding-window baseline, not crash."""
-        return cls(cxl_timeout_rate=1.0, seed=seed)
 
 
 _KEYS = FAULT_KINDS + ("backoff",)       # the keys of :func:`site_rng`

@@ -34,6 +34,9 @@ The deadline baseline is fed only with *within-deadline* samples: a
 worker stalling at 2 s must not drag its own p95 — and therefore its own
 deadline — up until the stall looks normal (the classic self-licking
 feedback loop of naive adaptive timeouts).
+
+Kept unreached: ``HealthMonitor.reset`` — error path (a killed worker
+restored).
 """
 
 from __future__ import annotations
@@ -165,29 +168,24 @@ class HealthMonitor:
                  policy: Optional[HealthPolicy] = None) -> None:
         self.log = log
         self.policy = policy or HealthPolicy()
-        self._health: Dict[int, WorkerHealth] = {}
+        #: each attached worker's health, by worker id.
+        self.health: Dict[int, WorkerHealth] = {}
 
     def attach(self, worker_id: int) -> WorkerHealth:
         health = WorkerHealth(worker_id, self.policy)
-        self._health[worker_id] = health
+        self.health[worker_id] = health
         return health
-
-    def health(self, worker_id: int) -> WorkerHealth:
-        return self._health[worker_id]
 
     def state_or_healthy(self, worker_id: int) -> WorkerState:
         """State of a worker, HEALTHY when never attached (a router can
         consult the monitor before or without wiring it up)."""
-        health = self._health.get(worker_id)
+        health = self.health.get(worker_id)
         return WorkerState.HEALTHY if health is None else health.state
-
-    def deadline_s(self, worker_id: int) -> float:
-        return self._health[worker_id].deadline_s()
 
     def reset(self, worker_id: int) -> None:
         """A restored worker starts HEALTHY with no strikes; its healthy
         window is still its own latency history, so it is kept."""
-        health = self._health[worker_id]
+        health = self.health[worker_id]
         health.state = WorkerState.HEALTHY
         health.deadline_misses = 0
         health.last_phi = 0.0
@@ -195,7 +193,7 @@ class HealthMonitor:
     def observe(self, worker_id: int, observed_s: float
                 ) -> Tuple[WorkerState, WorkerState]:
         """Fold one observed step latency in; returns (before, after)."""
-        health = self._health[worker_id]
+        health = self.health[worker_id]
         policy = self.policy
         before, strikes = health.state, health.deadline_misses
         if before is WorkerState.FAILED:

@@ -441,7 +441,7 @@ class FleetRouter:
         departure its log holds, so the drain never sees those sessions.
         """
         if not self._live(exclude=worker):
-            deadline = self.monitor.deadline_s(worker.worker_id)
+            deadline = self.monitor.health[worker.worker_id].deadline_s()
             raise WorkerStalledError(
                 f"worker {worker.worker_id} stalled ({observed_s:.3f}s "
                 f"step vs {deadline:.3f}s deadline) with no live sibling "

@@ -55,13 +55,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = grad.copy()
@@ -139,9 +132,6 @@ class Tensor:
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self + (-self._lift(other))
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._lift(other) + (-self)
-
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._lift(other)
         return self._node(
@@ -154,13 +144,6 @@ class Tensor:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._lift(other)
-        return self * other ** -1.0
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._lift(other) * self ** -1.0
 
     def __pow__(self, exponent: float) -> "Tensor":
         data = self.data ** exponent
@@ -240,17 +223,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # -- nonlinearities --------------------------------------------------------
-
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-        return self._node(data, (self,), lambda g: [(self, g * data)])
-
-    def log(self) -> "Tensor":
-        return self._node(np.log(self.data), (self,),
-                          lambda g: [(self, g / self.data)])
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
 
     def silu(self) -> "Tensor":
         sig = 1.0 / (1.0 + np.exp(-self.data))

@@ -42,6 +42,10 @@ else one ``take`` of the arena rows the map names:
   (``key_rows`` / ``value_rows`` / ``sign_rows``) — what LongSight's PIM
   filter units, NMA and CXL link move, in that order (Sections 5–6).  It
   never copies a context it will not read.
+
+Kept unreached: ``SessionLayerKV.packed_signs`` — the frozen
+``perf/spans.py`` patches it until ROADMAP item 7(c).  ``LayerKV.free`` —
+declared protocol (``SessionLayerKV.free``); serving frees paged caches.
 """
 
 from __future__ import annotations

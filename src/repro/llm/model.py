@@ -11,6 +11,10 @@ Three pieces live here:
 - :class:`TrainableTransformer` — autograd-based twin used only for the
   brief pre-training that gives the miniature models realistic attention
   structure.  Its forward pass is verified to match :class:`Transformer`.
+
+Kept unreached: ``AttentionBackend.forward``,
+``AttentionBackend.restore_durable_state`` — declared protocol; every
+backend overrides them.
 """
 
 from __future__ import annotations

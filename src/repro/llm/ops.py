@@ -4,6 +4,9 @@ Everything here is stateless and operates on plain ``np.ndarray`` values.
 The training path uses the autograd wrappers in :mod:`repro.llm.autograd`;
 these functions define the reference forward semantics that both paths
 must agree on (see ``tests/llm/test_model_equivalence.py``).
+
+Kept unreached: ``cross_entropy`` — reference oracle of the autograd and
+training losses.
 """
 
 from __future__ import annotations

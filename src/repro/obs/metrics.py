@@ -12,19 +12,21 @@ order:
    instrumented hot paths cost an attribute access and a branch
    (``tests/obs/test_overhead.py`` pins the overhead below 5% of a
    decode microloop).
-2. **Exact where it matters.**  Histograms keep fixed-bucket counts for
-   streaming percentile *estimates* (property-tested to land within one
-   bucket of the exact answer) and can optionally retain raw samples for
-   exact percentiles (the fleet's failover latencies).
+2. **Bounded.**  Histograms keep fixed-bucket counts, a sum and the
+   observed range, never the samples.  Report percentiles are exact and
+   come from the record stream (:func:`exact_percentile`), not from here.
 3. **Mergeable.**  Counter merges are associative and commutative
    (integer increments merge exactly), so per-worker registries can be
    reduced in any order.
+
+Kept unreached: ``Histogram.snapshot``, ``MetricsRegistry.snapshot`` —
+reference oracle: tests compare whole registries.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -78,27 +80,17 @@ DEFAULT_EDGES: tuple = tuple(float(e) for e in np.geomspace(1e-6, 100.0, 65))
 
 
 class Histogram:
-    """Fixed-bucket histogram with optional exact-sample retention.
+    """Fixed-bucket histogram.
 
     Bucket ``i`` counts values ``edges[i-1] < v <= edges[i]``; bucket 0 is
     everything at or below ``edges[0]`` and the final overflow bucket is
     everything above ``edges[-1]``.
-
-    ``estimate_percentile`` uses the nearest-rank method over bucket
-    counts, interpolating inside the winning bucket and clamping to the
-    observed ``[min, max]``; the estimate provably lands in the same
-    bucket as the exact nearest-rank order statistic
-    (``tests/obs/test_metrics_props.py``).  ``percentile`` is exact when
-    the histogram was created with ``track_values=True`` (it defers to
-    :func:`exact_percentile` over the retained samples) and falls back to
-    the bucket estimate otherwise.
     """
 
-    __slots__ = ("name", "edges", "counts", "count", "total", "min", "max",
-                 "values")
+    __slots__ = ("name", "edges", "counts", "count", "total", "min", "max")
 
-    def __init__(self, name: str, edges: Optional[Sequence[float]] = None,
-                 track_values: bool = False) -> None:
+    def __init__(self, name: str,
+                 edges: Optional[Sequence[float]] = None) -> None:
         self.name = name
         self.edges = np.asarray(
             DEFAULT_EDGES if edges is None else edges, dtype=np.float64)
@@ -110,7 +102,6 @@ class Histogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self.values: Optional[List[float]] = [] if track_values else None
 
     def observe(self, value) -> None:
         value = float(value)
@@ -121,39 +112,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if self.values is not None:
-            self.values.append(value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def bucket_index(self, value: float) -> int:
-        """The bucket a value falls in (shared by the property tests)."""
-        return int(np.searchsorted(self.edges, float(value), side="left"))
-
-    def estimate_percentile(self, q: float) -> float:
-        """Nearest-rank percentile estimated from bucket counts alone."""
-        if self.count == 0:
-            return 0.0
-        rank = max(1, math.ceil(q / 100.0 * self.count))
-        cumulative = np.cumsum(self.counts)
-        bucket = int(np.searchsorted(cumulative, rank, side="left"))
-        below = int(cumulative[bucket - 1]) if bucket > 0 else 0
-        lo = self.edges[bucket - 1] if bucket > 0 else self.min
-        if bucket >= len(self.edges):
-            hi = self.max
-        else:
-            hi = self.edges[bucket]
-        fraction = (rank - below) / int(self.counts[bucket])
-        estimate = lo + fraction * max(0.0, hi - lo)
-        return float(min(max(estimate, self.min), self.max))
-
-    def percentile(self, q: float) -> float:
-        """Exact percentile when samples are retained, estimate otherwise."""
-        if self.values is not None:
-            return exact_percentile(self.values, q)
-        return self.estimate_percentile(q)
 
     def merge(self, other: "Histogram") -> None:
         if len(other.edges) != len(self.edges) \
@@ -164,18 +122,14 @@ class Histogram:
         self.total += other.total
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
-        if self.values is not None and other.values is not None:
-            self.values.extend(other.values)
 
     def snapshot(self) -> dict:
         return {
             "count": self.count,
-            "mean": self.mean,
+            "mean": self.total / self.count if self.count else 0.0,
             "min": self.min if self.count else 0.0,
             "max": self.max if self.count else 0.0,
-            "p50": self.percentile(50.0),
-            "p95": self.percentile(95.0),
-            "p99": self.percentile(99.0),
+            "counts": self.counts.tolist(),
         }
 
 
@@ -242,14 +196,14 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(self, name: str, edges: Optional[Sequence[float]] = None,
-                  track_values: bool = False) -> Histogram:
+    def histogram(self, name: str,
+                  edges: Optional[Sequence[float]] = None) -> Histogram:
         if not self.enabled:
             return NULL_HISTOGRAM
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = self._histograms[name] = Histogram(
-                name, edges=edges, track_values=track_values)
+            instrument = self._histograms[name] = Histogram(name,
+                                                            edges=edges)
         return instrument
 
     # -- aggregation ----------------------------------------------------------
@@ -271,8 +225,7 @@ class MetricsRegistry:
             if name in self._histograms:
                 self._histograms[name].merge(hist)
             else:
-                clone = Histogram(name, edges=hist.edges,
-                                  track_values=hist.values is not None)
+                clone = Histogram(name, edges=hist.edges)
                 clone.merge(hist)
                 self._histograms[name] = clone
 

@@ -1,20 +1,22 @@
-"""Nested tracing spans with Chrome ``trace_event`` and JSONL export.
+"""Nested tracing spans with Chrome ``trace_event`` export.
 
 A :class:`Tracer` records ``span("decode_step")``-style nested intervals
 on a monotonic clock.  Spans are appended to ``tracer.spans`` *at entry*
 (so a parent always precedes its children and sibling order is execution
-order) and closed at exit; the three exports are:
+order) and closed at exit; the two exports are:
 
 - :meth:`Tracer.to_chrome_trace` — the Chrome ``trace_event`` JSON object
   (open in ``chrome://tracing`` or https://ui.perfetto.dev);
-- :meth:`Tracer.jsonl_lines` — one JSON object per span, a flat stream
-  suitable for log shipping;
 - :meth:`Tracer.span_tree` — names and nesting only, no timestamps — the
-  stable shape the golden-trace test pins.
+  stable shape the golden-trace test pins.  Only that test calls it: it is
+  the test's oracle.
 
 A tracer constructed with ``enabled=False`` is the no-op mode: ``span``
 returns a shared null context manager and nothing is recorded, so
 always-on instrumentation costs one method call per span site.
+
+Kept unreached: ``Tracer.span_tree`` — reference oracle of the golden-trace
+test.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ class Span:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "start_s": self.start_s,
-                "end_s": self.end_s, "depth": self.depth,
-                "parent": self.parent, "args": self.args}
 
 
 class _NullSpan:
@@ -139,17 +136,6 @@ class Tracer:
         path = pathlib.Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(self.to_chrome_trace()) + "\n")
-        return path
-
-    def jsonl_lines(self) -> List[str]:
-        """Flat per-span JSON stream, in span-entry order."""
-        return [json.dumps(span.as_dict()) for span in self.spans]
-
-    def write_jsonl(self, path) -> pathlib.Path:
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(self.jsonl_lines())
-                        + ("\n" if self.spans else ""))
         return path
 
     def span_tree(self) -> List[dict]:

@@ -39,6 +39,10 @@ preemption / migration / recovery suites, not by a K/V-bits argument.
 A migration is the same resume on another worker: a fleet router moves a
 session between two runs' steps, never inside one
 (:meth:`EngineRun.note_departure`, then :meth:`EngineRun.inject`).
+
+Kept unreached: ``TimingModel.decode_step_s``,
+``TimingModel.prefill_chunk_s`` — declared protocol; every timing model
+overrides them.
 """
 
 from __future__ import annotations

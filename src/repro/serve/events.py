@@ -178,8 +178,7 @@ class RecordLog:
             for name in _counters(record):
                 self.metrics.counter(name).inc()
             if kind == "failover":
-                self.metrics.histogram("fleet.failover_latency_s",
-                                       track_values=True).observe(
+                self.metrics.histogram("fleet.failover_latency_s").observe(
                     data["latency_s"])
         self.append(record)
 

@@ -47,6 +47,9 @@ when one pool serves one backend family (same weights, same attention
 numerics, same sign-rotation bank); mixed-family pools (e.g. dense
 fallback sessions, fault-injecting backends) must not attach or publish
 — the serving engine enforces this for pinned-dense sessions.
+
+Kept unreached: ``PagedLayerKV`` (an alias) — the frozen ``perf/spans.py``
+patches it until ROADMAP item 7(c).
 """
 
 from __future__ import annotations

@@ -329,10 +329,6 @@ class ContinuousBatchScheduler:
         #: the run's record stream (the engine run writes to it too).
         self.log = RecordLog(self.obs.metrics)
 
-    @property
-    def brownout_transitions(self) -> int:
-        return self.log.counts.get("brownout", 0)
-
     # -- submission -----------------------------------------------------------
 
     @property

@@ -13,6 +13,9 @@ throughput is ``n_users / latency``.  Data-parallel GPUs place users
 greedily (largest KV cache first, onto the GPU with the most free HBM);
 the same placement is the capacity rule (no GPU ends over its HBM) and
 the step's cost, which is the slowest GPU's.
+
+Kept unreached: ``ServingSystem.admits``, ``ServingSystem._step``,
+``SlidingWindowGpuSystem.name`` — declared protocol.
 """
 
 from __future__ import annotations
@@ -41,21 +44,6 @@ class ServingPoint:
     def throughput_tps(self) -> float:
         """Aggregate decode tokens/second across all users."""
         return self.n_users / self.token_latency_s
-
-    @property
-    def per_user_tps(self) -> float:
-        """Tokens/second/user (inverse per-token latency)."""
-        return 1.0 / self.token_latency_s
-
-    def as_row(self) -> dict:
-        return {
-            "system": self.system,
-            "model": self.model,
-            "context": self.context,
-            "users": self.n_users,
-            "throughput_tps": self.throughput_tps,
-            "latency_ms": self.token_latency_s * 1e3,
-        }
 
 
 class ServingSystem:

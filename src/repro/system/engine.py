@@ -26,7 +26,7 @@ from repro.drex.cxl import LINK
 from repro.drex.descriptors import request_bytes, response_entry_bytes
 from repro.drex.dram import LpddrTimings, LPDDR5X
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
-from repro.drex.layout import rows_per_group
+from repro.drex.layout import packages_required, rows_per_group
 from repro.drex.sched import DrexScheduler, SimOutcome, decode_step_jobs
 from repro.drex.timing import DrexTimingModel, LatencyBreakdown, OffloadCost
 from repro.llm.config import ModelConfig
@@ -96,8 +96,7 @@ class LongSightSystem(ServingSystem):
         n = self.sparse_tokens(context)
         if n == 0:
             return 0, 0
-        cap = self.geometry.max_keys_per_context_slice
-        segments = math.ceil(n / cap)
+        segments = packages_required(1, n, self.geometry)
         return segments, math.ceil(n / segments)
 
     def offload_unit(self, config: ModelConfig, context: int) -> LatencyBreakdown:

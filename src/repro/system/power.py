@@ -13,7 +13,6 @@ scratchpads, so the profile matches the DReX paper:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
 
 from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
 
@@ -36,30 +35,9 @@ class PowerAreaModel:
         return (self.geometry.n_packages * self.package_peak_w
                 + self.geometry.n_nmas * self.nma_peak_w)
 
-    @property
-    def total_nma_area_mm2(self) -> float:
-        return self.geometry.n_nmas * self.nma_area_mm2
-
     def system_peak_w(self, n_gpus: int = 1, with_drex: bool = True) -> float:
         """GPU(s) + optional DReX peak power."""
         total = n_gpus * self.h100_tdp_w
         if with_drex:
             total += self.drex_peak_w
         return total
-
-    def offload_energy_j(self, offload_seconds: float,
-                         active_packages: int = 8) -> float:
-        """Upper-bound energy of one offload: peak power x busy time."""
-        active = min(active_packages, self.geometry.n_packages)
-        power = active * (self.package_peak_w + self.nma_peak_w)
-        return power * offload_seconds
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "package_peak_w": self.package_peak_w,
-            "nma_peak_w": self.nma_peak_w,
-            "nma_area_mm2": self.nma_area_mm2,
-            "pfu_area_overhead": self.pfu_area_overhead,
-            "drex_peak_w": self.drex_peak_w,
-            "total_nma_area_mm2": self.total_nma_area_mm2,
-        }

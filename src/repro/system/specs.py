@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.drex.geometry import DrexGeometry, DREX_DEFAULT
-
 
 @dataclasses.dataclass(frozen=True)
 class GpuSpec:
@@ -48,24 +46,17 @@ class CpuSpec:
     """Host CPU (only its memory matters to the baselines)."""
 
     name: str = "2x Xeon Max 9462"
-    cores: int = 16
     dram_bytes: int = 8 * 128 * 1024**3
     dram_bandwidth: float = 282e9
-    tflops: float = 3.5
 
 
 @dataclasses.dataclass(frozen=True)
 class DrexSpec:
-    """DReX headline numbers (Table 2); geometry carries the details."""
+    """DReX headline compute (Table 2).  The geometry is
+    :data:`repro.drex.geometry.DREX_DEFAULT`, and the bandwidths are
+    derived from it by :mod:`repro.drex.dram`."""
 
-    geometry: DrexGeometry = DREX_DEFAULT
     nma_tflops_total: float = 26.11
-    nma_bandwidth: float = 1.1e12
-    pfu_bandwidth: float = 104.9e12
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.geometry.capacity_bytes
 
 
 @dataclasses.dataclass(frozen=True)

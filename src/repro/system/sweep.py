@@ -3,6 +3,9 @@
 The paper sweeps (window W, top-k, SCF thresholds) per dataset/model and
 plots accuracy against filter ratio (Figure 4) or normalized throughput
 (Figure 10), reporting the Pareto frontier across all configurations.
+
+Kept unreached: ``pareto_frontier`` — entered only by the five training
+benchmarks the audit skips.
 """
 
 from __future__ import annotations

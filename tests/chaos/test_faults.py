@@ -18,7 +18,6 @@ pytestmark = pytest.mark.chaos
 class TestFaultPlan:
     def test_default_is_healthy(self):
         plan = FaultPlan.none()
-        assert not plan.any_faults
         assert all(plan.rate(kind) == 0.0 for kind in FAULT_KINDS)
 
     def test_rate_validation(self):
@@ -37,8 +36,10 @@ class TestFaultPlan:
                      "cxl_degraded", "nma_stall"):
             assert uniform.rate(kind) == 0.3
         assert uniform.rate("kso_corruption") == 0.0
-        total = FaultPlan.total_failure()
-        assert total.cxl_timeout_rate == 1.0 and total.any_faults
+        # The device gone: every offload times out, nothing else fires.
+        total = FaultPlan(cxl_timeout_rate=1.0)
+        assert [kind for kind in FAULT_KINDS if total.rate(kind)] \
+            == ["cxl_timeout"]
 
 
 class TestFaultInjector:
@@ -67,7 +68,7 @@ class TestFaultInjector:
         assert 0 < a.counts["cxl_timeout"] < len(sites)
 
     def test_rate_one_always_fires(self):
-        injector = FaultInjector(FaultPlan.total_failure())
+        injector = FaultInjector(FaultPlan(cxl_timeout_rate=1.0))
         assert all(injector.fires("cxl_timeout", (0, p, 0)) is not None
                    for p in range(50))
 
@@ -135,7 +136,7 @@ class TestFaultInjectingDevice:
             survivors=rng.random(size=(tiny_config.n_kv_heads, n)) < 0.5)
 
     def test_timeout_injection(self, tiny_config):
-        device = self._device(FaultPlan.total_failure(), tiny_config)
+        device = self._device(FaultPlan(cxl_timeout_rate=1.0), tiny_config)
         self._fill(device, tiny_config)
         with pytest.raises(OffloadTimeoutError):
             device.execute(self._request(tiny_config))

@@ -77,9 +77,9 @@ class TestFaultModel:
             _fault_mix(-0.1, seed=0)
 
     def test_any_faults(self):
-        assert not _fault_mix(0.0, seed=0).any_faults
+        assert _fault_mix(0.0, seed=0) == FaultPlan.none()
         mix = _fault_mix(0.1, seed=3)
-        assert mix.any_faults and mix.seed == 3
+        assert mix.seed == 3
         assert mix.cxl_timeout_rate == 0.1
         assert mix.kso_corruption_rate == pytest.approx(0.025)
 
@@ -121,7 +121,7 @@ class TestDegradation:
         token degrades (the first comes from prefill)."""
         requests = _requests(5)
         report = _serve(model, _engine(), requests,
-                        _supervised(FaultPlan.total_failure()))
+                        _supervised(FaultPlan(cxl_timeout_rate=1.0)))
         assert len(report.completed) == 5
         assert report.tokens_generated == 5 * OUTPUT
         assert report.degraded_tokens == 5 * (OUTPUT - 1)

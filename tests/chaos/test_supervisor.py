@@ -101,12 +101,12 @@ class TestTotalFailure:
 
     def test_completes_fully_degraded(self, tiny_config):
         backend = DrexOffloadBackend(
-            tiny_config, CFG, plan=FaultPlan.total_failure())
+            tiny_config, CFG, plan=FaultPlan(cxl_timeout_rate=1.0))
         out = _decode(tiny_config, backend)
         assert np.isfinite(out).all()
         assert backend.degraded_token_fraction == 1.0
         assert backend.degraded_tokens == backend.sparse_token_attempts > 0
-        assert len(backend.degraded_log) == backend.degraded_tokens
+        assert len(backend._session.degraded_log) == backend.degraded_tokens
         stats = backend.supervisor.stats
         assert stats.degraded == backend.degraded_tokens
         assert stats.retries == backend.degraded_tokens * MAX_RETRIES
@@ -116,7 +116,7 @@ class TestTotalFailure:
         0``, sinks + window — so the output matches the software baseline
         (to round-off: a degraded prefill row is rerun alone)."""
         backend = DrexOffloadBackend(
-            tiny_config, CFG, plan=FaultPlan.total_failure())
+            tiny_config, CFG, plan=FaultPlan(cxl_timeout_rate=1.0))
         degraded = _decode(tiny_config, backend)
         software = _decode(tiny_config, SlidingWindowAttention(
             window=CFG.window, n_sink=CFG.n_sink))
@@ -188,7 +188,8 @@ class TestReproducibility:
             plan=FaultPlan.uniform(0.4, seed=seed))
         out = _decode(tiny_config, backend)
         return out, backend.supervisor.stats.as_dict(), \
-            dict(backend.device.injector.counts), list(backend.degraded_log)
+            dict(backend.device.injector.counts), \
+            list(backend._session.degraded_log)
 
     def test_same_seed_same_everything(self, tiny_config):
         out_a, stats_a, counts_a, log_a = self._run(tiny_config, seed=13)

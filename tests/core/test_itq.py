@@ -75,7 +75,7 @@ class TestRotationBank:
     def test_identity_default(self, rng):
         bank = ItqRotations(2, 2, 8)
         x = rng.normal(size=(4, 8))
-        np.testing.assert_array_equal(bank.apply(1, 0, x), x)
+        np.testing.assert_array_equal(x @ bank.get(1, 0), x)
 
     def test_set_get_apply(self, rng):
         bank = ItqRotations(2, 2, 8)
@@ -83,9 +83,9 @@ class TestRotationBank:
         bank.set(1, 1, r)
         np.testing.assert_array_equal(bank.get(1, 1), r)
         x = rng.normal(size=(3, 8))
-        np.testing.assert_allclose(bank.apply(1, 1, x), x @ r)
+        np.testing.assert_allclose(x @ bank.get(1, 1), x @ r)
         # Other slots stay identity.
-        np.testing.assert_array_equal(bank.apply(0, 1, x), x)
+        np.testing.assert_array_equal(x @ bank.get(0, 1), x)
 
     def test_shape_validation(self):
         bank = ItqRotations(1, 1, 8)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import scf
 from repro.core.scf import (
     concordance,
     concordance_packed,
@@ -167,3 +168,26 @@ class TestWordPath:
         q_packed = pack_signs(rng.normal(size=(4, d)))
         k_packed = pack_signs(rng.normal(size=(9, d)))
         assert mismatches_packed(q_packed, k_packed).dtype == np.uint8
+
+
+class TestTablePath:
+    """Below numpy 2.0 (``pyproject.toml`` declares ``numpy>=1.22``), and
+    for a byte axis whose stride is not 1, ``mismatches_packed`` counts
+    bits through its 256-entry table; its counts must equal the word
+    path's (the table path widens to uint16, so values are compared)."""
+
+    @pytest.mark.parametrize("how", ["no_bitwise_count", "strided_bytes"])
+    @pytest.mark.parametrize("d", [16, 32, 40, 64, 96])
+    def test_table_counts_equal_word_counts(self, d, how, rng,
+                                            monkeypatch):
+        q = pack_signs(rng.normal(size=(2, 5, d)))
+        k = pack_signs(rng.normal(size=(2, 7, d)))
+        words = mismatches_packed(q, k)
+        if how == "no_bitwise_count":
+            monkeypatch.setattr(scf, "_HAS_BITWISE_COUNT", False)
+        else:
+            k = np.repeat(k, 2, -1)[..., ::2]
+            assert k.strides[-1] == 2
+        table = mismatches_packed(q, k)
+        assert table.dtype == np.uint16
+        np.testing.assert_array_equal(table, words)

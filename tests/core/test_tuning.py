@@ -1,5 +1,7 @@
 """Hyper-parameter tuning loop tests (small model, short streams)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,17 @@ def test_tune_thresholds_zero_iterations_budget(setup):
     result = tune_thresholds(model, tokens, config, dense,
                              max_increase=-0.5, step=2, max_iterations=3)
     assert (result.thresholds == 0).all()
+
+
+def test_default_step_is_an_eighth_of_head_dim():
+    """Left unset, ``step`` raises the first accepted head by
+    ``head_dim // 8`` bits: the increment every caller of the tuner uses."""
+    config = dataclasses.replace(TINY, head_dim=32)
+    model = Transformer(config, seed=3)
+    tokens = np.random.default_rng(8).integers(0, config.vocab_size, size=48)
+    result = tune_thresholds(model, tokens,
+                             LongSightConfig(window=8, n_sink=2, top_k=8),
+                             perplexity(model, tokens), max_increase=10.0,
+                             max_iterations=2)
+    assert result.iterations == 2
+    assert result.thresholds.sum() == 32 // 8

@@ -7,7 +7,7 @@ one Near-Memory Accelerator pass (exhaustive scoring of a group's
 survivors, per-query top-k under each query's own bitmap), and
 :func:`offload` chains them over one KV head's stored keys as a device
 would: filter block by block, fetch the group's survivor union once, rank.
-The timing of both units lives in ``repro.drex.pfu`` / ``repro.drex.nma``.
+The timing of both units lives in ``repro.drex.dram`` / ``repro.drex.nma``.
 """
 
 from __future__ import annotations

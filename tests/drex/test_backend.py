@@ -93,11 +93,11 @@ def test_each_row_is_the_kernel_at_its_served_config(rng, plan):
     q = rng.normal(size=(TINY.n_q_heads, n_ctx, TINY.head_dim))
     served = set()
     for p in range(n_ctx):
-        degraded = len(backend.degraded_log)
+        degraded = len(backend._session.degraded_log)
         out = backend.forward(0, q[:, p:p + 1], k[:, :p + 1], v[:, :p + 1])
         flushed = backend._session.flushed.get(0, config.n_sink)
         row = config.replace(window=max(config.window, p - flushed + 1))
-        if len(backend.degraded_log) > degraded:
+        if len(backend._session.degraded_log) > degraded:
             row = row.replace(top_k=0)
         served.add((row.window > config.window, row.top_k == 0))
         np.testing.assert_array_equal(out, LongSightAttention(row).forward(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.drex.dcc import DrexCxlController, QueueFullError
-from repro.drex.descriptors import RequestDescriptor, ResponseDescriptor
+from repro.drex.descriptors import (RequestDescriptor, ResponseDescriptor,
+                                    response_entry_bytes)
 
 
 def _request(uid, layer=0):
@@ -158,25 +159,8 @@ class TestDescriptors:
 
     def test_response_max_bytes_bounds_actual(self):
         # Four query heads retrieving their full top-10 fill the buffer.
+        max_bytes = 16 + 4 * 10 * response_entry_bytes(64)
         resp = ResponseDescriptor(uid=0, layer=0, n_entries=4 * 10)
-        assert resp.n_bytes(64) == ResponseDescriptor.max_bytes(4, 64,
-                                                                top_k=10)
+        assert resp.n_bytes(64) == max_bytes
         assert ResponseDescriptor(uid=0, layer=0, n_entries=39).n_bytes(64) \
-            < ResponseDescriptor.max_bytes(4, 64, top_k=10)
-
-    def test_sign_object_size(self):
-        from repro.drex.descriptors import KeySignObject
-
-        obj = KeySignObject(n_keys=128, head_dim=64)
-        assert obj.n_bytes == 64 * 16  # d columns of 128 bits
-        with pytest.raises(ValueError):
-            KeySignObject(n_keys=0, head_dim=64)
-        with pytest.raises(ValueError):
-            KeySignObject(n_keys=129, head_dim=64)
-
-    def test_key_value_object_sizes(self):
-        from repro.drex.descriptors import KeyObject, ValueObject
-
-        assert KeyObject(n_keys=128, head_dim=64).n_bytes == 128 * 64 * 2
-        assert ValueObject(n_values=10, head_dim=8,
-                           dtype_bytes=4).n_bytes == 320
+            < max_bytes

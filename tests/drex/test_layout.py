@@ -43,7 +43,6 @@ class TestContextSlice:
     def test_counts(self):
         s = self._slice(3)
         assert s.n_keys == 3072
-        assert s.capacity == 3072
         assert s.banks_spanned() == 24  # 3 groups x 8 channels
 
     def test_bytes_used(self):

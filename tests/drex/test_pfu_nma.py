@@ -16,8 +16,8 @@ from repro.core.itq import ItqRotations, random_rotation
 from repro.core.scf import pack_signs, scf_filter
 from repro.core.sparse import sparse_retrieve
 from repro.core.topk import top_k_indices
+from repro.drex.dram import LPDDR5X
 from repro.drex.nma import NearMemoryAccelerator
-from repro.drex.pfu import PimFilterUnit
 from tests.conftest import TINY
 from tests.drex.hardware_reference import (filter_block, offload,
                                            score_and_rank)
@@ -48,9 +48,9 @@ class TestPfu:
             filter_block(keys, queries, 16, 0)
 
     def test_bitmap_latency_is_paper_constant(self):
-        pfu = PimFilterUnit()
-        assert pfu.bitmap_latency_ns(128) == pytest.approx(160.0)  # d x 1.25
-        assert pfu.bitmap_latency_ns(64) == pytest.approx(80.0)
+        # One 128-bit column read per dimension: d x 1.25 ns per epoch.
+        assert LPDDR5X.bitmap_generation_ns(128) == pytest.approx(160.0)
+        assert LPDDR5X.bitmap_generation_ns(64) == pytest.approx(80.0)
 
 
 class TestNmaFunctional:

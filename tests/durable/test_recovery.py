@@ -145,7 +145,7 @@ class TestBrownoutLadder:
             return ({r.request_id: list(r.outputs) for r in run._arrivals},
                     {r.request_id: r.events.brownout_tokens
                      for r in run._arrivals},
-                    run.scheduler.brownout_transitions)
+                    run.scheduler.log.counts.get("brownout", 0))
 
         reference = DurableRun(engine(), workload(), tmp_path / "ref",
                                snapshot_every=4)

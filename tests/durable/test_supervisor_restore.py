@@ -121,7 +121,7 @@ class TestPinSurvivesRestore:
     def failing_builder(self, engine_builder):
         def make_backend(request):
             return DrexOffloadBackend(
-                TINY_MODEL, TINY_LS, plan=FaultPlan.total_failure())
+                TINY_MODEL, TINY_LS, plan=FaultPlan(cxl_timeout_rate=1.0))
 
         def build():
             return engine_builder(make_backend=make_backend,

@@ -34,11 +34,10 @@ class TestAppend:
         base_syncs = wal.syncs  # the begin header syncs once
         for i in range(3):
             wal.append("step", {"step": i + 1, "clock": 0.0})
-        assert wal.unsynced == 3
         assert wal.syncs == base_syncs
         wal.append("step", {"step": 4, "clock": 0.0})  # batch boundary
-        assert wal.unsynced == 0
         assert wal.syncs == base_syncs + 1
+        assert wal.drop_unsynced() == 0
 
     def test_drop_unsynced_loses_only_the_tail(self, tmp_path):
         wal = _wal(tmp_path, fsync_every=100)

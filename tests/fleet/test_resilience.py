@@ -62,7 +62,7 @@ class TestHealthPolicy:
         assert MIN_SAMPLES <= WINDOW
         monitor = warmed_monitor(HealthPolicy(), n=100)
         _, after = monitor.observe(0, 0.1)
-        assert monitor.health(0).last_phi > 0.0
+        assert monitor.health[0].last_phi > 0.0
         assert after is WorkerState.SUSPECT
 
 
@@ -105,7 +105,7 @@ class TestSuspicionModel:
         monitor = warmed_monitor(policy)
         _, after = monitor.observe(0, BASELINE_S * 50)
         assert after is WorkerState.SUSPECT
-        health = monitor.health(0)
+        health = monitor.health[0]
         assert health.last_phi >= policy.suspect_phi
 
     def test_subdeadline_spike_never_accumulates_to_failover(self):
@@ -117,7 +117,7 @@ class TestSuspicionModel:
         for _ in range(10):
             _, after = monitor.observe(0, 0.05)  # phi >> fail_phi, < D/2
             assert after is WorkerState.SUSPECT
-        assert monitor.health(0).deadline_misses == 0
+        assert monitor.health[0].deadline_misses == 0
 
     def test_material_phi_strikes_accumulate(self):
         policy = HealthPolicy(step_deadline_s=1.0)
@@ -132,18 +132,19 @@ class TestSuspicionModel:
         # samples are judged against the baseline but never join it.
         policy = HealthPolicy(step_deadline_s=1e6)
         monitor = warmed_monitor(policy)
-        before = len(monitor.health(0).window)
+        before = len(monitor.health[0].window)
         monitor.observe(0, BASELINE_S * 50)
-        assert len(monitor.health(0).window) == before
+        assert len(monitor.health[0].window) == before
 
     def test_derived_deadline_scales_with_healthy_p95(self):
         policy = HealthPolicy()    # DEADLINE_FACTOR 20, DEADLINE_FLOOR_S 0.25
         monitor = warmed_monitor(policy, n=32)
-        assert monitor.deadline_s(0) == pytest.approx(0.25)  # floor wins
+        # the floor wins
+        assert monitor.health[0].deadline_s() == pytest.approx(0.25)
         slow = warmed_monitor(policy, n=0)
         for _ in range(32):
             slow.observe(0, 0.1)
-        assert slow.deadline_s(0) == pytest.approx(2.0)  # 20 * p95
+        assert slow.health[0].deadline_s() == pytest.approx(2.0)  # 20 * p95
 
     def test_state_or_healthy_for_unattached_worker(self):
         monitor = HealthMonitor(RecordLog(MetricsRegistry(enabled=True)),
@@ -191,14 +192,14 @@ class TestSuspicionModel:
         monitor = warmed_monitor(policy)
         monitor.observe(0, 2.0)
         monitor.reset(0)
-        health = monitor.health(0)
+        health = monitor.health[0]
         assert health.state is WorkerState.HEALTHY
         assert health.deadline_misses == 0
         assert list(health.window) == [BASELINE_S] * 16
 
     def test_window_is_bounded(self):
         monitor = warmed_monitor(HealthPolicy(), n=WINDOW + 12)
-        assert len(monitor.health(0).window) == WINDOW
+        assert len(monitor.health[0].window) == WINDOW
 
 
 def shared_registry_fleet(obs: Obs) -> FleetRouter:
@@ -216,7 +217,7 @@ class TestMonitorOwnsTheWindow:
         monitor = router.monitor
         for _ in range(16):
             monitor.observe(0, BASELINE_S)
-        assert len(monitor.health(1).window) == 0
+        assert len(monitor.health[1].window) == 0
         _, after = monitor.observe(1, 0.2)   # cold: only the floor
         assert after is WorkerState.HEALTHY
 
@@ -224,10 +225,10 @@ class TestMonitorOwnsTheWindow:
         obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
         first = shared_registry_fleet(obs)
         first.run(Trace((Tenant(4, 24, 4, rate=50.0),)).requests())
-        assert any(len(first.monitor.health(w).window) for w in (0, 1))
+        assert any(len(first.monitor.health[w].window) for w in (0, 1))
         second = shared_registry_fleet(obs)
         second.run([])
-        assert [len(second.monitor.health(w).window) for w in (0, 1)] \
+        assert [len(second.monitor.health[w].window) for w in (0, 1)] \
             == [0, 0]
 
 

@@ -108,18 +108,6 @@ def test_chrome_trace_export_is_valid(tmp_path):
     assert min(e["ts"] for e in events) == 0.0
 
 
-def test_jsonl_export_round_trips(tmp_path):
-    tracer = _traced_run()
-    path = tracer.write_jsonl(tmp_path / "spans.jsonl")
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(tracer.spans)
-    for line, span in zip(lines, tracer.spans):
-        record = json.loads(line)
-        assert record["name"] == span.name
-        assert record["parent"] == span.parent
-        assert record["end_s"] >= record["start_s"]
-
-
 def test_disabled_tracer_records_nothing():
     tracer = Tracer(enabled=False)
     with tracer.span("anything", note=1):

@@ -64,7 +64,7 @@ class TestLadderTransitions:
         sched = _scheduler(BrownoutPolicy(queue_high=(2, 4, 6, 8)))
         _queue(sched, 6)
         assert sched.update_brownout(now=0.1) == 3
-        assert sched.brownout_transitions == 1
+        assert sched.log.counts.get("brownout", 0) == 1
 
     def test_deescalation_is_one_stage_with_hysteresis(self):
         sched = _scheduler(BrownoutPolicy(queue_high=(2, 4, 6, 8)))
@@ -119,7 +119,7 @@ class TestLadderTransitions:
         sched = _scheduler(None)
         _queue(sched, 20)
         assert sched.update_brownout(now=5.0) == 0
-        assert sched.brownout_transitions == 0
+        assert sched.log.counts.get("brownout", 0) == 0
 
 
 class TestEngineAttribution:

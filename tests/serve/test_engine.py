@@ -183,14 +183,14 @@ class TestAnalyticClock:
 @pytest.mark.chaos
 class TestDegradation:
     def test_total_failure_sheds_in_place_with_full_output(self, model, rng):
-        """Under FaultPlan.total_failure every offload degrades: sessions
+        """With every offload timing out, every offload degrades: sessions
         must pin to the dense window, keep decoding every step, and retire
         as SHED with their *complete* output — never dropped."""
         pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16)
 
         def factory(request):
             return DrexOffloadBackend(TINY, LS,
-                                      plan=FaultPlan.total_failure())
+                                      plan=FaultPlan(cxl_timeout_rate=1.0))
 
         engine = ServeEngine(model, pool, factory)
         requests = [ServeRequest(request_id=i,
@@ -220,7 +220,7 @@ class TestDegradation:
 
         def factory(request):
             built[request.request_id] = DrexOffloadBackend(
-                TINY, LS, plan=FaultPlan.total_failure())
+                TINY, LS, plan=FaultPlan(cxl_timeout_rate=1.0))
             return built[request.request_id]
 
         engine = ServeEngine(model, pool, factory)

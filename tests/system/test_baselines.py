@@ -17,9 +17,6 @@ class TestServingPoint:
         point = ServingPoint("x", "m", 1024, n_users=10,
                              token_latency_s=0.02, breakdown={})
         assert point.throughput_tps == pytest.approx(500.0)
-        assert point.per_user_tps == pytest.approx(50.0)
-        row = point.as_row()
-        assert row["latency_ms"] == pytest.approx(20.0)
 
 
 class TestDenseGpu:

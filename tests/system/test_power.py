@@ -19,7 +19,7 @@ def test_components(model):
     assert model.nma_peak_w == 1.072
     assert model.nma_area_mm2 == 15.1
     assert model.pfu_area_overhead == 0.067
-    assert model.total_nma_area_mm2 == pytest.approx(120.8)
+    assert model.geometry.n_nmas * model.nma_area_mm2 == pytest.approx(120.8)
 
 
 def test_system_power(model):
@@ -27,13 +27,3 @@ def test_system_power(model):
     assert model.system_peak_w(2, with_drex=True) == pytest.approx(
         1400.0 + model.drex_peak_w)
 
-
-def test_offload_energy(model):
-    full = model.offload_energy_j(1e-3, active_packages=8)
-    half = model.offload_energy_j(1e-3, active_packages=4)
-    assert full == pytest.approx(2 * half)
-    assert model.offload_energy_j(0.0) == 0.0
-
-
-def test_summary_keys(model):
-    assert "drex_peak_w" in model.summary()

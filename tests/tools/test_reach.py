@@ -70,3 +70,40 @@ def test_sigterm_still_writes_what_was_entered(tmp_path):
     assert reach.run(out, [sys.executable, "-c", cmd], pkg, pkg) \
         == -signal.SIGTERM
     assert reach.partition(pkg, [out], [])["entry"] == ["pkg/mod.py:5 called"]
+
+
+def test_every_recipe_entry_names_a_file_or_an_importable_module():
+    """The audit's recipe is checked without running it: each step's
+    script or ``-m`` module exists, as does every path it passes."""
+    src = str(reach.REPO / "src")
+    sys.path.insert(0, src)
+    try:
+        for cmd in reach.RECIPE + (reach.TESTS,):
+            assert cmd[0] == "python", cmd
+            if cmd[1] == "-m":
+                assert importlib.util.find_spec(cmd[2]) is not None, cmd
+            else:
+                assert (reach.REPO / cmd[1]).is_file(), cmd
+            for arg in cmd[2:]:
+                path = arg.split("=", 1)[-1]
+                if "{out}" not in path and (path.endswith(".py")
+                                            or "/" in path):
+                    assert (reach.REPO / path).exists(), (cmd, arg)
+    finally:
+        sys.path.remove(src)
+    ignored = {arg.split("/")[-1] for cmd in reach.RECIPE for arg in cmd
+               if arg.startswith("--ignore=")}
+    assert ignored == set(reach.TRAINING)
+
+
+def test_a_kept_paragraph_marks_the_functions_it_names(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text('"""A module.\n\nKept unreached: '
+                                '``Box.tests_only`` (an oracle)."""\n'
+                                + MODULE)
+    (pkg / "all.py").write_text('"""Kept unreached: ``*``."""\n'
+                                'def anything():\n    pass\n')
+    assert reach.kept(pkg, "pkg/mod.py:21 Box.tests_only")
+    assert not reach.kept(pkg, "pkg/mod.py:11 uncalled")
+    assert reach.kept(pkg, "pkg/all.py:2 anything")

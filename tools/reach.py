@@ -4,6 +4,7 @@ A stdlib reachability audit (``coverage`` is not a dependency)::
 
     python tools/reach.py run OUT [--root src/repro] -- CMD [ARG...]
     python tools/reach.py report [--root src/repro] --entry OUT... --tests OUT...
+    python tools/reach.py audit OUT
 
 ``run`` executes ``CMD`` with a collector in every Python process it starts.
 A generated ``sitecustomize`` module, put first on ``PYTHONPATH``, calls
@@ -19,18 +20,17 @@ methods that ``ast`` finds under ``--root`` and prints a three-way partition:
 reached by an entry point, reached by tests only, never entered.  A function
 counts as reached when its own code object is entered; ``co_firstlineno`` of
 a decorated function is the line of its first decorator, so that is the line
-the ``ast`` side is keyed on.
+the ``ast`` side is keyed on.  A tests-only or never-entered function is
+marked ``kept`` when its module docstring gives the reason it stays, in a
+paragraph that opens with :data:`KEPT` and names it.
 
-The audit of the serving stack runs every non-test entry point into one
-directory and the tier-1 suite into another, then reports::
-
-    R="python tools/reach.py run"
-    PYTHONPATH=src $R /tmp/entry -- python -m repro.bench.serve --n-requests 3 ...
-    PYTHONPATH=src $R /tmp/entry -- python -m pytest -q benchmarks --benchmark-disable
-    PYTHONPATH=src $R /tmp/entry -- python examples/multi_tenant_serving.py
-    $R /tmp/entry -- python3 perf/run.py --smoke
-    PYTHONPATH=src $R /tmp/tests -- python -m pytest -q
-    python tools/reach.py report --entry /tmp/entry --tests /tmp/tests
+``audit OUT`` is the whole audit of this repository in one command: it runs
+each argv list of :data:`RECIPE` from the repository root into ``OUT/entry``
+(``{out}`` in an argument is ``OUT``), the tier-1 suite into ``OUT/tests``,
+and prints the report.  Every step runs with ``PYTHONPATH=src`` and
+``REPRO_CACHE_DIR=OUT/cache``, so the examples' cheap checkpoints land in
+``OUT``, and every artifact the recipe writes goes under ``OUT`` too.  On a
+2-vCPU host it takes about 15 minutes.
 
 Traps:
 
@@ -44,11 +44,16 @@ Traps:
   ``PYTHONPATH`` is not followed.
 - Anything else that calls ``sys.setprofile`` (``cProfile``, a profiler
   under test) replaces the hook for the rest of that process.
+- "Tests-only" is not "dead": an error path no entry point takes (a
+  stalled worker with no live sibling, a WAL that cannot resume) is
+  entered by the tests alone.  Read a function's callers before deleting
+  it.
 - Figures 3, 4 and 10, ``test_ablation_granularity.py`` and
-  ``test_dynax_comparison.py`` under ``benchmarks/`` train the miniature
-  model when no checkpoint is cached (``repro.llm.zoo.cache_dir``), which
-  under the hook runs for well over ten minutes: ``--ignore`` them, or warm
-  the cache first.
+  ``test_dynax_comparison.py`` under ``benchmarks/`` (:data:`TRAINING`)
+  train the miniature model at full size when no checkpoint is cached
+  (``repro.llm.zoo.cache_dir``), which under the hook runs for well over
+  ten minutes: the recipe passes ``--ignore`` for each, so what only they
+  enter is reported as tests-only or never entered.
 """
 
 from __future__ import annotations
@@ -78,6 +83,56 @@ _collector = _util.module_from_spec(_spec)
 _spec.loader.exec_module(_collector)
 _collector.install({out!r}, {root!r})
 """
+
+
+#: The five ``benchmarks/`` files that train a model; the audit skips them.
+TRAINING = ("test_ablation_granularity.py", "test_dynax_comparison.py",
+            "test_fig10_accuracy_throughput.py", "test_fig3_filter_ratio.py",
+            "test_fig4_pareto.py")
+
+#: Every non-test entry point the audit runs, as argv lists from the
+#: repository root (``python`` is the running interpreter, ``{out}`` the
+#: audit's ``OUT``): CI's bench-smoke commands, the examples (the training
+#: ones at ``--steps 4``), ``benchmarks/`` without :data:`TRAINING`, the
+#: experiment CLI's listing and the perf ledger's smoke run.
+RECIPE: Tuple[Tuple[str, ...], ...] = (
+    ("python", "-m", "repro.bench.micro", "--contexts", "4096",
+     "--repeats", "1", "--head-dim", "32", "--threshold", "20",
+     "--out-dir", "{out}/results/micro-head-dim-32"),
+    ("python", "-m", "repro.bench.micro", "--contexts", "4096", "65536",
+     "--repeats", "1", "--max-reference-context", "4096",
+     "--threshold", "44", "--out-dir", "{out}/results"),
+    ("python", "-m", "repro.bench.chaos", "--rates", "0.0", "0.01", "0.05",
+     "--n-sessions", "2", "--n-tokens", "16", "--out-dir", "{out}/results"),
+    ("python", "examples/drex_offload_tour.py", "--keys", "4096"),
+    ("python", "-m", "repro.bench.serve", "--n-requests", "3",
+     "--prompt-tokens", "16", "--output-tokens", "4",
+     "--trace-out", "{out}/results/trace.json", "--out-dir", "{out}/results"),
+    ("python", "-m", "repro.bench.fleet", "--workers", "1", "2",
+     "--n-steady", "6", "--n-burst", "6", "--out-dir", "{out}/results"),
+    ("python", "-m", "repro.bench.obs_overhead", "--steps", "256",
+     "--reps", "2", "--out-dir", "{out}/results"),
+    ("python", "-m", "repro.bench.recovery", "--n-requests", "3",
+     "--output-tokens", "10", "--snapshot-every", "4",
+     "--out-dir", "{out}/results"),
+    ("python", "-m", "repro.bench.fleet_chaos", "--n-steady", "6",
+     "--n-burst", "4", "--out-dir", "{out}/results"),
+    ("python", "-m", "repro.bench", "list"),
+    ("python", "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks",
+     "--benchmark-disable")
+    + tuple(f"--ignore=benchmarks/{name}" for name in TRAINING),
+    ("python", "examples/multi_tenant_serving.py", "--sessions", "8"),
+    ("python", "examples/serving_capacity.py"),
+    ("python", "examples/quickstart.py", "--steps", "4"),
+    ("python", "examples/needle_retrieval.py", "--steps", "4"),
+    ("python", "examples/tune_thresholds.py", "--steps", "4"),
+    ("python", "perf/run.py", "--smoke"),
+)
+
+#: The tier-1 suite, run into ``OUT/tests``.
+TESTS = ("python", "-m", "pytest", "-q", "-p", "no:cacheprovider")
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 # -- collector (runs inside every followed process) ----------------------------
@@ -185,8 +240,27 @@ def partition(root: pathlib.Path, entry: Iterable[pathlib.Path],
     return {part: sorted(names) for part, names in parts.items()}
 
 
+#: Opens a module-docstring paragraph that says why functions no entry
+#: point enters stay: ``Kept unreached: ``Class.method``, ``name``: why.``
+#: ``*`` names every function of the module.
+KEPT = "Kept unreached:"
+
+
+def kept(root: pathlib.Path, name: str) -> bool:
+    """Whether the module docstring of ``name`` (a report name) names it
+    in a :data:`KEPT` paragraph."""
+    path, qualname = name.split(" ", 1)
+    source = (pathlib.Path(root).resolve().parent
+              / path.rsplit(":", 1)[0]).read_text()
+    paragraphs = (ast.get_docstring(ast.parse(source)) or "").split("\n\n")
+    reasons = " ".join(p for p in paragraphs if p.lstrip().startswith(KEPT))
+    return f"``{qualname}``" in reasons or "``*``" in reasons
+
+
 def report(root: pathlib.Path, entry: Sequence[pathlib.Path],
            tests: Sequence[pathlib.Path]) -> None:
+    """Print the partition's counts, then every tests-only and
+    never-entered function, marked ``kept`` when its module says why."""
     lines = {name: n for name, n in functions(root).values()}
     parts = partition(root, entry, tests)
     for part, title in (("entry", "reached by an entry point"),
@@ -198,7 +272,29 @@ def report(root: pathlib.Path, entry: Sequence[pathlib.Path],
     for part in ("tests_only", "never"):
         print(f"\n## {part}")
         for name in parts[part]:
-            print(f"{name}  ({lines[name]} lines)")
+            mark = "  kept" if kept(root, name) else ""
+            print(f"{name}  ({lines[name]} lines){mark}")
+
+
+def audit(out: pathlib.Path, root: pathlib.Path) -> int:
+    """Run :data:`RECIPE` into ``out/entry`` and :data:`TESTS` into
+    ``out/tests``, then print the report; returns the first non-zero exit
+    status, or 0."""
+    out = pathlib.Path(out).resolve()
+    src = str(REPO / "src")
+    python_path = os.environ.get("PYTHONPATH")
+    os.environ.update(REPRO_CACHE_DIR=str(out / "cache"), PYTHONPATH=src + (
+        os.pathsep + python_path if python_path else ""))
+    status = 0
+    for part, cmds in (("entry", RECIPE), ("tests", (TESTS,))):
+        for cmd in cmds:
+            argv = [sys.executable if arg == "python" else
+                    arg.replace("{out}", str(out)) for arg in cmd]
+            print("$", " ".join(argv), flush=True)
+            code = run(out / part, argv, root, cwd=REPO)
+            status = status or code
+    report(root, [out / "entry"], [out / "tests"])
+    return status
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -214,7 +310,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rep_p.add_argument("--root", type=pathlib.Path, default="src/repro")
     rep_p.add_argument("--entry", type=pathlib.Path, nargs="+", required=True)
     rep_p.add_argument("--tests", type=pathlib.Path, nargs="+", required=True)
+    aud_p = sub.add_parser("audit", help="run RECIPE and tier-1, then report")
+    aud_p.add_argument("out", type=pathlib.Path)
+    aud_p.add_argument("--root", type=pathlib.Path, default="src/repro")
     args = parser.parse_args(argv)
+    if args.command == "audit":
+        return audit(args.out, args.root)
     if args.command == "run":
         cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
         if not cmd:
