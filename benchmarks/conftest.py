@@ -9,6 +9,11 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.tables import Table, results_dir
+from tests.alarm import _test_timeout, add_timeout_option  # noqa: F401
+
+
+def pytest_addoption(parser):
+    add_timeout_option(parser)
 
 
 @pytest.fixture

@@ -27,9 +27,10 @@ tile, over a stack of **units**.  A unit is one session's KV head — a
 *slab* of its GQA group when the slab rule splits it: its query rows, its
 context length, and *readers* of its keys and packed signs.  A prefill
 block hands the stages one slab at a time (a stack of one); a decode call
-hands them every KV head of every session past ``n_sink + window`` at
-once.  One rule
-decides what runs on the whole stack and what per unit:
+hands them every KV head of every session past ``n_sink + window +
+top_k`` at once.  A row below that bound runs stage 1 alone
+(:meth:`_SparseSpan.passes`, the same filter on the same stack).  One
+rule decides what runs on the whole stack and what per unit:
 
     *integer, boolean and index work stacks at any width; float work
     keeps a shape fixed by the row's own session.*
@@ -111,18 +112,20 @@ packed from its keys.
 **A row** is one query of one session, laid out from the config and
 **that row's own context length** ``n`` only (``D = n_sink + window``,
 ``P = top_k``); a decode row and a prefill row take the same two layouts,
-and stage 5 (:func:`_attend`) runs over stacked rows:
+split at ``D + P``, and stage 5 (:func:`_attend`) runs over stacked rows:
 
-- *the context is the row* (``n <= D``): the first ``min(D, n)`` columns
-  in natural order, nothing filtered — every key is dense;
-- *panel ++ pool* (``n > D``): the ``D`` sinks + window columns, then the
-  row's pool from stages 1–4, its scores padded with -inf to ``P``.
-  While ``candidates <= top_k`` the merge never runs ``top_k_mask`` and
-  the pool is every key that passed — exactly what the reference's
-  ``top_k_mask`` returns.  ``top_k = 0`` has no pool at any context
-  length: the row *is* the panel, an O(window) read — the dense fallback
-  and the paper's sliding-window baseline (Section 8.2 / Figure 10,
-  :class:`SlidingWindowAttention`).
+- *a masked panel* (``n <= D + P``): the first ``n`` columns in natural
+  order, ``D + P`` wide whatever the batch; the sinks and the window are
+  kept, and a span column ``[n_sink, n - window)`` is kept iff it passes
+  stage 1.  With at most ``P`` candidates top-k keeps every key that
+  passes, so this is exactly the reference's selection, with no stages
+  2-4; below ``D`` there is no span and nothing is filtered;
+- *panel ++ pool* (``n > D + P``): the ``D`` sinks + window columns, then
+  the row's pool from stages 1–4, its scores padded with -inf to ``P``.
+  ``top_k = 0`` has no pool at any context length (``D + P = D``): past
+  ``D`` the row *is* the sinks + window panel, an O(window) read — the
+  dense fallback and the paper's sliding-window baseline (Section 8.2 /
+  Figure 10, :class:`SlidingWindowAttention`).
 
 **A decode call** is :meth:`LongSightAttention.forward_cached_batch`: one
 query for every compatible session of a decode batch, as the paper's GPU
@@ -131,9 +134,13 @@ session must produce the bits it produces alone, so a row is
 *batch-invariant by construction*: sessions of one layout
 (:meth:`LongSightAttention._pooled`) stack on a leading axis, each
 product is one BLAS call of fixed shape per session and KV head, the
-panel is the session's ``cache.window_view`` zero-padded to ``D``, the
-pool's values are ``P`` wide, and one pass of stages 1–4 fills every
-pooled session's pool (:meth:`LongSightAttention._fill_pools`).  Padding
+panel is the session's ``cache.window_view`` zero-padded to ``D + P``
+(masked) or ``D`` (pooled), the pool's values are ``P`` wide, one
+XOR+popcount filters every masked panel's span
+(:meth:`LongSightAttention._filter_panels`) and one pass of stages 1–4
+fills every pooled session's pool
+(:meth:`LongSightAttention._fill_pools`).  A decode call whose rows all
+sit at or below ``D + P`` is one pass.  Padding
 rows to the batch's widest member would change call shapes and reduction
 trees (``np.sum`` is a pairwise tree of the row's width) and silently
 break served == solo (``tests/core/test_decode_rows.py``).  Which
@@ -141,10 +148,13 @@ sessions may share a call is :meth:`LongSightAttention.stack_key`.
 
 **A prefill block** (two or more queries) is
 :meth:`LongSightAttention._forward_block`: row *i* is the row at
-``n_i = n_ctx - n_new + i + 1``.  Rows with ``n_i <= D`` share the panel
-``[0, min(D, n_ctx))``; a longer row's window is a banded view of the
-layer's keys and values, not a copy, and its pool is the one stages 1–4
-produced for it.  Each row equals the decode row at its context to
+``n_i = n_ctx - n_new + i + 1``.  Rows with ``n_i <= D + P`` share the
+panel ``[0, min(D + P, n_ctx))`` under the causal mask and their pass
+masks — stage 1 alone when every row of the block is short (a prompt of
+at most ``D + P`` tokens runs no stages 2-4), else the passing keys the
+block's stages 1-4 pooled for them; a longer row's window is a banded
+view of the layer's keys and values, not a copy, and its pool is the one
+stages 1–4 produced for it.  Each row equals the decode row at its context to
 round-off (``tests/core/test_prefill_is_decode_rows.py``).
 
 The correctness oracle — the original per-head loop over full-width
@@ -333,8 +343,9 @@ class _SparseSpan:
     call — the per-head pass bounds — after which :meth:`select` runs
     filter -> score -> compact -> select for every unit handed to it at
     once.  The prefill kernel passes a stack of one, the decode routine's
-    pooled layout every session of the call past ``n_sink + window``: the
-    stages exist once.
+    pooled layout every session of the call past ``n_sink + window +
+    top_k``: the stages exist once.  Rows at or below that bound run
+    stage 1 alone (:meth:`passes`): every key they pass is selected.
 
     What stacks and what does not is the module docstring's rule: integer,
     boolean and index work runs once over all units' rows, padded to the
@@ -355,6 +366,27 @@ class _SparseSpan:
         # [n_sink, n_ctx + row_end[i]): its causal limit, window excluded.
         self.row_end = np.arange(-n_new, 0) - backend.config.window + 1
         self._cuts: Dict[tuple, np.ndarray] = {}
+
+    def units(self, n_ctx: np.ndarray) -> Dict[tuple, list]:
+        """The units of a decode call's sessions (``n_new = 1``), by
+        stack: ``(heads per unit, the unit if alone) -> [(session, head
+        0)]``.
+
+        A unit is one session's KV head, or a slab of it when the slab
+        rule splits a group.  Units of equal head count stack (at one
+        query almost always the whole group, so one stack), and a stack
+        of several is one tile per unit: a span longer than a tile (2^20
+        columns) runs alone."""
+        stacks: Dict[tuple, list] = {}
+        for s, (slab, alone) in enumerate(zip(
+                self.slab_heads(n_ctx).tolist(),
+                (self.tile(n_ctx) < self.span(n_ctx)).tolist())):
+            for g_lo in range(0, len(self.bounds), self.group):
+                for h0 in range(g_lo, g_lo + self.group, slab):
+                    key = (min(slab, g_lo + self.group - h0),
+                           (s, h0) if alone else None)
+                    stacks.setdefault(key, []).append((s, h0))
+        return stacks
 
     def candidates(self, n_ctx: int) -> int:
         """Sparse candidates of one head's query block ending at ``n_ctx``
@@ -385,12 +417,74 @@ class _SparseSpan:
         n_new`` columns, the whole span for a decode row below 2^20."""
         return np.minimum(self.span(n_ctx), max(1, _SLAB_ELEMS // self.n_new))
 
-    def slab_heads(self, n_ctx: int) -> int:
-        """Heads of a group that stages 2-5 take at once (the slab rule)."""
+    def slab_heads(self, n_ctx):
+        """Heads of a group that stages 2-5 take at once (the slab rule),
+        for one context length or an array of them."""
         cfg = self.backend.config
-        return max(1, _SLAB_ELEMS // (self.n_new * max(
-            int(self.tile(n_ctx)), cfg.n_sink + cfg.window,
-            cfg.top_k * self.head_dim)))
+        return np.maximum(1, _SLAB_ELEMS // (self.n_new * np.maximum(
+            self.tile(n_ctx), max(cfg.n_sink + cfg.window,
+                                  cfg.top_k * self.head_dim))))
+
+    def _filter(self, q_signs: np.ndarray, bounds: np.ndarray,
+                n_ctx: np.ndarray, signs, t0: int,
+                widths: np.ndarray) -> np.ndarray:
+        """Stage 1 over one key tile of every unit: columns ``[t0, t0 +
+        widths[u])`` of unit ``u``.  ``q_signs`` is ``(n_units, n_heads x
+        n_new, n_bytes)``, ``bounds`` the units' pass bounds ``(n_units,
+        n_heads)``.  Returns ``(n_units, n_heads, n_new, max width)``:
+        does the key pass, cut at the row's causal limit and at the unit's
+        width."""
+        n_units, n_heads = bounds.shape
+        n_new = self.n_new
+        width = int(widths.max())
+        if n_units == 1:
+            # Nothing to pad or stack: the sign range as it is read.
+            key_signs = signs[0][t0:t0 + width][None]
+        else:
+            key_signs = np.empty((n_units, width, q_signs.shape[-1]),
+                                 dtype=np.uint8)
+            for u in range(n_units):
+                key_signs[u, :widths[u]] = signs[u][t0:t0 + widths[u]]
+        with self.backend.obs.tracer.span("scf_filter", layer=self.layer):
+            mism = mismatches_packed(q_signs, key_signs)
+        pass_t = (mism.reshape(n_units, n_heads, n_new, width)
+                  < bounds[:, :, None, None].astype(mism.dtype))
+        # Columns at or beyond a row's end — the causal tail of a prefill
+        # block, the pad of a narrower unit — are cut; only the trailing
+        # columns some row ends before can need it.
+        cut = max(int(n_ctx.min()) - self.backend.config.window - n_new + 1,
+                  t0)
+        if cut < t0 + width:
+            pass_t[..., cut - t0:] &= self._before_row_end(
+                n_ctx, cut, t0 + width)
+        return pass_t
+
+    def passes(self, q_signs: np.ndarray, h0, n_ctx, signs
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Stage 1 alone, for units whose rows attend a masked panel.
+
+        A row at ``n <= n_sink + window + top_k`` has at most ``top_k``
+        candidates, so top-k keeps every key that passes: stages 2-4
+        would select exactly the passing keys.  Arguments are
+        :meth:`select`'s (``q_signs`` is ``(n_units, n_heads, n_new,
+        n_bytes)``).  Returns each row's passing span columns ``(n_units,
+        n_heads, n_new, widest span)``, from ``n_sink``, and the keys
+        passed — and selected — per unit, reported as :meth:`select`
+        reports its pools.
+        """
+        n_units, n_heads, n_new, _ = q_signs.shape
+        h0, n_ctx = np.asarray(h0), np.asarray(n_ctx)
+        lo = self.backend.config.n_sink
+        pass_t = self._filter(
+            q_signs.reshape(n_units, n_heads * n_new, -1),
+            self.bounds[h0[:, None] + np.arange(n_heads)], n_ctx, signs, lo,
+            self.span(n_ctx))
+        union = pass_t.any(axis=1) \
+            if self.backend.survivor_capture is not None else None
+        passed, _ = self.report(
+            h0, n_ctx, pass_t.sum(axis=3), union, pass_t,
+            np.broadcast_to(lo + np.arange(pass_t.shape[-1]), pass_t.shape))
+        return pass_t, passed
 
     def select(self, q: np.ndarray, q_signs: np.ndarray, h0, n_ctx, keys,
                signs) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -440,25 +534,7 @@ class _SparseSpan:
             widths = np.minimum(t0 + tile, hi) - t0
             width = int(widths.max())
             # -- 1. filter: one XOR+popcount over every unit's tile.
-            if n_units == 1:
-                # Nothing to pad or stack: the sign range as it is read.
-                key_signs = signs[0][t0:t0 + width][None]
-            else:
-                key_signs = np.empty((n_units, width, q_signs.shape[-1]),
-                                     dtype=np.uint8)
-                for u in range(n_units):
-                    key_signs[u, :widths[u]] = signs[u][t0:t0 + widths[u]]
-            with backend.obs.tracer.span("scf_filter", layer=self.layer):
-                mism = mismatches_packed(q_signs, key_signs)
-            pass_t = (mism.reshape(n_units, n_heads, n_new, width)
-                      < bounds[:, :, None, None].astype(mism.dtype))
-            # Columns at or beyond a row's end — the causal tail of a
-            # prefill block, the pad of a narrower unit — are cut; only
-            # the trailing columns some row ends before can need it.
-            cut = max(int(hi.min()) - n_new + 1, t0)
-            if cut < t0 + width:
-                pass_t[..., cut - t0:] &= self._before_row_end(
-                    n_ctx, cut, t0 + width)
+            pass_t = self._filter(q_signs, bounds, n_ctx, signs, t0, widths)
             if union is not None:
                 union[..., t0 - lo:t0 - lo + width] = pass_t.any(axis=1)
             # The gather rule, per unit, on that unit's own survivors.
@@ -524,14 +600,35 @@ class _SparseSpan:
                 merged_c = _padded(merged_c.ravel()[src], dest, shape, _PAD)
             pool_s, pool_c = merged_s, merged_c
         pool_w = pool_s.shape[1]
-        valid = (pool_c != _PAD).reshape(n_units, n_heads, n_new, pool_w)
-        retrieved = valid.sum(axis=(2, 3))
         per_row = passed.reshape(n_units, n_heads, n_new)
+        passed, retrieved = self.report(
+            h0, n_ctx, per_row, union,
+            (pool_c != _PAD).reshape(n_units, n_heads, n_new, pool_w),
+            pool_c.reshape(n_units, n_heads, n_new, pool_w))
+        return pool_s, pool_c, passed, retrieved
+
+    def report(self, h0, n_ctx, per_row, union, valid, cols
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Record a stack's passes and selections; return the keys passed
+        and selected per unit.
+
+        ``per_row`` is each row's pass count ``(n_units, n_heads, n_new)``,
+        ``union`` per unit and row which span columns any of its heads
+        passed (read only under ``survivor_capture``), and ``valid`` /
+        ``cols`` a row's selected slots and their columns ``(n_units,
+        n_heads, n_new, slots)``.  Stages 1-4 report their pools here, and
+        a row that attends a masked panel (``n <= n_sink + window +
+        top_k``) its passing span columns, every one of them selected.
+        """
+        backend = self.backend
+        n_units, n_heads, n_new, _ = valid.shape
+        retrieved = valid.sum(axis=(2, 3))
         passed = per_row.sum(axis=2)
-        if union is not None:
-            backend.survivor_capture.extend(zip(h0.tolist(), per_row, union))
+        if backend.survivor_capture is not None:
+            backend.survivor_capture.extend(zip(np.asarray(h0).tolist(),
+                                                per_row, union))
         if backend.stats is not None or backend.selection_capture is not None:
-            for u, unit_ctx in enumerate(n_ctx.tolist()):
+            for u, unit_ctx in enumerate(np.asarray(n_ctx).tolist()):
                 candidates = self.candidates(unit_ctx)
                 for i, h in enumerate(range(int(h0[u]), int(h0[u]) + n_heads)):
                     if backend.stats is not None:
@@ -542,10 +639,9 @@ class _SparseSpan:
                     if backend.selection_capture is not None:
                         sel_mask = np.zeros((n_new, unit_ctx), dtype=bool)
                         r, slots = np.nonzero(valid[u, i])
-                        sel_mask[r, pool_c[(u * n_heads + i) * n_new + r,
-                                           slots]] = True
+                        sel_mask[r, cols[u, i, r, slots]] = True
                         backend.selection_capture[(self.layer, h)] = sel_mask
-        return pool_s, pool_c, passed.sum(axis=1), retrieved.sum(axis=1)
+        return passed.sum(axis=1), retrieved.sum(axis=1)
 
 
 class LongSightAttention(AttentionBackend):
@@ -709,16 +805,26 @@ class LongSightAttention(AttentionBackend):
         group = n_q_heads // n_kv_heads
         n_dense = cfg.n_sink + cfg.window
         # Row i is the row at context n_i (module docstring): n_short
-        # rows read [0, short_w), the rest sinks ++ band ++ pool.
+        # rows read a masked panel [0, short_w), the rest sinks ++ band ++
+        # pool.
         n_i = np.arange(n_ctx - n_new, n_ctx) + 1
-        n_short = int(np.clip(n_dense - (n_ctx - n_new), 0, n_new))
-        short_w = min(n_dense, n_ctx)
+        n_short = int(np.clip(n_dense + cfg.top_k - (n_ctx - n_new), 0,
+                              n_new))
+        short_w = min(n_dense + cfg.top_k, n_ctx)
         band_lo = n_ctx - n_new + n_short - cfg.window + 1
-        causal = np.arange(short_w) < n_i[:n_short, None]
+        cols = np.arange(short_w)
+        causal = cols < n_i[:n_short, None]
         span = _SparseSpan(self, layer, n_q_heads, n_kv_heads, n_new,
                            head_dim)
         slab = span.slab_heads(n_ctx)
         candidates = span.candidates(n_ctx) if cfg.top_k else 0
+        # A short row keeps its sinks and window, and of its span
+        # [n_sink, n_i - window) the keys that pass.  (With candidates,
+        # the last short row has a span: n_ctx or D + P is past D.)
+        filtered = bool(candidates) and n_short > 0
+        if filtered:
+            dense = causal & ((cols < cfg.n_sink) | (
+                cols >= (n_i[:n_short] - cfg.window)[:, None]))
         if candidates:
             q_signs = self._query_signs(
                 layer, q.reshape(n_kv_heads, group, n_new, head_dim)
@@ -743,29 +849,45 @@ class LongSightAttention(AttentionBackend):
                 for x in (keys, values)) if n_short < n_new else None
             for h0 in range(g_lo, g_hi, slab):
                 h1 = min(h0 + slab, g_hi)
-                if n_short:
-                    out[h0:h1, :n_short] = _attend(q[h0:h1, :n_short],
-                                                   short, keep=causal)
-                if band is None:
-                    continue
-                pool = None
-                if candidates:
+                keep, pool = causal, None
+                if filtered:
+                    keep = np.repeat(dense[None], h1 - h0, axis=0)
+                if candidates and band is not None:
                     # The slab is a stack of one unit.
                     pool_s, pool_c, passed, selected = span.select(
                         q[None, h0:h1], q_signs[None, h0:h1], [h0], [n_ctx],
                         [keys], [key_signs(kv_head)])
                     passed_total += int(passed[0])
                     selected_total += int(selected[0])
+                    pool_s, pool_c = (x.reshape(h1 - h0, n_new, x.shape[1])
+                                      for x in (pool_s, pool_c))
+                    if filtered:
+                        # A short row's pool is every key it passed.
+                        h, i, slot = np.nonzero(pool_c[:, :n_short] != _PAD)
+                        keep[h, i, pool_c[h, i, slot]] = True
                     # Long rows, row-major; scores padded to top_k with
                     # -inf.  _PAD clips to the last key, at weight 0.
-                    pool_s, pool_c = (x.reshape(h1 - h0, n_new, x.shape[1])[
-                        :, n_short:].swapaxes(0, 1) for x in (pool_s, pool_c))
+                    pool_s, pool_c = (x[:, n_short:].swapaxes(0, 1)
+                                      for x in (pool_s, pool_c))
                     scores = np.full(pool_s.shape[:2] + (cfg.top_k,), -np.inf)
                     scores[..., :pool_s.shape[2]] = pool_s
                     pool = (scores, values.take(pool_c, axis=0, mode="clip"))
-                out[h0:h1, n_short:] = _attend(
-                    q[h0:h1, n_short:].swapaxes(0, 1), [sinks, band],
-                    pool=pool).swapaxes(0, 1)
+                elif filtered:
+                    # Every row is short: stage 1 alone.
+                    passes, passed = span.passes(
+                        q_signs[None, h0:h1], [h0], [n_ctx],
+                        [key_signs(kv_head)])
+                    passed_total += int(passed[0])
+                    selected_total += int(passed[0])
+                    keep[..., cfg.n_sink:cfg.n_sink + passes.shape[-1]] |= \
+                        passes[0]
+                if n_short:
+                    out[h0:h1, :n_short] = _attend(q[h0:h1, :n_short],
+                                                   short, keep=keep)
+                if band is not None:
+                    out[h0:h1, n_short:] = _attend(
+                        q[h0:h1, n_short:].swapaxes(0, 1), [sinks, band],
+                        pool=pool).swapaxes(0, 1)
         metrics = self.obs.metrics
         if metrics.enabled:
             _record_split(metrics, n_q_heads * n_new,
@@ -777,13 +899,15 @@ class LongSightAttention(AttentionBackend):
     # -- the decode routine ---------------------------------------------------
 
     def _pooled(self, n_ctx: int) -> bool:
-        """Is a decode row at context ``n_ctx`` panel ++ pool (else the
-        panel is the whole row)?  From the row's context alone, never from
-        the batch: the layout fixes the row's BLAS call shapes and the
-        trees of its reductions, so it has to be the same whether the
-        session is stepped alone or stacked with any neighbours."""
+        """Is a decode row at context ``n_ctx`` panel ++ pool (else it
+        attends a masked panel of its first ``n_ctx`` keys)?  Pooled past
+        ``n_sink + window + top_k`` only: below, every key that passes is
+        selected.  From the row's context alone, never from the batch: the
+        layout fixes the row's BLAS call shapes and the trees of its
+        reductions, so it has to be the same whether the session is
+        stepped alone or stacked with any neighbours."""
         cfg = self.config
-        return bool(cfg.top_k) and n_ctx > cfg.n_sink + cfg.window
+        return bool(cfg.top_k) and n_ctx > cfg.n_sink + cfg.window + cfg.top_k
 
     def forward_cached_batch(self, layer: int, qs, caches) -> np.ndarray:
         """The decode routine: one query per session, sessions stacked.
@@ -825,8 +949,11 @@ class LongSightAttention(AttentionBackend):
         cfg = self.config
         n_s, n_q_heads, _, head_dim = q.shape
         n_dense = cfg.n_sink + cfg.window
+        # The panel: sinks + window beside a pool, else the first
+        # n_sink + window + top_k keys (sinks + window at top_k = 0).
+        width = n_dense if pooled else n_dense + cfg.top_k
         metrics = self.obs.metrics
-        views = [cache.window_view(layer, cfg.window, cfg.n_sink)
+        views = [cache.window_view(layer, width - cfg.n_sink, cfg.n_sink)
                  for cache in caches]
         n_kv_heads = views[0][0].shape[0]
         group = n_q_heads // n_kv_heads
@@ -836,14 +963,14 @@ class LongSightAttention(AttentionBackend):
         # half-megabyte arrays freed together reach the trim threshold
         # (twice the largest freed chunk), so every call would pay
         # first-touch page faults; one chunk stays resident.
-        k_panel, v_panel = np.empty(
-            (2, n_s, n_kv_heads, n_dense, head_dim), dtype=q.dtype)
+        panels = np.empty((2, n_s, n_kv_heads, width, head_dim),
+                          dtype=q.dtype)
         for s, (k, v, _) in enumerate(views):
             n = k.shape[1]
-            k_panel[s, :, :n] = k
-            k_panel[s, :, n:] = 0.0
-            v_panel[s, :, :n] = v
-            v_panel[s, :, n:] = 0.0
+            panels[0, s, :, :n] = k
+            panels[1, s, :, :n] = v
+            panels[:, s, :, n:] = 0.0
+        k_panel, v_panel = panels
         q_g = q.reshape(n_s, n_kv_heads, group, head_dim)
         keep = pool = None
         passed = np.zeros(n_s, dtype=np.int64)    # per session, all heads
@@ -856,7 +983,11 @@ class LongSightAttention(AttentionBackend):
             pool = (pool_s.reshape(q_g.shape[:-1] + (-1,)),
                     pool_v.reshape(q_g.shape[:-1] + pool_v.shape[-2:]))
         else:
-            keep = (np.arange(n_dense) < n_ctx[:, None])[:, None, None]
+            keep = (np.arange(width) < n_ctx[:, None])[:, None, None]
+            if cfg.top_k and (n_ctx > n_dense).any():
+                keep, passed = self._filter_panels(
+                    layer, q, caches, n_ctx, n_kv_heads, keep)
+                selected = passed
         out = _attend(q_g, [(k_panel, v_panel)], keep, pool).reshape(
             n_s, n_q_heads, 1, head_dim)
         if metrics.enabled:
@@ -868,20 +999,57 @@ class LongSightAttention(AttentionBackend):
                           offloaded * n_q_heads, passed, selected)
         return out
 
+    def _filter_panels(self, layer: int, q: np.ndarray, caches,
+                       n_ctx: np.ndarray, n_kv_heads: int,
+                       keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stage 1 for every masked panel with a sparse span (``n_sink +
+        window < n <= n_sink + window + top_k``), the sessions' units in
+        one stack (:meth:`_SparseSpan.passes`).
+
+        Returns ``keep`` (each row's first ``n`` columns) as ``(n_sessions,
+        n_kv_heads, group, panel width)`` with a span column kept only
+        where it passes, and the keys passed — all selected — per session.
+        """
+        cfg = self.config
+        n_s, n_q_heads, _, head_dim = q.shape
+        group = n_q_heads // n_kv_heads
+        spans = np.flatnonzero(n_ctx > cfg.n_sink + cfg.window)
+        span = _SparseSpan(self, layer, n_q_heads, n_kv_heads, 1, head_dim)
+        q_signs = self._query_signs(
+            layer, q[spans].reshape(len(spans), n_kv_heads, group, 1,
+                                    head_dim)
+        ).reshape(len(spans), n_q_heads, 1, -1)
+        signs = [self._sign_rows(layer, caches[s]) for s in spans]
+        cols = np.arange(keep.shape[-1])
+        in_span = (cols >= cfg.n_sink) & (cols < (n_ctx - cfg.window)[:, None])
+        keep = np.broadcast_to(keep & ~in_span[:, None, None],
+                               (n_s, n_kv_heads, group, len(cols))).copy()
+        rows = keep.reshape(n_s, n_q_heads, len(cols))        # a view
+        passed = np.zeros(n_s, dtype=np.int64)
+        for (n_heads, _), units in span.units(n_ctx[spans]).items():
+            member, h0 = np.array(units).T
+            at = (member[:, None], h0[:, None] + np.arange(n_heads))
+            passes, n_pass = span.passes(
+                q_signs[at], h0, n_ctx[spans[member]],
+                [signs[m](h // group) for m, h in units])
+            np.add.at(passed, spans[member], n_pass)
+            rows[spans[member][:, None], at[1],
+                 cfg.n_sink:cfg.n_sink + passes.shape[-1]] |= passes[:, :, 0]
+        return keep, passed
+
     def _fill_pools(self, layer: int, q: np.ndarray, caches,
                     n_ctx: np.ndarray, n_kv_heads: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray]:
         """Stages 1-4 for every pooled session of a decode call, at once.
 
-        Each session's KV heads (slabs of them, when the slab rule splits
-        a group) are the units of one :meth:`_SparseSpan.select` stack;
-        K/V are read in place, through the caches' row readers —
-        survivors' keys, selected values, the span's signs, never the
-        context.  Returns every row's pool scores ``(n_sessions,
-        n_q_heads, top_k)`` (-inf in an empty slot) and values
-        ``(n_sessions, n_q_heads, top_k, head_dim)``, plus the keys passed
-        and selected per session.
+        Each session's units (:meth:`_SparseSpan.units`) are the units of one
+        :meth:`_SparseSpan.select` stack per stack key; K/V are read in
+        place, through the caches' row readers — survivors' keys,
+        selected values, the span's signs, never the context.  Returns
+        every row's pool scores ``(n_sessions, n_q_heads, top_k)`` (-inf
+        in an empty slot) and values ``(n_sessions, n_q_heads, top_k,
+        head_dim)``, plus the keys passed and selected per session.
         """
         cfg = self.config
         n_s, n_q_heads, _, head_dim = q.shape
@@ -892,24 +1060,11 @@ class LongSightAttention(AttentionBackend):
         q_signs = self._query_signs(
             layer, q.reshape(n_s, n_kv_heads, group, 1, head_dim)
         ).reshape(n_s, n_q_heads, 1, -1)
-        # Units of equal head count stack (at one query almost always the
-        # whole group, so one stack), and a stack of several is one tile
-        # per unit: a span longer than a tile (2^20 columns) runs alone.
-        # (heads per unit, the unit if alone) -> [(session, head 0)].
-        stacks: Dict[tuple, list] = {}
-        for s, n in enumerate(n_ctx.tolist()):
-            slab = span.slab_heads(n)
-            alone = span.tile(n) < span.span(n)
-            for g_lo in range(0, n_q_heads, group):
-                for h0 in range(g_lo, g_lo + group, slab):
-                    key = (min(slab, g_lo + group - h0),
-                           (s, h0) if alone else None)
-                    stacks.setdefault(key, []).append((s, h0))
         scores = np.full((n_s, n_q_heads, cfg.top_k), -np.inf)
         pool_v = np.empty(scores.shape + (head_dim,), dtype=q.dtype)
         passed = np.zeros(n_s, dtype=np.int64)
         selected = passed.copy()
-        for (n_heads, _), units in stacks.items():
+        for (n_heads, _), units in span.units(n_ctx).items():
             session, h0 = np.array(units).T
             at = (session[:, None], h0[:, None] + np.arange(n_heads))
             unit_ctx = n_ctx[session]

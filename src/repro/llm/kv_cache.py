@@ -28,17 +28,22 @@ sources exist, and they are all that differs between the caches:
   or shared through the prefix index; growth may raise
   :class:`~repro.errors.PoolExhaustedError`, the preemption signal.
 
-Append, sign packing and reads exist once.  Every read is
-:meth:`SessionLayerKV._read`, for the logical positions asked for and no
-others — a slice of a contiguous session is a zero-copy view, anything
-else one ``take`` of the arena rows the map names:
+Append and sign packing exist once, :func:`append_rows`: a decode step
+writes every session's new row in one call per layer — one scatter per
+arena and one sign pack for the sessions of a pool — and a single
+store's ``append`` is that call with one store.  Reads exist once too:
+every read is :meth:`SessionLayerKV._read`, for the logical positions
+asked for and no others — a slice of a contiguous session is a zero-copy
+view, anything else one ``take`` of the arena rows the map names:
 
 - a prefill block asks for the whole context of keys and values
   (``keys`` / ``values``: it scores every column of its span) and for its
   key signs by position range (``sign_rows``), as a decode row does;
-- a decode row asks for the sinks + window panel (``window_view``), and in
-  the long-context layout for a position range of signs, the filter's
-  survivors among the keys and the top-k selections among the values
+- a decode row asks for its panel (``window_view``: its first ``n``
+  positions while ``n <= n_sink + window + top_k``, else the sinks +
+  window), for a position range of signs, and in the long-context layout
+  for the filter's survivors among the keys and the top-k selections
+  among the values
   (``key_rows`` / ``value_rows`` / ``sign_rows``) — what LongSight's PIM
   filter units, NMA and CXL link move, in that order (Sections 5–6).  It
   never copies a context it will not read.
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import mmap
 import weakref
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -80,6 +85,60 @@ def pack_signs(x: np.ndarray) -> np.ndarray:
     """
     bits = sign_bits(x).astype(np.uint8)
     return np.packbits(bits, axis=-1)
+
+
+def append_rows(stores: Sequence["SessionLayerKV"], k: np.ndarray,
+                v: np.ndarray) -> None:
+    """Append K/V rows to several layer stores in one write.
+
+    ``k`` and ``v`` are ``(n_kv_heads, len(stores) * n_new, head_dim)``:
+    store ``i`` gets rows ``[i * n_new, (i + 1) * n_new)`` — a decode step
+    hands every session of the batch one row, a prefill block one store
+    its block.  Every row is checked before anything is written: a row
+    that is not finite in the stores' dtype raises
+    :class:`~repro.errors.NonFiniteError` and no store changes.  Stores
+    over the same arenas (the sessions of one pool) then take their rows
+    in one scatter per arena and one :func:`pack_signs`; a store's sign
+    rotation runs on its own rows, at the shape a lone append has, so a
+    packed sign never depends on what was appended beside it.
+    """
+    first = stores[0]
+    if k.shape != v.shape:
+        raise ValueError("key and value shapes must match")
+    if k.shape[0] != first.n_kv_heads or k.shape[2] != first.head_dim \
+            or k.shape[1] % len(stores):
+        raise ValueError(
+            f"expected (n_kv_heads={first.n_kv_heads}, {len(stores)} x "
+            f"n, head_dim={first.head_dim}), got {k.shape}")
+    k, v = (x.astype(first.dtype, copy=False) for x in (k, v))
+    require_finite("key or value", k, v)
+    n_new = k.shape[1] // len(stores)
+    # Reserve first (a private layer may rebind its arenas), then write
+    # the stores of each arena together.
+    arenas: Dict[tuple, list] = {}
+    for i, store in enumerate(stores):
+        store._source.reserve(store._len + n_new)
+        arenas.setdefault((id(store._k), store.sign_cache_enabled),
+                          []).append(i)
+    for members in arenas.values():
+        group = [stores[i] for i in members]
+        rows = np.concatenate([store._source.row_map[
+            store._len:store._len + n_new] for store in group])
+        keys, values, first = k, v, group[0]
+        if len(group) < len(stores):
+            at = (np.arange(n_new) + n_new * np.array(members)[:, None])
+            keys, values = k[:, at.ravel()], v[:, at.ravel()]
+        first._k[:, rows] = keys
+        first._v[:, rows] = values
+        if first.sign_cache_enabled:
+            if any(store._sign_rot is not None for store in group):
+                keys = np.concatenate(
+                    [store._rotated(keys[:, j * n_new:(j + 1) * n_new])
+                     for j, store in enumerate(group)], axis=1)
+            first._signs[:, rows] = pack_signs(keys)
+        for store in group:
+            store._len += n_new
+            store.signs_packed_total += n_new * store.sign_cache_enabled
 
 
 class _MappedRows:
@@ -227,32 +286,16 @@ class SessionLayerKV:
         ``k`` and ``v`` have shape ``(n_kv_heads, n_new, head_dim)``.  A
         row that is not finite in the store's dtype raises
         :class:`~repro.errors.NonFiniteError` before anything is written.
+        This is :func:`append_rows` with one store.
         """
-        if k.shape != v.shape:
-            raise ValueError("key and value shapes must match")
-        if k.shape[0] != self.n_kv_heads or k.shape[2] != self.head_dim:
-            raise ValueError(
-                f"expected (n_kv_heads={self.n_kv_heads}, n, "
-                f"head_dim={self.head_dim}), got {k.shape}")
-        k, v = (x.astype(self.dtype, copy=False) for x in (k, v))
-        require_finite("key or value", k, v)
-        source = self._source
-        stop = self._len + k.shape[1]
-        source.reserve(stop)      # a private layer may rebind its arenas
-        rows = source.row_map[self._len:stop]
-        self._k[:, rows] = k
-        self._v[:, rows] = v
-        if self.sign_cache_enabled and len(rows):
-            self._pack_rows(k, rows)
-        self._len = stop
+        append_rows([self], k, v)
 
-    def _pack_rows(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        """Pack the signs of ``keys`` — as stored — into arena ``rows``
-        (exactly once per token)."""
-        if self._sign_rot is not None:
-            keys = np.matmul(keys, self._sign_rot)
-        self._signs[:, rows] = pack_signs(keys)
-        self.signs_packed_total += len(rows)
+    def _rotated(self, keys: np.ndarray) -> np.ndarray:
+        """``keys`` as their signs are taken: through the layer's sign
+        rotation, if any, at the call shape of this store's own rows."""
+        if self._sign_rot is None:
+            return keys
+        return np.matmul(keys, self._sign_rot)
 
     def enable_sign_cache(self, rotations: Optional[np.ndarray] = None) -> None:
         """Start maintaining packed (rotated) key signs on every append.
@@ -277,8 +320,9 @@ class SessionLayerKV:
         source = self._source
         backlog = slice(min(source.prefix_signed_tokens, self._len), self._len)
         if backlog.start < backlog.stop:
-            self._pack_rows(self._read(self._k, backlog),
-                            source.row_map[backlog])
+            self._signs[:, source.row_map[backlog]] = pack_signs(
+                self._rotated(self._read(self._k, backlog)))
+            self.signs_packed_total += backlog.stop - backlog.start
 
     def free(self) -> None:
         """Forget the layer's tokens; the rows are the row source's to

@@ -27,7 +27,7 @@ import numpy as np
 from repro.llm import autograd as ag
 from repro.llm import ops
 from repro.llm.config import ModelConfig
-from repro.llm.kv_cache import KVCache
+from repro.llm.kv_cache import KVCache, append_rows
 from repro.llm.rope import apply_rope, rope_cos_sin
 
 Weights = Dict[str, np.ndarray]
@@ -156,12 +156,12 @@ class DenseBackend(AttentionBackend):
 #: Rows per BLAS call of a decode-step product (see :func:`_tile_matmul`).
 #: Not a knob — it is part of the arithmetic's definition, so solo
 #: ``generate`` and every served batch must share it.  Chosen by
-#: measurement at the serving ledger's geometry (table in CHANGES.md,
-#: PR 16): in place, an M = 2 GEMM costs about one GEMV, so a solo step
-#: stays within ~1.1x of the GEMV it replaced, while 7-, 8- and
-#: 16-session steps are as fast as with tiles of 4 or 8 (which cost a
-#: solo step ~1.25x and ~1.5x).
-_ROW_TILE = 2
+#: measurement at the serving ledger's geometry (table in DESIGN.md):
+#: a decode batch of up to the ledger's ``max_decode_batch`` of 8
+#: sessions reads each weight once, in one call, where a 2-row tile read
+#: it four times; a solo step pays an 8-row call (about 1.5x a 1-row
+#: product at ``K = 256``).
+_ROW_TILE = 8
 
 #: Query rows per prefill block: :meth:`Transformer.prefill` and
 #: :meth:`Transformer.forward_full` feed a sequence through in blocks of
@@ -174,10 +174,12 @@ def _tile_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     BLAS picks its kernel and blocking from the call shape, so row ``i``
     of a plain ``x @ w`` depends on how many rows ride along (M = 1 is a
-    GEMV; small-M GEMMs block K differently from large-M ones).  Here
-    every call has the same shape — ``_ROW_TILE`` rows, the last tile
-    padded with zero rows — so a row's product is a function of that row
-    and ``w`` only, whatever ``n`` is and wherever the row sits.
+    GEMV; at K = 512, GEMMs of fewer than 8 rows block K differently from
+    those of 8 or more).  Here every call has the same shape —
+    ``_ROW_TILE`` rows, the last tile padded with zero rows — so a row's
+    product is a function of that row and ``w`` only, whatever ``n`` is
+    and wherever the row sits.  A decode step of up to ``_ROW_TILE``
+    sessions is one call per weight.
     """
     n = x.shape[0]
     ragged = n % _ROW_TILE
@@ -381,10 +383,12 @@ class Transformer:
         ``(n_sessions, d_model)`` activation, and every layer runs its
         norms, QKV projections, bias, RoPE, ``wo``, SwiGLU — and, at the
         end, the unembedding — once on that stack, so each weight matrix
-        is read once per ``_ROW_TILE`` sessions instead of once per
-        session.  Attention is stacked too: each session's K/V row is
-        appended to its cache, then sessions whose backends agree on
-        :meth:`AttentionBackend.stack_key` make **one**
+        is read once per ``_ROW_TILE`` sessions (once per step, up to 8
+        sessions) instead of once per session.  Attention is stacked too:
+        every session's K/V row is written by one
+        :func:`~repro.llm.kv_cache.append_rows` per layer (all rows are
+        checked before any is written), then sessions whose backends
+        agree on :meth:`AttentionBackend.stack_key` make **one**
         ``forward_cached_batch(layer, qs, caches)`` call per layer (the
         engine builds one backend per request, so LongSight's key compares
         what the routine reads, its config by value, not identity; see
@@ -434,10 +438,10 @@ class Transformer:
             stacks.setdefault(backend.stack_key(), []).append(i)
 
         def attend(layer, q, k, v):
+            append_rows([cache.layers[layer] for cache in caches],
+                        k[:, :n], v[:, :n])
             attn = np.zeros(q.shape)        # pad rows attend to nothing
             for members in stacks.values():
-                for i in members:
-                    caches[i].append(layer, k[:, i:i + 1], v[:, i:i + 1])
                 out = backends[members[0]].forward_cached_batch(
                     layer, q[:, members].transpose(1, 0, 2)[:, :, None],
                     [caches[i] for i in members])

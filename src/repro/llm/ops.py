@@ -14,11 +14,26 @@ from __future__ import annotations
 import numpy as np
 
 
+#: ``exp`` is exactly 0.0 below this in float64 (and float32), so
+#: :func:`softmax` writes 0.0 there instead of calling it: numpy's exp
+#: takes a slow path on such inputs, ``-inf`` (a masked score) included.
+_EXP_ZERO_BELOW = -746.0
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis``.
+
+    One temporary: the shifted scores are exponentiated and normalised in
+    place, and a score whose exponential is exactly 0 is set, not
+    computed — the same bits as ``exp(x - max) / sum``, faster on masked
+    rows.
+    """
+    e = x - np.max(x, axis=axis, keepdims=True)
+    live = ~(e < _EXP_ZERO_BELOW)         # NaN stays live and propagates
+    np.exp(e, out=e, where=live)
+    np.copyto(e, 0.0, where=~live)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -7,21 +7,16 @@ weight quality, and training is reserved for the benchmark suite.
 
 from __future__ import annotations
 
-import signal
-import threading
-
 import numpy as np
 import pytest
 
 from repro.llm.config import ModelConfig
 from repro.llm.model import Transformer
+from tests.alarm import _test_timeout, add_timeout_option  # noqa: F401
 
 
 def pytest_addoption(parser):
-    parser.addini(
-        "test_timeout_s",
-        "per-test wall-clock limit in seconds (SIGALRM; 0 disables)",
-        default="120")
+    add_timeout_option(parser)
     parser.addoption(
         "--update-golden", action="store_true", default=False,
         help="rewrite checked-in golden files (e.g. the serve span tree) "
@@ -31,35 +26,6 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_golden(request) -> bool:
     return bool(request.config.getoption("--update-golden"))
-
-
-@pytest.fixture(autouse=True)
-def _test_timeout(request):
-    """Abort any test that hangs (e.g. a retry loop that never degrades).
-
-    A conftest-level stand-in for pytest-timeout, which is not a
-    dependency: arm a real-time alarm around each test and raise inside
-    it when the limit is hit.  Skipped where SIGALRM cannot work (no
-    SIGALRM on the platform, or a non-main test thread).
-    """
-    limit = float(request.config.getini("test_timeout_s") or 0)
-    if limit <= 0 or not hasattr(signal, "SIGALRM") \
-            or threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def _on_alarm(signum, frame):
-        raise TimeoutError(
-            f"test exceeded the {limit:.0f}s wall-clock limit "
-            f"(test_timeout_s in pyproject.toml)")
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, limit)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 #: A deliberately tiny config so full-sequence tests stay fast.

@@ -190,41 +190,40 @@ def test_solo_entry_points_are_the_routine():
 
 def test_layout_is_chosen_from_the_context_alone():
     pooled = library("base").backend()._pooled
-    assert [pooled(n) for n in (1, D - 1, D)] == [False] * 3
-    assert [pooled(n) for n in (D + 1, D + P - 1, D + P, D + P + 1, 2048)] \
-        == [True] * 5
+    assert [pooled(n) for n in (1, D - 1, D, D + 1, D + P - 1, D + P)] \
+        == [False] * 6
+    assert [pooled(n) for n in (D + P + 1, 2048)] == [True] * 2
 
 
 def test_stage_1_runs_only_inside_the_sparse_span(monkeypatch):
-    """Past ``D`` every decode row is panel ++ pool, candidates ``<=
-    top_k`` included: the one XOR+popcount of a decode call is the one
-    inside :meth:`_SparseSpan.select`, never a second whole-context
-    filter."""
+    """A decode call filters once per layout, over sparse spans only: the
+    masked-panel rows with candidates (``D < n <= D + P``) in one
+    XOR+popcount of at most ``P`` columns, the pooled rows in stages
+    1-4's — never a second whole-context filter, and no stages 2-4 for a
+    row whose every passing key is selected."""
     from repro.core import hybrid
 
     lib = library("base")
     sessions = [s for s in lib.sessions if s.kind == "plain"
                 and s.n_ctx in (D + 1, D + P - 1, D + P, D + P + 1, 2048)]
     assert len(sessions) == 5
-    calls, inside = [], [False]
+    widths, selected = [], []
     count, select = hybrid.mismatches_packed, _SparseSpan.select
 
-    def counted(*args):
-        calls.append(inside[0])
-        return count(*args)
+    def counted(q_signs, key_signs):
+        widths.append(key_signs.shape[-2])
+        return count(q_signs, key_signs)
 
-    def spy(self, *args):
-        inside[0] = True
-        try:
-            return select(self, *args)
-        finally:
-            inside[0] = False
+    def spy(self, q, q_signs, h0, n_ctx, keys, signs):
+        selected.extend(n_ctx)
+        return select(self, q, q_signs, h0, n_ctx, keys, signs)
 
     monkeypatch.setattr(hybrid, "mismatches_packed", counted)
     monkeypatch.setattr(_SparseSpan, "select", spy)
     for row, session in zip(_stack(lib.backend(), sessions), sessions):
         np.testing.assert_array_equal(row, session.solo)
-    assert calls and all(calls)
+    assert widths == [P, 2048 - D]
+    assert sorted(set(selected)) == [D + P + 1, 2048]
 
 
 def _sign_controlled_session(rng, n_ctx, tile, per_tile):

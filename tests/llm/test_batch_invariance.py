@@ -89,6 +89,26 @@ def test_property_covers_k_512():
     assert MAX_ROWS > 2 * _ROW_TILE
 
 
+#: One tile short, one, one and a row, two, two and a row.
+TILE_EDGES = (1, _ROW_TILE - 1, _ROW_TILE, _ROW_TILE + 1, 2 * _ROW_TILE,
+              2 * _ROW_TILE + 1)
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_rows_at_tile_edges_equal_each_row_alone(name, rng):
+    """Batches that fill one tile, cross into a second and fill two: each
+    row equals its product alone, at every offset of a 17-row batch."""
+    w = WEIGHTS[name]
+    assert TILE_EDGES == (1, 7, 8, 9, 16, 17)
+    x = rng.normal(size=(max(TILE_EDGES), w.shape[0]))
+    solo = _solo_rows(x, w, _tile_matmul)
+    for n in TILE_EDGES:
+        for start in sorted({0, 1, max(TILE_EDGES) - n}):
+            np.testing.assert_array_equal(
+                _tile_matmul(x[start:start + n], w), solo[start:start + n],
+                err_msg=f"{n} rows from row {start}")
+
+
 def test_helper_handles_no_rows_and_strided_rows(rng):
     w = WEIGHTS["ledger:w_down"]
     assert _tile_matmul(np.empty((0, 512)), w).shape == (0, 256)
@@ -158,9 +178,7 @@ def _plain_twins(model, backend, length, rng):
     return twins
 
 
-@pytest.mark.parametrize("n_sessions", sorted({
-    1, 2, _ROW_TILE - 1, _ROW_TILE, _ROW_TILE + 1, 2 * _ROW_TILE + 3, 9}
-    - {0}))
+@pytest.mark.parametrize("n_sessions", sorted({2, 3, *TILE_EDGES}))
 def test_batch_logits_equal_solo_logits(n_sessions, rng):
     model = Transformer(TINY, seed=7)
     backend = LongSightAttention(LS)
@@ -170,13 +188,28 @@ def test_batch_logits_equal_solo_logits(n_sessions, rng):
     _assert_batch_equals_solo(model, sessions)
 
 
-def test_ledger_geometry_batch_equals_solo(rng):
+#: Ledger contexts: short panels, the sparse span below and above
+#: ``n_sink + window + top_k`` (272), and a pooled row.
+LEDGER_CONTEXTS = (20, 150, 33, 400, 97, 64, 150, 271, 273, 145, 60, 200,
+                   272, 30, 144, 90)
+
+
+def _ledger_sessions(n_sessions, rng):
     model = Transformer(LEDGER, seed=0)
     backend = LongSightAttention(
         LongSightConfig(window=128, n_sink=16, top_k=128, thresholds=20))
-    sessions = [(_plain_twins(model, backend, length, rng), backend)
-                for length in (20, 150, 33, 400, 97, 64, 150)]
-    _assert_batch_equals_solo(model, sessions, steps=2)
+    return model, [(_plain_twins(model, backend, length, rng), backend)
+                   for length in LEDGER_CONTEXTS[:n_sessions]]
+
+
+def test_ledger_geometry_batch_equals_solo(rng):
+    _assert_batch_equals_solo(*_ledger_sessions(7, rng), steps=2)
+
+
+@pytest.mark.parametrize("n_sessions", [9, 16])
+def test_ledger_geometry_across_tiles(n_sessions, rng):
+    """One tile and a row, and two whole tiles, at the ledger's model."""
+    _assert_batch_equals_solo(*_ledger_sessions(n_sessions, rng), steps=2)
 
 
 def test_mixed_backends_in_one_batch(rng, stacked_calls):

@@ -32,7 +32,8 @@ from repro.core.hybrid import LongSightAttention
 from repro.core.itq import ItqRotations
 from repro.core.scf import pack_signs
 from repro.durable import DurableRun
-from repro.llm.kv_cache import KVCache, LayerKV
+from repro.errors import NonFiniteError
+from repro.llm.kv_cache import KVCache, LayerKV, append_rows
 from repro.llm.model import Transformer
 from repro.serve.engine import ServeEngine
 from repro.serve.paged_kv import PagedKVPool, block_rows
@@ -379,3 +380,113 @@ class TestRelease:
         assert pool.n_free == 3
         cache.free()
         assert pool.n_free == 8 and cache.freed and len(cache) == 0
+
+
+def _rotation_bank(seed):
+    bank = ItqRotations(TINY.n_layers, TINY.n_kv_heads, TINY.head_dim)
+    bank.matrices = np.linalg.qr(np.random.default_rng(seed).normal(
+        size=bank.matrices.shape))[0]
+    return bank
+
+
+class TestAppendRows:
+    """A decode step's K/V rows are one write per layer: the sessions of
+    one pool take theirs in one scatter per arena and one sign pack, and
+    every row is checked before any is written."""
+
+    def _stores(self, rng):
+        """Paged sessions of one pool (contiguous, interleaved, prefix-
+        attached, rotated, unsigned) and two private caches."""
+        pool = PagedKVPool(TINY, n_blocks=128, block_tokens=BT,
+                           prefix_caching=True)
+        bank = _rotation_bank(3)
+        prefix = np.arange(PREFIX)
+        publisher = pool.new_cache()
+        publisher.enable_sign_cache(bank)
+        _fill(publisher, rng, PREFIX)
+        publisher.publish_prefix(prefix)
+        caches = []
+        for n, signs in ((5, bank), (9, bank), (PREFIX + 2, bank),
+                         (7, None), (3, "off")):
+            cache = pool.new_cache()
+            if n > PREFIX:
+                assert cache.attach_prefix(prefix) == PREFIX
+            if signs != "off":
+                cache.enable_sign_cache(signs)
+            _fill(cache, rng, n - len(cache))
+            pool.new_cache().ensure_tokens(1)       # interleave the blocks
+            caches.append(cache)
+        for signs in (bank, None):
+            cache = KVCache(TINY)
+            cache.enable_sign_cache(signs)
+            _fill(cache, rng, 6)
+            caches.append(cache)
+        return pool, caches
+
+    def _reads(self, caches):
+        return [(len(kv), kv.signs_packed_total, kv.keys, kv.values,
+                 kv.packed_signs if kv.sign_cache_enabled else None)
+                for cache in caches for kv in cache.layers]
+
+    def test_one_write_equals_an_append_per_store(self, rng):
+        _, batched = self._stores(np.random.default_rng(5))
+        _, single = self._stores(np.random.default_rng(5))
+        for layer in range(TINY.n_layers):
+            k, v = rng.normal(size=(2, TINY.n_kv_heads, len(batched),
+                                    TINY.head_dim))
+            append_rows([c.layers[layer] for c in batched], k, v)
+            for i, cache in enumerate(single):
+                cache.append(layer, k[:, i:i + 1], v[:, i:i + 1])
+        for got, want in zip(self._reads(batched), self._reads(single)):
+            assert got[:2] == want[:2]
+            for a, b in zip(got[2:], want[2:]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_one_scatter_and_one_pack_per_pool(self, rng, monkeypatch):
+        import repro.llm.kv_cache as kv_cache
+
+        _, caches = self._stores(rng)
+        packs = []
+        pack = kv_cache.pack_signs
+        monkeypatch.setattr(kv_cache, "pack_signs",
+                            lambda keys: packs.append(keys.shape) or
+                            pack(keys))
+        k = rng.normal(size=(TINY.n_kv_heads, len(caches), TINY.head_dim))
+        append_rows([c.layers[0] for c in caches], k, -k)
+        # Four signed paged sessions in one pack; each private cache its
+        # own; the unsigned session packs nothing.
+        assert sorted(shape[1] for shape in packs) == [1, 1, 4]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_bad_row_rejects_the_whole_write(self, rng, bad):
+        pool, caches = self._stores(rng)
+        before = self._reads(caches)
+        free = pool.n_free
+        k = rng.normal(size=(TINY.n_kv_heads, len(caches), TINY.head_dim))
+        v = k.copy()
+        v[1, len(caches) - 1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            append_rows([c.layers[0] for c in caches], k, v)
+        assert pool.n_free == free
+        for got, want in zip(self._reads(caches), before):
+            assert got[:2] == want[:2]
+            for a, b in zip(got[2:], want[2:]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_decode_step_writes_once_per_layer(self, rng, monkeypatch):
+        import repro.llm.model as model_module
+
+        model = Transformer(TINY, seed=0)
+        pool = PagedKVPool(TINY, n_blocks=64, block_tokens=BT)
+        backend = LongSightAttention(LS)
+        caches = []
+        for n in (5, 17, 30):
+            caches.append(pool.new_cache())
+            model.prefill(rng.integers(0, TINY.vocab_size, size=n),
+                          caches[-1], backend=backend)
+        writes = []
+        monkeypatch.setattr(model_module, "append_rows",
+                            lambda stores, k, v: writes.append(len(stores))
+                            or append_rows(stores, k, v))
+        model.decode_step_batch([1, 2, 3], caches, backend)
+        assert writes == [3] * TINY.n_layers

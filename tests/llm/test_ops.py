@@ -28,6 +28,26 @@ class TestSoftmax:
         assert y[1] == 0.0
         np.testing.assert_allclose(y.sum(), 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_equal_the_formula_on_masked_rows(self, rng, dtype):
+        """Scores whose exponential underflows are set to 0, not computed:
+        the result keeps ``exp(x - max) / sum``'s bits, on rows masked
+        with -inf, scores far below the row's max, NaN and +inf."""
+        x = rng.normal(size=(6, 5, 300)) * np.array([1, 30, 300, 3000,
+                                                     1, 1])[:, None, None]
+        x[rng.random(x.shape) < 0.6] = -np.inf
+        x[..., 0] = 0.0
+        x[4, 0, 1], x[4, 1, 1], x[5] = np.nan, np.inf, -np.inf
+        x = x.astype(dtype)
+        with np.errstate(invalid="ignore"):
+            shifted = x - x.max(axis=-1, keepdims=True)
+            want = np.exp(shifted) / np.exp(shifted).sum(axis=-1,
+                                                          keepdims=True)
+            got = ops.softmax(x)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint8),
+                                      want.view(np.uint8))
+
     @given(hnp.arrays(np.float64, (3, 6), elements=finite_floats))
     @settings(max_examples=25, deadline=None)
     def test_log_softmax_consistent(self, x):

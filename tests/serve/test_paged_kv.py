@@ -246,10 +246,12 @@ class TestGatherParity:
         assert sorted(whole) == ["keys", "values"]
 
     def test_every_pooled_context_reads_in_place(self, rng, monkeypatch):
-        """Past ``n_sink + window`` (12) a decode row is panel ++ pool at
-        every context, also while its candidates fit ``top_k`` (contexts
-        13-18): no decode step asks a non-contiguous session for its whole
-        context, and each equals the plain cache bit for bit."""
+        """Past ``n_sink + window + top_k`` (18) a decode row is panel ++
+        pool at every context: no such step asks a non-contiguous session
+        for its whole context.  At contexts 13-18 the row's masked panel
+        is its first ``n`` keys and values — that context, no more — and
+        its signs are still read by range.  Each equals the plain cache
+        bit for bit."""
         from repro.core.config import LongSightConfig
         from repro.core.hybrid import LongSightAttention
         from repro.serve.paged_kv import PagedLayerKV
@@ -276,11 +278,11 @@ class TestGatherParity:
             k, v = _kv(rng, 1)
             for cache in (paged, plain):
                 cache.append(0, k, v)
-            assert backend._pooled(n_ctx)
+            assert backend._pooled(n_ctx) == (n_ctx > 18)
             whole.clear()
             q = rng.normal(size=(TINY.n_q_heads, 1, TINY.head_dim))
             out = backend.forward_cached_batch(0, [q, q], [paged, plain])
-            assert whole == []
+            assert whole == ([] if n_ctx > 18 else ["keys", "values"] * 2)
             np.testing.assert_array_equal(out[0], out[1])
         assert not paged.contiguous
 
