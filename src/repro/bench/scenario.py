@@ -189,11 +189,11 @@ def _private_obs() -> Obs:
     return Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
 
 
-def _timing(scenario: Scenario, obs: Obs) -> AnalyticTiming:
+def _timing(scenario: Scenario) -> AnalyticTiming:
     topology = scenario.topology
     return AnalyticTiming(
         default_systems()[topology.system], CHARGED_MODEL,
-        prefill=PrefillModel() if topology.charge_prefill else None, obs=obs)
+        prefill=PrefillModel() if topology.charge_prefill else None)
 
 
 def _policy(scenario: Scenario) -> SloPolicy:
@@ -218,7 +218,7 @@ def build_engine(scenario: Scenario,
     return ServeEngine(tiny_model(scenario.model_seed), pool,
                        _backends(scenario),
                        policy=_policy(scenario),
-                       timing=_timing(scenario, obs), name=topology.system,
+                       timing=_timing(scenario), name=topology.system,
                        obs=obs)
 
 
@@ -231,7 +231,7 @@ def build_fleet(scenario: Scenario,
         make_worker(wid, tiny_model(scenario.model_seed), _backends(scenario),
                     n_blocks=topology.n_blocks, block_tokens=BLOCK_TOKENS,
                     policy=_policy(scenario),
-                    timing_factory=lambda obs: _timing(scenario, obs),
+                    timing_factory=lambda obs: _timing(scenario),
                     durable_root=durable_root)
         for wid in range(topology.workers)]
     return FleetRouter(workers, obs=_private_obs(),

@@ -98,6 +98,18 @@ class LongSightConfig:
             raise ValueError(f"thresholds of shape {shape} do not broadcast "
                              f"to {axes} = {want}")
 
+    def check_arrays(self, q, k, v) -> None:
+        """A stateless forward's arrays: keys and values of one shape, no
+        more query rows than context rows (the queries are the context's
+        last rows), and :meth:`check_heads` over their head counts."""
+        if k.shape != v.shape:
+            raise ValueError(f"keys of shape {k.shape} and values of shape "
+                             f"{v.shape} differ")
+        if q.shape[1] > k.shape[1]:
+            raise ValueError(f"{q.shape[1]} query rows exceed the "
+                             f"{k.shape[1]} context rows")
+        self.check_heads(q.shape[0], k.shape[0])
+
     def threshold_for(self, layer: int, kv_head, q_head=None):
         """Resolve the SCF threshold of one (layer, head), or one per head
         for index arrays of heads, by broadcasting: an axis of length 1

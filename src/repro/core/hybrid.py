@@ -189,35 +189,24 @@ from repro.llm.ops import softmax
 _SLAB_ELEMS = 1 << 20
 
 
-#: Filter-ratio histogram edges: log-spaced 1x..1000x savings.
-_RATIO_EDGES = tuple(float(e) for e in np.geomspace(1.0, 1000.0, 31))
-
-
 def _record_split(metrics, queries: int, dense_accesses, candidates, passed,
                   selected) -> None:
-    """Record the dense-window vs. sparse-topk access split of forwards.
+    """Count the dense-window vs. sparse-topk access split of forwards.
 
     One value per forward — a prefill block, or each session of a decode
-    call (arrays) — and ``queries`` per forward.  ``filter_ratio`` follows
-    the paper's definition over the sparse region (see
+    call (arrays) — and ``queries`` per forward.  The ledger computes the
+    paper's filter ratio over the sparse region from these sums (see
     :mod:`repro.core.metrics`): dense baseline accesses ``2N`` vs.
-    ``N_pass + 2 k_ret`` after filtering — one histogram sample per
-    instrumented forward ("per step" at decode time).
+    ``N_pass + 2 k_ret`` after filtering.
     """
     dense_accesses, candidates, passed, selected = (
         np.atleast_1d(x).tolist()
         for x in (dense_accesses, candidates, passed, selected))
-    metrics.counter("attention.forwards").inc(len(candidates))
     metrics.counter("attention.queries").inc(queries * len(candidates))
     metrics.counter("attention.dense.accesses").inc(sum(dense_accesses))
     metrics.counter("attention.sparse.candidates").inc(sum(candidates))
     metrics.counter("attention.sparse.passed").inc(sum(passed))
     metrics.counter("attention.sparse.selected").inc(sum(selected))
-    for n_cand, n_pass, n_sel in zip(candidates, passed, selected):
-        if n_cand:
-            metrics.histogram("attention.filter_ratio", edges=_RATIO_EDGES
-                              ).observe(2.0 * n_cand
-                                        / max(n_pass + 2.0 * n_sel, 1e-12))
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -781,8 +770,9 @@ class LongSightAttention(AttentionBackend):
     def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
         """Stateless forward: :meth:`forward_cached` over the arrays,
-        once the thresholds are checked against their head counts."""
-        self.config.check_heads(q.shape[0], k.shape[0])
+        once their shapes and the thresholds' head axis are checked
+        (:meth:`LongSightConfig.check_arrays`)."""
+        self.config.check_arrays(q, k, v)
         return self.forward_cached(layer, q, _ArrayCache(layer, k, v))
 
     # -- the prefill kernel ---------------------------------------------------

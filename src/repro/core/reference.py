@@ -70,9 +70,9 @@ class ReferenceAttention(AttentionBackend):
     def forward(self, layer: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
         cfg = self.config
+        cfg.check_arrays(q, k, v)
         n_q_heads, n_new, head_dim = q.shape
         n_kv_heads, n_ctx, _ = k.shape
-        cfg.check_heads(n_q_heads, n_kv_heads)
         group = n_q_heads // n_kv_heads
         scale = 1.0 / np.sqrt(head_dim)
         q_positions = np.arange(n_ctx - n_new, n_ctx)

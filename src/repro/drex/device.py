@@ -37,11 +37,6 @@ from repro.drex.timing import DrexTimingModel, OffloadCost
 from repro.errors import OffloadTimeoutError, QueueFullError
 from repro.faults import (CXL_DEGRADATION_FACTOR, KSO_BITS_FLIPPED,
                           NMA_STALL_NS, FaultInjector, FaultPlan)
-from repro.obs import Obs, resolve_obs
-
-
-#: Offload-latency histogram edges: log-spaced 100 ns .. 100 ms.
-_LATENCY_NS_EDGES = tuple(float(e) for e in np.geomspace(1e2, 1e8, 61))
 
 
 class DrexDevice:
@@ -61,7 +56,6 @@ class DrexDevice:
                  timings: LpddrTimings = LPDDR5X,
                  timing_model: Optional[DrexTimingModel] = None,
                  dtype_bytes: int = 2,
-                 obs: Optional[Obs] = None,
                  plan: Optional[FaultPlan] = None) -> None:
         if n_q_heads % n_kv_heads != 0:
             raise ValueError("n_q_heads must be a multiple of n_kv_heads")
@@ -75,7 +69,6 @@ class DrexDevice:
         self.dcc = DrexCxlController()
         self.timing = timing_model or DrexTimingModel(geometry, timings)
         self.dtype_bytes = dtype_bytes
-        self.obs = resolve_obs(obs)
         self.injector = FaultInjector(plan or FaultPlan.none())
         #: (uid, layer, kv_head) -> flat sign-bit positions (key index x
         #: head_dim + dimension) flipped since the last repack.
@@ -206,17 +199,6 @@ class DrexDevice:
                                               self.dtype_bytes)
         latency.queue_ns += self.timing.request_submit_ns(
             n_q_heads * n_tokens, self.head_dim, self.dtype_bytes)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            # Per-stage modeled latency attribution: where an offload's
-            # nanoseconds go (address gen / filter / bitmap / score / rank
-            # / CXL value read / queueing), summed across offloads.
-            metrics.counter("drex.offloads").inc()
-            for stage, ns in latency.components().items():
-                metrics.counter(f"drex.latency.{stage}_ns").inc(ns)
-            metrics.histogram("drex.offload_total_ns",
-                              edges=_LATENCY_NS_EDGES).observe(
-                                  latency.total_ns)
         return ResponseDescriptor(
             uid=request.uid, layer=request.layer,
             n_entries=sum(c.n_retrieved * c.n_query_heads for c in costs),

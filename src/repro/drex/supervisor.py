@@ -30,7 +30,6 @@ from typing import Optional, Tuple
 from repro.drex.descriptors import RequestDescriptor, ResponseDescriptor
 from repro.errors import CorruptedKsoError, OffloadTimeoutError, QueueFullError
 from repro.faults import site_rng
-from repro.obs import Obs, resolve_obs
 
 
 #: Additional attempts after an offload's first failure.
@@ -68,17 +67,9 @@ class SupervisorStats:
 class OffloadSupervisor:
     """Retry / verify / repair / degrade wrapper around one device."""
 
-    def __init__(self, device, obs: Optional[Obs] = None) -> None:
+    def __init__(self, device) -> None:
         self.device = device
         self.stats = SupervisorStats()
-        self.obs = resolve_obs(obs)
-
-    def _count(self, name: str, amount=1) -> None:
-        """Add to a :class:`SupervisorStats` field and its counter."""
-        setattr(self.stats, name, getattr(self.stats, name) + amount)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter("offload." + name).inc(amount)
 
     # -- internals ---------------------------------------------------------------
 
@@ -87,10 +78,10 @@ class OffloadSupervisor:
         bad = self.device.corrupted_ksos(request.uid, request.layer)
         if not bad:
             return
-        self._count("corrupted_heads", len(bad))
+        self.stats.corrupted_heads += len(bad)
         for kv_head in bad:
             self.device.repack_kso(request.uid, request.layer, kv_head)
-        self._count("repairs", len(bad))
+        self.stats.repairs += len(bad)
         raise CorruptedKsoError(
             f"KSO checksum failed for uid={request.uid} "
             f"layer={request.layer} kv_heads={bad} "
@@ -128,26 +119,26 @@ class OffloadSupervisor:
         backoff_total = 0.0
         for attempt in range(MAX_RETRIES + 1):
             site = (request.layer, request.position, attempt)
-            self._count("attempts")
+            self.stats.attempts += 1
             try:
                 response = self._attempt(request, site)
             except OffloadTimeoutError:
-                self._count("timeouts")  # injected stall or budget overrun
+                self.stats.timeouts += 1  # injected stall or budget overrun
             except QueueFullError:
-                self._count("queue_full")
+                self.stats.queue_full += 1
             except CorruptedKsoError:
                 pass  # counted (and repaired) in _check_kso
             else:
-                self._count("succeeded")
+                self.stats.succeeded += 1
                 if backoff_total > 0.0 and response.latency is not None:
                     response.latency.queue_ns += backoff_total
                 return response
             if attempt < MAX_RETRIES:
-                self._count("retries")
+                self.stats.retries += 1
                 delay = self._backoff(attempt, site)
                 backoff_total += delay
-                self._count("backoff_ns", delay)
-        self._count("degraded")
+                self.stats.backoff_ns += delay
+        self.stats.degraded += 1
         return None
 
     def flush_allowed(self, layer: int, position: int) -> bool:
@@ -159,6 +150,6 @@ class OffloadSupervisor:
         """
         if self.device.injector.fires("capacity_pressure",
                                       (layer, position)):
-            self._count("flush_deferrals")
+            self.stats.flush_deferrals += 1
             return False
         return True

@@ -22,8 +22,9 @@ Layout:
   simulated stalls of a :class:`~repro.faults.GrayFailurePlan`);
 - :mod:`repro.fleet.report` — :class:`FleetReport` (the folds of the
   fleet's one record stream, the workers' own
-  :class:`~repro.serve.events.ServeReport` and their merged
-  :class:`~repro.obs.MetricsRegistry`).
+  :class:`~repro.serve.events.ServeReport`, their merged
+  :class:`~repro.obs.MetricsRegistry` — each worker's ``serve.steps`` —
+  and pool counters).
 """
 
 from repro.fleet.report import FleetReport

@@ -5,7 +5,7 @@
 each request once, with its latest events; clocks by max; SLO
 percentiles exactly over the pooled events.  At run end the router adds
 what no record carries: the workers' own reports, their merged
-registries (``fleet.*`` counters are on the router's) and pool counters.
+registries (each worker's ``serve.steps``) and pool counters.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class FleetReport:
     peak_decode_batch: int = 0
     # -- added at run end -----------------------------------------------------
     workers: List[ServeReport] = dataclasses.field(default_factory=list)
-    #: associative reduction of every worker's private registry (worker
-    #: facts only: ``fleet.*`` counters are on the router's registry).
+    #: associative reduction of every worker's private registry
+    #: (``serve.steps``; ``fleet.dispatched`` is on the router's).
     metrics: MetricsRegistry = dataclasses.field(
         default_factory=lambda: MetricsRegistry(enabled=True))
     prefix_hits: int = 0

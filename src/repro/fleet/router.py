@@ -115,9 +115,10 @@ def make_worker(worker_id: int, model: Transformer, backend_factory,
     """Build a worker with its own prefix-cached pool and metrics registry.
 
     Every worker gets a private enabled :class:`MetricsRegistry` (tracing
-    off) so per-worker counters merge associatively into the fleet report;
-    ``timing_factory`` receives that bundle so analytic timing attribution
-    lands in the owning worker's registry.
+    off) so its ``serve.steps`` merge associatively into the fleet
+    report.  ``timing_factory`` is called with that bundle, which no
+    timing model reads: the ledger's ``perf/workloads.py`` passes a
+    one-argument factory (ROADMAP item 7(c) drops the argument).
 
     With ``durable_root`` set, the worker serves durably out of
     ``durable_root/worker<id>`` (snapshots + WAL) and carries an engine
@@ -144,8 +145,8 @@ class FleetLog(RecordLog):
     """The fleet's one record stream: the router's records and every
     worker's, tagged; ``report`` folds each record as it is written."""
 
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        super().__init__(metrics)
+    def __init__(self) -> None:
+        super().__init__()
         self.report = FleetReport()
 
     def append(self, record: Record) -> None:
@@ -161,11 +162,10 @@ class FleetRouter:
             and backend family, or prefix sharing would not be valid).
         max_migrations: per-request capacity-migration budget; a
             preempted request over budget stays requeued on its source.
-        obs: router-level bundle for fleet counters (``fleet.dispatched``,
-            and every ``fleet.*`` family sunk from the router's
-            ``migrate`` / ``failover`` / ``restore`` / ``health``
-            records); worker metrics live in each worker's own registry,
-            which holds worker facts only.
+        obs: router-level bundle; its registry counts
+            ``fleet.dispatched``.  Worker counters live in each worker's
+            own registry; every other fleet fact is a record of the
+            fleet's stream, folded by :class:`FleetReport`.
         max_steps: hard bound on router iterations across the run.
         gray_plans: per-worker :class:`GrayFailurePlan` schedules, read
             by the guarded step so their simulated stalls drive the real
@@ -209,7 +209,7 @@ class FleetRouter:
 
     def _begin(self) -> None:
         """A fresh record stream, monitor and recovery list."""
-        self.log = FleetLog(self.obs.metrics)
+        self.log = FleetLog()
         #: the records of the last iteration, in stream order.
         self.records: List[Record] = []
         self.monitor = HealthMonitor(self.log, self.health_policy)
@@ -293,8 +293,8 @@ class FleetRouter:
         self._affinity.clear()
         report = self.log.report
         report.workers = [w.run.finish() for w in self.workers]
-        # Worker registries hold worker facts; every fleet.* counter is
-        # in the router's bundle (which may be the process default).
+        # Worker registries hold worker counters; ``fleet.dispatched``
+        # is in the router's bundle (which may be the process default).
         for worker in self.workers:
             report.metrics.merge(worker.obs.metrics)
             report.prefix_hits += worker.pool.prefix_hits
@@ -308,11 +308,7 @@ class FleetRouter:
         worker = self._place(request)
         if request.session is not None:
             self._affinity[request.session] = worker
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter("fleet.dispatched").inc()
-            metrics.counter(
-                f"fleet.worker{worker.worker_id}.dispatched").inc()
+        self.obs.metrics.counter("fleet.dispatched").inc()
         worker.run.inject(request)
         self._carry(worker)
 

@@ -1,19 +1,19 @@
-"""Observability layer: metrics registry, tracing spans, profiling hooks.
+"""Observability layer: a counter registry and tracing spans.
 
 ``repro.obs`` is the measurement substrate the rest of the system reports
-into — attention backends (dense/sparse access split, per-step filter
-ratio), the offload supervisor (retries / repairs / degradations), the
-DReX device and analytic timing models (per-stage modeled latency
-attribution), and the serve engine (queue depth, batch size, preemptions,
-shed causes, TTFT/TPOT distributions).
+into.  The registry keeps the seven counters the wall-clock ledger
+(``perf/``) reads — the attention backends' dense/sparse access split,
+the engine's ``serve.steps`` and the router's ``fleet.dispatched``; see
+:mod:`repro.obs.metrics`.  Every other fact is counted once, in the
+record stream's folds and the components' own stats.
 
 Instrumented components take an optional :class:`Obs` bundle (a metrics
 registry plus a tracer); passing ``None`` binds them to the process-global
-default, which ships with metrics **enabled** (bounded memory: counters,
-gauges, fixed-bucket histograms) and tracing **disabled** (span storage
-grows with work, so traces are opt-in per run).  ``NULL_OBS`` disables
-everything at the cost of a branch per hook — the overhead-regression
-test pins that mode below 5% of a decode microloop.
+default, which ships with metrics **enabled** (bounded memory: seven
+counters) and tracing **disabled** (span storage grows with work, so
+traces are opt-in per run).  ``NULL_OBS`` disables everything at the cost
+of a branch per hook — the overhead-regression test pins that mode below
+5% of a decode microloop.
 
 See DESIGN.md ("Observability") for the span taxonomy and metric names.
 """
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM,
+from repro.obs.metrics import (Counter, MetricsRegistry, NULL_COUNTER,
                                exact_percentile)
 from repro.obs.trace import Span, Tracer
 
@@ -53,7 +52,6 @@ def resolve_obs(obs: Optional[Obs]) -> Obs:
 
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "Obs", "Span",
-    "Tracer", "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM", "NULL_OBS",
-    "exact_percentile", "resolve_obs",
+    "Counter", "MetricsRegistry", "Obs", "Span", "Tracer", "NULL_COUNTER",
+    "NULL_OBS", "exact_percentile", "resolve_obs",
 ]

@@ -14,7 +14,7 @@ Layout:
 - :mod:`repro.serve.scheduler` — request lifecycle, admission, preemption;
 - :mod:`repro.serve.engine` — the step loop, analytic/measured clocks;
 - :mod:`repro.serve.events` — the record stream, its folds (per-request
-  events, counters) and ServeReport;
+  events, per-kind counts) and ServeReport;
 - :mod:`repro.serve.workload` — the compared systems and their backends
   (traces are :mod:`repro.bench.scenario` specs).
 """

@@ -62,10 +62,6 @@ from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import (ContinuousBatchScheduler, RequestState,
                                    ServeRequest, SloPolicy, StepPlan)
 
-#: Decode-batch-size histogram edges: one bucket per batch size up to 256.
-_BATCH_EDGES = tuple(float(x) for x in range(1, 257))
-
-
 class TimingModel(Protocol):
     """Maps one engine step's work to seconds of serving time."""
 
@@ -89,24 +85,12 @@ class AnalyticTiming:
             given, a prefill chunk costs the *incremental* prefill latency
             between its start and end context (``None`` charges prefill
             nothing).
-        obs: observability bundle; the modeled seconds of every decode
-            step and prefill chunk are attributed into
-            ``timing.decode_step_s`` / ``timing.prefill_chunk_s``.
     """
 
-    def __init__(self, system, model_config, prefill=None,
-                 obs: Optional[Obs] = None) -> None:
+    def __init__(self, system, model_config, prefill=None) -> None:
         self.system = system
         self.model_config = model_config
         self.prefill = prefill
-        self.obs = resolve_obs(obs)
-
-    def _attribute(self, stage: str, seconds: float) -> None:
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter(f"timing.{stage}s").inc()
-            metrics.counter(f"timing.{stage}_total_s").inc(seconds)
-            metrics.histogram(f"timing.{stage}_s").observe(seconds)
 
     def admits(self, contexts: Sequence[int]) -> bool:
         """Does the modeled system hold sessions of these charged contexts?"""
@@ -115,10 +99,8 @@ class AnalyticTiming:
     def decode_step_s(self, contexts, degraded=None) -> float:
         if not contexts:
             return 0.0
-        step = self.system.step_latency_s(self.model_config, contexts,
+        return self.system.step_latency_s(self.model_config, contexts,
                                           degraded)
-        self._attribute("decode_step", step)
-        return step
 
     def prefill_chunk_s(self, context_before: int, context_after: int) -> float:
         if self.prefill is None or context_after <= context_before:
@@ -127,13 +109,10 @@ class AnalyticTiming:
         after = self.prefill.prefill(self.model_config, context_after,
                                      ls=ls).total_s
         if context_before <= 0:
-            chunk = after
-        else:
-            before = self.prefill.prefill(self.model_config, context_before,
-                                          ls=ls).total_s
-            chunk = max(0.0, after - before)
-        self._attribute("prefill_chunk", chunk)
-        return chunk
+            return after
+        before = self.prefill.prefill(self.model_config, context_before,
+                                      ls=ls).total_s
+        return max(0.0, after - before)
 
 
 class ServeEngine:
@@ -148,9 +127,8 @@ class ServeEngine:
         policy: scheduling knobs (:class:`SloPolicy`).
         timing: step-time model; ``None`` measures wall-clock numpy time.
         name: label for the report (e.g. the system being modeled).
-        obs: observability bundle shared with the scheduler.  Metrics
-            (queue depth, batch sizes, shed causes, TTFT/TPOT) always
-            record when the registry is enabled; spans
+        obs: observability bundle.  ``serve.steps`` (engine steps that
+            ran work) counts when its registry is enabled; spans
             (``serve.run`` > ``engine.step`` > ``prefill_chunk`` /
             ``decode_batch``) record when the bundle's tracer is enabled.
             Instrumentation never changes served tokens.
@@ -386,7 +364,7 @@ class EngineRun:
                  requests: Sequence[ServeRequest]) -> None:
         self.engine = engine
         self.scheduler = ContinuousBatchScheduler(
-            engine.pool, engine.policy, obs=engine.obs,
+            engine.pool, engine.policy,
             admits=getattr(engine.timing, "admits", None))
         self._arrivals = sorted(requests,
                                 key=lambda r: (r.arrival_s, r.request_id))
@@ -472,6 +450,8 @@ class EngineRun:
         self.steps += 1
         alive, batch = self._iterate()
         self.log.emit("step", step=self.steps, clock=self.clock, batch=batch)
+        if batch is not None:
+            self.engine.obs.metrics.counter("serve.steps").inc()
         self.records = self.log.drain()
         return alive
 
@@ -480,7 +460,6 @@ class EngineRun:
         batch ``None`` when no work ran."""
         engine = self.engine
         scheduler = self.scheduler
-        metrics = engine.obs.metrics
         tracer = engine.obs.tracer
 
         while self._next_arrival < len(self._arrivals) \
@@ -504,12 +483,6 @@ class EngineRun:
         with tracer.span("engine.step"):
             step_s, emitted = engine._execute(self, plan)
         batch = len(plan.decodes)
-        if metrics.enabled:
-            metrics.histogram("serve.decode_batch",
-                              edges=_BATCH_EDGES).observe(batch)
-            metrics.gauge("serve.queue_depth").set(len(scheduler.queued))
-            metrics.gauge("serve.running_sessions").set(
-                len(scheduler.running))
         if step_s == 0.0 and not emitted:
             # Every runnable session is waiting out its overlapped
             # prefill charge; jump the clock to the first readiness.

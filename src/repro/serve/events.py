@@ -9,10 +9,10 @@ and its health monitor ``health`` there, one per verdict change or
 counted strike.
 :meth:`RecordLog.emit` folds each record into the request's
 :class:`RequestEvents` and the log's per-kind ``counts`` (the run totals
-of a :class:`ServeReport`), and
-sinks it into the ``serve.*`` / ``fleet.*`` counters; a durable run also
-writes it to its WAL.  Times are in the run's clock (analytic seconds by
-default, wall seconds in the engine's measured mode).
+of a :class:`ServeReport`); a durable run also writes it to its WAL.
+These folds are each fact's one account: no registry counter mirrors
+them.  Times are in the run's clock (analytic seconds by default, wall
+seconds in the engine's measured mode).
 
 :class:`ServeReport` reduces the events to the metrics a serving SLO is
 written against: exact TTFT and TPOT percentiles
@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.obs import MetricsRegistry, exact_percentile
+from repro.obs import exact_percentile
 
 RECORD_KINDS = ("inject", "admit", "reject", "token", "preempt", "pin",
                 "brownout", "migrate", "depart", "finish", "step",
@@ -114,56 +114,12 @@ def _bump(counts: dict, key) -> None:
     counts[key] = counts.get(key, 0) + 1
 
 
-#: counters of the kinds whose counters do not depend on the fields.
-_COUNTERS = {"preempt": ["serve.preemptions"],
-             "pin": ["serve.shed.degraded_pin"],
-             "brownout": ["serve.brownout.transitions"]}
-
-
-def _counters(record: Record) -> List[str]:
-    """The ``serve.*`` / ``fleet.*`` counters ``record`` increments."""
-    kind, data = record.kind, record.data
-    if kind == "token":
-        names = ["serve.tokens"]
-        if data["degraded"]:
-            names.append("serve.degraded_tokens")
-        if data["level"]:
-            names += ["serve.brownout.stage_tokens",
-                      f"serve.brownout.stage{data['level']}_tokens"]
-        return names
-    if kind == "step":
-        return ["serve.steps"] * (data["batch"] is not None)
-    if kind == "admit":
-        return [f"serve.tenant.{record.request.tenant}.admitted"]
-    if kind == "reject":
-        return ["serve.rejected", f"serve.shed.{data['cause']}"]
-    if kind == "migrate":
-        return ["fleet.migrations" if data["reason"] == "capacity"
-                else "fleet.failover_sessions"]
-    if kind == "failover":
-        return ["fleet.failovers", f"fleet.worker{data['worker']}.failovers",
-                "fleet.failover_recovered" if data["recovered"]
-                else "fleet.failover_recomputed"]
-    if kind == "restore":
-        return ["fleet.worker_restores",
-                f"fleet.worker{data['worker']}.restores"]
-    if kind == "health":
-        names = []
-        if data["state"] == "suspect" != data["before"]:
-            names.append("fleet.worker_suspect")
-        if data["observed_s"] > data["deadline_s"]:
-            names.append("fleet.step_deadline_miss")
-        return names
-    return _COUNTERS.get(kind, [])
-
-
 class RecordLog:
     """A run's record stream: ``records`` emitted since the last
     :meth:`drain`, and ``counts``, the computed (non-input) records per
     kind."""
 
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self.metrics = metrics
+    def __init__(self) -> None:
         self.records: List[Record] = []
         self.counts: Dict[str, int] = {}
 
@@ -174,17 +130,11 @@ class RecordLog:
         record = Record(kind, request, data)
         if request is not None:
             request.events.apply(record)
-        if self.metrics.enabled:
-            for name in _counters(record):
-                self.metrics.counter(name).inc()
-            if kind == "failover":
-                self.metrics.histogram("fleet.failover_latency_s").observe(
-                    data["latency_s"])
         self.append(record)
 
     def append(self, record: Record) -> None:
-        """Add a record already folded into its request and sunk (by
-        :meth:`emit`, or a worker's log for a fleet's stream)."""
+        """Add a record already folded into its request (by :meth:`emit`,
+        or a worker's log for a fleet's stream)."""
         self.records.append(record)
         if record.kind not in INPUT_KINDS:
             _bump(self.counts, record.kind)

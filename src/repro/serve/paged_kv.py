@@ -64,7 +64,7 @@ from repro.core.itq import ItqRotations
 from repro.errors import PoolExhaustedError
 from repro.llm.config import ModelConfig
 from repro.llm.kv_cache import KVCache, SessionLayerKV, new_arenas
-from repro.obs import Obs, resolve_obs
+from repro.obs import Obs
 
 
 @dataclasses.dataclass
@@ -100,8 +100,8 @@ class PagedKVPool:
         block_tokens: token slots per block.
         prefix_caching: share content-identical full prompt blocks across
             sessions via refcounts (see module docstring for validity).
-        obs: optional observability bundle; prefix hit/miss counters and
-            the shared-block gauge report through it.
+        obs: unread; kept because the ledger's ``perf/workloads.py``
+            passes it (ROADMAP item 7(c) deletes it).
 
     The arenas' address space is reserved at construction and each
     block's pages are committed on its first write, so resident memory
@@ -121,7 +121,6 @@ class PagedKVPool:
         self.n_blocks = n_blocks
         self.block_tokens = block_tokens
         self.prefix_caching = prefix_caching
-        self.obs = resolve_obs(obs)
         self.sign_nbytes = (config.head_dim + 7) // 8
         #: per-layer arenas; indexed [layer][kv_head, arena_row, dim]
         self.k_arenas, self.v_arenas, self.sign_arenas = zip(*(
@@ -205,12 +204,6 @@ class PagedKVPool:
     def shared_blocks(self) -> int:
         """Distinct blocks currently registered in the prefix index."""
         return len(self._prefix_index)
-
-    def _note_shared_blocks(self) -> None:
-        n = len(self._prefix_index)
-        if n > self.shared_blocks_peak:
-            self.shared_blocks_peak = n
-        self.obs.metrics.gauge("serve.prefix.shared_blocks").set(n)
 
     def indexed_prefix(self, tokens: Sequence[int]) -> List[_PrefixEntry]:
         """Index entries of the longest indexed prefix of this prompt.
@@ -345,10 +338,8 @@ class PagedKVCache(KVCache):
         bt = pool.block_tokens
         if hits:
             pool.prefix_hits += hits
-            pool.obs.metrics.counter("serve.prefix.hit").inc(hits)
         if hits < len(tokens) // bt:
             pool.prefix_misses += 1
-            pool.obs.metrics.counter("serve.prefix.miss").inc()
         if not hits:
             return 0
         signed_run = 0
@@ -362,7 +353,6 @@ class PagedKVCache(KVCache):
         self._prefix_digest = entries[-1].key
         self._published_tokens = attached
         self.prefix_signed_tokens = signed_run * bt
-        pool._note_shared_blocks()
         return attached
 
     def publish_prefix(self, tokens: Sequence[int]) -> int:
@@ -394,8 +384,8 @@ class PagedKVCache(KVCache):
                 registered += 1
             self._prefix_digest = digest
             self._published_tokens = start + bt
-        if registered:
-            pool._note_shared_blocks()
+        pool.shared_blocks_peak = max(pool.shared_blocks_peak,
+                                      len(pool._prefix_index))
         return registered
 
     # -- what the prefix index adds to the KVCache lifecycle -----------------
@@ -437,7 +427,6 @@ class PagedKVCache(KVCache):
                     to_release.append(block)
             pool.release(to_release)
             self._entry_by_block = {}
-            pool._note_shared_blocks()
         else:
             pool.release(self._blocks)
         self._blocks = []

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import Obs, resolve_obs
 from repro.serve.events import RecordLog, RequestEvents
 from repro.serve.paged_kv import PagedKVPool
 
@@ -309,12 +308,10 @@ class ContinuousBatchScheduler:
 
     def __init__(self, pool: PagedKVPool,
                  policy: Optional[SloPolicy] = None,
-                 obs: Optional[Obs] = None,
                  admits: Optional[Callable[[List[int]], bool]] = None
                  ) -> None:
         self.pool = pool
         self.policy = policy or SloPolicy()
-        self.obs = resolve_obs(obs)
         #: per-tenant FIFO queues (arrival order, id tie-break).
         self._queues: Dict[str, List[ServeRequest]] = {}
         #: stride-scheduling virtual time per tenant.
@@ -327,7 +324,7 @@ class ContinuousBatchScheduler:
         #: system's HBM / DReX budget); ``None`` admits on pool blocks only.
         self.admits = admits
         #: the run's record stream (the engine run writes to it too).
-        self.log = RecordLog(self.obs.metrics)
+        self.log = RecordLog()
 
     # -- submission -----------------------------------------------------------
 
@@ -516,9 +513,6 @@ class ContinuousBatchScheduler:
         if stage != self.brownout_stage:
             self.brownout_stage = stage
             self.log.emit("brownout", stage=stage)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.gauge("serve.brownout.stage").set(stage)
         if stage >= 4:
             cap = policy.shed_to_depth if policy.shed_to_depth is not None \
                 else policy.queue_high[-1]

@@ -247,3 +247,20 @@ def test_stateless_forward_checks_the_head_axis(rng, kernel):
                config.replace(thresholds=[1, 9, 30, 4],
                               per_q_head_thresholds=True)):
         assert np.isfinite(kernel(ok).forward(2, q, k, v)).all()
+
+
+@pytest.mark.parametrize("kernel", [LongSightAttention, ReferenceAttention])
+@pytest.mark.parametrize("n_q, n_v", [(40, 30), (50, 40)],
+                         ids=["values_shorter_than_keys",
+                              "more_queries_than_context"])
+def test_stateless_forward_checks_the_array_shapes(rng, kernel, n_q, n_v):
+    """Values shorter than the keys (the prefill band would read past
+    them) and more query rows than context rows (those rows would see no
+    key and come out NaN) are a ``ValueError`` on both kernels, raised
+    before any row is served."""
+    config = LongSightConfig(window=8, n_sink=4, top_k=12, thresholds=3)
+    q = rng.normal(size=(4, n_q, 8))
+    k = rng.normal(size=(2, 40, 8))
+    v = rng.normal(size=(2, n_v, 8))
+    with pytest.raises(ValueError, match="values of shape|query rows"):
+        kernel(config).forward(2, q, k, v)

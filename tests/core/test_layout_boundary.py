@@ -63,7 +63,7 @@ def _measured(cls, config, q, cache):
         backend.survivor_capture = []
     out = backend.forward_cached(0, q, cache)
     return (out, backend.selection_capture, backend.stats,
-            backend.obs.metrics.snapshot()["counters"],
+            backend.obs.metrics.snapshot(),
             getattr(backend, "survivor_capture", None))
 
 
@@ -74,7 +74,7 @@ def _summary(stats, counters, survivors) -> tuple:
                                       "queries")
                   for x in getattr(stats, name)[0]),
             tuple(int(counters.get(f"attention.{name}", 0)) for name in (
-                "forwards", "queries", "dense.accesses",
+                "queries", "dense.accesses",
                 "sparse.candidates", "sparse.passed", "sparse.selected")),
             tuple((h0, int(passes.sum()), int(union.sum()))
                   for h0, passes, union in survivors))
@@ -84,183 +84,183 @@ def _summary(stats, counters, survivors) -> tuple:
 PINNED = {
     (0, 20, "decode"): (
         (0, 0, 0, 0, 0, 0, 0, 0),
-        (1, 4, 80, 0, 0, 0),
+        (4, 80, 0, 0, 0),
         ()),
     (0, 20, "tail"): (
         (0, 0, 0, 0, 0, 0, 0, 0),
-        (1, 16, 296, 0, 0, 0),
+        (16, 296, 0, 0, 0),
         ()),
     (0, 20, "block"): (
         (0, 0, 0, 0, 0, 0, 0, 0),
-        (1, 80, 840, 0, 0, 0),
+        (80, 840, 0, 0, 0),
         ()),
     (0, 21, "decode"): (
         (2, 2, 2, 2, 2, 2, 2, 2),
-        (1, 4, 80, 4, 4, 4),
+        (4, 80, 4, 4, 4),
         ((0, 2, 1), (2, 2, 1))),
     (0, 21, "tail"): (
         (2, 2, 2, 2, 2, 2, 8, 8),
-        (1, 16, 308, 4, 4, 4),
+        (16, 308, 4, 4, 4),
         ((0, 2, 1), (2, 2, 1))),
     (0, 21, "block"): (
         (2, 2, 2, 2, 2, 2, 42, 42),
-        (1, 84, 920, 4, 4, 4),
+        (84, 920, 4, 4, 4),
         ((0, 2, 1), (2, 2, 1))),
     (0, 27, "decode"): (
         (14, 14, 14, 14, 14, 14, 2, 2),
-        (1, 4, 80, 28, 28, 28),
+        (4, 80, 28, 28, 28),
         ((0, 14, 7), (2, 14, 7))),
     (0, 27, "tail"): (
         (44, 44, 44, 44, 44, 44, 8, 8),
-        (1, 16, 320, 88, 88, 88),
+        (16, 320, 88, 88, 88),
         ((0, 44, 22), (2, 44, 22))),
     (0, 27, "block"): (
         (56, 56, 56, 56, 56, 56, 54, 54),
-        (1, 108, 1400, 112, 112, 112),
+        (108, 1400, 112, 112, 112),
         ((0, 56, 28), (2, 56, 28))),
     (0, 28, "decode"): (
         (16, 16, 16, 16, 16, 16, 2, 2),
-        (1, 4, 80, 32, 32, 32),
+        (4, 80, 32, 32, 32),
         ((0, 16, 8), (2, 16, 8))),
     (0, 28, "tail"): (
         (52, 52, 52, 52, 52, 52, 8, 8),
-        (1, 16, 320, 104, 104, 104),
+        (16, 320, 104, 104, 104),
         ((0, 52, 26), (2, 52, 26))),
     (0, 28, "block"): (
         (72, 72, 72, 72, 72, 72, 56, 56),
-        (1, 112, 1480, 144, 144, 144),
+        (112, 1480, 144, 144, 144),
         ((0, 72, 36), (2, 72, 36))),
     (0, 29, "decode"): (
         (18, 18, 18, 18, 16, 16, 2, 2),
-        (1, 4, 80, 36, 36, 32),
+        (4, 80, 36, 36, 32),
         ((0, 18, 9), (2, 18, 9))),
     (0, 29, "tail"): (
         (60, 60, 60, 60, 58, 58, 8, 8),
-        (1, 16, 320, 120, 120, 116),
+        (16, 320, 120, 120, 116),
         ((0, 60, 30), (2, 60, 30))),
     (0, 29, "block"): (
         (90, 90, 90, 90, 88, 88, 58, 58),
-        (1, 116, 1560, 180, 180, 176),
+        (116, 1560, 180, 180, 176),
         ((0, 90, 45), (2, 90, 45))),
     (20, 20, "decode"): (
         (0, 0, 0, 0, 0, 0, 0, 0),
-        (1, 4, 80, 0, 0, 0),
+        (4, 80, 0, 0, 0),
         ()),
     (20, 20, "tail"): (
         (0, 0, 0, 0, 0, 0, 0, 0),
-        (1, 16, 296, 0, 0, 0),
+        (16, 296, 0, 0, 0),
         ()),
     (20, 20, "block"): (
         (0, 0, 0, 0, 0, 0, 0, 0),
-        (1, 80, 840, 0, 0, 0),
+        (80, 840, 0, 0, 0),
         ()),
     (20, 21, "decode"): (
         (2, 2, 0, 0, 0, 0, 2, 2),
-        (1, 4, 80, 4, 0, 0),
+        (4, 80, 4, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (20, 21, "tail"): (
         (2, 2, 0, 0, 0, 0, 8, 8),
-        (1, 16, 308, 4, 0, 0),
+        (16, 308, 4, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (20, 21, "block"): (
         (2, 2, 0, 0, 0, 0, 42, 42),
-        (1, 84, 920, 4, 0, 0),
+        (84, 920, 4, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (20, 27, "decode"): (
         (14, 14, 2, 0, 2, 0, 2, 2),
-        (1, 4, 80, 28, 2, 2),
+        (4, 80, 28, 2, 2),
         ((0, 2, 2), (2, 0, 0))),
     (20, 27, "tail"): (
         (44, 44, 9, 4, 9, 4, 8, 8),
-        (1, 16, 320, 88, 13, 13),
+        (16, 320, 88, 13, 13),
         ((0, 9, 9), (2, 4, 4))),
     (20, 27, "block"): (
         (56, 56, 8, 5, 8, 5, 54, 54),
-        (1, 108, 1400, 112, 13, 13),
+        (108, 1400, 112, 13, 13),
         ((0, 8, 8), (2, 5, 5))),
     (20, 28, "decode"): (
         (16, 16, 2, 0, 2, 0, 2, 2),
-        (1, 4, 80, 32, 2, 2),
+        (4, 80, 32, 2, 2),
         ((0, 2, 2), (2, 0, 0))),
     (20, 28, "tail"): (
         (52, 52, 11, 4, 11, 4, 8, 8),
-        (1, 16, 320, 104, 15, 15),
+        (16, 320, 104, 15, 15),
         ((0, 11, 9), (2, 4, 4))),
     (20, 28, "block"): (
         (72, 72, 3, 6, 3, 6, 56, 56),
-        (1, 112, 1480, 144, 9, 9),
+        (112, 1480, 144, 9, 9),
         ((0, 3, 3), (2, 6, 6))),
     (20, 29, "decode"): (
         (18, 18, 1, 4, 1, 4, 2, 2),
-        (1, 4, 80, 36, 5, 5),
+        (4, 80, 36, 5, 5),
         ((0, 1, 1), (2, 4, 4))),
     (20, 29, "tail"): (
         (60, 60, 7, 6, 7, 6, 8, 8),
-        (1, 16, 320, 120, 13, 13),
+        (16, 320, 120, 13, 13),
         ((0, 7, 6), (2, 6, 6))),
     (20, 29, "block"): (
         (90, 90, 7, 7, 7, 7, 58, 58),
-        (1, 116, 1560, 180, 14, 14),
+        (116, 1560, 180, 14, 14),
         ((0, 7, 7), (2, 7, 6))),
     (33, 20, "decode"): (
         (0, 0, 0, 0, 0, 0, 0, 0),
-        (1, 4, 80, 0, 0, 0),
+        (4, 80, 0, 0, 0),
         ()),
     (33, 20, "tail"): (
         (0, 0, 0, 0, 0, 0, 0, 0),
-        (1, 16, 296, 0, 0, 0),
+        (16, 296, 0, 0, 0),
         ()),
     (33, 20, "block"): (
         (0, 0, 0, 0, 0, 0, 0, 0),
-        (1, 80, 840, 0, 0, 0),
+        (80, 840, 0, 0, 0),
         ()),
     (33, 21, "decode"): (
         (2, 2, 0, 0, 0, 0, 2, 2),
-        (1, 4, 80, 4, 0, 0),
+        (4, 80, 4, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 21, "tail"): (
         (2, 2, 0, 0, 0, 0, 8, 8),
-        (1, 16, 308, 4, 0, 0),
+        (16, 308, 4, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 21, "block"): (
         (2, 2, 0, 0, 0, 0, 42, 42),
-        (1, 84, 920, 4, 0, 0),
+        (84, 920, 4, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 27, "decode"): (
         (14, 14, 0, 0, 0, 0, 2, 2),
-        (1, 4, 80, 28, 0, 0),
+        (4, 80, 28, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 27, "tail"): (
         (44, 44, 0, 0, 0, 0, 8, 8),
-        (1, 16, 320, 88, 0, 0),
+        (16, 320, 88, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 27, "block"): (
         (56, 56, 0, 0, 0, 0, 54, 54),
-        (1, 108, 1400, 112, 0, 0),
+        (108, 1400, 112, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 28, "decode"): (
         (16, 16, 0, 0, 0, 0, 2, 2),
-        (1, 4, 80, 32, 0, 0),
+        (4, 80, 32, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 28, "tail"): (
         (52, 52, 0, 0, 0, 0, 8, 8),
-        (1, 16, 320, 104, 0, 0),
+        (16, 320, 104, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 28, "block"): (
         (72, 72, 0, 0, 0, 0, 56, 56),
-        (1, 112, 1480, 144, 0, 0),
+        (112, 1480, 144, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 29, "decode"): (
         (18, 18, 0, 0, 0, 0, 2, 2),
-        (1, 4, 80, 36, 0, 0),
+        (4, 80, 36, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 29, "tail"): (
         (60, 60, 0, 0, 0, 0, 8, 8),
-        (1, 16, 320, 120, 0, 0),
+        (16, 320, 120, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
     (33, 29, "block"): (
         (90, 90, 0, 0, 0, 0, 58, 58),
-        (1, 116, 1560, 180, 0, 0),
+        (116, 1560, 180, 0, 0),
         ((0, 0, 0), (2, 0, 0))),
 }
 

@@ -15,7 +15,6 @@ from repro.fleet import FleetRouter, FleetWorker, make_worker
 from repro.llm.config import LLAMA3_8B
 from repro.llm.model import Transformer
 from repro.llm.sampling import generate
-from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.paged_kv import PagedKVPool
 from repro.serve.scheduler import ServeRequest
 from repro.serve.engine import AnalyticTiming, ServeEngine
@@ -159,14 +158,13 @@ class TestMigration:
         of the cramped worker's pool exhaustion is requeued locally
         instead of landing in a queue it cannot leave."""
         def timing(obs):
-            return AnalyticTiming(DenseGpuSystem(1), LLAMA3_8B, obs=obs)
+            return AnalyticTiming(DenseGpuSystem(1), LLAMA3_8B)
 
         cramped = make_worker(0, model, _backend, n_blocks=10,
                               block_tokens=8, timing_factory=timing)
         full = make_worker(1, model, _backend, n_blocks=64, block_tokens=8,
                            timing_factory=timing)
-        obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
-        fleet = FleetRouter([cramped, full], obs=obs)
+        fleet = FleetRouter([cramped, full])
         fleet._affinity.update({"s0": cramped, "s1": full})
         prompts = [rng.integers(0, TINY.vocab_size, size=40)
                    for _ in range(2)]
@@ -180,7 +178,6 @@ class TestMigration:
             for i in range(3)]
         report = fleet.run(requests)
         assert report.migrations == 0
-        assert obs.metrics.counter("fleet.migrations").value == 0
         assert report.workers[0].preemptions >= 1
         assert report.workers[1].peak_decode_batch == 3
         for request, prompt in zip(requests, prompts):
@@ -241,9 +238,9 @@ class TestReportReduction:
         report = fleet.run(requests)
         merged = report.metrics
         per_worker = [w.obs.metrics for w in fleet.workers]
-        for name in ("serve.prefix.hit", "serve.admitted"):
-            assert merged.counter(name).value == sum(
-                m.counter(name).value for m in per_worker)
+        steps = [m.counter("serve.steps").value for m in per_worker]
+        assert min(steps) > 0
+        assert merged.counter("serve.steps").value == sum(steps)
         # pooled prefix stats come from the pools themselves
         assert report.prefix_hits == sum(
             w.pool.prefix_hits for w in fleet.workers)

@@ -1,11 +1,10 @@
 """FleetReport: the folds of a fleet's record stream.
 
 The merge invariants the chaos bench leans on: per-worker counters
-(offload retries and degradations, brownout stage tokens) reduce
-associatively across registries, per-token stage attribution
-pools across workers, the resilience counts are folds of the router's
-records, and the empty / single-worker edges degrade gracefully instead
-of dividing by zero.
+reduce by summing across registries, merging an empty registry changes
+nothing, per-token stage attribution pools across workers, the
+resilience counts are folds of the router's records, and the empty /
+single-worker edges degrade gracefully instead of dividing by zero.
 """
 
 from __future__ import annotations
@@ -62,26 +61,28 @@ def make_report(worker_events, records=()) -> FleetReport:
 
 class TestCounterMerge:
     def test_resilience_counters_sum_across_workers(self):
+        # The ledger's serving counters, kept per worker, reduce to the
+        # fleet's totals by merging the workers' registries.
         registries = [MetricsRegistry(enabled=True) for _ in range(3)]
         for i, registry in enumerate(registries):
-            registry.counter("offload.retries").inc(i)
-            registry.counter("offload.degraded").inc(1)
-            registry.counter("serve.brownout.stage_tokens").inc(10 * i)
+            registry.counter("fleet.dispatched").inc(i)
+            registry.counter("serve.steps").inc(1)
+            registry.counter("attention.queries").inc(10 * i)
         merged = MetricsRegistry(enabled=True)
         for registry in registries:
             merged.merge(registry)
-        assert merged.counter("offload.retries").value == 3
-        assert merged.counter("offload.degraded").value == 3
-        assert merged.counter("serve.brownout.stage_tokens").value == 30
+        assert merged.counter("fleet.dispatched").value == 3
+        assert merged.counter("serve.steps").value == 3
+        assert merged.counter("attention.queries").value == 30
 
     def test_merge_with_empty_registry_is_identity(self):
         merged = MetricsRegistry(enabled=True)
-        merged.counter("fleet.failovers").inc(2)
+        merged.counter("serve.steps").inc(2)
         merged.merge(MetricsRegistry(enabled=True))
-        assert merged.counter("fleet.failovers").value == 2
+        assert merged.counter("serve.steps").value == 2
         empty = MetricsRegistry(enabled=True)
         empty.merge(merged)
-        assert empty.counter("fleet.failovers").value == 2
+        assert empty.counter("serve.steps").value == 2
 
 
 class TestReportEdges:

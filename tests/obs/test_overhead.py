@@ -9,8 +9,7 @@ default-on policy rests on: hook seconds over decode-loop seconds.
 import json
 
 from repro.bench.obs_overhead import run_obs_overhead, validate_payload
-from repro.obs import (NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_OBS,
-                       MetricsRegistry)
+from repro.obs import NULL_COUNTER, NULL_OBS, MetricsRegistry
 
 
 def test_noop_overhead_below_5_percent(tmp_path):
@@ -23,20 +22,13 @@ def test_noop_overhead_below_5_percent(tmp_path):
 
 
 def test_disabled_registry_hands_out_shared_nulls():
-    """The no-op path allocates nothing: every request for an instrument
-    returns the same shared singleton, and recording is a no-op."""
+    """The no-op path allocates nothing: every request for a counter
+    returns the same shared singleton, and counting is a no-op."""
     registry = MetricsRegistry(enabled=False)
     assert registry.counter("a") is registry.counter("b") is NULL_COUNTER
-    assert registry.gauge("a") is NULL_GAUGE
-    assert registry.histogram("a") is NULL_HISTOGRAM
     registry.counter("a").inc(5)
-    registry.gauge("a").set(3.0)
-    registry.histogram("a").observe(1.0)
     assert NULL_COUNTER.value == 0
-    assert NULL_GAUGE.value == 0.0
-    assert NULL_HISTOGRAM.count == 0
-    assert registry.snapshot() == {"counters": {}, "gauges": {},
-                                   "histograms": {}}
+    assert registry.snapshot() == {}
 
 
 def test_null_obs_is_fully_disabled():

@@ -1,15 +1,15 @@
-"""Prefix-cache observability: hit/miss counters, shared-block gauge.
+"""Prefix-cache accounting: hit/miss counts and resident shared blocks.
 
-The pool reports through its ``Obs`` bundle: ``serve.prefix.hit`` /
-``serve.prefix.miss`` counters on attach outcomes and the
-``serve.prefix.shared_blocks`` gauge tracking resident shared blocks.
-A ``NULL_OBS``-bound pool must keep full functional behaviour while
-recording nothing (the null-instrument no-op contract).
+The pool counts attach outcomes in ``prefix_hits`` / ``prefix_misses``,
+the blocks its prefix index holds in ``shared_blocks`` and their peak in
+``shared_blocks_peak`` (the fleet report sums hits, misses and peaks).  A
+``NULL_OBS``-bound pool behaves exactly as any other and leaves the
+disabled registry empty.
 """
 
 import numpy as np
 
-from repro.obs import NULL_OBS, MetricsRegistry, Obs, Tracer
+from repro.obs import NULL_OBS
 from repro.serve.paged_kv import PagedKVPool
 from tests.conftest import TINY
 
@@ -42,33 +42,26 @@ def _share_unshare(pool):
 
 class TestEnabledInstruments:
     def test_hit_miss_counters_and_gauge(self):
-        obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
         pool = PagedKVPool(TINY, n_blocks=16, block_tokens=BT,
-                           prefix_caching=True, obs=obs)
+                           prefix_caching=True)
         _share_unshare(pool)
-        assert obs.metrics.counter("serve.prefix.hit").value == 2
-        assert obs.metrics.counter("serve.prefix.miss").value == 1
-        gauge = obs.metrics.gauge("serve.prefix.shared_blocks")
-        assert gauge.value == 0            # everything retired at the end
-        assert gauge.high_watermark == 2   # but 2 blocks were resident
-        # the plain-int pool telemetry agrees with the instruments
         assert pool.prefix_hits == 2
         assert pool.prefix_misses == 1
-        assert pool.shared_blocks_peak == 2
+        assert pool.shared_blocks == 0        # everything retired at the end
+        assert pool.shared_blocks_peak == 2   # but 2 blocks were resident
 
     def test_gauge_tracks_partial_release(self):
-        obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
         pool = PagedKVPool(TINY, n_blocks=16, block_tokens=BT,
-                           prefix_caching=True, obs=obs)
+                           prefix_caching=True)
         tokens = np.arange(2 * BT)
         a = pool.new_cache()
         _prefill(a, tokens)
         b = pool.new_cache()
         b.attach_prefix(tokens)
         a.free()  # borrower still references both blocks
-        assert obs.metrics.gauge("serve.prefix.shared_blocks").value == 2
+        assert pool.shared_blocks == 2
         b.free()
-        assert obs.metrics.gauge("serve.prefix.shared_blocks").value == 0
+        assert pool.shared_blocks == 0
 
 
 class TestNullInstruments:
@@ -80,7 +73,5 @@ class TestNullInstruments:
         assert pool.prefix_hits == 2
         assert pool.prefix_misses == 1
         assert pool.n_free == pool.n_blocks
-        # but the disabled registry stored no instruments at all
-        snapshot = NULL_OBS.metrics.snapshot()
-        assert snapshot["counters"] == {}
-        assert snapshot["gauges"] == {}
+        # and the disabled registry stored no counter at all
+        assert NULL_OBS.metrics.snapshot() == {}

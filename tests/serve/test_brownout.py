@@ -102,7 +102,8 @@ class TestLadderTransitions:
         assert sorted(shed) == [102, 103, 104, 105]
         assert all(r.events.shed and r.events.rejected
                    for r in sched.finished)
-        assert sched.obs.metrics.counter("serve.shed.brownout").value == 4
+        assert [r.data["cause"] for r in sched.log.records
+                if r.kind == "reject"] == ["brownout"] * 4
 
     def test_admission_paced_while_browned_out(self):
         sched = _scheduler(BrownoutPolicy(queue_high=(2, 10, 11, 12),
@@ -127,9 +128,8 @@ class TestEngineAttribution:
     def model(self):
         return Transformer(TINY, seed=0)
 
-    def _run(self, model, brownout, n_requests=6, max_new=6):
+    def _run(self, model, brownout, n_requests=6, max_new=6, obs=None):
         rng = np.random.default_rng(3)
-        obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
         pool = PagedKVPool(TINY, n_blocks=64, block_tokens=16, obs=obs)
         engine = ServeEngine(
             model, pool, lambda r: LongSightAttention(LS),
@@ -159,7 +159,7 @@ class TestEngineAttribution:
         # only name real ladder stages.
         eager = BrownoutPolicy(queue_high=(1, 2, 3, 50),
                                admit_per_step=1)
-        report, requests, engine = self._run(model, eager, n_requests=8)
+        report, requests, _ = self._run(model, eager, n_requests=8)
         assert report.brownout_tokens > 0
         per_request = sum(r.events.brownout_token_total for r in requests)
         assert per_request == report.brownout_tokens
@@ -167,20 +167,25 @@ class TestEngineAttribution:
             assert 1 <= stage <= 3  # stage 4 sheds, it never serves
         stage_sum = sum(report.brownout_stage_tokens.values())
         assert stage_sum == report.brownout_tokens
-        counted = engine.obs.metrics.counter(
-            "serve.brownout.stage_tokens").value
-        assert counted == report.brownout_tokens
 
     def test_browned_tokens_counted_in_registry_per_stage(self, model):
+        # Per-stage brownout tokens are counted once, by the record
+        # stream's folds: the report's per-stage account pools the
+        # requests' per-stage counts, and a live metrics registry holds
+        # no second copy of them.
         eager = BrownoutPolicy(queue_high=(1, 2, 3, 50),
                                admit_per_step=1)
-        report, _, engine = self._run(model, eager, n_requests=8)
-        metrics = engine.obs.metrics
-        per_stage = {
-            stage: metrics.counter(
-                f"serve.brownout.stage{stage}_tokens").value
-            for stage in report.brownout_stage_tokens}
-        assert per_stage == report.brownout_stage_tokens
+        obs = Obs(MetricsRegistry(enabled=True), Tracer(enabled=False))
+        report, requests, engine = self._run(model, eager, n_requests=8,
+                                             obs=obs)
+        per_stage = {}
+        for r in requests:
+            for stage, count in r.events.brownout_tokens.items():
+                per_stage[stage] = per_stage.get(stage, 0) + count
+        assert per_stage and per_stage == report.brownout_stage_tokens
+        assert engine.obs is obs
+        assert not [name for name in obs.metrics.snapshot()
+                    if "brownout" in name]
 
 
 class TestBrownoutVariantsStack:
