@@ -7,12 +7,15 @@ Usage:
     python -m repro.bench micro chaos serve fleet fleet_chaos
     python -m repro.bench obs_overhead recovery
     python -m repro.bench all            # everything (trains models once)
+    python -m repro.bench check [DIR]    # every BENCH_*.json's claims hold
 
-Tables print to stdout and are saved under results/.
+Tables print to stdout and are saved under results/.  ``check`` reads the
+committed artifacts in DIR (default: results/) and exits 1 on any problem.
 """
 
 from __future__ import annotations
 
+import pathlib
 import sys
 from typing import Callable, Dict
 
@@ -29,6 +32,7 @@ from repro.bench.fleet_chaos import run_fleet_chaos
 from repro.bench.micro import run_micro
 from repro.bench.obs_overhead import run_obs_overhead
 from repro.bench.recovery import run_recovery
+from repro.bench.registry import ARTIFACTS, check_all
 from repro.bench.serve import run_serve
 from repro.bench.spec_tables import run_power_area, run_table1, run_table2
 from repro.bench.tables import Table, results_dir
@@ -64,6 +68,10 @@ def main(argv: list[str]) -> int:
         print(__doc__)
         print("available experiments:", ", ".join(sorted(runners)))
         return 0
+    if argv[0] == "check" and len(argv) <= 2:
+        problems = check_all(pathlib.Path(argv[1]) if argv[1:] else None)
+        print("\n".join(problems) or ", ".join(ARTIFACTS) + ": valid")
+        return 1 if problems else 0
     names = list(runners) if argv == ["all"] else argv
     unknown = [n for n in names if n not in runners]
     if unknown:

@@ -19,13 +19,12 @@ The serving sweep is a list of :mod:`repro.bench.scenario` scenarios, one
 per (workload, system, rate) (:func:`scenario`); the functional check is
 a plain decode, not a serving world.
 
-Results are written as ``BENCH_chaos.json`` (default: ``results/``); the
-schema is validated by ``validate_payload`` / ``tests/bench/test_chaos.py``:
-``fault_rates`` is a strictly increasing axis with >= 3 points, and every
-serving/functional series has exactly one entry per rate.
-
-Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
-validation step).
+Results are written as ``BENCH_chaos.json`` (default: ``results/``),
+schema v3: ``fault_rates`` (>= 3 points, sorted and deduplicated on the
+way in), one serving and one functional entry per rate, and ``claims``:
+``fractions_in_unit_interval`` (every degraded-token fraction and
+availability) and ``dense_fallback_completes`` (every functional run
+completed).
 """
 
 from __future__ import annotations
@@ -40,14 +39,14 @@ import numpy as np
 from repro.bench.scenario import (CHARGED_MODEL, TINY_LS, TINY_MODEL,
                                   Faults, Scenario, Tenant, Topology, Trace,
                                   run, tiny_model)
-from repro.bench.tables import (Table, missing_keys, run_cli,
-                                write_payload)
+from repro.bench.tables import Table, run_cli, write_payload
 from repro.drex.backend import DrexOffloadBackend
 from repro.faults import FaultPlan
 from repro.serve.scheduler import SloPolicy
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 RESULT_NAME = "BENCH_chaos.json"
+WALL_CLOCK = ()
 WORKLOADS = ("steady", "burst")
 #: serving name -> (analytic system, backend kind).  The GPU-only
 #: baseline never offloads: fault-immune, the quality/latency floor the
@@ -140,6 +139,10 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
                    for name in SERVING_SYSTEMS}
         for workload in WORKLOADS}
     functional = [_functional_point(rate, seed, n_tokens) for rate in rates]
+    points = [p for per_system in serving.values()
+              for series in per_system.values() for p in series]
+    fractions = ([p["degraded_token_fraction"] for p in points + functional]
+                 + [p["availability"] for p in points])
 
     payload = {
         "benchmark": "chaos",
@@ -155,6 +158,12 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
         "fault_rates": rates,
         "serving": serving,
         "functional": functional,
+        "claims": {
+            "fractions_in_unit_interval":
+                all(0.0 <= f <= 1.0 for f in fractions),
+            "dense_fallback_completes":
+                all(p["completed"] for p in functional),
+        },
     }
     write_payload(payload, RESULT_NAME, out_dir)
 
@@ -184,51 +193,6 @@ def run_chaos(rates: Sequence[float] = (0.0, 0.25, 1.0),
             availability=1.0 if point["completed"] else 0.0,
             retries=point["retries"])
     return table
-
-
-def validate_payload(payload: dict) -> List[str]:
-    """Schema check used by the smoke test; returns a list of problems."""
-    problems = missing_keys(payload, (
-        "benchmark", "schema_version", "units", "config", "fault_rates",
-        "serving", "functional"))
-    if problems:
-        return problems
-    rates = payload["fault_rates"]
-    if len(rates) < 3:
-        problems.append("fewer than 3 fault-rate points")
-    if any(b >= a for a, b in zip(rates[1:], rates)):
-        problems.append("fault_rates axis is not strictly increasing")
-    for workload in WORKLOADS:
-        per_system = payload["serving"].get(workload)
-        if per_system is None:
-            problems.append(f"missing serving workload: {workload}")
-            continue
-        for name in SERVING_SYSTEMS:
-            points = per_system.get(name)
-            if points is None or len(points) != len(rates):
-                problems.append(
-                    f"serving.{workload}.{name} length != len(fault_rates)")
-                continue
-            for point in points:
-                frac = point.get("degraded_token_fraction", -1.0)
-                if not 0.0 <= frac <= 1.0:
-                    problems.append(
-                        f"serving.{workload}.{name}: degraded fraction "
-                        f"{frac} outside [0, 1]")
-                if not 0.0 <= point.get("availability", -1.0) <= 1.0:
-                    problems.append(
-                        f"serving.{workload}.{name}: bad availability")
-    functional = payload["functional"]
-    if len(functional) != len(rates):
-        problems.append("functional length != len(fault_rates)")
-    for point in functional:
-        if not point.get("completed", False):
-            problems.append(
-                f"functional run at rate {point.get('fault_rate')} did not "
-                "complete — dense fallback guarantee violated")
-        if not 0.0 <= point.get("degraded_token_fraction", -1.0) <= 1.0:
-            problems.append("functional: degraded fraction outside [0, 1]")
-    return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:

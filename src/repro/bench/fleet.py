@@ -17,12 +17,15 @@ ratio, which must stay under the configured bound.  Each point is one
 :func:`fleet_topology`, whose health monitor is inert: wall-clock jitter
 must not drain a worker and move the analytic numbers.
 
-Results are written as ``BENCH_fleet.json`` (default: ``results/``);
-the schema is validated by ``validate_payload`` /
-``tests/bench/test_fleet.py``.
-
-Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
-validation step).
+Results are written as ``BENCH_fleet.json`` (default: ``results/``),
+schema v2: ``workers_axis`` (>= 2 points starting at 1, sorted and
+deduplicated on the way in), one sweep point per worker count, the
+fairness A/B, and ``claims``, each over every sweep point:
+``every_request_accounted`` (completed + shed + rejected = requests),
+``times_nonnegative`` (throughput, makespan, TTFT and TPOT percentiles),
+``ttft_p99_at_least_p50``, ``prefix_hits_nonzero``,
+``fleet_beats_single_engine`` (every multi-worker point's throughput
+above the one-worker point's) and ``fairness_within_limit``.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ from typing import List, Optional, Sequence
 
 from repro.bench.scenario import (CHARGED_MODEL, TINY_MODEL, Scenario,
                                   Tenant, Topology, Trace, run)
-from repro.bench.tables import (Table, missing_keys, run_cli,
-                                write_payload)
+from repro.bench.tables import Table, run_cli, write_payload
 from repro.fleet import HealthPolicy
 from repro.serve.scheduler import SloPolicy, TenantClass
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_fleet.json"
+WALL_CLOCK = ()
 
 #: admission weights: the steady tenant gets 4 slots per burst slot.
 TENANTS = (TenantClass("steady", weight=4), TenantClass("burst", weight=1))
@@ -122,6 +125,8 @@ def run_fleet(workers_axis: Sequence[int] = (1, 2, 4),
                               if p99_alone else float("inf")),
         "limit": fairness_limit,
     }
+    n_requests = n_steady + n_burst
+    base_tps = sweep[0]["throughput_tps"]
 
     payload = {
         "benchmark": "fleet",
@@ -149,10 +154,26 @@ def run_fleet(workers_axis: Sequence[int] = (1, 2, 4),
         "workers_axis": workers_axis,
         "sweep": sweep,
         "fairness": fairness,
+        "claims": {
+            "every_request_accounted": all(
+                p["completed"] + p["shed"] + p["rejected"] == n_requests
+                for p in sweep),
+            "times_nonnegative": all(
+                p[key] >= 0 for p in sweep
+                for key in ("throughput_tps", "makespan_s", "ttft_p50_s",
+                            "ttft_p99_s", "tpot_p50_s", "tpot_p99_s")),
+            "ttft_p99_at_least_p50":
+                all(p["ttft_p99_s"] >= p["ttft_p50_s"] for p in sweep),
+            "prefix_hits_nonzero": all(p["prefix"]["hits"] > 0
+                                       for p in sweep),
+            "fleet_beats_single_engine": all(
+                p["throughput_tps"] > base_tps for p in sweep[1:]),
+            "fairness_within_limit":
+                0 <= fairness["degradation_ratio"] <= fairness_limit,
+        },
     }
     write_payload(payload, RESULT_NAME, out_dir)
 
-    base_tps = sweep[0]["throughput_tps"]
     table = Table(
         "fleet sweep (worker count; two tenants, shared system prefixes)",
         ["workers", "throughput_tps", "speedup_vs_1", "ttft_p50_ms",
@@ -173,75 +194,6 @@ def run_fleet(workers_axis: Sequence[int] = (1, 2, 4),
             completed=point["completed"],
             shed=point["shed"])
     return table
-
-
-def validate_payload(payload: dict) -> List[str]:
-    """Schema check used by the smoke test; returns a list of problems."""
-    problems = missing_keys(payload, (
-        "benchmark", "schema_version", "units", "config", "workers_axis",
-        "sweep", "fairness"))
-    if problems:
-        return problems
-    axis = payload["workers_axis"]
-    if not axis or axis[0] != 1:
-        problems.append("workers_axis does not start at the single-engine "
-                        "baseline (1)")
-    if any(b >= a for a, b in zip(axis[1:], axis)):
-        problems.append("workers_axis is not strictly increasing")
-    sweep = payload["sweep"]
-    if len(sweep) != len(axis):
-        problems.append("sweep length != len(workers_axis)")
-        return problems
-    config = payload["config"]
-    n_requests = config.get("n_steady", 0) + config.get("n_burst", 0)
-    base_tps = None
-    for n_workers, point in zip(axis, sweep):
-        tag = f"sweep[workers={n_workers}]"
-        if point.get("workers") != n_workers:
-            problems.append(f"{tag}: workers field mismatch")
-        for key in ("throughput_tps", "ttft_p50_s", "ttft_p99_s",
-                    "tpot_p50_s", "tpot_p99_s", "makespan_s"):
-            if not isinstance(point.get(key), (int, float)) \
-                    or point[key] < 0:
-                problems.append(f"{tag}: bad {key}")
-        if point.get("ttft_p99_s", 0) < point.get("ttft_p50_s", 0):
-            problems.append(f"{tag}: ttft p99 < p50")
-        for key in ("completed", "shed", "rejected", "migrations",
-                    "preemptions"):
-            if not isinstance(point.get(key), int) or point[key] < 0:
-                problems.append(f"{tag}: bad {key}")
-        accounted = (point.get("completed", 0) + point.get("shed", 0)
-                     + point.get("rejected", 0))
-        if accounted != n_requests:
-            problems.append(f"{tag}: completed+shed+rejected != "
-                            f"{n_requests} requests")
-        prefix = point.get("prefix", {})
-        if prefix.get("hits", -1) < 0 or prefix.get("misses", -1) < 0:
-            problems.append(f"{tag}: bad prefix counters")
-        if not prefix.get("hits", 0) > 0:
-            problems.append(f"{tag}: zero prefix-cache hits on a "
-                            "shared-system-prompt workload")
-        if n_workers == 1:
-            base_tps = point.get("throughput_tps", 0.0)
-        elif base_tps is not None \
-                and point.get("throughput_tps", 0.0) <= base_tps:
-            problems.append(f"{tag}: fleet throughput does not beat the "
-                            "single-engine baseline")
-        tenants = point.get("tenants", {})
-        for tenant in ("steady", "burst"):
-            if tenant not in tenants:
-                problems.append(f"{tag}: missing tenant summary "
-                                f"for {tenant!r}")
-    fairness = payload["fairness"]
-    ratio = fairness.get("degradation_ratio")
-    limit = fairness.get("limit")
-    if not isinstance(ratio, (int, float)) or ratio < 0:
-        problems.append("fairness: bad degradation_ratio")
-    elif not isinstance(limit, (int, float)) or ratio > limit:
-        problems.append(
-            f"fairness: steady-tenant p99 TTFT degraded {ratio}x under "
-            f"the burst (limit {limit}) -- weighted admission failed")
-    return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -33,11 +33,15 @@ benchmark's :func:`~repro.bench.fleet.trace` on a durable
 gray plan; :func:`overload_scenario` without and with the ladder.
 
 Results are written as ``BENCH_fleet_chaos.json`` (default:
-``results/``); the schema is validated by ``validate_payload`` /
-``tests/bench/test_fleet_chaos.py``.
-
-Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
-validation step).
+``results/``), schema v2, with ``claims``.  Over the gray sweep:
+``reference_fault_free`` (no failover without a fault),
+``gray_bit_identical``, ``gray_available`` (availability >= 0.99),
+``every_request_accounted``, ``slow_and_stuck_fail_over``,
+``failover_latency_measured`` (a wall clock, so one of
+:data:`WALL_CLOCK`'s leaves) and ``flapping_repeatedly_suspected``.
+Over the brownout A/B: ``baseline_overloaded`` (the baseline sheds),
+``ladder_sheds_less``, ``ladder_browns_out``,
+``baseline_never_browns_out`` and ``brownout_tokens_attributed``.
 """
 
 from __future__ import annotations
@@ -52,14 +56,15 @@ import numpy as np
 from repro.bench.fleet import fleet_topology, trace
 from repro.bench.scenario import (CHARGED_MODEL, TINY_MODEL, Faults,
                                   Scenario, Tenant, Topology, Trace, run)
-from repro.bench.tables import (Table, missing_keys, run_cli,
-                                write_payload)
+from repro.bench.tables import Table, run_cli, write_payload
 from repro.faults import GRAY_KINDS, GrayFailurePlan
 from repro.fleet import HealthPolicy
 from repro.serve.scheduler import BROWNOUT_STAGES, BrownoutPolicy, SloPolicy
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_fleet_chaos.json"
+WALL_CLOCK = ("failover_latency_s", "failover_latency_max_s",
+              "claims.failover_latency_measured")
 
 #: fixed step deadline for the sweep: simulated stalls (2 s) always miss
 #: it, real tiny-model steps (milliseconds) never do — the verdicts are
@@ -141,6 +146,36 @@ def run_gray_sweep(seed: int, n_steady: int = 10, n_burst: int = 6,
         "ttft_slo_s": ttft_slo_s,
         "reference": reference["summary"],
         "kinds": kinds,
+    }
+
+
+def _claims(gray: dict, brownout: dict) -> dict:
+    """The two experiments' verdicts, from their results."""
+    kinds = {point["kind"]: point for point in gray["kinds"]}
+    failing = [kinds["slow_worker"], kinds["stuck_worker"]]
+    baseline, ladder = brownout["baseline"], brownout["ladder"]
+    return {
+        "reference_fault_free": gray["reference"]["failovers"] == 0,
+        "gray_bit_identical": all(p["bit_identical"]
+                                  for p in kinds.values()),
+        "gray_available": all(p["availability"] >= 0.99
+                              for p in kinds.values()),
+        "every_request_accounted": all(
+            p["completed"] + p["shed"] + p["rejected"] == gray["n_requests"]
+            for p in kinds.values()),
+        "slow_and_stuck_fail_over": all(p["failovers"] >= 1
+                                        for p in failing),
+        "failover_latency_measured": all(p["failover_latency_max_s"] > 0
+                                         for p in failing),
+        "flapping_repeatedly_suspected":
+            kinds["flapping_worker"]["worker_suspects"] >= 2,
+        "baseline_overloaded": baseline["shed_fraction"] > 0,
+        "ladder_sheds_less":
+            ladder["shed_fraction"] < baseline["shed_fraction"],
+        "ladder_browns_out": ladder["brownout_tokens"] >= 1,
+        "baseline_never_browns_out": baseline["brownout_tokens"] == 0,
+        "brownout_tokens_attributed":
+            brownout["attributed_tokens_consistent"],
     }
 
 
@@ -272,6 +307,7 @@ def run_fleet_chaos(seed: int = 0, n_steady: int = 10, n_burst: int = 6,
         },
         "gray": gray,
         "brownout": brownout,
+        "claims": _claims(gray, brownout),
     }
     write_payload(payload, RESULT_NAME, out_dir)
 
@@ -295,67 +331,6 @@ def run_fleet_chaos(seed: int = 0, n_steady: int = 10, n_burst: int = 6,
             suspects=point["worker_suspects"],
             completed=point["completed"])
     return table
-
-
-def validate_payload(payload: dict) -> List[str]:
-    """Schema check used by the smoke test; returns a list of problems."""
-    problems = missing_keys(payload, (
-        "benchmark", "schema_version", "units", "config", "gray", "brownout"))
-    if problems:
-        return problems
-    if payload["benchmark"] != "fleet_chaos":
-        problems.append("benchmark name mismatch")
-    gray = payload["gray"]
-    kinds = {point.get("kind") for point in gray.get("kinds", ())}
-    if kinds != set(payload["config"].get("gray_kinds", ())):
-        problems.append("gray sweep does not cover every gray kind")
-    reference = gray.get("reference", {})
-    if reference.get("failovers", -1) != 0:
-        problems.append("reference (fault-free) run recorded a failover")
-    n_requests = gray.get("n_requests", 0)
-    for point in gray.get("kinds", ()):
-        tag = f"gray[{point.get('kind')}]"
-        if not point.get("bit_identical"):
-            problems.append(f"{tag}: outputs diverge from the fault-free "
-                            "reference")
-        if point.get("availability", 0.0) < 0.99:
-            problems.append(f"{tag}: availability "
-                            f"{point.get('availability')} < 0.99")
-        if point.get("completed", -1) + point.get("shed", 0) \
-                + point.get("rejected", 0) != n_requests:
-            problems.append(f"{tag}: requests not fully accounted")
-        if point.get("kind") in ("slow_worker", "stuck_worker"):
-            if point.get("failovers", 0) < 1:
-                problems.append(f"{tag}: expected a failover")
-            if not point.get("failover_latency_max_s", 0.0) > 0.0:
-                problems.append(f"{tag}: no measured failover latency")
-        if point.get("kind") == "flapping_worker" \
-                and point.get("worker_suspects", 0) < 2:
-            problems.append(f"{tag}: flapping worker was not repeatedly "
-                            "suspected")
-    brownout = payload["brownout"]
-    baseline = brownout.get("baseline", {})
-    ladder = brownout.get("ladder", {})
-    if not isinstance(baseline.get("shed_fraction"), (int, float)) \
-            or not isinstance(ladder.get("shed_fraction"), (int, float)):
-        problems.append("brownout: missing shed fractions")
-        return problems
-    if baseline["shed_fraction"] <= 0.0:
-        problems.append("brownout: baseline never shed -- the overload "
-                        "trace is not actually overloading")
-    if ladder["shed_fraction"] >= baseline["shed_fraction"]:
-        problems.append(
-            f"brownout: ladder shed fraction {ladder['shed_fraction']} "
-            f"did not improve on baseline {baseline['shed_fraction']}")
-    if ladder.get("brownout_tokens", 0) < 1:
-        problems.append("brownout: ladder run never browned out a token")
-    if not brownout.get("attributed_tokens_consistent"):
-        problems.append("brownout: stage-token attribution does not sum "
-                        "to the browned-out token count")
-    if baseline.get("brownout_tokens", -1) != 0:
-        problems.append("brownout: baseline (no ladder) recorded "
-                        "browned-out tokens")
-    return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -19,11 +19,12 @@ baseline seconds.  Timing the hooks in isolation is what makes the gate
 repeatable: the hooks cost about a microsecond per step, and the
 difference of two whole decode loops (how this was measured before)
 drifts by several percent of a loop from run to run on a shared host, more
-than the 5% it gates.  Results are written as schema-checked
-``BENCH_obs.json``.
-
-Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
-validation step).
+than the 5% it gates.  Results are written as ``BENCH_obs.json``, schema
+v2, with ``claims``: ``timings_positive`` (each mode's loop seconds) and
+``noop_overhead_plausible`` (not below -0.5: timer noise can make an
+overhead slightly negative, a large negative one is a broken
+measurement).  Both are computed from wall clocks, so they are
+:data:`WALL_CLOCK` leaves, as every ``results`` leaf is.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.bench.tables import (Table, missing_keys, run_cli,
-                                write_payload)
+from repro.bench.tables import Table, run_cli, write_payload
 from repro.core.config import LongSightConfig
 from repro.core.hybrid import LongSightAttention
 from repro.llm.config import ModelConfig
@@ -44,8 +44,9 @@ from repro.llm.kv_cache import KVCache
 from repro.llm.model import Transformer
 from repro.obs import NULL_OBS, MetricsRegistry, Obs, Tracer
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 RESULT_NAME = "BENCH_obs.json"
+WALL_CLOCK = ("results", "claims")
 
 #: Same tiny functional model the serve bench decodes with.
 TINY_MODEL = ModelConfig(name="obs-tiny", vocab_size=64, n_layers=2,
@@ -137,6 +138,10 @@ def run_obs_overhead(steps: int = 512, reps: int = 3, seed: int = 0,
                    "prompt_tokens": prompt_tokens,
                    "model": TINY_MODEL.name},
         "results": results,
+        "claims": {
+            "timings_positive": min(best.values()) > 0,
+            "noop_overhead_plausible": results["noop_overhead_frac"] >= -0.5,
+        },
     }
     write_payload(payload, RESULT_NAME, out_dir)
 
@@ -152,33 +157,6 @@ def run_obs_overhead(steps: int = 512, reps: int = 3, seed: int = 0,
             step_us=best[mode] / steps * 1e6,
             overhead_pct=(best[mode] - baseline) / baseline * 100.0)
     return table
-
-
-def validate_payload(payload: dict) -> List[str]:
-    """Schema check used by the smoke tests; returns a list of problems."""
-    problems = missing_keys(payload, (
-        "benchmark", "schema_version", "units", "config", "results"))
-    if problems:
-        return problems
-    if payload["benchmark"] != "obs_overhead":
-        problems.append("benchmark name mismatch")
-    config = payload["config"]
-    if not isinstance(config.get("steps"), int) or config["steps"] < 1:
-        problems.append("config.steps must be a positive int")
-    results = payload["results"]
-    for key in ("baseline_s", "noop_s", "enabled_s"):
-        if not isinstance(results.get(key), (int, float)) \
-                or results[key] <= 0:
-            problems.append(f"results.{key} must be a positive number")
-    for key in ("noop_overhead_frac", "enabled_overhead_frac"):
-        if not isinstance(results.get(key), (int, float)):
-            problems.append(f"results.{key} must be a number")
-    # Timer noise can make an overhead slightly negative; a large negative
-    # value means the measurement itself is broken.
-    if isinstance(results.get("noop_overhead_frac"), (int, float)) \
-            and results["noop_overhead_frac"] < -0.5:
-        problems.append("noop_overhead_frac is implausibly negative")
-    return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:

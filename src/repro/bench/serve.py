@@ -24,11 +24,13 @@ The sweep is a list of :mod:`repro.bench.scenario` scenarios, one per
 (system, rate, context) cell (:func:`scenario`): a seeded Poisson trace
 on one engine of that system.
 
-Results are written as ``BENCH_serve.json`` (default: ``results/``); the
-schema is validated by ``validate_payload`` / ``tests/bench/test_serve.py``.
-
-Kept unreached: ``validate_payload`` — CI-only (bench-smoke's artifact
-validation step).
+Results are written as ``BENCH_serve.json`` (default: ``results/``),
+schema v3: ``arrival_rates`` and ``contexts`` (>= 2 points each, sorted
+and deduplicated on the way in), one sweep point per (rate, context) per
+system, and ``claims``, each over every point: ``all_tokens_served``
+(every non-rejected request got its full output), ``times_nonnegative``
+(throughput, TTFT and TPOT percentiles), ``ttft_p99_at_least_p50`` and
+``pool_within_size`` (the pool's high-water mark).
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.scenario import (CHARGED_MODEL, TINY_MODEL, Scenario,
                                   Tenant, Topology, Trace, run)
-from repro.bench.tables import (Table, missing_keys, run_cli,
-                                write_payload)
+from repro.bench.tables import Table, run_cli, write_payload
 from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.serve.scheduler import SloPolicy
 from repro.serve.workload import SYSTEM_NAMES
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 RESULT_NAME = "BENCH_serve.json"
+WALL_CLOCK = ()
 
 
 def scenario(system_name: str, rate: float, charged_context: int,
@@ -126,6 +128,7 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
                       output_tokens, seed)
                for rate in rates for ctx in contexts]
         for name in SYSTEM_NAMES}
+    points = [point for series in sweep.values() for point in series]
 
     payload = {
         "benchmark": "serve",
@@ -147,6 +150,18 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
         "arrival_rates": rates,
         "contexts": contexts,
         "sweep": sweep,
+        "claims": {
+            "all_tokens_served": all(p["all_tokens_served"] for p in points),
+            "times_nonnegative": all(
+                p[key] >= 0 for p in points
+                for key in ("throughput_tps", "ttft_p50_s", "ttft_p99_s",
+                            "tpot_p50_s", "tpot_p99_s")),
+            "ttft_p99_at_least_p50":
+                all(p["ttft_p99_s"] >= p["ttft_p50_s"] for p in points),
+            "pool_within_size": all(
+                0 <= p["pool"]["high_watermark"] <= p["pool"]["n_blocks"]
+                for p in points),
+        },
     }
     if trace_out is not None:
         payload["trace"] = write_trace(
@@ -178,49 +193,6 @@ def run_serve(rates: Sequence[float] = (2.0, 200.0),
                 completed=point["completed"],
                 preempt=point["preemptions"])
     return table
-
-
-def validate_payload(payload: dict) -> List[str]:
-    """Schema check used by the smoke test; returns a list of problems."""
-    problems = missing_keys(payload, (
-        "benchmark", "schema_version", "units", "config", "arrival_rates",
-        "contexts", "sweep"))
-    if problems:
-        return problems
-    rates = payload["arrival_rates"]
-    contexts = payload["contexts"]
-    if len(rates) < 2:
-        problems.append("fewer than 2 arrival-rate points")
-    if any(b >= a for a, b in zip(rates[1:], rates)):
-        problems.append("arrival_rates axis is not strictly increasing")
-    if len(contexts) < 2:
-        problems.append("fewer than 2 context points")
-    if any(b >= a for a, b in zip(contexts[1:], contexts)):
-        problems.append("contexts axis is not strictly increasing")
-    n_points = len(rates) * len(contexts)
-    for name in SYSTEM_NAMES:
-        points = payload["sweep"].get(name)
-        if points is None or len(points) != n_points:
-            problems.append(
-                f"sweep.{name} length != len(rates) * len(contexts)")
-            continue
-        for point in points:
-            for key in ("throughput_tps", "ttft_p50_s", "ttft_p99_s",
-                        "tpot_p50_s", "tpot_p99_s"):
-                if not isinstance(point.get(key), (int, float)) \
-                        or point[key] < 0:
-                    problems.append(f"sweep.{name}: bad {key}")
-            if point.get("ttft_p99_s", 0) < point.get("ttft_p50_s", 0):
-                problems.append(f"sweep.{name}: ttft p99 < p50")
-            if not point.get("all_tokens_served", False):
-                problems.append(
-                    f"sweep.{name}: a non-rejected request did not get "
-                    "its full output (service guarantee violated)")
-            pool = point.get("pool", {})
-            if not 0 <= pool.get("high_watermark", -1) \
-                    <= pool.get("n_blocks", 0):
-                problems.append(f"sweep.{name}: bad pool accounting")
-    return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,8 +1,4 @@
-"""Plain-text result tables for the benchmark harness.
-
-Kept unreached: ``missing_keys`` — CI-only (bench-smoke's artifact
-validation step).
-"""
+"""Plain-text result tables for the benchmark harness."""
 
 from __future__ import annotations
 
@@ -97,11 +93,6 @@ def write_payload(payload: dict, name: str,
     path = out_dir / name
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
-
-
-def missing_keys(payload: dict, keys: Sequence[str]) -> List[str]:
-    """The check every ``validate_payload`` opens with."""
-    return [f"missing key: {key}" for key in keys if key not in payload]
 
 
 def run_cli(parser: argparse.ArgumentParser, argv: Optional[List[str]],

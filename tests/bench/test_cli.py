@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 from repro.bench.__main__ import _runners, main
-from repro.bench.registry import REGISTRY
+from repro.bench.registry import ARTIFACTS
 
 
 def test_list(capsys):
@@ -33,7 +33,7 @@ def test_every_registered_artifact_bench_is_a_runner():
     """``all`` regenerates every committed ``BENCH_*.json``: each
     registered module's ``run_<module>`` is the runner of that name."""
     runners = _runners()
-    for spec in REGISTRY.values():
-        name = spec.module.rsplit(".", 1)[1]
+    for module in ARTIFACTS.values():
+        name = module.rsplit(".", 1)[1]
         assert runners.get(name) is getattr(
-            importlib.import_module(spec.module), f"run_{name}"), name
+            importlib.import_module(module), f"run_{name}"), name

@@ -1,7 +1,7 @@
 """Smoke test for the fleet benchmark (`python -m repro.bench.fleet`).
 
-Runs the real worker-count sweep at a tiny configuration and validates
-the ``BENCH_fleet.json`` schema: axis starts at the single-engine
+Runs the real worker-count sweep at a tiny configuration and checks the
+``BENCH_fleet.json`` it writes: its claims hold, the axis starts at the single-engine
 baseline, multi-worker points beat it on throughput, the shared-prefix
 workload produces cache hits, and the fairness ratio stays bounded.
 """
@@ -10,20 +10,25 @@ import json
 
 import pytest
 
-from repro.bench.fleet import (RESULT_NAME, SCHEMA_VERSION, trace,
-                               run_fleet, validate_payload)
+from repro.bench.fleet import RESULT_NAME, SCHEMA_VERSION, run_fleet, trace
+from repro.bench.registry import check_artifact
 
 
 @pytest.fixture(scope="module")
-def payload(tmp_path_factory):
+def out(tmp_path_factory):
     out = tmp_path_factory.mktemp("fleet")
     run_fleet(workers_axis=(1, 2), n_steady=6, n_burst=6, seed=0,
               out_dir=out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def payload(out):
     return json.loads((out / RESULT_NAME).read_text())
 
 
-def test_writes_valid_payload(payload):
-    assert validate_payload(payload) == []
+def test_writes_valid_payload(out, payload):
+    assert check_artifact("fleet", out) == []
     assert payload["benchmark"] == "fleet"
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["workers_axis"] == [1, 2]
@@ -49,24 +54,6 @@ def test_tenant_slos_reported_and_bounded(payload):
             assert summary["ttft_p99_s"] >= summary["ttft_p50_s"]
     fairness = payload["fairness"]
     assert fairness["degradation_ratio"] <= fairness["limit"]
-
-
-def test_validator_rejects_regressions(payload):
-    broken = json.loads(json.dumps(payload))
-    broken["sweep"][1]["throughput_tps"] = \
-        broken["sweep"][0]["throughput_tps"] * 0.5
-    assert any("does not beat" in p for p in validate_payload(broken))
-
-    broken = json.loads(json.dumps(payload))
-    broken["sweep"][0]["prefix"]["hits"] = 0
-    assert any("zero prefix-cache hits" in p
-               for p in validate_payload(broken))
-
-    broken = json.loads(json.dumps(payload))
-    broken["fairness"]["degradation_ratio"] = \
-        broken["fairness"]["limit"] + 1
-    assert any("weighted admission failed" in p
-               for p in validate_payload(broken))
 
 
 def test_axis_must_start_at_baseline(tmp_path):

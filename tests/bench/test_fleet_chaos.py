@@ -2,8 +2,8 @@
 (`python -m repro.bench.fleet_chaos`).
 
 Runs the real gray-failure sweep and overload A/B at a small
-configuration and validates the ``BENCH_fleet_chaos.json`` schema:
-every gray kind finishes bit-identical to the fault-free reference with
+configuration and checks the ``BENCH_fleet_chaos.json`` it writes: its
+claims hold, every gray kind finishes bit-identical to the fault-free reference with
 availability intact, slow/stuck workers actually fail over with a
 measured latency, and the brownout ladder sheds less than the no-ladder
 baseline with every browned-out token stage-attributed.
@@ -14,21 +14,27 @@ import json
 import pytest
 
 from repro.bench.fleet_chaos import (RESULT_NAME, SCHEMA_VERSION,
-                                     run_fleet_chaos, validate_payload)
+                                     run_fleet_chaos)
+from repro.bench.registry import check_artifact
 from repro.faults import GRAY_KINDS
 
 
 @pytest.fixture(scope="module")
-def payload(tmp_path_factory):
+def out(tmp_path_factory):
     out = tmp_path_factory.mktemp("fleet_chaos")
     run_fleet_chaos(seed=0, n_steady=6, n_burst=4, output_tokens=8,
                     n_workers=4, blocks_per_worker=64, snapshot_every=4,
                     out_dir=out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def payload(out):
     return json.loads((out / RESULT_NAME).read_text())
 
 
-def test_writes_valid_payload(payload):
-    assert validate_payload(payload) == []
+def test_writes_valid_payload(out, payload):
+    assert check_artifact("fleet_chaos", out) == []
     assert payload["benchmark"] == "fleet_chaos"
     assert payload["schema_version"] == SCHEMA_VERSION
 
@@ -58,15 +64,3 @@ def test_ladder_sheds_less_than_baseline(payload):
     assert brownout["baseline"]["brownout_tokens"] == 0
     assert brownout["ladder"]["brownout_tokens"] >= 1
     assert brownout["attributed_tokens_consistent"]
-
-
-def test_validator_catches_mutations(payload):
-    broken = json.loads(json.dumps(payload))
-    broken["gray"]["kinds"][0]["bit_identical"] = False
-    assert any("diverge" in p for p in validate_payload(broken))
-    broken = json.loads(json.dumps(payload))
-    broken["brownout"]["ladder"]["shed_fraction"] = 1.0
-    assert any("did not improve" in p for p in validate_payload(broken))
-    broken = json.loads(json.dumps(payload))
-    del broken["gray"]
-    assert any("missing key" in p for p in validate_payload(broken))

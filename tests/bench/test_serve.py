@@ -1,8 +1,8 @@
 """Smoke test for the serving benchmark (`python -m repro.bench.serve`).
 
-Runs the real sweep at a tiny configuration and validates the
-``BENCH_serve.json`` schema: required keys, strictly increasing axes,
-per-system series lengths, percentile sanity (p99 >= p50), pool
+Runs the real sweep at a tiny configuration and checks the
+``BENCH_serve.json`` it writes: its claims hold, sorted, deduplicated
+axes, per-system series lengths, percentile sanity (p99 >= p50), pool
 accounting, and the service guarantee (every non-rejected request got
 its full output).
 """
@@ -11,8 +11,9 @@ import json
 
 import pytest
 
+from repro.bench.registry import check_artifact
 from repro.bench.serve import (RESULT_NAME, SCHEMA_VERSION, SYSTEM_NAMES,
-                               main, run_serve, validate_payload)
+                               main, run_serve)
 
 
 def _tiny_run(tmp_path, rates=(2.0, 200.0), contexts=(8192, 65536)):
@@ -24,7 +25,7 @@ def _tiny_run(tmp_path, rates=(2.0, 200.0), contexts=(8192, 65536)):
 def test_writes_valid_payload(tmp_path):
     table = _tiny_run(tmp_path)
     payload = json.loads((tmp_path / RESULT_NAME).read_text())
-    assert validate_payload(payload) == []
+    assert check_artifact("serve", tmp_path) == []
     assert payload["benchmark"] == "serve"
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["arrival_rates"] == [2.0, 200.0]
@@ -59,21 +60,6 @@ def test_axes_deduplicated_sorted_and_minimum(tmp_path):
         run_serve(contexts=(8192,), out_dir=tmp_path)
 
 
-def test_validation_catches_corruption(tmp_path):
-    _tiny_run(tmp_path)
-    payload = json.loads((tmp_path / RESULT_NAME).read_text())
-    assert validate_payload({}) != []
-    bad = json.loads(json.dumps(payload))
-    bad["sweep"]["longsight"][0]["all_tokens_served"] = False
-    assert any("service guarantee" in p for p in validate_payload(bad))
-    bad = json.loads(json.dumps(payload))
-    bad["sweep"]["dense"][0]["ttft_p50_s"] = -1.0
-    assert validate_payload(bad) != []
-    bad = json.loads(json.dumps(payload))
-    bad["arrival_rates"] = [200.0, 2.0]
-    assert any("increasing" in p for p in validate_payload(bad))
-
-
 def test_cli_main(tmp_path, capsys):
     exit_code = main(["--rates", "2", "200", "--contexts", "8192", "65536",
                       "--n-requests", "2", "--prompt-tokens", "12",
@@ -83,4 +69,4 @@ def test_cli_main(tmp_path, capsys):
     out = capsys.readouterr().out
     assert RESULT_NAME in out
     payload = json.loads((tmp_path / RESULT_NAME).read_text())
-    assert validate_payload(payload) == []
+    assert check_artifact("serve", tmp_path) == []

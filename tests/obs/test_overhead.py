@@ -8,14 +8,15 @@ default-on policy rests on: hook seconds over decode-loop seconds.
 
 import json
 
-from repro.bench.obs_overhead import run_obs_overhead, validate_payload
+from repro.bench.obs_overhead import run_obs_overhead
+from repro.bench.registry import check_artifact
 from repro.obs import NULL_COUNTER, NULL_OBS, MetricsRegistry
 
 
 def test_noop_overhead_below_5_percent(tmp_path):
     run_obs_overhead(steps=512, reps=3, out_dir=tmp_path)
     payload = json.loads((tmp_path / "BENCH_obs.json").read_text())
-    assert validate_payload(payload) == []
+    assert check_artifact("obs_overhead", tmp_path) == []
     frac = payload["results"]["noop_overhead_frac"]
     assert frac < 0.05, \
         f"no-op instrumentation added {frac:.1%} to the decode microloop"

@@ -30,7 +30,7 @@ each argv list of :data:`RECIPE` from the repository root into ``OUT/entry``
 and prints the report.  Every step runs with ``PYTHONPATH=src`` and
 ``REPRO_CACHE_DIR=OUT/cache``, so the examples' cheap checkpoints land in
 ``OUT``, and every artifact the recipe writes goes under ``OUT`` too.  On a
-2-vCPU host it takes about 15 minutes.
+2-vCPU host it takes about 9 minutes.
 
 Traps:
 
@@ -92,9 +92,10 @@ TRAINING = ("test_ablation_granularity.py", "test_dynax_comparison.py",
 
 #: Every non-test entry point the audit runs, as argv lists from the
 #: repository root (``python`` is the running interpreter, ``{out}`` the
-#: audit's ``OUT``): CI's bench-smoke commands, the examples (the training
-#: ones at ``--steps 4``), ``benchmarks/`` without :data:`TRAINING`, the
-#: experiment CLI's listing and the perf ledger's smoke run.
+#: audit's ``OUT``): CI's bench-smoke commands and its check of the
+#: artifacts they wrote, the examples (the training ones at ``--steps 4``),
+#: ``benchmarks/`` without :data:`TRAINING`, the experiment CLI's listing
+#: and the perf ledger's smoke run.
 RECIPE: Tuple[Tuple[str, ...], ...] = (
     ("python", "-m", "repro.bench.micro", "--contexts", "4096",
      "--repeats", "1", "--head-dim", "32", "--threshold", "20",
@@ -118,6 +119,7 @@ RECIPE: Tuple[Tuple[str, ...], ...] = (
     ("python", "-m", "repro.bench.fleet_chaos", "--n-steady", "6",
      "--n-burst", "4", "--out-dir", "{out}/results"),
     ("python", "-m", "repro.bench", "list"),
+    ("python", "-m", "repro.bench", "check", "{out}/results"),
     ("python", "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks",
      "--benchmark-disable")
     + tuple(f"--ignore=benchmarks/{name}" for name in TRAINING),
