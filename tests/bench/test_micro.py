@@ -93,6 +93,17 @@ def test_contexts_deduplicated_and_sorted(tmp_path, tiled):
     assert (np.diff(contexts) > 0).all()
 
 
+def test_validate_payload_rejects_wrong_schema_version(tmp_path, tiled):
+    """A fresh run stamped with an old schema_version fails the check."""
+    _tiny_run(tmp_path)
+    path = tmp_path / RESULT_NAME
+    payload = json.loads(path.read_text())
+    payload["schema_version"] = 1
+    path.write_text(json.dumps(payload))
+    problems = check_artifact("attention_micro", tmp_path)
+    assert any("schema_version" in p for p in problems)
+
+
 def test_cli_main(tmp_path, capsys, tiled):
     rc = main(["--contexts", "64", "--repeats", "1", "--window", "16",
                "--n-sink", "4", "--top-k", "8", "--n-q-heads", "4",
